@@ -1,59 +1,61 @@
 // Command copyload is the workload generator for copydetectd and
 // copygate: it streams synthetic datasets (internal/gen, the same
-// presets as datagen) into a daemon or a cluster gateway at a target
-// append rate across many concurrent clients, then reports throughput
-// and latency percentiles. It is both the scale demo for cluster mode
-// and the data source for benchmark trajectory files: with -json the
-// summary is machine-readable.
+// presets as datagen) into a daemon or a cluster gateway, drives them
+// to convergence, scores the detected copying against the generator's
+// planted copier cliques and reports throughput and latency
+// percentiles. Every run is a scenario executed by internal/scenario;
+// the flags describe the simplest one and -scenario names a file with
+// anything richer.
 //
 // Usage:
 //
 //	copyload -target http://localhost:8378
 //	         [-datasets 4] [-clients 4] [-dataset book-cs] [-scale 0.05]
-//	         [-seed 1] [-batch 500] [-rate 0] [-quiesce] [-json]
+//	         [-seed 1] [-batch 500] [-rate 0] [-json]
+//	copyload -target http://localhost:8378 -scenario file.json
+//	         [-slo file.json] [-verdict out.json] [-scrape URLs] [-pids PIDs]
 //
-// Each synthetic dataset is split into batches of -batch observations
-// and owned by exactly one client (append order within a dataset must
-// stay sequential); clients interleave their datasets round-robin, so
-// the server sees the mixed stream a real deployment would. -rate caps
-// the global append rate in batches per second (0 = as fast as the
-// target absorbs). With -quiesce (the default) the run ends by driving
-// every dataset to convergence and timing it.
+// Without -scenario the run is one phase that lasts until the data is
+// exhausted: -datasets synthetic datasets, split into batches of -batch
+// observations, each owned by exactly one of -clients clients (append
+// order within a dataset must stay sequential), which interleaves its
+// datasets by a seeded uniform pick so the server sees the mixed stream
+// a real deployment would. -rate caps the global append rate in batches
+// per second (0 = as fast as the target absorbs). The run ends by
+// driving every dataset to convergence, timed apart from the load
+// phase.
 //
 // A 429 from the target is backpressure, not failure: the batch is
 // retried after the advertised Retry-After and tallied separately as
-// "throttled" in the summary, so a run against an admission-controlled
-// daemon or gateway reports the pace the service chose rather than a
-// wall of errors.
+// "throttled", so a run against an admission-controlled daemon or
+// gateway reports the pace the service chose rather than a wall of
+// errors. A 5xx or transport failure is retried a bounded number of
+// times before the dataset's stream is abandoned and the run fails.
 //
-// With -scenario file.json the flat loop is replaced by the declarative
-// scenario engine (internal/scenario): named phases with their own
-// rates, client mixes and bursts, zipfian dataset popularity, source
-// churn, failure injection against the -pids backends, phase-boundary
-// /metrics scrapes of the -scrape targets, and an SLO verdict — p99
-// append latency, zero 5xx during kill phases, convergence lag, and
-// detection precision/recall against the planted copier cliques —
-// emitted as machine-readable JSON (stdout, or the -verdict file).
-// Exit status 1 means the verdict failed; see examples/scenarios/.
+// A -scenario file declares named phases with their own rates, client
+// mixes and bursts, zipfian dataset popularity, source churn, failure
+// injection against the -pids backends, and an SLO block — p99 append
+// latency, zero 5xx during kill phases, convergence lag, and detection
+// precision/recall — asserted on top; see examples/scenarios/. /metrics
+// of the -scrape targets is scraped at phase boundaries either way.
+//
+// The outcome is a scenario.Verdict: a one-screen text summary by
+// default, JSON with -json, -scenario or -verdict (which names a file
+// to write it to instead of stdout). Exit status 1 means the verdict
+// failed.
 package main
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"os"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
 	"time"
 
-	"copydetect/internal/dataset"
-	"copydetect/internal/gen"
+	"copydetect/internal/scenario"
 )
 
 // options carries the parsed command line; split out for testability.
@@ -66,11 +68,10 @@ type options struct {
 	seed     int64
 	batch    int
 	rate     float64 // appends/second across all clients; 0 = unlimited
-	quiesce  bool
 	jsonOut  bool
 	prefix   string
 
-	// Scenario mode (-scenario replaces the flat loop entirely).
+	// scenario names a file that replaces the flag-described workload.
 	scenario string
 	slo      string
 	verdict  string
@@ -88,12 +89,11 @@ func parseFlags(args []string) (options, error) {
 	seed := fs.Int64("seed", 1, "base RNG seed (dataset i uses seed+i)")
 	batch := fs.Int("batch", 500, "observations per append batch")
 	rate := fs.Float64("rate", 0, "target append batches/second across all clients (0 = unlimited)")
-	quiesce := fs.Bool("quiesce", true, "drive every dataset to convergence at the end and time it")
-	jsonOut := fs.Bool("json", false, "print the summary as JSON instead of text")
+	jsonOut := fs.Bool("json", false, "print the verdict as JSON instead of the text summary")
 	prefix := fs.String("prefix", "load", "dataset name prefix (dataset i is named <prefix>-<i>)")
-	scenarioPath := fs.String("scenario", "", "declarative scenario file (JSON); replaces the flat-rate loop")
+	scenarioPath := fs.String("scenario", "", "declarative scenario file (JSON); replaces the workload the flags describe")
 	sloPath := fs.String("slo", "", "SLO file (JSON) overriding the scenario's embedded slo block")
-	verdict := fs.String("verdict", "", "write the scenario verdict JSON to this file instead of stdout")
+	verdict := fs.String("verdict", "", "write the verdict JSON to this file instead of stdout")
 	scrapeTargets := fs.String("scrape", "", "comma-separated /metrics base URLs scraped at phase boundaries (default: the target)")
 	pids := fs.String("pids", "", "comma-separated backend PIDs addressed by inject steps (backend 0 = first)")
 	if err := fs.Parse(args); err != nil {
@@ -102,7 +102,7 @@ func parseFlags(args []string) (options, error) {
 	opt := options{
 		target: *target, datasets: *datasets, clients: *clients,
 		preset: *preset, scale: *scale, seed: *seed, batch: *batch,
-		rate: *rate, quiesce: *quiesce, jsonOut: *jsonOut, prefix: *prefix,
+		rate: *rate, jsonOut: *jsonOut, prefix: *prefix,
 		scenario: *scenarioPath, slo: *sloPath, verdict: *verdict,
 		scrape: *scrapeTargets, pids: *pids,
 	}
@@ -110,16 +110,16 @@ func parseFlags(args []string) (options, error) {
 		return options{}, fmt.Errorf("copyload: -target is required")
 	}
 	if opt.scenario != "" {
-		// Scenario mode: the file describes the workload; the flat-loop
-		// flags below don't apply and aren't validated.
+		// The file describes the workload; the workload flags below
+		// don't apply and aren't validated.
 		return opt, nil
 	}
 	if opt.datasets < 1 || opt.clients < 1 || opt.batch < 1 {
 		return options{}, fmt.Errorf("copyload: -datasets, -clients and -batch must be at least 1")
 	}
 	if opt.rate < 0 || opt.rate > 1e6 {
-		// The upper bound keeps the ticker interval positive (1e9 would
-		// truncate it to 0 and panic) and is far past any real target.
+		// The upper bound keeps the pacer interval positive and is far
+		// past any real target.
 		return options{}, fmt.Errorf("copyload: -rate must be between 0 and 1e6")
 	}
 	if opt.prefix == "" {
@@ -133,370 +133,128 @@ func parseFlags(args []string) (options, error) {
 	return opt, nil
 }
 
-func presetConfig(name string, seed int64) gen.Config {
-	switch name {
-	case "book-full":
-		return gen.BookFull(seed)
-	case "stock-1day":
-		return gen.Stock1Day(seed)
-	case "stock-2wk":
-		return gen.Stock2Wk(seed)
-	default:
-		return gen.BookCS(seed)
+// flagSpec is the scenario the workload flags describe: one group of
+// datasets and one phase that runs until they are exhausted.
+func flagSpec(opt options) *scenario.Spec {
+	return &scenario.Spec{
+		Name: fmt.Sprintf("%s ×%g", opt.preset, opt.scale),
+		Datasets: []scenario.DatasetGroup{{
+			Count: opt.datasets, Preset: opt.preset, Scale: opt.scale,
+			Seed: opt.seed, Prefix: opt.prefix,
+		}},
+		Batch:  opt.batch,
+		Phases: []scenario.Phase{{Name: "load", Rate: opt.rate, Clients: opt.clients}},
 	}
 }
-
-// splitBatches cuts recs into consecutive batches of at most size
-// records each.
-func splitBatches(recs []dataset.Record, size int) [][]dataset.Record {
-	var out [][]dataset.Record
-	for start := 0; start < len(recs); start += size {
-		end := start + size
-		if end > len(recs) {
-			end = len(recs)
-		}
-		out = append(out, recs[start:end])
-	}
-	return out
-}
-
-// percentile returns the q-quantile (0 < q <= 1) of sorted by the
-// nearest-rank method; zero for an empty slice. The rank is clamped
-// into the sample: floating-point rounding can push ceil(q*n) a hair
-// past n (and a tiny q below 1), and a p99 over a small sample must
-// select the largest value, never index out of range.
-func percentile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
-}
-
-// latencyStats summarizes a latency sample in milliseconds.
-type latencyStats struct {
-	P50Millis  float64 `json:"p50Millis"`
-	P90Millis  float64 `json:"p90Millis"`
-	P99Millis  float64 `json:"p99Millis"`
-	MaxMillis  float64 `json:"maxMillis"`
-	MeanMillis float64 `json:"meanMillis"`
-}
-
-// summarize reduces a latency sample to percentiles, or nil for an
-// empty sample: a run with zero successful appends has no latency
-// distribution, and reporting one (zeros, or worse, NaN from a 0/0)
-// would poison the machine-readable trajectory records.
-func summarize(samples []time.Duration) *latencyStats {
-	if len(samples) == 0 {
-		return nil
-	}
-	sorted := append([]time.Duration(nil), samples...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-	var sum time.Duration
-	for _, d := range sorted {
-		sum += d
-	}
-	ms := func(d time.Duration) float64 { return d.Seconds() * 1e3 }
-	return &latencyStats{
-		P50Millis:  ms(percentile(sorted, 0.50)),
-		P90Millis:  ms(percentile(sorted, 0.90)),
-		P99Millis:  ms(percentile(sorted, 0.99)),
-		MaxMillis:  ms(sorted[len(sorted)-1]),
-		MeanMillis: ms(sum / time.Duration(len(sorted))),
-	}
-}
-
-// report is the machine-readable run summary (-json).
-type report struct {
-	Target       string  `json:"target"`
-	Preset       string  `json:"preset"`
-	Scale        float64 `json:"scale"`
-	Datasets     int     `json:"datasets"`
-	Clients      int     `json:"clients"`
-	TargetRate   float64 `json:"targetRate,omitempty"`
-	Appends      int     `json:"appends"`
-	Observations int     `json:"observations"`
-	Errors       int     `json:"errors"`
-	// Throttled counts appends the target refused with 429 before
-	// eventually accepting them on retry: server-paced backpressure, a
-	// different signal from Errors (each throttled batch still landed
-	// exactly once, in order).
-	Throttled     int     `json:"throttled"`
-	WallSeconds   float64 `json:"wallSeconds"`
-	AppendsPerSec float64 `json:"appendsPerSec"`
-	ObsPerSec     float64 `json:"obsPerSec"`
-	// AppendLatency summarizes the latencies of *successful* appends
-	// only; it is omitted entirely when the run had none, so consumers
-	// never see fabricated percentiles (and the output stays valid
-	// JSON — NaN is not).
-	AppendLatency  *latencyStats `json:"appendLatency,omitempty"`
-	QuiesceSeconds float64       `json:"quiesceSeconds,omitempty"`
-}
-
-// streamTask is one dataset's pending work, owned by one client.
-type streamTask struct {
-	name    string
-	batches [][]dataset.Record
-	obs     int
-}
-
-type appendRequest struct {
-	Observations []dataset.Record `json:"observations"`
-}
-
-// clientResult is one client's measurements.
-type clientResult struct {
-	appends   int
-	obs       int
-	errors    int
-	throttled int
-	latencies []time.Duration
-}
-
-// maxConsecutiveThrottles bounds how long one stream keeps retrying a
-// batch the target refuses with 429: past this many refusals in a row
-// (minutes of waiting at the usual Retry-After) the target is wedged,
-// not busy, and the stream is abandoned as failed.
-const maxConsecutiveThrottles = 120
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
+	fail := func(code int, err error) int {
+		fmt.Fprintf(stderr, "copyload: %v\n", err)
+		return code
+	}
 	opt, err := parseFlags(args)
 	if err != nil {
 		fmt.Fprintf(stderr, "%v\n", err)
 		return 2
 	}
+	spec := flagSpec(opt)
 	if opt.scenario != "" {
-		return runScenario(opt, stdout, stderr)
+		if spec, err = scenario.Load(opt.scenario); err != nil {
+			return fail(2, err)
+		}
+	}
+	var slo *scenario.SLO // nil = the spec's embedded block
+	if opt.slo != "" {
+		if slo, err = scenario.LoadSLO(opt.slo); err != nil {
+			return fail(2, err)
+		}
+	}
+	pids, err := parsePIDs(opt.pids)
+	if err != nil {
+		return fail(2, err)
+	}
+	r := &scenario.Runner{
+		Target:        opt.target,
+		Client:        &http.Client{Timeout: 60 * time.Second},
+		Injector:      &pidInjector{pids: pids},
+		ScrapeTargets: splitTargets(opt.scrape, opt.target),
+		Logf: func(format string, args ...any) {
+			fmt.Fprintf(stderr, "copyload: "+format+"\n", args...)
+		},
+	}
+	v, err := r.Run(context.Background(), spec, slo)
+	if err != nil {
+		return fail(1, err)
 	}
 
-	// Generate the workloads up front so generation cost never pollutes
-	// the measured window.
-	tasks := make([]streamTask, opt.datasets)
-	for i := range tasks {
-		cfg := gen.Scale(presetConfig(opt.preset, opt.seed+int64(i)), opt.scale)
-		ds, _, err := gen.Generate(cfg)
+	switch {
+	case opt.verdict != "":
+		f, err := os.Create(opt.verdict)
 		if err != nil {
-			fmt.Fprintf(stderr, "copyload: generate dataset %d: %v\n", i, err)
-			return 1
+			return fail(1, err)
 		}
-		recs := dataset.Records(ds)
-		tasks[i] = streamTask{
-			name:    fmt.Sprintf("%s-%d", opt.prefix, i),
-			batches: splitBatches(recs, opt.batch),
-			obs:     len(recs),
+		err = writeJSON(f, v)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-	}
-
-	httpClient := &http.Client{}
-	base := opt.target + "/v1/datasets/"
-	for _, task := range tasks {
-		status, _, body, err := doJSON(httpClient, http.MethodPut, base+task.name, nil)
-		if err != nil || status != http.StatusCreated {
-			fmt.Fprintf(stderr, "copyload: create %s: status=%d err=%v body=%s\n", task.name, status, err, body)
-			return 1
+		if err != nil {
+			return fail(1, fmt.Errorf("write %s: %w", opt.verdict, err))
 		}
-	}
-
-	// Global rate limiting: one ticker shared by every client. Ticks
-	// are not buffered beyond one, so a slow target cannot bank tokens
-	// and burst past the cap later.
-	var tokens <-chan time.Time
-	if opt.rate > 0 {
-		ticker := time.NewTicker(time.Duration(float64(time.Second) / opt.rate))
-		defer ticker.Stop()
-		tokens = ticker.C
-	}
-
-	// Each dataset belongs to exactly one client (append order within a
-	// dataset must stay sequential); each client interleaves its
-	// datasets round-robin.
-	perClient := make([][]streamTask, opt.clients)
-	for i, task := range tasks {
-		c := i % opt.clients
-		perClient[c] = append(perClient[c], task)
-	}
-	results := make([]clientResult, opt.clients)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < opt.clients; c++ {
-		if len(perClient[c]) == 0 {
-			continue
+	case opt.jsonOut || opt.scenario != "":
+		if err := writeJSON(stdout, v); err != nil {
+			return fail(1, err)
 		}
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			res := &results[c]
-			next := make([]int, len(perClient[c]))   // next batch index per stream
-			stalls := make([]int, len(perClient[c])) // consecutive 429s per stream
-			for remaining := true; remaining; {
-				remaining = false
-				for s, task := range perClient[c] {
-					if next[s] >= len(task.batches) {
-						continue
-					}
-					remaining = true
-					if tokens != nil {
-						<-tokens
-					}
-					batch := task.batches[next[s]]
-					next[s]++
-					t0 := time.Now()
-					status, hdr, _, err := doJSON(httpClient, http.MethodPost,
-						base+task.name+"/observations", appendRequest{Observations: batch})
-					if err == nil && status == http.StatusTooManyRequests &&
-						stalls[s] < maxConsecutiveThrottles {
-						// Backpressure, not failure: the target refused the
-						// batch to bound its queues and said when to come
-						// back. Honor the hint and retry the same batch —
-						// nothing was applied, so the stream has no hole.
-						res.throttled++
-						stalls[s]++
-						next[s]--
-						time.Sleep(retryAfter(hdr))
-						continue
-					}
-					if err != nil || status != http.StatusAccepted {
-						// A failed append breaks the dataset's sequential
-						// stream; abandon its remaining batches rather than
-						// appending around a hole. The run exits nonzero.
-						// Its duration is not a latency sample — a refusal
-						// or timeout measures the failure, not the service.
-						res.errors++
-						next[s] = len(task.batches)
-						continue
-					}
-					stalls[s] = 0
-					res.latencies = append(res.latencies, time.Since(t0))
-					res.appends++
-					res.obs += len(batch)
-				}
-			}
-		}(c)
+	default:
+		printVerdict(stdout, v)
 	}
-	wg.Wait()
-	wall := time.Since(start)
-
-	rep := report{
-		Target:     opt.target,
-		Preset:     opt.preset,
-		Scale:      opt.scale,
-		Datasets:   opt.datasets,
-		Clients:    opt.clients,
-		TargetRate: opt.rate,
-	}
-	var latencies []time.Duration
-	for _, res := range results {
-		rep.Appends += res.appends
-		rep.Observations += res.obs
-		rep.Errors += res.errors
-		rep.Throttled += res.throttled
-		latencies = append(latencies, res.latencies...)
-	}
-	rep.WallSeconds = wall.Seconds()
-	if wall > 0 {
-		rep.AppendsPerSec = float64(rep.Appends) / wall.Seconds()
-		rep.ObsPerSec = float64(rep.Observations) / wall.Seconds()
-	}
-	rep.AppendLatency = summarize(latencies)
-
-	if opt.quiesce {
-		// A failed quiesce (e.g. a backend died mid-run) is an error,
-		// not a reason to discard the measured run: the report below is
-		// most valuable for exactly the runs that went wrong.
-		q0 := time.Now()
-		for _, task := range tasks {
-			status, _, body, err := doJSON(httpClient, http.MethodPost, base+task.name+"/quiesce", nil)
-			if err != nil || status != http.StatusOK {
-				fmt.Fprintf(stderr, "copyload: quiesce %s: status=%d err=%v body=%s\n", task.name, status, err, body)
-				rep.Errors++
-			}
-		}
-		rep.QuiesceSeconds = time.Since(q0).Seconds()
-	}
-
-	if opt.jsonOut {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fmt.Fprintf(stderr, "copyload: %v\n", err)
-			return 1
-		}
-	} else {
-		printReport(stdout, rep)
-	}
-	if rep.Errors > 0 {
+	if !v.Pass {
+		fmt.Fprintf(stderr, "copyload: %q FAILED: errors during the run or an SLO check\n", v.Scenario)
 		return 1
 	}
 	return 0
 }
 
-func printReport(w io.Writer, rep report) {
-	fmt.Fprintf(w, "copyload: %s ×%g → %s\n", rep.Preset, rep.Scale, rep.Target)
-	fmt.Fprintf(w, "  datasets %d, clients %d", rep.Datasets, rep.Clients)
-	if rep.TargetRate > 0 {
-		fmt.Fprintf(w, ", target rate %.1f appends/s", rep.TargetRate)
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "  %d appends (%d observations) in %.2fs — %.1f appends/s, %.0f obs/s, %d errors, %d throttled\n",
-		rep.Appends, rep.Observations, rep.WallSeconds, rep.AppendsPerSec, rep.ObsPerSec, rep.Errors, rep.Throttled)
-	if l := rep.AppendLatency; l != nil {
-		fmt.Fprintf(w, "  append latency ms: p50 %.2f  p90 %.2f  p99 %.2f  max %.2f  mean %.2f\n",
-			l.P50Millis, l.P90Millis, l.P99Millis, l.MaxMillis, l.MeanMillis)
-	} else {
-		fmt.Fprintln(w, "  append latency: no successful appends")
-	}
-	if rep.QuiesceSeconds > 0 {
-		fmt.Fprintf(w, "  quiesce to convergence: %.2fs\n", rep.QuiesceSeconds)
-	}
+func writeJSON(w io.Writer, v *scenario.Verdict) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
 }
 
-// doJSON runs one JSON request and returns the status, response
-// headers and raw body.
-func doJSON(client *http.Client, method, url string, body any) (int, http.Header, []byte, error) {
-	var rd io.Reader
-	if body != nil {
-		raw, err := json.Marshal(body)
-		if err != nil {
-			return 0, nil, nil, err
+// printVerdict renders the one-screen text summary of a verdict.
+func printVerdict(w io.Writer, v *scenario.Verdict) {
+	fmt.Fprintf(w, "copyload: %s → %s\n", v.Scenario, v.Target)
+	fmt.Fprintf(w, "  %d datasets, %d observations generated\n", v.Datasets, v.Observations)
+	for _, p := range v.Phases {
+		fmt.Fprintf(w, "  %s: %d appends (%d observations) in %.2fs — %.1f appends/s",
+			p.Name, p.Appends, p.Observations, p.Seconds, p.AchievedRate)
+		if p.TargetRate > 0 {
+			fmt.Fprintf(w, " (target %.1f)", p.TargetRate)
 		}
-		rd = bytes.NewReader(raw)
+		fmt.Fprintf(w, ", %d 5xx, %d other errors, %d throttled\n", p.Errors5xx, p.OtherErrors, p.Throttled)
+		if l := p.Latency; l != nil {
+			fmt.Fprintf(w, "    append latency ms: p50 %.2f  p90 %.2f  p99 %.2f  max %.2f  mean %.2f\n",
+				l.P50Millis, l.P90Millis, l.P99Millis, l.MaxMillis, l.MeanMillis)
+		} else {
+			fmt.Fprintln(w, "    append latency: no successful appends")
+		}
 	}
-	req, err := http.NewRequest(method, url, rd)
-	if err != nil {
-		return 0, nil, nil, err
+	fmt.Fprintf(w, "  quiesce to convergence: %.2fs, %d errors\n", v.QuiesceSeconds, v.QuiesceErrors)
+	if q := v.Quality; q != nil {
+		fmt.Fprintf(w, "  detection vs planted copiers: precision %.2f, recall %.2f (%d pairs detected, %d planted)\n",
+			q.Precision, q.Recall, q.DetectedPairs, q.PlantedPairs)
 	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, nil, nil, err
+	for _, c := range v.Checks {
+		if !c.Pass {
+			fmt.Fprintf(w, "  FAILED %s %s: %g against a limit of %g %s\n", c.Name, c.Phase, c.Actual, c.Limit, c.Detail)
+		}
 	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, nil, nil, err
+	if v.Pass {
+		fmt.Fprintln(w, "  PASS")
+	} else {
+		fmt.Fprintln(w, "  FAIL")
 	}
-	return resp.StatusCode, resp.Header, raw, nil
-}
-
-// retryAfter converts a 429's Retry-After header into a wait: the
-// advertised delta-seconds when present, one second otherwise, clamped
-// so a misconfigured server cannot stall a load run arbitrarily long.
-func retryAfter(hdr http.Header) time.Duration {
-	d := time.Second
-	if secs, err := strconv.Atoi(strings.TrimSpace(hdr.Get("Retry-After"))); err == nil && secs >= 0 {
-		d = time.Duration(secs) * time.Second
-	}
-	if d > 10*time.Second {
-		d = 10 * time.Second
-	}
-	return d
 }

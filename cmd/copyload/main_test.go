@@ -12,9 +12,32 @@ import (
 	"time"
 
 	"copydetect/internal/core"
-	"copydetect/internal/dataset"
+	"copydetect/internal/scenario"
 	"copydetect/internal/server"
 )
+
+// runJSON runs copyload with -json appended and decodes the verdict.
+func runJSON(t *testing.T, wantCode int, args ...string) (*scenario.Verdict, string) {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	if code := run(append(args, "-json"), &stdout, &stderr); code != wantCode {
+		t.Fatalf("run exited %d, want %d; stderr:\n%s", code, wantCode, stderr.String())
+	}
+	var v scenario.Verdict
+	if err := json.Unmarshal(stdout.Bytes(), &v); err != nil {
+		t.Fatalf("bad JSON verdict %q: %v", stdout.String(), err)
+	}
+	if len(v.Phases) != 1 || v.Phases[0].Name != "load" {
+		t.Fatalf("phases = %+v, want the single load phase", v.Phases)
+	}
+	return &v, stdout.String()
+}
+
+func textSummary(v *scenario.Verdict) string {
+	var text bytes.Buffer
+	printVerdict(&text, v)
+	return text.String()
+}
 
 func TestParseFlags(t *testing.T) {
 	opt, err := parseFlags([]string{"-target", "http://x:1"})
@@ -22,21 +45,21 @@ func TestParseFlags(t *testing.T) {
 		t.Fatalf("defaults: %v", err)
 	}
 	if opt.datasets != 4 || opt.clients != 4 || opt.batch != 500 || opt.rate != 0 ||
-		!opt.quiesce || opt.jsonOut || opt.preset != "book-cs" || opt.scale != 0.05 || opt.seed != 1 {
+		opt.jsonOut || opt.preset != "book-cs" || opt.scale != 0.05 || opt.seed != 1 {
 		t.Fatalf("defaults = %+v", opt)
 	}
 
 	opt, err = parseFlags([]string{
 		"-target", "http://x:1", "-datasets", "8", "-clients", "2",
 		"-dataset", "stock-1day", "-scale", "0.2", "-seed", "7",
-		"-batch", "100", "-rate", "50", "-quiesce=false", "-json",
+		"-batch", "100", "-rate", "50", "-json",
 	})
 	if err != nil {
 		t.Fatalf("full flags: %v", err)
 	}
 	if opt.datasets != 8 || opt.clients != 2 || opt.preset != "stock-1day" ||
 		opt.scale != 0.2 || opt.seed != 7 || opt.batch != 100 || opt.rate != 50 ||
-		opt.quiesce || !opt.jsonOut {
+		!opt.jsonOut {
 		t.Fatalf("full flags = %+v", opt)
 	}
 
@@ -46,7 +69,7 @@ func TestParseFlags(t *testing.T) {
 		{"-target", "http://x:1", "-clients", "0"},
 		{"-target", "http://x:1", "-batch", "0"},
 		{"-target", "http://x:1", "-rate", "-1"},
-		{"-target", "http://x:1", "-rate", "2000000000"}, // would zero the ticker interval
+		{"-target", "http://x:1", "-rate", "2000000000"}, // would zero the pacer interval
 		{"-target", "http://x:1", "-dataset", "nope"},
 		{"-target", "http://x:1", "-prefix", ""},
 		{"-nonsense"},
@@ -57,95 +80,10 @@ func TestParseFlags(t *testing.T) {
 	}
 }
 
-func TestSplitBatches(t *testing.T) {
-	recs := make([]dataset.Record, 7)
-	got := splitBatches(recs, 3)
-	if len(got) != 3 || len(got[0]) != 3 || len(got[1]) != 3 || len(got[2]) != 1 {
-		t.Fatalf("splitBatches(7, 3) sizes = %v", lens(got))
-	}
-	if got := splitBatches(nil, 3); got != nil {
-		t.Errorf("splitBatches(nil) = %v, want nil", got)
-	}
-	if got := splitBatches(recs, 100); len(got) != 1 || len(got[0]) != 7 {
-		t.Errorf("oversized batch = %v", lens(got))
-	}
-}
-
-func lens(b [][]dataset.Record) []int {
-	out := make([]int, len(b))
-	for i := range b {
-		out[i] = len(b[i])
-	}
-	return out
-}
-
-// TestPercentile is table-driven over the sample sizes that historically
-// go wrong: empty, single-element, and sub-100 samples where a naive
-// p99 rank (ceil(0.99*n)) must clamp to the largest value instead of
-// indexing out of range.
-func TestPercentile(t *testing.T) {
-	ms := func(ns ...int) []time.Duration {
-		out := make([]time.Duration, len(ns))
-		for i, n := range ns {
-			out[i] = time.Duration(n) * time.Millisecond
-		}
-		return out
-	}
-	for _, tc := range []struct {
-		name   string
-		sorted []time.Duration
-		q      float64
-		want   time.Duration
-	}{
-		{"empty", nil, 0.99, 0},
-		{"single-p50", ms(7), 0.50, 7 * time.Millisecond},
-		{"single-p99", ms(7), 0.99, 7 * time.Millisecond},
-		{"single-p100", ms(7), 1.00, 7 * time.Millisecond},
-		{"two-p99-clamps-to-max", ms(1, 9), 0.99, 9 * time.Millisecond},
-		{"two-p50", ms(1, 9), 0.50, 1 * time.Millisecond},
-		{"five-p50", ms(1, 2, 3, 4, 100), 0.50, 3 * time.Millisecond},
-		{"five-p90", ms(1, 2, 3, 4, 100), 0.90, 100 * time.Millisecond},
-		{"five-p99", ms(1, 2, 3, 4, 100), 0.99, 100 * time.Millisecond},
-		{"five-p20", ms(1, 2, 3, 4, 100), 0.20, 1 * time.Millisecond},
-		{"five-p100", ms(1, 2, 3, 4, 100), 1.00, 100 * time.Millisecond},
-		{"tiny-q-clamps-low", ms(1, 2, 3), 0.0001, 1 * time.Millisecond},
-	} {
-		if got := percentile(tc.sorted, tc.q); got != tc.want {
-			t.Errorf("%s: percentile(q=%v) = %v, want %v", tc.name, tc.q, got, tc.want)
-		}
-	}
-	// Exact-rank boundaries across a range of sizes: the nearest-rank
-	// index must always stay inside the sample.
-	for n := 1; n <= 120; n++ {
-		sample := make([]time.Duration, n)
-		for i := range sample {
-			sample[i] = time.Duration(i+1) * time.Microsecond
-		}
-		for _, q := range []float64{0.01, 0.5, 0.9, 0.99, 0.999, 1.0} {
-			got := percentile(sample, q)
-			if got < sample[0] || got > sample[n-1] {
-				t.Fatalf("n=%d q=%v: percentile %v outside the sample", n, q, got)
-			}
-		}
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := summarize([]time.Duration{2 * time.Millisecond, 1 * time.Millisecond})
-	if s == nil || s.P50Millis != 1 || s.MaxMillis != 2 || s.MeanMillis != 1.5 || s.P99Millis != 2 {
-		t.Errorf("summarize = %+v", s)
-	}
-	// No samples → no summary at all: the report must omit the field
-	// rather than fabricate zeros (or NaN) for the trajectory tooling.
-	if z := summarize(nil); z != nil {
-		t.Errorf("summarize(nil) = %+v, want nil", z)
-	}
-}
-
 // TestZeroSuccessfulAppendsOmitsLatency is the regression test for the
-// empty-sample report: a run where every append fails must produce
-// valid JSON with the appendLatency block omitted — not a zero-filled
-// (or NaN-filled) latency summary measured over failures.
+// empty-sample report: a run where every append fails must exit
+// nonzero with valid JSON and the appendLatency block omitted — not a
+// zero-filled (or NaN-filled) latency summary measured over failures.
 func TestZeroSuccessfulAppendsOmitsLatency(t *testing.T) {
 	reg := server.NewRegistry(server.Config{Options: core.Options{Workers: 1}})
 	defer reg.Close()
@@ -160,36 +98,17 @@ func TestZeroSuccessfulAppendsOmitsLatency(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	var stdout, stderr bytes.Buffer
-	code := run([]string{
-		"-target", srv.URL, "-datasets", "1", "-clients", "1",
-		"-scale", "0.02", "-batch", "100", "-quiesce=false", "-json",
-	}, &stdout, &stderr)
-	if code != 1 {
-		t.Fatalf("run with failing appends exited %d, want 1; stderr:\n%s", code, stderr.String())
+	v, raw := runJSON(t, 1, "-target", srv.URL, "-datasets", "1", "-clients", "1",
+		"-scale", "0.02", "-batch", "100")
+	if strings.Contains(raw, "appendLatency") {
+		t.Errorf("zero-success verdict still carries appendLatency: %s", raw)
 	}
-	if !json.Valid(stdout.Bytes()) {
-		t.Fatalf("report is not valid JSON: %q", stdout.String())
-	}
-	var raw map[string]any
-	if err := json.Unmarshal(stdout.Bytes(), &raw); err != nil {
-		t.Fatal(err)
-	}
-	if _, present := raw["appendLatency"]; present {
-		t.Errorf("zero-success report still carries appendLatency: %q", stdout.String())
-	}
-	var rep report
-	if err := json.Unmarshal(stdout.Bytes(), &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Appends != 0 || rep.Errors == 0 || rep.AppendLatency != nil {
-		t.Errorf("report = %+v, want zero appends, counted errors, nil latency", rep)
+	if p := v.Phases[0]; p.Appends != 0 || p.Errors5xx == 0 || p.OtherErrors != 1 || p.Latency != nil {
+		t.Errorf("phase = %+v, want zero appends, counted 5xx, one abandoned stream, nil latency", p)
 	}
 	// The text renderer handles the empty sample too.
-	var text bytes.Buffer
-	printReport(&text, rep)
-	if !strings.Contains(text.String(), "no successful appends") {
-		t.Errorf("text report does not flag the empty sample:\n%s", text.String())
+	if text := textSummary(v); !strings.Contains(text, "no successful appends") {
+		t.Errorf("text summary does not flag the empty sample:\n%s", text)
 	}
 }
 
@@ -215,23 +134,14 @@ func TestFailedAppendLatenciesExcluded(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	var stdout, stderr bytes.Buffer
-	code := run([]string{
-		"-target", srv.URL, "-datasets", "1", "-clients", "1",
-		"-scale", "0.02", "-batch", "50", "-quiesce=false", "-json",
-	}, &stdout, &stderr)
-	if code != 1 {
-		t.Fatalf("run exited %d, want 1 (failed appends); stderr:\n%s", code, stderr.String())
+	v, _ := runJSON(t, 1, "-target", srv.URL, "-datasets", "1", "-clients", "1",
+		"-scale", "0.02", "-batch", "50")
+	p := v.Phases[0]
+	if p.Appends != 1 || p.Errors5xx == 0 || p.OtherErrors != 1 || p.Latency == nil {
+		t.Fatalf("phase = %+v, want 1 success, counted 5xx, one abandoned stream, a latency summary", p)
 	}
-	var rep report
-	if err := json.Unmarshal(stdout.Bytes(), &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Appends != 1 || rep.Errors != 1 || rep.AppendLatency == nil {
-		t.Fatalf("report = %+v, want 1 success, 1 error, a latency summary", rep)
-	}
-	if rep.AppendLatency.MaxMillis >= 150 {
-		t.Errorf("failed append's 150ms latency leaked into the sample: %+v", rep.AppendLatency)
+	if p.Latency.MaxMillis >= 150 {
+		t.Errorf("failed append's 150ms latency leaked into the sample: %+v", p.Latency)
 	}
 }
 
@@ -252,48 +162,10 @@ func TestQuiesceFailureStillReports(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	var stdout, stderr bytes.Buffer
-	code := run([]string{
-		"-target", srv.URL, "-datasets", "1", "-clients", "1",
-		"-scale", "0.02", "-batch", "100", "-json",
-	}, &stdout, &stderr)
-	if code != 1 {
-		t.Fatalf("run with failing quiesce exited %d, want 1; stderr:\n%s", code, stderr.String())
-	}
-	var rep report
-	if err := json.Unmarshal(stdout.Bytes(), &rep); err != nil {
-		t.Fatalf("no JSON report despite quiesce failure: %q (%v)", stdout.String(), err)
-	}
-	if rep.Appends == 0 || rep.Errors == 0 {
-		t.Fatalf("report = %+v, want measured appends and the quiesce error counted", rep)
-	}
-}
-
-// TestRetryAfter is table-driven over the header shapes a 429 can
-// carry: delta-seconds are honored (and clamped), everything else falls
-// back to the one-second default.
-func TestRetryAfter(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		value string
-		want  time.Duration
-	}{
-		{"absent", "", time.Second},
-		{"zero", "0", 0},
-		{"five-seconds", "5", 5 * time.Second},
-		{"padded", " 2 ", 2 * time.Second},
-		{"negative-falls-back", "-3", time.Second},
-		{"http-date-falls-back", "Fri, 08 Aug 2026 00:00:00 GMT", time.Second},
-		{"garbage-falls-back", "soon", time.Second},
-		{"huge-is-clamped", "3600", 10 * time.Second},
-	} {
-		hdr := http.Header{}
-		if tc.value != "" {
-			hdr.Set("Retry-After", tc.value)
-		}
-		if got := retryAfter(hdr); got != tc.want {
-			t.Errorf("%s: retryAfter(%q) = %v, want %v", tc.name, tc.value, got, tc.want)
-		}
+	v, _ := runJSON(t, 1, "-target", srv.URL, "-datasets", "1", "-clients", "1",
+		"-scale", "0.02", "-batch", "100")
+	if v.Phases[0].Appends == 0 || v.QuiesceErrors != 1 || v.Pass {
+		t.Fatalf("verdict = %+v, want measured appends, the quiesce error counted and a failed verdict", v)
 	}
 }
 
@@ -317,26 +189,17 @@ func TestThrottledAppendsRetry(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	var stdout, stderr bytes.Buffer
-	code := run([]string{
-		"-target", srv.URL, "-datasets", "2", "-clients", "2",
-		"-scale", "0.02", "-batch", "100", "-quiesce=false", "-json",
-	}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("throttled run exited %d, want 0; stderr:\n%s", code, stderr.String())
+	v, raw := runJSON(t, 0, "-target", srv.URL, "-datasets", "2", "-clients", "2",
+		"-scale", "0.02", "-batch", "100")
+	p := v.Phases[0]
+	if p.Errors5xx != 0 || p.OtherErrors != 0 {
+		t.Errorf("throttled batches counted as errors: %+v", p)
 	}
-	var rep report
-	if err := json.Unmarshal(stdout.Bytes(), &rep); err != nil {
-		t.Fatalf("bad JSON report %q: %v", stdout.String(), err)
+	if p.Throttled == 0 || p.Throttled != p.Appends {
+		t.Errorf("throttled = %d, appends = %d; every batch was refused exactly once", p.Throttled, p.Appends)
 	}
-	if rep.Errors != 0 {
-		t.Errorf("throttled batches counted as errors: %+v", rep)
-	}
-	if rep.Throttled == 0 || rep.Throttled != rep.Appends {
-		t.Errorf("throttled = %d, appends = %d; every batch was refused exactly once", rep.Throttled, rep.Appends)
-	}
-	if !strings.Contains(stdout.String(), `"throttled"`) {
-		t.Errorf("JSON report has no throttled field: %s", stdout.String())
+	if !strings.Contains(raw, `"throttled"`) {
+		t.Errorf("JSON verdict has no throttled field: %s", raw)
 	}
 	// Every observation landed exactly once despite the refusals.
 	total := 0
@@ -347,83 +210,62 @@ func TestThrottledAppendsRetry(t *testing.T) {
 		}
 		total += int(m.Info().Version)
 	}
-	if total != rep.Appends {
-		t.Errorf("server holds %d appends, report claims %d", total, rep.Appends)
+	if total != p.Appends || p.Observations != v.Observations {
+		t.Errorf("server holds %d appends, verdict claims %d (%d of %d observations)",
+			total, p.Appends, p.Observations, v.Observations)
 	}
-
-	var text bytes.Buffer
-	printReport(&text, rep)
-	if !strings.Contains(text.String(), "throttled") {
-		t.Errorf("text report does not mention throttling:\n%s", text.String())
+	if text := textSummary(v); !strings.Contains(text, "throttled") {
+		t.Errorf("text summary does not mention throttling:\n%s", text)
 	}
 }
 
 // TestRunAgainstDaemon streams a small workload into an in-process
-// daemon and checks the JSON report: every batch acknowledged, no
-// errors, convergence reached.
+// daemon and checks the verdict: every batch acknowledged, no errors,
+// convergence reached, detection scored.
 func TestRunAgainstDaemon(t *testing.T) {
 	reg := server.NewRegistry(server.Config{Options: core.Options{Workers: 1}})
 	defer reg.Close()
 	srv := httptest.NewServer(server.NewHandler(reg))
 	defer srv.Close()
 
-	var stdout, stderr bytes.Buffer
-	code := run([]string{
-		"-target", srv.URL, "-datasets", "3", "-clients", "2",
-		"-scale", "0.02", "-batch", "200", "-json",
-	}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("run exited %d; stderr:\n%s", code, stderr.String())
-	}
-	var rep report
-	if err := json.Unmarshal(stdout.Bytes(), &rep); err != nil {
-		t.Fatalf("bad JSON report %q: %v", stdout.String(), err)
-	}
-	if rep.Errors != 0 || rep.Appends == 0 || rep.Observations == 0 {
-		t.Fatalf("report = %+v", rep)
-	}
-	if rep.AppendLatency == nil || rep.AppendLatency.MaxMillis <= 0 || rep.WallSeconds <= 0 || rep.QuiesceSeconds <= 0 {
-		t.Fatalf("missing measurements: %+v", rep)
+	v, _ := runJSON(t, 0, "-target", srv.URL, "-datasets", "3", "-clients", "2",
+		"-scale", "0.02", "-batch", "200")
+	p := v.Phases[0]
+	if !v.Pass || p.Appends == 0 || p.Errors5xx != 0 || p.OtherErrors != 0 || p.Starved {
+		t.Fatalf("verdict = %+v", v)
 	}
 	// Everything the generator produced must have been appended.
-	if rep.Datasets != 3 || rep.Clients != 2 {
-		t.Fatalf("echoed config = %+v", rep)
+	if v.Datasets != 3 || v.Observations == 0 || p.Observations != v.Observations {
+		t.Fatalf("streamed %d of %d observations over %d datasets", p.Observations, v.Observations, v.Datasets)
+	}
+	if p.Latency == nil || p.Latency.MaxMillis <= 0 || v.WallSeconds <= 0 || v.QuiesceSeconds <= 0 || v.Quality == nil {
+		t.Fatalf("missing measurements: %+v", v)
 	}
 	for _, name := range reg.List() {
 		m, ok := reg.Get(name)
 		if !ok || !m.Converged() {
-			t.Errorf("dataset %s not converged after -quiesce run", name)
+			t.Errorf("dataset %s not converged after the run", name)
 		}
 	}
 
-	// The human-readable path renders the same numbers without error.
-	var text bytes.Buffer
-	printReport(&text, rep)
-	if text.Len() == 0 {
-		t.Error("empty text report")
+	// The human-readable path renders the same verdict.
+	var text, stderr bytes.Buffer
+	if code := run([]string{"-target", srv.URL, "-datasets", "1", "-scale", "0.02", "-prefix", "text"}, &text, &stderr); code != 0 {
+		t.Fatalf("text run exited %d; stderr:\n%s", code, stderr.String())
+	}
+	if !strings.Contains(text.String(), "PASS") || json.Valid(text.Bytes()) {
+		t.Errorf("text summary:\n%s", text.String())
 	}
 
 	// A rate-limited run respects the cap, within slack: 4 batches at
 	// 200/s cannot finish faster than ~15ms.
-	var out2 bytes.Buffer
-	start := time.Now()
-	code = run([]string{
-		"-target", srv.URL, "-datasets", "1", "-clients", "1",
-		"-scale", "0.02", "-batch", "30", "-rate", "200",
-		"-seed", "99", "-prefix", "ratecap", "-quiesce=false", "-json",
-	}, &out2, &stderr)
-	if code != 0 {
-		t.Fatalf("rate-limited run exited %d; stderr:\n%s", code, stderr.String())
+	v2, _ := runJSON(t, 0, "-target", srv.URL, "-datasets", "1", "-clients", "1",
+		"-scale", "0.02", "-batch", "30", "-rate", "200", "-seed", "99", "-prefix", "ratecap")
+	p = v2.Phases[0]
+	if p.Appends < 2 {
+		t.Fatalf("rate-limited run made only %d appends", p.Appends)
 	}
-	var rep2 report
-	if err := json.Unmarshal(out2.Bytes(), &rep2); err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Appends < 2 {
-		t.Fatalf("rate-limited run made only %d appends", rep2.Appends)
-	}
-	minWall := time.Duration(rep2.Appends-1) * (time.Second / 200)
-	if elapsed := time.Since(start); elapsed < minWall {
-		t.Errorf("rate cap violated: %d appends in %v (< %v)", rep2.Appends, elapsed, minWall)
+	if minWall := float64(p.Appends-1) / 200; p.Seconds < minWall {
+		t.Errorf("rate cap violated: %d appends in %.3fs (< %.3fs)", p.Appends, p.Seconds, minWall)
 	}
 }

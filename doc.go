@@ -112,8 +112,9 @@
 // equivalence between a three-backend gateway and a single direct
 // daemon, through a mid-stream SIGKILL and readmission.
 //
-// Beyond the flat-rate loop, copyload -scenario runs a declarative
-// workload (internal/scenario): JSON-specified phases with target
+// Every copyload run is a scenario executed by internal/scenario; the
+// flags describe a one-phase one, and -scenario runs a declarative
+// workload from a file: JSON-specified phases with target
 // rates, traffic bursts, zipfian dataset popularity, source churn and
 // failure injections, judged against an SLO block — p99 append
 // latency, zero 5xx through backend kills, convergence time, and

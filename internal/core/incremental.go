@@ -13,7 +13,7 @@ import (
 )
 
 // Incremental is the iterative algorithm of Section V. The first
-// WarmRounds rounds run HYBRID from scratch (the paper found results vary
+// warmRounds rounds run HYBRID from scratch (the paper found results vary
 // too much before round 3 for incremental refinement to pay off). At the
 // end of the warm phase it freezes the inverted index — entry set, entry
 // order, candidate pairs and shared-item counts never change across
@@ -42,7 +42,7 @@ import (
 // exact scores would produce under the θcp/θind thresholds. Only pairs in
 // the posterior middle zone always reach pass 3.
 //
-// Pairs containing a source whose accuracy drifted by ≥ RhoA from the
+// Pairs containing a source whose accuracy drifted by ≥ rhoA from the
 // base are recomputed exactly (pass 3), as Section V-A requires. When too
 // many entries or accuracies drift past their thresholds the detector
 // rebases: it recomputes exact base scores against the current state —
@@ -75,12 +75,8 @@ type Incremental struct {
 	// gap between consecutive changes, so the cluster of genuinely moved
 	// entries is handled exactly and ∆ρ — the largest remaining "small"
 	// change — stays tight. (The paper's experiments fix 1.0, chosen by
-	// observing those gaps.) RhoA is the big-change threshold on source
-	// accuracies; zero selects the paper's 0.2.
-	RhoV, RhoA float64
-	// WarmRounds is the number of initial HYBRID rounds (paper: 2).
-	// Zero selects 2.
-	WarmRounds int
+	// observing those gaps.)
+	RhoV float64
 	// ReuseResult makes DetectRound return the same Result (and Pairs
 	// backing array) on every incremental round instead of allocating
 	// fresh ones. Callers that retain a returned Result past the next
@@ -89,10 +85,10 @@ type Incremental struct {
 	ReuseResult bool
 
 	prepared bool
-	warm     *Hybrid
 	cache    structCache
 
-	// Frozen at prepare time.
+	// Frozen at prepare time. pm and l are the cache's candidate pairs and
+	// shared-item counts as of the base round.
 	pm         *index.PairMap
 	l          []int32 // shared items per pair
 	n          []int32 // shared values per pair (constant across rounds)
@@ -153,15 +149,18 @@ type PassStats struct {
 	Rebased      bool
 }
 
-// adaptiveRhoV implements the paper's gap heuristic on the absolute score
-// changes of the current round. Changes below the noise floor are ignored;
-// with no significant change it returns +Inf (nothing is "big").
-func adaptiveRhoV(absDeltas []float64) float64 {
-	return adaptiveRhoVInto(absDeltas, nil)
-}
+// The paper's Section V-A settings, which nothing overrides: the number of
+// initial HYBRID rounds before the index is frozen, and the big-change
+// threshold on source accuracies.
+const (
+	warmRounds = 2
+	rhoA       = 0.2
+)
 
-// adaptiveRhoVInto is adaptiveRhoV with a caller-owned scratch buffer
-// (capacity >= len(absDeltas) keeps it allocation-free).
+// adaptiveRhoVInto implements the paper's gap heuristic on the absolute
+// score changes of the current round. Changes below the noise floor are
+// ignored; with no significant change it returns +Inf (nothing is "big").
+// buf is scratch (capacity >= len(absDeltas) keeps it allocation-free).
 func adaptiveRhoVInto(absDeltas, buf []float64) float64 {
 	const noise = 1e-6
 	sig := buf[:0]
@@ -191,30 +190,13 @@ func adaptiveRhoVInto(absDeltas, buf []float64) float64 {
 	return best
 }
 
-func (d *Incremental) rhoA() float64 {
-	if d.RhoA == 0 {
-		return 0.2
-	}
-	return d.RhoA
-}
-
-func (d *Incremental) warmRounds() int {
-	if d.WarmRounds == 0 {
-		return 2
-	}
-	return d.WarmRounds
-}
-
 // Name implements Detector.
 func (d *Incremental) Name() string { return "INCREMENTAL" }
 
 // Reset drops all cross-round state so the detector can serve a fresh
 // iterative process.
 func (d *Incremental) Reset() {
-	*d = Incremental{
-		Params: d.Params, Opts: d.Opts, RhoV: d.RhoV, RhoA: d.RhoA,
-		WarmRounds: d.WarmRounds, ReuseResult: d.ReuseResult,
-	}
+	*d = Incremental{Params: d.Params, Opts: d.Opts, RhoV: d.RhoV, ReuseResult: d.ReuseResult}
 }
 
 // DetectRound implements Detector.
@@ -226,12 +208,12 @@ func (d *Incremental) DetectRound(ds *dataset.Dataset, st *bayes.State, round in
 		// data; start over.
 		d.Reset()
 	}
-	if round <= d.warmRounds() {
-		if d.warm == nil {
-			d.warm = &Hybrid{Params: d.Params, Opts: d.Opts}
-		}
-		res := d.warm.DetectRound(ds, st, round)
-		if round == d.warmRounds() {
+	if round <= warmRounds {
+		// The scan refills the cache's candidate pairs, which the frozen
+		// pair set aliases.
+		d.prepared = false
+		res := scanRound(ds, st, d.Params, d.Opts, modeHybrid, &d.cache)
+		if round == warmRounds {
 			prepStart := time.Now()
 			d.prepare(ds, st, &res.Stats)
 			res.Stats.IndexBuild += time.Since(prepStart)
@@ -287,24 +269,11 @@ func growList[T any](s []T, n int) []T {
 // allocate nothing.
 func (d *Incremental) prepare(ds *dataset.Dataset, st *bayes.State, stats *Stats) {
 	p := d.Params
-	str := d.cache.structures(ds)
-	v := d.cache.view
-	v.Rescore(st, p, index.ByContribution, nil)
-	if d.pm == nil {
-		d.pm = index.NewPairMap(ds.NumSources())
-	}
-	index.CandidatePairsInto(v, d.pm)
+	var v *index.View
+	v, d.pm, d.l = d.cache.round(ds, st, p, index.ByContribution, nil)
+	str := d.cache.str
 	numPairs := d.pm.Len()
 
-	d.l = grow(d.l, numPairs)
-	for slot, key := range d.pm.Keys() {
-		s1, s2 := key.Sources()
-		if all := d.cache.pmAll.Get(s1, s2); all >= 0 {
-			d.l[slot] = d.cache.lAll[all]
-		} else {
-			d.l[slot] = int32(ds.SharedItems(s1, s2))
-		}
-	}
 	d.n = grow(d.n, numPairs)
 	clear(d.n)
 	d.cTo = grow(d.cTo, numPairs)
@@ -658,7 +627,6 @@ func (d *Incremental) incrementalRound(ds *dataset.Dataset, st *bayes.State) *Re
 	d.roundDRhoDec, d.roundDRhoInc = dRhoDec, dRhoInc
 
 	// Accuracy drift since the base.
-	rhoA := d.rhoA()
 	numBigAcc := 0
 	for s := range d.bigAcc {
 		big := math.Abs(st.A[s]-d.base.A[s]) >= rhoA
@@ -824,5 +792,3 @@ func (d *Incremental) emit(res *Result) {
 	res.Pairs = d.emitPairs
 	res.Stats.PairsConsidered += int64(numPairs)
 }
-
-func np(d *Incremental) int { return d.pm.Len() }

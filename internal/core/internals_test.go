@@ -92,20 +92,20 @@ func TestBoundTimersSkipRecomputation(t *testing.T) {
 
 func TestAdaptiveRhoV(t *testing.T) {
 	// A clear cluster of big movers above a gap.
-	rho := adaptiveRhoV([]float64{2.0, 1.9, 0.01, 0.02, 0.015})
+	rho := adaptiveRhoVInto([]float64{2.0, 1.9, 0.01, 0.02, 0.015}, nil)
 	if rho > 2.0 || rho < 1.0 {
 		t.Errorf("adaptive rho = %v, want the big-mover cluster threshold (1.9)", rho)
 	}
 	// All noise: nothing is big.
-	if rho := adaptiveRhoV([]float64{1e-9, 1e-8, 0}); !math.IsInf(rho, 1) {
+	if rho := adaptiveRhoVInto([]float64{1e-9, 1e-8, 0}, nil); !math.IsInf(rho, 1) {
 		t.Errorf("pure-noise deltas should give +Inf, got %v", rho)
 	}
 	// Single significant change.
-	if rho := adaptiveRhoV([]float64{0.5}); rho != 0.5 {
+	if rho := adaptiveRhoVInto([]float64{0.5}, nil); rho != 0.5 {
 		t.Errorf("single delta rho = %v, want 0.5", rho)
 	}
 	// Empty.
-	if rho := adaptiveRhoV(nil); !math.IsInf(rho, 1) {
+	if rho := adaptiveRhoVInto(nil, nil); !math.IsInf(rho, 1) {
 		t.Errorf("empty deltas should give +Inf")
 	}
 }

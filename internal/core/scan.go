@@ -215,12 +215,9 @@ func (t *pairTab) score(slot int, lnDiff float64) (cTo, cFrom float64) {
 }
 
 // scanRound runs one round of INDEX/BOUND/BOUND+/HYBRID, parallelized per
-// opts.Workers. cache may be nil for one-shot callers.
+// opts.Workers.
 func scanRound(ds *dataset.Dataset, st *bayes.State, p bayes.Params, opts Options, m mode, cache *structCache) *Result {
 	buildStart := time.Now()
-	if cache == nil {
-		cache = &structCache{}
-	}
 	var rng *rand.Rand
 	if opts.Order == index.Random {
 		rng = rand.New(rand.NewSource(opts.Seed))

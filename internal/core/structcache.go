@@ -87,15 +87,10 @@ func (c *structCache) round(ds *dataset.Dataset, st *bayes.State, p bayes.Params
 	}
 	c.lCounts = c.lCounts[:numPairs]
 	for slot, key := range c.pm.Keys() {
+		// A candidate pair co-occurs in a non-tail entry, hence in an
+		// entry, hence has a slot in pmAll.
 		s1, s2 := key.Sources()
-		if all := c.pmAll.Get(s1, s2); all >= 0 {
-			c.lCounts[slot] = c.lAll[all]
-		} else {
-			// Unreachable while the cache key holds (every candidate pair
-			// co-occurs in some entry, so pmAll has it); kept as a safety
-			// net.
-			c.lCounts[slot] = int32(ds.SharedItems(s1, s2))
-		}
+		c.lCounts[slot] = c.lAll[c.pmAll.Get(s1, s2)]
 	}
 	return c.view, c.pm, c.lCounts
 }

@@ -35,22 +35,24 @@ func (e *Env) Motivating() error {
 
 	e.printf("Motivating example (Tables I-III, Examples 2.1/3.3/3.6/4.2)\n\n")
 	e.printf("Inverted index (paper Table III):\n%-14s %5s %6s  %s\n", "Value", "Pr", "Score", "Providers")
-	idx := index.Build(ds, st, p, index.ByContribution, nil)
-	for i := range idx.Entries {
-		en := &idx.Entries[i]
+	str := index.NewStructure(ds)
+	v := index.NewView(str)
+	v.Rescore(st, p, index.ByContribution, nil)
+	for _, eid := range v.Order {
 		provs := ""
-		for j, s := range en.Providers {
+		for j, s := range str.Providers(eid) {
 			if j > 0 {
 				provs += ","
 			}
 			provs += ds.SourceNames[s]
 		}
 		tail := ""
-		if idx.InTail[i] {
+		if v.InTail[eid] {
 			tail = "   (in tail set E̅)"
 		}
+		d := str.Item[eid]
 		e.printf("%-14s %5.2f %6.2f  %s%s\n",
-			ds.ItemNames[en.Item]+"."+ds.ValueNames[en.Item][en.Value], en.P, en.Score, provs, tail)
+			ds.ItemNames[d]+"."+ds.ValueNames[d][str.Val[eid]], v.P[eid], v.Score[eid], provs, tail)
 	}
 
 	e.printf("\nExample 3.6 — INDEX vs PAIRWISE on one round:\n")

@@ -30,29 +30,13 @@ func (e *Env) Table5() error {
 			return err
 		}
 		st := dataset.Summarize(inst.DS)
-		// Index entries at the initial voting state.
-		bst := initialState(inst.DS, e.Params)
-		idx := index.Build(inst.DS, bst, e.Params, index.ByContribution, nil)
 		p := paper[id]
 		e.printf("%-12s %8d %9d %13d %15d   [%d, %d, %d, %d]\n",
-			id, st.Sources, st.Items, st.DistinctValues, idx.NumEntries(),
+			id, st.Sources, st.Items, st.DistinctValues, index.NewStructure(inst.DS).NumEntries(),
 			p[0], p[1], p[2], p[3])
 	}
 	e.printf("\n")
 	return nil
-}
-
-// initialState reproduces the driver's round-0 state: uniform accuracy,
-// value probabilities from undiscounted voting.
-func initialState(ds *dataset.Dataset, p bayes.Params) *bayes.State {
-	valueCounts := make([]int, ds.NumItems())
-	for d := range valueCounts {
-		valueCounts[d] = ds.NumValues(dataset.ItemID(d))
-	}
-	st := bayes.NewState(valueCounts, ds.NumSources(), 0.8)
-	st.P = fusion.ValueProbs(ds, st, p, nil)
-	st.A = fusion.Accuracies(ds, st.P)
-	return st
 }
 
 // methodRun is one method's outcome on one dataset.

@@ -10,34 +10,6 @@
 //copydetect:deterministic
 package index
 
-import (
-	"math"
-	"math/rand"
-	"sort"
-
-	"copydetect/internal/bayes"
-	"copydetect/internal/dataset"
-)
-
-// Entry is one inverted-index entry: a value of a data item together with
-// the sources providing it.
-type Entry struct {
-	Item  dataset.ItemID
-	Value dataset.ValueID
-	// P is the probability of the value being true at build time.
-	P float64
-	// Pop is the value's false popularity under the footnote-2 relaxation
-	// (0 = uniform 1/n).
-	Pop float64
-	// Score is C(E) = M̂(D.v), the maximum contribution of sharing the
-	// value over all ordered pairs of providers.
-	Score float64
-	// Providers lists the sources providing the value, sorted by id. The
-	// presence of a source here guarantees its absence from every other
-	// entry of the same item.
-	Providers []dataset.SourceID
-}
-
 // Order selects how entries are arranged for scanning.
 type Order int
 
@@ -61,166 +33,5 @@ func (o Order) String() string {
 		return "Random"
 	default:
 		return "Order(?)"
-	}
-}
-
-// Index is the built inverted index in a fixed processing order.
-type Index struct {
-	Entries []Entry
-	// InTail[i] reports whether Entries[i] belongs to the tail set E̅: the
-	// subset of lowest-score entries whose scores sum to < ln(β/2α).
-	// Source pairs sharing values only inside E̅ cannot reach the copying
-	// threshold and are never instantiated.
-	InTail []bool
-	// MaxRemaining[i] is the maximum score among Entries[i:]; it is the
-	// sound value of M (the best possible contribution of a not yet
-	// scanned entry) under any processing order. MaxRemaining[len(Entries)]
-	// is 0. Under ByContribution, MaxRemaining[i] == Entries[i].Score.
-	MaxRemaining []float64
-	// TailScoreSum is the total score mass inside E̅.
-	TailScoreSum float64
-}
-
-// Build constructs the inverted index for ds under the statistical state
-// st, ordered by ord. rng is consulted only for Order Random and may be
-// nil otherwise.
-func Build(ds *dataset.Dataset, st *bayes.State, p bayes.Params, ord Order, rng *rand.Rand) *Index {
-	entries := Collect(ds, st, p)
-	switch ord {
-	case ByContribution:
-		sort.SliceStable(entries, func(i, j int) bool { return entries[i].Score > entries[j].Score })
-	case ByProvider:
-		sort.SliceStable(entries, func(i, j int) bool { return len(entries[i].Providers) < len(entries[j].Providers) })
-	case Random:
-		rng.Shuffle(len(entries), func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
-	}
-	idx := &Index{Entries: entries}
-	idx.finish(p)
-	return idx
-}
-
-// Collect enumerates the raw index entries (values provided by at least
-// two sources) in item order, without sorting or tail computation. It is
-// called once per round, so it counts providers per value first and only
-// allocates exactly-sized provider slices for shared values.
-func Collect(ds *dataset.Dataset, st *bayes.State, p bayes.Params) []Entry {
-	var entries []Entry
-	accBuf := make([]float64, 0, 16)
-	var counts, slot []int32
-	for d := range ds.ByItem {
-		svs := ds.ByItem[d]
-		if len(svs) < 2 {
-			continue
-		}
-		nv := ds.NumValues(dataset.ItemID(d))
-		if cap(counts) < nv {
-			counts = make([]int32, nv*2)
-			slot = make([]int32, nv*2)
-		}
-		counts = counts[:nv]
-		slot = slot[:nv]
-		for v := range counts {
-			counts[v] = 0
-		}
-		for _, sv := range svs {
-			counts[sv.Value]++
-		}
-		first := len(entries)
-		for v := 0; v < nv; v++ {
-			if counts[v] < 2 {
-				slot[v] = -1
-				continue
-			}
-			slot[v] = int32(len(entries))
-			entries = append(entries, Entry{
-				Item:      dataset.ItemID(d),
-				Value:     dataset.ValueID(v),
-				P:         st.P[d][v],
-				Pop:       st.PopOf(int32(d), int32(v)),
-				Providers: make([]dataset.SourceID, 0, counts[v]),
-			})
-		}
-		if first == len(entries) {
-			continue
-		}
-		for _, sv := range svs {
-			if i := slot[sv.Value]; i >= 0 {
-				entries[i].Providers = append(entries[i].Providers, sv.Source)
-			}
-		}
-		for i := first; i < len(entries); i++ {
-			e := &entries[i]
-			accBuf = accBuf[:0]
-			for _, s := range e.Providers {
-				accBuf = append(accBuf, st.A[s])
-			}
-			e.Score = p.MaxEntryScoreDist(e.P, e.Pop, accBuf)
-		}
-	}
-	return entries
-}
-
-// finish computes the tail set and the remaining-score maxima for the
-// current entry order.
-func (idx *Index) finish(p bayes.Params) {
-	n := len(idx.Entries)
-	idx.InTail = make([]bool, n)
-	idx.MaxRemaining = make([]float64, n+1)
-	for i := n - 1; i >= 0; i-- {
-		idx.MaxRemaining[i] = math.Max(idx.MaxRemaining[i+1], idx.Entries[i].Score)
-	}
-	// The tail set is defined on scores, independent of processing order:
-	// take entries from the lowest score upward while the accumulated sum
-	// stays below θind = ln(β/2α).
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return idx.Entries[order[a]].Score < idx.Entries[order[b]].Score })
-	limit := p.ThetaInd()
-	sum := 0.0
-	for _, i := range order {
-		s := idx.Entries[i].Score
-		if sum+s >= limit {
-			break
-		}
-		sum += s
-		idx.InTail[i] = true
-	}
-	idx.TailScoreSum = sum
-}
-
-// NumEntries returns the number of index entries (Table V's last column).
-func (idx *Index) NumEntries() int { return len(idx.Entries) }
-
-// NumTail returns |E̅|.
-func (idx *Index) NumTail() int {
-	n := 0
-	for _, t := range idx.InTail {
-		if t {
-			n++
-		}
-	}
-	return n
-}
-
-// RescoreInPlace recomputes P and Score of every entry from a new state
-// without changing the entry order. INCREMENTAL (Section V) freezes the
-// order of the round-2 index and only refreshes scores.
-func (idx *Index) RescoreInPlace(st *bayes.State, p bayes.Params) {
-	accBuf := make([]float64, 0, 16)
-	for i := range idx.Entries {
-		e := &idx.Entries[i]
-		accBuf = accBuf[:0]
-		for _, s := range e.Providers {
-			accBuf = append(accBuf, st.A[s])
-		}
-		e.P = st.P[e.Item][e.Value]
-		e.Pop = st.PopOf(int32(e.Item), int32(e.Value))
-		e.Score = p.MaxEntryScoreDist(e.P, e.Pop, accBuf)
-	}
-	n := len(idx.Entries)
-	for i := n - 1; i >= 0; i-- {
-		idx.MaxRemaining[i] = math.Max(idx.MaxRemaining[i+1], idx.Entries[i].Score)
 	}
 }

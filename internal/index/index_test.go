@@ -3,6 +3,7 @@ package index
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -40,13 +41,41 @@ func motivatingState(t testing.TB) (*dataset.Dataset, *bayes.State) {
 	return ds, st
 }
 
+// scoredView builds the index of ds the way a detector does: the entry
+// universe once, then one scored View.
+func scoredView(ds *dataset.Dataset, st *bayes.State, ord Order, rng *rand.Rand) (*Structure, *View) {
+	str := NewStructure(ds)
+	v := NewView(str)
+	v.Rescore(st, exampleParams(), ord, rng)
+	return str, v
+}
+
+// checkMaxRemaining asserts MaxRemaining[i] is exactly the largest score
+// at scan positions >= i, with the 0 sentinel at the end.
+func checkMaxRemaining(t *testing.T, v *View) {
+	t.Helper()
+	n := len(v.Order)
+	for i := range v.Order {
+		maxAfter := 0.0
+		for _, eid := range v.Order[i:] {
+			maxAfter = math.Max(maxAfter, v.Score[eid])
+		}
+		if v.MaxRemaining[i] != maxAfter {
+			t.Fatalf("MaxRemaining[%d] = %v, want %v", i, v.MaxRemaining[i], maxAfter)
+		}
+	}
+	if v.MaxRemaining[n] != 0 {
+		t.Fatalf("MaxRemaining sentinel must be 0")
+	}
+}
+
 // TestBuildTableIII reproduces the inverted index of Table III: 13
 // entries, their probabilities, scores, provider sets and the score order.
 func TestBuildTableIII(t *testing.T) {
 	ds, st := motivatingState(t)
-	idx := Build(ds, st, exampleParams(), ByContribution, nil)
-	if idx.NumEntries() != 13 {
-		t.Fatalf("index has %d entries, want 13", idx.NumEntries())
+	str, v := scoredView(ds, st, ByContribution, nil)
+	if str.NumEntries() != 13 {
+		t.Fatalf("index has %d entries, want 13", str.NumEntries())
 	}
 
 	want := []struct {
@@ -69,22 +98,22 @@ func TestBuildTableIII(t *testing.T) {
 		{"NY.Albany", 0.43, 0.02, []string{"S0", "S1", "S5"}},
 		{"TX.Austin", 0.43, 0.02, []string{"S0", "S1", "S5", "S9"}},
 	}
-	byLabel := make(map[string]*Entry)
-	for i := range idx.Entries {
-		e := &idx.Entries[i]
-		byLabel[ds.ItemNames[e.Item]+"."+ds.ValueNames[e.Item][e.Value]] = e
+	byLabel := make(map[string]int32)
+	for e := int32(0); int(e) < str.NumEntries(); e++ {
+		d := str.Item[e]
+		byLabel[ds.ItemNames[d]+"."+ds.ValueNames[d][str.Val[e]]] = e
 	}
 	for _, w := range want {
-		e := byLabel[w.label]
-		if e == nil {
+		e, ok := byLabel[w.label]
+		if !ok {
 			t.Errorf("entry %s missing", w.label)
 			continue
 		}
-		if math.Abs(e.Score-w.score) > w.tol {
-			t.Errorf("%s score = %.3f, want %.2f", w.label, e.Score, w.score)
+		if math.Abs(v.Score[e]-w.score) > w.tol {
+			t.Errorf("%s score = %.3f, want %.2f", w.label, v.Score[e], w.score)
 		}
 		var provs []string
-		for _, s := range e.Providers {
+		for _, s := range str.Providers(e) {
 			provs = append(provs, ds.SourceNames[s])
 		}
 		sort.Strings(provs)
@@ -101,14 +130,14 @@ func TestBuildTableIII(t *testing.T) {
 		}
 	}
 	// Scores must be non-increasing under ByContribution.
-	for i := 1; i < len(idx.Entries); i++ {
-		if idx.Entries[i].Score > idx.Entries[i-1].Score+1e-12 {
+	for i := 1; i < len(v.Order); i++ {
+		if v.Score[v.Order[i]] > v.Score[v.Order[i-1]] {
 			t.Fatalf("entries not sorted by score at %d", i)
 		}
 	}
 	// No entry for single-provider values.
 	for _, label := range []string{"NJ.Union", "AZ.Tucson", "TX.Arlington"} {
-		if byLabel[label] != nil {
+		if _, ok := byLabel[label]; ok {
 			t.Errorf("single-provider value %s must not be indexed", label)
 		}
 	}
@@ -118,16 +147,15 @@ func TestBuildTableIII(t *testing.T) {
 // TX.Austin, 0.43 each) form E̅ since 0.86 < ln(β/2α) = 1.39.
 func TestTailSet(t *testing.T) {
 	ds, st := motivatingState(t)
-	idx := Build(ds, st, exampleParams(), ByContribution, nil)
-	if n := idx.NumTail(); n != 2 {
-		t.Fatalf("tail set has %d entries, want 2", n)
+	_, v := scoredView(ds, st, ByContribution, nil)
+	// Exactly the two lowest-score entries.
+	for i, e := range v.Order {
+		if want := i >= len(v.Order)-2; v.InTail[e] != want {
+			t.Errorf("entry at scan position %d: InTail = %v, want %v", i, v.InTail[e], want)
+		}
 	}
-	// They must be the two lowest-score entries.
-	if !idx.InTail[len(idx.Entries)-1] || !idx.InTail[len(idx.Entries)-2] {
-		t.Error("tail entries are not the two lowest-score ones")
-	}
-	if idx.TailScoreSum >= exampleParams().ThetaInd() {
-		t.Errorf("tail score sum %.3f must stay below θind", idx.TailScoreSum)
+	if v.TailScoreSum >= exampleParams().ThetaInd() {
+		t.Errorf("tail score sum %.3f must stay below θind", v.TailScoreSum)
 	}
 }
 
@@ -136,8 +164,9 @@ func TestTailSet(t *testing.T) {
 // are skipped).
 func TestCandidatePairs(t *testing.T) {
 	ds, st := motivatingState(t)
-	idx := Build(ds, st, exampleParams(), ByContribution, nil)
-	pm := CandidatePairs(idx, ds.NumSources())
+	_, v := scoredView(ds, st, ByContribution, nil)
+	pm := NewPairMap(ds.NumSources())
+	CandidatePairsInto(v, pm)
 	if pm.Len() != 26 {
 		t.Fatalf("candidate pairs = %d, want 26 (Example 3.6)", pm.Len())
 	}
@@ -153,8 +182,9 @@ func TestCandidatePairs(t *testing.T) {
 // against the merge-based dataset method.
 func TestSharedItemCounts(t *testing.T) {
 	ds, st := motivatingState(t)
-	idx := Build(ds, st, exampleParams(), ByContribution, nil)
-	pm := CandidatePairs(idx, ds.NumSources())
+	_, v := scoredView(ds, st, ByContribution, nil)
+	pm := NewPairMap(ds.NumSources())
+	CandidatePairsInto(v, pm)
 	counts := SharedItemCounts(ds, pm)
 	for slot, key := range pm.Keys() {
 		s1, s2 := key.Sources()
@@ -167,56 +197,42 @@ func TestSharedItemCounts(t *testing.T) {
 func TestMaxRemainingSound(t *testing.T) {
 	ds, st := motivatingState(t)
 	for _, ord := range []Order{ByContribution, ByProvider, Random} {
-		idx := Build(ds, st, exampleParams(), ord, rand.New(rand.NewSource(7)))
-		for i := range idx.Entries {
-			maxAfter := 0.0
-			for j := i; j < len(idx.Entries); j++ {
-				if idx.Entries[j].Score > maxAfter {
-					maxAfter = idx.Entries[j].Score
-				}
-			}
-			if math.Abs(idx.MaxRemaining[i]-maxAfter) > 1e-12 {
-				t.Fatalf("order %v: MaxRemaining[%d] = %v, want %v", ord, i, idx.MaxRemaining[i], maxAfter)
-			}
-		}
-		if idx.MaxRemaining[len(idx.Entries)] != 0 {
-			t.Fatalf("MaxRemaining sentinel must be 0")
-		}
+		_, v := scoredView(ds, st, ord, rand.New(rand.NewSource(7)))
+		t.Run(ord.String(), func(t *testing.T) { checkMaxRemaining(t, v) })
 	}
 }
 
 func TestOrderings(t *testing.T) {
 	ds, st := motivatingState(t)
-	p := exampleParams()
-	byProv := Build(ds, st, p, ByProvider, nil)
-	for i := 1; i < len(byProv.Entries); i++ {
-		if len(byProv.Entries[i].Providers) < len(byProv.Entries[i-1].Providers) {
+	str, byProv := scoredView(ds, st, ByProvider, nil)
+	for i := 1; i < len(byProv.Order); i++ {
+		if len(str.Providers(byProv.Order[i])) < len(str.Providers(byProv.Order[i-1])) {
 			t.Fatalf("ByProvider not sorted at %d", i)
 		}
 	}
-	r1 := Build(ds, st, p, Random, rand.New(rand.NewSource(1)))
-	r2 := Build(ds, st, p, Random, rand.New(rand.NewSource(1)))
-	for i := range r1.Entries {
-		if r1.Entries[i].Item != r2.Entries[i].Item || r1.Entries[i].Value != r2.Entries[i].Value {
-			t.Fatal("Random order must be deterministic under the same seed")
-		}
+	_, r1 := scoredView(ds, st, Random, rand.New(rand.NewSource(1)))
+	_, r2 := scoredView(ds, st, Random, rand.New(rand.NewSource(1)))
+	if !slices.Equal(r1.Order, r2.Order) {
+		t.Fatal("Random order must be deterministic under the same seed")
 	}
 	// The tail set is score-defined, identical across orders.
-	byContrib := Build(ds, st, p, ByContribution, nil)
-	if byProv.NumTail() != byContrib.NumTail() || r1.NumTail() != byContrib.NumTail() {
-		t.Errorf("tail size differs across orders: %d %d %d", byContrib.NumTail(), byProv.NumTail(), r1.NumTail())
+	_, byContrib := scoredView(ds, st, ByContribution, nil)
+	if !slices.Equal(byProv.InTail, byContrib.InTail) || !slices.Equal(r1.InTail, byContrib.InTail) {
+		t.Errorf("tail set differs across orders: %v %v %v", byContrib.InTail, byProv.InTail, r1.InTail)
 	}
 	if ByContribution.String() != "ByContribution" || ByProvider.String() != "ByProvider" || Random.String() != "Random" {
 		t.Error("Order.String broken")
 	}
 }
 
+// TestRescoreInPlace: INCREMENTAL (Section V) freezes the entry universe
+// of its base round and only refreshes the per-round arrays; a second
+// Rescore on the same View must refresh P, scores and the maxima and
+// leave the Structure alone.
 func TestRescoreInPlace(t *testing.T) {
 	ds, st := motivatingState(t)
-	p := exampleParams()
-	idx := Build(ds, st, p, ByContribution, nil)
-	orderBefore := make([]Entry, len(idx.Entries))
-	copy(orderBefore, idx.Entries)
+	str, v := scoredView(ds, st, ByContribution, nil)
+	items, vals := slices.Clone(str.Item), slices.Clone(str.Val)
 
 	st2 := st.Clone()
 	for d := range st2.P {
@@ -224,27 +240,16 @@ func TestRescoreInPlace(t *testing.T) {
 			st2.P[d][v] = 0.5
 		}
 	}
-	idx.RescoreInPlace(st2, p)
-	for i := range idx.Entries {
-		if idx.Entries[i].Item != orderBefore[i].Item || idx.Entries[i].Value != orderBefore[i].Value {
-			t.Fatal("RescoreInPlace must not reorder entries")
-		}
-		if idx.Entries[i].P != 0.5 {
-			t.Fatal("RescoreInPlace must refresh P")
+	v.Rescore(st2, exampleParams(), ByContribution, nil)
+	if !slices.Equal(str.Item, items) || !slices.Equal(str.Val, vals) {
+		t.Fatal("Rescore must not renumber entries")
+	}
+	for e, p := range v.P {
+		if p != 0.5 {
+			t.Fatalf("Rescore must refresh P (entry %d has %v)", e, p)
 		}
 	}
-	// MaxRemaining must be refreshed consistently.
-	for i := range idx.Entries {
-		maxAfter := 0.0
-		for j := i; j < len(idx.Entries); j++ {
-			if idx.Entries[j].Score > maxAfter {
-				maxAfter = idx.Entries[j].Score
-			}
-		}
-		if math.Abs(idx.MaxRemaining[i]-maxAfter) > 1e-12 {
-			t.Fatalf("MaxRemaining stale at %d", i)
-		}
-	}
+	checkMaxRemaining(t, v)
 }
 
 func TestPairMapDenseAndSparse(t *testing.T) {

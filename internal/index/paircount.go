@@ -2,27 +2,6 @@ package index
 
 import "copydetect/internal/dataset"
 
-// CandidatePairs scans the index once and registers every unordered source
-// pair that co-occurs in at least one entry outside the tail set E̅. Only
-// such pairs can accumulate enough evidence for copying (Section III);
-// everything else is pruned without per-pair state. The returned PairMap
-// assigns each candidate a dense slot.
-func CandidatePairs(idx *Index, numSources int) *PairMap {
-	pm := NewPairMap(numSources)
-	for i := range idx.Entries {
-		if idx.InTail[i] {
-			continue
-		}
-		provs := idx.Entries[i].Providers
-		for x := 0; x < len(provs); x++ {
-			for y := x + 1; y < len(provs); y++ {
-				pm.GetOrAdd(provs[x], provs[y])
-			}
-		}
-	}
-	return pm
-}
-
 // SharedItemCounts computes l(S1,S2) — the number of data items covered by
 // both sources — for every pair registered in pm. Rather than a quadratic
 // pairwise merge of source observation lists, it performs a set-similarity

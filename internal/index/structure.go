@@ -10,11 +10,9 @@ import (
 	"copydetect/internal/dataset"
 )
 
-// This file is the structure-of-arrays face of the inverted index, built
-// for the accumulation kernel (internal/core/scan.go). The classic Build
-// API materializes []Entry structs and re-allocates them every round; the
-// Structure/View split instead separates what never changes across rounds
-// of the iterative process from what does:
+// The index is held as a structure of arrays, split by what changes
+// across rounds of the iterative process and what does not — the layout
+// the accumulation kernel (internal/core/scan.go) reads:
 //
 //   - Structure: the entry universe — (item, value) per entry, provider
 //     lists in CSR layout, and optional per-source bitsets over items and
@@ -26,8 +24,8 @@ import (
 //     nothing here.
 //
 // Entry ids (eids) are stable: item-major, values ascending within an
-// item — exactly the enumeration order of Collect — so a frozen View
-// (INCREMENTAL) can index per-entry state by eid forever.
+// item, so a frozen View (INCREMENTAL) can index per-entry state by eid
+// forever.
 
 // Structure is the round-invariant part of the inverted index in SoA
 // layout. All slices are indexed by entry id unless noted.
@@ -129,7 +127,7 @@ func NewStructure(ds *dataset.Dataset) *Structure {
 			continue
 		}
 		// Reserve each new entry's CSR range, then fill provider lists in
-		// ByItem order (ascending source id, like Collect).
+		// ByItem order (ascending source id).
 		for i := first; i < len(s.Item); i++ {
 			n := counts[s.Val[i]]
 			s.ProvOff = append(s.ProvOff, s.ProvOff[len(s.ProvOff)-1]+n)
@@ -265,9 +263,9 @@ func (v *View) Rescore(st *bayes.State, p bayes.Params, ord Order, rng *rand.Ran
 		v.MaxRemaining[i] = math.Max(v.MaxRemaining[i+1], v.Score[v.Order[i]])
 	}
 	// Tail set: lowest scores first while the sum stays below θind. Ties
-	// break by entry id, which keeps the set deterministic (the old
-	// AoS path used an unstable sort here; any tie resolution is equally
-	// sound, since the pruning argument only needs TailScoreSum < θind).
+	// break by entry id, which keeps the set deterministic (any tie
+	// resolution is equally sound, since the pruning argument only needs
+	// TailScoreSum < θind).
 	for i := range v.tailOrder {
 		v.tailOrder[i] = int32(i)
 	}
@@ -295,11 +293,11 @@ func (v *View) Rescore(st *bayes.State, p bayes.Params, ord Order, rng *rand.Ran
 }
 
 // CandidatePairsInto registers every unordered source pair co-occurring
-// in an entry outside the tail set into pm, resetting it first. Insertion
-// follows scan order, so pair slots — and therefore Result.Pairs — are
-// ordered the same way CandidatePairs orders them for a freshly built
-// index. The View-based twin of CandidatePairs, allocation-free on a
-// warm PairMap.
+// in an entry outside the tail set E̅ into pm, resetting it first. Only
+// such pairs can accumulate enough evidence for copying (Section III);
+// everything else is pruned without per-pair state. Insertion follows
+// scan order, which fixes the pair slots and therefore the order of
+// Result.Pairs. Allocation-free on a warm PairMap.
 func CandidatePairsInto(v *View, pm *PairMap) {
 	pm.Reset()
 	for _, e := range v.Order {

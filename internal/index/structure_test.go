@@ -1,6 +1,7 @@
 package index
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -46,57 +47,125 @@ func randomIndexInstance(rng *rand.Rand, ns, ni int) (*dataset.Dataset, *bayes.S
 	return ds, st
 }
 
-// TestViewMatchesBuild: the SoA Structure/View pair must present exactly
-// the index the classic Build constructs — same entries in the same scan
-// position, same scores, same tail set, same remaining-score maxima. The
-// kernels consume the View; this pins it to the reference implementation.
-func TestViewMatchesBuild(t *testing.T) {
+// TestViewMatchesBruteForce checks Structure and View, on random
+// instances, against Definition 3.2 worked out from the Dataset alone:
+// the entry universe, the scores, the scan order, the tail set E̅, the
+// remaining-score maxima and the candidate pairs.
+func TestViewMatchesBruteForce(t *testing.T) {
 	p := exampleParams()
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ds, st := randomIndexInstance(rng, 4+rng.Intn(8), 10+rng.Intn(40))
+		str := NewStructure(ds)
+
+		// Entry universe: every value with >= 2 providers, item-major,
+		// values ascending, providers sorted by source id.
+		e := int32(0)
+		for d := 0; d < ds.NumItems(); d++ {
+			for val := 0; val < ds.NumValues(dataset.ItemID(d)); val++ {
+				var provs []dataset.SourceID
+				for src := 0; src < ds.NumSources(); src++ {
+					if ds.ValueOf(dataset.SourceID(src), dataset.ItemID(d)) == dataset.ValueID(val) {
+						provs = append(provs, dataset.SourceID(src))
+					}
+				}
+				if len(provs) < 2 {
+					continue
+				}
+				if int(e) >= str.NumEntries() || int(str.Item[e]) != d || int(str.Val[e]) != val ||
+					!slices.Equal(str.Providers(e), provs) {
+					t.Fatalf("seed %d: entry %d is not (item %d, value %d, providers %v)", seed, e, d, val, provs)
+				}
+				e++
+			}
+		}
+		if int(e) != str.NumEntries() {
+			t.Fatalf("seed %d: %d entries, want %d", seed, str.NumEntries(), e)
+		}
+
 		for _, ord := range []Order{ByContribution, ByProvider} {
-			idx := Build(ds, st, p, ord, nil)
-			str := NewStructure(ds)
 			v := NewView(str)
 			v.Rescore(st, p, ord, nil)
+			for e := int32(0); int(e) < str.NumEntries(); e++ {
+				var accs []float64
+				for _, src := range str.Providers(e) {
+					accs = append(accs, st.A[src])
+				}
+				d, val := int32(str.Item[e]), int32(str.Val[e])
+				if want := p.MaxEntryScoreDist(st.P[d][val], st.PopOf(d, val), accs); v.Score[e] != want {
+					t.Fatalf("seed %d %v: Score[%d] = %v, want %v", seed, ord, e, v.Score[e], want)
+				}
+			}
 
-			if str.NumEntries() != idx.NumEntries() {
-				t.Fatalf("seed %d %v: %d entries, Build has %d", seed, ord, str.NumEntries(), idx.NumEntries())
+			// Scan order: a permutation, sorted by the ordering's key,
+			// ties in entry-id order (the sort is stable).
+			key := func(e int32) float64 {
+				if ord == ByProvider {
+					return float64(len(str.Providers(e)))
+				}
+				return -v.Score[e]
 			}
-			if v.TailScoreSum != idx.TailScoreSum {
-				t.Fatalf("seed %d %v: tail sum %v vs %v", seed, ord, v.TailScoreSum, idx.TailScoreSum)
-			}
-			for pos, eid := range v.Order {
-				e := idx.Entries[pos]
-				if str.Item[eid] != e.Item || str.Val[eid] != e.Value {
-					t.Fatalf("seed %d %v pos %d: entry (%d,%d) vs (%d,%d)",
-						seed, ord, pos, str.Item[eid], str.Val[eid], e.Item, e.Value)
+			seen := make([]bool, str.NumEntries())
+			for i, e := range v.Order {
+				if seen[e] {
+					t.Fatalf("seed %d %v: entry %d scanned twice", seed, ord, e)
 				}
-				if v.P[eid] != e.P || v.Pop[eid] != e.Pop || v.Score[eid] != e.Score {
-					t.Fatalf("seed %d %v pos %d: P/Pop/Score mismatch", seed, ord, pos)
+				seen[e] = true
+				if i == 0 {
+					continue
 				}
-				if !slices.Equal(str.Providers(eid), e.Providers) {
-					t.Fatalf("seed %d %v pos %d: providers %v vs %v",
-						seed, ord, pos, str.Providers(eid), e.Providers)
-				}
-				if v.MaxRemaining[pos] != idx.MaxRemaining[pos] {
-					t.Fatalf("seed %d %v pos %d: MaxRemaining %v vs %v",
-						seed, ord, pos, v.MaxRemaining[pos], idx.MaxRemaining[pos])
-				}
-				// Tail membership is a property of the entry, not the
-				// position; Build indexes it by position.
-				if v.InTail[eid] != idx.InTail[pos] {
-					t.Fatalf("seed %d %v pos %d: InTail %v vs %v",
-						seed, ord, pos, v.InTail[eid], idx.InTail[pos])
+				prev := v.Order[i-1]
+				if key(prev) > key(e) || (key(prev) == key(e) && prev > e) {
+					t.Fatalf("seed %d %v: positions %d,%d out of order", seed, ord, i-1, i)
 				}
 			}
-			// Candidate pairs agree too.
-			pmNew := NewPairMap(ds.NumSources())
-			CandidatePairsInto(v, pmNew)
-			pmOld := CandidatePairs(idx, ds.NumSources())
-			if !slices.Equal(pmNew.Keys(), pmOld.Keys()) {
-				t.Fatalf("seed %d %v: candidate pairs differ", seed, ord)
+			checkMaxRemaining(t, v)
+
+			// Tail set: the lowest scores, summing to TailScoreSum < θind,
+			// and maximal — one more entry would reach θind.
+			var tail []float64
+			lowestKept := math.Inf(1)
+			for e, in := range v.InTail {
+				if in {
+					tail = append(tail, v.Score[e])
+				} else {
+					lowestKept = math.Min(lowestKept, v.Score[e])
+				}
+			}
+			slices.Sort(tail)
+			sum := 0.0
+			for _, sc := range tail {
+				sum += sc
+			}
+			if sum != v.TailScoreSum || sum >= p.ThetaInd() {
+				t.Fatalf("seed %d %v: tail sums to %v, TailScoreSum %v, θind %v", seed, ord, sum, v.TailScoreSum, p.ThetaInd())
+			}
+			if len(tail) > 0 && tail[len(tail)-1] > lowestKept {
+				t.Fatalf("seed %d %v: tail entry scores above a kept entry", seed, ord)
+			}
+			if len(tail) < str.NumEntries() && sum+lowestKept < p.ThetaInd() {
+				t.Fatalf("seed %d %v: tail not maximal (%v + %v < θind)", seed, ord, sum, lowestKept)
+			}
+
+			// Candidate pairs: exactly the pairs co-occurring outside E̅.
+			want := make(map[PairKey]bool)
+			for e := int32(0); int(e) < str.NumEntries(); e++ {
+				provs := str.Providers(e)
+				for x := 0; x < len(provs) && !v.InTail[e]; x++ {
+					for y := x + 1; y < len(provs); y++ {
+						want[MakePairKey(provs[x], provs[y])] = true
+					}
+				}
+			}
+			pm := NewPairMap(ds.NumSources())
+			CandidatePairsInto(v, pm)
+			if pm.Len() != len(want) {
+				t.Fatalf("seed %d %v: %d candidate pairs, want %d", seed, ord, pm.Len(), len(want))
+			}
+			for _, k := range pm.Keys() {
+				if !want[k] {
+					t.Fatalf("seed %d %v: pair %v shares no value outside the tail", seed, ord, k)
+				}
 			}
 		}
 	}

@@ -33,32 +33,28 @@ func PairID(a, b dataset.SourceID) int64 { return int64(index.MakePairKey(a, b))
 // own algorithms in Table X.
 func BuildInput(ds *dataset.Dataset, st *bayes.State, p bayes.Params) *Input {
 	start := time.Now()
-	idx := index.Build(ds, st, p, index.ByContribution, nil)
+	str := index.NewStructure(ds)
+	v := index.NewView(str)
+	v.Rescore(st, p, index.ByContribution, nil)
+	// Every pair that co-occurs anywhere gets a slot (NRA has no tail-set
+	// pruning; that is part of why it loses). Slots are handed out in scan
+	// order, which fixes the tie order of DiffList.
 	pm := index.NewPairMap(ds.NumSources())
-	// Register every pair that co-occurs anywhere (NRA has no tail-set
-	// pruning; that is part of why it loses).
-	for i := range idx.Entries {
-		provs := idx.Entries[i].Providers
-		for x := 0; x < len(provs); x++ {
-			for y := x + 1; y < len(provs); y++ {
-				pm.GetOrAdd(provs[x], provs[y])
-			}
-		}
-	}
-	lCounts := index.SharedItemCounts(ds, pm)
-	nCounts := make([]int32, pm.Len())
+	var nCounts []int32
 
-	in := &Input{ValueLists: make([]List, len(idx.Entries))}
-	for i := range idx.Entries {
-		e := &idx.Entries[i]
-		provs := e.Providers
+	in := &Input{ValueLists: make([]List, len(v.Order))}
+	for i, eid := range v.Order {
+		provs := str.Providers(eid)
 		items := make([]Scored, 0, len(provs)*(len(provs)-1)/2)
 		for x := 0; x < len(provs); x++ {
 			for y := x + 1; y < len(provs); y++ {
 				s1, s2 := provs[x], provs[y]
-				slot := pm.Get(s1, s2)
+				slot, added := pm.GetOrAdd(s1, s2)
+				if added {
+					nCounts = append(nCounts, 0)
+				}
 				nCounts[slot]++
-				c := p.ContribSame(e.P, st.A[s1], st.A[s2])
+				c := p.ContribSame(v.P[eid], st.A[s1], st.A[s2])
 				items = append(items, Scored{ID: PairID(s1, s2), Score: c})
 			}
 		}
@@ -66,6 +62,7 @@ func BuildInput(ds *dataset.Dataset, st *bayes.State, p bayes.Params) *Input {
 		in.ValueLists[i] = List{Items: items}
 	}
 
+	lCounts := index.SharedItemCounts(ds, pm)
 	lnDiff := p.LnDiff()
 	diff := make([]Scored, 0, pm.Len())
 	for slot, key := range pm.Keys() {

@@ -137,7 +137,7 @@ func (r *Runner) Run(ctx context.Context, spec *Spec, slo *SLO) (*Verdict, error
 	for pi := range spec.Phases {
 		p := &spec.Phases[pi]
 		r.logf("phase %q: %v at %g batches/s", p.Name, p.Duration.Duration, p.Rate)
-		rep := r.runPhase(ctx, client, p, streams, weights, false)
+		rep := r.runPhase(ctx, client, p, streams, weights)
 		rep.Scrape = r.scrapeBoundary(client, scrapes)
 		v.Phases = append(v.Phases, rep)
 	}
@@ -149,8 +149,7 @@ func (r *Runner) Run(ctx context.Context, spec *Spec, slo *SLO) (*Verdict, error
 	// detection on half the data.
 	if !allDone(streams) {
 		r.logf("drain: streaming remaining batches")
-		drain := &Phase{Name: "(drain)", Duration: Duration{time.Hour}, Clients: defaultClients}
-		rep := r.runPhase(ctx, client, drain, streams, weights, true)
+		rep := r.runPhase(ctx, client, &Phase{Name: "(drain)"}, streams, weights)
 		rep.Scrape = r.scrapeBoundary(client, scrapes)
 		v.Phases = append(v.Phases, rep)
 	}
@@ -226,10 +225,9 @@ func (r *Runner) buildStreams(spec *Spec) ([]*stream, error) {
 
 // runPhase drives one phase: a shared pacer (burst-aware), scheduled
 // injections, and per-client append loops with zipf-weighted dataset
-// selection. A drain phase ends when the streams are exhausted instead
-// of occupying its full wall-clock slot, and exhaustion is its purpose,
-// not starvation.
-func (r *Runner) runPhase(ctx context.Context, client *http.Client, p *Phase, streams []*stream, weights []float64, drain bool) PhaseReport {
+// selection. A phase without a duration ends when the streams are
+// exhausted, and exhaustion is its purpose, not starvation.
+func (r *Runner) runPhase(ctx context.Context, client *http.Client, p *Phase, streams []*stream, weights []float64) PhaseReport {
 	clients := p.Clients
 	if clients == 0 {
 		clients = defaultClients
@@ -237,8 +235,14 @@ func (r *Runner) runPhase(ctx context.Context, client *http.Client, p *Phase, st
 	if clients > len(streams) {
 		clients = len(streams)
 	}
-	phaseCtx, cancel := context.WithTimeout(ctx, p.Duration.Duration)
+	timed := p.Duration.Duration > 0
+	phaseCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	if timed {
+		var stop context.CancelFunc
+		phaseCtx, stop = context.WithTimeout(phaseCtx, p.Duration.Duration)
+		defer stop()
+	}
 	start := time.Now()
 
 	// Pacer: one shared token stream; during a burst window the
@@ -364,7 +368,7 @@ func (r *Runner) runPhase(ctx context.Context, client *http.Client, p *Phase, st
 		}(c, own, w)
 	}
 	wg.Wait()
-	if !drain {
+	if timed {
 		<-phaseCtx.Done() // a starved phase still occupies its wall-clock slot
 	}
 	cancel()
@@ -400,7 +404,7 @@ func (r *Runner) runPhase(ctx context.Context, client *http.Client, p *Phase, st
 		rep.AchievedRate = float64(rep.Appends) / wall.Seconds()
 	}
 	rep.Latency = summarizeLatency(latencies)
-	rep.Starved = !drain && allDone(streams)
+	rep.Starved = timed && allDone(streams)
 	return rep
 }
 
@@ -457,6 +461,7 @@ func (r *Runner) appendBatch(ctx context.Context, client *http.Client, st *strea
 		}
 		if st.retries++; st.retries >= maxStreamRetries {
 			st.abandoned = true
+			res.eOther++
 			return false
 		}
 		select {

@@ -32,9 +32,9 @@ func newTestTarget(t *testing.T) *httptest.Server {
 
 // TestRunEndToEnd drives a two-phase scenario — paced with a burst and
 // an injection, then unpaced — against an in-process daemon and asserts
-// the verdict end to end: phase accounting, the drain, boundary
-// scrapes, detection quality against the planted cliques, and the SLO
-// checks.
+// the verdict end to end: phase accounting, the drain contract,
+// boundary scrapes, detection quality against the planted cliques, and
+// the SLO checks.
 func TestRunEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second soak; skipped in -short")
@@ -85,14 +85,21 @@ func TestRunEndToEnd(t *testing.T) {
 	if v.Scenario != "unit-soak" || v.Datasets != 2 {
 		t.Fatalf("verdict header wrong: %+v", v)
 	}
-	// Two declared phases plus the synthetic drain (the flood phase
-	// cannot exhaust 2×11k observations in 400ms).
-	if len(v.Phases) != 3 || v.Phases[2].Name != "(drain)" {
-		names := make([]string, len(v.Phases))
-		for i, p := range v.Phases {
-			names[i] = p.Name
-		}
-		t.Fatalf("phases = %v, want [paced flood (drain)]", names)
+	// The two declared phases, then the synthetic drain iff they left
+	// batches behind — whether the unpaced flood exhausts the streams in
+	// its 400ms is the machine's business, not the contract's.
+	names := make([]string, len(v.Phases))
+	for i, p := range v.Phases {
+		names[i] = p.Name
+	}
+	if len(v.Phases) < 2 || names[0] != "paced" || names[1] != "flood" {
+		t.Fatalf("phases = %v, want [paced flood] and at most a (drain)", names)
+	}
+	declared := v.Phases[0].Observations + v.Phases[1].Observations
+	if remained := declared < v.Observations; remained != (len(v.Phases) == 3) ||
+		(remained && names[2] != "(drain)") {
+		t.Fatalf("phases = %v with %d of %d observations streamed by the declared two",
+			names, declared, v.Observations)
 	}
 	paced := v.Phases[0]
 	if paced.Appends == 0 || paced.Observations == 0 {
@@ -122,7 +129,7 @@ func TestRunEndToEnd(t *testing.T) {
 			t.Fatalf("phase %s boundary scrape: %+v", p.Name, p.Scrape)
 		}
 	}
-	// The drain must leave nothing behind: every observation of both
+	// Drained or not, nothing is left behind: every observation of both
 	// complete datasets landed before quiesce.
 	total := 0
 	for _, p := range v.Phases {
@@ -191,6 +198,37 @@ func TestRunSmoke(t *testing.T) {
 	}
 }
 
+// TestRunToExhaustion: a phase without a duration — what copyload's
+// flag-driven runs are — paces at its rate, ends when its streams are
+// exhausted, is not starved by that, and leaves nothing for a drain.
+func TestRunToExhaustion(t *testing.T) {
+	srv := newTestTarget(t)
+	r := &Runner{Target: srv.URL, Logf: t.Logf}
+	const rate = 200
+	spec := &Spec{
+		Name:     "exhaust",
+		Datasets: []DatasetGroup{{Preset: "stock-1day", Scale: 0.01, Seed: 3, Prefix: "exhaust"}},
+		Batch:    400,
+		Phases:   []Phase{{Name: "load", Rate: rate, Clients: 1}},
+	}
+	v, err := r.Run(context.Background(), spec, nil)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if len(v.Phases) != 1 || v.Phases[0].Name != "load" {
+		t.Fatalf("phases = %+v, want the one declared phase and no drain", v.Phases)
+	}
+	p := v.Phases[0]
+	if p.Observations != v.Observations || p.Starved || !v.Pass {
+		t.Fatalf("phase streamed %d of %d observations, starved=%v, pass=%v",
+			p.Observations, v.Observations, p.Starved, v.Pass)
+	}
+	// n appends need n pacer tokens, the first one interval in.
+	if p.Appends < 2 || p.Seconds < float64(p.Appends-1)/rate {
+		t.Fatalf("rate cap violated: %d appends in %.3fs at %d/s", p.Appends, p.Seconds, rate)
+	}
+}
+
 // TestRunRejectsInjectWithoutInjector pins the up-front check: a spec
 // that injects failures cannot run without an injector to realize them.
 func TestRunRejectsInjectWithoutInjector(t *testing.T) {
@@ -230,11 +268,12 @@ func TestRunSurfacesServerErrors(t *testing.T) {
 	if v.Pass {
 		t.Fatal("all-5xx run passed")
 	}
-	tallied := 0
+	tallied, abandoned := 0, 0
 	for _, p := range v.Phases {
 		tallied += p.Errors5xx
+		abandoned += p.OtherErrors
 	}
-	if tallied == 0 {
-		t.Fatalf("no 5xx tallied: %+v", v.Phases)
+	if tallied == 0 || abandoned != 1 {
+		t.Fatalf("%d 5xx and %d abandoned streams tallied, want some and 1: %+v", tallied, abandoned, v.Phases)
 	}
 }

@@ -1,5 +1,5 @@
-// Package scenario turns copyload from a flat-rate load generator into
-// a declarative workload engine: a JSON spec names phases (duration,
+// Package scenario is copyload's workload engine, the only code that
+// streams appends at a daemon: a JSON spec names phases (duration,
 // target rate, client mix, bursts, failure injections), the synthetic
 // datasets they stream (gen presets with Scale factors, zipfian
 // popularity, source churn, and the planted copier cliques that come
@@ -101,7 +101,8 @@ type Churn struct {
 // Phase is one load regime.
 type Phase struct {
 	Name string `json:"name"`
-	// Duration bounds the phase in wall time.
+	// Duration bounds the phase in wall time; 0 runs it until every
+	// stream is exhausted.
 	Duration Duration `json:"duration"`
 	// Rate is the target append rate in batches/second across all
 	// clients (0 = as fast as the target absorbs).
@@ -256,8 +257,8 @@ func (s *Spec) Validate() error {
 		if p.Name == "" {
 			return fmt.Errorf("scenario: phase %d: name is required", i)
 		}
-		if p.Duration.Duration <= 0 {
-			return fmt.Errorf("scenario: phase %q: duration must be positive", p.Name)
+		if p.Duration.Duration < 0 {
+			return fmt.Errorf("scenario: phase %q: duration must be >= 0", p.Name)
 		}
 		if p.Rate < 0 || p.Rate > 1e6 {
 			return fmt.Errorf("scenario: phase %q: rate must be between 0 and 1e6", p.Name)
@@ -283,7 +284,7 @@ func (s *Spec) Validate() error {
 			if !knownActions[st.Action] {
 				return fmt.Errorf("scenario: phase %q inject %d: unknown action %q", p.Name, j, st.Action)
 			}
-			if st.At.Duration < 0 || st.At.Duration > p.Duration.Duration {
+			if st.At.Duration < 0 || (p.Duration.Duration > 0 && st.At.Duration > p.Duration.Duration) {
 				return fmt.Errorf("scenario: phase %q inject %d: at outside the phase", p.Name, j)
 			}
 			if st.Action == "exec" && len(st.Cmd) == 0 {

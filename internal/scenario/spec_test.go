@@ -80,7 +80,12 @@ func TestValidate(t *testing.T) {
 		{"negative zipf", func(s *Spec) { s.Zipf = -1 }, "zipf"},
 		{"no phases", func(s *Spec) { s.Phases = nil }, "phase is required"},
 		{"unnamed phase", func(s *Spec) { s.Phases[0].Name = "" }, "name is required"},
-		{"zero duration", func(s *Spec) { s.Phases[0].Duration = Duration{} }, "duration"},
+		{"zero duration", func(s *Spec) { s.Phases[0].Duration = Duration{} }, ""}, // until exhaustion
+		{"negative duration", func(s *Spec) { s.Phases[0].Duration = Duration{-time.Second} }, "duration"},
+		{"inject into untimed phase", func(s *Spec) {
+			s.Phases[0].Duration = Duration{}
+			s.Phases[0].Inject = []InjectStep{{At: Duration{time.Minute}, Action: "kill-backend"}}
+		}, ""},
 		{"huge rate", func(s *Spec) { s.Phases[0].Rate = 2e6 }, "rate"},
 		{"burst without rate", func(s *Spec) {
 			s.Phases[0].Rate = 0

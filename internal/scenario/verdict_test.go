@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"net/http"
 	"testing"
 	"time"
 )
@@ -169,5 +170,49 @@ func TestSummarizeLatency(t *testing.T) {
 	l := summarizeLatency(samples)
 	if l.P50Millis != 50 || l.P99Millis != 99 || l.MaxMillis != 100 {
 		t.Fatalf("percentiles wrong: %+v", l)
+	}
+	// Tiny samples: the nearest rank clamps into the sample, so a p99
+	// over two values selects the larger instead of indexing past it.
+	l = summarizeLatency([]time.Duration{2 * time.Millisecond, 1 * time.Millisecond})
+	if l.P50Millis != 1 || l.P99Millis != 2 || l.MaxMillis != 2 || l.MeanMillis != 1.5 {
+		t.Fatalf("two-sample summary wrong: %+v", l)
+	}
+	for n := 1; n <= len(samples); n++ {
+		for _, q := range []float64{0.0001, 0.01, 0.5, 0.9, 0.99, 0.999, 1} {
+			if got := quantile(samples[:n], q); got < samples[0] || got > samples[n-1] {
+				t.Fatalf("n=%d q=%v: quantile %v outside the sample", n, q, got)
+			}
+		}
+	}
+	if quantile(nil, 0.99) != 0 {
+		t.Fatal("quantile of an empty sample must be 0")
+	}
+}
+
+// TestRetryAfter is table-driven over the header shapes a 429 can
+// carry: delta-seconds are honored (and clamped), everything else falls
+// back to the one-second default.
+func TestRetryAfter(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		value string
+		want  time.Duration
+	}{
+		{"absent", "", time.Second},
+		{"zero", "0", 0},
+		{"five-seconds", "5", 5 * time.Second},
+		{"padded", " 2 ", 2 * time.Second},
+		{"negative-falls-back", "-3", time.Second},
+		{"http-date-falls-back", "Fri, 08 Aug 2026 00:00:00 GMT", time.Second},
+		{"garbage-falls-back", "soon", time.Second},
+		{"huge-is-clamped", "3600", 10 * time.Second},
+	} {
+		hdr := http.Header{}
+		if tc.value != "" {
+			hdr.Set("Retry-After", tc.value)
+		}
+		if got := retryAfter(hdr); got != tc.want {
+			t.Errorf("%s: retryAfter(%q) = %v, want %v", tc.name, tc.value, got, tc.want)
+		}
 	}
 }
