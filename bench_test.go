@@ -436,30 +436,6 @@ func BenchmarkAblation_StructCache(b *testing.B) {
 	})
 }
 
-// BenchmarkAblation_IncrementalRho compares the adaptive ρ (gap heuristic)
-// against the paper's fixed ρ = 1.0 for one incremental round.
-func BenchmarkAblation_IncrementalRho(b *testing.B) {
-	p := bayes.DefaultParams()
-	inst := benchDataset(b, "book-cs")
-	for _, cfg := range []struct {
-		name string
-		rho  float64
-	}{
-		{"adaptive", 0},
-		{"fixed1.0", 1.0},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			det := &core.Incremental{Params: p, RhoV: cfg.rho}
-			det.DetectRound(inst.ds, inst.st, 1)
-			det.DetectRound(inst.ds, inst.st, 2)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				det.DetectRound(inst.ds, inst.st, 3+i)
-			}
-		})
-	}
-}
-
 // BenchmarkExtensions_ScoringOverhead measures the cost of the footnote
 // extensions relative to the plain model for one PAIRWISE round.
 func BenchmarkExtensions_ScoringOverhead(b *testing.B) {

@@ -48,17 +48,10 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
 	"copydetect/internal/bayes"
 	"copydetect/internal/pool"
@@ -138,65 +131,14 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "copydetectd: %v\n", err)
 		return 1
 	}
-	ln, err := net.Listen("tcp", opt.addr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "copydetectd: %v\n", err)
-		reg.Close()
-		return 1
-	}
-	if opt.addrFile != "" {
-		if err := os.WriteFile(opt.addrFile, []byte(ln.Addr().String()), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "copydetectd: %v\n", err)
-			reg.Close()
-			return 1
-		}
-	}
 	treg := telemetry.New()
 	reg.RegisterMetrics(treg)
-	httpMetrics := telemetry.NewHTTPMetrics(treg, "copydetectd", log.Default())
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", treg.Handler())
-	mux.Handle("/", server.NewHandler(reg))
-	srv := newHTTPServer(httpMetrics.Wrap(mux))
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
 	durability := "in-memory"
 	if opt.cfg.DataDir != "" {
 		durability = fmt.Sprintf("data-dir=%s fsync=%t snapshot-every=%d",
 			opt.cfg.DataDir, opt.cfg.Fsync, opt.cfg.SnapshotEvery)
 	}
-	log.Printf("copydetectd: listening on %s (workers=%d, concurrency=%d, %s)",
-		ln.Addr(), opt.cfg.Options.Workers, opt.cfg.Concurrency, durability)
-
-	select {
-	case err := <-errc:
-		log.Printf("copydetectd: %v", err)
-		reg.Close()
-		return 1
-	case <-ctx.Done():
-	}
-	log.Printf("copydetectd: shutting down")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Printf("copydetectd: shutdown: %v", err)
-	}
-	reg.Close()
-	return 0
-}
-
-// newHTTPServer builds the daemon's http.Server with the header and
-// idle timeouts every network-facing listener needs: without them one
-// client trickling a request line (or parking idle keep-alives) holds a
-// connection forever.
-func newHTTPServer(handler http.Handler) *http.Server {
-	return &http.Server{
-		Handler:           handler,
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
+	log.Printf("copydetectd: workers=%d, concurrency=%d, %s",
+		opt.cfg.Options.Workers, opt.cfg.Concurrency, durability)
+	return telemetry.Serve("copydetectd", opt.addr, opt.addrFile, treg, server.NewHandler(reg), reg.Close)
 }

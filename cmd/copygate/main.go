@@ -45,17 +45,11 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"copydetect/internal/cluster"
@@ -148,67 +142,13 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "copygate: %v\n", err)
 		return 1
 	}
-	ln, err := net.Listen("tcp", opt.addr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "copygate: %v\n", err)
-		gw.Close()
-		return 1
-	}
-	if opt.addrFile != "" {
-		if err := os.WriteFile(opt.addrFile, []byte(ln.Addr().String()), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "copygate: %v\n", err)
-			gw.Close()
-			return 1
-		}
-	}
 	treg := telemetry.New()
 	gw.RegisterMetrics(treg)
-	httpMetrics := telemetry.NewHTTPMetrics(treg, "copygate", log.Default())
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", treg.Handler())
-	mux.Handle("/", gw)
-	srv := newHTTPServer(httpMetrics.Wrap(mux))
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	retries := opt.cfg.Retries
-	if retries < 0 {
-		retries = 0 // the config's explicit "disabled"; log what the operator asked for
-	}
-	log.Printf("copygate: listening on %s, routing %d backends (replicas %d, probe every %v, retries %d)",
-		ln.Addr(), len(opt.cfg.Backends), opt.cfg.Replication, opt.cfg.ProbeEvery, retries)
+	// Retries -1 is the config's explicit "disabled": log the 0 the operator asked for.
+	log.Printf("copygate: routing %d backends (replicas %d, probe every %v, retries %d)",
+		len(opt.cfg.Backends), opt.cfg.Replication, opt.cfg.ProbeEvery, max(opt.cfg.Retries, 0))
 	for i, b := range opt.cfg.Backends {
 		log.Printf("copygate: backend %d: %s", i, b)
 	}
-
-	select {
-	case err := <-errc:
-		log.Printf("copygate: %v", err)
-		gw.Close()
-		return 1
-	case <-ctx.Done():
-	}
-	log.Printf("copygate: shutting down")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Printf("copygate: shutdown: %v", err)
-	}
-	gw.Close()
-	return 0
-}
-
-// newHTTPServer builds the gateway's http.Server with the header and
-// idle timeouts every network-facing listener needs: without them one
-// client trickling a request line (or parking idle keep-alives) holds a
-// connection forever.
-func newHTTPServer(handler http.Handler) *http.Server {
-	return &http.Server{
-		Handler:           handler,
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
+	return telemetry.Serve("copygate", opt.addr, opt.addrFile, treg, gw, gw.Close)
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"copydetect/internal/cluster"
+	"copydetect/internal/telemetry"
 )
 
 // TestParseFlags exercises every documented flag and the backend-list
@@ -91,7 +92,7 @@ func TestParseFlags(t *testing.T) {
 // listener: a server with no ReadHeaderTimeout can be held open forever
 // by one trickled request line.
 func TestHTTPServerTimeouts(t *testing.T) {
-	srv := newHTTPServer(nil)
+	srv := telemetry.NewHTTPServer(nil)
 	if srv.ReadHeaderTimeout <= 0 {
 		t.Errorf("ReadHeaderTimeout = %v, want > 0", srv.ReadHeaderTimeout)
 	}

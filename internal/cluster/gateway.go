@@ -249,13 +249,13 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	switch {
 	case path == "/healthz":
 		if req.Method != http.MethodGet {
-			writeErr(w, http.StatusMethodNotAllowed, "use GET")
+			server.WriteErr(w, http.StatusMethodNotAllowed, "use GET")
 			return
 		}
 		g.healthz(w)
 	case path == "/v1/datasets":
 		if req.Method != http.MethodGet {
-			writeErr(w, http.StatusMethodNotAllowed, "use GET; create with PUT /v1/datasets/{name}")
+			server.WriteErr(w, http.StatusMethodNotAllowed, "use GET; create with PUT /v1/datasets/{name}")
 			return
 		}
 		g.list(w, req)
@@ -265,12 +265,12 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 			name = name[:i]
 		}
 		if name == "" {
-			writeErr(w, http.StatusNotFound, "unknown path")
+			server.WriteErr(w, http.StatusNotFound, "unknown path")
 			return
 		}
 		g.proxy(w, req, name)
 	default:
-		writeErr(w, http.StatusNotFound, "unknown path")
+		server.WriteErr(w, http.StatusNotFound, "unknown path")
 	}
 }
 
@@ -282,7 +282,7 @@ func (g *Gateway) healthz(w http.ResponseWriter) {
 			break
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 // proxy forwards a dataset-scoped request across the dataset's replica
@@ -318,7 +318,7 @@ func (g *Gateway) serveRead(w http.ResponseWriter, req *http.Request, name strin
 		// does not finish must fail the quiesce — answering "converged"
 		// over a stream with mirrors still in flight would be a lie.
 		if !g.flush(ds, true) {
-			writeErr(w, http.StatusServiceUnavailable,
+			server.WriteErr(w, http.StatusServiceUnavailable,
 				fmt.Sprintf("cluster: dataset %q is unavailable: replica mirror queue did not drain", name))
 			return
 		}
@@ -353,7 +353,7 @@ func (g *Gateway) serveRead(w http.ResponseWriter, req *http.Request, name strin
 		out, err := newTracedRequest(req.Context(), req.Method,
 			b.url+req.URL.RequestURI(), nil, req, "")
 		if err != nil {
-			writeErr(w, http.StatusInternalServerError, fmt.Sprintf("cluster: %v", err))
+			server.WriteErr(w, http.StatusInternalServerError, fmt.Sprintf("cluster: %v", err))
 			return
 		}
 		resp, err := g.client.Do(out)
@@ -379,7 +379,7 @@ func (g *Gateway) serveRead(w http.ResponseWriter, req *http.Request, name strin
 		relay(w, resp)
 		return
 	}
-	writeErr(w, http.StatusServiceUnavailable,
+	server.WriteErr(w, http.StatusServiceUnavailable,
 		fmt.Sprintf("cluster: dataset %q is unavailable: no member of its replica set can serve (last error: %v)", name, lastErr))
 }
 
@@ -403,11 +403,11 @@ func (g *Gateway) serveWrite(w http.ResponseWriter, req *http.Request, name stri
 	}
 	body, err := io.ReadAll(io.LimitReader(req.Body, maxWriteBody+1))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Sprintf("cluster: reading request body: %v", err))
+		server.WriteErr(w, http.StatusBadRequest, fmt.Sprintf("cluster: reading request body: %v", err))
 		return
 	}
 	if len(body) > maxWriteBody {
-		writeErr(w, http.StatusRequestEntityTooLarge, "cluster: write body exceeds the size limit")
+		server.WriteErr(w, http.StatusRequestEntityTooLarge, "cluster: write body exceeds the size limit")
 		return
 	}
 	ds := g.datasetState(name)
@@ -428,7 +428,7 @@ func (g *Gateway) serveWrite(w http.ResponseWriter, req *http.Request, name stri
 		// write on a full channel or grow the backlog without bound.
 		g.admissionRejects.Add(1)
 		w.Header().Set("Retry-After", "1")
-		writeErr(w, http.StatusTooManyRequests, fmt.Sprintf(
+		server.WriteErr(w, http.StatusTooManyRequests, fmt.Sprintf(
 			"cluster: dataset %q replica mirror queue is over the high-water mark (%d jobs queued)",
 			name, g.mirrorHW))
 		return
@@ -466,7 +466,7 @@ func (g *Gateway) serveWrite(w http.ResponseWriter, req *http.Request, name stri
 			b.url+req.URL.RequestURI(), bytes.NewReader(body), req, "")
 		if err != nil {
 			cancel()
-			writeErr(w, http.StatusInternalServerError, fmt.Sprintf("cluster: %v", err))
+			server.WriteErr(w, http.StatusInternalServerError, fmt.Sprintf("cluster: %v", err))
 			return
 		}
 		out.ContentLength = int64(len(body))
@@ -517,7 +517,7 @@ func (g *Gateway) serveWrite(w http.ResponseWriter, req *http.Request, name stri
 		relayBytes(w, resp, raw)
 		return
 	}
-	writeErr(w, http.StatusServiceUnavailable,
+	server.WriteErr(w, http.StatusServiceUnavailable,
 		fmt.Sprintf("cluster: dataset %q is unavailable: no member of its replica set can accept the write (last error: %v)", name, lastErr))
 }
 
@@ -527,14 +527,14 @@ func (g *Gateway) serveWrite(w http.ResponseWriter, req *http.Request, name stri
 func (g *Gateway) writeSingle(w http.ResponseWriter, req *http.Request, name string, member int) {
 	b := g.backends[member]
 	if !b.isHealthy() {
-		writeErr(w, http.StatusServiceUnavailable,
+		server.WriteErr(w, http.StatusServiceUnavailable,
 			fmt.Sprintf("cluster: backend %s (owner of dataset %q) is unavailable", b.url, name))
 		return
 	}
 	out, err := newTracedRequest(req.Context(), req.Method,
 		b.url+req.URL.RequestURI(), req.Body, req, "")
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, fmt.Sprintf("cluster: %v", err))
+		server.WriteErr(w, http.StatusInternalServerError, fmt.Sprintf("cluster: %v", err))
 		return
 	}
 	// Streamed pass-through: preserve the client's Content-Length
@@ -545,7 +545,7 @@ func (g *Gateway) writeSingle(w http.ResponseWriter, req *http.Request, name str
 		if req.Context().Err() == nil {
 			b.reportFailure(g.ejectAfter, err)
 		}
-		writeErr(w, http.StatusServiceUnavailable,
+		server.WriteErr(w, http.StatusServiceUnavailable,
 			fmt.Sprintf("cluster: backend %s (owner of dataset %q) is unavailable: %v", b.url, name, err))
 		return
 	}
@@ -664,7 +664,7 @@ func (g *Gateway) list(w http.ResponseWriter, req *http.Request) {
 	sort.Slice(merged.Datasets, func(a, b int) bool {
 		return merged.Datasets[a].Name < merged.Datasets[b].Name
 	})
-	writeJSON(w, http.StatusOK, merged)
+	server.WriteJSON(w, http.StatusOK, merged)
 }
 
 // relay copies a backend response to the client verbatim: status,
@@ -700,24 +700,4 @@ func copyHeader(dst, src http.Header) {
 	for _, k := range hopByHop {
 		dst.Del(k)
 	}
-}
-
-// writeJSON/writeErr mirror the daemon's response formatting exactly,
-// so gateway-originated errors are indistinguishable in shape from
-// backend-originated ones.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-// errorResponse matches internal/server's error body shape.
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func writeErr(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, errorResponse{Error: msg})
 }

@@ -261,7 +261,9 @@ func TestEjectionAndReadmission(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("request to ejected backend: %d %s, want 503", resp.StatusCode, body)
 	}
-	var er errorResponse
+	var er struct {
+		Error string `json:"error"`
+	}
 	if err := json.Unmarshal(body, &er); err != nil || !strings.Contains(er.Error, "unavailable") {
 		t.Errorf("503 body %q not in the daemon error shape", body)
 	}

@@ -25,7 +25,7 @@ import (
 //  1. classifies each entry by how much its contribution score M̂ drifted
 //     from the base (computed on the base accuracies, as Section V-A
 //     prescribes, so value-probability drift is isolated from accuracy
-//     drift); entries with |Δ| ≥ RhoV are big-change entries, and the
+//     drift); entries with |Δ| ≥ ρ_V (adaptiveRhoVInto) are big-change entries, and the
 //     largest small change per sign becomes the estimate ∆ρ;
 //  2. applies the exact score deltas of big-change entries to the pairs
 //     sharing them (pass A, cheap: big entries are few);
@@ -69,14 +69,6 @@ import (
 type Incremental struct {
 	Params bayes.Params
 	Opts   Options
-	// RhoV is the big-change threshold on entry contribution scores. Zero
-	// selects the paper's adaptive rule (Section V-A): order the absolute
-	// score changes decreasingly and put the threshold above the largest
-	// gap between consecutive changes, so the cluster of genuinely moved
-	// entries is handled exactly and ∆ρ — the largest remaining "small"
-	// change — stays tight. (The paper's experiments fix 1.0, chosen by
-	// observing those gaps.)
-	RhoV float64
 	// ReuseResult makes DetectRound return the same Result (and Pairs
 	// backing array) on every incremental round instead of allocating
 	// fresh ones. Callers that retain a returned Result past the next
@@ -157,9 +149,16 @@ const (
 	rhoA       = 0.2
 )
 
-// adaptiveRhoVInto implements the paper's gap heuristic on the absolute
-// score changes of the current round. Changes below the noise floor are
-// ignored; with no significant change it returns +Inf (nothing is "big").
+// adaptiveRhoVInto picks the round's big-change threshold ρ_V on entry
+// contribution scores by the paper's adaptive rule (Section V-A): order
+// the absolute score changes decreasingly and put the threshold above
+// the largest gap between consecutive changes, so the cluster of
+// genuinely moved entries is handled exactly and ∆ρ — the largest
+// remaining "small" change — stays tight. (The paper's experiments fix
+// ρ_V = 1.0, chosen by observing those gaps; the rule needs no such
+// per-dataset observation, so it is the only mode.) Changes below the
+// noise floor are ignored; with no significant change it returns +Inf
+// (nothing is "big").
 // buf is scratch (capacity >= len(absDeltas) keeps it allocation-free).
 func adaptiveRhoVInto(absDeltas, buf []float64) float64 {
 	const noise = 1e-6
@@ -196,7 +195,7 @@ func (d *Incremental) Name() string { return "INCREMENTAL" }
 // Reset drops all cross-round state so the detector can serve a fresh
 // iterative process.
 func (d *Incremental) Reset() {
-	*d = Incremental{Params: d.Params, Opts: d.Opts, RhoV: d.RhoV, ReuseResult: d.ReuseResult}
+	*d = Incremental{Params: d.Params, Opts: d.Opts, ReuseResult: d.ReuseResult}
 }
 
 // DetectRound implements Detector.
@@ -602,10 +601,7 @@ func (d *Incremental) incrementalRound(ds *dataset.Dataset, st *bayes.State) *Re
 	pool.Run(d.workers, d.classifyFn)
 	res.Stats.Computations += int64(numEntries)
 
-	rhoV := d.RhoV
-	if rhoV == 0 {
-		rhoV = adaptiveRhoVInto(d.absDeltas, d.sigBuf)
-	}
+	rhoV := adaptiveRhoVInto(d.absDeltas, d.sigBuf)
 	d.roundRhoV = rhoV
 	d.bigEntries = d.bigEntries[:0]
 	dRhoDec, dRhoInc := 0.0, 0.0

@@ -150,28 +150,59 @@ func (h *handler) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	switch {
 	case path == "/healthz":
 		if req.Method != http.MethodGet {
-			writeErr(w, http.StatusMethodNotAllowed, "use GET")
+			WriteErr(w, http.StatusMethodNotAllowed, "use GET")
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	case path == "/v1/datasets":
 		if req.Method != http.MethodGet {
-			writeErr(w, http.StatusMethodNotAllowed, "use GET; create with PUT /v1/datasets/{name}")
+			WriteErr(w, http.StatusMethodNotAllowed, "use GET; create with PUT /v1/datasets/{name}")
 			return
 		}
 		h.list(w)
 	case strings.HasPrefix(path, "/v1/datasets/"):
 		h.dataset(w, req, strings.TrimPrefix(path, "/v1/datasets/"))
 	default:
-		writeErr(w, http.StatusNotFound, "unknown path")
+		WriteErr(w, http.StatusNotFound, "unknown path")
 	}
+}
+
+// byName is a handler for a dataset that may not exist yet.
+type byName func(h *handler, w http.ResponseWriter, req *http.Request, name string)
+
+// existing adapts a handler for an existing dataset: it resolves the
+// name, or answers 404.
+func existing(serve func(h *handler, w http.ResponseWriter, req *http.Request, m *Managed)) byName {
+	return func(h *handler, w http.ResponseWriter, req *http.Request, name string) {
+		m, ok := h.reg.Get(name)
+		if !ok {
+			WriteErr(w, http.StatusNotFound, ErrNotFound.Error())
+			return
+		}
+		serve(h, w, req, m)
+	}
+}
+
+// datasetOps routes /v1/datasets/{name}/{op}: the one method each
+// operation accepts and its handler.
+var datasetOps = map[string]struct {
+	method string
+	serve  byName
+}{
+	"observations": {http.MethodPost, existing((*handler).append)},
+	"copies":       {http.MethodGet, existing((*handler).copies)},
+	"truth":        {http.MethodGet, existing((*handler).truth)},
+	"stats":        {http.MethodGet, existing((*handler).stats)},
+	"quiesce":      {http.MethodPost, existing((*handler).quiesce)},
+	"export":       {http.MethodGet, existing((*handler).export)},
+	"import":       {http.MethodPost, (*handler).importState},
 }
 
 func (h *handler) dataset(w http.ResponseWriter, req *http.Request, rest string) {
 	parts := strings.Split(rest, "/")
 	name := parts[0]
 	if name == "" || len(parts) > 2 {
-		writeErr(w, http.StatusNotFound, "unknown path")
+		WriteErr(w, http.StatusNotFound, "unknown path")
 		return
 	}
 	if len(parts) == 1 {
@@ -179,71 +210,30 @@ func (h *handler) dataset(w http.ResponseWriter, req *http.Request, rest string)
 		case http.MethodPut:
 			h.create(w, req, name)
 		case http.MethodGet:
-			h.info(w, name)
+			existing((*handler).info)(h, w, req, name)
 		case http.MethodDelete:
 			h.delete(w, name)
 		default:
-			writeErr(w, http.StatusMethodNotAllowed, "use PUT, GET or DELETE")
+			WriteErr(w, http.StatusMethodNotAllowed, "use PUT, GET or DELETE")
 		}
 		return
 	}
-	switch parts[1] {
-	case "observations":
-		if req.Method != http.MethodPost {
-			writeErr(w, http.StatusMethodNotAllowed, "use POST")
-			return
-		}
-		h.append(w, req, name)
-	case "copies":
-		if req.Method != http.MethodGet {
-			writeErr(w, http.StatusMethodNotAllowed, "use GET")
-			return
-		}
-		h.copies(w, req, name)
-	case "truth":
-		if req.Method != http.MethodGet {
-			writeErr(w, http.StatusMethodNotAllowed, "use GET")
-			return
-		}
-		h.truth(w, req, name)
-	case "stats":
-		if req.Method != http.MethodGet {
-			writeErr(w, http.StatusMethodNotAllowed, "use GET")
-			return
-		}
-		h.stats(w, name)
-	case "quiesce":
-		if req.Method != http.MethodPost {
-			writeErr(w, http.StatusMethodNotAllowed, "use POST")
-			return
-		}
-		h.quiesce(w, req, name)
-	case "export":
-		if req.Method != http.MethodGet {
-			writeErr(w, http.StatusMethodNotAllowed, "use GET")
-			return
-		}
-		h.export(w, name)
-	case "import":
-		if req.Method != http.MethodPost {
-			writeErr(w, http.StatusMethodNotAllowed, "use POST")
-			return
-		}
-		h.importState(w, req, name)
+	switch op, ok := datasetOps[parts[1]]; {
+	case !ok:
+		WriteErr(w, http.StatusNotFound, "unknown path")
+	case req.Method != op.method:
+		WriteErr(w, http.StatusMethodNotAllowed, "use "+op.method)
 	default:
-		writeErr(w, http.StatusNotFound, "unknown path")
+		op.serve(h, w, req, name)
 	}
 }
 
 func (h *handler) list(w http.ResponseWriter) {
-	names := h.reg.List()
-	infos := make([]Info, 0, len(names))
-	for _, name := range names {
-		if m, ok := h.reg.Get(name); ok {
-			infos = append(infos, m.Info())
-		}
+	infos := []Info{} // "datasets": [] rather than null when empty
+	for _, m := range h.reg.datasets() {
+		infos = append(infos, m.Info())
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"datasets": infos})
+	WriteJSON(w, http.StatusOK, map[string]any{"datasets": infos})
 }
 
 func (h *handler) create(w http.ResponseWriter, req *http.Request, name string) {
@@ -254,7 +244,7 @@ func (h *handler) create(w http.ResponseWriter, req *http.Request, name string) 
 	}
 	cfg := DatasetConfig{Workers: cr.Workers}
 	if cr.Alpha != 0 || cr.S != 0 || cr.N != 0 {
-		cfg.Params = h.reg.params
+		cfg.Params = h.reg.cfg.Params
 		if cr.Alpha != 0 {
 			cfg.Params.Alpha = cr.Alpha
 		}
@@ -266,59 +256,45 @@ func (h *handler) create(w http.ResponseWriter, req *http.Request, name string) 
 		}
 	}
 	m, err := h.reg.Create(name, cfg)
-	switch {
-	case errors.Is(err, ErrExists):
-		writeErr(w, http.StatusConflict, err.Error())
-		return
-	case err != nil:
-		writeErr(w, http.StatusBadRequest, err.Error())
+	if err != nil {
+		writeOpErr(w, err, http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, http.StatusCreated, m.Info())
+	WriteJSON(w, http.StatusCreated, m.Info())
 }
 
-func (h *handler) info(w http.ResponseWriter, name string) {
-	m, ok := h.reg.Get(name)
-	if !ok {
-		writeErr(w, http.StatusNotFound, ErrNotFound.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, m.Info())
+func (h *handler) info(w http.ResponseWriter, _ *http.Request, m *Managed) {
+	WriteJSON(w, http.StatusOK, m.Info())
 }
 
 func (h *handler) delete(w http.ResponseWriter, name string) {
 	if !h.reg.Delete(name) {
-		writeErr(w, http.StatusNotFound, ErrNotFound.Error())
+		WriteErr(w, http.StatusNotFound, ErrNotFound.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"deleted": name})
+	WriteJSON(w, http.StatusOK, map[string]string{"deleted": name})
 }
 
-func (h *handler) append(w http.ResponseWriter, req *http.Request, name string) {
-	m, ok := h.reg.Get(name)
-	if !ok {
-		writeErr(w, http.StatusNotFound, ErrNotFound.Error())
-		return
-	}
+func (h *handler) append(w http.ResponseWriter, req *http.Request, m *Managed) {
 	var ar appendRequest
 	if err := decodeBody(w, req, &ar); err != nil {
 		writeDecodeErr(w, err)
 		return
 	}
 	if len(ar.Observations) == 0 && len(ar.Truth) == 0 {
-		writeErr(w, http.StatusBadRequest, "empty batch: provide observations and/or truth")
+		WriteErr(w, http.StatusBadRequest, "empty batch: provide observations and/or truth")
 		return
 	}
 	for i, o := range ar.Observations {
 		if o.Source == "" || o.Item == "" || o.Value == "" {
-			writeErr(w, http.StatusBadRequest,
+			WriteErr(w, http.StatusBadRequest,
 				"observation "+strconv.Itoa(i)+": s, d and v must all be non-empty")
 			return
 		}
 	}
 	for i, tr := range ar.Truth {
 		if tr.Item == "" || tr.Value == "" {
-			writeErr(w, http.StatusBadRequest,
+			WriteErr(w, http.StatusBadRequest,
 				"truth "+strconv.Itoa(i)+": d and v must be non-empty")
 			return
 		}
@@ -327,40 +303,24 @@ func (h *handler) append(w http.ResponseWriter, req *http.Request, name string) 
 	if raw := req.Header.Get(SeqHeader); raw != "" {
 		parsed, perr := strconv.ParseUint(raw, 10, 64)
 		if perr != nil || parsed == 0 {
-			writeErr(w, http.StatusBadRequest, SeqHeader+" must be a positive integer")
+			WriteErr(w, http.StatusBadRequest, SeqHeader+" must be a positive integer")
 			return
 		}
 		seq = parsed
 	}
 	version, total, applied, err := m.AppendSeq(ar.Observations, ar.Truth, seq)
-	switch {
-	case errors.Is(err, ErrNotFound):
-		writeErr(w, http.StatusNotFound, err.Error())
-		return
-	case errors.Is(err, ErrSeqGap):
-		// The batch is from the future: this replica is missing earlier
-		// appends and needs an anti-entropy import before it can accept
-		// the stream again.
-		writeErr(w, http.StatusConflict, err.Error())
-		return
-	case errors.Is(err, ErrBacklog):
-		// Admission control: convergence lag reached the high-water
-		// mark. Nothing was applied; the client should back off.
-		w.Header().Set("Retry-After", strconv.Itoa(backlogRetryAfterSeconds))
-		writeErr(w, http.StatusTooManyRequests, err.Error())
-		return
-	case err != nil:
-		// A durable registry refused the batch because it could not be
-		// logged; nothing was applied, so the client may retry.
-		writeErr(w, http.StatusInternalServerError, err.Error())
+	if err != nil {
+		// 500: a durable registry refused the batch because it could not
+		// be logged; nothing was applied, so the client may retry.
+		writeOpErr(w, err, http.StatusInternalServerError)
 		return
 	}
 	appended := len(ar.Observations)
 	if !applied {
 		appended = 0
 	}
-	writeJSON(w, http.StatusAccepted, appendResponse{
-		Dataset:      name,
+	WriteJSON(w, http.StatusAccepted, appendResponse{
+		Dataset:      m.name,
 		Version:      version,
 		Appended:     appended,
 		Observations: total,
@@ -370,19 +330,10 @@ func (h *handler) append(w http.ResponseWriter, req *http.Request, name string) 
 
 // export streams the dataset's full appended state in the binary
 // anti-entropy format.
-func (h *handler) export(w http.ResponseWriter, name string) {
-	m, ok := h.reg.Get(name)
-	if !ok {
-		writeErr(w, http.StatusNotFound, ErrNotFound.Error())
-		return
-	}
+func (h *handler) export(w http.ResponseWriter, _ *http.Request, m *Managed) {
 	blob, err := m.Export()
 	if err != nil {
-		code := http.StatusInternalServerError
-		if errors.Is(err, ErrNotFound) {
-			code = http.StatusNotFound
-		}
-		writeErr(w, code, err.Error())
+		writeOpErr(w, err, http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -395,34 +346,25 @@ func (h *handler) export(w http.ResponseWriter, name string) {
 func (h *handler) importState(w http.ResponseWriter, req *http.Request, name string) {
 	blob, err := io.ReadAll(io.LimitReader(req.Body, maxImportBytes+1))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
+		WriteErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if len(blob) > maxImportBytes {
-		writeErr(w, http.StatusRequestEntityTooLarge, "import blob exceeds the size limit")
+		WriteErr(w, http.StatusRequestEntityTooLarge, "import blob exceeds the size limit")
 		return
 	}
 	applied, version, err := h.reg.Import(name, blob)
-	switch {
-	case errors.Is(err, ErrNotFound):
-		writeErr(w, http.StatusNotFound, err.Error())
-		return
-	case err != nil:
-		writeErr(w, http.StatusBadRequest, err.Error())
+	if err != nil {
+		writeOpErr(w, err, http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, http.StatusOK, importResponse{Dataset: name, Applied: applied, Version: version})
+	WriteJSON(w, http.StatusOK, importResponse{Dataset: name, Applied: applied, Version: version})
 }
 
 // serveCached handles the shared ETag negotiation of the read endpoints
 // and returns one consistent snapshot: the published round to render
 // (nil before the first) and its convergence flag.
-func (h *handler) serveCached(w http.ResponseWriter, req *http.Request, name string) (pub *Published, converged, ok bool) {
-	m, found := h.reg.Get(name)
-	if !found {
-		writeErr(w, http.StatusNotFound, ErrNotFound.Error())
-		return nil, false, false
-	}
+func (h *handler) serveCached(w http.ResponseWriter, req *http.Request, m *Managed) (pub *Published, converged, ok bool) {
 	pub, converged, etag := m.ReadState()
 	w.Header().Set("ETag", etag)
 	if match := req.Header.Get("If-None-Match"); match != "" && match == etag {
@@ -432,12 +374,12 @@ func (h *handler) serveCached(w http.ResponseWriter, req *http.Request, name str
 	return pub, converged, true
 }
 
-func (h *handler) copies(w http.ResponseWriter, req *http.Request, name string) {
-	pub, converged, ok := h.serveCached(w, req, name)
+func (h *handler) copies(w http.ResponseWriter, req *http.Request, m *Managed) {
+	pub, converged, ok := h.serveCached(w, req, m)
 	if !ok {
 		return
 	}
-	resp := copiesResponse{Dataset: name, Converged: converged, Pairs: []copyingPair{}}
+	resp := copiesResponse{Dataset: m.name, Converged: converged, Pairs: []copyingPair{}}
 	if pub != nil {
 		resp.Version, resp.Round, resp.Algorithm = pub.Version, pub.Round, pub.Algorithm
 		for _, pr := range pub.Outcome.Copy.CopyingPairs() {
@@ -449,15 +391,15 @@ func (h *handler) copies(w http.ResponseWriter, req *http.Request, name string) 
 			})
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
-func (h *handler) truth(w http.ResponseWriter, req *http.Request, name string) {
-	pub, converged, ok := h.serveCached(w, req, name)
+func (h *handler) truth(w http.ResponseWriter, req *http.Request, m *Managed) {
+	pub, converged, ok := h.serveCached(w, req, m)
 	if !ok {
 		return
 	}
-	resp := truthResponse{Dataset: name, Converged: converged, Truth: map[string]string{}}
+	resp := truthResponse{Dataset: m.name, Converged: converged, Truth: map[string]string{}}
 	if pub != nil {
 		resp.Version, resp.Round = pub.Version, pub.Round
 		for d, v := range pub.Outcome.Truth {
@@ -466,15 +408,10 @@ func (h *handler) truth(w http.ResponseWriter, req *http.Request, name string) {
 			}
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
-func (h *handler) stats(w http.ResponseWriter, name string) {
-	m, ok := h.reg.Get(name)
-	if !ok {
-		writeErr(w, http.StatusNotFound, ErrNotFound.Error())
-		return
-	}
+func (h *handler) stats(w http.ResponseWriter, _ *http.Request, m *Managed) {
 	resp := statsResponse{Info: m.Info()}
 	if pub := m.Published(); pub != nil {
 		out := pub.Outcome
@@ -486,19 +423,19 @@ func (h *handler) stats(w http.ResponseWriter, name string) {
 		resp.FusionMillis = out.FusionTime.Seconds() * 1e3
 		resp.WallMillis = pub.Wall.Seconds() * 1e3
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
-func (h *handler) quiesce(w http.ResponseWriter, req *http.Request, name string) {
-	if _, err := h.reg.Quiesce(req.Context(), name); err != nil {
+func (h *handler) quiesce(w http.ResponseWriter, req *http.Request, m *Managed) {
+	if _, err := h.reg.Quiesce(req.Context(), m.name); err != nil {
 		code := http.StatusNotFound
 		if req.Context().Err() != nil {
 			code = http.StatusRequestTimeout
 		}
-		writeErr(w, code, err.Error())
+		WriteErr(w, code, err.Error())
 		return
 	}
-	h.stats(w, name)
+	h.stats(w, req, m)
 }
 
 // decodeBody decodes a JSON request body capped at maxBodyBytes; the
@@ -513,19 +450,44 @@ func decodeBody(w http.ResponseWriter, req *http.Request, v any) error {
 	return err
 }
 
+// writeOpErr answers a failed registry operation: each sentinel error
+// has one status on the wire, anything else gets fallback.
+func writeOpErr(w http.ResponseWriter, err error, fallback int) {
+	code := fallback
+	switch {
+	case errors.Is(err, ErrNotFound):
+		code = http.StatusNotFound
+	case errors.Is(err, ErrExists), errors.Is(err, ErrSeqGap):
+		// ErrSeqGap: the batch is from the future — this replica is
+		// missing earlier appends and needs an anti-entropy import
+		// before it can accept the stream again.
+		code = http.StatusConflict
+	case errors.Is(err, ErrBacklog):
+		// Admission control: convergence lag reached the high-water
+		// mark. Nothing was applied; the client should back off.
+		w.Header().Set("Retry-After", strconv.Itoa(backlogRetryAfterSeconds))
+		code = http.StatusTooManyRequests
+	}
+	WriteErr(w, code, err.Error())
+}
+
 // writeDecodeErr maps a decodeBody failure: an over-limit body is 413
 // (matching the gateway's maxWriteBody behaviour), anything else is a
 // malformed request.
 func writeDecodeErr(w http.ResponseWriter, err error) {
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
-		writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds the size limit")
+		WriteErr(w, http.StatusRequestEntityTooLarge, "request body exceeds the size limit")
 		return
 	}
-	writeErr(w, http.StatusBadRequest, err.Error())
+	WriteErr(w, http.StatusBadRequest, err.Error())
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as the indented JSON body of a response with the
+// given status code — the one response formatting of the wire protocol,
+// shared with the gateway so its own responses are indistinguishable in
+// shape from a backend's.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -535,6 +497,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-func writeErr(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, errorResponse{Error: msg})
+// WriteErr writes the JSON error body every non-2xx response carries.
+func WriteErr(w http.ResponseWriter, code int, msg string) {
+	WriteJSON(w, code, errorResponse{Error: msg})
 }

@@ -165,21 +165,32 @@ func TestHTTPErrors(t *testing.T) {
 	cases := []struct {
 		method, path, body string
 		want               int
+		msg                string // exact error message, when it is part of the protocol
 	}{
-		{http.MethodGet, "/nope", "", http.StatusNotFound},
-		{http.MethodPost, "/healthz", "", http.StatusMethodNotAllowed},
-		{http.MethodPost, "/v1/datasets", "", http.StatusMethodNotAllowed},
-		{http.MethodGet, "/v1/datasets/", "", http.StatusNotFound},
-		{http.MethodGet, "/v1/datasets/none", "", http.StatusNotFound},
-		{http.MethodDelete, "/v1/datasets/none", "", http.StatusNotFound},
-		{http.MethodGet, "/v1/datasets/none/copies", "", http.StatusNotFound},
-		{http.MethodGet, "/v1/datasets/none/truth", "", http.StatusNotFound},
-		{http.MethodGet, "/v1/datasets/none/stats", "", http.StatusNotFound},
-		{http.MethodPost, "/v1/datasets/none/quiesce", "", http.StatusNotFound},
-		{http.MethodPost, "/v1/datasets/none/observations", `{"observations":[]}`, http.StatusNotFound},
-		{http.MethodGet, "/v1/datasets/x/y/z", "", http.StatusNotFound},
-		{http.MethodPut, "/v1/datasets/bad", `{"alpha":2}`, http.StatusBadRequest},
-		{http.MethodPut, "/v1/datasets/bad", `{not json`, http.StatusBadRequest},
+		{method: http.MethodGet, path: "/nope", want: http.StatusNotFound},
+		{method: http.MethodPost, path: "/healthz", want: http.StatusMethodNotAllowed, msg: "use GET"},
+		{method: http.MethodPost, path: "/v1/datasets", want: http.StatusMethodNotAllowed},
+		{method: http.MethodGet, path: "/v1/datasets/none/observations", want: http.StatusMethodNotAllowed, msg: "use POST"},
+		{method: http.MethodPut, path: "/v1/datasets/none/copies", want: http.StatusMethodNotAllowed, msg: "use GET"},
+		{method: http.MethodPost, path: "/v1/datasets/none/export", want: http.StatusMethodNotAllowed, msg: "use GET"},
+		{method: http.MethodGet, path: "/v1/datasets/none/import", want: http.StatusMethodNotAllowed, msg: "use POST"},
+		{method: http.MethodPatch, path: "/v1/datasets/none", want: http.StatusMethodNotAllowed, msg: "use PUT, GET or DELETE"},
+		{method: http.MethodGet, path: "/v1/datasets/none/nope", want: http.StatusNotFound, msg: "unknown path"},
+		{method: http.MethodGet, path: "/v1/datasets/", want: http.StatusNotFound},
+		{method: http.MethodGet, path: "/v1/datasets/none", want: http.StatusNotFound},
+		{method: http.MethodDelete, path: "/v1/datasets/none", want: http.StatusNotFound},
+		{method: http.MethodGet, path: "/v1/datasets/none/copies", want: http.StatusNotFound},
+		{method: http.MethodGet, path: "/v1/datasets/none/truth", want: http.StatusNotFound},
+		{method: http.MethodGet, path: "/v1/datasets/none/stats", want: http.StatusNotFound},
+		{method: http.MethodPost, path: "/v1/datasets/none/quiesce", want: http.StatusNotFound},
+		{method: http.MethodPost, path: "/v1/datasets/none/observations", body: `{"observations":[]}`, want: http.StatusNotFound},
+		{method: http.MethodGet, path: "/v1/datasets/x/y/z", want: http.StatusNotFound},
+		{method: http.MethodPut, path: "/v1/datasets/bad", body: `{"alpha":2}`, want: http.StatusBadRequest},
+		{method: http.MethodPut, path: "/v1/datasets/bad", body: `{not json`, want: http.StatusBadRequest},
+		// workers comes from the wire and sizes every round's shards.
+		{method: http.MethodPut, path: "/v1/datasets/bad", body: `{"workers":100000000}`, want: http.StatusBadRequest},
+		{method: http.MethodPut, path: "/v1/datasets/bad", body: `{"workers":-1}`, want: http.StatusBadRequest},
+		{method: http.MethodGet, path: "/v1/datasets/bad", want: http.StatusNotFound}, // none of the above created it
 	}
 	for _, c := range cases {
 		req, err := http.NewRequest(c.method, srv.URL+c.path, strings.NewReader(c.body))
@@ -195,8 +206,8 @@ func TestHTTPErrors(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != c.want {
 			t.Errorf("%s %s: status %d, want %d", c.method, c.path, resp.StatusCode, c.want)
-		} else if er.Error == "" {
-			t.Errorf("%s %s: error response without error message", c.method, c.path)
+		} else if er.Error == "" || (c.msg != "" && er.Error != c.msg) {
+			t.Errorf("%s %s: error message %q, want %q (or any, if empty)", c.method, c.path, er.Error, c.msg)
 		}
 	}
 
@@ -303,6 +314,9 @@ func TestDuplicateCreateKeepsVersionCounter(t *testing.T) {
 			appendRequest{Observations: []dataset.Record{rec}}, nil, nil), http.StatusAccepted)
 	}
 
+	// Converge first: a round publishing between the two reads below
+	// changes Info for a reason that is not the duplicate creates.
+	wantStatus(t, do(t, srv, http.MethodPost, "/v1/datasets/books/quiesce", nil, nil, nil), http.StatusOK)
 	var before Info
 	wantStatus(t, do(t, srv, http.MethodGet, "/v1/datasets/books", nil, &before, nil), http.StatusOK)
 	if before.Version != 3 {

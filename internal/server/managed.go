@@ -1,0 +1,387 @@
+package server
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"sync"
+	"time"
+
+	"copydetect/internal/bayes"
+	"copydetect/internal/binio"
+	"copydetect/internal/core"
+	"copydetect/internal/dataset"
+	"copydetect/internal/fusion"
+)
+
+// Published is the immutable outcome of one completed detection round.
+// Everything it points to is a snapshot: readers may use it without
+// locking, concurrently with later appends and rounds.
+type Published struct {
+	// Version is the append version the round's snapshot was built at;
+	// Round counts completed rounds for the dataset, starting at 1.
+	Version uint64
+	Round   int
+	// Algorithm is "HYBRID" for the first round, "INCREMENTAL" after.
+	Algorithm string
+	// Snapshot is the dataset the round detected on.
+	Snapshot *dataset.Dataset
+	// Outcome is the full iterative result (copying pairs, truths,
+	// state, per-round stats).
+	Outcome *fusion.Outcome
+	// Wall is the end-to-end duration of the round.
+	Wall time.Duration
+}
+
+// Managed is one named dataset under registry management. All methods
+// are safe for concurrent use.
+type Managed struct {
+	name   string
+	gen    uint64 // registry-wide creation counter, disambiguates ETags across delete/recreate
+	params bayes.Params
+	opts   core.Options
+	reg    *Registry
+
+	// appendMu serializes every state change of the dataset — append,
+	// import, publish — from its staleness checks through commit to
+	// apply, so WAL order always equals version order, while keeping the
+	// disk write (fsync!) outside mu: reads never wait on storage. Lock
+	// order: appendMu → mu.
+	appendMu sync.Mutex
+	// st is the durable half, set once before the dataset is shared.
+	st *dstore
+
+	mu      sync.Mutex
+	cond    *sync.Cond
+	builder *dataset.Builder
+	version uint64 // the append version: assigned by apply only
+	rounds  int    // completed (published) rounds, survives restarts: assigned by apply only
+	dirty   bool   // appends not yet covered by a completed round
+	running bool   // a round is in flight
+	closed  bool
+	cancel  chan struct{} // closes to abort the in-flight round
+	// lagSince is when the dataset last left the converged state — the
+	// arrival of the oldest append not yet covered by a published round.
+	// Telemetry reads it for the convergence-lag-seconds gauge; it is
+	// only meaningful while convergedLocked() is false.
+	lagSince time.Time
+
+	pub *Published
+}
+
+// Info is a point-in-time summary of a managed dataset.
+type Info struct {
+	Name         string  `json:"name"`
+	Version      uint64  `json:"version"`
+	Sources      int     `json:"sources"`
+	Items        int     `json:"items"`
+	Observations int     `json:"observations"`
+	Converged    bool    `json:"converged"`
+	Workers      int     `json:"workers"`
+	Alpha        float64 `json:"alpha"`
+	S            float64 `json:"s"`
+	N            float64 `json:"n"`
+
+	// Served* describe the published round (zero before the first one).
+	ServedVersion uint64 `json:"servedVersion"`
+	Round         int    `json:"round"`
+	Algorithm     string `json:"algorithm,omitempty"`
+}
+
+// apply turns one record into in-memory state. It is the only code that
+// assigns builder, version or rounds from a record, and live appends,
+// imports, published rounds and crash replay all call it — so replaying
+// the same records in the same order reproduces the same dataset by
+// construction. The caller holds mu (replay runs before the dataset is
+// shared) and has already made rec durable.
+func (m *Managed) apply(rec walRecord) {
+	switch rec.kind {
+	case walRecAppend:
+		m.builder.AddRecords(rec.obs)
+		for _, tr := range rec.truth {
+			m.builder.SetTruth(tr.Item, tr.Value)
+		}
+		m.version = rec.version
+	case walRecImport:
+		m.builder = dataset.NewBuilderFromDataset(rec.ds)
+		m.version = rec.version
+		m.rounds = max(m.rounds, rec.round)
+	case walRecPublish:
+		m.rounds = max(m.rounds, rec.round)
+	}
+}
+
+// write commits rec and applies it: the shared body of AppendSeq and
+// Import. The caller holds appendMu and mu and has done its admission
+// checks; write drops mu around the disk write and returns with it held
+// again. what names the operation in the error.
+func (m *Managed) write(rec walRecord, what string) error {
+	m.mu.Unlock()
+	err := m.st.commit(rec)
+	m.mu.Lock()
+	if err != nil {
+		return fmt.Errorf("server: dataset %q: %s not durable: %w", m.name, what, err)
+	}
+	if m.closed {
+		// Deleted or shut down while the record was being written; the
+		// change was never acknowledged, and the log is gone or going
+		// with the dataset.
+		return ErrNotFound
+	}
+	m.markDirtyLocked()
+	m.apply(rec)
+	return nil
+}
+
+// markDirtyLocked records that the dataset is about to move past its
+// published round: stamp the lag clock if it was converged, abort the
+// in-flight round (it detects a snapshot the new state is not in —
+// publishing it would be discarded anyway), and wake the scheduler.
+func (m *Managed) markDirtyLocked() {
+	if m.convergedLocked() {
+		m.lagSince = time.Now()
+	}
+	m.dirty = true
+	m.cancelRoundLocked()
+	m.cond.Broadcast()
+	m.reg.kickAsync()
+}
+
+// cancelRoundLocked aborts the in-flight round, if any.
+func (m *Managed) cancelRoundLocked() {
+	if m.cancel != nil {
+		close(m.cancel)
+		m.cancel = nil
+	}
+}
+
+// shut marks the dataset closed and aborts its in-flight round.
+func (m *Managed) shut() {
+	m.mu.Lock()
+	m.closed = true
+	m.cancelRoundLocked()
+	m.cond.Broadcast()
+	m.mu.Unlock()
+}
+
+// Append adds a batch of named observations (and optional gold-standard
+// truths, with Record.Source empty) to the dataset and schedules a
+// detection round. It returns the new append version and the total
+// number of observation cells.
+func (m *Managed) Append(obs, truth []dataset.Record) (version uint64, total int, err error) {
+	version, total, _, err = m.AppendSeq(obs, truth, 0)
+	return version, total, err
+}
+
+// AppendSeq is Append with replay protection: seq, when non-zero,
+// asserts this batch is append number seq of the dataset. A batch whose
+// seq the dataset has already passed (version >= seq) is acknowledged
+// without being applied — applied is false and version is the current
+// version — so a replication layer may re-send a batch any number of
+// times and it lands exactly once. A seq from the future (version <
+// seq-1) fails with ErrSeqGap: earlier appends are missing and applying
+// out of order would diverge from the primary. seq 0 is an ordinary
+// unconditioned append.
+func (m *Managed) AppendSeq(obs, truth []dataset.Record, seq uint64) (version uint64, total int, applied bool, err error) {
+	m.appendMu.Lock()
+	defer m.appendMu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return 0, 0, false, ErrNotFound
+	}
+	if seq > 0 {
+		if m.version >= seq {
+			// Duplicate delivery of an already-applied batch.
+			return m.version, m.builder.NumObservations(), false, nil
+		}
+		if m.version != seq-1 {
+			return 0, 0, false, fmt.Errorf("%w: dataset %q is at version %d, batch claims sequence %d", ErrSeqGap, m.name, m.version, seq)
+		}
+	}
+	if hw := m.reg.cfg.AppendHighWater; seq == 0 && hw > 0 {
+		// Admission control, for client writes only: sequenced appends
+		// are replication traffic already admitted at the gateway, and
+		// refusing them here would spuriously mark replicas stale.
+		if lag := m.lagLocked(); lag >= uint64(hw) {
+			if in := m.reg.inst.Load(); in != nil {
+				in.admissionRej.Inc()
+			}
+			return 0, 0, false, fmt.Errorf("%w: dataset %q has %d appends awaiting convergence (high-water %d)",
+				ErrBacklog, m.name, lag, hw)
+		}
+	}
+	if err := m.write(walRecord{kind: walRecAppend, version: m.version + 1, obs: obs, truth: truth}, "append"); err != nil {
+		return 0, 0, false, err
+	}
+	return m.version, m.builder.NumObservations(), true, nil
+}
+
+// Export serializes the dataset's full appended state — priors, worker
+// count, append version, rounds counter and the dataset itself in the
+// bit-exact binary codec — for anti-entropy transfer to a replica.
+// Importing the blob elsewhere reproduces this dataset's Builder
+// interning exactly, so appends streamed after the transfer keep both
+// copies byte-identical.
+func (m *Managed) Export() ([]byte, error) {
+	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		return nil, ErrNotFound
+	}
+	state := walRecord{kind: walRecImport, version: m.version, round: m.rounds, ds: m.builder.Build()}
+	m.mu.Unlock()
+	return encodeExport(DatasetConfig{Params: m.params, Workers: m.opts.Workers}, state)
+}
+
+const exportMagic = "CDEXP\x01"
+
+// encodeExport serializes one dataset's full appended state for
+// anti-entropy transfer: its configuration, then the import record that
+// installs the state elsewhere — append version, rounds counter and the
+// dataset in the bit-exact binary codec.
+func encodeExport(cfg DatasetConfig, state walRecord) ([]byte, error) {
+	var buf bytes.Buffer
+	w := binio.NewWriter(&buf)
+	w.String(exportMagic)
+	w.Float64(cfg.Params.Alpha)
+	w.Float64(cfg.Params.S)
+	w.Float64(cfg.Params.N)
+	w.Int(cfg.Workers)
+	w.Uvarint(state.version)
+	w.Int(state.round)
+	dataset.EncodeDataset(w, state.ds)
+	if err := w.Err(); err != nil {
+		return nil, fmt.Errorf("server: encode export: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// decodeExport inverts encodeExport.
+func decodeExport(blob []byte) (cfg DatasetConfig, state walRecord, err error) {
+	r := binio.NewReader(bytes.NewReader(blob))
+	if m := r.String(); r.Err() == nil && m != exportMagic {
+		return cfg, state, fmt.Errorf("server: export blob: bad magic")
+	}
+	cfg.Params = bayes.Params{Alpha: r.Float64(), S: r.Float64(), N: r.Float64()}
+	cfg.Workers = r.Int(1 << 20)
+	state = walRecord{kind: walRecImport, version: r.Uvarint(), round: r.Int(1 << 30)}
+	if state.ds, err = dataset.DecodeDataset(r); err == nil {
+		err = r.Err()
+	}
+	if err != nil {
+		return cfg, state, fmt.Errorf("server: export blob: %w", err)
+	}
+	return cfg, state, nil
+}
+
+// Import replaces the named dataset's appended state with an Export
+// blob from its replication peer, creating the dataset (with the
+// blob's configuration) if it does not exist. The import applies only
+// when the blob is newer than the local state (blob version > local
+// version) — a stale or duplicated transfer is acknowledged without
+// effect — and returns the dataset's version afterwards. An applied
+// import schedules a detection round, so the catch-up converges to the
+// peer's published result.
+func (r *Registry) Import(name string, blob []byte) (applied bool, version uint64, err error) {
+	cfg, state, err := decodeExport(blob)
+	if err != nil {
+		return false, 0, err
+	}
+	m, ok := r.Get(name)
+	if !ok {
+		m, err = r.Create(name, cfg)
+		if err != nil && !errors.Is(err, ErrExists) {
+			return false, 0, err
+		}
+		if err != nil {
+			// Lost a create race; the winner's dataset takes the import.
+			if m, ok = r.Get(name); !ok {
+				return false, 0, ErrNotFound
+			}
+		}
+	}
+	m.appendMu.Lock()
+	defer m.appendMu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return false, 0, ErrNotFound
+	}
+	if m.version >= state.version {
+		return false, m.version, nil
+	}
+	if err := m.write(state, "import"); err != nil {
+		return false, 0, err
+	}
+	return true, m.version, nil
+}
+
+// Published returns the last completed round, or nil before the first.
+func (m *Managed) Published() *Published {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.pub
+}
+
+// Converged reports whether the published result covers every append.
+func (m *Managed) Converged() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.convergedLocked()
+}
+
+// ReadState returns the published round together with a convergence
+// flag computed against that same round, plus its ETag — one consistent
+// snapshot for the read endpoints, so a body can never pair one round's
+// data with another round's convergence claim or tag. The ETag
+// identifies the served result: it changes exactly when a new round is
+// published, and the creation generation keeps tags from a deleted
+// dataset invalid against a recreated one of the same name.
+func (m *Managed) ReadState() (pub *Published, converged bool, etag string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	v, round := uint64(0), 0
+	if m.pub != nil {
+		v, round = m.pub.Version, m.pub.Round
+	}
+	etag = fmt.Sprintf("%q", fmt.Sprintf("%s-g%d-v%d-r%d", m.name, m.gen, v, round))
+	return m.pub, m.convergedLocked(), etag
+}
+
+// Info returns a point-in-time summary.
+func (m *Managed) Info() Info {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	inf := Info{
+		Name:         m.name,
+		Version:      m.version,
+		Sources:      m.builder.NumSources(),
+		Items:        m.builder.NumItems(),
+		Observations: m.builder.NumObservations(),
+		Converged:    m.convergedLocked(),
+		Workers:      m.opts.Workers,
+		Alpha:        m.params.Alpha,
+		S:            m.params.S,
+		N:            m.params.N,
+	}
+	if m.pub != nil {
+		inf.ServedVersion = m.pub.Version
+		inf.Round = m.pub.Round
+		inf.Algorithm = m.pub.Algorithm
+	}
+	return inf
+}
+
+func (m *Managed) convergedLocked() bool {
+	return !m.dirty && !m.running && m.lagLocked() == 0
+}
+
+// lagLocked is the number of accepted appends the published round does
+// not cover (every append, before the first round).
+func (m *Managed) lagLocked() uint64 {
+	if m.pub == nil {
+		return m.version
+	}
+	return m.version - m.pub.Version
+}

@@ -27,68 +27,26 @@ type instruments struct {
 func (r *Registry) RegisterMetrics(t *telemetry.Registry) {
 	t.GaugeFunc("copydetectd_datasets",
 		"Datasets currently registered.", nil,
-		func(emit func(float64, ...string)) {
-			r.mu.Lock()
-			n := len(r.sets)
-			r.mu.Unlock()
-			emit(float64(n))
-		})
+		r.countWhere(func(*Managed) bool { return true }))
 	t.GaugeFunc("copydetectd_scheduler_queue_depth",
 		"Datasets dirty and waiting for (or re-queued behind) a detection round.", nil,
-		func(emit func(float64, ...string)) {
-			dirty := 0
-			for _, m := range r.snapshotSets() {
-				m.mu.Lock()
-				if m.dirty {
-					dirty++
-				}
-				m.mu.Unlock()
-			}
-			emit(float64(dirty))
-		})
+		r.countWhere(func(m *Managed) bool { return m.dirty }))
 	t.GaugeFunc("copydetectd_rounds_inflight",
 		"Detection rounds currently running.", nil,
-		func(emit func(float64, ...string)) {
-			running := 0
-			for _, m := range r.snapshotSets() {
-				m.mu.Lock()
-				if m.running {
-					running++
-				}
-				m.mu.Unlock()
-			}
-			emit(float64(running))
-		})
+		r.countWhere(func(m *Managed) bool { return m.running }))
 	t.GaugeFunc("copydetectd_dataset_convergence_lag_appends",
 		"Appends accepted but not yet covered by the published round, per dataset.",
 		[]string{"dataset"},
-		func(emit func(float64, ...string)) {
-			for _, m := range r.snapshotSets() {
-				m.mu.Lock()
-				lag := m.version
-				if m.pub != nil {
-					lag -= m.pub.Version
-				}
-				name := m.name
-				m.mu.Unlock()
-				emit(float64(lag), name)
-			}
-		})
+		r.perDataset(func(m *Managed) float64 { return float64(m.lagLocked()) }))
 	t.GaugeFunc("copydetectd_dataset_convergence_lag_seconds",
 		"Age of the oldest append not yet covered by a completed round, per dataset (0 when converged).",
 		[]string{"dataset"},
-		func(emit func(float64, ...string)) {
-			for _, m := range r.snapshotSets() {
-				m.mu.Lock()
-				var lag float64
-				if !m.convergedLocked() && !m.lagSince.IsZero() {
-					lag = time.Since(m.lagSince).Seconds()
-				}
-				name := m.name
-				m.mu.Unlock()
-				emit(lag, name)
+		r.perDataset(func(m *Managed) float64 {
+			if m.convergedLocked() || m.lagSince.IsZero() {
+				return 0
 			}
-		})
+			return time.Since(m.lagSince).Seconds()
+		}))
 
 	in := &instruments{
 		roundDuration: t.HistogramVec("copydetectd_round_duration_seconds",
@@ -106,16 +64,33 @@ func (r *Registry) RegisterMetrics(t *telemetry.Registry) {
 	r.inst.Store(in)
 }
 
-// snapshotSets copies the current dataset list out from under r.mu so
-// collectors can visit each dataset's own lock without holding both.
-func (r *Registry) snapshotSets() []*Managed {
-	r.mu.Lock()
-	sets := make([]*Managed, 0, len(r.sets))
-	for _, m := range r.sets {
-		sets = append(sets, m)
+// countWhere is a gauge collector: the number of datasets satisfying
+// pred, evaluated under each dataset's lock.
+func (r *Registry) countWhere(pred func(m *Managed) bool) func(emit func(float64, ...string)) {
+	return func(emit func(float64, ...string)) {
+		n := 0
+		for _, m := range r.datasets() {
+			m.mu.Lock()
+			if pred(m) {
+				n++
+			}
+			m.mu.Unlock()
+		}
+		emit(float64(n))
 	}
-	r.mu.Unlock()
-	return sets
+}
+
+// perDataset is a gauge collector labelled by dataset: value is
+// evaluated under each dataset's lock.
+func (r *Registry) perDataset(value func(m *Managed) float64) func(emit func(float64, ...string)) {
+	return func(emit func(float64, ...string)) {
+		for _, m := range r.datasets() {
+			m.mu.Lock()
+			v := value(m)
+			m.mu.Unlock()
+			emit(v, m.name)
+		}
+	}
 }
 
 // observeWAL is the wal.Options.ObserveAppend hook for every dataset

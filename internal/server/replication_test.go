@@ -72,6 +72,7 @@ func TestAppendSeqIdempotent(t *testing.T) {
 // reproduces the source's Builder interning exactly — the two sides'
 // exports stay byte-identical even after both apply further appends.
 func TestExportImportReproducesStateBitExactly(t *testing.T) {
+	defer func() { testHookRoundStart = nil }() // after both registries have closed
 	regA := NewRegistry(Config{Options: core.Options{Workers: 1}})
 	defer regA.Close()
 	regB := NewRegistry(Config{Options: core.Options{Workers: 1}})
@@ -87,6 +88,14 @@ func TestExportImportReproducesStateBitExactly(t *testing.T) {
 	if _, err := regA.Quiesce(context.Background(), "ds"); err != nil {
 		t.Fatal(err)
 	}
+	// The rounds counter rides in the blob. A has published exactly one
+	// round; park every later round on either side at its start, so the
+	// counter stays at 1 on both and the comparison below is exact rather
+	// than a race between two schedulers. Released before the registries
+	// close (their Close waits for the parked rounds).
+	release := make(chan struct{})
+	testHookRoundStart = func(*Managed) { <-release }
+	defer close(release)
 	blob, err := a.Export()
 	if err != nil {
 		t.Fatal(err)

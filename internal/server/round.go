@@ -1,0 +1,201 @@
+package server
+
+import (
+	"time"
+
+	"copydetect/internal/core"
+	"copydetect/internal/fusion"
+)
+
+// testHookRoundStart, when non-nil, runs at the start of every
+// detection round, after the snapshot is taken and before detection
+// begins (no locks held). Tests block here to let convergence lag grow
+// deterministically past the admission high-water mark. Test-only.
+var testHookRoundStart func(m *Managed)
+
+// kickAsync nudges the scheduler without blocking.
+func (r *Registry) kickAsync() {
+	select {
+	case r.kick <- struct{}{}:
+	default:
+	}
+}
+
+// scheduler is the registry's dirty-dataset loop: whenever kicked it
+// claims every dirty dataset without an in-flight round and runs one
+// detection round for each, at most Config.Concurrency at a time.
+func (r *Registry) scheduler() {
+	defer r.wg.Done()
+	sem := make(chan struct{}, r.cfg.Concurrency)
+	for {
+		select {
+		case <-r.stop:
+			return
+		case <-r.kick:
+		}
+		for {
+			m := r.claimDirty()
+			if m == nil {
+				break
+			}
+			select {
+			case sem <- struct{}{}:
+			case <-r.stop:
+				m.mu.Lock()
+				m.running = false
+				m.cond.Broadcast()
+				m.mu.Unlock()
+				return
+			}
+			r.wg.Add(1)
+			go func(m *Managed) {
+				defer r.wg.Done()
+				defer func() { <-sem }()
+				m.runRound()
+				// The dataset may have gone dirty again mid-round
+				// (cancelled or stale snapshot): let the loop reclaim it.
+				r.kickAsync()
+			}(m)
+		}
+	}
+}
+
+// claimDirty picks a dirty, idle dataset (smallest name first, for
+// determinism) and marks it running.
+func (r *Registry) claimDirty() *Managed {
+	for _, m := range r.datasets() {
+		m.mu.Lock()
+		claimed := m.dirty && !m.running && !m.closed
+		if claimed {
+			m.running = true
+		}
+		m.mu.Unlock()
+		if claimed {
+			return m
+		}
+	}
+	return nil
+}
+
+// runRound executes one detection round: snapshot the builder, run the
+// full iterative process on it, and publish the outcome if the snapshot
+// is still current. Stale or cancelled rounds re-mark the dataset dirty.
+// running stays true until the very end, so claimDirty cannot reclaim
+// the dataset while a publish is in progress.
+func (m *Managed) runRound() {
+	m.mu.Lock()
+	if m.closed || !m.dirty {
+		m.running = false
+		m.cond.Broadcast()
+		m.mu.Unlock()
+		return
+	}
+	version := m.version
+	m.dirty = false
+	cancel := make(chan struct{})
+	m.cancel = cancel
+	snap := m.builder.Build()
+	// The rounds counter, not the published pointer, picks the
+	// algorithm: a recovered dataset whose outcome was lost but whose
+	// publish marker survived must keep refining with INCREMENTAL, the
+	// same way the uninterrupted process would have.
+	round := m.rounds + 1
+	algo := "HYBRID"
+	var det core.Detector = &core.Hybrid{Params: m.params, Opts: m.opts}
+	if m.rounds > 0 {
+		algo = "INCREMENTAL"
+		det = &core.Incremental{Params: m.params, Opts: m.opts}
+	}
+	m.mu.Unlock()
+
+	if testHookRoundStart != nil {
+		testHookRoundStart(m)
+	}
+
+	// params and opts are immutable after Create; no lock needed here.
+	tf := &fusion.TruthFinder{Params: m.params, Cancel: cancel}
+	start := time.Now()
+	out := tf.Run(snap, det)
+	wall := time.Since(start)
+
+	// Publish. appendMu keeps every append and import out from the
+	// staleness check to the apply, so the version checked is the
+	// version published; mu is dropped around the marker's disk write,
+	// so reads never wait on its fsync. A cancelled round (out == nil)
+	// takes the same path although it has nothing to publish.
+	m.appendMu.Lock()
+	defer m.appendMu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.cancel == cancel {
+		m.cancel = nil
+	}
+	if out != nil && !m.closed && m.version == version {
+		// Commit the publish marker before any Quiesce waiter can
+		// observe the round, so a post-quiesce crash never forgets that
+		// a round completed. Failure here only weakens durability of
+		// the round counter, never of appends.
+		rec := walRecord{kind: walRecPublish, round: round, version: version}
+		m.mu.Unlock()
+		_ = m.st.commit(rec)
+		m.mu.Lock()
+		if !m.closed {
+			m.apply(rec)
+			m.pub = &Published{
+				Version:   version,
+				Round:     round,
+				Algorithm: algo,
+				Snapshot:  snap,
+				Outcome:   out,
+				Wall:      wall,
+			}
+			if in := m.reg.inst.Load(); in != nil {
+				in.roundDuration.With(algo).Observe(wall.Seconds())
+				in.roundsTotal.With(algo).Inc()
+			}
+			if m.st.snapshotDue(m.reg.cfg.SnapshotEvery) {
+				select {
+				case m.reg.compactC <- m:
+					m.st.snapshotRequested()
+				default:
+					// Compactor backlog: retry at the next publish.
+				}
+			}
+		}
+	} else if !m.closed {
+		// Cancelled or stale: the appends that invalidated this round
+		// already set dirty, but a cancelled round with no version change
+		// cannot happen, so this is belt and braces.
+		m.dirty = true
+	}
+	m.running = false
+	m.cond.Broadcast()
+}
+
+// compactor is the registry's background snapshot-and-trim loop. It
+// runs the expensive work — encoding the published dataset and outcome,
+// fsyncing the snapshot, deleting covered WAL segments — off the append
+// and detection paths.
+func (r *Registry) compactor() {
+	defer r.wg.Done()
+	for {
+		select {
+		case <-r.stop:
+			return
+		case m := <-r.compactC:
+			m.snapshot(false)
+		}
+	}
+}
+
+// snapshot persists the last published round and trims the WAL prefix
+// it covers (see dstore.compact). With final set (registry shutdown) it
+// also runs for datasets already marked closed.
+func (m *Managed) snapshot(final bool) {
+	m.mu.Lock()
+	pub, closed := m.pub, m.closed
+	m.mu.Unlock()
+	if pub != nil && (final || !closed) {
+		m.st.compact(pub, final)
+	}
+}

@@ -1,25 +1,28 @@
-// Durable storage behind the registry: every managed dataset owns a
-// directory holding a config file, a write-ahead log of appends and
-// publish markers, and binary snapshots of (dataset, published outcome)
-// pairs. The invariants:
+// Durable storage behind the registry (dstore): every managed dataset
+// owns a directory holding a config file, a write-ahead log of records
+// (walRecord; dstore.commit is the one place that writes them) and
+// binary snapshots of (dataset, published outcome) pairs. The
+// invariants:
 //
-//   - An append is acknowledged to the client only after its WAL record
-//     is written (and, with Config.Fsync, fsync'd). The in-memory
+//   - An append or import is acknowledged only after its record is
+//     committed (written and, with Config.Fsync, fsync'd). The in-memory
 //     builder never holds state the log does not.
-//   - A publish marker is logged before a round's result becomes
+//   - A publish marker is committed before a round's result becomes
 //     visible to Quiesce waiters, so a restarted server knows at least
 //     one round completed and keeps refining with INCREMENTAL instead
 //     of restarting with HYBRID.
 //   - The background compactor snapshots the last published round and
 //     then trims every WAL segment fully covered by it, bounding both
-//     recovery time and disk use.
+//     recovery time and disk use; it never trims at or past a record
+//     that is being committed (the inflight floor).
 //
 // Recovery (registry Open) inverts this: load the newest intact
 // snapshot, rebuild the append Builder from its dataset
 // (dataset.NewBuilderFromDataset reproduces the id assignment), replay
-// the WAL tail on top — skipping records the snapshot already covers,
-// truncating a torn tail — and mark the dataset dirty when appends are
-// newer than the published round, so the scheduler re-converges it.
+// the WAL tail through Managed.apply — skipping records the snapshot
+// already covers, truncating a torn tail — and mark the dataset dirty
+// when appends are newer than the published round, so the scheduler
+// re-converges it.
 package server
 
 import (
@@ -32,6 +35,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"copydetect/internal/bayes"
@@ -46,10 +50,9 @@ const (
 	walRecPublish = 2 // a detection round completed
 	walRecImport  = 3 // anti-entropy import replaced the appended state
 
-	snapMagic   = "CDSNAP\x01"
-	exportMagic = "CDEXP\x01"
-	snapPrefix  = "snap-"
-	snapSuffix  = ".bin"
+	snapMagic  = "CDSNAP\x01"
+	snapPrefix = "snap-"
+	snapSuffix = ".bin"
 
 	maxBatch = 1 << 26
 )
@@ -61,10 +64,31 @@ var snapCRC = crc32.MakeTable(crc32.Castagnoli)
 // rotation after a handful of records, not 4 MiB.
 var testWALSegmentBytes int64
 
-// dstore is the on-disk half of one Managed dataset.
+// testHookAfterWALAppend, when non-nil, runs inside commit between a
+// successful WAL append and the registration of its pending entry — the
+// window the inflight floor protects. No lock but the dataset's appendMu
+// is held. Test-only.
+var testHookAfterWALAppend func(st *dstore, rec walRecord)
+
+// dstore is the on-disk half of one Managed dataset. A nil *dstore is
+// the store of an in-memory registry: every method is a no-op.
 type dstore struct {
 	dir string
 	log *wal.Log
+
+	// mu guards the trim bookkeeping below. It is a leaf lock: never
+	// held across a disk write, never taken with another lock wanted.
+	mu          sync.Mutex
+	pending     []verLSN // appends and imports not yet covered by a snapshot
+	sinceSnap   int      // published rounds since the last compaction request
+	snapVersion uint64   // append version the newest on-disk snapshot covers
+	// inflightLSN is a lower bound on the WAL position of a record that
+	// has been (or is about to be) written but is not yet registered in
+	// pending. The compactor must never trim at or past it: the record
+	// may already be acknowledged, and trimming its segment would
+	// silently lose the batch at the next recovery. 0 means no write in
+	// flight.
+	inflightLSN uint64
 }
 
 // verLSN remembers at which WAL position an append version starts, so
@@ -97,7 +121,9 @@ func datasetsRoot(dataDir string) string { return filepath.Join(dataDir, "datase
 // name: alphanumerics, '-', '_' and non-leading '.' pass through,
 // every other byte becomes %XX, and a CRC-32C of the exact name is
 // suffixed so that names differing only in letter case still map to
-// distinct directories on case-insensitive filesystems.
+// distinct directories on case-insensitive filesystems. The mapping is
+// injective; recovery checks a directory against the name in its config
+// by encoding again.
 func encodeDirName(name string) string {
 	var b strings.Builder
 	for i := 0; i < len(name); i++ {
@@ -113,40 +139,6 @@ func encodeDirName(name string) string {
 	}
 	fmt.Fprintf(&b, ".%08x", crc32.Checksum([]byte(name), snapCRC))
 	return b.String()
-}
-
-// decodeDirName inverts encodeDirName, verifying the checksum suffix.
-func decodeDirName(enc string) (string, error) {
-	dot := strings.LastIndexByte(enc, '.')
-	if dot < 0 || len(enc)-dot != 9 {
-		return "", fmt.Errorf("server: malformed dataset directory name %q", enc)
-	}
-	sum, err := strconv.ParseUint(enc[dot+1:], 16, 32)
-	if err != nil {
-		return "", fmt.Errorf("server: malformed dataset directory name %q: %w", enc, err)
-	}
-	var b strings.Builder
-	body := enc[:dot]
-	for i := 0; i < len(body); i++ {
-		if body[i] != '%' {
-			b.WriteByte(body[i])
-			continue
-		}
-		if i+2 >= len(body) {
-			return "", fmt.Errorf("server: malformed dataset directory name %q", enc)
-		}
-		v, err := strconv.ParseUint(body[i+1:i+3], 16, 8)
-		if err != nil {
-			return "", fmt.Errorf("server: malformed dataset directory name %q: %w", enc, err)
-		}
-		b.WriteByte(byte(v))
-		i += 2
-	}
-	name := b.String()
-	if crc32.Checksum([]byte(name), snapCRC) != uint32(sum) {
-		return "", fmt.Errorf("server: dataset directory name %q fails its checksum (renamed by hand?)", enc)
-	}
-	return name, nil
 }
 
 // writeFileDurable writes data to path via a temp file, fsync and
@@ -177,126 +169,76 @@ func writeFileDurable(path string, data []byte) error {
 // ---------------------------------------------------------------------
 // WAL record payloads
 
-// mustRecord finalizes an in-memory record encode. A bytes.Buffer never
-// fails to write, so the only latchable error is a string over binio's
-// blob limit — far above the request size limits — and silently logging
-// a truncated record would corrupt the WAL; crash instead.
-func mustRecord(w *binio.Writer, buf *bytes.Buffer) []byte {
+// walRecord is one state change of a dataset: the in-memory form of a
+// WAL payload. The live paths build one, commit it and apply it; replay
+// decodes one and applies it.
+type walRecord struct {
+	kind byte
+	// version is the append version the record produces (append,
+	// import) or the version the published round detected on (publish).
+	// It rides along so recovery can tell which records a snapshot
+	// already covers even when rounds and appends interleave in the log.
+	version uint64
+	round   int              // publish: the completed round; import: the peer's rounds counter
+	obs     []dataset.Record // append
+	truth   []dataset.Record // append (Source empty)
+	ds      *dataset.Dataset // import: the whole replacement state
+}
+
+// encode frames rec as a WAL payload; decodeWALRecord mirrors it case
+// for case.
+func (rec walRecord) encode() []byte {
+	var buf bytes.Buffer
+	w := binio.NewWriter(&buf)
+	w.Byte(rec.kind)
+	switch rec.kind {
+	case walRecAppend:
+		w.Uvarint(rec.version)
+		w.Int(len(rec.obs))
+		for _, o := range rec.obs {
+			w.String(o.Source)
+			w.String(o.Item)
+			w.String(o.Value)
+		}
+		w.Int(len(rec.truth))
+		for _, tr := range rec.truth {
+			w.String(tr.Item)
+			w.String(tr.Value)
+		}
+	case walRecPublish:
+		w.Int(rec.round)
+		w.Uvarint(rec.version)
+	case walRecImport:
+		w.Uvarint(rec.version)
+		w.Int(rec.round)
+		dataset.EncodeDataset(w, rec.ds)
+	}
+	// A bytes.Buffer never fails to write, so the only latchable error
+	// is a string over binio's blob limit — far above the request size
+	// limits — and silently logging a truncated record would corrupt the
+	// WAL; crash instead.
 	if err := w.Err(); err != nil {
 		panic("store: encode wal record: " + err.Error())
 	}
 	return buf.Bytes()
 }
 
-// encodeAppendRecord frames one acknowledged append batch. The version
-// rides along so recovery can tell which records a snapshot already
-// covers even when rounds and appends interleave in the log.
-func encodeAppendRecord(version uint64, obs, truth []dataset.Record) []byte {
-	var buf bytes.Buffer
-	w := binio.NewWriter(&buf)
-	w.Byte(walRecAppend)
-	w.Uvarint(version)
-	w.Int(len(obs))
-	for _, o := range obs {
-		w.String(o.Source)
-		w.String(o.Item)
-		w.String(o.Value)
-	}
-	w.Int(len(truth))
-	for _, tr := range truth {
-		w.String(tr.Item)
-		w.String(tr.Value)
-	}
-	return mustRecord(w, &buf)
-}
-
-// encodePublishRecord frames a round-completed marker.
-func encodePublishRecord(round int, version uint64) []byte {
-	var buf bytes.Buffer
-	w := binio.NewWriter(&buf)
-	w.Byte(walRecPublish)
-	w.Int(round)
-	w.Uvarint(version)
-	return mustRecord(w, &buf)
-}
-
-// encodeImportRecord frames an applied anti-entropy import: the whole
-// replacement state rides in the log, so recovery replays the import
-// the same way it replays the appends it superseded.
-func encodeImportRecord(version uint64, rounds int, ds *dataset.Dataset) []byte {
-	var buf bytes.Buffer
-	w := binio.NewWriter(&buf)
-	w.Byte(walRecImport)
-	w.Uvarint(version)
-	w.Int(rounds)
-	dataset.EncodeDataset(w, ds)
-	return mustRecord(w, &buf)
-}
-
-// encodeExport serializes one dataset's full appended state for
-// anti-entropy transfer: configuration, append version, rounds counter
-// and the dataset in the bit-exact binary codec.
-func encodeExport(params bayes.Params, workers int, version uint64, rounds int, ds *dataset.Dataset) ([]byte, error) {
-	var buf bytes.Buffer
-	w := binio.NewWriter(&buf)
-	w.String(exportMagic)
-	w.Float64(params.Alpha)
-	w.Float64(params.S)
-	w.Float64(params.N)
-	w.Int(workers)
-	w.Uvarint(version)
-	w.Int(rounds)
-	dataset.EncodeDataset(w, ds)
-	if err := w.Err(); err != nil {
-		return nil, fmt.Errorf("server: encode export: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeExport inverts encodeExport.
-func decodeExport(blob []byte) (params bayes.Params, workers int, version uint64, rounds int, ds *dataset.Dataset, err error) {
-	r := binio.NewReader(bytes.NewReader(blob))
-	if m := r.String(); r.Err() == nil && m != exportMagic {
-		return params, 0, 0, 0, nil, fmt.Errorf("server: export blob: bad magic")
-	}
-	params.Alpha = r.Float64()
-	params.S = r.Float64()
-	params.N = r.Float64()
-	workers = r.Int(1 << 20)
-	version = r.Uvarint()
-	rounds = r.Int(1 << 30)
-	ds, err = dataset.DecodeDataset(r)
-	if err != nil {
-		return params, 0, 0, 0, nil, fmt.Errorf("server: export blob: %w", err)
-	}
-	if err := r.Err(); err != nil {
-		return params, 0, 0, 0, nil, fmt.Errorf("server: export blob: %w", err)
-	}
-	return params, workers, version, rounds, ds, nil
-}
-
-type walRecord struct {
-	kind    byte
-	version uint64
-	round   int
-	obs     []dataset.Record
-	truth   []dataset.Record
-	ds      *dataset.Dataset // walRecImport only
-}
-
 func decodeWALRecord(payload []byte) (walRecord, error) {
 	r := binio.NewReader(bytes.NewReader(payload))
 	rec := walRecord{kind: r.Byte()}
+	// Every observation or truth takes at least two bytes of payload, so
+	// a count above the payload length is corruption, not an allocation.
+	maxCount := min(maxBatch, len(payload))
 	switch rec.kind {
 	case walRecAppend:
 		rec.version = r.Uvarint()
-		if n := r.Int(maxBatch); n > 0 {
+		if n := r.Int(maxCount); n > 0 {
 			rec.obs = make([]dataset.Record, n)
 			for i := range rec.obs {
 				rec.obs[i] = dataset.Record{Source: r.String(), Item: r.String(), Value: r.String()}
 			}
 		}
-		if n := r.Int(maxBatch); n > 0 {
+		if n := r.Int(maxCount); n > 0 {
 			rec.truth = make([]dataset.Record, n)
 			for i := range rec.truth {
 				rec.truth[i] = dataset.Record{Item: r.String(), Value: r.String()}
@@ -319,6 +261,100 @@ func decodeWALRecord(payload []byte) (walRecord, error) {
 		return rec, fmt.Errorf("server: decode wal record: %w", err)
 	}
 	return rec, nil
+}
+
+// ---------------------------------------------------------------------
+// Commit and compaction
+
+// commit makes rec durable: the one write-ahead step every state change
+// of a dataset goes through, before any in-memory effect and before the
+// client sees an acknowledgement. The caller holds the dataset's
+// appendMu — so WAL order equals version order — and must NOT hold the
+// dataset lock: the disk write (fsync'd when the registry is configured
+// so) happens here, and readers never wait on it. The inflight floor
+// pins the compactor out of the segment the record lands in until its
+// pending entry exists.
+func (st *dstore) commit(rec walRecord) error {
+	if st == nil {
+		return nil
+	}
+	st.mu.Lock()
+	st.inflightLSN = st.log.NextLSN()
+	st.mu.Unlock()
+	lsn, err := st.log.Append(rec.encode())
+	if err == nil && testHookAfterWALAppend != nil {
+		testHookAfterWALAppend(st, rec)
+	}
+	st.mu.Lock()
+	st.inflightLSN = 0
+	if err == nil && rec.kind != walRecPublish {
+		st.pending = append(st.pending, verLSN{version: rec.version, lsn: lsn})
+	}
+	st.mu.Unlock()
+	return err
+}
+
+// snapshotDue counts one published round toward the compaction cadence
+// and reports whether every rounds have accumulated since the compactor
+// last accepted a request (see snapshotRequested).
+func (st *dstore) snapshotDue(every int) bool {
+	if st == nil {
+		return false
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.sinceSnap++
+	return st.sinceSnap >= every
+}
+
+// snapshotRequested restarts the cadence: the compactor has the request.
+func (st *dstore) snapshotRequested() {
+	st.mu.Lock()
+	st.sinceSnap = 0
+	st.mu.Unlock()
+}
+
+// compact persists pub and trims the WAL prefix it covers. Best effort:
+// on any error the WAL still holds everything, so durability is never
+// at risk — only recovery time; a dataset deleted meanwhile just fails
+// the write (or the trim, on its closed log) harmlessly. With final set
+// (registry shutdown) a snapshot that is already current is not
+// rewritten.
+func (st *dstore) compact(pub *Published, final bool) {
+	if st == nil {
+		return
+	}
+	st.mu.Lock()
+	have := st.snapVersion
+	st.mu.Unlock()
+	if pub.Version == have && final {
+		return
+	}
+	// Encoding and fsync happen outside every lock: everything a
+	// Published points to is immutable.
+	if err := st.writeSnapshot(pub); err != nil {
+		return
+	}
+	st.mu.Lock()
+	st.snapVersion = max(st.snapVersion, pub.Version)
+	for len(st.pending) > 0 && st.pending[0].version <= pub.Version {
+		st.pending = st.pending[1:]
+	}
+	trim := st.log.NextLSN()
+	if len(st.pending) > 0 {
+		trim = st.pending[0].lsn
+	}
+	if st.inflightLSN != 0 && st.inflightLSN < trim {
+		// A record is being committed but is not yet registered in
+		// pending: NextLSN may already count it, and trimming up to
+		// NextLSN at an exact segment boundary would delete the segment
+		// holding an acknowledged batch. Stop at the floor instead; the
+		// next compaction trims the rest.
+		trim = st.inflightLSN
+	}
+	st.mu.Unlock()
+	_, _ = st.log.TrimBefore(trim)
+	st.pruneSnapshots(2)
 }
 
 // ---------------------------------------------------------------------
@@ -450,13 +486,18 @@ func (st *dstore) pruneSnapshots(keep int) {
 }
 
 // ---------------------------------------------------------------------
-// Create / recover plumbing (called from server.go with r.mu held)
+// Create / recover plumbing (called from registry.go with r.mu held, or
+// before the registry is shared)
 
-// newDatasetStore creates the on-disk layout for a fresh dataset and
-// opens its (empty) WAL. observe, when non-nil, receives the WAL
-// append/fsync timings (see wal.Options.ObserveAppend).
-func newDatasetStore(dataDir string, cfg datasetConfig, fsync bool, observe func(total, fsync time.Duration)) (*dstore, error) {
-	dir := filepath.Join(datasetsRoot(dataDir), encodeDirName(cfg.Name))
+// createStore creates the on-disk layout for the fresh dataset m and
+// opens its (empty) WAL. An in-memory registry has no store: it returns
+// the nil *dstore.
+func (r *Registry) createStore(m *Managed) (*dstore, error) {
+	if r.cfg.DataDir == "" {
+		return nil, nil
+	}
+	root := datasetsRoot(r.cfg.DataDir)
+	dir := filepath.Join(root, encodeDirName(m.name))
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, fmt.Errorf("server: create dataset dir: %w", err)
 	}
@@ -467,18 +508,25 @@ func newDatasetStore(dataDir string, cfg datasetConfig, fsync bool, observe func
 		discard(dir)
 		return nil, err
 	}
-	raw, err := json.MarshalIndent(cfg, "", "  ")
+	raw, err := json.MarshalIndent(datasetConfig{
+		Name:    m.name,
+		Gen:     m.gen,
+		Alpha:   m.params.Alpha,
+		S:       m.params.S,
+		N:       m.params.N,
+		Workers: m.opts.Workers,
+	}, "", "  ")
 	if err != nil {
 		return fail(err)
 	}
 	if err := writeFileDurable(filepath.Join(dir, "config.json"), raw); err != nil {
 		return fail(fmt.Errorf("server: write dataset config: %w", err))
 	}
-	log, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{Fsync: fsync, SegmentBytes: testWALSegmentBytes, ObserveAppend: observe}, nil)
+	log, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{Fsync: r.cfg.Fsync, SegmentBytes: testWALSegmentBytes, ObserveAppend: r.observeWAL}, nil)
 	if err != nil {
 		return fail(err)
 	}
-	if err := wal.SyncDir(datasetsRoot(dataDir)); err != nil {
+	if err := wal.SyncDir(root); err != nil {
 		log.Close()
 		return fail(err)
 	}
@@ -486,11 +534,10 @@ func newDatasetStore(dataDir string, cfg datasetConfig, fsync bool, observe func
 }
 
 // recoverDataset rebuilds one Managed from its directory: config,
-// newest snapshot, then the WAL tail. The returned Managed is fully
-// initialized except for its registry backref and condition variable.
-// observe, when non-nil, receives WAL append/fsync timings for the
-// recovered log's future appends.
-func recoverDataset(dir string, fsync bool, observe func(total, fsync time.Duration)) (*Managed, error) {
+// newest snapshot, then the WAL tail replayed through Managed.apply —
+// the same function the live paths use, so the recovered state is the
+// state an uninterrupted process would hold after the same records.
+func (r *Registry) recoverDataset(dir string) (*Managed, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, "config.json"))
 	if err != nil {
 		return nil, err
@@ -503,100 +550,68 @@ func recoverDataset(dir string, fsync bool, observe func(total, fsync time.Durat
 	if err := params.Validate(); err != nil {
 		return nil, fmt.Errorf("server: dataset config %s: %w", dir, err)
 	}
-
-	m := &Managed{
-		name:   cfg.Name,
-		gen:    cfg.Gen,
-		params: params,
-	}
-	m.opts.Workers = cfg.Workers
-
-	pub := loadLatestSnapshot(dir)
-	var builder *dataset.Builder
-	if pub != nil {
-		builder = dataset.NewBuilderFromDataset(pub.Snapshot)
-		m.version = pub.Version
-		m.rounds = pub.Round
+	m := r.newManaged(cfg.Name, cfg.Gen, DatasetConfig{Params: params, Workers: cfg.Workers})
+	m.st = &dstore{dir: dir}
+	if pub := loadLatestSnapshot(dir); pub != nil {
+		// A snapshot installs its dataset the way an import does.
+		m.apply(walRecord{kind: walRecImport, version: pub.Version, round: pub.Round, ds: pub.Snapshot})
 		m.pub = pub
-		m.snapVersion = pub.Version
-	} else {
-		builder = dataset.NewBuilder()
+		m.st.snapVersion = pub.Version
 	}
-	m.builder = builder
-
-	snapVersion := m.version
-	log, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{Fsync: fsync, SegmentBytes: testWALSegmentBytes, ObserveAppend: observe}, func(lsn uint64, payload []byte) error {
+	m.st.log, err = wal.Open(filepath.Join(dir, "wal"), wal.Options{Fsync: r.cfg.Fsync, SegmentBytes: testWALSegmentBytes, ObserveAppend: r.observeWAL}, func(lsn uint64, payload []byte) error {
 		rec, err := decodeWALRecord(payload)
 		if err != nil {
 			return err
 		}
-		switch rec.kind {
-		case walRecAppend:
-			if rec.version <= snapVersion {
-				return nil // already covered by the snapshot
-			}
-			builder.AddRecords(rec.obs)
-			for _, tr := range rec.truth {
-				builder.SetTruth(tr.Item, tr.Value)
-			}
-			m.version = rec.version
-			m.pending = append(m.pending, verLSN{version: rec.version, lsn: lsn})
-		case walRecPublish:
-			if rec.round > m.rounds {
-				m.rounds = rec.round
-			}
-		case walRecImport:
+		if rec.kind != walRecPublish {
 			if rec.version <= m.version {
-				return nil // superseded by the snapshot or a later state
+				return nil // covered by the snapshot or superseded by a later state
 			}
-			builder = dataset.NewBuilderFromDataset(rec.ds)
-			m.builder = builder
-			m.version = rec.version
-			if rec.round > m.rounds {
-				m.rounds = rec.round
-			}
-			m.pending = append(m.pending, verLSN{version: rec.version, lsn: lsn})
+			m.st.pending = append(m.st.pending, verLSN{version: rec.version, lsn: lsn})
 		}
+		m.apply(rec)
 		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("server: dataset %q: %w", cfg.Name, err)
 	}
-	m.st = &dstore{dir: dir, log: log}
 	m.dirty = m.version > 0 && (m.pub == nil || m.pub.Version != m.version)
 	return m, nil
 }
 
-// remove deletes the dataset's directory tree. The WAL must already be
-// closed. The config file goes first, durably: recovery discards any
-// dataset directory without a config.json, so once that single remove
-// lands the dataset can never be resurrected, no matter where the rest
-// of the removal fails or crashes. A compactor racing the delete may
-// still land a snapshot rename mid-removal (ENOTEMPTY on the final
-// rmdir), so the tree removal retries briefly.
-func (st *dstore) remove() error {
+// close closes the WAL — any WAL call an in-flight round or the
+// compactor races in afterwards returns a closed-log error — and, with
+// remove set, deletes the dataset's directory tree, best effort. The
+// config file goes first, durably: recovery discards any dataset
+// directory without a config.json, so once that single remove lands the
+// dataset can never be resurrected, no matter where the rest of the
+// removal fails or crashes. A compactor racing the delete may still land
+// a snapshot rename mid-removal (ENOTEMPTY on the final rmdir), so the
+// tree removal retries briefly.
+func (st *dstore) close(remove bool) {
+	if st == nil {
+		return
+	}
+	_ = st.log.Close()
+	if !remove {
+		return
+	}
 	if err := os.Remove(filepath.Join(st.dir, "config.json")); err != nil && !os.IsNotExist(err) {
-		return err
+		return
 	}
 	_ = wal.SyncDir(st.dir)
-	var err error
 	for attempt := 0; attempt < 5; attempt++ {
-		if err = os.RemoveAll(st.dir); err == nil {
-			return wal.SyncDir(filepath.Dir(st.dir))
+		if os.RemoveAll(st.dir) == nil {
+			_ = wal.SyncDir(filepath.Dir(st.dir))
+			return
 		}
 		time.Sleep(time.Duration(attempt+1) * 10 * time.Millisecond)
 	}
-	return err
 }
 
 // discard is a best-effort RemoveAll for malformed dataset directories
 // found during recovery (e.g. a crash between mkdir and config write).
 func discard(dir string) {
 	os.RemoveAll(dir)
-	if parent := filepath.Dir(dir); parent != "" {
-		if d, err := os.Open(parent); err == nil {
-			_ = d.Sync()
-			d.Close()
-		}
-	}
+	_ = wal.SyncDir(filepath.Dir(dir))
 }

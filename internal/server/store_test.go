@@ -5,9 +5,11 @@
 package server
 
 import (
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -130,7 +132,7 @@ func TestDurableRecoveryReplaysWALWithoutSnapshot(t *testing.T) {
 	}
 	// Abandon the registry without Close: a crash. The WAL already has
 	// every acknowledged append and the round-1 publish marker.
-	reg = nil
+	crash(reg)
 
 	reg2 := openDurable(t, dir, 1)
 	defer reg2.Close()
@@ -303,44 +305,116 @@ func TestDurableSnapshotPruning(t *testing.T) {
 }
 
 func TestDirNameRoundtrip(t *testing.T) {
+	// Recovery matches a directory to the name in its config by encoding
+	// the name again, so the encoding must be a safe single path element
+	// and injective — including across names differing only in case,
+	// which a case-insensitive filesystem would otherwise fold together.
+	seen := map[string]string{}
 	for _, name := range []string{
-		"plain", "with-dash_and.dot", "slash/es", "..", ".hidden",
-		"spaces and ünïcode", "%already%escaped", "a%2Fb",
+		"plain", "Plain", "PLAIN", "with-dash_and.dot", "slash/es", "slash%2Fes", "..", ".hidden",
+		"spaces and ünïcode", "%already%escaped", "a%2Fb", "a/b",
 	} {
 		enc := encodeDirName(name)
-		if filepath.Base(enc) != enc || enc == "." || enc == ".." {
+		if filepath.Base(enc) != enc || enc == "." || enc == ".." || strings.ContainsAny(enc, `/\ `) {
 			t.Errorf("encodeDirName(%q) = %q is not a safe single path element", name, enc)
 		}
-		got, err := decodeDirName(enc)
-		if err != nil || got != name {
-			t.Errorf("decodeDirName(encodeDirName(%q)) = %q, %v", name, got, err)
+		if prev, dup := seen[strings.ToLower(enc)]; dup {
+			t.Errorf("encodeDirName maps %q and %q to the same directory (up to case) %q", prev, name, enc)
 		}
+		seen[strings.ToLower(enc)] = name
+	}
+
+	// Recovery holds a directory to the encoding of the name in its
+	// config: one renamed by hand — to another name's directory, or with
+	// a checksum suffix that no longer matches — fails the Open instead
+	// of serving the dataset from a directory Delete would not find.
+	dir := t.TempDir()
+	reg := openDurable(t, dir, 1)
+	if _, err := reg.Create("Plain", DatasetConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	reg.Close()
+	root := datasetsRoot(dir)
+	good := encodeDirName("Plain")
+	wrongSum := good[:len(good)-1] + "0"
+	if wrongSum == good {
+		wrongSum = good[:len(good)-1] + "1"
+	}
+	for _, bad := range []string{encodeDirName("plain"), "Plain", wrongSum} {
+		if err := os.Rename(filepath.Join(root, good), filepath.Join(root, bad)); err != nil {
+			t.Fatal(err)
+		}
+		if reg, err := Open(Config{DataDir: dir}); err == nil {
+			reg.Close()
+			t.Errorf("Open accepted dataset %q in hand-renamed directory %q", "Plain", bad)
+		} else if !strings.Contains(err.Error(), "holds config for") {
+			t.Errorf("Open with directory %q: %v, want the directory/config mismatch", bad, err)
+		}
+		if err := os.Rename(filepath.Join(root, bad), filepath.Join(root, good)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg = openDurable(t, dir, 1)
+	defer reg.Close()
+	if _, ok := reg.Get("Plain"); !ok {
+		t.Error("dataset lost after its directory was renamed back")
 	}
 }
 
-func TestWALRecordRoundtrip(t *testing.T) {
+// walRecordFixtures are the three record kinds with fixed contents; the
+// hex strings are their payloads as encoded at the commit before the
+// codec was unified, so an accidental format change fails here rather
+// than at the next restart of a production data directory.
+func walRecordFixtures() (recs []walRecord, golden []string) {
 	obs := []dataset.Record{{Source: "s", Item: "d", Value: "v"}, {Source: "s2", Item: "d2", Value: "v2"}}
 	truth := []dataset.Record{{Item: "d", Value: "v"}}
-	rec, err := decodeWALRecord(encodeAppendRecord(7, obs, truth))
-	if err != nil {
-		t.Fatalf("decode append: %v", err)
+	b := dataset.NewBuilder()
+	b.AddRecords(obs)
+	b.SetTruth("d", "v")
+	return []walRecord{
+			{kind: walRecAppend, version: 7, obs: obs, truth: truth},
+			{kind: walRecPublish, round: 3, version: 9},
+			{kind: walRecImport, version: 11, round: 4, ds: b.Build()},
+		}, []string{
+			"0107020173016401760273320264320276320101640176",
+			"020309",
+			"030b0404434453010201730273320201640101760264320102763202000000010100010100",
+		}
+}
+
+// eqWALRecord is reflect.DeepEqual over walRecord with the imported
+// dataset's Generation stamp masked out.
+func eqWALRecord(a, b walRecord) bool {
+	if !eqDataset(a.ds, b.ds) {
+		return false
 	}
-	if rec.kind != walRecAppend || rec.version != 7 ||
-		!reflect.DeepEqual(rec.obs, obs) || !reflect.DeepEqual(rec.truth, truth) {
-		t.Fatalf("append record = %+v", rec)
-	}
-	rec, err = decodeWALRecord(encodePublishRecord(3, 9))
-	if err != nil {
-		t.Fatalf("decode publish: %v", err)
-	}
-	if rec.kind != walRecPublish || rec.round != 3 || rec.version != 9 {
-		t.Fatalf("publish record = %+v", rec)
+	a.ds, b.ds = nil, nil
+	return reflect.DeepEqual(a, b)
+}
+
+func TestWALRecordRoundtrip(t *testing.T) {
+	recs, golden := walRecordFixtures()
+	for i, rec := range recs {
+		enc := rec.encode()
+		if got := hex.EncodeToString(enc); got != golden[i] {
+			t.Errorf("kind %d encodes to %s, want the on-disk format %s", rec.kind, got, golden[i])
+		}
+		got, err := decodeWALRecord(enc)
+		if err != nil {
+			t.Fatalf("decode kind %d: %v", rec.kind, err)
+		}
+		if !eqWALRecord(got, rec) {
+			t.Errorf("kind %d: decode(encode(rec)) = %+v, want %+v", rec.kind, got, rec)
+		}
+		if _, err := decodeWALRecord(enc[:len(enc)-1]); err == nil {
+			t.Errorf("kind %d: truncated record accepted", rec.kind)
+		}
 	}
 	if _, err := decodeWALRecord([]byte{99}); err == nil {
 		t.Error("unknown record type accepted")
 	}
-	enc := encodeAppendRecord(1, obs, nil)
-	if _, err := decodeWALRecord(enc[:len(enc)-3]); err == nil {
-		t.Error("truncated record accepted")
+	// A count the payload cannot hold is corruption, not an allocation.
+	if _, err := decodeWALRecord([]byte{walRecAppend, 1, 0xff, 0xff, 0xff, 0x1f}); err == nil {
+		t.Error("append record claiming 2^26 observations in 6 bytes accepted")
 	}
 }

@@ -39,7 +39,10 @@ func TestCompactionDoesNotTrimInflightAppend(t *testing.T) {
 	}
 	// The crash below abandons reg without Close (Close would snapshot
 	// the lost batch back into existence); this only stops its
-	// goroutines once every assertion has run.
+	// goroutines once every assertion has run — and before the hook is
+	// cleared, because its rounds read the hook when they commit their
+	// publish markers.
+	defer func() { testHookAfterWALAppend = nil }()
 	defer reg.Close()
 	m, err := reg.Create("inflight", DatasetConfig{})
 	if err != nil {
@@ -56,8 +59,8 @@ func TestCompactionDoesNotTrimInflightAppend(t *testing.T) {
 	m.snapshot(false)
 
 	hookRan := false
-	testHookAfterWALAppend = func(mm *Managed) {
-		if mm != m || hookRan {
+	testHookAfterWALAppend = func(st *dstore, _ walRecord) {
+		if st != m.st || hookRan {
 			return
 		}
 		hookRan = true
@@ -65,14 +68,13 @@ func TestCompactionDoesNotTrimInflightAppend(t *testing.T) {
 		// the rotation threshold; this marker append (a no-op on replay:
 		// round 1 is already published) opens a fresh segment, closing
 		// the one holding the in-flight record...
-		if _, err := mm.st.log.Append(encodePublishRecord(1, 1)); err != nil {
+		if _, err := st.log.Append(walRecord{kind: walRecPublish, round: 1, version: 1}.encode()); err != nil {
 			t.Errorf("marker append in hook: %v", err)
 		}
 		// ...and the compactor runs its snapshot+trim in exactly this
 		// window, before the append registers its pending entry.
-		mm.snapshot(false)
+		m.snapshot(false)
 	}
-	defer func() { testHookAfterWALAppend = nil }()
 
 	if _, _, err := m.Append(batchN("two", 6), nil); err != nil {
 		t.Fatal(err)
