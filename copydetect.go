@@ -180,7 +180,7 @@ func Detect(ds *Dataset, a Algorithm, p Params) *Outcome {
 // for every algorithm in the family. Results are bit-identical to the
 // sequential run for any worker count; see Options.Workers.
 func DetectWithOptions(ds *Dataset, a Algorithm, p Params, opts Options) *Outcome {
-	tf := &TruthFinder{Params: p}
+	tf := &TruthFinder{Params: p, Workers: opts.Workers}
 	return tf.Run(ds, NewDetector(a, p, opts))
 }
 
@@ -195,7 +195,7 @@ func DetectSampled(ds *Dataset, s SampleResult, a Algorithm, p Params) *Outcome 
 // DetectSampledWithOptions is DetectSampled with explicit detector
 // options, e.g. Options{Workers: N} for parallel detection.
 func DetectSampledWithOptions(ds *Dataset, s SampleResult, a Algorithm, p Params, opts Options) *Outcome {
-	tf := &TruthFinder{Params: p, DetectDataset: s.Dataset, ItemMap: s.ItemMap}
+	tf := &TruthFinder{Params: p, Workers: opts.Workers, DetectDataset: s.Dataset, ItemMap: s.ItemMap}
 	return tf.Run(ds, NewDetector(a, p, opts))
 }
 

@@ -46,7 +46,9 @@
 // merge order are all fixed functions of the data (see DESIGN.md).
 // Workers is a shard count rather than a core count; the CLIs default to
 // one worker per CPU. Use DetectWithOptions to pass it through the
-// one-call API.
+// one-call API, which hands the same value to the TruthFinder: the
+// truth-finding step between detection rounds splits by item block under
+// the same bit-identical contract (TruthFinder.Workers).
 //
 // # Performance
 //

@@ -274,7 +274,6 @@ func (d *Incremental) prepare(ds *dataset.Dataset, st *bayes.State, stats *Stats
 	numPairs := d.pm.Len()
 
 	d.n = grow(d.n, numPairs)
-	clear(d.n)
 	d.cTo = grow(d.cTo, numPairs)
 	d.cFrom = grow(d.cFrom, numPairs)
 	d.copying = grow(d.copying, numPairs)
@@ -286,14 +285,16 @@ func (d *Incremental) prepare(ds *dataset.Dataset, st *bayes.State, stats *Stats
 	// whose smaller source id falls in its shard and visits the entries in
 	// a fixed order, making the per-slot products bit-identical to a
 	// sequential pass for every worker count. The directional evidence
-	// accumulates as a renormalized product (accum.go); the pairTab columns
-	// of the cache provide the accumulators.
+	// accumulates as a renormalized product (accum.go) and the shared-value
+	// count in n0; the cache's per-shard pairTabs provide the accumulators,
+	// so — as in the scan — no two workers write the same cache line.
 	workers := pool.Clamp(d.Opts.Workers)
 	d.workers = workers
-	tab := &d.cache.tab
-	tab.reset(numPairs)
+	tabs := d.cache.pairTabs(workers)
 	numEntries := str.NumEntries()
 	for _, comps := range pool.Shards(workers, func(w int) int64 {
+		tab := &tabs[w]
+		tab.reset(numPairs)
 		var comps int64
 		for e := 0; e < numEntries; e++ {
 			provs := str.Providers(int32(e))
@@ -310,7 +311,7 @@ func (d *Incremental) prepare(ds *dataset.Dataset, st *bayes.State, stats *Stats
 					mulContrib(p, pv, pop, st.A[provs[x]], st.A[provs[y]],
 						&tab.mantTo[slot], &tab.expTo[slot],
 						&tab.mantFrom[slot], &tab.expFrom[slot])
-					d.n[slot]++
+					tab.n0[slot]++
 					comps += 2
 				}
 			}
@@ -321,8 +322,11 @@ func (d *Incremental) prepare(ds *dataset.Dataset, st *bayes.State, stats *Stats
 	}
 	lnDiff := p.LnDiff()
 	pool.Run(workers, func(w int) {
-		for slot := w; slot < numPairs; slot += workers {
+		lo, hi := pool.Block(workers, w, numPairs)
+		for slot := lo; slot < hi; slot++ {
 			s1, s2 := d.pm.Key(int32(slot)).Sources()
+			tab := &tabs[pool.Owner(workers, int(s1))]
+			d.n[slot] = tab.n0[slot]
 			cov := 0.0
 			if p.CoverageWeight > 0 {
 				// Footnote-1 extension: include the coverage evidence in the
@@ -410,7 +414,7 @@ func (d *Incremental) buildClosures() {
 	// Entry classification: drift of M̂ since the base, holding provider
 	// accuracies at their base values to isolate value-probability change.
 	// Each entry's drift is a pure function of the entry, so workers take
-	// a strided slice of the entry range and write disjoint slots.
+	// one contiguous block of the entry range each (pool.Block).
 	//copydetect:hotpath
 	d.classifyFn = func(w int) {
 		p := d.Params
@@ -418,8 +422,8 @@ func (d *Incremental) buildClosures() {
 		v := d.cache.view
 		st := d.roundSt
 		accBuf := d.accBufs[w]
-		numEntries := str.NumEntries()
-		for i := w; i < numEntries; i += d.workers {
+		lo, hi := pool.Block(d.workers, w, str.NumEntries())
+		for i := lo; i < hi; i++ {
 			accBuf = accBuf[:0]
 			for _, s := range str.Providers(int32(i)) {
 				accBuf = append(accBuf, d.base.A[s])
@@ -438,7 +442,10 @@ func (d *Incremental) buildClosures() {
 	// (the vast majority after convergence sets in) are skipped. The
 	// per-pair delta accumulators shard exactly like the entry scan
 	// (owner = smaller source id mod workers), and each worker collects
-	// the pairs it touched into a private list merged in shard order.
+	// the pairs it touched into a private list merged in shard order. The
+	// delta columns themselves stay shared, one writer per slot: only the
+	// pairs of drifted entries are written, and the round's profile does
+	// not show the lines that costs.
 	//copydetect:hotpath
 	d.passAFn = func(w int) {
 		const noise = 1e-6
@@ -507,8 +514,8 @@ func (d *Incremental) buildClosures() {
 
 	// Passes 1–3 per pair. Pairs are independent here — each reads only
 	// its own slot state and writes only its own decision — so workers
-	// take a strided slice of the slot range; pass counters and stats are
-	// accumulated per worker and summed in shard order.
+	// take one contiguous block of the slot range each; pass counters and
+	// stats are accumulated per worker and summed in shard order.
 	//copydetect:hotpath
 	d.passFn = func(w int) {
 		p := d.Params
@@ -516,8 +523,8 @@ func (d *Incremental) buildClosures() {
 		dRhoDec, dRhoInc := d.roundDRhoDec, d.roundDRhoInc
 		out := &d.passOuts[w]
 		*out = passOut{}
-		numPairs := d.pm.Len()
-		for slot := w; slot < numPairs; slot += d.workers {
+		lo, hi := pool.Block(d.workers, w, d.pm.Len())
+		for slot := lo; slot < hi; slot++ {
 			s1, s2 := d.pm.Key(int32(slot)).Sources()
 			needExact := d.bigAcc[s1] || d.bigAcc[s2]
 			if !needExact {
@@ -568,13 +575,14 @@ func (d *Incremental) buildClosures() {
 
 	// emit materializes the per-pair results from the stored decisions and
 	// the best available score estimates. The output slice is indexed by
-	// pair slot, so the strided parallel fill yields the same ordering as
-	// a sequential walk for every worker count.
+	// pair slot, so the block-wise parallel fill yields the same ordering
+	// as a sequential walk for every worker count.
 	//copydetect:hotpath
 	d.emitFn = func(w int) {
 		p := d.Params
 		pairs := d.emitPairs
-		for slot := w; slot < len(pairs); slot += d.workers {
+		lo, hi := pool.Block(d.workers, w, len(pairs))
+		for slot := lo; slot < hi; slot++ {
 			s1, s2 := d.pm.Key(int32(slot)).Sources()
 			cTo := d.cTo[slot] + d.dNegTo[slot] + d.dPosTo[slot]
 			cFrom := d.cFrom[slot] + d.dNegFrom[slot] + d.dPosFrom[slot]
@@ -775,7 +783,7 @@ func exactPairMerge(p bayes.Params, ds *dataset.Dataset, st *bayes.State,
 	return cTo + corr, cFrom + corr
 }
 
-// emit fills Result.Pairs (strided across workers, indexed by slot).
+// emit fills Result.Pairs (one block of slots per worker).
 func (d *Incremental) emit(res *Result) {
 	numPairs := d.pm.Len()
 	if d.ReuseResult {

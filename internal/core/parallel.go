@@ -16,12 +16,16 @@ import (
 // the entries it would see sequentially, and the merge happens in a
 // worker-independent order:
 //
-//   - per-pair state lives in shared SoA columns indexed by pair slot;
-//     each slot has exactly one writing worker, so the scan needs no locks
-//     and the columns are already "merged" when the workers finish;
+//   - per-pair state lives in SoA columns indexed by pair slot, one table
+//     per shard (structCache.pairTabs): a shard initializes and writes
+//     only its own table, so the scan needs no locks and no cache line of
+//     pair state ever has two writers — handing out one slot per writer
+//     was not enough, because neighbouring slots belong to different
+//     owners and the workers then spend the scan stealing lines from each
+//     other (PERFORMANCE.md has the measurement);
 //   - finalizePairs then walks the slots in order on the calling
-//     goroutine, so Result.Pairs is ordered identically for every worker
-//     count;
+//     goroutine, reading each from its owner's table, so Result.Pairs is
+//     ordered identically for every worker count;
 //   - Stats counters are summed in shard order.
 //
 // Because each pair's state transitions (including the BOUND/BOUND+ early
@@ -34,15 +38,15 @@ import (
 func scanIndex(ds *dataset.Dataset, st *bayes.State, p bayes.Params, opts Options, m mode,
 	v *index.View, pm *index.PairMap, lCounts []int32, cache *structCache, res *Result) {
 
-	tab := &cache.tab
-	makePairTab(ds, p, opts, m, pm, lCounts, tab)
 	workers := pool.Clamp(opts.Workers)
+	tabs := cache.pairTabs(workers)
 	nSeen := cache.nSeenBufs(workers, ds.NumSources())
 	for _, stats := range pool.Shards(workers, func(w int) Stats {
-		return scanShard(ds, st, p, m, v, pm, tab, nSeen[w], w, workers)
+		makePairTab(ds, p, opts, m, pm, lCounts, &tabs[w], w, workers)
+		return scanShard(ds, st, p, m, v, pm, &tabs[w], nSeen[w], w, workers)
 	}) {
 		res.Stats.Add(stats)
 	}
 	res.Stats.EntriesScanned += int64(v.S.NumEntries())
-	finalizePairs(p, pm, tab, res)
+	finalizePairs(p, pm, tabs, res)
 }

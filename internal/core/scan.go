@@ -28,11 +28,14 @@ type Options struct {
 	// computation, entry classification, delta application and pass 1–3
 	// re-examination. 0 or 1 is sequential. The value is the shard count,
 	// not a core count: results are bit-identical for every value (see
-	// internal/pool and DESIGN.md). Each shard performs its own pass over
-	// the index entries (filtering to the pairs it owns), so total work
-	// grows with the shard count — keep Workers near the core count;
-	// oversubscribing wastes time, it never changes results. CLI entry
-	// points default to pool.Auto() (GOMAXPROCS).
+	// internal/pool and DESIGN.md). Each shard walks the index entries
+	// itself — a small cost next to the per-pair work it filters them
+	// for — and keeps a pair-state table of its own, so memory for pair
+	// state grows with the shard count: keep Workers near the core
+	// count. Oversubscribing wastes time and memory, it never changes
+	// results. CLI entry points default to pool.Auto() (GOMAXPROCS), and
+	// the entry points that build a fusion.TruthFinder pass it the same
+	// value.
 	Workers int
 }
 
@@ -233,11 +236,11 @@ func scanRound(ds *dataset.Dataset, st *bayes.State, p bayes.Params, opts Option
 	return res
 }
 
-// makePairTab initializes the per-pair scan columns, including the
-// coverage-evidence seed (footnote-1 extension) and the per-pair bound
-// mode.
+// makePairTab initializes shard w's per-pair scan columns, including the
+// coverage-evidence seed (footnote-1 extension, computed only for the
+// pairs the shard owns) and the per-pair bound mode.
 func makePairTab(ds *dataset.Dataset, p bayes.Params, opts Options, m mode,
-	pm *index.PairMap, lCounts []int32, tab *pairTab) {
+	pm *index.PairMap, lCounts []int32, tab *pairTab, w, workers int) {
 
 	shareThreshold := opts.shareThreshold()
 	tab.reset(pm.Len())
@@ -245,6 +248,9 @@ func makePairTab(ds *dataset.Dataset, p bayes.Params, opts Options, m mode,
 	if p.CoverageWeight > 0 {
 		for slot, key := range pm.Keys() {
 			s1, s2 := key.Sources()
+			if !pool.Owns(workers, w, int(s1)) {
+				continue
+			}
 			tab.cov[slot] = p.CoverageWeight * p.CoverageLLR(int(lCounts[slot]),
 				ds.Coverage(s1), ds.Coverage(s2), ds.NumItems(), p.CoverageCap)
 		}
@@ -264,14 +270,14 @@ func makePairTab(ds *dataset.Dataset, p bayes.Params, opts Options, m mode,
 }
 
 // scanShard is the accumulation kernel of the index-driven algorithms: one
-// worker's entry scan over the shard of the pair space it owns. A pair
-// {S1, S2} (S1 < S2, as guaranteed by the sorted provider lists) belongs
-// to shard S1 mod workers, so every pair has exactly one writer and its
-// state evolves through the same sequence of updates — in scan order — as
-// under the sequential scan. nSeen is recomputed per worker over all
-// entries, so bound evaluations observe the same per-source counts at the
-// same scan positions as sequentially. With workers == 1 this IS the
-// sequential scan.
+// worker's entry scan over the shard of the pair space it owns, into the
+// shard's own table. A pair {S1, S2} (S1 < S2, as guaranteed by the sorted
+// provider lists) belongs to shard S1 mod workers, so every pair has
+// exactly one writer and its state evolves through the same sequence of
+// updates — in scan order — as under the sequential scan. nSeen is
+// recomputed per worker over all entries, so bound evaluations observe
+// the same per-source counts at the same scan positions as sequentially.
+// With workers == 1 this IS the sequential scan.
 //
 // Per entry the kernel hoists everything that does not depend on the pair
 // (pv, the popularity term), and per first-provider everything that does
@@ -430,14 +436,16 @@ func scanShard(ds *dataset.Dataset, st *bayes.State, p bayes.Params, m mode,
 // all its shared values; recover its log-space scores, apply the
 // different-value correction and decide. It runs on the calling goroutine
 // over all pairs in slot order, which fixes the order of Result.Pairs
-// independently of the worker count.
-func finalizePairs(p bayes.Params, pm *index.PairMap, tab *pairTab, res *Result) {
+// independently of the worker count; tabs holds one table per shard, and
+// a pair's state is in its owner's.
+func finalizePairs(p bayes.Params, pm *index.PairMap, tabs []pairTab, res *Result) {
 	lnDiff := p.LnDiff()
 	numPairs := pm.Len()
 	res.Stats.PairsConsidered += int64(numPairs)
 	res.Pairs = make([]PairResult, 0, numPairs)
 	for slot := 0; slot < numPairs; slot++ {
 		s1, s2 := pm.Key(int32(slot)).Sources()
+		tab := &tabs[pool.Owner(len(tabs), int(s1))]
 		cTo, cFrom := tab.score(slot, lnDiff)
 		if tab.flags[slot]&flagDecided != 0 {
 			// Record the pair with the evidence available at its decision

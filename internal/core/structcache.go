@@ -21,9 +21,9 @@ import (
 //     entirely.)
 //   - Per round, reusing buffers: the rescored View, the candidate pair
 //     map (pairs co-occurring outside the round's tail set E̅, which moves
-//     with the scores), its shared-item counts, the pair-state columns and
-//     the per-worker nSeen scratch. After the first round of a dataset,
-//     none of these allocate.
+//     with the scores), its shared-item counts, the pair-state tables (one
+//     per shard) and the per-worker nSeen scratch. After the first round
+//     of a dataset, none of these allocate.
 //
 // The cache key is the dataset pointer AND its Generation stamp: a caller
 // that deletes a dataset and creates a new one can legitimately see the
@@ -43,7 +43,7 @@ type structCache struct {
 	// Per round, reused.
 	pm      *index.PairMap
 	lCounts []int32
-	tab     pairTab
+	tabs    []pairTab
 	nSeen   [][]int32
 }
 
@@ -93,6 +93,19 @@ func (c *structCache) round(ds *dataset.Dataset, st *bayes.State, p bayes.Params
 		c.lCounts[slot] = c.lAll[c.pmAll.Get(s1, s2)]
 	}
 	return c.view, c.pm, c.lCounts
+}
+
+// pairTabs returns one pair-state table per shard, reused across rounds.
+// Shard w accumulates the pairs it owns into tabs[w] and nothing else, so
+// no cache line of pair state has two writers (DESIGN.md, "Parallel
+// detection engine", rule 3); every table is addressed by the global pair
+// slot, and a reader finds slot i in the table of i's pool.Owner. With
+// one worker that is the single table tabs[0].
+func (c *structCache) pairTabs(workers int) []pairTab {
+	if len(c.tabs) < workers {
+		c.tabs = append(c.tabs, make([]pairTab, workers-len(c.tabs))...)
+	}
+	return c.tabs[:workers]
 }
 
 // nSeenBufs returns one per-source counter slice per worker, reused across

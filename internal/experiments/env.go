@@ -110,7 +110,7 @@ func itemSampleRate(id string) float64 {
 
 // newTruthFinder builds the iterative driver with the experiment priors.
 func (e *Env) newTruthFinder() *fusion.TruthFinder {
-	return &fusion.TruthFinder{Params: e.Params}
+	return &fusion.TruthFinder{Params: e.Params, Workers: e.Workers}
 }
 
 // opts returns the detector options shared by all experiments.

@@ -39,6 +39,13 @@ type TruthFinder struct {
 	// with the dataset and state the detector saw. The experiment harness
 	// uses it to collect per-round measurements (Tables VIII and X).
 	OnRound func(round int, detDS *dataset.Dataset, detSt *bayes.State, res *core.Result)
+	// Workers splits each truth-finding step into that many contiguous
+	// blocks — of items for the value probabilities, of sources for the
+	// accuracies — run on a goroutine each. 0 or 1 is sequential. Like the
+	// detectors' Options.Workers, whose value the construction sites pass
+	// here, it never changes a result: State.P, State.A, Truth and Rounds
+	// are bit-identical for every value.
+	Workers int
 	// Cancel, when non-nil, makes Run abandon the iterative process once
 	// the channel is closed: the check happens between rounds, and a
 	// cancelled Run returns nil instead of a (partial, misleading)
@@ -124,8 +131,8 @@ func (tf *TruthFinder) Run(ds *dataset.Dataset, det core.Detector) *Outcome {
 	fusionStart := time.Now()
 	// Initial value probabilities from undiscounted voting at uniform
 	// accuracy, so round 1 of copy detection has informative P(D.v).
-	st.P = ValueProbs(ds, st, p, nil)
-	st.A = Accuracies(ds, st.P)
+	st.P = valueProbs(ds, st, p, nil, tf.Workers)
+	st.A = accuracies(ds, st.P, tf.Workers)
 	out := &Outcome{}
 	fusionTime := time.Since(fusionStart)
 
@@ -152,8 +159,8 @@ func (tf *TruthFinder) Run(ds *dataset.Dataset, det core.Detector) *Outcome {
 
 		stepStart := time.Now()
 		g := newCopyGraph(res)
-		st.P = ValueProbs(ds, st, p, g)
-		newA := Accuracies(ds, st.P)
+		st.P = valueProbs(ds, st, p, g, tf.Workers)
+		newA := accuracies(ds, st.P, tf.Workers)
 		delta := 0.0
 		for s := range newA {
 			if d := newA[s] - st.A[s]; d > delta {

@@ -12,12 +12,15 @@
 package fusion
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"copydetect/internal/bayes"
 	"copydetect/internal/core"
 	"copydetect/internal/dataset"
+	"copydetect/internal/pool"
 )
 
 // copyGraph gives, per source, its copying partners with the probability
@@ -32,12 +35,14 @@ type partner struct {
 	prCopies float64
 }
 
-// newCopyGraph indexes the copying pairs of a detection result.
+// newCopyGraph indexes the copying pairs of a detection result. Without a
+// result there is nothing to discount by: the graph is nil, which
+// ValueProbs reads as undiscounted voting.
 func newCopyGraph(res *core.Result) *copyGraph {
-	g := &copyGraph{partners: make([][]partner, res.NumSources)}
 	if res == nil {
-		return g
+		return nil
 	}
+	g := &copyGraph{partners: make([][]partner, res.NumSources)}
 	for _, pr := range res.Pairs {
 		if !pr.Copying {
 			continue
@@ -49,72 +54,141 @@ func newCopyGraph(res *core.Result) *copyGraph {
 	return g
 }
 
-// ValueProbs computes P(D.v) for every observed value of every item. When
-// g is non-nil, votes are discounted for copying: providers of a value are
+// ValueProbs computes P(D.v) for every value of every item. When g is
+// non-nil, votes are discounted for copying: providers of a value are
 // ranked by accuracy, and each provider's vote counts only with the
 // probability it did not copy the value from a higher-ranked provider
 // (independence factor I(S) of Dong et al.). The vote of source S is
 // q(S)·I(S) with the accuracy score q(S) = ln(n·A(S)/(1−A(S))), and value
 // probabilities follow from normalizing e^votes over the item's domain,
-// including its unobserved false values.
+// including its unobserved false values. A value nobody provides (one the
+// gold standard names, say) has vote 0.
 func ValueProbs(ds *dataset.Dataset, st *bayes.State, p bayes.Params, g *copyGraph) [][]float64 {
-	probs := make([][]float64, ds.NumItems())
-	// Accuracy scores per source.
-	q := make([]float64, ds.NumSources())
+	return valueProbs(ds, st, p, g, 1)
+}
+
+// valueProbs is ValueProbs over workers contiguous blocks of items. An
+// item's probabilities depend on that item's observations alone, and each
+// is computed by the same operations in the same order whichever block it
+// falls in, so the result is bit-identical for every worker count.
+//
+// Value v of item d is cell valOff[d]+v. The call ranks the sources once
+// (accuracy descending, id ascending: the order in which a value's votes
+// are summed), then every block regroups its items' providers by cell
+// with a counting sort — walking the sources in rank order, so each cell
+// lists its providers in rank order without any per-value sort — and
+// votes cell by cell into one arena, which the returned rows sub-slice.
+func valueProbs(ds *dataset.Dataset, st *bayes.State, p bayes.Params, g *copyGraph, workers int) [][]float64 {
+	numItems, numSources := ds.NumItems(), ds.NumSources()
+	q := make([]float64, numSources) // accuracy scores
 	for s, a := range st.A {
 		q[s] = math.Log(p.N * a / (1 - a))
 	}
+	// Undiscounted votes are summed in source order, discounted ones in
+	// rank order.
+	order := make([]dataset.SourceID, numSources)
+	for s := range order {
+		order[s] = dataset.SourceID(s)
+	}
+	var rank []int32
+	if g != nil {
+		slices.SortFunc(order, func(a, b dataset.SourceID) int {
+			if c := cmp.Compare(st.A[b], st.A[a]); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+		rank = make([]int32, numSources)
+		for i, s := range order {
+			rank[s] = int32(i)
+		}
+	}
 
-	var provBuf []dataset.SourceID
+	valOff := make([]int32, numItems+1) // first cell of each item
+	obsOff := make([]int32, numItems+1) // first provider slot of each item
 	for d := range ds.ByItem {
-		svs := ds.ByItem[d]
-		nv := ds.NumValues(dataset.ItemID(d))
-		votes := make([]float64, nv)
-		if len(svs) > 0 {
-			for v := 0; v < nv; v++ {
-				provBuf = provBuf[:0]
-				for _, sv := range svs {
-					if int(sv.Value) == v {
-						provBuf = append(provBuf, sv.Source)
-					}
-				}
-				votes[v] = valueVote(provBuf, st, q, g)
+		valOff[d+1] = valOff[d] + int32(ds.NumValues(dataset.ItemID(d)))
+		obsOff[d+1] = obsOff[d] + int32(len(ds.ByItem[d]))
+	}
+	arena := make([]float64, valOff[numItems])          // votes, then probabilities, per cell
+	ends := make([]int32, valOff[numItems])             // per cell: the end of its providers in provs
+	provs := make([]dataset.SourceID, obsOff[numItems]) // providers grouped by cell, item-major
+	probs := make([][]float64, numItems)
+
+	workers = pool.Clamp(workers)
+	pool.Run(workers, func(w int) {
+		lo, hi := pool.Block(workers, w, numItems)
+		if lo == hi {
+			return
+		}
+		// Count the providers of each cell, turn the counts into each
+		// cell's first slot, then deal the sources out in vote order. The
+		// two views of a Dataset list the same observations
+		// (Dataset.Validate), so the slots counted from ByItem are exactly
+		// the ones filled from BySource.
+		for d := lo; d < hi; d++ {
+			for _, sv := range ds.ByItem[d] {
+				ends[valOff[d]+sv.Value]++
 			}
 		}
-		probs[d] = normalizeVotes(votes, p.N)
-	}
+		next := obsOff[lo]
+		for c := valOff[lo]; c < valOff[hi]; c++ {
+			n := ends[c]
+			ends[c] = next
+			next += n
+		}
+		for _, s := range order {
+			obs := ds.BySource[s]
+			i := sort.Search(len(obs), func(i int) bool { return int(obs[i].Item) >= lo })
+			for ; i < len(obs) && int(obs[i].Item) < hi; i++ {
+				c := valOff[obs[i].Item] + obs[i].Value
+				provs[ends[c]] = s
+				ends[c]++
+			}
+		}
+
+		stamp := make([]int32, numSources)
+		first := obsOff[lo]
+		for d := lo; d < hi; d++ {
+			if valOff[d] == valOff[d+1] {
+				continue // no values: the row stays nil
+			}
+			votes := arena[valOff[d]:valOff[d+1]:valOff[d+1]]
+			for v := range votes {
+				c := valOff[d] + int32(v)
+				votes[v] = valueVote(provs[first:ends[c]], q, g, rank, stamp, c+1)
+				first = ends[c]
+			}
+			normalizeVotes(votes, p.N)
+			probs[d] = votes
+		}
+	})
 	return probs
 }
 
-// valueVote accumulates the discounted votes of the providers of a value.
-func valueVote(provs []dataset.SourceID, st *bayes.State, q []float64, g *copyGraph) float64 {
+// valueVote accumulates the discounted votes of the providers of a value,
+// given in decreasing accuracy (ties by id) so the most accurate provider
+// counts fully and likely copiers are discounted against it. stamp is the
+// worker's scratch, one slot per source, and tag a non-zero number no
+// other value of the call uses: stamp[s] == tag marks s as a provider of
+// this value.
+//
+//copydetect:hotpath
+func valueVote(provs []dataset.SourceID, q []float64, g *copyGraph, rank, stamp []int32, tag int32) float64 {
+	sum := 0.0
 	if g == nil || len(provs) == 1 {
-		sum := 0.0
 		for _, s := range provs {
 			sum += q[s]
 		}
 		return sum
 	}
-	// Rank providers by decreasing accuracy (ties by id) so the most
-	// accurate provider of the value counts fully and likely copiers are
-	// discounted against it.
-	order := make([]dataset.SourceID, len(provs))
-	copy(order, provs)
-	sort.Slice(order, func(i, j int) bool {
-		if st.A[order[i]] != st.A[order[j]] {
-			return st.A[order[i]] > st.A[order[j]]
-		}
-		return order[i] < order[j]
-	})
-	rank := make(map[dataset.SourceID]int, len(order))
-	for i, s := range order {
-		rank[s] = i
+	for _, s := range provs {
+		stamp[s] = tag
 	}
-	sum := 0.0
-	for i, s := range order {
+	for _, s := range provs {
 		ind := 1.0
 		for _, pt := range g.partners[s] {
-			if r, ok := rank[pt.other]; ok && r < i {
+			if stamp[pt.other] == tag && rank[pt.other] < rank[s] {
 				ind *= 1 - pt.prCopies
 			}
 		}
@@ -123,13 +197,12 @@ func valueVote(provs []dataset.SourceID, st *bayes.State, q []float64, g *copyGr
 	return sum
 }
 
-// normalizeVotes turns vote counts into probabilities over the item's
-// domain: the observed values plus max(0, n+1−k) unobserved candidates
-// with vote 0, computed in log space.
-func normalizeVotes(votes []float64, n float64) []float64 {
-	if len(votes) == 0 {
-		return nil
-	}
+// normalizeVotes turns an item's votes into probabilities over its
+// domain, in place: the named values plus max(0, n+1−k) unobserved
+// candidates with vote 0, computed in log space.
+//
+//copydetect:hotpath
+func normalizeVotes(votes []float64, n float64) {
 	m := 0.0 // unobserved candidates have vote 0
 	for _, v := range votes {
 		if v > m {
@@ -141,36 +214,43 @@ func normalizeVotes(votes []float64, n float64) []float64 {
 		unobserved = 0
 	}
 	den := unobserved * math.Exp(-m)
-	for _, v := range votes {
-		den += math.Exp(v - m)
-	}
-	probs := make([]float64, len(votes))
 	for i, v := range votes {
-		probs[i] = math.Exp(v-m) / den
+		votes[i] = math.Exp(v - m)
+		den += votes[i]
 	}
-	return probs
+	for i := range votes {
+		votes[i] /= den
+	}
 }
 
 // Accuracies recomputes A(S) as the average probability of the values the
 // source provides, clamped into [0.01, 0.99].
 func Accuracies(ds *dataset.Dataset, probs [][]float64) []float64 {
+	return accuracies(ds, probs, 1)
+}
+
+// accuracies is Accuracies over workers contiguous blocks of sources; a
+// source's accuracy depends on that source's observations alone.
+func accuracies(ds *dataset.Dataset, probs [][]float64, workers int) []float64 {
 	acc := make([]float64, ds.NumSources())
-	for s := range ds.BySource {
-		obs := ds.BySource[s]
-		if len(obs) == 0 {
-			acc[s] = 0.5
-			continue
+	workers = pool.Clamp(workers)
+	pool.Run(workers, func(w int) {
+		lo, hi := pool.Block(workers, w, len(acc))
+		for s := lo; s < hi; s++ {
+			acc[s] = sourceAccuracy(ds.BySource[s], probs)
 		}
-		sum := 0.0
-		for _, o := range obs {
-			sum += probs[o.Item][o.Value]
-		}
-		acc[s] = sum / float64(len(obs))
-		if acc[s] < 0.01 {
-			acc[s] = 0.01
-		} else if acc[s] > 0.99 {
-			acc[s] = 0.99
-		}
-	}
+	})
 	return acc
+}
+
+//copydetect:hotpath
+func sourceAccuracy(obs []dataset.Obs, probs [][]float64) float64 {
+	if len(obs) == 0 {
+		return 0.5
+	}
+	sum := 0.0
+	for _, o := range obs {
+		sum += probs[o.Item][o.Value]
+	}
+	return min(max(sum/float64(len(obs)), 0.01), 0.99)
 }

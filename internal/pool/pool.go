@@ -6,15 +6,22 @@
 // parallel detection bit-identical to sequential detection:
 //
 //   - Work is split into `workers` shards by a pure function of the data
-//     (the smaller source id of a pair, or a slot stride), never by a
-//     scheduler decision. Every shard is owned by exactly one worker, so
-//     all per-pair state is single-writer and needs no locks.
+//     (Owns: the smaller source id of a pair; Block: a contiguous range
+//     of slots, entries, items or sources), never by a scheduler
+//     decision. Every shard is owned by exactly one worker, so all state
+//     is single-writer and needs no locks. For state written per
+//     co-occurrence the rule is one writer per cache line, not merely per
+//     slot — neighbouring slots have different owners, and two cores
+//     trading a line on every write cost more than the second core
+//     brings: such state lives in per-shard tables when it shards by
+//     Owns, and is split by Block when it shards by index.
 //   - Each worker traverses the shared input (the inverted index) in the
 //     same order the sequential scan does, so every floating-point
 //     accumulation happens in the same order as sequentially.
 //   - Shard outputs are merged on the calling goroutine in shard order
-//     (Shards) or written into disjoint slots of a shared slice indexed
-//     in a worker-independent way, so merged results do not depend on
+//     (Shards), read back from the owner's table in slot order, or
+//     written into a worker's block of a shared slice indexed in a
+//     worker-independent way, so merged results do not depend on
 //     goroutine completion order.
 //
 // Together these rules make the result independent of both scheduling and
@@ -28,8 +35,8 @@ import "runtime"
 // does NOT cap at GOMAXPROCS: the shard count is part of the (determinism-
 // irrelevant) execution plan, and tests exercise multi-shard execution on
 // single-core machines. Oversubscription is safe but not free — each shard
-// re-traverses the shared input to filter for the work it owns — so
-// callers wanting "use the hardware" pass Auto().
+// walks the shared input to find the work it owns and holds a table of
+// its own for it — so callers wanting "use the hardware" pass Auto().
 func Clamp(workers int) int {
 	if workers < 1 {
 		return 1
@@ -49,7 +56,38 @@ func Auto() int { return runtime.GOMAXPROCS(0) }
 // the bit-identity argument in DESIGN.md requires their shard functions
 // to agree exactly.
 func Owns(workers, w, id int) bool {
-	return workers <= 1 || id%workers == w
+	return Owner(workers, id) == w
+}
+
+// Owner returns the worker that Owns id; the merge steps use it to find
+// the shard holding a pair's state.
+func Owner(workers, id int) int {
+	if workers <= 1 {
+		return 0
+	}
+	return id % workers
+}
+
+// Block returns worker w's half-open range [lo, hi) of the n indices
+// [0, n), split into workers contiguous blocks whose sizes differ by at
+// most one. It is the one way an index-addressed fan-out (pair slots,
+// entries, items, sources) is divided: a worker that writes out[i] for
+// the i of its block shares at most the two cache lines at the block's
+// edges with its neighbours, where a stride (i = w, w+workers, ...) would
+// make every line of out a line all workers write. The blocks partition
+// [0, n) for every worker count, and with workers <= 1 the single worker
+// gets all of it.
+func Block(workers, w, n int) (lo, hi int) {
+	if workers <= 1 {
+		return 0, n
+	}
+	q, r := n/workers, n%workers
+	lo = w*q + min(w, r)
+	hi = lo + q
+	if w < r {
+		hi++
+	}
+	return lo, hi
 }
 
 // Run executes fn(w) for every w in [0, workers) and waits for all of

@@ -38,6 +38,42 @@ func TestOwns(t *testing.T) {
 	}
 }
 
+// TestOwner: Owner names the one worker for which Owns holds.
+func TestOwner(t *testing.T) {
+	for _, workers := range []int{-3, 0, 1, 2, 3, 7} {
+		for id := 0; id < 100; id++ {
+			w := Owner(workers, id)
+			if w < 0 || w >= Clamp(workers) || !Owns(workers, w, id) {
+				t.Errorf("Owner(%d, %d) = %d, which does not own it", workers, id, w)
+			}
+		}
+	}
+}
+
+// TestBlock: the blocks of every worker count tile [0, n) in worker
+// order, with sizes that differ by at most one.
+func TestBlock(t *testing.T) {
+	for _, workers := range []int{-3, 0, 1, 2, 3, 7, 64} {
+		for _, n := range []int{0, 1, 5, 7, 64, 1000} {
+			next, smallest, largest := 0, n, 0
+			for w := 0; w < Clamp(workers); w++ {
+				lo, hi := Block(workers, w, n)
+				if lo != next || hi < lo {
+					t.Fatalf("Block(%d, %d, %d) = [%d, %d), want it to start at %d", workers, w, n, lo, hi, next)
+				}
+				next = hi
+				smallest, largest = min(smallest, hi-lo), max(largest, hi-lo)
+			}
+			if next != n {
+				t.Errorf("workers=%d: blocks end at %d, want %d", workers, next, n)
+			}
+			if largest-smallest > 1 {
+				t.Errorf("workers=%d n=%d: block sizes range from %d to %d", workers, n, smallest, largest)
+			}
+		}
+	}
+}
+
 // TestRunCallerShardPanicReleasesWorkers covers Run's error path: fn(0)
 // runs on the calling goroutine, so a panic there propagates to the
 // caller and skips the drain loop. The done channel is buffered for

@@ -113,7 +113,7 @@ func (m *Managed) runRound() {
 	}
 
 	// params and opts are immutable after Create; no lock needed here.
-	tf := &fusion.TruthFinder{Params: m.params, Cancel: cancel}
+	tf := &fusion.TruthFinder{Params: m.params, Workers: m.opts.Workers, Cancel: cancel}
 	start := time.Now()
 	out := tf.Run(snap, det)
 	wall := time.Since(start)
