@@ -8,6 +8,13 @@
 // call into a no-op, so codec code reads as straight-line field lists
 // with a single error check at the end.
 //
+// Every codec in the repository hands them a *bytes.Buffer or a
+// *bytes.Reader, so both use the stream's byte- and string-level methods
+// (io.ByteWriter, io.StringWriter, io.ByteReader) when it has them: a
+// varint costs one method call per byte, not a Read through io.ReadFull,
+// and a string is written without a []byte copy. Any other stream takes
+// the plain io.Writer / io.Reader path with the same results.
+//
 //copydetect:deterministic
 package binio
 
@@ -26,12 +33,19 @@ const maxBlob = 1 << 28
 // Writer encodes values onto an io.Writer, latching the first error.
 type Writer struct {
 	w   io.Writer
+	bw  io.ByteWriter   // w's own WriteByte, or nil
+	sw  io.StringWriter // w's own WriteString, or nil
 	buf [binary.MaxVarintLen64]byte
 	err error
 }
 
 // NewWriter returns a Writer over w.
-func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
+func NewWriter(w io.Writer) *Writer {
+	wr := &Writer{w: w}
+	wr.bw, _ = w.(io.ByteWriter)
+	wr.sw, _ = w.(io.StringWriter)
+	return wr
+}
 
 // Err returns the first error encountered, if any.
 func (w *Writer) Err() error { return w.err }
@@ -44,7 +58,14 @@ func (w *Writer) write(p []byte) {
 }
 
 // Byte writes one raw byte.
-func (w *Writer) Byte(b byte) { w.write([]byte{b}) }
+func (w *Writer) Byte(b byte) {
+	if w.bw == nil {
+		w.buf[0] = b
+		w.write(w.buf[:1])
+	} else if w.err == nil {
+		w.err = w.bw.WriteByte(b)
+	}
+}
 
 // Bool writes a bool as one byte.
 func (w *Writer) Bool(b bool) {
@@ -57,6 +78,10 @@ func (w *Writer) Bool(b bool) {
 
 // Uvarint writes an unsigned varint.
 func (w *Writer) Uvarint(x uint64) {
+	if x < 0x80 {
+		w.Byte(byte(x))
+		return
+	}
 	n := binary.PutUvarint(w.buf[:], x)
 	w.write(w.buf[:n])
 }
@@ -75,48 +100,87 @@ func (w *Writer) Int(x int) {
 // Float64 writes the IEEE-754 bits of f, little-endian, so values
 // round-trip bit-exactly.
 func (w *Writer) Float64(f float64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
-	w.write(b[:])
+	binary.LittleEndian.PutUint64(w.buf[:8], math.Float64bits(f))
+	w.write(w.buf[:8])
 }
 
 // String writes a length-prefixed string.
 func (w *Writer) String(s string) {
 	w.Uvarint(uint64(len(s)))
-	w.write([]byte(s))
+	if w.sw == nil {
+		w.write([]byte(s))
+	} else if w.err == nil {
+		_, w.err = w.sw.WriteString(s)
+	}
 }
 
 // Reader decodes values from an io.Reader, latching the first error.
 type Reader struct {
 	r   io.Reader
-	one [1]byte
+	br  io.ByteReader          // r's own ReadByte, or nil
+	rem interface{ Len() int } // r's count of unread bytes, or nil
+	buf []byte                 // scratch for String and Float64
 	err error
 }
 
 // NewReader returns a Reader over r. The Reader never reads past what
 // it decodes, so several codecs can share one underlying stream.
-func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
+func NewReader(r io.Reader) *Reader {
+	rd := &Reader{r: r}
+	rd.br, _ = r.(io.ByteReader)
+	rd.rem, _ = r.(interface{ Len() int })
+	return rd
+}
 
 // Err returns the first error encountered, if any.
 func (r *Reader) Err() error { return r.err }
 
-// fail records err (once) and returns the zero value convenience.
+// fail records err (once).
 func (r *Reader) fail(err error) {
 	if r.err == nil {
 		r.err = err
 	}
 }
 
-// ReadByte implements io.ByteReader for binary.ReadUvarint.
+// full reads exactly n bytes into the scratch buffer, which the next
+// call overwrites. A stream that knows how much it still holds is asked
+// first, so a corrupt length prefix fails before it sizes an allocation.
+func (r *Reader) full(n int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	if r.rem != nil && n > r.rem.Len() {
+		r.fail(io.ErrUnexpectedEOF)
+		return nil
+	}
+	if cap(r.buf) < n {
+		r.buf = make([]byte, n)
+	}
+	b := r.buf[:n]
+	if _, err := io.ReadFull(r.r, b); err != nil {
+		r.fail(err)
+		return nil
+	}
+	return b
+}
+
+// ReadByte implements io.ByteReader.
 func (r *Reader) ReadByte() (byte, error) {
 	if r.err != nil {
 		return 0, r.err
 	}
-	if _, err := io.ReadFull(r.r, r.one[:]); err != nil {
-		r.fail(err)
-		return 0, err
+	if r.br != nil {
+		b, err := r.br.ReadByte()
+		if err != nil {
+			r.fail(err)
+		}
+		return b, err
 	}
-	return r.one[0], nil
+	b := r.full(1)
+	if b == nil {
+		return 0, r.err
+	}
+	return b[0], nil
 }
 
 // Byte reads one raw byte.
@@ -130,15 +194,25 @@ func (r *Reader) Bool() bool { return r.Byte() != 0 }
 
 // Uvarint reads an unsigned varint.
 func (r *Reader) Uvarint() uint64 {
-	if r.err != nil {
-		return 0
+	var x uint64
+	for shift := uint(0); shift < 64; shift += 7 {
+		b, err := r.ReadByte()
+		if err != nil {
+			if shift > 0 && err == io.EOF {
+				r.err = io.ErrUnexpectedEOF // the stream ended inside the varint
+			}
+			return 0
+		}
+		if b < 0x80 {
+			if shift == 63 && b > 1 {
+				break
+			}
+			return x | uint64(b)<<shift
+		}
+		x |= uint64(b&0x7f) << shift
 	}
-	x, err := binary.ReadUvarint(r)
-	if err != nil {
-		r.fail(err)
-		return 0
-	}
-	return x
+	r.fail(fmt.Errorf("binio: varint overflows a 64-bit integer"))
+	return 0
 }
 
 // Int reads a count written by Writer.Int, failing on values beyond
@@ -157,27 +231,18 @@ func (r *Reader) Int(limit int) int {
 
 // Float64 reads an IEEE-754 double written by Writer.Float64.
 func (r *Reader) Float64() float64 {
-	if r.err != nil {
+	b := r.full(8)
+	if b == nil {
 		return 0
 	}
-	var b [8]byte
-	if _, err := io.ReadFull(r.r, b[:]); err != nil {
-		r.fail(err)
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }
 
 // String reads a length-prefixed string.
 func (r *Reader) String() string {
 	n := r.Int(maxBlob)
-	if r.err != nil || n == 0 {
+	if n == 0 {
 		return ""
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r.r, b); err != nil {
-		r.fail(err)
-		return ""
-	}
-	return string(b)
+	return string(r.full(n))
 }

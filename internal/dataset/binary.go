@@ -53,7 +53,10 @@ func EncodeDataset(w *binio.Writer, ds *Dataset) {
 }
 
 // DecodeDataset reads a dataset written by EncodeDataset and returns it
-// in canonical Builder-built form.
+// in canonical Builder-built form. The encoding lists observations by
+// source and then by item, so every cell lands at the end of its item's
+// list in the Builder; any other order decodes to the same dataset, only
+// slower.
 func DecodeDataset(r *binio.Reader) (*Dataset, error) {
 	if m := r.String(); r.Err() == nil && m != binaryMagic {
 		return nil, fmt.Errorf("dataset: bad binary magic %q", m)
@@ -62,26 +65,31 @@ func DecodeDataset(r *binio.Reader) (*Dataset, error) {
 	// name would collapse to an earlier id, leaving the declared counts
 	// larger than the tables and every later index check meaningless.
 	// Well-formed encodings never repeat a name, so a collision is
-	// corruption, not data.
+	// corruption, not data. The decoded strings are fresh, so the Builder
+	// takes them as they are.
 	b := NewBuilder()
 	numSources := r.Int(maxDimension)
 	for i := 0; i < numSources && r.Err() == nil; i++ {
-		if name := r.String(); int(b.Source(name)) != i {
+		name := r.String()
+		if _, dup := b.sourceIDs[name]; dup {
 			return nil, fmt.Errorf("dataset: duplicate source name %q in binary header", name)
 		}
+		b.newSource(name)
 	}
 	numItems := r.Int(maxDimension)
 	for i := 0; i < numItems && r.Err() == nil; i++ {
 		name := r.String()
-		d := b.Item(name)
-		if int(d) != i {
+		if _, dup := b.itemIDs[name]; dup {
 			return nil, fmt.Errorf("dataset: duplicate item name %q in binary header", name)
 		}
+		it := &b.items[b.newItem(name)]
 		numValues := r.Int(maxItemValues)
 		for j := 0; j < numValues && r.Err() == nil; j++ {
-			if label := r.String(); int(b.Value(d, label)) != j {
+			label := r.String()
+			if _, dup := it.lookup(label); dup {
 				return nil, fmt.Errorf("dataset: item %q repeats value %q in binary header", name, label)
 			}
+			it.newValue(label)
 		}
 	}
 	numObs := r.Int(maxDimension)
@@ -92,7 +100,7 @@ func DecodeDataset(r *binio.Reader) (*Dataset, error) {
 		if int(s) >= numSources || int(d) >= numItems || s < 0 || d < 0 {
 			return nil, fmt.Errorf("dataset: binary observation %d references source %d item %d out of range", i, s, d)
 		}
-		if v < 0 || int(v) >= len(b.valueNames[d]) {
+		if v < 0 || int(v) >= len(b.items[d].values) {
 			return nil, fmt.Errorf("dataset: binary observation %d references value %d of item %d out of range", i, v, d)
 		}
 		b.AddIDs(s, d, v)
@@ -100,7 +108,7 @@ func DecodeDataset(r *binio.Reader) (*Dataset, error) {
 	if r.Bool() {
 		for d := 0; d < numItems && r.Err() == nil; d++ {
 			if v := ValueID(r.Uvarint()) - 1; v != NoValue {
-				if v < 0 || int(v) >= len(b.valueNames[d]) {
+				if v < 0 || int(v) >= len(b.items[d].values) {
 					return nil, fmt.Errorf("dataset: binary truth of item %d references value %d out of range", d, v)
 				}
 				b.SetTruthIDs(ItemID(d), v)
@@ -115,36 +123,4 @@ func DecodeDataset(r *binio.Reader) (*Dataset, error) {
 		return nil, err
 	}
 	return ds, nil
-}
-
-// NewBuilderFromDataset reconstructs the Builder state that produced
-// ds: interning tables in the dataset's id order, all observations, and
-// the gold standard. Appending further records to the returned Builder
-// continues the exact id assignment of the original stream, which is
-// what lets a recovered server replay its write-ahead log on top of a
-// snapshot and still publish byte-identical results.
-func NewBuilderFromDataset(ds *Dataset) *Builder {
-	b := NewBuilder()
-	for _, s := range ds.SourceNames {
-		b.Source(s)
-	}
-	for d, name := range ds.ItemNames {
-		id := b.Item(name)
-		for _, v := range ds.ValueNames[d] {
-			b.Value(id, v)
-		}
-	}
-	for s, obs := range ds.BySource {
-		for _, o := range obs {
-			b.AddIDs(SourceID(s), o.Item, o.Value)
-		}
-	}
-	if ds.Truth != nil {
-		for d, v := range ds.Truth {
-			if v != NoValue {
-				b.SetTruthIDs(ItemID(d), v)
-			}
-		}
-	}
-	return b
 }

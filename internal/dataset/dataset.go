@@ -47,7 +47,8 @@ type SV struct {
 
 // Dataset is an immutable collection of observations over sources × items.
 // Build one with a Builder; all slices are sorted as documented and must
-// not be mutated afterwards.
+// not be mutated afterwards: the name tables are shared with the Builder
+// that built it, with later snapshots and with Builders made from it.
 type Dataset struct {
 	// SourceNames[s] is the display name of source s.
 	SourceNames []string
@@ -169,7 +170,11 @@ func (ds *Dataset) SharedValues(s1, s2 SourceID) int {
 
 // Validate checks internal consistency of the dataset and returns a
 // descriptive error on the first violation found. It is intended for tests
-// and for data loaded from external files.
+// and for data loaded from external files. It is linear in the number of
+// observations: BySource is checked on its own, then ByItem is walked in
+// item order with one cursor per source, which must step through that
+// source's list cell for cell — the two columns hold the same cells
+// exactly when every cursor ends at the end of its list.
 func (ds *Dataset) Validate() error {
 	if len(ds.BySource) != len(ds.SourceNames) {
 		return fmt.Errorf("dataset: BySource has %d sources, SourceNames has %d", len(ds.BySource), len(ds.SourceNames))
@@ -183,7 +188,6 @@ func (ds *Dataset) Validate() error {
 	if ds.Truth != nil && len(ds.Truth) != len(ds.ItemNames) {
 		return fmt.Errorf("dataset: Truth has %d items, ItemNames has %d", len(ds.Truth), len(ds.ItemNames))
 	}
-	nObsBySource := 0
 	for s, obs := range ds.BySource {
 		for i, o := range obs {
 			if i > 0 && obs[i-1].Item >= o.Item {
@@ -196,9 +200,8 @@ func (ds *Dataset) Validate() error {
 				return fmt.Errorf("dataset: source %d item %d references value %d out of range", s, o.Item, o.Value)
 			}
 		}
-		nObsBySource += len(obs)
 	}
-	nObsByItem := 0
+	next := make([]int, len(ds.BySource)) // per source: its first cell ByItem has not reached
 	for d, svs := range ds.ByItem {
 		for i, sv := range svs {
 			if i > 0 && svs[i-1].Source >= sv.Source {
@@ -207,14 +210,17 @@ func (ds *Dataset) Validate() error {
 			if sv.Source < 0 || int(sv.Source) >= len(ds.SourceNames) {
 				return fmt.Errorf("dataset: item %d references source %d out of range", d, sv.Source)
 			}
-			if got := ds.ValueOf(sv.Source, ItemID(d)); got != sv.Value {
-				return fmt.Errorf("dataset: item %d source %d: ByItem says value %d, BySource says %d", d, sv.Source, sv.Value, got)
+			obs, at := ds.BySource[sv.Source], next[sv.Source]
+			if at == len(obs) || obs[at] != (Obs{Item: ItemID(d), Value: sv.Value}) {
+				return fmt.Errorf("dataset: item %d source %d value %d is in ByItem but is not the source's next cell in BySource", d, sv.Source, sv.Value)
 			}
+			next[sv.Source] = at + 1
 		}
-		nObsByItem += len(svs)
 	}
-	if nObsBySource != nObsByItem {
-		return fmt.Errorf("dataset: BySource has %d observations, ByItem has %d", nObsBySource, nObsByItem)
+	for s, obs := range ds.BySource {
+		if next[s] != len(obs) {
+			return fmt.Errorf("dataset: source %d item %d is in BySource but not in ByItem", s, obs[next[s]].Item)
+		}
 	}
 	if ds.Truth != nil {
 		for d, t := range ds.Truth {
@@ -224,152 +230,4 @@ func (ds *Dataset) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Builder incrementally assembles a Dataset from named observations.
-// The zero value is ready to use.
-type Builder struct {
-	sourceIDs map[string]SourceID
-	itemIDs   map[string]ItemID
-	valueIDs  []map[string]ValueID // per item
-
-	sourceNames []string
-	itemNames   []string
-	valueNames  [][]string
-
-	obs   map[int64]ValueID // (source,item) -> value
-	truth map[ItemID]ValueID
-}
-
-// NewBuilder returns an empty Builder.
-func NewBuilder() *Builder {
-	return &Builder{
-		sourceIDs: make(map[string]SourceID),
-		itemIDs:   make(map[string]ItemID),
-		obs:       make(map[int64]ValueID),
-		truth:     make(map[ItemID]ValueID),
-	}
-}
-
-// Source interns a source name and returns its id.
-func (b *Builder) Source(name string) SourceID {
-	if id, ok := b.sourceIDs[name]; ok {
-		return id
-	}
-	id := SourceID(len(b.sourceNames))
-	b.sourceIDs[name] = id
-	b.sourceNames = append(b.sourceNames, name)
-	return id
-}
-
-// Item interns an item name and returns its id.
-func (b *Builder) Item(name string) ItemID {
-	if id, ok := b.itemIDs[name]; ok {
-		return id
-	}
-	id := ItemID(len(b.itemNames))
-	b.itemIDs[name] = id
-	b.itemNames = append(b.itemNames, name)
-	b.valueIDs = append(b.valueIDs, make(map[string]ValueID))
-	b.valueNames = append(b.valueNames, nil)
-	return id
-}
-
-// Value interns a value label within an item's domain and returns its id.
-func (b *Builder) Value(item ItemID, label string) ValueID {
-	if id, ok := b.valueIDs[item][label]; ok {
-		return id
-	}
-	id := ValueID(len(b.valueNames[item]))
-	b.valueIDs[item][label] = id
-	b.valueNames[item] = append(b.valueNames[item], label)
-	return id
-}
-
-// Add records that the named source provides the labeled value on the
-// named item. Adding the same (source, item) twice overwrites the value;
-// the last write wins.
-func (b *Builder) Add(source, item, value string) {
-	s := b.Source(source)
-	d := b.Item(item)
-	v := b.Value(d, value)
-	b.AddIDs(s, d, v)
-}
-
-// AddRecords appends a batch of named observations in order. Together
-// with calling Build after every batch it is the streaming-append path
-// used by the serving layer: the Builder keeps interning across batches,
-// and each Build returns an immutable snapshot of everything appended so
-// far. Replaying the same records in the same order into a fresh Builder
-// reproduces the same id assignment, which is what makes streamed
-// detection results comparable to batch runs.
-func (b *Builder) AddRecords(recs []Record) {
-	for _, r := range recs {
-		b.Add(r.Source, r.Item, r.Value)
-	}
-}
-
-// AddIDs records an observation by pre-interned ids.
-func (b *Builder) AddIDs(s SourceID, d ItemID, v ValueID) {
-	b.obs[int64(s)<<32|int64(uint32(d))] = v
-}
-
-// SetTruth records the gold-standard true value for the named item.
-func (b *Builder) SetTruth(item, value string) {
-	d := b.Item(item)
-	b.truth[d] = b.Value(d, value)
-}
-
-// SetTruthIDs records the gold-standard true value by ids.
-func (b *Builder) SetTruthIDs(d ItemID, v ValueID) { b.truth[d] = v }
-
-// NumObservations reports how many (source, item) cells have been added.
-func (b *Builder) NumObservations() int { return len(b.obs) }
-
-// NumSources reports how many distinct sources have been interned.
-func (b *Builder) NumSources() int { return len(b.sourceNames) }
-
-// NumItems reports how many distinct items have been interned.
-func (b *Builder) NumItems() int { return len(b.itemNames) }
-
-// Build materializes the dataset. The Builder can keep being used and
-// Build called again, but the returned Dataset never changes.
-func (b *Builder) Build() *Dataset {
-	ds := &Dataset{
-		SourceNames: append([]string(nil), b.sourceNames...),
-		ItemNames:   append([]string(nil), b.itemNames...),
-		ValueNames:  make([][]string, len(b.valueNames)),
-		BySource:    make([][]Obs, len(b.sourceNames)),
-		ByItem:      make([][]SV, len(b.itemNames)),
-		Generation:  FreshGeneration(),
-	}
-	for d, vs := range b.valueNames {
-		ds.ValueNames[d] = append([]string(nil), vs...)
-	}
-	//copydetect:orderinvariant each key lands in per-source/per-item buckets that are sorted immediately below, erasing visit order
-	for key, v := range b.obs {
-		s := SourceID(key >> 32)
-		d := ItemID(uint32(key))
-		ds.BySource[s] = append(ds.BySource[s], Obs{Item: d, Value: v})
-		ds.ByItem[d] = append(ds.ByItem[d], SV{Source: s, Value: v})
-	}
-	for s := range ds.BySource {
-		obs := ds.BySource[s]
-		sort.Slice(obs, func(i, j int) bool { return obs[i].Item < obs[j].Item })
-	}
-	for d := range ds.ByItem {
-		svs := ds.ByItem[d]
-		sort.Slice(svs, func(i, j int) bool { return svs[i].Source < svs[j].Source })
-	}
-	if len(b.truth) > 0 {
-		ds.Truth = make([]ValueID, len(b.itemNames))
-		for d := range ds.Truth {
-			ds.Truth[d] = NoValue
-		}
-		//copydetect:orderinvariant keys are distinct item ids writing distinct slots of a dense slice
-		for d, v := range b.truth {
-			ds.Truth[d] = v
-		}
-	}
-	return ds
 }

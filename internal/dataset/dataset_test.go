@@ -338,3 +338,33 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		t.Error("Validate should catch out-of-range value")
 	}
 }
+
+// TestValidateColumnsAgree: the linear Validate must still catch every
+// way BySource and ByItem can disagree while each is sorted and in range
+// on its own — the cases the per-cell binary search used to catch.
+func TestValidateColumnsAgree(t *testing.T) {
+	ds, _ := Motivating()
+	corrupt := func(name string, mutate func(bad *Dataset)) {
+		t.Helper()
+		bad := deepCopy(ds)
+		mutate(bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("Validate accepted a dataset with %s", name)
+		}
+	}
+	if err := deepCopy(ds).Validate(); err != nil {
+		t.Fatalf("a copy of the fixture is invalid: %v", err)
+	}
+	corrupt("a cell missing from ByItem", func(bad *Dataset) { bad.ByItem[2] = bad.ByItem[2][1:] })
+	corrupt("the last cell of a source missing from ByItem", func(bad *Dataset) {
+		last := len(bad.ByItem) - 1
+		bad.ByItem[last] = bad.ByItem[last][:len(bad.ByItem[last])-1]
+	})
+	corrupt("a cell missing from BySource", func(bad *Dataset) { bad.BySource[3] = bad.BySource[3][1:] })
+	corrupt("the columns disagreeing on a value", func(bad *Dataset) { bad.ByItem[1][0].Value ^= 1 })
+	corrupt("a cell moved to another item in one column", func(bad *Dataset) {
+		// S0 covers everything but FL (item 3): claim it covers FL instead of TX (item 4).
+		obs := bad.BySource[0]
+		obs[len(obs)-1].Item = 3
+	})
+}

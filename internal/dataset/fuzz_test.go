@@ -74,3 +74,21 @@ func build(fill func(*Builder)) *Dataset {
 	fill(b)
 	return b.Build()
 }
+
+// FuzzReadJSON is the differential target for the document scanner:
+// whenever scanDocument answers a document itself, the encoding/json
+// structs must accept the same bytes and build the same dataset; whatever
+// it declines goes to those structs anyway, so "both reject" needs no
+// check. ReadJSON itself must never panic and never return an invalid
+// dataset.
+func FuzzReadJSON(f *testing.F) {
+	for _, doc := range jsonCases {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		checkScanDocument(t, string(doc))
+		if ds, err := ReadJSON(bytes.NewReader(doc)); err == nil && ds.Validate() != nil {
+			t.Fatalf("ReadJSON returned an invalid dataset: %v", ds.Validate())
+		}
+	})
+}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 )
 
@@ -55,14 +56,8 @@ func TruthRecords(ds *Dataset) []Record {
 type jsonDataset struct {
 	Sources      []string          `json:"sources"`
 	Items        []string          `json:"items"`
-	Observations []jsonObs         `json:"observations"`
+	Observations []Record          `json:"observations"`
 	Truth        map[string]string `json:"truth,omitempty"`
-}
-
-type jsonObs struct {
-	Source string `json:"s"`
-	Item   string `json:"d"`
-	Value  string `json:"v"`
 }
 
 // WriteJSON serializes the dataset as JSON.
@@ -71,14 +66,8 @@ func WriteJSON(w io.Writer, ds *Dataset) error {
 		Sources: ds.SourceNames,
 		Items:   ds.ItemNames,
 	}
-	for s, obs := range ds.BySource {
-		for _, o := range obs {
-			jd.Observations = append(jd.Observations, jsonObs{
-				Source: ds.SourceNames[s],
-				Item:   ds.ItemNames[o.Item],
-				Value:  ds.ValueNames[o.Item][o.Value],
-			})
-		}
+	if ds.NumObservations() > 0 { // an empty dataset has always written null
+		jd.Observations = Records(ds)
 	}
 	if ds.Truth != nil {
 		jd.Truth = make(map[string]string)
@@ -92,11 +81,40 @@ func WriteJSON(w io.Writer, ds *Dataset) error {
 	return enc.Encode(jd)
 }
 
-// ReadJSON parses a dataset previously written with WriteJSON.
+// ReadJSON parses a dataset previously written with WriteJSON. Ids follow
+// the document: sources, then items, then the observations' names, then
+// any item only the truth names.
 func ReadJSON(r io.Reader) (*Dataset, error) {
+	// One string of the whole document, which the scanner's names are cut
+	// from; sized up front when the stream says how much it holds.
+	var sb strings.Builder
+	if held, ok := r.(interface{ Len() int }); ok {
+		sb.Grow(held.Len())
+	}
+	if _, err := io.Copy(&sb, r); err != nil {
+		return nil, fmt.Errorf("dataset: read json: %w", err)
+	}
+	doc := sb.String()
+	b := NewBuilder()
+	if !scanDocument(doc, b) {
+		var err error
+		if b, err = decodeDocument(doc); err != nil {
+			return nil, err
+		}
+	}
+	ds := b.Build()
+	if err := ds.Validate(); err != nil {
+		return nil, err
+	}
+	return ds, nil
+}
+
+// decodeDocument is ReadJSON for everything scanDocument leaves alone:
+// the encoding/json structs decide what the document means, or why it is
+// rejected.
+func decodeDocument(doc string) (*Builder, error) {
 	var jd jsonDataset
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&jd); err != nil {
+	if err := json.NewDecoder(strings.NewReader(doc)).Decode(&jd); err != nil {
 		return nil, fmt.Errorf("dataset: decode json: %w", err)
 	}
 	b := NewBuilder()
@@ -109,15 +127,19 @@ func ReadJSON(r io.Reader) (*Dataset, error) {
 	for _, o := range jd.Observations {
 		b.Add(o.Source, o.Item, o.Value)
 	}
-	//copydetect:orderinvariant truth entries land in the builder's keyed map; Build sorts before emitting
-	for d, v := range jd.Truth {
-		b.SetTruth(d, v)
+	// The map has lost the document's order, and SetTruth interns: an
+	// item only the truth names gets its id here. Sorted, it is the same
+	// id in every run.
+	items := make([]string, 0, len(jd.Truth))
+	//copydetect:orderinvariant the keys are sorted before anything is done with them
+	for d := range jd.Truth {
+		items = append(items, d)
 	}
-	ds := b.Build()
-	if err := ds.Validate(); err != nil {
-		return nil, err
+	sort.Strings(items)
+	for _, d := range items {
+		b.SetTruth(d, jd.Truth[d])
 	}
-	return ds, nil
+	return b, nil
 }
 
 // ReadCSV parses a tabular dataset in the layout of the paper's Table I:

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
@@ -276,8 +277,12 @@ func (h *handler) delete(w http.ResponseWriter, name string) {
 }
 
 func (h *handler) append(w http.ResponseWriter, req *http.Request, m *Managed) {
-	var ar appendRequest
-	if err := decodeBody(w, req, &ar); err != nil {
+	// From before the body is read until after the reply, the scheduler
+	// leaves this dataset alone (see claimDirty).
+	m.appendBegin()
+	defer m.appendEnd()
+	ar, err := decodeAppend(w, req)
+	if err != nil {
 		writeDecodeErr(w, err)
 		return
 	}
@@ -443,12 +448,44 @@ func (h *handler) quiesce(w http.ResponseWriter, req *http.Request, m *Managed) 
 // builder and the WAL, so an unbounded body is an unbounded
 // allocation.
 func decodeBody(w http.ResponseWriter, req *http.Request, v any) error {
-	err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxBodyBytes)).Decode(v)
+	return decodeJSON(http.MaxBytesReader(w, req.Body, maxBodyBytes), v)
+}
+
+// decodeJSON decodes the one JSON value r holds into v.
+func decodeJSON(r io.Reader, v any) error {
+	err := json.NewDecoder(r).Decode(v)
 	if err == nil || errors.Is(err, io.EOF) {
 		return nil // an empty body means all defaults
 	}
 	return err
 }
+
+// decodeAppend reads an append body, capped like every other body, and
+// decodes it: with dataset.ScanAppendBody when it is in the canonical
+// form every client of ours sends, whose records are substrings of the
+// one string made of the body, and with encoding/json when it is not.
+// The decoder is handed the bytes read followed by the reader itself,
+// which stays at its end or its error (*http.MaxBytesError included), so
+// it sees the stream it would have seen alone and accepts or refuses it
+// for the same reason.
+func decodeAppend(w http.ResponseWriter, req *http.Request) (appendRequest, error) {
+	body := http.MaxBytesReader(w, req.Body, maxBodyBytes)
+	var buf bytes.Buffer
+	if n := req.ContentLength; n > 0 {
+		buf.Grow(int(min(n, maxBodyBytes, maxPresizedBody)) + bytes.MinRead)
+	}
+	_, _ = buf.ReadFrom(body) // a failed read is a short one: whoever wants more bytes meets the error again
+	var ar appendRequest
+	var ok bool
+	if ar.Observations, ar.Truth, ok = dataset.ScanAppendBody(buf.String()); ok {
+		return ar, nil
+	}
+	return ar, decodeJSON(io.MultiReader(&buf, body), &ar)
+}
+
+// maxPresizedBody bounds the buffer a Content-Length header alone can
+// make decodeAppend allocate; a larger body grows it as it arrives.
+const maxPresizedBody = 1 << 20
 
 // writeOpErr answers a failed registry operation: each sentinel error
 // has one status on the wire, anything else gets fallback.

@@ -60,6 +60,12 @@ type Managed struct {
 	running bool   // a round is in flight
 	closed  bool
 	cancel  chan struct{} // closes to abort the in-flight round
+	// appending counts append requests inside the HTTP handler and
+	// lastWrite is when the dataset last changed; the scheduler starts no
+	// round while the first is non-zero or the second is less than
+	// quietPeriod ago (claimDirty).
+	appending int
+	lastWrite time.Time
 	// lagSince is when the dataset last left the converged state — the
 	// arrival of the oldest append not yet covered by a published round.
 	// Telemetry reads it for the convergence-lag-seconds gauge; it is
@@ -138,12 +144,29 @@ func (m *Managed) write(rec walRecord, what string) error {
 // in-flight round (it detects a snapshot the new state is not in —
 // publishing it would be discarded anyway), and wake the scheduler.
 func (m *Managed) markDirtyLocked() {
+	m.lastWrite = time.Now()
 	if m.convergedLocked() {
-		m.lagSince = time.Now()
+		m.lagSince = m.lastWrite
 	}
 	m.dirty = true
 	m.cancelRoundLocked()
 	m.cond.Broadcast()
+	m.reg.kickAsync()
+}
+
+// appendBegin and appendEnd bracket one append request in the HTTP
+// handler, from before its body is read to after its reply is written.
+// The end wakes the scheduler: the begin may have held back a claim.
+func (m *Managed) appendBegin() {
+	m.mu.Lock()
+	m.appending++
+	m.mu.Unlock()
+}
+
+func (m *Managed) appendEnd() {
+	m.mu.Lock()
+	m.appending--
+	m.mu.Unlock()
 	m.reg.kickAsync()
 }
 

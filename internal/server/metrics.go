@@ -12,18 +12,20 @@ import (
 // the hooks check the pointer at call time and cost one atomic load
 // when telemetry is off.
 type instruments struct {
-	roundDuration *telemetry.HistogramVec // algorithm
-	roundsTotal   *telemetry.CounterVec   // algorithm
-	walAppend     *telemetry.Histogram
-	walFsync      *telemetry.Histogram
-	admissionRej  *telemetry.Counter
+	roundDuration   *telemetry.HistogramVec // algorithm
+	roundsTotal     *telemetry.CounterVec   // algorithm
+	roundsAbandoned *telemetry.Counter
+	walAppend       *telemetry.Histogram
+	walFsync        *telemetry.Histogram
+	admissionRej    *telemetry.Counter
 }
 
 // RegisterMetrics exposes the registry's operational state on t under
 // the copydetectd_ prefix: scheduler queue depth, in-flight rounds,
 // per-dataset convergence lag (both in pending appends and in seconds),
-// round durations and counts by algorithm, WAL append/fsync latency,
-// and admission rejections. Call it once, before serving /metrics.
+// round durations and counts by algorithm, abandoned rounds, WAL
+// append/fsync latency, and admission rejections. Call it once, before
+// serving /metrics.
 func (r *Registry) RegisterMetrics(t *telemetry.Registry) {
 	t.GaugeFunc("copydetectd_datasets",
 		"Datasets currently registered.", nil,
@@ -54,6 +56,8 @@ func (r *Registry) RegisterMetrics(t *telemetry.Registry) {
 			telemetry.RoundBuckets, "algorithm"),
 		roundsTotal: t.CounterVec("copydetectd_rounds_total",
 			"Published detection rounds, by algorithm.", "algorithm"),
+		roundsAbandoned: t.Counter("copydetectd_rounds_abandoned_total",
+			"Detection rounds that ended without publishing: cancelled by an append, or finished on a snapshot an append had outdated."),
 		walAppend: t.Histogram("copydetectd_wal_append_seconds",
 			"WAL append latency (frame write plus any fsync).", nil),
 		walFsync: t.Histogram("copydetectd_wal_fsync_seconds",

@@ -21,12 +21,34 @@ func (r *Registry) kickAsync() {
 	}
 }
 
+// quietPeriod is how long a dataset must have gone without a write
+// before the scheduler starts a round on it. A round started sooner, in
+// the middle of a bulk ingest, is cancelled by the next append after a
+// snapshot under the lock that append needs and a burst of work on every
+// core: 2 ms is ten times a loopback client's turn-around between two
+// appends and under 5 % of the shortest refresh operation the benchmark
+// measures (DESIGN.md, "Serving layer", has the numbers).
+const quietPeriod = 2 * time.Millisecond
+
 // scheduler is the registry's dirty-dataset loop: whenever kicked it
-// claims every dirty dataset without an in-flight round and runs one
-// detection round for each, at most Config.Concurrency at a time.
+// claims every dirty dataset that is ready for a round and runs one for
+// each, at most Config.Concurrency at a time. A dataset passed over
+// because it was written to less than quietPeriod ago is looked at again
+// when that time is up, by a timer that kicks the loop — at most one is
+// pending — so an append that nothing follows needs no second kick to
+// get its round.
 func (r *Registry) scheduler() {
 	defer r.wg.Done()
 	sem := make(chan struct{}, r.cfg.Concurrency)
+	// quiet is the pending second look, if any. One that a kick overtakes
+	// still fires, and finds nothing new to do.
+	var quiet *time.Timer
+	stopQuiet := func() {
+		if quiet != nil {
+			quiet.Stop()
+		}
+	}
+	defer stopQuiet()
 	for {
 		select {
 		case <-r.stop:
@@ -34,8 +56,12 @@ func (r *Registry) scheduler() {
 		case <-r.kick:
 		}
 		for {
-			m := r.claimDirty()
+			m, wait := r.claimDirty()
 			if m == nil {
+				if wait > 0 {
+					stopQuiet()
+					quiet = time.AfterFunc(wait, r.kickAsync)
+				}
 				break
 			}
 			select {
@@ -61,20 +87,28 @@ func (r *Registry) scheduler() {
 }
 
 // claimDirty picks a dirty, idle dataset (smallest name first, for
-// determinism) and marks it running.
-func (r *Registry) claimDirty() *Managed {
+// determinism) and marks it running. It passes over a dataset that the
+// next append would take the round away from again: one with an append
+// request inside the handler, whose end kicks the scheduler, and one
+// written to less than quietPeriod ago. When it claims nothing, wait is
+// how long until the first of the latter is due (0: none is waiting).
+func (r *Registry) claimDirty() (claimed *Managed, wait time.Duration) {
 	for _, m := range r.datasets() {
 		m.mu.Lock()
-		claimed := m.dirty && !m.running && !m.closed
-		if claimed {
-			m.running = true
+		if m.dirty && !m.running && !m.closed && m.appending == 0 {
+			if due := quietPeriod - time.Since(m.lastWrite); due <= 0 {
+				m.running = true
+				claimed = m
+			} else if wait == 0 || due < wait {
+				wait = due
+			}
 		}
 		m.mu.Unlock()
-		if claimed {
-			return m
+		if claimed != nil {
+			return claimed, 0
 		}
 	}
-	return nil
+	return nil, wait
 }
 
 // runRound executes one detection round: snapshot the builder, run the
@@ -162,11 +196,16 @@ func (m *Managed) runRound() {
 				}
 			}
 		}
-	} else if !m.closed {
+	} else {
 		// Cancelled or stale: the appends that invalidated this round
 		// already set dirty, but a cancelled round with no version change
 		// cannot happen, so this is belt and braces.
-		m.dirty = true
+		if !m.closed {
+			m.dirty = true
+		}
+		if in := m.reg.inst.Load(); in != nil {
+			in.roundsAbandoned.Inc()
+		}
 	}
 	m.running = false
 	m.cond.Broadcast()
