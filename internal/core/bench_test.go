@@ -1,0 +1,90 @@
+// Whole-run benchmarks of the detection kernel on the two shapes every
+// kernel change has to be sized on: Stock (few sources, hundreds of shared
+// values a pair — bound bookkeeping and multiply-accumulate dominate) and
+// Book-CS (many sources, few shared values a pair — cache misses on the
+// pair map dominate). One iteration is one full iterative process
+// (fusion.TruthFinder.Run) and the per-round costs are read from
+// Outcome.RoundStats, so a line decomposes the way a service round does:
+//
+//	go test -run '^$' -bench Run -benchtime 10x ./internal/core
+//
+//	r1-detect-ms / r1-build-ms    round 1 (cold structure, HYBRID)
+//	r2-detect-ms / r2-build-ms    round 2 (warm HYBRID; INCREMENTAL's freeze)
+//	rest-ms                       rounds 3.. together, detect + build
+//	evals/round2                  bound evaluations in round 2's scan
+//
+// stock-1day×0.15 is the dataset of the benchmark's stream-refresh
+// workload (55 sources, 1 485 pairs).
+package core_test
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"copydetect/internal/bayes"
+	"copydetect/internal/core"
+	"copydetect/internal/dataset"
+	"copydetect/internal/fusion"
+	"copydetect/internal/gen"
+)
+
+var benchShapes = []struct {
+	id    string
+	cfg   gen.Config
+	scale float64
+}{
+	{"stock-1day-x0.15", gen.Stock1Day(1), 0.15},
+	{"book-cs-x0.5", gen.BookCS(1), 0.5},
+}
+
+func benchShape(b *testing.B, cfg gen.Config, scale float64) *dataset.Dataset {
+	b.Helper()
+	ds, _, err := gen.Generate(gen.Scale(cfg, scale))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ds
+}
+
+func BenchmarkRun(b *testing.B) {
+	p := bayes.DefaultParams()
+	ms := func(d time.Duration, n int) float64 { return float64(d) / float64(time.Millisecond) / float64(n) }
+	for _, sh := range benchShapes {
+		ds := benchShape(b, sh.cfg, sh.scale)
+		for _, algo := range []string{"HYBRID", "INCREMENTAL"} {
+			for _, workers := range []int{1, 2} {
+				b.Run(fmt.Sprintf("%s/%s/workers%d", sh.id, algo, workers), func(b *testing.B) {
+					opts := core.Options{Workers: workers}
+					var det core.Detector = &core.Hybrid{Params: p, Opts: opts}
+					if algo == "INCREMENTAL" {
+						det = &core.Incremental{Params: p, Opts: opts}
+					}
+					tf := &fusion.TruthFinder{Params: p, Workers: workers}
+					var detect, build [2]time.Duration
+					var rest time.Duration
+					var evals int64
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						out := tf.Run(ds, det)
+						for r, st := range out.RoundStats {
+							if r < 2 {
+								detect[r] += st.Detect
+								build[r] += st.IndexBuild
+							} else {
+								rest += st.Total()
+							}
+						}
+						evals += boundEvals(out.RoundStats[1])
+					}
+					b.ReportMetric(ms(detect[0], b.N), "r1-detect-ms")
+					b.ReportMetric(ms(build[0], b.N), "r1-build-ms")
+					b.ReportMetric(ms(detect[1], b.N), "r2-detect-ms")
+					b.ReportMetric(ms(build[1], b.N), "r2-build-ms")
+					b.ReportMetric(ms(rest, b.N), "rest-ms")
+					b.ReportMetric(float64(evals)/float64(b.N), "evals/round2")
+				})
+			}
+		}
+	}
+}

@@ -18,7 +18,11 @@ import (
 // end of the warm phase it freezes the inverted index — entry set, entry
 // order, candidate pairs and shared-item counts never change across
 // rounds, because the observations are fixed — snapshots the statistical
-// state as the base, and computes exact per-pair scores against that base.
+// state as the base, and keeps exact per-pair scores against that base.
+// They cost no scan of their own: the last warm round reports HYBRID's
+// decisions and decision-point scores, bit for bit, but goes on
+// accumulating each decided pair's evidence to the end of the scan
+// (modeFreeze), and the freeze reads the scan's tables.
 //
 // Every later round then:
 //
@@ -45,8 +49,9 @@ import (
 // Pairs containing a source whose accuracy drifted by ≥ rhoA from the
 // base are recomputed exactly (pass 3), as Section V-A requires. When too
 // many entries or accuracies drift past their thresholds the detector
-// rebases: it recomputes exact base scores against the current state —
-// the analogue of the paper's periodic re-computation rounds.
+// rebases: it recomputes exact base scores against the current state with
+// one INDEX-mode scan — the analogue of the paper's periodic
+// re-computation rounds.
 //
 // Steady-state rounds are allocation-free: every buffer the three passes
 // touch — entry deltas, per-pair delta accumulators, touched lists, pass
@@ -61,9 +66,10 @@ import (
 //
 // Deviation from the paper, recorded in DESIGN.md: base scores are exact
 // rather than the Ĉ under-estimates derived from BOUND+ decision points.
-// This costs one exact index scan at the end of the warm phase and makes
-// category E̅1 (entries after the decision point) empty; in exchange the
-// three passes need no per-pair decision-point bookkeeping. The observable
+// This costs the last warm round the multiplies its bounds would have
+// skipped and makes category E̅1 (entries after the decision point)
+// empty; in exchange the three passes need no per-pair decision-point
+// bookkeeping. The observable
 // behaviour the paper measures (Table VIII: per-round speedup and the
 // dominance of pass-1 terminations) is preserved.
 type Incremental struct {
@@ -207,16 +213,20 @@ func (d *Incremental) DetectRound(ds *dataset.Dataset, st *bayes.State, round in
 		// data; start over.
 		d.Reset()
 	}
-	if round <= warmRounds {
+	if round < warmRounds {
 		// The scan refills the cache's candidate pairs, which the frozen
 		// pair set aliases.
 		d.prepared = false
-		res := scanRound(ds, st, d.Params, d.Opts, modeHybrid, &d.cache)
-		if round == warmRounds {
-			prepStart := time.Now()
-			d.prepare(ds, st, &res.Stats)
-			res.Stats.IndexBuild += time.Since(prepStart)
-		}
+		return scanRound(ds, st, d.Params, d.Opts, modeHybrid, &d.cache)
+	}
+	if round == warmRounds {
+		// The last warm round decides like HYBRID and accumulates like
+		// INDEX, so the freeze reads its base scores out of the scan's
+		// own tables.
+		res := scanRound(ds, st, d.Params, d.Opts, modeFreeze, &d.cache)
+		prepStart := time.Now()
+		d.prepare(ds, st, &res.Stats)
+		res.Stats.IndexBuild += time.Since(prepStart)
 		return res
 	}
 	if !d.prepared {
@@ -224,7 +234,7 @@ func (d *Incremental) DetectRound(ds *dataset.Dataset, st *bayes.State, round in
 		res := d.newResult(ds)
 		res.Stats.Rounds = 1
 		prepStart := time.Now()
-		d.prepare(ds, st, &res.Stats)
+		d.rescan(ds, st, &res.Stats)
 		res.Stats.IndexBuild = time.Since(prepStart)
 		d.emit(res)
 		return res
@@ -262,81 +272,47 @@ func growList[T any](s []T, n int) []T {
 	return s[:0]
 }
 
-// prepare freezes the index against st and computes exact base scores and
-// decisions for every candidate pair. It also (re)builds every per-round
-// scratch buffer and the worker closures, so the rounds that follow
-// allocate nothing.
+// rescan is the freeze without a warm scan to take it from — the rebase
+// and the skipped-warm-rounds fallback: one exact (INDEX-mode) scan of the
+// index against st, then prepare.
+func (d *Incremental) rescan(ds *dataset.Dataset, st *bayes.State, stats *Stats) {
+	v, pm, l := d.cache.round(ds, st, d.Params, index.ByContribution, nil)
+	scanShards(ds, st, d.Params, d.Opts, modeIndex, v, pm, l, &d.cache, stats)
+	d.prepare(ds, st, stats)
+}
+
+// prepare freezes the index as the cache's last scan left it — view, pair
+// set, shared-item counts — and reads the exact base scores and decisions
+// of every candidate pair out of that scan's shard tables, which must have
+// accumulated to the end (modeFreeze or modeIndex): one accumulation
+// kernel, scanShard, whose per-slot products are bit-identical for every
+// worker count. It also (re)builds every per-round scratch buffer and the
+// worker closures, so the rounds that follow allocate nothing.
 func (d *Incremental) prepare(ds *dataset.Dataset, st *bayes.State, stats *Stats) {
 	p := d.Params
-	var v *index.View
-	v, d.pm, d.l = d.cache.round(ds, st, p, index.ByContribution, nil)
+	d.pm, d.l = d.cache.pm, d.cache.lCounts
 	str := d.cache.str
 	numPairs := d.pm.Len()
+	numEntries := str.NumEntries()
 
 	d.n = grow(d.n, numPairs)
 	d.cTo = grow(d.cTo, numPairs)
 	d.cFrom = grow(d.cFrom, numPairs)
 	d.copying = grow(d.copying, numPairs)
-	d.baseScore = v.Score // frozen until the next prepare rescales the view
+	d.baseScore = d.cache.view.Score // frozen until the next scan rescales the view
 	d.base = st.Clone()
 
-	// The exact base-score accumulation is the same double loop as the
-	// entry scan, so it shards the same way: each worker owns the pairs
-	// whose smaller source id falls in its shard and visits the entries in
-	// a fixed order, making the per-slot products bit-identical to a
-	// sequential pass for every worker count. The directional evidence
-	// accumulates as a renormalized product (accum.go) and the shared-value
-	// count in n0; the cache's per-shard pairTabs provide the accumulators,
-	// so — as in the scan — no two workers write the same cache line.
 	workers := pool.Clamp(d.Opts.Workers)
 	d.workers = workers
 	tabs := d.cache.pairTabs(workers)
-	numEntries := str.NumEntries()
-	for _, comps := range pool.Shards(workers, func(w int) int64 {
-		tab := &tabs[w]
-		tab.reset(numPairs)
-		var comps int64
-		for e := 0; e < numEntries; e++ {
-			provs := str.Providers(int32(e))
-			pv, pop := v.P[e], v.Pop[e]
-			for x := 0; x < len(provs); x++ {
-				if !pool.Owns(workers, w, int(provs[x])) {
-					continue
-				}
-				for y := x + 1; y < len(provs); y++ {
-					slot := d.pm.Get(provs[x], provs[y])
-					if slot < 0 {
-						continue
-					}
-					mulContrib(p, pv, pop, st.A[provs[x]], st.A[provs[y]],
-						&tab.mantTo[slot], &tab.expTo[slot],
-						&tab.mantFrom[slot], &tab.expFrom[slot])
-					tab.n0[slot]++
-					comps += 2
-				}
-			}
-		}
-		return comps
-	}) {
-		stats.Computations += comps
-	}
 	lnDiff := p.LnDiff()
 	pool.Run(workers, func(w int) {
 		lo, hi := pool.Block(workers, w, numPairs)
 		for slot := lo; slot < hi; slot++ {
-			s1, s2 := d.pm.Key(int32(slot)).Sources()
+			s1, _ := d.pm.Key(int32(slot)).Sources()
 			tab := &tabs[pool.Owner(workers, int(s1))]
 			d.n[slot] = tab.n0[slot]
-			cov := 0.0
-			if p.CoverageWeight > 0 {
-				// Footnote-1 extension: include the coverage evidence in the
-				// base scores, as the scan detectors do.
-				cov = p.CoverageWeight * p.CoverageLLR(int(d.l[slot]),
-					ds.Coverage(s1), ds.Coverage(s2), ds.NumItems(), p.CoverageCap)
-			}
-			corr := cov + float64(d.l[slot]-d.n[slot])*lnDiff
-			d.cTo[slot] = logAcc(tab.mantTo[slot], tab.expTo[slot]) + corr
-			d.cFrom[slot] = logAcc(tab.mantFrom[slot], tab.expFrom[slot]) + corr
+			d.cTo[slot], d.cFrom[slot] = tab.score(slot, lnDiff)
 			d.copying[slot] = p.PrIndep(d.cTo[slot], d.cFrom[slot]) <= 0.5
 		}
 	})
@@ -383,28 +359,6 @@ func (d *Incremental) prepare(ds *dataset.Dataset, st *bayes.State, stats *Stats
 	}
 	d.buildClosures()
 	d.prepared = true
-}
-
-// mulContrib folds one co-occurrence into both directional slot
-// accumulators, mirroring two ContribSameDist calls (see prodAccum.mulSame
-// for the pair-at-a-time twin).
-//
-//copydetect:hotpath
-func mulContrib(p bayes.Params, pv, pop, a1, a2 float64,
-	mTo *float64, eTo *int32, mFrom *float64, eFrom *int32) {
-	if pop <= 0 {
-		pop = 1 / p.N
-	}
-	omPv := 1 - pv
-	om1, om2 := 1-a1, 1-a2
-	ind := pv*a1*a2 + omPv*om1*om2*pop
-	if ind <= 0 {
-		*mTo, *mFrom = math.Inf(1), math.Inf(1)
-		return
-	}
-	inv := p.S / ind
-	*mTo, *eTo = mulRenorm(*mTo, *eTo, 1-p.S+(pv*a2+omPv*om2)*inv)
-	*mFrom, *eFrom = mulRenorm(*mFrom, *eFrom, 1-p.S+(pv*a1+omPv*om1)*inv)
 }
 
 // buildClosures constructs the worker functions once per prepare. They
@@ -647,7 +601,7 @@ func (d *Incremental) incrementalRound(ds *dataset.Dataset, st *bayes.State) *Re
 		numBigAcc > max(2, ds.NumSources()/50) ||
 		dRhoDec+dRhoInc > p.ThetaInd() {
 		d.LastPass.Rebased = true
-		d.prepare(ds, st, &res.Stats)
+		d.rescan(ds, st, &res.Stats)
 		d.LastPass.SettledPass3 = d.pm.Len()
 		d.History = append(d.History, d.LastPass)
 		d.emit(res)

@@ -38,15 +38,25 @@ import (
 func scanIndex(ds *dataset.Dataset, st *bayes.State, p bayes.Params, opts Options, m mode,
 	v *index.View, pm *index.PairMap, lCounts []int32, cache *structCache, res *Result) {
 
+	tabs := scanShards(ds, st, p, opts, m, v, pm, lCounts, cache, &res.Stats)
+	finalizePairs(p, m, pm, tabs, res)
+}
+
+// scanShards is the scan proper: it fills one pair-state table per shard
+// and returns them. INCREMENTAL's rebase calls it directly (modeIndex) —
+// it wants the exact per-pair scores the tables hold, not a Result.
+func scanShards(ds *dataset.Dataset, st *bayes.State, p bayes.Params, opts Options, m mode,
+	v *index.View, pm *index.PairMap, lCounts []int32, cache *structCache, stats *Stats) []pairTab {
+
 	workers := pool.Clamp(opts.Workers)
 	tabs := cache.pairTabs(workers)
 	nSeen := cache.nSeenBufs(workers, ds.NumSources())
-	for _, stats := range pool.Shards(workers, func(w int) Stats {
+	for _, sh := range pool.Shards(workers, func(w int) Stats {
 		makePairTab(ds, p, opts, m, pm, lCounts, &tabs[w], w, workers)
 		return scanShard(ds, st, p, m, v, pm, &tabs[w], nSeen[w], w, workers)
 	}) {
-		res.Stats.Add(stats)
+		stats.Add(sh)
 	}
-	res.Stats.EntriesScanned += int64(v.S.NumEntries())
-	finalizePairs(p, pm, tabs, res)
+	stats.EntriesScanned += int64(v.S.NumEntries())
+	return tabs
 }

@@ -199,3 +199,37 @@ func TestParallelSingleRoundOrderings(t *testing.T) {
 		})
 	}
 }
+
+// TestFreezeRoundEqualsHybrid: the round in which INCREMENTAL freezes its
+// index scans on past every pair's decision point to collect exact base
+// scores, but what it reports is latched at the decision point — so its
+// warm rounds are bit-equal to HYBRID's on the same state (round 1 being
+// equal, the fusion step hands both the same state for round 2), for
+// every worker count.
+func TestFreezeRoundEqualsHybrid(t *testing.T) {
+	p := bayes.DefaultParams()
+	for _, pr := range equivPresets() {
+		pr := pr
+		t.Run(pr.id, func(t *testing.T) {
+			if pr.long && testing.Short() {
+				t.Skip("large preset skipped in short mode")
+			}
+			ds := equivDataset(t, pr)
+			for _, workers := range []int{1, 2, 4, 7} {
+				dets := equivDetectors(p, workers)
+				hy, _ := runProcess(ds, p, dets["HYBRID"])
+				in, _ := runProcess(ds, p, dets["INCREMENTAL"])
+				if len(hy) < 2 || len(in) < 2 {
+					t.Fatalf("workers=%d: %d HYBRID and %d INCREMENTAL rounds, want at least 2", workers, len(hy), len(in))
+				}
+				for r := 0; r < 2; r++ {
+					comparePairs(t, r+1, hy[r], in[r])
+				}
+				if in[1].Stats.ValuesExamined != hy[1].Stats.ValuesExamined {
+					t.Errorf("workers=%d: freeze round examined %d values, HYBRID %d — post-decision multiplies are not examinations",
+						workers, in[1].Stats.ValuesExamined, hy[1].Stats.ValuesExamined)
+				}
+			}
+		})
+	}
+}

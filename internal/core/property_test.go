@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -250,5 +251,103 @@ func TestEmptyAndDegenerateDatasets(t *testing.T) {
 		if len(res.CopyingPairs()) != 0 {
 			t.Errorf("%s found copying with zero shared items", det.Name())
 		}
+	}
+}
+
+type baseEntry struct {
+	cTo, cFrom float64
+	copying    bool
+}
+
+// frozenBase returns a prepared detector's base — exact scores and
+// decision per candidate pair — keyed by packed pair id.
+func frozenBase(d *Incremental) map[int64]baseEntry {
+	base := make(map[int64]baseEntry, d.pm.Len())
+	for slot, key := range d.pm.Keys() {
+		s1, s2 := key.Sources()
+		base[int64(s1)<<32|int64(uint32(s2))] = baseEntry{d.cTo[slot], d.cFrom[slot], d.copying[slot]}
+	}
+	return base
+}
+
+// near reports |a-b| <= 1e-9, treating two +Inf ("sharing is proof")
+// scores as equal.
+func near(a, b float64) bool { return a == b || abs(a-b) <= 1e-9 }
+
+// TestPropertyFreezeBaseExact: the base INCREMENTAL freezes out of its
+// last warm scan — which decides pairs early like HYBRID and keeps
+// accumulating past the decision point — holds PAIRWISE's exact scores for
+// every candidate pair, for every worker count; and the two paths that
+// freeze without a warm scan (skipped warm rounds, rebase) arrive at the
+// same base and decisions. Variants: plain; a source with accuracy 1
+// sharing a value of probability 0, whose pairs see ind <= 0 and carry a
+// +Inf mantissa from then on; and coverage evidence switched on.
+func TestPropertyFreezeBaseExact(t *testing.T) {
+	sawEarly := false
+	for seed := int64(0); seed < 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ds, st := randomInstance(rng, 5+rng.Intn(8), 30+rng.Intn(60))
+		p := bayes.DefaultParams()
+		switch seed % 3 {
+		case 1:
+			st.A[0] = 1
+			for _, o := range ds.BySource[0] {
+				st.P[o.Item][o.Value] = 0
+			}
+		case 2:
+			p.CoverageWeight, p.CoverageCap = 0.5, 3
+		}
+		pres := (&Pairwise{Params: p}).DetectRound(ds, st, 1)
+		exact := make(map[int64]PairResult, len(pres.Pairs))
+		for _, pr := range pres.Pairs {
+			exact[int64(pr.S1)<<32|int64(uint32(pr.S2))] = pr
+		}
+		sawInf := false
+		for _, workers := range []int{1, 2, 4, 7} {
+			d := &Incremental{Params: p, Opts: Options{Workers: workers}}
+			d.DetectRound(ds, st, 1)
+			r2 := d.DetectRound(ds, st, 2)
+			fused := frozenBase(d)
+			if len(fused) == 0 {
+				t.Fatalf("seed %d: no candidate pairs", seed)
+			}
+			for k, b := range fused {
+				want, ok := exact[k]
+				if !ok || !near(b.cTo, want.CTo) || !near(b.cFrom, want.CFrom) {
+					t.Fatalf("seed %d workers %d pair %x: base (%v, %v), PAIRWISE (%v, %v)",
+						seed, workers, k, b.cTo, b.cFrom, want.CTo, want.CFrom)
+				}
+				sawInf = sawInf || math.IsInf(b.cTo, 1)
+			}
+			// The scan really did stop deciding early: some reported
+			// round-2 score is a decision-point score, not the exact one.
+			for _, pr := range r2.Pairs {
+				if b := fused[int64(pr.S1)<<32|int64(uint32(pr.S2))]; !near(pr.CTo, b.cTo) {
+					sawEarly = true
+				}
+			}
+
+			skipped := &Incremental{Params: p, Opts: Options{Workers: workers}}
+			skipped.DetectRound(ds, st, warmRounds+1)
+			var stats Stats
+			d.rescan(ds, st, &stats) // what a rebase does
+			for name, other := range map[string]map[int64]baseEntry{"skipped": frozenBase(skipped), "rebase": frozenBase(d)} {
+				if len(other) != len(fused) {
+					t.Fatalf("seed %d workers %d: %s path froze %d pairs, fused %d", seed, workers, name, len(other), len(fused))
+				}
+				for k, b := range fused {
+					o := other[k]
+					if !near(o.cTo, b.cTo) || !near(o.cFrom, b.cFrom) || o.copying != b.copying {
+						t.Fatalf("seed %d workers %d pair %x: %s path %+v, fused %+v", seed, workers, k, name, o, b)
+					}
+				}
+			}
+		}
+		if seed%3 == 1 && !sawInf {
+			t.Fatalf("seed %d: degenerate variant produced no +Inf base score", seed)
+		}
+	}
+	if !sawEarly {
+		t.Fatal("no instance decided a pair early: the post-decision accumulation went untested")
 	}
 }

@@ -54,6 +54,11 @@ const (
 	modeBound                 // bounds checked on every shared entry (Section IV-A)
 	modeBoundPlus             // bounds with lazy recomputation timers (Section IV-B)
 	modeHybrid                // INDEX for small-overlap pairs, BOUND+ otherwise
+	// modeFreeze is HYBRID on INCREMENTAL's last warm round: a pair is
+	// decided, and its decision-point scores latched, exactly as under
+	// modeHybrid, but its evidence keeps accumulating to the end of the
+	// scan, so the same scan also yields the exact base scores.
+	modeFreeze
 )
 
 // Index is the INDEX algorithm of Section III: scan the inverted index in
@@ -159,6 +164,9 @@ type pairTab struct {
 	maxSkipN1    []int32 // recompute Cmax when n(S1) >= this ...
 	maxSkipN2    []int32 // ... or n(S2) >= this
 	flags        []byte
+	// Scores at the decision point, latched by modeFreeze only (every
+	// other mode stops accumulating there, so score() still has them).
+	decTo, decFrom []float64
 }
 
 const (
@@ -170,30 +178,12 @@ const (
 // reset sizes every column for np pairs (reusing capacity) and restores
 // the neutral accumulator state.
 func (t *pairTab) reset(np int) {
-	if cap(t.mantTo) < np {
-		t.mantTo = make([]float64, np)
-		t.mantFrom = make([]float64, np)
-		t.cov = make([]float64, np)
-		t.expTo = make([]int32, np)
-		t.expFrom = make([]int32, np)
-		t.l = make([]int32, np)
-		t.n0 = make([]int32, np)
-		t.minSkipUntil = make([]int32, np)
-		t.maxSkipN1 = make([]int32, np)
-		t.maxSkipN2 = make([]int32, np)
-		t.flags = make([]byte, np)
-	}
-	t.mantTo = t.mantTo[:np]
-	t.mantFrom = t.mantFrom[:np]
-	t.cov = t.cov[:np]
-	t.expTo = t.expTo[:np]
-	t.expFrom = t.expFrom[:np]
-	t.l = t.l[:np]
-	t.n0 = t.n0[:np]
-	t.minSkipUntil = t.minSkipUntil[:np]
-	t.maxSkipN1 = t.maxSkipN1[:np]
-	t.maxSkipN2 = t.maxSkipN2[:np]
-	t.flags = t.flags[:np]
+	t.mantTo, t.mantFrom, t.cov = grow(t.mantTo, np), grow(t.mantFrom, np), grow(t.cov, np)
+	t.expTo, t.expFrom = grow(t.expTo, np), grow(t.expFrom, np)
+	t.l, t.n0 = grow(t.l, np), grow(t.n0, np)
+	t.minSkipUntil = grow(t.minSkipUntil, np)
+	t.maxSkipN1, t.maxSkipN2 = grow(t.maxSkipN1, np), grow(t.maxSkipN2, np)
+	t.flags = grow(t.flags, np)
 	for i := range t.mantTo {
 		t.mantTo[i], t.mantFrom[i] = 1, 1
 	}
@@ -205,6 +195,15 @@ func (t *pairTab) reset(np int) {
 	clear(t.maxSkipN1)
 	clear(t.maxSkipN2)
 	clear(t.flags)
+}
+
+// decide marks the pair decided at the current scan position; when the
+// scan goes on accumulating (modeFreeze) it latches the scores first.
+func (t *pairTab) decide(slot int32, copying byte, latch bool, lnDiff float64) {
+	t.flags[slot] |= flagDecided | copying
+	if latch {
+		t.decTo[slot], t.decFrom[slot] = t.score(int(slot), lnDiff)
+	}
 }
 
 // score recovers one direction's full log-space score: the product
@@ -260,6 +259,10 @@ func makePairTab(ds *dataset.Dataset, p bayes.Params, opts Options, m mode,
 		for slot := range tab.flags {
 			tab.flags[slot] = flagUseBounds
 		}
+	case modeFreeze:
+		tab.decTo = grow(tab.decTo, len(tab.flags))
+		tab.decFrom = grow(tab.decFrom, len(tab.flags))
+		fallthrough
 	case modeHybrid:
 		for slot := range tab.flags {
 			if lCounts[slot] > shareThreshold {
@@ -294,7 +297,8 @@ func scanShard(ds *dataset.Dataset, st *bayes.State, p bayes.Params, m mode,
 	var stats Stats
 	thetaCp, thetaInd := p.ThetaCp(), p.ThetaInd()
 	lnDiff := p.LnDiff()
-	useTimers := m == modeBoundPlus || m == modeHybrid
+	useTimers := m >= modeBoundPlus
+	exact := m == modeFreeze
 
 	str := v.S
 	accs := st.A
@@ -335,7 +339,7 @@ func scanShard(ds *dataset.Dataset, st *bayes.State, p bayes.Params, m mode,
 					continue // pair shares values only inside the tail set
 				}
 				fl := tab.flags[slot]
-				if fl&flagDecided != 0 {
+				if fl&flagDecided != 0 && !exact {
 					continue
 				}
 				// Contribution of sharing this value (Eq. 6), both
@@ -345,7 +349,6 @@ func scanShard(ds *dataset.Dataset, st *bayes.State, p bayes.Params, m mode,
 				om2 := 1 - a2
 				ind := pvA1*a2 + popOm1*om2
 				tab.n0[slot]++
-				stats.ValuesExamined++
 				stats.Computations += 2
 				if ind <= 0 {
 					// Degenerate accuracies: sharing is proof (the +Inf
@@ -359,6 +362,10 @@ func scanShard(ds *dataset.Dataset, st *bayes.State, p bayes.Params, m mode,
 					tab.mantFrom[slot], tab.expFrom[slot] = mulRenorm(
 						tab.mantFrom[slot], tab.expFrom[slot], oneMinusS+provA1*inv)
 				}
+				if fl&flagDecided != 0 {
+					continue // modeFreeze past the decision point: evidence only
+				}
+				stats.ValuesExamined++
 				if fl&flagUseBounds == 0 {
 					continue
 				}
@@ -378,13 +385,14 @@ func scanShard(ds *dataset.Dataset, st *bayes.State, p bayes.Params, m mode,
 					cmin := big + float64(l-n0)*lnDiff
 					stats.Computations++
 					if cmin >= thetaCp {
-						tab.flags[slot] = fl | flagDecided | flagCopying
+						tab.decide(slot, flagCopying, exact, lnDiff)
 						continue
 					}
 					if useTimers {
-						// The next shared value can raise Cmin by at most
-						// M − ln(1−s); skip until enough shared values to
-						// possibly reach θcp (Section IV-B).
+						// Tmin (Section IV-B): a further shared value adds at
+						// most M to big and takes one ln(1−s) out of the
+						// correction, raising Cmin by at most M − ln(1−s);
+						// θcp is out of reach for the next t shared values.
 						t := int32(math.Ceil((thetaCp - cmin) / (nextM - lnDiff)))
 						if t < 1 {
 							t = 1
@@ -403,19 +411,24 @@ func scanShard(ds *dataset.Dataset, st *bayes.State, p bayes.Params, m mode,
 					cmax := big + (h-float64(n0))*lnDiff + (float64(l)-h)*nextM
 					stats.Computations++
 					if cmax < thetaInd {
-						tab.flags[slot] = fl | flagDecided
+						tab.decide(slot, 0, exact, lnDiff)
 						continue
 					}
 					if useTimers {
-						// Each additional different value lowers Cmax by
-						// M − ln(1−s); translate the needed count into
-						// per-source observation thresholds (Section IV-B).
+						// Tmax (Section IV-B). One more scanned shared item
+						// moves h to h+1 and takes M out of (l−h)·M. If the
+						// values agree it adds at most M to big: Cmax does
+						// not rise. If they differ it adds ln(1−s): Cmax
+						// falls by M − ln(1−s), the most one item can do. So
+						// θind is out of reach until h has grown by t0, and
+						// h = max n(S)·l/|D̄(S)| reaches h+t0 when either
+						// source has been observed (h+t0)·|D̄(S)|/l times.
+						// (Arming at t0+h−n0, the different items needed,
+						// never skips on pairs with n0 in the hundreds.)
 						t0 := math.Ceil((cmax - thetaInd) / (nextM - lnDiff))
-						need := t0 + h - float64(n0)
-						cov1 := float64(ds.Coverage(s1))
-						cov2 := float64(ds.Coverage(s2))
-						n1 := int32(math.Ceil(need * cov1 / float64(l)))
-						n2 := int32(math.Ceil(need * cov2 / float64(l)))
+						reach := (h + t0) / float64(l)
+						n1 := int32(math.Ceil(reach * float64(ds.Coverage(s1))))
+						n2 := int32(math.Ceil(reach * float64(ds.Coverage(s2))))
 						if n1 <= nSeen[s1] {
 							n1 = nSeen[s1] + 1
 						}
@@ -438,7 +451,7 @@ func scanShard(ds *dataset.Dataset, st *bayes.State, p bayes.Params, m mode,
 // over all pairs in slot order, which fixes the order of Result.Pairs
 // independently of the worker count; tabs holds one table per shard, and
 // a pair's state is in its owner's.
-func finalizePairs(p bayes.Params, pm *index.PairMap, tabs []pairTab, res *Result) {
+func finalizePairs(p bayes.Params, m mode, pm *index.PairMap, tabs []pairTab, res *Result) {
 	lnDiff := p.LnDiff()
 	numPairs := pm.Len()
 	res.Stats.PairsConsidered += int64(numPairs)
@@ -450,6 +463,9 @@ func finalizePairs(p bayes.Params, pm *index.PairMap, tabs []pairTab, res *Resul
 		if tab.flags[slot]&flagDecided != 0 {
 			// Record the pair with the evidence available at its decision
 			// point; Cmin is the sound score estimate there.
+			if m == modeFreeze {
+				cTo, cFrom = tab.decTo[slot], tab.decFrom[slot]
+			}
 			prIndep, prTo, prFrom := p.Posterior(cTo, cFrom)
 			res.Pairs = append(res.Pairs, PairResult{
 				S1: s1, S2: s2, CTo: cTo, CFrom: cFrom,

@@ -70,8 +70,9 @@ func (c *structCache) structures(ds *dataset.Dataset) *index.Structure {
 }
 
 // round prepares one scan round: rescore the view against the current
-// state, collect the candidate pairs outside the new tail set, and look up
-// their shared-item counts from the cached all-pairs table.
+// state, collect the candidate pairs outside the new tail set (stopping as
+// soon as all of pmAll's are found), and look up their shared-item counts
+// from the cached all-pairs table.
 func (c *structCache) round(ds *dataset.Dataset, st *bayes.State, p bayes.Params,
 	ord index.Order, rng *rand.Rand) (*index.View, *index.PairMap, []int32) {
 
@@ -80,7 +81,7 @@ func (c *structCache) round(ds *dataset.Dataset, st *bayes.State, p bayes.Params
 	if c.pm == nil {
 		c.pm = index.NewPairMap(ds.NumSources())
 	}
-	index.CandidatePairsInto(c.view, c.pm)
+	index.CandidatePairsInto(c.view, c.pm, c.pmAll.Len())
 	numPairs := c.pm.Len()
 	if cap(c.lCounts) < numPairs {
 		c.lCounts = make([]int32, numPairs)

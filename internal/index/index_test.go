@@ -166,7 +166,7 @@ func TestCandidatePairs(t *testing.T) {
 	ds, st := motivatingState(t)
 	_, v := scoredView(ds, st, ByContribution, nil)
 	pm := NewPairMap(ds.NumSources())
-	CandidatePairsInto(v, pm)
+	CandidatePairsInto(v, pm, math.MaxInt)
 	if pm.Len() != 26 {
 		t.Fatalf("candidate pairs = %d, want 26 (Example 3.6)", pm.Len())
 	}
@@ -184,7 +184,7 @@ func TestSharedItemCounts(t *testing.T) {
 	ds, st := motivatingState(t)
 	_, v := scoredView(ds, st, ByContribution, nil)
 	pm := NewPairMap(ds.NumSources())
-	CandidatePairsInto(v, pm)
+	CandidatePairsInto(v, pm, math.MaxInt)
 	counts := SharedItemCounts(ds, pm)
 	for slot, key := range pm.Keys() {
 		s1, s2 := key.Sources()

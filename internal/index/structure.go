@@ -297,35 +297,44 @@ func (v *View) Rescore(st *bayes.State, p bayes.Params, ord Order, rng *rand.Ran
 // such pairs can accumulate enough evidence for copying (Section III);
 // everything else is pruned without per-pair state. Insertion follows
 // scan order, which fixes the pair slots and therefore the order of
-// Result.Pairs. Allocation-free on a warm PairMap.
-func CandidatePairsInto(v *View, pm *PairMap) {
+// Result.Pairs. limit is an upper bound on the pairs that exist (the
+// all-pairs count): the walk stops once that many are registered, since
+// the remaining entries can only repeat them — on dense shapes after a
+// handful of entries, with the slots handed out exactly as by a full walk.
+// Allocation-free on a warm PairMap.
+func CandidatePairsInto(v *View, pm *PairMap, limit int) {
 	pm.Reset()
 	for _, e := range v.Order {
-		if v.InTail[e] {
-			continue
-		}
-		provs := v.S.Providers(e)
-		for x := 0; x < len(provs); x++ {
-			for y := x + 1; y < len(provs); y++ {
-				pm.GetOrAdd(provs[x], provs[y])
-			}
+		if !v.InTail[e] && addPairs(v.S.Providers(e), pm, limit) {
+			return
 		}
 	}
 }
 
 // AllPairsInto registers every co-occurring source pair (tail included)
 // into pm, resetting it first — the universe the cross-round structural
-// cache counts shared items for.
+// cache counts shared items for. It stops once all n(n−1)/2 pairs exist.
 func AllPairsInto(s *Structure, pm *PairMap) {
 	pm.Reset()
+	limit := s.numSources * (s.numSources - 1) / 2
 	for e := 0; e < s.NumEntries(); e++ {
-		provs := s.Providers(int32(e))
-		for x := 0; x < len(provs); x++ {
-			for y := x + 1; y < len(provs); y++ {
-				pm.GetOrAdd(provs[x], provs[y])
+		if addPairs(s.Providers(int32(e)), pm, limit) {
+			return
+		}
+	}
+}
+
+// addPairs registers every pair of one provider list and reports whether
+// pm now holds limit pairs.
+func addPairs(provs []dataset.SourceID, pm *PairMap, limit int) bool {
+	for x := 0; x < len(provs); x++ {
+		for y := x + 1; y < len(provs); y++ {
+			if _, added := pm.GetOrAdd(provs[x], provs[y]); added && pm.Len() >= limit {
+				return true
 			}
 		}
 	}
+	return false
 }
 
 // SharedItemCountsBits computes l(S1,S2) for every pair in pm via the

@@ -157,8 +157,10 @@ func TestViewMatchesBruteForce(t *testing.T) {
 					}
 				}
 			}
+			all := NewPairMap(ds.NumSources())
+			AllPairsInto(str, all)
 			pm := NewPairMap(ds.NumSources())
-			CandidatePairsInto(v, pm)
+			CandidatePairsInto(v, pm, all.Len())
 			if pm.Len() != len(want) {
 				t.Fatalf("seed %d %v: %d candidate pairs, want %d", seed, ord, pm.Len(), len(want))
 			}
@@ -166,6 +168,13 @@ func TestViewMatchesBruteForce(t *testing.T) {
 				if !want[k] {
 					t.Fatalf("seed %d %v: pair %v shares no value outside the tail", seed, ord, k)
 				}
+			}
+			// Stopping at the all-pairs count hands out the same slots as
+			// the full walk.
+			full := NewPairMap(ds.NumSources())
+			CandidatePairsInto(v, full, math.MaxInt)
+			if !slices.Equal(pm.Keys(), full.Keys()) {
+				t.Fatalf("seed %d %v: limited walk changed the slot order", seed, ord)
 			}
 		}
 	}

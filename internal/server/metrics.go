@@ -14,6 +14,8 @@ import (
 type instruments struct {
 	roundDuration   *telemetry.HistogramVec // algorithm
 	roundsTotal     *telemetry.CounterVec   // algorithm
+	roundComps      *telemetry.CounterVec   // algorithm
+	roundValues     *telemetry.CounterVec   // algorithm
 	roundsAbandoned *telemetry.Counter
 	walAppend       *telemetry.Histogram
 	walFsync        *telemetry.Histogram
@@ -23,9 +25,10 @@ type instruments struct {
 // RegisterMetrics exposes the registry's operational state on t under
 // the copydetectd_ prefix: scheduler queue depth, in-flight rounds,
 // per-dataset convergence lag (both in pending appends and in seconds),
-// round durations and counts by algorithm, abandoned rounds, WAL
-// append/fsync latency, and admission rejections. Call it once, before
-// serving /metrics.
+// round durations, counts and detector work by algorithm (the work
+// counters are the benchmark ledger's core.computations and
+// core.values_examined), abandoned rounds, WAL append/fsync latency, and
+// admission rejections. Call it once, before serving /metrics.
 func (r *Registry) RegisterMetrics(t *telemetry.Registry) {
 	t.GaugeFunc("copydetectd_datasets",
 		"Datasets currently registered.", nil,
@@ -56,6 +59,10 @@ func (r *Registry) RegisterMetrics(t *telemetry.Registry) {
 			telemetry.RoundBuckets, "algorithm"),
 		roundsTotal: t.CounterVec("copydetectd_rounds_total",
 			"Published detection rounds, by algorithm.", "algorithm"),
+		roundComps: t.CounterVec("copydetectd_round_computations_total",
+			"Score computations (core.Stats.Computations) of published detection rounds, by algorithm.", "algorithm"),
+		roundValues: t.CounterVec("copydetectd_round_values_examined_total",
+			"Shared values examined (core.Stats.ValuesExamined) by published detection rounds, by algorithm.", "algorithm"),
 		roundsAbandoned: t.Counter("copydetectd_rounds_abandoned_total",
 			"Detection rounds that ended without publishing: cancelled by an append, or finished on a snapshot an append had outdated."),
 		walAppend: t.Histogram("copydetectd_wal_append_seconds",

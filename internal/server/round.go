@@ -186,6 +186,8 @@ func (m *Managed) runRound() {
 			if in := m.reg.inst.Load(); in != nil {
 				in.roundDuration.With(algo).Observe(wall.Seconds())
 				in.roundsTotal.With(algo).Inc()
+				in.roundComps.With(algo).Add(uint64(out.TotalStats.Computations))
+				in.roundValues.With(algo).Add(uint64(out.TotalStats.ValuesExamined))
 			}
 			if m.st.snapshotDue(m.reg.cfg.SnapshotEvery) {
 				select {

@@ -118,10 +118,9 @@ func TestRegistryMetricsExposition(t *testing.T) {
 	defer srv.Close()
 
 	wantStatus(t, do(t, srv, http.MethodPut, "/v1/datasets/m", nil, nil, nil), http.StatusCreated)
-	batch := appendRequest{Observations: []dataset.Record{
-		{Source: "s1", Item: "d1", Value: "a"},
-		{Source: "s2", Item: "d1", Value: "a"},
-	}}
+	// A workload with candidate pairs, so the round has detector work to
+	// report.
+	batch := appendRequest{Observations: dataset.Records(streamWorkload(t))}
 	wantStatus(t, do(t, srv, http.MethodPost, "/v1/datasets/m/observations", batch, nil, nil), http.StatusAccepted)
 	wantStatus(t, do(t, srv, http.MethodPost, "/v1/datasets/m/quiesce", nil, nil, nil), http.StatusOK)
 
@@ -154,6 +153,20 @@ func TestRegistryMetricsExposition(t *testing.T) {
 	}
 	if v, ok := value("copydetectd_rounds_total", map[string]string{"algorithm": "HYBRID"}); !ok || v < 1 {
 		t.Errorf("rounds_total{HYBRID} = %v (present=%v), want >= 1", v, ok)
+	}
+	// One round was published, so the work counters are exactly that
+	// round's core.Stats — what the benchmark ledger calls
+	// core.computations and core.values_examined.
+	m, _ := reg.Get("m")
+	stats := m.Published().Outcome.TotalStats
+	if stats.Computations == 0 || stats.ValuesExamined == 0 {
+		t.Fatalf("published round reports no work: %+v", stats)
+	}
+	if v, ok := value("copydetectd_round_computations_total", map[string]string{"algorithm": "HYBRID"}); !ok || v != float64(stats.Computations) {
+		t.Errorf("round_computations_total{HYBRID} = %v (present=%v), want %d", v, ok, stats.Computations)
+	}
+	if v, ok := value("copydetectd_round_values_examined_total", map[string]string{"algorithm": "HYBRID"}); !ok || v != float64(stats.ValuesExamined) {
+		t.Errorf("round_values_examined_total{HYBRID} = %v (present=%v), want %d", v, ok, stats.ValuesExamined)
 	}
 	if v, ok := value("copydetectd_round_duration_seconds_count", map[string]string{"algorithm": "HYBRID"}); !ok || v < 1 {
 		t.Errorf("round_duration count = %v (present=%v), want >= 1", v, ok)
