@@ -52,11 +52,12 @@
 //
 // # Performance
 //
-// The detection kernel stores index and pair state as struct-of-arrays
-// columns with packed bitsets for pair overlap, accumulates scores as
-// renormalized mantissa/exponent products instead of per-co-occurrence
-// logarithms, and runs steady-state INCREMENTAL rounds with zero
-// allocations when the caller opts into result-buffer reuse.
+// The detection kernel stores the index as struct-of-arrays columns with
+// packed bitsets for pair overlap and pair state as one cache line per
+// pair, accumulates scores as renormalized mantissa/exponent products
+// instead of per-co-occurrence logarithms, and runs steady-state
+// INCREMENTAL rounds with zero allocations when the caller opts into
+// result-buffer reuse.
 // PERFORMANCE.md documents the methodology — benchmark suite,
 // regression gate, pprof workflow — and the measured results;
 // DESIGN.md's kernel section records the layout itself.

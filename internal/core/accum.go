@@ -51,7 +51,8 @@ const (
 
 // mulRenorm multiplies the renormalized accumulator m·2^e by the factor
 // r > 0. A +Inf mantissa (degenerate "sharing is proof" evidence)
-// propagates unchanged.
+// propagates unchanged. The scan kernel multiplies in place when both of a
+// pair's products stay inside the window and calls this otherwise.
 func mulRenorm(m float64, e int32, r float64) (float64, int32) {
 	if r < rBig {
 		m *= r
@@ -63,12 +64,7 @@ func mulRenorm(m float64, e int32, r float64) (float64, int32) {
 		}
 		return m * mantDown, e + mantShift
 	}
-	return mulRenormBig(m, e, r)
-}
-
-// mulRenormBig is the slow path for pathologically large factors, split
-// out so the hot path stays small enough to inline.
-func mulRenormBig(m float64, e int32, r float64) (float64, int32) {
+	// A pathologically large factor.
 	if math.IsInf(r, 1) || math.IsInf(m, 1) {
 		return math.Inf(1), e
 	}
@@ -87,9 +83,9 @@ func logAcc(m float64, e int32) float64 {
 	return math.Log(m) + float64(e)*math.Ln2
 }
 
-// prodAccum accumulates both directional products of a single pair. The
-// scan kernel works on structure-of-arrays columns instead; this compact
-// form serves the pair-at-a-time paths (INCREMENTAL's exact pass 3).
+// prodAccum accumulates both directional products of a single pair for
+// the pair-at-a-time paths (INCREMENTAL's exact pass 3); the scan kernel
+// keeps the same four fields in its pairRec.
 type prodAccum struct {
 	mTo, mFrom float64
 	eTo, eFrom int32

@@ -5,6 +5,7 @@ import (
 	"math/big"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // The renormalized product m·2^e of accum.go, pinned at its edges. The
@@ -103,6 +104,66 @@ func TestMulRenormInf(t *testing.T) {
 		if !math.IsInf(m, 1) || !math.IsInf(logAcc(m, e), 1) {
 			t.Errorf("m=%g r=%g: got mantissa %g, logAcc %g; want +Inf", c.m, c.r, m, logAcc(m, e))
 		}
+	}
+}
+
+// TestPairRecIsOneCacheLine: a co-occurrence reads and writes one line of
+// pair state only while the record is exactly 64 bytes; a field added
+// later must take its room from the padding, not straddle lines.
+func TestPairRecIsOneCacheLine(t *testing.T) {
+	if size := unsafe.Sizeof(pairRec{}); size != 64 {
+		t.Errorf("pairRec is %d bytes, want 64", size)
+	}
+}
+
+// TestMulFusedMatchesMulRenorm pins the kernel's in-place multiply against
+// the arithmetic it stands in for. Over every combination of mantissas and
+// factors — both window edges, products that transfer 512 bits either way,
+// the rBig boundary and a +Inf mantissa on one direction alone — mulFused
+// either reports false and leaves the record untouched (the kernel then
+// calls mulRenorm twice, as it always did), or leaves exactly what two
+// mulRenorm calls would, bit for bit; and it takes the fast path whenever
+// neither direction needs a rescale or the Frexp path.
+func TestMulFusedMatchesMulRenorm(t *testing.T) {
+	below := func(x float64) float64 { return math.Nextafter(x, 0) }
+	mants := []float64{mantLo, math.Nextafter(mantLo, 1), 0x1p-511, 0x1p-256, 0.75, 1, 1.5,
+		0x1p256, 0x1p510, 0x1p511, below(mantHi), math.Inf(1)}
+	factors := []float64{0x1p-510, 0x1.8p-300, 0.2, 0.5, below(1), 1, 2, 5, 0x1p255, below(rBig), rBig,
+		math.Nextafter(rBig, math.Inf(1)), 0x1.4p600, math.MaxFloat64, math.Inf(1)}
+	const eTo, eFrom = int32(-1536), int32(7)
+	fused := 0
+	for _, mTo := range mants {
+		for _, mFrom := range mants {
+			for _, rTo := range factors {
+				for _, rFrom := range factors {
+					before := pairRec{mantTo: mTo, mantFrom: mFrom, expTo: eTo, expFrom: eFrom,
+						cov: 0.25, l: 40, n0: 3, minSkipUntil: 9, maxSkipN1: 11, maxSkipN2: 12, flags: flagUseBounds}
+					want := before
+					want.mantTo, want.expTo = mulRenorm(mTo, eTo, rTo)
+					want.mantFrom, want.expFrom = mulRenorm(mFrom, eFrom, rFrom)
+					plain := rTo < rBig && rFrom < rBig && want.expTo == eTo && want.expFrom == eFrom
+
+					rec := before
+					got := rec.mulFused(rTo, rFrom)
+					if got != plain {
+						t.Errorf("m=(%g, %g) r=(%g, %g): mulFused = %v, want %v", mTo, mFrom, rTo, rFrom, got, plain)
+					}
+					if got {
+						fused++
+						if rec != want {
+							t.Errorf("m=(%g, %g) r=(%g, %g): fused to (%g·2^%d, %g·2^%d), two mulRenorm give (%g·2^%d, %g·2^%d)",
+								mTo, mFrom, rTo, rFrom, rec.mantTo, rec.expTo, rec.mantFrom, rec.expFrom,
+								want.mantTo, want.expTo, want.mantFrom, want.expFrom)
+						}
+					} else if rec != before {
+						t.Errorf("m=(%g, %g) r=(%g, %g): mulFused declined but changed the record", mTo, mFrom, rTo, rFrom)
+					}
+				}
+			}
+		}
+	}
+	if fused == 0 {
+		t.Error("no combination took the fast path; the test lost its point")
 	}
 }
 

@@ -310,9 +310,9 @@ func (d *Incremental) prepare(ds *dataset.Dataset, st *bayes.State, stats *Stats
 		lo, hi := pool.Block(workers, w, numPairs)
 		for slot := lo; slot < hi; slot++ {
 			s1, _ := d.pm.Key(int32(slot)).Sources()
-			tab := &tabs[pool.Owner(workers, int(s1))]
-			d.n[slot] = tab.n0[slot]
-			d.cTo[slot], d.cFrom[slot] = tab.score(slot, lnDiff)
+			rec := &tabs[pool.Owner(workers, int(s1))].rec[slot]
+			d.n[slot] = rec.n0
+			d.cTo[slot], d.cFrom[slot] = rec.score(lnDiff)
 			d.copying[slot] = p.PrIndep(d.cTo[slot], d.cFrom[slot]) <= 0.5
 		}
 	})

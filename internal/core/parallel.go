@@ -16,16 +16,18 @@ import (
 // the entries it would see sequentially, and the merge happens in a
 // worker-independent order:
 //
-//   - per-pair state lives in SoA columns indexed by pair slot, one table
-//     per shard (structCache.pairTabs): a shard initializes and writes
-//     only its own table, so the scan needs no locks and no cache line of
-//     pair state ever has two writers — handing out one slot per writer
-//     was not enough, because neighbouring slots belong to different
-//     owners and the workers then spend the scan stealing lines from each
-//     other (PERFORMANCE.md has the measurement);
-//   - finalizePairs then walks the slots in order on the calling
-//     goroutine, reading each from its owner's table, so Result.Pairs is
-//     ordered identically for every worker count;
+//   - per-pair state is one 64-byte record per pair slot (pairRec), one
+//     table per shard (structCache.pairTabs): a shard initializes and
+//     writes only its own table, so the scan needs no locks and no cache
+//     line of pair state ever has two writers. One writer per slot of a
+//     shared table is not enough: neighbouring slots belong to different
+//     owners, nothing aligns the table to a line boundary, and workers
+//     that share lines spend the scan stealing them from each other
+//     (PERFORMANCE.md has the measurement);
+//   - finalizePairs then walks the slots in slot order by block, worker w
+//     writing the w-th block of Result.Pairs and reading each slot from
+//     its owner's table, so Result.Pairs is ordered identically for every
+//     worker count;
 //   - Stats counters are summed in shard order.
 //
 // Because each pair's state transitions (including the BOUND/BOUND+ early

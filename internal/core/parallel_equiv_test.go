@@ -9,6 +9,7 @@
 package core_test
 
 import (
+	"fmt"
 	"testing"
 
 	"copydetect/internal/bayes"
@@ -231,5 +232,44 @@ func TestFreezeRoundEqualsHybrid(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFinalizeFewerPairsThanWorkers: finalisation hands each worker a block
+// of pair slots, and with zero, one or three candidate pairs most blocks
+// are empty. Every detector must still return the one-worker Result, in
+// every round (run under -race this also certifies the block writes).
+func TestFinalizeFewerPairsThanWorkers(t *testing.T) {
+	p := bayes.DefaultParams()
+	for _, c := range []struct {
+		pairs   int
+		sharers int // sources providing the same value of every shared item
+	}{{0, 1}, {1, 2}, {3, 3}} {
+		// 400 items: sharing a majority value is weak evidence, and with few
+		// of them the whole index is tail set and no pair is a candidate.
+		b := dataset.NewBuilder()
+		for d := 0; d < 400; d++ {
+			for s := 0; s < c.sharers; s++ {
+				b.Add(fmt.Sprintf("S%d", s), fmt.Sprintf("D%d", d), "shared")
+			}
+			b.Add("loner", fmt.Sprintf("D%d", d), "own")
+		}
+		ds := b.Build()
+		for name, seqDet := range equivDetectors(p, 1) {
+			seq, _ := runProcess(ds, p, seqDet)
+			if got := len(seq[0].Pairs); name != "PAIRWISE" && got != c.pairs {
+				t.Fatalf("%s: %d candidate pairs in round 1, want %d", name, got, c.pairs)
+			}
+			for _, workers := range []int{2, 4, 7} {
+				par, _ := runProcess(ds, p, equivDetectors(p, workers)[name])
+				if len(par) != len(seq) {
+					t.Fatalf("%s workers=%d: %d rounds, want %d", name, workers, len(par), len(seq))
+				}
+				for r := range seq {
+					comparePairs(t, r+1, seq[r], par[r])
+					compareStats(t, r+1, seq[r].Stats, par[r].Stats)
+				}
+			}
+		}
 	}
 }

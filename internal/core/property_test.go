@@ -3,11 +3,13 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"copydetect/internal/bayes"
 	"copydetect/internal/dataset"
+	"copydetect/internal/index"
 )
 
 // randomInstance builds a random dataset plus a random-but-valid
@@ -30,6 +32,11 @@ func randomInstance(rng *rand.Rand, ns, ni int) (*dataset.Dataset, *bayes.State)
 		}
 	}
 	ds := b.Build()
+	return ds, randomState(rng, ds)
+}
+
+// randomState draws a random-but-valid statistical state for ds.
+func randomState(rng *rand.Rand, ds *dataset.Dataset) *bayes.State {
 	valueCounts := make([]int, ds.NumItems())
 	for d := range valueCounts {
 		valueCounts[d] = ds.NumValues(dataset.ItemID(d))
@@ -43,7 +50,7 @@ func randomInstance(rng *rand.Rand, ns, ni int) (*dataset.Dataset, *bayes.State)
 			st.P[d][v] = 0.01 + 0.98*rng.Float64()
 		}
 	}
-	return ds, st
+	return st
 }
 
 func itoa(n int) string {
@@ -349,5 +356,91 @@ func TestPropertyFreezeBaseExact(t *testing.T) {
 	}
 	if !sawEarly {
 		t.Fatal("no instance decided a pair early: the post-decision accumulation went untested")
+	}
+}
+
+// TestSparsePairMapKernel drives the kernel's other pair lookup: past
+// 4 096 sources the pair map is a hash, PairMap.Row returns nil and every
+// co-occurrence goes through Get. 2 048 disjoint pairs of sources share a
+// few items of their own each — every eighth pair more than HYBRID's share
+// threshold — agreeing on two in three. INDEX and HYBRID must give the same
+// Result for one worker and two, agree with each other (exactly, on the
+// pairs HYBRID treats INDEX-style), and match PAIRWISE's merge of the two
+// observation lists on every pair they instantiate.
+func TestSparsePairMapKernel(t *testing.T) {
+	const numPairs = 2048
+	const ns = 2*numPairs + 1 // index.denseLimit + 1
+	if index.NewPairMap(ns).Row(0) != nil {
+		t.Fatalf("the pair map of %d sources is dense; the test lost its point", ns)
+	}
+	b := dataset.NewBuilder()
+	for i := 0; i < numPairs; i++ {
+		s1, s2 := "S"+itoa(2*i), "S"+itoa(2*i+1)
+		k := 1 + i%4
+		if i%8 == 0 {
+			k = 20
+		}
+		for j := 0; j < k; j++ {
+			item := "D" + itoa(i) + "." + itoa(j)
+			b.Add(s1, item, "x")
+			if (i+j)%3 == 0 {
+				b.Add(s2, item, "y")
+			} else {
+				b.Add(s2, item, "x")
+			}
+		}
+	}
+	b.Add("S"+itoa(ns-1), "alone", "x")
+	ds := b.Build()
+	if ds.NumSources() != ns {
+		t.Fatalf("%d sources, want %d", ds.NumSources(), ns)
+	}
+	st := randomState(rand.New(rand.NewSource(22)), ds)
+
+	p := bayes.DefaultParams()
+	same := func(name string, want, got *Result) {
+		t.Helper()
+		if !slices.Equal(got.Pairs, want.Pairs) {
+			t.Fatalf("%s: the %d pairs differ from one worker's %d", name, len(got.Pairs), len(want.Pairs))
+		}
+		g, w := got.Stats, want.Stats
+		g.IndexBuild, g.Detect, w.IndexBuild, w.Detect = 0, 0, 0, 0
+		if g != w {
+			t.Fatalf("%s: stats %+v, want %+v", name, g, w)
+		}
+	}
+	ires := (&Index{Params: p}).DetectRound(ds, st, 1)
+	same("INDEX workers=2", ires, (&Index{Params: p, Opts: Options{Workers: 2}}).DetectRound(ds, st, 1))
+	hres := (&Hybrid{Params: p}).DetectRound(ds, st, 1)
+	same("HYBRID workers=2", hres, (&Hybrid{Params: p, Opts: Options{Workers: 2}}).DetectRound(ds, st, 1))
+
+	if len(ires.Pairs) < numPairs/2 || len(hres.Pairs) != len(ires.Pairs) {
+		t.Fatalf("INDEX instantiated %d pairs and HYBRID %d, want the same and at least %d", len(ires.Pairs), len(hres.Pairs), numPairs/2)
+	}
+	pw := &Pairwise{Params: p}
+	bounded, copying := 0, 0
+	for i, ip := range ires.Pairs {
+		hp := hres.Pairs[i]
+		if l := ds.SharedItems(ip.S1, ip.S2); l > 16 {
+			bounded++
+			if hp.S1 != ip.S1 || hp.S2 != ip.S2 || hp.Copying != ip.Copying {
+				t.Errorf("bounded pair (S%d,S%d): HYBRID decides %v, INDEX %v", ip.S1, ip.S2, hp.Copying, ip.Copying)
+			}
+		} else if hp != ip {
+			t.Errorf("pair (S%d,S%d) sharing %d items: HYBRID %+v, INDEX %+v", ip.S1, ip.S2, l, hp, ip)
+		}
+		var ref Result
+		pw.detectPair(ds, st, ip.S1, ip.S2, &ref)
+		if len(ref.Pairs) != 1 || !near(ip.CTo, ref.Pairs[0].CTo) || !near(ip.CFrom, ref.Pairs[0].CFrom) ||
+			ip.Copying != ref.Pairs[0].Copying {
+			t.Errorf("pair (S%d,S%d): INDEX %+v, PAIRWISE %+v", ip.S1, ip.S2, ip, ref.Pairs)
+		}
+		if ip.Copying {
+			copying++
+		}
+	}
+	t.Logf("%d candidate pairs, %d bounded, %d copying", len(ires.Pairs), bounded, copying)
+	if bounded == 0 || copying == 0 || copying == len(ires.Pairs) {
+		t.Errorf("%d bounded and %d copying pairs of %d; the test lost its point", bounded, copying, len(ires.Pairs))
 	}
 }

@@ -144,26 +144,32 @@ func (d *Hybrid) DetectRound(ds *dataset.Dataset, st *bayes.State, round int) *R
 	return scanRound(ds, st, d.Params, d.Opts, modeHybrid, &d.cache)
 }
 
-// pairTab is the per-pair scan state in structure-of-arrays layout: one
-// column per field, indexed by pair slot. The kernel touches at most four
-// columns per co-occurrence (mantissa + exponent per direction, plus the
-// bookkeeping columns for bounded pairs), so a cache line of each column
-// serves eight pairs instead of one AoS struct — and the columns are
-// reused across rounds, so steady-state rounds allocate nothing here.
+// pairRec is the scan state of one pair, padded to one 64-byte cache line.
+// The kernel visits pairs in provider-pair order — at random as far as the
+// slots are concerned — so everything a co-occurrence reads or writes sits
+// in the one line it has to fetch anyway; the index, walked in order, is
+// what stays structure-of-arrays (PERFORMANCE.md).
 //
 // The directional evidence lives as a renormalized product mant·2^exp
 // (see accum.go); cov holds the coverage-evidence seed separately so it
 // can be added back in log space.
-type pairTab struct {
-	mantTo, mantFrom []float64
-	expTo, expFrom   []int32
-	cov              []float64
-	l, n0            []int32 // shared items l(S1,S2) / observed shared values
+type pairRec struct {
+	mantTo, mantFrom float64
+	cov              float64
+	expTo, expFrom   int32
+	l, n0            int32 // shared items l(S1,S2) / observed shared values
 	// BOUND+ lazy-recomputation timers.
-	minSkipUntil []int32 // recompute Cmin when n0 >= this
-	maxSkipN1    []int32 // recompute Cmax when n(S1) >= this ...
-	maxSkipN2    []int32 // ... or n(S2) >= this
-	flags        []byte
+	minSkipUntil int32 // recompute Cmin when n0 >= this
+	maxSkipN1    int32 // recompute Cmax when n(S1) >= this ...
+	maxSkipN2    int32 // ... or n(S2) >= this
+	flags        byte
+	_            [11]byte
+}
+
+// pairTab is one shard's pair state, indexed by pair slot and reused across
+// rounds, so steady-state rounds allocate nothing here.
+type pairTab struct {
+	rec []pairRec
 	// Scores at the decision point, latched by modeFreeze only (every
 	// other mode stops accumulating there, so score() still has them).
 	decTo, decFrom []float64
@@ -175,44 +181,44 @@ const (
 	flagCopying
 )
 
-// reset sizes every column for np pairs (reusing capacity) and restores
-// the neutral accumulator state.
-func (t *pairTab) reset(np int) {
-	t.mantTo, t.mantFrom, t.cov = grow(t.mantTo, np), grow(t.mantFrom, np), grow(t.cov, np)
-	t.expTo, t.expFrom = grow(t.expTo, np), grow(t.expFrom, np)
-	t.l, t.n0 = grow(t.l, np), grow(t.n0, np)
-	t.minSkipUntil = grow(t.minSkipUntil, np)
-	t.maxSkipN1, t.maxSkipN2 = grow(t.maxSkipN1, np), grow(t.maxSkipN2, np)
-	t.flags = grow(t.flags, np)
-	for i := range t.mantTo {
-		t.mantTo[i], t.mantFrom[i] = 1, 1
-	}
-	clear(t.cov)
-	clear(t.expTo)
-	clear(t.expFrom)
-	clear(t.n0)
-	clear(t.minSkipUntil)
-	clear(t.maxSkipN1)
-	clear(t.maxSkipN2)
-	clear(t.flags)
-}
-
 // decide marks the pair decided at the current scan position; when the
 // scan goes on accumulating (modeFreeze) it latches the scores first.
-func (t *pairTab) decide(slot int32, copying byte, latch bool, lnDiff float64) {
-	t.flags[slot] |= flagDecided | copying
+func (t *pairTab) decide(slot int32, rec *pairRec, copying byte, latch bool, lnDiff float64) {
+	rec.flags |= flagDecided | copying
 	if latch {
-		t.decTo[slot], t.decFrom[slot] = t.score(int(slot), lnDiff)
+		t.decTo[slot], t.decFrom[slot] = rec.score(lnDiff)
 	}
 }
 
-// score recovers one direction's full log-space score: the product
-// evidence, the coverage seed and the different-value correction for the
-// diff remaining unseen shared items.
-func (t *pairTab) score(slot int, lnDiff float64) (cTo, cFrom float64) {
-	corr := t.cov[slot] + float64(t.l[slot]-t.n0[slot])*lnDiff
-	cTo = logAcc(t.mantTo[slot], t.expTo[slot]) + corr
-	cFrom = logAcc(t.mantFrom[slot], t.expFrom[slot]) + corr
+// mulFused multiplies both products in place, under one test, when neither
+// needs mulRenorm's attention: nearly every product stays inside the
+// mantissa window (a rescale moves 512 bits). Otherwise — a rescale, a huge
+// factor, a +Inf mantissa — it leaves the record untouched and reports
+// false, and the caller takes both through mulRenorm. It inlines, so the
+// kernel's common case makes no call.
+func (r *pairRec) mulFused(rTo, rFrom float64) bool {
+	mt, mf := r.mantTo*rTo, r.mantFrom*rFrom
+	if rTo < rBig && rFrom < rBig &&
+		mt >= mantLo && mt < mantHi && mf >= mantLo && mf < mantHi {
+		r.mantTo, r.mantFrom = mt, mf
+		return true
+	}
+	return false
+}
+
+// big is cov + max(ln C→, ln C←), the part of both bounds that the evidence
+// seen so far fixes.
+func (r *pairRec) big() float64 {
+	return r.cov + math.Max(logAcc(r.mantTo, r.expTo), logAcc(r.mantFrom, r.expFrom))
+}
+
+// score recovers the pair's full log-space scores: the product evidence,
+// the coverage seed and the different-value correction for the remaining
+// unseen shared items.
+func (r *pairRec) score(lnDiff float64) (cTo, cFrom float64) {
+	corr := r.cov + float64(r.l-r.n0)*lnDiff
+	cTo = logAcc(r.mantTo, r.expTo) + corr
+	cFrom = logAcc(r.mantFrom, r.expFrom) + corr
 	return cTo, cFrom
 }
 
@@ -235,40 +241,39 @@ func scanRound(ds *dataset.Dataset, st *bayes.State, p bayes.Params, opts Option
 	return res
 }
 
-// makePairTab initializes shard w's per-pair scan columns, including the
-// coverage-evidence seed (footnote-1 extension, computed only for the
-// pairs the shard owns) and the per-pair bound mode.
+// makePairTab initializes shard w's pair records in one pass: the neutral
+// accumulator, the shared-item count, the per-pair bound mode and — only for
+// the pairs the shard owns — the coverage-evidence seed (footnote-1
+// extension).
 func makePairTab(ds *dataset.Dataset, p bayes.Params, opts Options, m mode,
 	pm *index.PairMap, lCounts []int32, tab *pairTab, w, workers int) {
 
-	shareThreshold := opts.shareThreshold()
-	tab.reset(pm.Len())
-	copy(tab.l, lCounts)
-	if p.CoverageWeight > 0 {
-		for slot, key := range pm.Keys() {
-			s1, s2 := key.Sources()
-			if !pool.Owns(workers, w, int(s1)) {
-				continue
-			}
-			tab.cov[slot] = p.CoverageWeight * p.CoverageLLR(int(lCounts[slot]),
-				ds.Coverage(s1), ds.Coverage(s2), ds.NumItems(), p.CoverageCap)
-		}
+	np := pm.Len()
+	tab.rec = grow(tab.rec, np)
+	if m == modeFreeze {
+		tab.decTo, tab.decFrom = grow(tab.decTo, np), grow(tab.decFrom, np)
 	}
+	// Pairs sharing more than boundsAbove items check bounds.
+	boundsAbove := int32(math.MaxInt32) // modeIndex: none
 	switch m {
 	case modeBound, modeBoundPlus:
-		for slot := range tab.flags {
-			tab.flags[slot] = flagUseBounds
+		boundsAbove = -1
+	case modeHybrid, modeFreeze:
+		boundsAbove = opts.shareThreshold()
+	}
+	keys := pm.Keys()
+	for slot, l := range lCounts {
+		rec := pairRec{mantTo: 1, mantFrom: 1, l: l}
+		if l > boundsAbove {
+			rec.flags = flagUseBounds
 		}
-	case modeFreeze:
-		tab.decTo = grow(tab.decTo, len(tab.flags))
-		tab.decFrom = grow(tab.decFrom, len(tab.flags))
-		fallthrough
-	case modeHybrid:
-		for slot := range tab.flags {
-			if lCounts[slot] > shareThreshold {
-				tab.flags[slot] = flagUseBounds
+		if p.CoverageWeight > 0 {
+			if s1, s2 := keys[slot].Sources(); pool.Owns(workers, w, int(s1)) {
+				rec.cov = p.CoverageWeight * p.CoverageLLR(int(l),
+					ds.Coverage(s1), ds.Coverage(s2), ds.NumItems(), p.CoverageCap)
 			}
 		}
+		tab.rec[slot] = rec
 	}
 }
 
@@ -284,11 +289,12 @@ func makePairTab(ds *dataset.Dataset, p bayes.Params, opts Options, m mode,
 //
 // Per entry the kernel hoists everything that does not depend on the pair
 // (pv, the popularity term), and per first-provider everything that does
-// not depend on the second (the S1 factors of Eq. 3/4), so the inner loop
-// is a handful of fused multiply-adds per co-occurrence: one shared
-// independence probability, one likelihood-ratio multiply per direction
-// (accum.go), and — for bounded pairs — the Cmin/Cmax checks, which are
-// the only place a logarithm is taken.
+// not depend on the second (the S1 factors of Eq. 3/4, the pair map's row,
+// n(S1)), so a co-occurrence is one line of pair state, one division and
+// no call: one shared independence probability, one likelihood-ratio
+// multiply per direction in place (pairRec.mulFused; accum.go has the
+// representation), and — for bounded pairs whose timers have run out —
+// the Cmin/Cmax checks, which are the only place a logarithm is taken.
 //
 //copydetect:hotpath
 func scanShard(ds *dataset.Dataset, st *bayes.State, p bayes.Params, m mode,
@@ -305,6 +311,7 @@ func scanShard(ds *dataset.Dataset, st *bayes.State, p bayes.Params, m mode,
 	sSel := p.S
 	oneMinusS := 1 - p.S
 	invN := 1 / p.N
+	recs := tab.rec
 	clear(nSeen) // n(S): values observed per source
 	for pos, eid := range v.Order {
 		// Tail entries (E̅) only ever update pairs that already exist:
@@ -332,13 +339,20 @@ func scanShard(ds *dataset.Dataset, st *bayes.State, p bayes.Params, m mode,
 			pvA1 := pv * a1
 			popOm1 := popTerm * om1
 			provA1 := pvA1 + omPv*om1 // Pr(ΦD(S1)), Eq. 4
-			for y := x + 1; y < len(provs); y++ {
-				s2 := provs[y]
-				slot := pm.Get(s1, s2)
+			row := pm.Row(s1)         // s1 < every later provider
+			seen1 := nSeen[s1]
+			for _, s2 := range provs[x+1:] {
+				var slot int32
+				if row != nil {
+					slot = row[s2]
+				} else {
+					slot = pm.Get(s1, s2)
+				}
 				if slot < 0 {
 					continue // pair shares values only inside the tail set
 				}
-				fl := tab.flags[slot]
+				rec := &recs[slot]
+				fl := rec.flags
 				if fl&flagDecided != 0 && !exact {
 					continue
 				}
@@ -348,19 +362,21 @@ func scanShard(ds *dataset.Dataset, st *bayes.State, p bayes.Params, m mode,
 				a2 := accs[s2]
 				om2 := 1 - a2
 				ind := pvA1*a2 + popOm1*om2
-				tab.n0[slot]++
+				rec.n0++
 				stats.Computations += 2
 				if ind <= 0 {
 					// Degenerate accuracies: sharing is proof (the +Inf
 					// branch of ContribSame).
-					tab.mantTo[slot] = math.Inf(1)
-					tab.mantFrom[slot] = math.Inf(1)
+					rec.mantTo = math.Inf(1)
+					rec.mantFrom = math.Inf(1)
 				} else {
 					inv := sSel / ind
-					tab.mantTo[slot], tab.expTo[slot] = mulRenorm(
-						tab.mantTo[slot], tab.expTo[slot], oneMinusS+(pv*a2+omPv*om2)*inv)
-					tab.mantFrom[slot], tab.expFrom[slot] = mulRenorm(
-						tab.mantFrom[slot], tab.expFrom[slot], oneMinusS+provA1*inv)
+					rTo := oneMinusS + (pv*a2+omPv*om2)*inv
+					rFrom := oneMinusS + provA1*inv
+					if !rec.mulFused(rTo, rFrom) {
+						rec.mantTo, rec.expTo = mulRenorm(rec.mantTo, rec.expTo, rTo)
+						rec.mantFrom, rec.expFrom = mulRenorm(rec.mantFrom, rec.expFrom, rFrom)
+					}
 				}
 				if fl&flagDecided != 0 {
 					continue // modeFreeze past the decision point: evidence only
@@ -369,23 +385,20 @@ func scanShard(ds *dataset.Dataset, st *bayes.State, p bayes.Params, m mode,
 				if fl&flagUseBounds == 0 {
 					continue
 				}
-				n0 := tab.n0[slot]
-				l := tab.l[slot]
+				n0, l := rec.n0, rec.l
 				// big = cov + max(ln C→, ln C←); computed lazily — at most
 				// once per co-occurrence — because the logs are the
 				// expensive part of a bound evaluation.
 				big := 0.0
 				haveBig := false
 				// Cmin (Eq. 9): assume every unseen shared item disagrees.
-				if !useTimers || n0 >= tab.minSkipUntil[slot] {
-					big = tab.cov[slot] + math.Max(
-						logAcc(tab.mantTo[slot], tab.expTo[slot]),
-						logAcc(tab.mantFrom[slot], tab.expFrom[slot]))
+				if !useTimers || n0 >= rec.minSkipUntil {
+					big = rec.big()
 					haveBig = true
 					cmin := big + float64(l-n0)*lnDiff
 					stats.Computations++
 					if cmin >= thetaCp {
-						tab.decide(slot, flagCopying, exact, lnDiff)
+						tab.decide(slot, rec, flagCopying, exact, lnDiff)
 						continue
 					}
 					if useTimers {
@@ -397,21 +410,19 @@ func scanShard(ds *dataset.Dataset, st *bayes.State, p bayes.Params, m mode,
 						if t < 1 {
 							t = 1
 						}
-						tab.minSkipUntil[slot] = n0 + t
+						rec.minSkipUntil = n0 + t
 					}
 				}
 				// Cmax (Eq. 10).
-				if !useTimers || nSeen[s1] >= tab.maxSkipN1[slot] || nSeen[s2] >= tab.maxSkipN2[slot] {
+				if !useTimers || seen1 >= rec.maxSkipN1 || nSeen[s2] >= rec.maxSkipN2 {
 					if !haveBig {
-						big = tab.cov[slot] + math.Max(
-							logAcc(tab.mantTo[slot], tab.expTo[slot]),
-							logAcc(tab.mantFrom[slot], tab.expFrom[slot]))
+						big = rec.big()
 					}
 					h := estimateOverlapSeen(ds, nSeen, s1, s2, l, n0)
 					cmax := big + (h-float64(n0))*lnDiff + (float64(l)-h)*nextM
 					stats.Computations++
 					if cmax < thetaInd {
-						tab.decide(slot, 0, exact, lnDiff)
+						tab.decide(slot, rec, 0, exact, lnDiff)
 						continue
 					}
 					if useTimers {
@@ -435,8 +446,7 @@ func scanShard(ds *dataset.Dataset, st *bayes.State, p bayes.Params, m mode,
 						if n2 <= nSeen[s2] {
 							n2 = nSeen[s2] + 1
 						}
-						tab.maxSkipN1[slot] = n1
-						tab.maxSkipN2[slot] = n2
+						rec.maxSkipN1, rec.maxSkipN2 = n1, n2
 					}
 				}
 			}
@@ -447,40 +457,41 @@ func scanShard(ds *dataset.Dataset, st *bayes.State, p bayes.Params, m mode,
 
 // finalizePairs is step IV of the scan: every undecided pair has now seen
 // all its shared values; recover its log-space scores, apply the
-// different-value correction and decide. It runs on the calling goroutine
-// over all pairs in slot order, which fixes the order of Result.Pairs
-// independently of the worker count; tabs holds one table per shard, and
-// a pair's state is in its owner's.
+// different-value correction and decide. Worker w finalizes the w-th block
+// of slots into res.Pairs[slot] — three exponentials a pair is too much for
+// one core to do while the rest wait — so Result.Pairs is in slot order
+// for every worker count; tabs holds one table per shard, and a pair's
+// state is in its owner's.
 func finalizePairs(p bayes.Params, m mode, pm *index.PairMap, tabs []pairTab, res *Result) {
 	lnDiff := p.LnDiff()
 	numPairs := pm.Len()
 	res.Stats.PairsConsidered += int64(numPairs)
-	res.Pairs = make([]PairResult, 0, numPairs)
-	for slot := 0; slot < numPairs; slot++ {
-		s1, s2 := pm.Key(int32(slot)).Sources()
-		tab := &tabs[pool.Owner(len(tabs), int(s1))]
-		cTo, cFrom := tab.score(slot, lnDiff)
-		if tab.flags[slot]&flagDecided != 0 {
-			// Record the pair with the evidence available at its decision
-			// point; Cmin is the sound score estimate there.
-			if m == modeFreeze {
-				cTo, cFrom = tab.decTo[slot], tab.decFrom[slot]
+	res.Pairs = make([]PairResult, numPairs)
+	for _, comps := range pool.Shards(len(tabs), func(w int) (comps int64) {
+		lo, hi := pool.Block(len(tabs), w, numPairs)
+		for slot := lo; slot < hi; slot++ {
+			s1, s2 := pm.Key(int32(slot)).Sources()
+			tab := &tabs[pool.Owner(len(tabs), int(s1))]
+			rec := &tab.rec[slot]
+			pr := PairResult{S1: s1, S2: s2}
+			pr.CTo, pr.CFrom = rec.score(lnDiff)
+			if rec.flags&flagDecided != 0 {
+				// Record the pair with the evidence available at its decision
+				// point; Cmin is the sound score estimate there.
+				if m == modeFreeze {
+					pr.CTo, pr.CFrom = tab.decTo[slot], tab.decFrom[slot]
+				}
+				pr.PrIndep, pr.PrTo, pr.PrFrom = p.Posterior(pr.CTo, pr.CFrom)
+				pr.Copying = rec.flags&flagCopying != 0
+			} else {
+				comps += 2
+				pr.Copying, pr.PrIndep, pr.PrTo, pr.PrFrom = decide(p, pr.CTo, pr.CFrom)
 			}
-			prIndep, prTo, prFrom := p.Posterior(cTo, cFrom)
-			res.Pairs = append(res.Pairs, PairResult{
-				S1: s1, S2: s2, CTo: cTo, CFrom: cFrom,
-				PrIndep: prIndep, PrTo: prTo, PrFrom: prFrom,
-				Copying: tab.flags[slot]&flagCopying != 0,
-			})
-			continue
+			res.Pairs[slot] = pr
 		}
-		res.Stats.Computations += 2
-		copying, prIndep, prTo, prFrom := decide(p, cTo, cFrom)
-		res.Pairs = append(res.Pairs, PairResult{
-			S1: s1, S2: s2, CTo: cTo, CFrom: cFrom,
-			PrIndep: prIndep, PrTo: prTo, PrFrom: prFrom,
-			Copying: copying,
-		})
+		return comps
+	}) {
+		res.Stats.Computations += comps
 	}
 }
 

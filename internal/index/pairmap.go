@@ -62,6 +62,17 @@ func (pm *PairMap) Get(a, b dataset.SourceID) int32 {
 	return -1
 }
 
+// Row returns the slots of the pairs {a, b}, a < b, indexed by b (-1 =
+// absent), so a loop over b with a fixed pays for the lookup once; nil when
+// the map is sparse and the caller must use Get.
+func (pm *PairMap) Row(a dataset.SourceID) []int32 {
+	if pm.dense == nil {
+		return nil
+	}
+	i := int32(a) * pm.n
+	return pm.dense[i : i+pm.n]
+}
+
 // GetOrAdd returns the slot of pair {a, b}, creating a fresh slot if the
 // pair is new; added reports whether the pair was inserted.
 func (pm *PairMap) GetOrAdd(a, b dataset.SourceID) (slot int32, added bool) {

@@ -71,6 +71,9 @@ type Managed struct {
 	// Telemetry reads it for the convergence-lag-seconds gauge; it is
 	// only meaningful while convergedLocked() is false.
 	lagSince time.Time
+	// markerFailLogged: a publish marker that failed to commit has been
+	// logged for this dataset; later ones are only counted.
+	markerFailLogged bool
 
 	pub *Published
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"log"
 	"time"
 
 	"copydetect/internal/core"
@@ -171,9 +172,19 @@ func (m *Managed) runRound() {
 		// the round counter, never of appends.
 		rec := walRecord{kind: walRecPublish, round: round, version: version}
 		m.mu.Unlock()
-		_ = m.st.commit(rec)
+		err := m.st.commit(rec)
 		m.mu.Lock()
-		if !m.closed {
+		if !m.closed { // a closed dataset's WAL is closed too: err means nothing then
+			if err != nil {
+				if in := m.reg.inst.Load(); in != nil {
+					in.markerFailures.Inc()
+				}
+				if !m.markerFailLogged {
+					m.markerFailLogged = true
+					log.Printf("server: dataset %q: publish marker of round %d not committed; the round is served, a restart may not remember it (further failures are only counted): %v",
+						m.name, round, err)
+				}
+			}
 			m.apply(rec)
 			m.pub = &Published{
 				Version:   version,
