@@ -98,7 +98,7 @@ func TestRunWritesJSONReport(t *testing.T) {
 	dir := t.TempDir()
 	oldPath := filepath.Join(dir, "main.txt")
 	newPath := filepath.Join(dir, "pr.txt")
-	jsonPath := filepath.Join(dir, "BENCH_pr.json")
+	jsonPath := filepath.Join(dir, "verdict.json")
 	if err := os.WriteFile(oldPath, []byte(oldRun), 0o644); err != nil {
 		t.Fatal(err)
 	}

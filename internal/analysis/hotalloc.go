@@ -8,11 +8,11 @@ import (
 
 // HotAlloc proves the zero-alloc contract statically: every function
 // transitively reachable from a copydetect:hotpath root must be free of
-// allocating constructs. TestIncrementalSteadyStateAllocs proves
-// AllocsPerRun == 0 for the code path one benchmark drives; this
-// analyzer proves it for every path through the hot call graph, so a
-// refactor cannot quietly reintroduce an allocation the benchmark's
-// input never reaches.
+// allocating constructs. TestIncrementalSteadyStateAllocs counts a
+// round's allocations (its Result and Pairs, none in the passes) for the
+// code path one input drives; this analyzer proves the passes' share for
+// every path through the hot call graph, so a refactor cannot quietly
+// reintroduce an allocation that input never reaches.
 //
 // Flagged inside hot code: make/new, append into a slice without a
 // same-function capacity reset (x = buf[:0]), slice/map composite

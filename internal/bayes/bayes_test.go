@@ -263,17 +263,6 @@ func TestStateBasics(t *testing.T) {
 	if st.P[0][0] == 0.9 || st.A[0] == 0.1 {
 		t.Error("Clone shares storage with original")
 	}
-	st.A[1] = 1.5
-	st.A[2] = -0.5
-	st.ClampAccuracy(0.01, 0.99)
-	if st.A[1] != 0.99 || st.A[2] != 0.01 {
-		t.Errorf("ClampAccuracy failed: %v", st.A)
-	}
-	// st.A = [0.8, 0.99, 0.01, 0.8], c.A = [0.1, 0.8, 0.8, 0.8]: the
-	// largest gap is |0.01 − 0.8| = 0.79.
-	if d := MaxAccuracyDelta(st, c); math.Abs(d-0.79) > 1e-12 {
-		t.Errorf("MaxAccuracyDelta = %v, want 0.79", d)
-	}
 }
 
 func TestMaxEntryScoreTwoProviders(t *testing.T) {

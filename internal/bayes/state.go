@@ -1,7 +1,5 @@
 package bayes
 
-import "math"
-
 // State carries the statistical knowledge that copy detection consumes and
 // truth finding produces each round: per-value truth probabilities P(D.v)
 // and per-source accuracies A(S).
@@ -62,28 +60,4 @@ func (st *State) PopOf(d, v int32) float64 {
 		return 0
 	}
 	return st.Pop[d][v]
-}
-
-// ClampAccuracy bounds all accuracies into [lo, hi]; the Bayesian formulas
-// degenerate at exactly 0 or 1.
-func (st *State) ClampAccuracy(lo, hi float64) {
-	for s, a := range st.A {
-		if a < lo {
-			st.A[s] = lo
-		} else if a > hi {
-			st.A[s] = hi
-		}
-	}
-}
-
-// MaxAccuracyDelta returns the largest absolute accuracy difference
-// between two states, the convergence measure of the iterative process.
-func MaxAccuracyDelta(a, b *State) float64 {
-	d := 0.0
-	for s := range a.A {
-		if diff := math.Abs(a.A[s] - b.A[s]); diff > d {
-			d = diff
-		}
-	}
-	return d
 }

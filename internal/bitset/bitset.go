@@ -7,10 +7,10 @@
 // bitsets").
 //
 // Sets are plain slices: zero-value usable after New, no hidden state,
-// safe for concurrent readers. All operations are deterministic — the
-// iteration order of ForEachAnd is ascending element order, so callers
-// accumulating floating-point sums over an intersection visit elements in
-// the same order a sorted-list merge would.
+// safe for concurrent readers. Bit order is element order, so a caller
+// that walks the set bits of an intersection (core's exactPairBits, with
+// TrailingZeros64) accumulates floating-point sums in the order a
+// sorted-list merge would.
 package bitset
 
 import "math/bits"
@@ -53,17 +53,4 @@ func AndCount(a, b Set) int {
 		n += bits.OnesCount64(w & b[i])
 	}
 	return n
-}
-
-// ForEachAnd calls fn for every element of a ∩ b in ascending order.
-// The sets must have equal length.
-func ForEachAnd(a, b Set, fn func(i int)) {
-	for wi, w := range a {
-		w &= b[wi]
-		base := wi << 6
-		for w != 0 {
-			fn(base + bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
 }

@@ -5,17 +5,17 @@ import (
 	"testing"
 )
 
-// TestIncrementalSteadyStateAllocs: with ReuseResult set and one worker,
-// a steady-state incremental round must not allocate at all — every
-// buffer the three passes touch is preallocated when the detector
-// prepares, and the worker closures are built once. This is the
-// contract PERFORMANCE.md documents; any regression here shows up as a
-// fractional count.
+// TestIncrementalSteadyStateAllocs: at one worker a steady-state
+// incremental round allocates exactly what it returns — its Result and
+// its Pairs. The passes themselves allocate nothing: every buffer they
+// touch is preallocated when the detector prepares, and the worker
+// closures are built once. This is the contract PERFORMANCE.md documents;
+// any regression here shows up as a third allocation.
 func TestIncrementalSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ds, st := randomInstance(rng, 10, 200)
 	p := exampleParams()
-	inc := &Incremental{Params: p, Opts: Options{Workers: 1}, ReuseResult: true}
+	inc := &Incremental{Params: p, Opts: Options{Workers: 1}}
 	inc.DetectRound(ds, st, 1)
 	inc.DetectRound(ds, st, 2)
 	inc.DetectRound(ds, st, 3) // first incremental round pays one-time costs
@@ -24,8 +24,8 @@ func TestIncrementalSteadyStateAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(50, func() {
 		inc.DetectRound(ds, st, round)
 		round++
-	}); n > 0 {
-		t.Errorf("steady-state incremental round allocated %v times, want 0", n)
+	}); n > 2 {
+		t.Errorf("steady-state incremental round allocated %v times, want <= 2 (Result + Pairs)", n)
 	}
 }
 
@@ -37,7 +37,7 @@ func TestIncrementalSteadyStateAllocsParallel(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ds, st := randomInstance(rng, 10, 200)
 	p := exampleParams()
-	inc := &Incremental{Params: p, Opts: Options{Workers: 4}, ReuseResult: true}
+	inc := &Incremental{Params: p, Opts: Options{Workers: 4}}
 	inc.DetectRound(ds, st, 1)
 	inc.DetectRound(ds, st, 2)
 	inc.DetectRound(ds, st, 3)
@@ -48,28 +48,6 @@ func TestIncrementalSteadyStateAllocsParallel(t *testing.T) {
 		round++
 	}); n > 64 {
 		t.Errorf("steady-state round at 4 workers allocated %v times, want <= 64 (pool fan-out only)", n)
-	}
-}
-
-// TestIncrementalReuseResultMatches: ReuseResult must change only the
-// allocation behaviour, never the numbers.
-func TestIncrementalReuseResultMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	ds, st := randomInstance(rng, 8, 100)
-	p := exampleParams()
-	a := &Incremental{Params: p}
-	b := &Incremental{Params: p, ReuseResult: true}
-	for round := 1; round <= 5; round++ {
-		ra := a.DetectRound(ds, st, round)
-		rb := b.DetectRound(ds, st, round)
-		if len(ra.Pairs) != len(rb.Pairs) {
-			t.Fatalf("round %d: pair counts differ", round)
-		}
-		for i := range ra.Pairs {
-			if ra.Pairs[i] != rb.Pairs[i] {
-				t.Fatalf("round %d pair %d: %+v != %+v", round, i, ra.Pairs[i], rb.Pairs[i])
-			}
-		}
 	}
 }
 

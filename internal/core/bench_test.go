@@ -1,8 +1,16 @@
-// Whole-run benchmarks of the detection kernel on the two shapes every
-// kernel change has to be sized on: Stock (few sources, hundreds of shared
-// values a pair — bound bookkeeping and multiply-accumulate dominate) and
-// Book-CS (many sources, few shared values a pair — cache misses on the
-// pair map dominate). One iteration is one full iterative process
+// Benchmarks of the detection kernel, beside the kernel.
+//
+// BenchmarkHybridWorkers and BenchmarkIncrementalWorkers are the two
+// families CI gates (cmd/benchgate compares the PR head with its merge
+// base): one warm round on Stock-2wk×0.02 at 1, 2, 4 and 8 workers. A
+// tripwire, not a trajectory — the numbers of record come from
+// benchmark/run.sh.
+//
+// BenchmarkRun is the whole-run view on the two shapes every kernel change
+// has to be sized on: Stock (few sources, hundreds of shared values a pair
+// — bound bookkeeping and multiply-accumulate dominate) and Book-CS (many
+// sources, few shared values a pair — cache misses on the pair map
+// dominate). One iteration is one full iterative process
 // (fusion.TruthFinder.Run) and the per-round costs are read from
 // Outcome.RoundStats, so a line decomposes the way a service round does:
 //
@@ -93,5 +101,63 @@ func BenchmarkRun(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// gateInstance is the gated families' input: Stock-2wk×0.02 and the state
+// after one voting round, as a detector's second round sees it.
+func gateInstance(b *testing.B) (*dataset.Dataset, *bayes.State) {
+	b.Helper()
+	ds := benchShape(b, gen.Stock2Wk(14), 0.02)
+	p := bayes.DefaultParams()
+	valueCounts := make([]int, ds.NumItems())
+	for d := range valueCounts {
+		valueCounts[d] = ds.NumValues(dataset.ItemID(d))
+	}
+	st := bayes.NewState(valueCounts, ds.NumSources(), 0.8)
+	st.P = fusion.ValueProbs(ds, st, p, nil)
+	st.A = fusion.Accuracies(ds, st.P)
+	return ds, st
+}
+
+// BenchmarkHybridWorkers measures one warm HYBRID round at increasing
+// worker counts. Results are bit-identical across worker counts
+// (parallel_equiv_test.go), so the only thing this varies is wall-clock
+// time: workers1 is the single-thread kernel gauge, and the ratio to it the
+// scaling gauge (on one CPU the other rows measure sharding overhead).
+func BenchmarkHybridWorkers(b *testing.B) {
+	p := bayes.DefaultParams()
+	ds, st := gateInstance(b)
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
+			det := &core.Hybrid{Params: p, Opts: core.Options{Workers: workers}}
+			det.DetectRound(ds, st, 1) // warm the structural cache
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				det.DetectRound(ds, st, 2+i)
+			}
+		})
+	}
+}
+
+// BenchmarkIncrementalWorkers measures one incremental round (round >= 3,
+// the steady-state cost of the iterative process) at increasing worker
+// counts.
+func BenchmarkIncrementalWorkers(b *testing.B) {
+	p := bayes.DefaultParams()
+	ds, st := gateInstance(b)
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
+			det := &core.Incremental{Params: p, Opts: core.Options{Workers: workers}}
+			// Warm rounds outside the measured loop.
+			det.DetectRound(ds, st, 1)
+			det.DetectRound(ds, st, 2)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				det.DetectRound(ds, st, 3+i)
+			}
+		})
 	}
 }

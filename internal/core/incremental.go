@@ -53,13 +53,14 @@ import (
 // one INDEX-mode scan — the analogue of the paper's periodic
 // re-computation rounds.
 //
-// Steady-state rounds are allocation-free: every buffer the three passes
+// The passes of a steady-state round allocate nothing: every buffer they
 // touch — entry deltas, per-pair delta accumulators, touched lists, pass
 // outputs, per-worker scratch — is preallocated when the detector
 // prepares, and the worker closures handed to the pool are built once and
-// fed their per-round inputs through fields. (With ReuseResult set, the
-// emitted Result reuses a buffer too, making the whole round zero-alloc
-// at Workers <= 1; see TestIncrementalSteadyStateAllocs.) Pass-3 exact
+// fed their per-round inputs through fields. What a round does allocate is
+// what it returns, a Result and its Pairs, which the caller may keep (the
+// serving layer publishes them; TestIncrementalSteadyStateAllocs pins the
+// two allocations at Workers <= 1). Pass-3 exact
 // recomputation uses the structure's packed entry bitsets when available:
 // the pair's shared items and shared values are AND+popcount sweeps, and
 // only the set bits of the AND — the actual co-occurrences — are visited.
@@ -75,12 +76,6 @@ import (
 type Incremental struct {
 	Params bayes.Params
 	Opts   Options
-	// ReuseResult makes DetectRound return the same Result (and Pairs
-	// backing array) on every incremental round instead of allocating
-	// fresh ones. Callers that retain a returned Result past the next
-	// DetectRound call — iteration-history hooks, the serving layer —
-	// must leave it false.
-	ReuseResult bool
 
 	prepared bool
 	cache    structCache
@@ -112,8 +107,6 @@ type Incremental struct {
 	passAComps         []int64
 	passOuts           []passOut
 	emitPairs          []PairResult
-	pairsBuf           []PairResult
-	resBuf             *Result
 
 	// Round inputs for the preallocated worker closures: building a
 	// closure per round would allocate (the pool entry points don't
@@ -201,7 +194,7 @@ func (d *Incremental) Name() string { return "INCREMENTAL" }
 // Reset drops all cross-round state so the detector can serve a fresh
 // iterative process.
 func (d *Incremental) Reset() {
-	*d = Incremental{Params: d.Params, Opts: d.Opts, ReuseResult: d.ReuseResult}
+	*d = Incremental{Params: d.Params, Opts: d.Opts}
 }
 
 // DetectRound implements Detector.
@@ -231,7 +224,7 @@ func (d *Incremental) DetectRound(ds *dataset.Dataset, st *bayes.State, round in
 	}
 	if !d.prepared {
 		// Caller skipped the warm rounds; fall back to preparing now.
-		res := d.newResult(ds)
+		res := &Result{NumSources: ds.NumSources()}
 		res.Stats.Rounds = 1
 		prepStart := time.Now()
 		d.rescan(ds, st, &res.Stats)
@@ -240,19 +233,6 @@ func (d *Incremental) DetectRound(ds *dataset.Dataset, st *bayes.State, round in
 		return res
 	}
 	return d.incrementalRound(ds, st)
-}
-
-// newResult returns the Result to fill this round: a fresh one, or (with
-// ReuseResult) the detector-owned buffer.
-func (d *Incremental) newResult(ds *dataset.Dataset) *Result {
-	if !d.ReuseResult {
-		return &Result{NumSources: ds.NumSources()}
-	}
-	if d.resBuf == nil {
-		d.resBuf = &Result{}
-	}
-	*d.resBuf = Result{NumSources: ds.NumSources()}
-	return d.resBuf
 }
 
 // grow returns s resized to n elements, reusing capacity when possible.
@@ -553,7 +533,7 @@ func (d *Incremental) buildClosures() {
 // incrementalRound performs the three-pass refinement of Section V.
 func (d *Incremental) incrementalRound(ds *dataset.Dataset, st *bayes.State) *Result {
 	p := d.Params
-	res := d.newResult(ds)
+	res := &Result{NumSources: ds.NumSources()}
 	res.Stats.Rounds = 1
 	start := time.Now()
 	d.LastPass = PassStats{}
@@ -740,12 +720,7 @@ func exactPairMerge(p bayes.Params, ds *dataset.Dataset, st *bayes.State,
 // emit fills Result.Pairs (one block of slots per worker).
 func (d *Incremental) emit(res *Result) {
 	numPairs := d.pm.Len()
-	if d.ReuseResult {
-		d.pairsBuf = grow(d.pairsBuf, numPairs)
-		d.emitPairs = d.pairsBuf
-	} else {
-		d.emitPairs = make([]PairResult, numPairs)
-	}
+	d.emitPairs = make([]PairResult, numPairs)
 	pool.Run(d.workers, d.emitFn)
 	res.Pairs = d.emitPairs
 	res.Stats.PairsConsidered += int64(numPairs)

@@ -10,17 +10,6 @@ import (
 	"copydetect/internal/index"
 )
 
-func TestOptionsDefaults(t *testing.T) {
-	var o Options
-	if o.shareThreshold() != 16 {
-		t.Errorf("default share threshold = %d, want 16 (the paper's empirical split)", o.shareThreshold())
-	}
-	o.ShareThreshold = 3
-	if o.shareThreshold() != 3 {
-		t.Errorf("explicit share threshold ignored")
-	}
-}
-
 func TestDecideMatchesThresholds(t *testing.T) {
 	p := exampleParams()
 	// Exactly at θcp in one direction: posterior must not exceed 0.5.

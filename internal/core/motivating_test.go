@@ -205,14 +205,15 @@ func TestHybridEqualsIndexOnSmallOverlap(t *testing.T) {
 	assertSameDecisions(t, hres, ires, "HYBRID vs INDEX")
 }
 
-// TestHybridForcedBounds exercises the BOUND+ path by lowering the share
-// threshold to 1 so every pair uses bounds.
+// TestHybridForcedBounds exercises the path HYBRID takes above its share
+// threshold — no pair of the example reaches it — by running BOUND+
+// itself, which bounds every pair.
 func TestHybridForcedBounds(t *testing.T) {
 	ds, st := motivatingState(t)
 	p := exampleParams()
-	hres := (&Hybrid{Params: p, Opts: Options{ShareThreshold: 1}}).DetectRound(ds, st, 1)
+	bres := (&BoundPlus{Params: p}).DetectRound(ds, st, 1)
 	ires := (&Index{Params: p}).DetectRound(ds, st, 1)
-	assertSameDecisions(t, hres, ires, "HYBRID(threshold=1) vs INDEX")
+	assertSameDecisions(t, bres, ires, "BOUND+ (every pair bounded) vs INDEX")
 }
 
 // TestParallelIndexMatchesSequential: the Section VIII parallelization

@@ -54,7 +54,7 @@ func scanShards(ds *dataset.Dataset, st *bayes.State, p bayes.Params, opts Optio
 	tabs := cache.pairTabs(workers)
 	nSeen := cache.nSeenBufs(workers, ds.NumSources())
 	for _, sh := range pool.Shards(workers, func(w int) Stats {
-		makePairTab(ds, p, opts, m, pm, lCounts, &tabs[w], w, workers)
+		makePairTab(ds, p, m, pm, lCounts, &tabs[w], w, workers)
 		return scanShard(ds, st, p, m, v, pm, &tabs[w], nSeen[w], w, workers)
 	}) {
 		stats.Add(sh)

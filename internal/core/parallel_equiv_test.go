@@ -168,17 +168,31 @@ func TestParallelEquivalence(t *testing.T) {
 // TestParallelSingleRoundOrderings pins the scan-order options: the
 // parallel engine must stay equivalent under the alternative entry
 // orderings of Figure 3 (which exercise MaxRemaining-based bounds rather
-// than the ByContribution fast path) and a non-default share threshold.
+// than the ByContribution fast path). Its preset also keeps both of
+// HYBRID's branches exercised: it has candidate pairs on each side of the
+// 16-item share threshold, which is asserted once here.
 func TestParallelSingleRoundOrderings(t *testing.T) {
 	p := bayes.DefaultParams()
 	ds := equivDataset(t, equivPreset{id: "stock-1day", cfg: gen.Stock1Day(7), scale: 0.008})
+	rounds, _ := runProcess(ds, p, &core.Hybrid{Params: p})
+	var indexStyle, bounded int
+	for _, pr := range rounds[0].Pairs {
+		if ds.SharedItems(pr.S1, pr.S2) <= 16 {
+			indexStyle++
+		} else {
+			bounded++
+		}
+	}
+	if indexStyle == 0 || bounded == 0 {
+		t.Fatalf("preset has %d candidate pairs sharing <= 16 items and %d sharing more; HYBRID needs both to exercise its split",
+			indexStyle, bounded)
+	}
 	for _, opt := range []struct {
 		name string
 		opts core.Options
 	}{
 		{"random-order", core.Options{Order: 2, Seed: 42}}, // index.Random
 		{"by-provider", core.Options{Order: 1}},            // index.ByProvider
-		{"share-threshold-4", core.Options{ShareThreshold: 4}},
 	} {
 		opt := opt
 		t.Run(opt.name, func(t *testing.T) {

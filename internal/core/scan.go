@@ -11,17 +11,15 @@ import (
 	"copydetect/internal/pool"
 )
 
-// Options configures the index-driven single-round algorithms.
+// Options configures the index-driven single-round algorithms. Production
+// callers (the library API, the daemon, the CLIs) set Workers only.
 type Options struct {
-	// Order is the entry processing order (Figure 3); default
-	// ByContribution.
+	// Order is the entry processing order and Seed seeds it when Order ==
+	// Random. They exist for Figure 3, which compares the three orderings:
+	// internal/experiments/figures.go is their one non-test caller, and
+	// everything else runs the default, ByContribution.
 	Order index.Order
-	// Seed seeds the random entry order when Order == Random.
-	Seed int64
-	// ShareThreshold is HYBRID's split point: pairs sharing at most this
-	// many data items are handled INDEX-style, others with BOUND+. The
-	// paper determined 16 empirically. Zero means 16.
-	ShareThreshold int
+	Seed  int64
 	// Workers parallelizes detection across a goroutine pool (the Section
 	// VIII extension): the entry scan of INDEX/BOUND/BOUND+/HYBRID is
 	// sharded over the pair space, and INCREMENTAL fans out its base-score
@@ -39,12 +37,14 @@ type Options struct {
 	Workers int
 }
 
-func (o Options) shareThreshold() int32 {
-	if o.ShareThreshold == 0 {
-		return 16
-	}
-	return int32(o.ShareThreshold)
-}
+// shareThreshold is HYBRID's split point: pairs sharing at most this many
+// data items are scanned INDEX-style, the rest with BOUND+. Section IV:
+// below it the bound bookkeeping costs more than the multiplies it saves,
+// and the paper "determined 16 empirically". It is a constant because a
+// sweep found nothing to tune (PERFORMANCE.md, "The share threshold"): a
+// full run costs the same from 1 to 64 on Stock and Book-CS alike, and the
+// only setting that differs, bounds off, is not HYBRID but INDEX.
+const shareThreshold = 16
 
 // mode selects how the shared scan treats each pair.
 type mode int
@@ -124,9 +124,11 @@ func (d *BoundPlus) DetectRound(ds *dataset.Dataset, st *bayes.State, round int)
 	return scanRound(ds, st, d.Params, d.Opts, modeBoundPlus, &d.cache)
 }
 
-// Hybrid applies INDEX to pairs that share at most Opts.ShareThreshold
-// data items (where bound bookkeeping costs more than it saves) and
-// BOUND+ to the rest (end of Section IV).
+// Hybrid applies INDEX to pairs that share at most shareThreshold (16)
+// data items, where bound bookkeeping costs more than it saves, and
+// BOUND+ to the rest (end of Section IV). It is the detector of every
+// production round: the library default, and the warm rounds of
+// INCREMENTAL.
 type Hybrid struct {
 	Params bayes.Params
 	Opts   Options
@@ -245,7 +247,7 @@ func scanRound(ds *dataset.Dataset, st *bayes.State, p bayes.Params, opts Option
 // accumulator, the shared-item count, the per-pair bound mode and — only for
 // the pairs the shard owns — the coverage-evidence seed (footnote-1
 // extension).
-func makePairTab(ds *dataset.Dataset, p bayes.Params, opts Options, m mode,
+func makePairTab(ds *dataset.Dataset, p bayes.Params, m mode,
 	pm *index.PairMap, lCounts []int32, tab *pairTab, w, workers int) {
 
 	np := pm.Len()
@@ -259,7 +261,7 @@ func makePairTab(ds *dataset.Dataset, p bayes.Params, opts Options, m mode,
 	case modeBound, modeBoundPlus:
 		boundsAbove = -1
 	case modeHybrid, modeFreeze:
-		boundsAbove = opts.shareThreshold()
+		boundsAbove = shareThreshold
 	}
 	keys := pm.Keys()
 	for slot, l := range lCounts {

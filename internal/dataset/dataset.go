@@ -106,15 +106,6 @@ func (ds *Dataset) NumObservations() int {
 	return n
 }
 
-// TotalDistinctValues returns the number of distinct (item, value) pairs.
-func (ds *Dataset) TotalDistinctValues() int {
-	n := 0
-	for _, vs := range ds.ValueNames {
-		n += len(vs)
-	}
-	return n
-}
-
 // ValueOf returns the value source s provides on item d, or NoValue if s
 // does not cover d. It runs a binary search over the source's observations.
 func (ds *Dataset) ValueOf(s SourceID, d ItemID) ValueID {

@@ -4,8 +4,8 @@
 // probability P(D.v) of the value being true and the contribution score
 // C(E) = M̂(D.v), the maximum evidence sharing the value can contribute to
 // a copying conclusion (Proposition 3.1). Entries are processed in
-// decreasing score order by default; the alternative orderings of the
-// paper's Figure 3 are provided for comparison.
+// decreasing score order; the alternative orderings exist for the paper's
+// Figure 3, and only internal/experiments selects them.
 //
 //copydetect:deterministic
 package index
