@@ -37,9 +37,9 @@
 // # Parallelism
 //
 // Every detector in the family parallelizes over a goroutine pool via
-// Options{Workers: N} (the paper's Section VIII extension): the entry
-// scan of INDEX/BOUND/BOUND+/HYBRID is sharded across the pair space,
-// and INCREMENTAL fans out its base-score computation, entry
+// Options{Workers: N} (the paper's Section VIII extension): the scan of
+// INDEX/BOUND/BOUND+/HYBRID is sharded across the pair space, and
+// INCREMENTAL fans out its base-score computation, entry
 // classification and pass 1–3 re-examination. Parallel detection is
 // deterministic — results are bit-identical to the sequential run for
 // every worker count, because pair ownership, accumulation order and
@@ -55,9 +55,11 @@
 // The detection kernel stores the index as struct-of-arrays columns with
 // packed bitsets for pair overlap and pair state as one cache line per
 // pair, accumulates scores as renormalized mantissa/exponent products
-// instead of per-co-occurrence logarithms, and runs steady-state
-// INCREMENTAL rounds with zero allocations when the caller opts into
-// result-buffer reuse.
+// instead of per-co-occurrence logarithms, and scans with one of two loop
+// nests, chosen per scan by the data: entry by entry where pairs share few
+// items, pair by pair over per-source position bitsets where they share
+// many — the same bits either way. A steady-state INCREMENTAL round
+// allocates its Result and nothing else.
 // PERFORMANCE.md documents the methodology — benchmark suite,
 // regression gate, pprof workflow — and the measured results;
 // DESIGN.md's kernel section records the layout itself.

@@ -6,11 +6,15 @@
 // tripwire, not a trajectory — the numbers of record come from
 // benchmark/run.sh.
 //
-// BenchmarkRun is the whole-run view on the two shapes every kernel change
-// has to be sized on: Stock (few sources, hundreds of shared values a pair
-// — bound bookkeeping and multiply-accumulate dominate) and Book-CS (many
-// sources, few shared values a pair — cache misses on the pair map
-// dominate). One iteration is one full iterative process
+// BenchmarkRun is the whole-run view on the shapes every kernel change has to
+// be sized on, one per side of the scan's routing rule and one far beyond it:
+// Stock (few sources, hundreds of shared values a pair — the pair sweep;
+// multiply-accumulate and bound bookkeeping dominate), Book-CS (many
+// sources, few shared values a pair — the entry walk, just below the rule's
+// threshold; cache misses on the pair map dominate) and Book-full (796
+// sources, 17 k candidate pairs of 2 co-occurrences each, 12 rounds — the
+// shape on which a sweep would lose by half, so it pins what the walk costs
+// where nothing else could run). One iteration is one full iterative process
 // (fusion.TruthFinder.Run) and the per-round costs are read from
 // Outcome.RoundStats, so a line decomposes the way a service round does:
 //
@@ -19,12 +23,20 @@
 //	r1-detect-ms / r1-build-ms    round 1 (cold structure, HYBRID)
 //	r2-detect-ms / r2-build-ms    round 2 (warm HYBRID; INCREMENTAL's freeze)
 //	rest-ms                       rounds 3.. together, detect + build
-//	evals/round2                  bound evaluations in round 2's scan
-//	ns/cooc                       r2-detect over round 2's ValuesExamined: the
-//	                              cost of one co-occurrence of a pair not yet
-//	                              decided, finalisation included (INCREMENTAL's
-//	                              freeze also multiplies past the decision
-//	                              point and prepares, so it reads higher)
+//	evals/round2                  HYBRID rows: bound evaluations in round 2's
+//	                              scan (boundEvals, timer_test.go)
+//	ns/cooc                       HYBRID rows: r2-detect over round 2's
+//	                              ValuesExamined — the cost of one
+//	                              co-occurrence of a pair not yet decided,
+//	                              finalisation included
+//
+// The last two are not reported on INCREMENTAL rows. Round 2 there is the
+// freeze: it evaluates the bounds of the cell's HYBRID row, at the same
+// co-occurrences (TestFreezeRoundEqualsHybrid), but its Computations also
+// count the multiplies past every decision point and prepare's two a pair,
+// and its scan time covers co-occurrences ValuesExamined does not — the
+// difference, on either column, would be neither bound evaluations nor the
+// cost of an examined co-occurrence.
 //
 // stock-1day×0.15 is the dataset of the benchmark's stream-refresh
 // workload (55 sources, 1 485 pairs).
@@ -49,6 +61,7 @@ var benchShapes = []struct {
 }{
 	{"stock-1day-x0.15", gen.Stock1Day(1), 0.15},
 	{"book-cs-x0.5", gen.BookCS(1), 0.5},
+	{"book-full-x0.25", gen.BookFull(1), 0.25},
 }
 
 func benchShape(b *testing.B, cfg gen.Config, scale float64) *dataset.Dataset {
@@ -96,8 +109,10 @@ func BenchmarkRun(b *testing.B) {
 					b.ReportMetric(ms(detect[1], b.N), "r2-detect-ms")
 					b.ReportMetric(ms(build[1], b.N), "r2-build-ms")
 					b.ReportMetric(ms(rest, b.N), "rest-ms")
-					b.ReportMetric(float64(evals)/float64(b.N), "evals/round2")
-					b.ReportMetric(float64(detect[1])/float64(coocs), "ns/cooc")
+					if algo == "HYBRID" {
+						b.ReportMetric(float64(evals)/float64(b.N), "evals/round2")
+						b.ReportMetric(float64(detect[1])/float64(coocs), "ns/cooc")
+					}
 				})
 			}
 		}
@@ -109,15 +124,7 @@ func BenchmarkRun(b *testing.B) {
 func gateInstance(b *testing.B) (*dataset.Dataset, *bayes.State) {
 	b.Helper()
 	ds := benchShape(b, gen.Stock2Wk(14), 0.02)
-	p := bayes.DefaultParams()
-	valueCounts := make([]int, ds.NumItems())
-	for d := range valueCounts {
-		valueCounts[d] = ds.NumValues(dataset.ItemID(d))
-	}
-	st := bayes.NewState(valueCounts, ds.NumSources(), 0.8)
-	st.P = fusion.ValueProbs(ds, st, p, nil)
-	st.A = fusion.Accuracies(ds, st.P)
-	return ds, st
+	return ds, roundTwoState(ds, bayes.DefaultParams())
 }
 
 // BenchmarkHybridWorkers measures one warm HYBRID round at increasing

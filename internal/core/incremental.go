@@ -265,8 +265,8 @@ func (d *Incremental) rescan(ds *dataset.Dataset, st *bayes.State, stats *Stats)
 // set, shared-item counts — and reads the exact base scores and decisions
 // of every candidate pair out of that scan's shard tables, which must have
 // accumulated to the end (modeFreeze or modeIndex): one accumulation
-// kernel, scanShard, whose per-slot products are bit-identical for every
-// worker count. It also (re)builds every per-round scratch buffer and the
+// kernel in two loop nests (scanShard, sweepShard), whose per-slot products
+// are bit-identical for every worker count and either nest. It also (re)builds every per-round scratch buffer and the
 // worker closures, so the rounds that follow allocate nothing.
 func (d *Incremental) prepare(ds *dataset.Dataset, st *bayes.State, stats *Stats) {
 	p := d.Params

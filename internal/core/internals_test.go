@@ -28,15 +28,12 @@ func TestEstimateOverlapSeenClamps(t *testing.T) {
 	ds, _ := dataset.Motivating()
 	// Pair (S2, S3) with l = 5 shared items, n0 = 4 shared values so far.
 	// With no values seen, h would be 0 but must clamp up to n0.
-	nSeen := make([]int32, ds.NumSources())
-	if h := estimateOverlapSeen(ds, nSeen, 2, 3, 5, 4); h != 4 {
+	cov2, cov3 := int32(ds.Coverage(2)), int32(ds.Coverage(3))
+	if h := estimateOverlapSeen(0, 0, cov2, cov3, 5, 4); h != 4 {
 		t.Errorf("h = %v, want clamp to n0 = 4", h)
 	}
 	// With everything seen, h must clamp down to l.
-	for i := range nSeen {
-		nSeen[i] = 100
-	}
-	if h := estimateOverlapSeen(ds, nSeen, 2, 3, 5, 4); h != 5 {
+	if h := estimateOverlapSeen(100, 100, cov2, cov3, 5, 4); h != 5 {
 		t.Errorf("h = %v, want clamp to l = 5", h)
 	}
 }

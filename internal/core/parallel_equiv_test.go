@@ -101,15 +101,27 @@ func compareStats(t *testing.T, round int, want, got core.Stats) {
 // TestParallelEquivalence is the acceptance suite of the parallel engine:
 // detectors × worker counts {2, 4, 7} × generator presets, each compared
 // round by round against the Workers=1 run of the same configuration.
+//
+// The scan has two loop nests, chosen per scan by the data (core's sweeps
+// rule), and the suite must cross both: book-cs×0.04 and the Stock presets
+// are swept, book-full×0.05 — here and not in equivPresets, whose ids key a
+// golden file — is walked, which is asserted once at the end.
 func TestParallelEquivalence(t *testing.T) {
 	p := bayes.DefaultParams()
-	for _, pr := range equivPresets() {
+	swept, walked := 0, 0
+	presets := append(equivPresets(), equivPreset{id: "book-full-x0.05", cfg: gen.BookFull(13), scale: 0.05})
+	for _, pr := range presets {
 		pr := pr
 		t.Run(pr.id, func(t *testing.T) {
 			if pr.long && testing.Short() {
 				t.Skip("large preset skipped in short mode")
 			}
 			ds := equivDataset(t, pr)
+			if core.RuleSweeps(ds, roundTwoState(ds, p), p) {
+				swept++
+			} else {
+				walked++
+			}
 			seqDets := equivDetectors(p, 1)
 			for name, seqDet := range seqDets {
 				name, seqDet := name, seqDet
@@ -162,6 +174,9 @@ func TestParallelEquivalence(t *testing.T) {
 				})
 			}
 		})
+	}
+	if swept == 0 || walked == 0 {
+		t.Errorf("%d presets swept and %d walked: the suite no longer crosses both loop nests", swept, walked)
 	}
 }
 

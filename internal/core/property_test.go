@@ -413,6 +413,9 @@ func TestSparsePairMapKernel(t *testing.T) {
 	same("INDEX workers=2", ires, (&Index{Params: p, Opts: Options{Workers: 2}}).DetectRound(ds, st, 1))
 	hres := (&Hybrid{Params: p}).DetectRound(ds, st, 1)
 	same("HYBRID workers=2", hres, (&Hybrid{Params: p, Opts: Options{Workers: 2}}).DetectRound(ds, st, 1))
+	// The pair sweep never looks a pair up; it must agree with the walk's
+	// hash lookups all the same.
+	assertNestsAgree(t, ds, st, p)
 
 	if len(ires.Pairs) < numPairs/2 || len(hres.Pairs) != len(ires.Pairs) {
 		t.Fatalf("INDEX instantiated %d pairs and HYBRID %d, want the same and at least %d", len(ires.Pairs), len(hres.Pairs), numPairs/2)

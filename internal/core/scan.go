@@ -26,12 +26,14 @@ type Options struct {
 	// computation, entry classification, delta application and pass 1–3
 	// re-examination. 0 or 1 is sequential. The value is the shard count,
 	// not a core count: results are bit-identical for every value (see
-	// internal/pool and DESIGN.md). Each shard walks the index entries
-	// itself — a small cost next to the per-pair work it filters them
-	// for — and keeps a pair-state table of its own, so memory for pair
-	// state grows with the shard count: keep Workers near the core
-	// count. Oversubscribing wastes time and memory, it never changes
-	// results. CLI entry points default to pool.Auto() (GOMAXPROCS), and
+	// internal/pool and DESIGN.md). Each shard keeps a pair-state table
+	// of its own, so memory for pair state grows with the shard count,
+	// and under the entry walk — the loop nest of scans whose pairs share
+	// few items, see sweeps — each shard also walks the index entries
+	// itself to filter them for the pairs it owns: keep Workers near the
+	// core count. Oversubscribing wastes memory and, under the walk,
+	// time; it never changes results. CLI entry points default to
+	// pool.Auto() (GOMAXPROCS), and
 	// the entry points that build a fusion.TruthFinder pass it the same
 	// value.
 	Workers int
@@ -183,15 +185,6 @@ const (
 	flagCopying
 )
 
-// decide marks the pair decided at the current scan position; when the
-// scan goes on accumulating (modeFreeze) it latches the scores first.
-func (t *pairTab) decide(slot int32, rec *pairRec, copying byte, latch bool, lnDiff float64) {
-	rec.flags |= flagDecided | copying
-	if latch {
-		t.decTo[slot], t.decFrom[slot] = rec.score(lnDiff)
-	}
-}
-
 // mulFused multiplies both products in place, under one test, when neither
 // needs mulRenorm's attention: nearly every product stays inside the
 // mantissa window (a rescale moves 512 bits). Otherwise — a rescale, a huge
@@ -222,6 +215,108 @@ func (r *pairRec) score(lnDiff float64) (cTo, cFrom float64) {
 	cTo = logAcc(r.mantTo, r.expTo) + corr
 	cFrom = logAcc(r.mantFrom, r.expFrom) + corr
 	return cTo, cFrom
+}
+
+// bounds is Section IV once, for both loop nests: the Cmin/Cmax evaluations
+// of an undecided pair, BOUND+'s timer tests and the Tmin/Tmax arithmetic
+// that arms them. A nest calls step only when a cheap test of its own — the
+// entry walk's per co-occurrence, the pair sweep's per position word — says
+// a timer may have run out, so the call is off the common path.
+type bounds struct {
+	thetaCp, thetaInd, lnDiff float64
+	timers                    bool // BOUND+ and up: arm Tmin/Tmax after an evaluation
+	latch                     bool // modeFreeze: the scan accumulates past the decision
+	tab                       *pairTab
+	evals                     int64 // bound evaluations made, one computation each
+}
+
+func newBounds(p bayes.Params, m mode, tab *pairTab) bounds {
+	return bounds{thetaCp: p.ThetaCp(), thetaInd: p.ThetaInd(), lnDiff: p.LnDiff(),
+		timers: m >= modeBoundPlus, latch: m == modeFreeze, tab: tab}
+}
+
+// decide marks the pair decided at the current scan position; when the
+// scan goes on accumulating (modeFreeze) it latches the scores first.
+func (b *bounds) decide(slot int32, rec *pairRec, copying byte) {
+	rec.flags |= flagDecided | copying
+	if b.latch {
+		b.tab.decTo[slot], b.tab.decFrom[slot] = rec.score(b.lnDiff)
+	}
+}
+
+// step is called when an undecided pair has just absorbed the shared value
+// at a scan position and a bound may be due: nextM bounds the score of every
+// later entry, n1 and n2 are n(S1) and n(S2) there (that entry included),
+// cov1 and cov2 the sources' coverages. It evaluates Cmin and Cmax — under
+// BOUND+ only those whose timer has run out, which a nest's own, coarser
+// test may have let through early — and either decides the pair, reporting
+// true, or re-arms the timers of what it evaluated.
+//
+//copydetect:hotpath
+func (b *bounds) step(slot int32, rec *pairRec, nextM float64, n1, n2, cov1, cov2 int32) bool {
+	n0, l := rec.n0, rec.l
+	// big = cov + max(ln C→, ln C←); computed lazily — at most once a call —
+	// because the logs are the expensive part of a bound evaluation.
+	big := 0.0
+	haveBig := false
+	// Cmin (Eq. 9): assume every unseen shared item disagrees.
+	if !b.timers || n0 >= rec.minSkipUntil {
+		big = rec.big()
+		haveBig = true
+		cmin := big + float64(l-n0)*b.lnDiff
+		b.evals++
+		if cmin >= b.thetaCp {
+			b.decide(slot, rec, flagCopying)
+			return true
+		}
+		if b.timers {
+			// Tmin (Section IV-B): a further shared value adds at most M to
+			// big and takes one ln(1−s) out of the correction, raising Cmin
+			// by at most M − ln(1−s); θcp is out of reach for the next t
+			// shared values.
+			t := int32(math.Ceil((b.thetaCp - cmin) / (nextM - b.lnDiff)))
+			if t < 1 {
+				t = 1
+			}
+			rec.minSkipUntil = n0 + t
+		}
+	}
+	// Cmax (Eq. 10).
+	if !b.timers || n1 >= rec.maxSkipN1 || n2 >= rec.maxSkipN2 {
+		if !haveBig {
+			big = rec.big()
+		}
+		h := estimateOverlapSeen(n1, n2, cov1, cov2, l, n0)
+		cmax := big + (h-float64(n0))*b.lnDiff + (float64(l)-h)*nextM
+		b.evals++
+		if cmax < b.thetaInd {
+			b.decide(slot, rec, 0)
+			return true
+		}
+		if b.timers {
+			// Tmax (Section IV-B). One more scanned shared item moves h to
+			// h+1 and takes M out of (l−h)·M. If the values agree it adds at
+			// most M to big: Cmax does not rise. If they differ it adds
+			// ln(1−s): Cmax falls by M − ln(1−s), the most one item can do.
+			// So θind is out of reach until h has grown by t0, and
+			// h = max n(S)·l/|D̄(S)| reaches h+t0 when either source has been
+			// observed (h+t0)·|D̄(S)|/l times. (Arming at t0+h−n0, the
+			// different items needed, never skips on pairs with n0 in the
+			// hundreds.)
+			t0 := math.Ceil((cmax - b.thetaInd) / (nextM - b.lnDiff))
+			reach := (h + t0) / float64(l)
+			t1 := int32(math.Ceil(reach * float64(cov1)))
+			t2 := int32(math.Ceil(reach * float64(cov2)))
+			if t1 <= n1 {
+				t1 = n1 + 1
+			}
+			if t2 <= n2 {
+				t2 = n2 + 1
+			}
+			rec.maxSkipN1, rec.maxSkipN2 = t1, t2
+		}
+	}
+	return false
 }
 
 // scanRound runs one round of INDEX/BOUND/BOUND+/HYBRID, parallelized per
@@ -279,7 +374,8 @@ func makePairTab(ds *dataset.Dataset, p bayes.Params, m mode,
 	}
 }
 
-// scanShard is the accumulation kernel of the index-driven algorithms: one
+// scanShard is the entry walk, the accumulation kernel of the scans whose
+// pairs share few items (sweepShard is the other loop nest; sweeps picks): one
 // worker's entry scan over the shard of the pair space it owns, into the
 // shard's own table. A pair {S1, S2} (S1 < S2, as guaranteed by the sorted
 // provider lists) belongs to shard S1 mod workers, so every pair has
@@ -296,16 +392,15 @@ func makePairTab(ds *dataset.Dataset, p bayes.Params, m mode,
 // no call: one shared independence probability, one likelihood-ratio
 // multiply per direction in place (pairRec.mulFused; accum.go has the
 // representation), and — for bounded pairs whose timers have run out —
-// the Cmin/Cmax checks, which are the only place a logarithm is taken.
+// the Cmin/Cmax checks (bounds.step), the only place a logarithm is taken.
 //
 //copydetect:hotpath
 func scanShard(ds *dataset.Dataset, st *bayes.State, p bayes.Params, m mode,
 	v *index.View, pm *index.PairMap, tab *pairTab, nSeen []int32, w, workers int) Stats {
 
 	var stats Stats
-	thetaCp, thetaInd := p.ThetaCp(), p.ThetaInd()
-	lnDiff := p.LnDiff()
-	useTimers := m >= modeBoundPlus
+	bd := newBounds(p, m, tab)
+	useTimers := bd.timers
 	exact := m == modeFreeze
 
 	str := v.S
@@ -387,73 +482,17 @@ func scanShard(ds *dataset.Dataset, st *bayes.State, p bayes.Params, m mode,
 				if fl&flagUseBounds == 0 {
 					continue
 				}
-				n0, l := rec.n0, rec.l
-				// big = cov + max(ln C→, ln C←); computed lazily — at most
-				// once per co-occurrence — because the logs are the
-				// expensive part of a bound evaluation.
-				big := 0.0
-				haveBig := false
-				// Cmin (Eq. 9): assume every unseen shared item disagrees.
-				if !useTimers || n0 >= rec.minSkipUntil {
-					big = rec.big()
-					haveBig = true
-					cmin := big + float64(l-n0)*lnDiff
-					stats.Computations++
-					if cmin >= thetaCp {
-						tab.decide(slot, rec, flagCopying, exact, lnDiff)
-						continue
-					}
-					if useTimers {
-						// Tmin (Section IV-B): a further shared value adds at
-						// most M to big and takes one ln(1−s) out of the
-						// correction, raising Cmin by at most M − ln(1−s);
-						// θcp is out of reach for the next t shared values.
-						t := int32(math.Ceil((thetaCp - cmin) / (nextM - lnDiff)))
-						if t < 1 {
-							t = 1
-						}
-						rec.minSkipUntil = n0 + t
-					}
+				// §IV, unless every timer is still running.
+				if useTimers && rec.n0 < rec.minSkipUntil &&
+					seen1 < rec.maxSkipN1 && nSeen[s2] < rec.maxSkipN2 {
+					continue
 				}
-				// Cmax (Eq. 10).
-				if !useTimers || seen1 >= rec.maxSkipN1 || nSeen[s2] >= rec.maxSkipN2 {
-					if !haveBig {
-						big = rec.big()
-					}
-					h := estimateOverlapSeen(ds, nSeen, s1, s2, l, n0)
-					cmax := big + (h-float64(n0))*lnDiff + (float64(l)-h)*nextM
-					stats.Computations++
-					if cmax < thetaInd {
-						tab.decide(slot, rec, 0, exact, lnDiff)
-						continue
-					}
-					if useTimers {
-						// Tmax (Section IV-B). One more scanned shared item
-						// moves h to h+1 and takes M out of (l−h)·M. If the
-						// values agree it adds at most M to big: Cmax does
-						// not rise. If they differ it adds ln(1−s): Cmax
-						// falls by M − ln(1−s), the most one item can do. So
-						// θind is out of reach until h has grown by t0, and
-						// h = max n(S)·l/|D̄(S)| reaches h+t0 when either
-						// source has been observed (h+t0)·|D̄(S)|/l times.
-						// (Arming at t0+h−n0, the different items needed,
-						// never skips on pairs with n0 in the hundreds.)
-						t0 := math.Ceil((cmax - thetaInd) / (nextM - lnDiff))
-						reach := (h + t0) / float64(l)
-						n1 := int32(math.Ceil(reach * float64(ds.Coverage(s1))))
-						n2 := int32(math.Ceil(reach * float64(ds.Coverage(s2))))
-						if n1 <= nSeen[s1] {
-							n1 = nSeen[s1] + 1
-						}
-						if n2 <= nSeen[s2] {
-							n2 = nSeen[s2] + 1
-						}
-						rec.maxSkipN1, rec.maxSkipN2 = n1, n2
-					}
-				}
+				bd.step(slot, rec, nextM, seen1, nSeen[s2],
+					int32(ds.Coverage(s1)), int32(ds.Coverage(s2)))
 			}
 		}
 	}
+	stats.Computations += bd.evals
 	return stats
 }
 
@@ -499,11 +538,12 @@ func finalizePairs(p bayes.Params, m mode, pm *index.PairMap, tabs []pairTab, re
 
 // estimateOverlapSeen computes h, the estimated number of already-scanned
 // data items shared by the pair: max over the two sources of
-// n(S)·l(S1,S2)/|D̄(S)| (Section IV-A), clamped into [n0, l].
-func estimateOverlapSeen(ds *dataset.Dataset, nSeen []int32, s1, s2 dataset.SourceID, l, n0 int32) float64 {
+// n(S)·l(S1,S2)/|D̄(S)| (Section IV-A), clamped into [n0, l]. n1 and n2 are
+// n(S1) and n(S2) at the scan position, cov1 and cov2 the sources' coverages.
+func estimateOverlapSeen(n1, n2, cov1, cov2, l, n0 int32) float64 {
 	lf := float64(l)
-	h1 := float64(nSeen[s1]) * lf / float64(ds.Coverage(s1))
-	h2 := float64(nSeen[s2]) * lf / float64(ds.Coverage(s2))
+	h1 := float64(n1) * lf / float64(cov1)
+	h2 := float64(n2) * lf / float64(cov2)
 	h := math.Max(h1, h2)
 	if h < float64(n0) {
 		h = float64(n0)

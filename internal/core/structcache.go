@@ -22,8 +22,9 @@ import (
 //   - Per round, reusing buffers: the rescored View, the candidate pair
 //     map (pairs co-occurring outside the round's tail set E̅, which moves
 //     with the scores), its shared-item counts, the pair-state tables (one
-//     per shard) and the per-worker nSeen scratch. After the first round
-//     of a dataset, none of these allocate.
+//     per shard) and what the round's loop nest reads beside them — the
+//     entry walk's per-worker nSeen scratch or the pair sweep's position
+//     index. After the first round of a dataset, none of these allocate.
 //
 // The cache key is the dataset pointer AND its Generation stamp: a caller
 // that deletes a dataset and creates a new one can legitimately see the
@@ -44,7 +45,8 @@ type structCache struct {
 	pm      *index.PairMap
 	lCounts []int32
 	tabs    []pairTab
-	nSeen   [][]int32
+	nSeen   [][]int32 // entry walk: one counter slice per worker
+	pos     posIndex  // pair sweep: the round's position index
 }
 
 // structures returns the SoA structure for ds, rebuilding everything when

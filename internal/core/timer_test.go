@@ -15,11 +15,13 @@ import (
 )
 
 // boundEvals is an upper estimate of the Cmin/Cmax evaluations of one scan
-// round: every computation that is not one of the two multiplies of a
-// co-occurrence. It still counts the two finalization computations of
-// every pair no bound decided (at most 2·pairs), and INCREMENTAL's freeze
-// round adds its post-decision multiplies; within one algorithm it moves
-// with the bound bookkeeping alone.
+// round of INDEX, BOUND, BOUND+ or HYBRID: every computation that is not one
+// of the two multiplies of a co-occurrence. It still counts the two
+// finalization computations of every pair no bound decided (at most
+// 2·pairs); within one algorithm it moves with the bound bookkeeping alone.
+// It is not defined on INCREMENTAL's freeze round, whose Computations also
+// hold the multiplies past each decision point (which ValuesExamined does
+// not count) and prepare's two a pair.
 func boundEvals(st core.Stats) int64 {
 	return st.Computations - 2*st.ValuesExamined
 }

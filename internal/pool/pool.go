@@ -15,9 +15,12 @@
 //     trading a line on every write cost more than the second core
 //     brings: such state lives in per-shard tables when it shards by
 //     Owns, and is split by Block when it shards by index.
-//   - Each worker traverses the shared input (the inverted index) in the
-//     same order the sequential scan does, so every floating-point
-//     accumulation happens in the same order as sequentially.
+//   - Each worker traverses its share of the input in the order the
+//     sequential scan does — the inverted index entry by entry, skipping
+//     what it does not own, or the pairs it owns one by one, each over
+//     its shared entries in scan order (core's two loop nests) — so every
+//     floating-point accumulation happens in the same order as
+//     sequentially.
 //   - Shard outputs are merged on the calling goroutine in shard order
 //     (Shards), read back from the owner's table in slot order, or
 //     written into a worker's block of a shared slice indexed in a
@@ -35,8 +38,9 @@ import "runtime"
 // does NOT cap at GOMAXPROCS: the shard count is part of the (determinism-
 // irrelevant) execution plan, and tests exercise multi-shard execution on
 // single-core machines. Oversubscription is safe but not free — each shard
-// walks the shared input to find the work it owns and holds a table of
-// its own for it — so callers wanting "use the hardware" pass Auto().
+// holds a table of its own for the work it owns and, under core's entry
+// walk, walks the shared input to find it — so callers wanting "use the
+// hardware" pass Auto().
 func Clamp(workers int) int {
 	if workers < 1 {
 		return 1
