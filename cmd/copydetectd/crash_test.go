@@ -251,9 +251,7 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 			defer ref.Close()
 			rc := &client{t: t, http: httpClient, base: ref.URL, name: "stream"}
 			rc.create()
-			rc.mustAppend(batches[0], nil)
-			rc.quiesce() // pin round 1 = HYBRID before the free-running tail
-			for _, b := range batches[1:] {
+			for _, b := range batches {
 				rc.mustAppend(b, nil)
 			}
 			rc.mustAppend(nil, truth)
@@ -269,7 +267,6 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 			cc := &client{t: t, http: httpClient, base: d.base, name: "stream"}
 			cc.create()
 			cc.mustAppend(batches[0], nil)
-			cc.quiesce() // round 1 durable (publish marker precedes quiesce return)
 
 			killAt := map[int]bool{}
 			for len(killAt) < 2 {

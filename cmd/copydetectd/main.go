@@ -1,9 +1,9 @@
 // Command copydetectd is a streaming copy-detection service: an
 // HTTP/JSON daemon holding a registry of named datasets. Clients append
 // observation batches as they arrive; a dirty-dataset scheduler runs
-// detection rounds asynchronously — full HYBRID on a dataset's first
-// build, INCREMENTAL refinement afterwards — and reads serve the last
-// published round without ever blocking on detection.
+// detection rounds asynchronously — each one the whole iterative process
+// with INCREMENTAL on a snapshot of the appends so far — and reads serve
+// the last published round without ever blocking on detection.
 //
 // Usage:
 //

@@ -71,12 +71,12 @@
 // wraps the library in a long-running HTTP/JSON service backed by
 // internal/server. It holds a registry of named datasets; clients
 // append observation batches, a dirty-dataset scheduler runs detection
-// rounds asynchronously (full HYBRID on a dataset's first build,
-// INCREMENTAL refinement on every later round), and reads serve the
-// last published round with round/version ETags, never blocking on
-// detection. Every round runs the complete iterative process on an
-// immutable snapshot, so a quiesced dataset's result is byte-identical
-// to a one-shot batch Detect over the same final data — the
+// rounds asynchronously, and reads serve the last published round with
+// round/version ETags, never blocking on detection. Every round runs
+// the complete iterative process from priors, with INCREMENTAL, on an
+// immutable snapshot, so what is served for a version depends on that
+// version alone and a quiesced dataset's result is byte-identical to a
+// one-shot batch INCREMENTAL run over the same final data — the
 // batch-equivalence guarantee documented in DESIGN.md. See
 // examples/server for a streaming client.
 //

@@ -60,7 +60,7 @@ func main() {
 	post(http.MethodPut, base, nil)
 
 	// Stream the observations batch by batch, polling between batches so
-	// the round progression (HYBRID first, INCREMENTAL after) is visible.
+	// the round progression is visible.
 	per := (len(recs) + *batches - 1) / *batches
 	etag := ""
 	for start := 0; start < len(recs); start += per {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -60,6 +61,16 @@ func TestIncrementalGenerationChangeReprepares(t *testing.T) {
 	assertSameDecisions(t, res, idx, "INCREMENTAL after dataset swap vs INDEX")
 }
 
+// sharedItems is l(S1,S2) off the item bitsets — the number the detector
+// holds per pair slot (Incremental.l) and hands to exactPairBits.
+func sharedItems(str *index.Structure, s1, s2 int) int {
+	n := 0
+	for wi, w := range str.ItemBits[s1] {
+		n += bits.OnesCount64(w & str.ItemBits[s2][wi])
+	}
+	return n
+}
+
 // TestExactPairBitsMatchesMerge: INCREMENTAL's two exact-recomputation
 // paths — the bitset AND sweep and the sorted-list merge — must agree
 // bit for bit (scores AND stats counters), for every candidate pair. Both
@@ -79,7 +90,7 @@ func TestExactPairBitsMatchesMerge(t *testing.T) {
 			for s2 := s1 + 1; s2 < ns; s2++ {
 				var stb, stm Stats
 				bTo, bFrom := exactPairBits(p, str, ds, st,
-					dataset.SourceID(s1), dataset.SourceID(s2), &stb)
+					dataset.SourceID(s1), dataset.SourceID(s2), sharedItems(str, s1, s2), &stb)
 				mTo, mFrom := exactPairMerge(p, ds, st,
 					dataset.SourceID(s1), dataset.SourceID(s2), &stm)
 				if bTo != mTo || bFrom != mFrom {
@@ -105,7 +116,7 @@ func TestExactPairBitsMatchesMergeCoverage(t *testing.T) {
 	for s1 := 0; s1 < ds.NumSources(); s1++ {
 		for s2 := s1 + 1; s2 < ds.NumSources(); s2++ {
 			var stb, stm Stats
-			bTo, bFrom := exactPairBits(p, str, ds, st, dataset.SourceID(s1), dataset.SourceID(s2), &stb)
+			bTo, bFrom := exactPairBits(p, str, ds, st, dataset.SourceID(s1), dataset.SourceID(s2), sharedItems(str, s1, s2), &stb)
 			mTo, mFrom := exactPairMerge(p, ds, st, dataset.SourceID(s1), dataset.SourceID(s2), &stm)
 			if bTo != mTo || bFrom != mFrom {
 				t.Fatalf("pair (%d,%d): bits (%v,%v) != merge (%v,%v)", s1, s2, bTo, bFrom, mTo, mFrom)

@@ -502,7 +502,7 @@ func (d *Incremental) buildClosures() {
 			}
 			// Pass 3: exact recomputation against the current state.
 			out.pass.SettledPass3++
-			cTo, cFrom := d.exactPair(d.roundDS, d.roundSt, s1, s2, &out.stats)
+			cTo, cFrom := d.exactPair(d.roundDS, d.roundSt, slot, s1, s2, &out.stats)
 			d.copying[slot], _, _, _ = decide(p, cTo, cFrom)
 		}
 	}
@@ -622,34 +622,29 @@ func (d *Incremental) incrementalRound(ds *dataset.Dataset, st *bayes.State) *Re
 
 // exactPair recomputes the full scores of one pair with current state —
 // the cost the passes try to avoid. With entry bitsets available the
-// shared items and shared values are AND+popcount sweeps and only actual
-// co-occurrences are visited; otherwise it merges the two observation
-// lists. Both paths visit the same co-occurrences in the same (item-major)
+// shared values are an AND sweep that visits only actual co-occurrences,
+// and l(S1,S2) is the count the detector already holds for the pair's
+// slot; otherwise it merges the two observation lists, counting as it
+// goes. Both paths visit the same co-occurrences in the same (item-major)
 // order and accumulate identically, so their results are bit-equal
 // (TestExactPairBitsMatchesMerge).
 //
 //copydetect:hotpath
-func (d *Incremental) exactPair(ds *dataset.Dataset, st *bayes.State, s1, s2 dataset.SourceID, stats *Stats) (cTo, cFrom float64) {
+func (d *Incremental) exactPair(ds *dataset.Dataset, st *bayes.State, slot int, s1, s2 dataset.SourceID, stats *Stats) (cTo, cFrom float64) {
 	if str := d.cache.str; str != nil && str.EntryBits != nil {
-		return exactPairBits(d.Params, str, ds, st, s1, s2, stats)
+		return exactPairBits(d.Params, str, ds, st, s1, s2, int(d.l[slot]), stats)
 	}
 	return exactPairMerge(d.Params, ds, st, s1, s2, stats)
 }
 
-// exactPairBits is the bitset path of exactPair: l(S1,S2) and the shared
-// entries come from word-parallel ANDs of the per-source bitsets, and the
-// contribution loop iterates only the set bits of EntryBits[s1] ∧
+// exactPairBits is the bitset path of exactPair: nShared is l(S1,S2), and
+// the contribution loop iterates only the set bits of EntryBits[s1] ∧
 // EntryBits[s2] — ascending entry id, which is item-major order, matching
 // the merge path. The set-bit iteration is inlined (no callback) to stay
 // allocation-free.
 func exactPairBits(p bayes.Params, str *index.Structure, ds *dataset.Dataset, st *bayes.State,
-	s1, s2 dataset.SourceID, stats *Stats) (cTo, cFrom float64) {
+	s1, s2 dataset.SourceID, nShared int, stats *Stats) (cTo, cFrom float64) {
 
-	ib1, ib2 := str.ItemBits[s1], str.ItemBits[s2]
-	nShared := 0
-	for wi := range ib1 {
-		nShared += bits.OnesCount64(ib1[wi] & ib2[wi])
-	}
 	a1, a2 := st.A[s1], st.A[s2]
 	ac := newProdAccum()
 	n0 := 0

@@ -57,9 +57,15 @@ type Structure struct {
 	numItems   int
 }
 
-// bitsetMemLimit caps the total bitset footprint at 64 MB. Beyond it the
-// per-source sets would stop fitting in cache anyway and the sorted-list
-// merges win back; Structure then leaves ItemBits/EntryBits nil.
+// bitsetMemLimit caps the total bitset footprint at 64 MB; beyond it
+// Structure leaves ItemBits/EntryBits nil and callers use the sorted-list
+// merges. It stands in for a density rule: counting shared items costs
+// pairs·⌈items/64⌉ word-ANDs off the bitsets and Σ_D C(providers(D), 2)
+// steps off the lists, and past the guard the sparse side wins by far —
+// at the generator's paper-size Book-full (141 785 entries, 115 MB of
+// bitsets) SharedItemCountsBits takes 1.5–1.7 s against the merge's
+// 0.04 s, while on Stock shapes, well inside it, the merge costs 2–3 ms
+// more a run (DESIGN.md, "Why both twins are still here").
 const bitsetMemLimit = 64 << 20
 
 // NewStructure enumerates the entry universe of ds — every value provided

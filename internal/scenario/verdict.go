@@ -110,7 +110,7 @@ type Quality struct {
 	Precision     float64 `json:"precision"`
 	Recall        float64 `json:"recall"`
 	// Algorithms are the detection algorithms that produced the scored
-	// rounds (HYBRID for first rounds, INCREMENTAL after).
+	// rounds, as the daemon's `algorithm` field names them.
 	Algorithms []string         `json:"algorithms,omitempty"`
 	PerDataset []DatasetQuality `json:"perDataset,omitempty"`
 }

@@ -18,7 +18,7 @@ import (
 // until Registry.Quiesce returns, on a durable registry that fsyncs as the
 // daemon does by default. detect-ms and fusion-ms are the published
 // outcome's own timers (what …/stats reports); overhead-ms is everything
-// else in the op: WAL append, quiet period, snapshot, publish marker.
+// else in the op: WAL append, quiet period, snapshot, publish.
 //
 //	go test -run '^$' -bench Refresh -benchtime 20x ./internal/server
 func BenchmarkRefresh(b *testing.B) {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"copydetect/internal/dataset"
+	"copydetect/internal/wal"
 )
 
 // The files under testdata/golden were written by the commit before the
@@ -92,5 +93,96 @@ func TestGoldenExport(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("the decoded export does not encode back to its bytes")
+	}
+}
+
+// wal-publish-markers.wal is a whole WAL segment as the commit before
+// PR 25 (db66dcb) left it after a crash with no snapshot: three appends
+// of the same motivating example, each followed by the kind-2 publish
+// marker of the round that covered it — the record kind that commit
+// wrote inside every publish and nothing writes now. A data directory
+// holding it must open, and what it recovers to and then publishes must
+// be what a log of the three appends alone recovers to and publishes.
+func TestGoldenWALWithPublishMarkers(t *testing.T) {
+	const name, segment = "golden", "0000000000000001.wal"
+	open := func(dir string) *Registry {
+		reg, err := Open(Config{DataDir: dir, SnapshotEvery: 1 << 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reg
+	}
+	// The marker-free twin: the golden segment's appends through today's
+	// write path, crashed before any snapshot.
+	plainDir := t.TempDir()
+	plain := open(plainDir)
+	m, err := plain.Create(name, DatasetConfig{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dsDir := filepath.Join(datasetsRoot(plainDir), encodeDirName(name))
+	config, err := os.ReadFile(filepath.Join(dsDir, "config.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	goldenDir := t.TempDir()
+	goldenDS := filepath.Join(datasetsRoot(goldenDir), encodeDirName(name))
+	if err := os.MkdirAll(filepath.Join(goldenDS, "wal"), 0o777); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(goldenDS, "config.json"), config, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(goldenDS, "wal", segment), golden(t, "wal-publish-markers.wal"), 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	kinds := map[byte]int{}
+	log, err := wal.Open(filepath.Join(goldenDS, "wal"), wal.Options{}, func(_ uint64, payload []byte) error {
+		rec, err := decodeWALRecord(payload)
+		if err != nil {
+			return err
+		}
+		kinds[rec.kind]++
+		if rec.kind == walRecAppend {
+			_, _, err = m.Append(rec.obs, rec.truth)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log.Close()
+	if kinds[walRecAppend] != 3 || kinds[walRecPublish] != 3 || len(kinds) != 2 {
+		t.Fatalf("golden segment holds records by kind %v, want 3 appends and 3 publish markers", kinds)
+	}
+	crash(plain)
+
+	regG, regP := open(goldenDir), open(plainDir)
+	defer regG.Close()
+	defer regP.Close()
+	var blobs [2][]byte
+	var pubs [2]*Published
+	for i, reg := range []*Registry{regG, regP} {
+		m, ok := reg.Get(name)
+		if !ok {
+			t.Fatal("dataset lost")
+		}
+		blobs[i] = captureState(t, m).export
+		pubs[i] = quiesce(t, reg, name)
+	}
+	if !bytes.Equal(blobs[0], blobs[1]) {
+		t.Fatal("the log with publish markers recovers to a different export (version or dataset bytes) than the log without")
+	}
+	g, p := pubs[0], pubs[1]
+	if g == nil || g.Version != 3 || g.Round != 1 || g.Algorithm != "INCREMENTAL" || g.Snapshot.NumObservations() != 45 || len(g.Outcome.Copy.CopyingPairs()) == 0 {
+		t.Fatalf("the log with publish markers published %+v, want round 1 of version 3 on the motivating example", g)
+	}
+	if p.Version != g.Version || p.Round != g.Round || p.Algorithm != g.Algorithm || !eqDataset(p.Snapshot, g.Snapshot) {
+		t.Fatalf("published v%d r%d %s with markers, v%d r%d %s without (or snapshots differ)", g.Version, g.Round, g.Algorithm, p.Version, p.Round, p.Algorithm)
+	}
+	if diff := diffOutcome(g.Outcome, p.Outcome); diff != "" {
+		t.Fatalf("the log with publish markers publishes a different outcome than the log without: %s", diff)
 	}
 }

@@ -91,7 +91,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	var stats statsResponse
 	wantStatus(t, do(t, srv, http.MethodPost, "/v1/datasets/motivating/quiesce", nil, &stats, nil),
 		http.StatusOK)
-	if !stats.Converged || stats.Round != 1 || stats.Algorithm != "HYBRID" || stats.DetectRounds == 0 {
+	if !stats.Converged || stats.Round != 1 || stats.Algorithm != "INCREMENTAL" || stats.DetectRounds == 0 {
 		t.Fatalf("quiesce stats = %+v", stats)
 	}
 
@@ -121,7 +121,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 
 	// A second append invalidates the cached ETag and, once quiesced,
-	// republishes from an INCREMENTAL round.
+	// republishes from a second round.
 	wantStatus(t, do(t, srv, http.MethodPost, "/v1/datasets/motivating/observations",
 		appendRequest{Observations: []dataset.Record{{Source: "S9", Item: "NY", Value: "Albany"}}},
 		nil, nil), http.StatusAccepted)

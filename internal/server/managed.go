@@ -22,7 +22,8 @@ type Published struct {
 	// Round counts completed rounds for the dataset, starting at 1.
 	Version uint64
 	Round   int
-	// Algorithm is "HYBRID" for the first round, "INCREMENTAL" after.
+	// Algorithm names the detector the round ran: "INCREMENTAL", or
+	// "HYBRID" in a snapshot an older binary wrote of a first round.
 	Algorithm string
 	// Snapshot is the dataset the round detected on.
 	Snapshot *dataset.Dataset
@@ -42,11 +43,11 @@ type Managed struct {
 	opts   core.Options
 	reg    *Registry
 
-	// appendMu serializes every state change of the dataset — append,
-	// import, publish — from its staleness checks through commit to
-	// apply, so WAL order always equals version order, while keeping the
-	// disk write (fsync!) outside mu: reads never wait on storage. Lock
-	// order: appendMu → mu.
+	// appendMu serializes every change of the appended state — append,
+	// import — from its staleness checks through commit to apply, so WAL
+	// order always equals version order, while keeping the disk write
+	// (fsync!) outside mu: reads never wait on storage. Lock order:
+	// appendMu → mu.
 	appendMu sync.Mutex
 	// st is the durable half, set once before the dataset is shared.
 	st *dstore
@@ -55,7 +56,7 @@ type Managed struct {
 	cond    *sync.Cond
 	builder *dataset.Builder
 	version uint64 // the append version: assigned by apply only
-	rounds  int    // completed (published) rounds, survives restarts: assigned by apply only
+	rounds  int    // ordinal of the last published round: runRound counts, a snapshot or an import restores
 	dirty   bool   // appends not yet covered by a completed round
 	running bool   // a round is in flight
 	closed  bool
@@ -71,9 +72,6 @@ type Managed struct {
 	// Telemetry reads it for the convergence-lag-seconds gauge; it is
 	// only meaningful while convergedLocked() is false.
 	lagSince time.Time
-	// markerFailLogged: a publish marker that failed to commit has been
-	// logged for this dataset; later ones are only counted.
-	markerFailLogged bool
 
 	pub *Published
 }
@@ -98,11 +96,11 @@ type Info struct {
 }
 
 // apply turns one record into in-memory state. It is the only code that
-// assigns builder, version or rounds from a record, and live appends,
-// imports, published rounds and crash replay all call it — so replaying
-// the same records in the same order reproduces the same dataset by
-// construction. The caller holds mu (replay runs before the dataset is
-// shared) and has already made rec durable.
+// assigns builder or version, and live appends, imports and crash replay
+// all call it — so replaying the same records in the same order
+// reproduces the same dataset by construction. The caller holds mu
+// (replay runs before the dataset is shared) and has already made rec
+// durable.
 func (m *Managed) apply(rec walRecord) {
 	switch rec.kind {
 	case walRecAppend:
@@ -114,8 +112,6 @@ func (m *Managed) apply(rec walRecord) {
 	case walRecImport:
 		m.builder = dataset.NewBuilderFromDataset(rec.ds)
 		m.version = rec.version
-		m.rounds = max(m.rounds, rec.round)
-	case walRecPublish:
 		m.rounds = max(m.rounds, rec.round)
 	}
 }

@@ -17,7 +17,6 @@ type instruments struct {
 	roundComps      *telemetry.CounterVec   // algorithm
 	roundValues     *telemetry.CounterVec   // algorithm
 	roundsAbandoned *telemetry.Counter
-	markerFailures  *telemetry.Counter
 	walAppend       *telemetry.Histogram
 	walFsync        *telemetry.Histogram
 	admissionRej    *telemetry.Counter
@@ -28,9 +27,8 @@ type instruments struct {
 // per-dataset convergence lag (both in pending appends and in seconds),
 // round durations, counts and detector work by algorithm (the work
 // counters are the benchmark ledger's core.computations and
-// core.values_examined), abandoned rounds, publish markers that failed to
-// commit, WAL append/fsync latency, and admission rejections. Call it
-// once, before serving /metrics.
+// core.values_examined), abandoned rounds, WAL append/fsync latency, and
+// admission rejections. Call it once, before serving /metrics.
 func (r *Registry) RegisterMetrics(t *telemetry.Registry) {
 	t.GaugeFunc("copydetectd_datasets",
 		"Datasets currently registered.", nil,
@@ -67,8 +65,6 @@ func (r *Registry) RegisterMetrics(t *telemetry.Registry) {
 			"Shared values examined (core.Stats.ValuesExamined) by published detection rounds, by algorithm.", "algorithm"),
 		roundsAbandoned: t.Counter("copydetectd_rounds_abandoned_total",
 			"Detection rounds that ended without publishing: cancelled by an append, or finished on a snapshot an append had outdated."),
-		markerFailures: t.Counter("copydetectd_publish_marker_failures_total",
-			"Published rounds whose publish marker could not be committed to the WAL: the round is served, but a restart may not remember it completed."),
 		walAppend: t.Histogram("copydetectd_wal_append_seconds",
 			"WAL append latency (frame write plus any fsync).", nil),
 		walFsync: t.Histogram("copydetectd_wal_fsync_seconds",

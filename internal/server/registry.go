@@ -4,21 +4,22 @@
 // a dirty-dataset scheduler.
 //
 // The contract is batch equivalence: every detection round runs the full
-// iterative process (fusion.TruthFinder) on an immutable snapshot of all
-// observations appended so far, so once a dataset quiesces — no pending
-// appends, no in-flight round — its published result is byte-identical
-// (up to wall-clock timers) to a one-shot batch Detect over the same
-// final dataset with the same algorithm, parameters and worker count.
+// iterative process (fusion.TruthFinder) from priors, with a fresh
+// INCREMENTAL detector, on an immutable snapshot of all observations
+// appended so far. What is published for a version is therefore a
+// function of that version — not of how many rounds came before, of
+// restarts, or of how appends were coalesced — and once a dataset
+// quiesces (no pending appends, no in-flight round) its published result
+// is byte-identical (up to wall-clock timers) to a one-shot batch
+// INCREMENTAL run over the same final dataset with the same parameters.
 // Reads never block on detection: they serve the last published round,
 // versioned by an ETag.
 //
-// The first round of a dataset runs HYBRID (there is no previous decision
-// to refine); every later round runs INCREMENTAL, whose warm phase is
-// HYBRID and whose remaining rounds reuse the entry classification of
-// Section V across the rounds of the iterative process. When an append
-// arrives while a round is in flight, the round's snapshot is stale: the
-// scheduler cancels it between iterative rounds (fusion.TruthFinder.Cancel)
-// and reschedules the dataset.
+// INCREMENTAL's two warm rounds are HYBRID; the remaining rounds of the
+// iterative process reuse the entry classification of Section V. When an
+// append arrives while a round is in flight, the round's snapshot is
+// stale: the scheduler cancels it between iterative rounds
+// (fusion.TruthFinder.Cancel) and reschedules the dataset.
 //
 // With Config.DataDir set (registry Open), every dataset is durable:
 // appends are acknowledged only after their write-ahead-log record is
@@ -28,8 +29,8 @@
 // Result an uninterrupted process would have — the batch-equivalence
 // contract extended across process death.
 //
-// A WAL record is the only unit of state change, and the files follow
-// its life (DESIGN.md, "Serving layer"):
+// A WAL record is the only unit of change to the appended state, and
+// the files follow its life (DESIGN.md, "Serving layer"):
 //
 //	registry.go  Config, Open/recover/Close, Create/Get/Delete/List/Quiesce
 //	managed.go   one dataset: AppendSeq, Export/Import, apply (record → memory)
@@ -71,9 +72,9 @@ type Config struct {
 	// the full registry state after a crash or restart. Empty means a
 	// purely in-memory registry.
 	DataDir string
-	// Fsync makes every acknowledged append (and publish marker) fsync
-	// the WAL, so acknowledged data survives power loss rather than just
-	// process death. Only meaningful with DataDir.
+	// Fsync makes every acknowledged append and import fsync the WAL, so
+	// acknowledged data survives power loss rather than just process
+	// death. Only meaningful with DataDir.
 	Fsync bool
 	// SnapshotEvery is the compaction cadence: a dataset is snapshotted
 	// (and its WAL trimmed) after every SnapshotEvery published rounds

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"log"
 	"time"
 
 	"copydetect/internal/core"
@@ -115,8 +114,6 @@ func (r *Registry) claimDirty() (claimed *Managed, wait time.Duration) {
 // runRound executes one detection round: snapshot the builder, run the
 // full iterative process on it, and publish the outcome if the snapshot
 // is still current. Stale or cancelled rounds re-mark the dataset dirty.
-// running stays true until the very end, so claimDirty cannot reclaim
-// the dataset while a publish is in progress.
 func (m *Managed) runRound() {
 	m.mu.Lock()
 	if m.closed || !m.dirty {
@@ -130,83 +127,52 @@ func (m *Managed) runRound() {
 	cancel := make(chan struct{})
 	m.cancel = cancel
 	snap := m.builder.Build()
-	// The rounds counter, not the published pointer, picks the
-	// algorithm: a recovered dataset whose outcome was lost but whose
-	// publish marker survived must keep refining with INCREMENTAL, the
-	// same way the uninterrupted process would have.
-	round := m.rounds + 1
-	algo := "HYBRID"
-	var det core.Detector = &core.Hybrid{Params: m.params, Opts: m.opts}
-	if m.rounds > 0 {
-		algo = "INCREMENTAL"
-		det = &core.Incremental{Params: m.params, Opts: m.opts}
-	}
 	m.mu.Unlock()
 
 	if testHookRoundStart != nil {
 		testHookRoundStart(m)
 	}
 
-	// params and opts are immutable after Create; no lock needed here.
+	// Every round restarts the iterative process from priors on its own
+	// snapshot with a fresh detector, so what it publishes depends on the
+	// snapshot alone, never on the rounds before it. params and opts are
+	// immutable after Create; no lock needed here.
+	const algo = "INCREMENTAL"
 	tf := &fusion.TruthFinder{Params: m.params, Workers: m.opts.Workers, Cancel: cancel}
 	start := time.Now()
-	out := tf.Run(snap, det)
+	out := tf.Run(snap, &core.Incremental{Params: m.params, Opts: m.opts})
 	wall := time.Since(start)
 
-	// Publish. appendMu keeps every append and import out from the
-	// staleness check to the apply, so the version checked is the
-	// version published; mu is dropped around the marker's disk write,
-	// so reads never wait on its fsync. A cancelled round (out == nil)
+	// Publish: the staleness check and the swap are one critical section
+	// under mu, with no disk write in it. A cancelled round (out == nil)
 	// takes the same path although it has nothing to publish.
-	m.appendMu.Lock()
-	defer m.appendMu.Unlock()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.cancel == cancel {
 		m.cancel = nil
 	}
 	if out != nil && !m.closed && m.version == version {
-		// Commit the publish marker before any Quiesce waiter can
-		// observe the round, so a post-quiesce crash never forgets that
-		// a round completed. Failure here only weakens durability of
-		// the round counter, never of appends.
-		rec := walRecord{kind: walRecPublish, round: round, version: version}
-		m.mu.Unlock()
-		err := m.st.commit(rec)
-		m.mu.Lock()
-		if !m.closed { // a closed dataset's WAL is closed too: err means nothing then
-			if err != nil {
-				if in := m.reg.inst.Load(); in != nil {
-					in.markerFailures.Inc()
-				}
-				if !m.markerFailLogged {
-					m.markerFailLogged = true
-					log.Printf("server: dataset %q: publish marker of round %d not committed; the round is served, a restart may not remember it (further failures are only counted): %v",
-						m.name, round, err)
-				}
-			}
-			m.apply(rec)
-			m.pub = &Published{
-				Version:   version,
-				Round:     round,
-				Algorithm: algo,
-				Snapshot:  snap,
-				Outcome:   out,
-				Wall:      wall,
-			}
-			if in := m.reg.inst.Load(); in != nil {
-				in.roundDuration.With(algo).Observe(wall.Seconds())
-				in.roundsTotal.With(algo).Inc()
-				in.roundComps.With(algo).Add(uint64(out.TotalStats.Computations))
-				in.roundValues.With(algo).Add(uint64(out.TotalStats.ValuesExamined))
-			}
-			if m.st.snapshotDue(m.reg.cfg.SnapshotEvery) {
-				select {
-				case m.reg.compactC <- m:
-					m.st.snapshotRequested()
-				default:
-					// Compactor backlog: retry at the next publish.
-				}
+		m.rounds++
+		m.pub = &Published{
+			Version:   version,
+			Round:     m.rounds,
+			Algorithm: algo,
+			Snapshot:  snap,
+			Outcome:   out,
+			Wall:      wall,
+		}
+		if in := m.reg.inst.Load(); in != nil {
+			in.roundDuration.With(algo).Observe(wall.Seconds())
+			in.roundsTotal.With(algo).Inc()
+			in.roundComps.With(algo).Add(uint64(out.TotalStats.Computations))
+			in.roundValues.With(algo).Add(uint64(out.TotalStats.ValuesExamined))
+		}
+		if m.st.snapshotDue(m.reg.cfg.SnapshotEvery) {
+			select {
+			case m.reg.compactC <- m:
+				m.st.snapshotRequested()
+			default:
+				// Compactor backlog: retry at the next publish.
 			}
 		}
 	} else {

@@ -1,8 +1,9 @@
 // Acceptance suite for the serving layer. The anchor is batch
 // equivalence: streaming a workload into the registry in batches and
-// quiescing must publish a Result byte-identical (wall-clock timers
-// aside) to a one-shot batch run of the same detector over the same
-// final dataset — for sequential and sharded detection alike.
+// quiescing must publish an outcome byte-identical (wall-clock timers
+// aside) to a one-shot batch INCREMENTAL run over the same final dataset
+// — for sequential and sharded detection alike, and whatever rounds the
+// registry published on the way.
 package server
 
 import (
@@ -65,17 +66,32 @@ func quiesce(t *testing.T, reg *Registry, name string) *Published {
 	return pub
 }
 
-// TestStreamedEqualsBatch is the ISSUE's acceptance test: N streamed
-// appends followed by quiesce yield a Result identical to one batch
-// Detect over the same final dataset, for workers 1 and 4. The quiesce
-// after the first batch pins the round sequence (HYBRID first, then
-// INCREMENTAL); the remaining batches are appended with no waiting, so
-// the scheduler's cancellation and re-run paths get exercised too.
+// batchOutcome is the reference every published round is held to: the
+// batches replayed into a fresh Builder (reproducing id interning), then
+// one from-priors INCREMENTAL run over the final dataset.
+func batchOutcome(batches [][]dataset.Record, truth []dataset.Record, workers int) (*dataset.Dataset, *fusion.Outcome) {
+	b := dataset.NewBuilder()
+	for _, batch := range batches {
+		b.AddRecords(batch)
+	}
+	for _, tr := range truth {
+		b.SetTruth(tr.Item, tr.Value)
+	}
+	final := b.Build()
+	params := bayes.DefaultParams()
+	tf := &fusion.TruthFinder{Params: params, Workers: workers}
+	return final, tf.Run(final, &core.Incremental{Params: params, Opts: core.Options{Workers: workers}})
+}
+
+// TestStreamedEqualsBatch is the serving layer's acceptance test: N
+// streamed appends followed by quiesce yield an outcome identical to one
+// batch run over the same final dataset, for workers 1 and 4. The
+// batches are appended with no waiting, so the scheduler's cancellation
+// and re-run paths get exercised too.
 func TestStreamedEqualsBatch(t *testing.T) {
 	ds := streamWorkload(t)
-	recs := dataset.Records(ds)
 	truth := dataset.TruthRecords(ds)
-	batches := splitBatches(recs, 5)
+	batches := splitBatches(dataset.Records(ds), 5)
 
 	for _, workers := range []int{1, 4} {
 		workers := workers
@@ -86,15 +102,7 @@ func TestStreamedEqualsBatch(t *testing.T) {
 			if err != nil {
 				t.Fatalf("create: %v", err)
 			}
-
-			if _, _, err := m.Append(batches[0], nil); err != nil {
-				t.Fatalf("append batch 0: %v", err)
-			}
-			first := quiesce(t, reg, "stream")
-			if first == nil || first.Algorithm != "HYBRID" || first.Round != 1 {
-				t.Fatalf("first round = %+v, want HYBRID round 1", first)
-			}
-			for _, batch := range batches[1:] {
+			for _, batch := range batches {
 				if _, _, err := m.Append(batch, nil); err != nil {
 					t.Fatalf("append: %v", err)
 				}
@@ -106,48 +114,69 @@ func TestStreamedEqualsBatch(t *testing.T) {
 			if pub == nil {
 				t.Fatal("quiesced with no published round")
 			}
-			if pub.Algorithm != "INCREMENTAL" {
-				t.Fatalf("final round ran %s, want INCREMENTAL", pub.Algorithm)
-			}
 			if want := uint64(len(batches) + 1); pub.Version != want {
 				t.Fatalf("published version %d, want %d", pub.Version, want)
 			}
-
-			// Reference: replay the exact same append sequence into a
-			// fresh Builder (reproducing id interning), then run the same
-			// detector once over the final dataset.
-			b := dataset.NewBuilder()
-			for _, batch := range batches {
-				b.AddRecords(batch)
-			}
-			for _, tr := range truth {
-				b.SetTruth(tr.Item, tr.Value)
-			}
-			final := b.Build()
+			final, want := batchOutcome(batches, truth, workers)
 			if !eqDataset(pub.Snapshot, final) {
 				t.Fatal("published snapshot differs from batch-built dataset")
 			}
-
-			params := bayes.DefaultParams()
-			tf := &fusion.TruthFinder{Params: params}
-			want := tf.Run(final, &core.Incremental{Params: params, Opts: core.Options{Workers: workers}})
-
-			got := pub.Outcome
-			if g, w := normalizedResult(got.Copy), normalizedResult(want.Copy); !reflect.DeepEqual(g, w) {
-				t.Fatalf("streamed Result differs from batch Result:\n  got  %d pairs, stats %+v\n  want %d pairs, stats %+v",
-					len(g.Pairs), g.Stats, len(w.Pairs), w.Stats)
+			if diff := diffOutcome(pub.Outcome, want); diff != "" {
+				t.Fatalf("streamed outcome differs from the batch run: %s", diff)
 			}
-			if !reflect.DeepEqual(got.Truth, want.Truth) {
-				t.Fatal("streamed truth decisions differ from batch run")
-			}
-			if !reflect.DeepEqual(got.State.A, want.State.A) {
-				t.Fatal("streamed source accuracies differ from batch run")
-			}
-			if got.Rounds != want.Rounds {
-				t.Fatalf("streamed run took %d iterative rounds, batch %d", got.Rounds, want.Rounds)
-			}
-			if len(got.Copy.CopyingPairs()) == 0 {
+			if len(pub.Outcome.Copy.CopyingPairs()) == 0 {
 				t.Fatal("workload detected no copying pairs; enlarge the preset")
+			}
+		})
+	}
+}
+
+// TestPublishedIsFunctionOfVersion: what a dataset serves for a version
+// depends on the observations of that version alone, not on how many
+// rounds were published on the way to it. The same batches go through
+// two registries — one quiesced after every append, so it publishes a
+// round per version, one never until the end — and both must publish
+// the batch run's outcome, for workers 1 and 4.
+func TestPublishedIsFunctionOfVersion(t *testing.T) {
+	ds := streamWorkload(t)
+	truth := dataset.TruthRecords(ds)
+	batches := splitBatches(dataset.Records(ds), 5)
+
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			final, want := batchOutcome(batches, truth, workers)
+			for _, quiesceEach := range []bool{true, false} {
+				reg := NewRegistry(Config{Options: core.Options{Workers: workers}})
+				defer reg.Close()
+				m, err := reg.Create("d", DatasetConfig{})
+				if err != nil {
+					t.Fatalf("create: %v", err)
+				}
+				for i, batch := range batches {
+					var tr []dataset.Record
+					if i == len(batches)-1 {
+						tr = truth
+					}
+					if _, _, err := m.Append(batch, tr); err != nil {
+						t.Fatalf("append: %v", err)
+					}
+					if quiesceEach {
+						quiesce(t, reg, "d")
+					}
+				}
+				pub := quiesce(t, reg, "d")
+				if pub == nil || pub.Version != uint64(len(batches)) {
+					t.Fatalf("quiesceEach=%v: published %+v, want version %d", quiesceEach, pub, len(batches))
+				}
+				if quiesceEach && pub.Round != len(batches) {
+					t.Fatalf("quiesced after every append but published round %d, want %d", pub.Round, len(batches))
+				}
+				if !eqDataset(pub.Snapshot, final) {
+					t.Fatalf("quiesceEach=%v: published snapshot differs from batch-built dataset", quiesceEach)
+				}
+				if diff := diffOutcome(pub.Outcome, want); diff != "" {
+					t.Fatalf("quiesceEach=%v: round %d of version %d differs from the batch run: %s", quiesceEach, pub.Round, pub.Version, diff)
+				}
 			}
 		})
 	}

@@ -7,10 +7,6 @@
 //   - An append or import is acknowledged only after its record is
 //     committed (written and, with Config.Fsync, fsync'd). The in-memory
 //     builder never holds state the log does not.
-//   - A publish marker is committed before a round's result becomes
-//     visible to Quiesce waiters, so a restarted server knows at least
-//     one round completed and keeps refining with INCREMENTAL instead
-//     of restarting with HYBRID.
 //   - The background compactor snapshots the last published round and
 //     then trims every WAL segment fully covered by it, bounding both
 //     recovery time and disk use; it never trims at or past a record
@@ -46,8 +42,11 @@ import (
 )
 
 const (
-	walRecAppend  = 1 // one acknowledged append batch
-	walRecPublish = 2 // a detection round completed
+	walRecAppend = 1 // one acknowledged append batch
+	// walRecPublish marked a completed round in logs written before
+	// rounds stopped depending on their predecessors. Nothing writes it
+	// any more; it still decodes, and replay skips it.
+	walRecPublish = 2
 	walRecImport  = 3 // anti-entropy import replaced the appended state
 
 	snapMagic  = "CDSNAP\x01"
@@ -68,7 +67,7 @@ var testWALSegmentBytes int64
 // successful WAL append and the registration of its pending entry — the
 // window the inflight floor protects. No lock but the dataset's appendMu
 // is held. Test-only.
-var testHookAfterWALAppend func(st *dstore, rec walRecord)
+var testHookAfterWALAppend func(st *dstore)
 
 // dstore is the on-disk half of one Managed dataset. A nil *dstore is
 // the store of an in-memory registry: every method is a no-op.
@@ -174,12 +173,10 @@ func writeFileDurable(path string, data []byte) error {
 // decodes one and applies it.
 type walRecord struct {
 	kind byte
-	// version is the append version the record produces (append,
-	// import) or the version the published round detected on (publish).
-	// It rides along so recovery can tell which records a snapshot
-	// already covers even when rounds and appends interleave in the log.
+	// version is the append version the record produces. It rides along
+	// so recovery can tell which records a snapshot already covers.
 	version uint64
-	round   int              // publish: the completed round; import: the peer's rounds counter
+	round   int              // import: the peer's rounds counter
 	obs     []dataset.Record // append
 	truth   []dataset.Record // append (Source empty)
 	ds      *dataset.Dataset // import: the whole replacement state
@@ -205,9 +202,6 @@ func (rec walRecord) encode() []byte {
 			w.String(tr.Item)
 			w.String(tr.Value)
 		}
-	case walRecPublish:
-		w.Int(rec.round)
-		w.Uvarint(rec.version)
 	case walRecImport:
 		w.Uvarint(rec.version)
 		w.Int(rec.round)
@@ -244,7 +238,7 @@ func decodeWALRecord(payload []byte) (walRecord, error) {
 				rec.truth[i] = dataset.Record{Item: r.String(), Value: r.String()}
 			}
 		}
-	case walRecPublish:
+	case walRecPublish: // read only: the round it marked and the version that round detected on
 		rec.round = r.Int(1 << 30)
 		rec.version = r.Uvarint()
 	case walRecImport:
@@ -283,11 +277,11 @@ func (st *dstore) commit(rec walRecord) error {
 	st.mu.Unlock()
 	lsn, err := st.log.Append(rec.encode())
 	if err == nil && testHookAfterWALAppend != nil {
-		testHookAfterWALAppend(st, rec)
+		testHookAfterWALAppend(st)
 	}
 	st.mu.Lock()
 	st.inflightLSN = 0
-	if err == nil && rec.kind != walRecPublish {
+	if err == nil {
 		st.pending = append(st.pending, verLSN{version: rec.version, lsn: lsn})
 	}
 	st.mu.Unlock()
@@ -563,12 +557,10 @@ func (r *Registry) recoverDataset(dir string) (*Managed, error) {
 		if err != nil {
 			return err
 		}
-		if rec.kind != walRecPublish {
-			if rec.version <= m.version {
-				return nil // covered by the snapshot or superseded by a later state
-			}
-			m.st.pending = append(m.st.pending, verLSN{version: rec.version, lsn: lsn})
+		if rec.kind == walRecPublish || rec.version <= m.version {
+			return nil // no state in it, covered by the snapshot, or superseded by a later state
 		}
+		m.st.pending = append(m.st.pending, verLSN{version: rec.version, lsn: lsn})
 		m.apply(rec)
 		return nil
 	})

@@ -1,13 +1,9 @@
 package server
 
 import (
-	"bytes"
-	"context"
 	"fmt"
-	"log"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"testing"
 
@@ -155,8 +151,8 @@ func TestRegistryMetricsExposition(t *testing.T) {
 	if v, ok := value("copydetectd_datasets", nil); !ok || v != 1 {
 		t.Errorf("copydetectd_datasets = %v (present=%v), want 1", v, ok)
 	}
-	if v, ok := value("copydetectd_rounds_total", map[string]string{"algorithm": "HYBRID"}); !ok || v < 1 {
-		t.Errorf("rounds_total{HYBRID} = %v (present=%v), want >= 1", v, ok)
+	if v, ok := value("copydetectd_rounds_total", map[string]string{"algorithm": "INCREMENTAL"}); !ok || v < 1 {
+		t.Errorf("rounds_total{INCREMENTAL} = %v (present=%v), want >= 1", v, ok)
 	}
 	// One round was published, so the work counters are exactly that
 	// round's core.Stats — what the benchmark ledger calls
@@ -166,20 +162,17 @@ func TestRegistryMetricsExposition(t *testing.T) {
 	if stats.Computations == 0 || stats.ValuesExamined == 0 {
 		t.Fatalf("published round reports no work: %+v", stats)
 	}
-	if v, ok := value("copydetectd_round_computations_total", map[string]string{"algorithm": "HYBRID"}); !ok || v != float64(stats.Computations) {
-		t.Errorf("round_computations_total{HYBRID} = %v (present=%v), want %d", v, ok, stats.Computations)
+	if v, ok := value("copydetectd_round_computations_total", map[string]string{"algorithm": "INCREMENTAL"}); !ok || v != float64(stats.Computations) {
+		t.Errorf("round_computations_total{INCREMENTAL} = %v (present=%v), want %d", v, ok, stats.Computations)
 	}
-	if v, ok := value("copydetectd_round_values_examined_total", map[string]string{"algorithm": "HYBRID"}); !ok || v != float64(stats.ValuesExamined) {
-		t.Errorf("round_values_examined_total{HYBRID} = %v (present=%v), want %d", v, ok, stats.ValuesExamined)
+	if v, ok := value("copydetectd_round_values_examined_total", map[string]string{"algorithm": "INCREMENTAL"}); !ok || v != float64(stats.ValuesExamined) {
+		t.Errorf("round_values_examined_total{INCREMENTAL} = %v (present=%v), want %d", v, ok, stats.ValuesExamined)
 	}
-	if v, ok := value("copydetectd_round_duration_seconds_count", map[string]string{"algorithm": "HYBRID"}); !ok || v < 1 {
+	if v, ok := value("copydetectd_round_duration_seconds_count", map[string]string{"algorithm": "INCREMENTAL"}); !ok || v < 1 {
 		t.Errorf("round_duration count = %v (present=%v), want >= 1", v, ok)
 	}
 	if v, ok := value("copydetectd_wal_append_seconds_count", nil); !ok || v < 1 {
 		t.Errorf("wal_append count = %v (present=%v), want >= 1 (durable registry)", v, ok)
-	}
-	if v, ok := value("copydetectd_publish_marker_failures_total", nil); !ok || v != 0 {
-		t.Errorf("publish_marker_failures_total = %v (present=%v), want 0: every marker of a clean run commits", v, ok)
 	}
 	if v, ok := value("copydetectd_dataset_convergence_lag_appends", map[string]string{"dataset": "m"}); !ok || v != 0 {
 		t.Errorf("convergence lag appends = %v (present=%v), want 0 after quiesce", v, ok)
@@ -192,50 +185,5 @@ func TestRegistryMetricsExposition(t *testing.T) {
 	}
 	if _, ok := value("copydetectd_wal_fsync_seconds_count", nil); !ok {
 		t.Error("wal_fsync family missing from exposition")
-	}
-}
-
-// TestPublishMarkerFailureCounted: a round whose publish marker cannot be
-// committed is still served — the failure costs the round counter its
-// durability, nothing else — but it is counted and logged, once per
-// dataset, instead of dropped. The WAL is closed under the dataset right
-// after its append record lands, so the marker is the first write to fail.
-func TestPublishMarkerFailureCounted(t *testing.T) {
-	reg, err := Open(Config{DataDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	treg := telemetry.New()
-	reg.RegisterMetrics(treg)
-	m, err := reg.Create("lost", DatasetConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var logged bytes.Buffer
-	log.SetOutput(&logged)
-	defer log.SetOutput(os.Stderr)
-	testHookAfterWALAppend = func(st *dstore, rec walRecord) {
-		if st == m.st && rec.kind == walRecAppend {
-			st.log.Close()
-		}
-	}
-	defer func() { testHookAfterWALAppend = nil }()
-	defer reg.Close() // before the hook is cleared: no round may still read it
-
-	if _, _, err := m.Append(batchN("one", 6), nil); err != nil {
-		t.Fatal(err)
-	}
-	pub, err := reg.Quiesce(context.Background(), "lost")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pub.Round != 1 || pub.Version != 1 {
-		t.Errorf("round %d of version %d published; want round 1 of version 1 served although its marker was lost", pub.Round, pub.Version)
-	}
-	if got := counterValue(t, treg, "copydetectd_publish_marker_failures_total"); got != 1 {
-		t.Errorf("copydetectd_publish_marker_failures_total = %v, want 1", got)
-	}
-	if n := strings.Count(logged.String(), `dataset "lost": publish marker of round 1 not committed`); n != 1 {
-		t.Errorf("marker failure logged %d times, want once:\n%s", n, logged.String())
 	}
 }

@@ -1,8 +1,8 @@
 // Compaction/trim boundary tests (ISSUE 5): the WAL prefix a snapshot
 // covers may be trimmed, but never a record of an acknowledged append
 // that is not yet registered for trimming — and a snapshot landing
-// exactly at a segment rotation must leave recovery with the rounds
-// counter intact.
+// exactly at a segment rotation must leave recovery with every append
+// and the round ordinal the snapshot recorded.
 package server
 
 import (
@@ -39,9 +39,7 @@ func TestCompactionDoesNotTrimInflightAppend(t *testing.T) {
 	}
 	// The crash below abandons reg without Close (Close would snapshot
 	// the lost batch back into existence); this only stops its
-	// goroutines once every assertion has run — and before the hook is
-	// cleared, because its rounds read the hook when they commit their
-	// publish markers.
+	// goroutines once every assertion has run.
 	defer func() { testHookAfterWALAppend = nil }()
 	defer reg.Close()
 	m, err := reg.Create("inflight", DatasetConfig{})
@@ -59,16 +57,16 @@ func TestCompactionDoesNotTrimInflightAppend(t *testing.T) {
 	m.snapshot(false)
 
 	hookRan := false
-	testHookAfterWALAppend = func(st *dstore, _ walRecord) {
+	testHookAfterWALAppend = func(st *dstore) {
 		if st != m.st || hookRan {
 			return
 		}
 		hookRan = true
 		// The in-flight append record has filled the active segment past
-		// the rotation threshold; this marker append (a no-op on replay:
-		// round 1 is already published) opens a fresh segment, closing
-		// the one holding the in-flight record...
-		if _, err := st.log.Append(walRecord{kind: walRecPublish, round: 1, version: 1}.encode()); err != nil {
+		// the rotation threshold; the next record — a publish marker as
+		// older binaries wrote them, which replay skips — opens a fresh
+		// segment, closing the one holding the in-flight record...
+		if _, err := st.log.Append([]byte{walRecPublish, 1, 1}); err != nil {
 			t.Errorf("marker append in hook: %v", err)
 		}
 		// ...and the compactor runs its snapshot+trim in exactly this
@@ -104,8 +102,8 @@ func TestCompactionDoesNotTrimInflightAppend(t *testing.T) {
 // TestSnapshotAtSegmentRotationCrashRecovers pins the boundary the
 // issue describes: snapshots (and their trims) landing precisely at WAL
 // segment rotations, then a crash. Recovery must keep the appended data
-// AND the rounds counter — the next round after restart must run
-// INCREMENTAL, never restart on HYBRID.
+// and the snapshot's round ordinal — the next round after restart
+// continues the count.
 func TestSnapshotAtSegmentRotationCrashRecovers(t *testing.T) {
 	testWALSegmentBytes = 64 // every record lands on a rotation boundary
 	defer func() { testWALSegmentBytes = 0 }()
@@ -127,8 +125,7 @@ func TestSnapshotAtSegmentRotationCrashRecovers(t *testing.T) {
 			t.Fatalf("quiesce %d: pub=%v err=%v", i, pub, err)
 		}
 		rounds = pub.Round
-		// Snapshot + trim exactly here, with the publish marker at (or
-		// next to) a segment boundary.
+		// Snapshot + trim exactly here, at a segment boundary.
 		waitForSnapshot(t, dir, "rotated")
 		m.snapshot(false)
 	}
@@ -153,8 +150,7 @@ func TestSnapshotAtSegmentRotationCrashRecovers(t *testing.T) {
 	if err != nil || pub == nil {
 		t.Fatalf("quiesce after crash: pub=%v err=%v", pub, err)
 	}
-	if pub.Round != rounds+1 || pub.Algorithm != "INCREMENTAL" {
-		t.Fatalf("after crash the next round was %d %q, want %d INCREMENTAL (rounds counter lost in the trim)",
-			pub.Round, pub.Algorithm, rounds+1)
+	if pub.Round != rounds+1 {
+		t.Fatalf("after crash the next round was %d, want %d (the snapshot's round ordinal lost in the trim)", pub.Round, rounds+1)
 	}
 }

@@ -5,67 +5,16 @@ package server
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"path/filepath"
-	"reflect"
 	"testing"
-	"time"
 
 	"copydetect/internal/bayes"
 	"copydetect/internal/core"
 	"copydetect/internal/dataset"
 )
-
-// TestPublishMarkerCommittedOutsideDatasetLock is the regression test
-// for "reads wait on an fsync once per published round": the publish
-// marker used to be appended to the WAL with m.mu held. The hook runs
-// inside commit, on the round's goroutine, at the point the marker is
-// on disk; taking m.mu there (ReadState, Info) self-deadlocks if the
-// caller of commit still holds it.
-func TestPublishMarkerCommittedOutsideDatasetLock(t *testing.T) {
-	reg := openDurable(t, t.TempDir(), 1)
-	m, err := reg.Create("marker", DatasetConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fired := make(chan Info, 1)
-	testHookAfterWALAppend = func(st *dstore, rec walRecord) {
-		if st != m.st || rec.kind != walRecPublish {
-			return
-		}
-		m.ReadState()
-		select {
-		case fired <- m.Info():
-		default:
-		}
-	}
-	defer func() { testHookAfterWALAppend = nil }()
-	deadlocked := false
-	defer func() {
-		if !deadlocked { // Close would wait for the stuck round forever
-			reg.Close() // before the hook is cleared: no round may still read it
-		}
-	}()
-
-	if _, _, err := m.Append(batchN("one", 6), nil); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case inf := <-fired:
-		// The marker is durable but the round not yet visible: running
-		// stays true until the publish, so nothing can claim convergence.
-		if inf.Converged || inf.Round != 0 {
-			t.Errorf("during the marker commit Info = %+v, want unconverged with no round served", inf)
-		}
-	case <-time.After(10 * time.Second):
-		deadlocked = true
-		t.Fatal("publish marker hook never returned: the marker is committed with the dataset lock held (or not through commit at all)")
-	}
-	if pub := quiesce(t, reg, "marker"); pub == nil || pub.Round != 1 {
-		t.Fatalf("published %+v, want round 1", pub)
-	}
-}
 
 // TestImportValidatesWorkers: an export blob is wire input too; its
 // worker count goes through the same Create validation as the HTTP body.
@@ -95,12 +44,11 @@ func crash(r *Registry) {
 }
 
 // replayState is what recovery must reproduce exactly: the appended
-// state as Export serializes it (dataset bits, version, rounds counter)
-// and the parts of Info that do not describe the served round.
+// state as Export serializes it (dataset bits, version) and the parts of
+// Info that do not describe the served round.
 type replayState struct {
 	export []byte
 	info   Info
-	rounds int
 }
 
 func captureState(t *testing.T, m *Managed) replayState {
@@ -109,14 +57,20 @@ func captureState(t *testing.T, m *Managed) replayState {
 	if err != nil {
 		t.Fatalf("export: %v", err)
 	}
+	// The served round legitimately differs after a crash — the newest
+	// snapshot may be rounds behind the WAL — and so does its ordinal,
+	// which the export carries.
+	cfg, state, err := decodeExport(blob)
+	if err != nil {
+		t.Fatalf("decode export: %v", err)
+	}
+	state.round = 0
+	if blob, err = encodeExport(cfg, state); err != nil {
+		t.Fatalf("encode export: %v", err)
+	}
 	inf := m.Info()
-	// The served round legitimately differs after a crash: the newest
-	// snapshot may be a round behind the WAL.
 	inf.Converged, inf.ServedVersion, inf.Round, inf.Algorithm = false, 0, 0, ""
-	m.mu.Lock()
-	rounds := m.rounds
-	m.mu.Unlock()
-	return replayState{export: blob, info: inf, rounds: rounds}
+	return replayState{export: blob, info: inf}
 }
 
 // TestReplayEqualsLive drives a seeded random interleaving of appends
@@ -213,9 +167,8 @@ func replayEqualsLive(t *testing.T, seed int64) {
 	crashAndCompare := func() {
 		crash(live)
 		want := captureState(t, get(live))
-		// Replay without a scheduler first: an opened registry starts
-		// re-converging at once, and its first publish would move the
-		// rounds counter under the comparison.
+		// Replay without a scheduler first, so the state compared is the
+		// state recovery built and nothing a round did since.
 		bare := &Registry{cfg: live.cfg}
 		rec, err := bare.recoverDataset(filepath.Join(datasetsRoot(dir), encodeDirName(name)))
 		if err != nil {
@@ -227,27 +180,22 @@ func replayEqualsLive(t *testing.T, seed int64) {
 		if !bytes.Equal(got.export, want.export) {
 			t.Fatalf("recovered export differs from the live registry's at the crash point (%d vs %d bytes)", len(got.export), len(want.export))
 		}
-		if got.info != want.info || got.rounds != want.rounds {
-			t.Fatalf("recovered info %+v rounds %d, live had %+v rounds %d", got.info, got.rounds, want.info, want.rounds)
+		if got.info != want.info {
+			t.Fatalf("recovered info %+v, live had %+v", got.info, want.info)
 		}
-		// One more append pins a fresh INCREMENTAL round on the same
-		// final state on both sides.
+		// One more append gets a fresh round on the same final state on
+		// both sides.
 		appendBoth(-1)
 		pub, ref := quiesceBoth()
 		if pub.Version != ref.Version || pub.Algorithm != ref.Algorithm || !eqDataset(pub.Snapshot, ref.Snapshot) {
 			t.Fatalf("after recovery published v%d %s, uninterrupted v%d %s (or snapshots differ)",
 				pub.Version, pub.Algorithm, ref.Version, ref.Algorithm)
 		}
-		g, w := pub.Outcome, ref.Outcome
-		if !reflect.DeepEqual(normalizedResult(g.Copy), normalizedResult(w.Copy)) ||
-			!reflect.DeepEqual(g.Truth, w.Truth) || !reflect.DeepEqual(g.State.A, w.State.A) || g.Rounds != w.Rounds {
-			t.Fatal("after recovery the published outcome differs from the uninterrupted registry's")
+		if diff := diffOutcome(pub.Outcome, ref.Outcome); diff != "" {
+			t.Fatalf("after recovery the published outcome differs from the uninterrupted registry's: %s", diff)
 		}
 	}
 
-	// The first round is pinned: HYBRID on both, INCREMENTAL ever after.
-	appendBoth(-1)
-	quiesceBoth()
 	crashes := 0
 	for op := 0; op < 60; op++ {
 		switch k := rng.Intn(10); {
@@ -272,17 +220,21 @@ func replayEqualsLive(t *testing.T, seed int64) {
 
 // FuzzDecodeWALRecord: WAL payloads cross a disk boundary. The decoder
 // must never panic or allocate past what the payload can hold, and
-// whatever it accepts must re-encode to a payload that decodes to the
-// same record.
+// whatever it accepts of a kind still written must re-encode to a
+// payload that decodes to the same record.
 func FuzzDecodeWALRecord(f *testing.F) {
-	recs, _ := walRecordFixtures()
-	for _, rec := range recs {
-		f.Add(rec.encode())
+	_, golden := walRecordFixtures()
+	for _, g := range golden {
+		payload, err := hex.DecodeString(g)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
 	}
 	f.Add([]byte{walRecAppend, 1, 0xff, 0xff, 0xff, 0x1f})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		rec, err := decodeWALRecord(payload)
-		if err != nil {
+		if err != nil || rec.kind == walRecPublish { // decoded from older logs, never encoded
 			return
 		}
 		if len(rec.obs) > len(payload) || len(rec.truth) > len(payload) {
