@@ -8,7 +8,6 @@ import (
 	"copydetect/internal/bayes"
 	"copydetect/internal/core"
 	"copydetect/internal/dataset"
-	"copydetect/internal/depgraph"
 	"copydetect/internal/fusion"
 	"copydetect/internal/gen"
 	"copydetect/internal/metrics"
@@ -76,24 +75,6 @@ type (
 	// PRF holds precision/recall/F-measure.
 	PRF = metrics.PRF
 )
-
-// Dependency-graph analysis (see internal/depgraph).
-type (
-	// CopyGraph separates direct copying from co-/transitive copying and
-	// recovers copier communities.
-	CopyGraph = depgraph.Graph
-	// CopyEdge is one copying relationship in a CopyGraph.
-	CopyEdge = depgraph.Edge
-)
-
-// AnalyzeCopying post-processes a detection result into a dependency
-// graph, classifying each copying pair as direct or explained by the
-// stronger relationships around it (the footnote-3 extension).
-func AnalyzeCopying(res *Result) *CopyGraph { return depgraph.Analyze(res) }
-
-// ValuePopularities computes the empirical per-value false popularities
-// used by the footnote-2 relaxation (see TruthFinder.UseValueDist).
-func ValuePopularities(ds *Dataset) [][]float64 { return dataset.ValuePopularities(ds) }
 
 // NewBuilder returns an empty dataset builder.
 func NewBuilder() *Builder { return dataset.NewBuilder() }

@@ -26,15 +26,6 @@ type Params struct {
 	// N is the number n > 1 of uniformly distributed false values in each
 	// data item's domain.
 	N float64
-
-	// CoverageWeight, when positive, enables the footnote-1 extension:
-	// the coverage log-likelihood ratio (CoverageLLR) scaled by this
-	// weight is added to both directional scores of every pair. Zero
-	// disables it.
-	CoverageWeight float64
-	// CoverageCap clamps the coverage LLR; zero selects
-	// DefaultCoverageCap.
-	CoverageCap float64
 }
 
 // DefaultParams mirrors the configuration of the paper's motivating
@@ -93,6 +84,19 @@ func (p Params) ContribSame(pv, a1, a2 float64) float64 {
 	if ind <= 0 {
 		// Degenerate accuracies (a=1 with pv=0, or a=0 with pv=1) make the
 		// independent observation impossible; sharing is then proof.
+		return math.Inf(1)
+	}
+	return math.Log(1 - p.S + p.S*p.PrProvides(pv, a2)/ind)
+}
+
+// ContribSameInvN is ContribSame with the false-value term of Eq. (3)
+// multiplied by 1/n instead of divided by n. The two agree to the last
+// bit or two; PAIRWISE and INCREMENTAL's exact deltas evaluate this form,
+// the scan kernels its factored equivalent, and the index's entry scores
+// the ÷n form, each pinned bit for bit by internal/core's scores.golden.
+func (p Params) ContribSameInvN(pv, a1, a2 float64) float64 {
+	ind := pv*a1*a2 + (1-pv)*(1-a1)*(1-a2)*(1/p.N)
+	if ind <= 0 {
 		return math.Inf(1)
 	}
 	return math.Log(1 - p.S + p.S*p.PrProvides(pv, a2)/ind)

@@ -160,6 +160,20 @@ func TestContribSameDegenerate(t *testing.T) {
 	if c := p.ContribSame(0, 1, 1); !math.IsInf(c, 1) {
 		t.Errorf("impossible independent observation should give +Inf, got %v", c)
 	}
+	if c := p.ContribSameInvN(0, 1, 1); !math.IsInf(c, 1) {
+		t.Errorf("ContribSameInvN: impossible independent observation should give +Inf, got %v", c)
+	}
+}
+
+// TestContribSameInvNMatchesContribSame: the ×(1/n) form is Eq. (6) too; it
+// may differ from the ÷n form in rounding only.
+func TestContribSameInvNMatchesContribSame(t *testing.T) {
+	p := DefaultParams()
+	for _, pv := range []float64{0, 0.01, 0.3, 0.9, 1} {
+		for _, a := range [][2]float64{{0.6, 0.7}, {0.1, 0.95}, {0.5, 0.5}} {
+			approx(t, p.ContribSameInvN(pv, a[0], a[1]), p.ContribSame(pv, a[0], a[1]), 1e-12, "ContribSameInvN")
+		}
+	}
 }
 
 // bruteMaxEntryScore maximizes the contribution over all ordered pairs of

@@ -8,9 +8,8 @@
 //
 // Sets are plain slices: zero-value usable after New, no hidden state,
 // safe for concurrent readers. Bit order is element order, so a caller
-// that walks the set bits of an intersection (core's exactPairBits, with
-// TrailingZeros64) accumulates floating-point sums in the order a
-// sorted-list merge would.
+// that walks the set bits of an intersection with TrailingZeros64 (core's
+// pair sweep) visits the shared elements in ascending order.
 package bitset
 
 import "math/bits"

@@ -94,17 +94,15 @@ type prodAccum struct {
 func newProdAccum() prodAccum { return prodAccum{mTo: 1, mFrom: 1} }
 
 // mulSame folds the co-occurrence of one shared value into both
-// directions, mirroring two ContribSameDist calls: a1/a2 are the
+// directions, mirroring two ContribSameInvN calls: a1/a2 are the
 // accuracies of the smaller/larger source, mTo accumulates S1→S2 (copier
 // S1, so the provided-by-S2 probability is in the numerator) and mFrom
 // the reverse.
-func (ac *prodAccum) mulSame(p bayes.Params, pv, pop, a1, a2 float64) {
-	if pop <= 0 {
-		pop = 1 / p.N
-	}
+func (ac *prodAccum) mulSame(p bayes.Params, pv, a1, a2 float64) {
+	invN := 1 / p.N
 	omPv := 1 - pv
 	om1, om2 := 1-a1, 1-a2
-	ind := pv*a1*a2 + omPv*om1*om2*pop
+	ind := pv*a1*a2 + omPv*om1*om2*invN
 	if ind <= 0 {
 		ac.mTo, ac.mFrom = math.Inf(1), math.Inf(1)
 		return

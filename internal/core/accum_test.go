@@ -137,7 +137,7 @@ func TestMulFusedMatchesMulRenorm(t *testing.T) {
 			for _, rTo := range factors {
 				for _, rFrom := range factors {
 					before := pairRec{mantTo: mTo, mantFrom: mFrom, expTo: eTo, expFrom: eFrom,
-						cov: 0.25, l: 40, n0: 3, minSkipUntil: 9, maxSkipN1: 11, maxSkipN2: 12, flags: flagUseBounds}
+						l: 40, n0: 3, minSkipUntil: 9, maxSkipN1: 11, maxSkipN2: 12, flags: flagUseBounds}
 					want := before
 					want.mantTo, want.expTo = mulRenorm(mTo, eTo, rTo)
 					want.mantFrom, want.expFrom = mulRenorm(mFrom, eFrom, rFrom)

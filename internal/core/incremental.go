@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"math/bits"
 	"slices"
 	"time"
 
@@ -60,10 +59,8 @@ import (
 // fed their per-round inputs through fields. What a round does allocate is
 // what it returns, a Result and its Pairs, which the caller may keep (the
 // serving layer publishes them; TestIncrementalSteadyStateAllocs pins the
-// two allocations at Workers <= 1). Pass-3 exact
-// recomputation uses the structure's packed entry bitsets when available:
-// the pair's shared items and shared values are AND+popcount sweeps, and
-// only the set bits of the AND — the actual co-occurrences — are visited.
+// two allocations at Workers <= 1). Pass-3 exact recomputation merges the
+// pair's two sorted observation lists.
 //
 // Deviation from the paper, recorded in DESIGN.md: base scores are exact
 // rather than the Ĉ under-estimates derived from BOUND+ decision points.
@@ -80,10 +77,9 @@ type Incremental struct {
 	prepared bool
 	cache    structCache
 
-	// Frozen at prepare time. pm and l are the cache's candidate pairs and
-	// shared-item counts as of the base round.
+	// Frozen at prepare time. pm is the cache's candidate pairs as of the
+	// base round.
 	pm         *index.PairMap
-	l          []int32 // shared items per pair
 	n          []int32 // shared values per pair (constant across rounds)
 	base       *bayes.State
 	baseScore  []float64 // per-entry M̂ at base (aliases the view's Score)
@@ -270,7 +266,7 @@ func (d *Incremental) rescan(ds *dataset.Dataset, st *bayes.State, stats *Stats)
 // worker closures, so the rounds that follow allocate nothing.
 func (d *Incremental) prepare(ds *dataset.Dataset, st *bayes.State, stats *Stats) {
 	p := d.Params
-	d.pm, d.l = d.cache.pm, d.cache.lCounts
+	d.pm = d.cache.pm
 	str := d.cache.str
 	numPairs := d.pm.Len()
 	numEntries := str.NumEntries()
@@ -353,7 +349,6 @@ func (d *Incremental) buildClosures() {
 	d.classifyFn = func(w int) {
 		p := d.Params
 		str := d.cache.str
-		v := d.cache.view
 		st := d.roundSt
 		accBuf := d.accBufs[w]
 		lo, hi := pool.Block(d.workers, w, str.NumEntries())
@@ -363,7 +358,7 @@ func (d *Incremental) buildClosures() {
 				accBuf = append(accBuf, d.base.A[s])
 			}
 			pNew := st.P[str.Item[i]][str.Val[i]]
-			d.deltas[i] = p.MaxEntryScoreDist(pNew, v.Pop[i], accBuf) - d.baseScore[i]
+			d.deltas[i] = p.MaxEntryScore(pNew, accBuf) - d.baseScore[i]
 			d.absDeltas[i] = math.Abs(d.deltas[i])
 		}
 	}
@@ -385,7 +380,6 @@ func (d *Incremental) buildClosures() {
 		const noise = 1e-6
 		p := d.Params
 		str := d.cache.str
-		v := d.cache.view
 		st := d.roundSt
 		rhoV := d.roundRhoV
 		touched := d.touchedShards[w][:0]
@@ -397,11 +391,10 @@ func (d *Incremental) buildClosures() {
 			}
 			big := d.absDeltas[i] >= rhoV
 			provs := str.Providers(int32(i))
-			var pOld, pNew, pop float64
+			var pOld, pNew float64
 			if big {
 				pOld = d.base.P[str.Item[i]][str.Val[i]]
 				pNew = st.P[str.Item[i]][str.Val[i]]
-				pop = v.Pop[i]
 			}
 			dec := d.deltas[i] < 0
 			for x := 0; x < len(provs); x++ {
@@ -426,8 +419,8 @@ func (d *Incremental) buildClosures() {
 						continue
 					}
 					a1, a2 := d.base.A[provs[x]], d.base.A[provs[y]]
-					dTo := p.ContribSameDist(pNew, pop, a1, a2) - p.ContribSameDist(pOld, pop, a1, a2)
-					dFrom := p.ContribSameDist(pNew, pop, a2, a1) - p.ContribSameDist(pOld, pop, a2, a1)
+					dTo := p.ContribSameInvN(pNew, a1, a2) - p.ContribSameInvN(pOld, a1, a2)
+					dFrom := p.ContribSameInvN(pNew, a2, a1) - p.ContribSameInvN(pOld, a2, a1)
 					comps += 2
 					if dTo < 0 {
 						d.dNegTo[slot] += dTo
@@ -502,7 +495,7 @@ func (d *Incremental) buildClosures() {
 			}
 			// Pass 3: exact recomputation against the current state.
 			out.pass.SettledPass3++
-			cTo, cFrom := d.exactPair(d.roundDS, d.roundSt, slot, s1, s2, &out.stats)
+			cTo, cFrom := exactPair(p, d.roundDS, d.roundSt, s1, s2, &out.stats)
 			d.copying[slot], _, _, _ = decide(p, cTo, cFrom)
 		}
 	}
@@ -621,61 +614,11 @@ func (d *Incremental) incrementalRound(ds *dataset.Dataset, st *bayes.State) *Re
 }
 
 // exactPair recomputes the full scores of one pair with current state —
-// the cost the passes try to avoid. With entry bitsets available the
-// shared values are an AND sweep that visits only actual co-occurrences,
-// and l(S1,S2) is the count the detector already holds for the pair's
-// slot; otherwise it merges the two observation lists, counting as it
-// goes. Both paths visit the same co-occurrences in the same (item-major)
-// order and accumulate identically, so their results are bit-equal
-// (TestExactPairBitsMatchesMerge).
+// the cost the passes try to avoid: merge the two sorted observation lists,
+// accumulating each shared value and counting shared items as it goes.
 //
 //copydetect:hotpath
-func (d *Incremental) exactPair(ds *dataset.Dataset, st *bayes.State, slot int, s1, s2 dataset.SourceID, stats *Stats) (cTo, cFrom float64) {
-	if str := d.cache.str; str != nil && str.EntryBits != nil {
-		return exactPairBits(d.Params, str, ds, st, s1, s2, int(d.l[slot]), stats)
-	}
-	return exactPairMerge(d.Params, ds, st, s1, s2, stats)
-}
-
-// exactPairBits is the bitset path of exactPair: nShared is l(S1,S2), and
-// the contribution loop iterates only the set bits of EntryBits[s1] ∧
-// EntryBits[s2] — ascending entry id, which is item-major order, matching
-// the merge path. The set-bit iteration is inlined (no callback) to stay
-// allocation-free.
-func exactPairBits(p bayes.Params, str *index.Structure, ds *dataset.Dataset, st *bayes.State,
-	s1, s2 dataset.SourceID, nShared int, stats *Stats) (cTo, cFrom float64) {
-
-	a1, a2 := st.A[s1], st.A[s2]
-	ac := newProdAccum()
-	n0 := 0
-	eb1, eb2 := str.EntryBits[s1], str.EntryBits[s2]
-	for wi := range eb1 {
-		word := eb1[wi] & eb2[wi]
-		base := wi << 6
-		for word != 0 {
-			e := base + bits.TrailingZeros64(word)
-			word &= word - 1
-			n0++
-			item, val := str.Item[e], str.Val[e]
-			pv := st.P[item][val]
-			pop := st.PopOf(int32(item), int32(val))
-			ac.mulSame(p, pv, pop, a1, a2)
-		}
-	}
-	stats.ValuesExamined += int64(n0)
-	stats.Computations += 2 * int64(nShared)
-	cTo, cFrom = ac.logs()
-	corr := float64(nShared-n0) * p.LnDiff()
-	if p.CoverageWeight > 0 && nShared > 0 {
-		corr += p.CoverageWeight * p.CoverageLLR(nShared,
-			ds.Coverage(s1), ds.Coverage(s2), ds.NumItems(), p.CoverageCap)
-	}
-	return cTo + corr, cFrom + corr
-}
-
-// exactPairMerge is the fallback path of exactPair (bitsets disabled by
-// the memory guard): merge the two sorted observation lists.
-func exactPairMerge(p bayes.Params, ds *dataset.Dataset, st *bayes.State,
+func exactPair(p bayes.Params, ds *dataset.Dataset, st *bayes.State,
 	s1, s2 dataset.SourceID, stats *Stats) (cTo, cFrom float64) {
 
 	a, b := ds.BySource[s1], ds.BySource[s2]
@@ -693,9 +636,7 @@ func exactPairMerge(p bayes.Params, ds *dataset.Dataset, st *bayes.State,
 			nShared++
 			if a[i].Value == b[j].Value {
 				n0++
-				pv := st.P[a[i].Item][a[i].Value]
-				pop := st.PopOf(int32(a[i].Item), int32(a[i].Value))
-				ac.mulSame(p, pv, pop, a1, a2)
+				ac.mulSame(p, st.P[a[i].Item][a[i].Value], a1, a2)
 				stats.ValuesExamined++
 			}
 			stats.Computations += 2
@@ -705,10 +646,6 @@ func exactPairMerge(p bayes.Params, ds *dataset.Dataset, st *bayes.State,
 	}
 	cTo, cFrom = ac.logs()
 	corr := float64(nShared-n0) * p.LnDiff()
-	if p.CoverageWeight > 0 && nShared > 0 {
-		corr += p.CoverageWeight * p.CoverageLLR(nShared,
-			ds.Coverage(s1), ds.Coverage(s2), ds.NumItems(), p.CoverageCap)
-	}
 	return cTo + corr, cFrom + corr
 }
 

@@ -85,9 +85,8 @@ func (pw *Pairwise) detectPair(ds *dataset.Dataset, st *bayes.State, s1, s2 data
 			nShared++
 			if a[i].Value == b[j].Value {
 				pv := st.P[a[i].Item][a[i].Value]
-				pop := st.PopOf(int32(a[i].Item), int32(a[i].Value))
-				cTo += p.ContribSameDist(pv, pop, st.A[s1], st.A[s2])
-				cFrom += p.ContribSameDist(pv, pop, st.A[s2], st.A[s1])
+				cTo += p.ContribSameInvN(pv, st.A[s1], st.A[s2])
+				cFrom += p.ContribSameInvN(pv, st.A[s2], st.A[s1])
 				res.Stats.ValuesExamined++
 			} else {
 				cTo += lnDiff
@@ -99,11 +98,6 @@ func (pw *Pairwise) detectPair(ds *dataset.Dataset, st *bayes.State, s1, s2 data
 		}
 	}
 	res.Stats.PairsConsidered++
-	if p.CoverageWeight > 0 && nShared > 0 {
-		cov := p.CoverageWeight * p.CoverageLLR(nShared, len(a), len(b), ds.NumItems(), p.CoverageCap)
-		cTo += cov
-		cFrom += cov
-	}
 	if nShared == 0 {
 		// No shared item at all: both products in Eq. (2) are empty, the
 		// posterior equals β/(β+2α) > 0.5, hence no copying. PAIRWISE

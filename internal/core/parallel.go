@@ -66,7 +66,7 @@ func scanShards(ds *dataset.Dataset, st *bayes.State, p bayes.Params, opts Optio
 		nSeen = cache.nSeenBufs(workers, ds.NumSources())
 	}
 	for _, sh := range pool.Shards(workers, func(w int) Stats {
-		makePairTab(ds, p, m, pm, lCounts, &tabs[w], w, workers)
+		makePairTab(m, lCounts, &tabs[w])
 		if sweep {
 			return sweepShard(ds, st, p, m, v, pm, px, &tabs[w], w, workers)
 		}

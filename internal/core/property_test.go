@@ -288,21 +288,18 @@ func near(a, b float64) bool { return a == b || abs(a-b) <= 1e-9 }
 // freeze without a warm scan (skipped warm rounds, rebase) arrive at the
 // same base and decisions. Variants: plain; a source with accuracy 1
 // sharing a value of probability 0, whose pairs see ind <= 0 and carry a
-// +Inf mantissa from then on; and coverage evidence switched on.
+// +Inf mantissa from then on.
 func TestPropertyFreezeBaseExact(t *testing.T) {
 	sawEarly := false
 	for seed := int64(0); seed < 24; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ds, st := randomInstance(rng, 5+rng.Intn(8), 30+rng.Intn(60))
 		p := bayes.DefaultParams()
-		switch seed % 3 {
-		case 1:
+		if seed%3 == 1 {
 			st.A[0] = 1
 			for _, o := range ds.BySource[0] {
 				st.P[o.Item][o.Value] = 0
 			}
-		case 2:
-			p.CoverageWeight, p.CoverageCap = 0.5, 3
 		}
 		pres := (&Pairwise{Params: p}).DetectRound(ds, st, 1)
 		exact := make(map[int64]PairResult, len(pres.Pairs))

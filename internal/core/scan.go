@@ -155,11 +155,9 @@ func (d *Hybrid) DetectRound(ds *dataset.Dataset, st *bayes.State, round int) *R
 // what stays structure-of-arrays (PERFORMANCE.md).
 //
 // The directional evidence lives as a renormalized product mant·2^exp
-// (see accum.go); cov holds the coverage-evidence seed separately so it
-// can be added back in log space.
+// (see accum.go).
 type pairRec struct {
 	mantTo, mantFrom float64
-	cov              float64
 	expTo, expFrom   int32
 	l, n0            int32 // shared items l(S1,S2) / observed shared values
 	// BOUND+ lazy-recomputation timers.
@@ -167,7 +165,7 @@ type pairRec struct {
 	maxSkipN1    int32 // recompute Cmax when n(S1) >= this ...
 	maxSkipN2    int32 // ... or n(S2) >= this
 	flags        byte
-	_            [11]byte
+	_            [19]byte
 }
 
 // pairTab is one shard's pair state, indexed by pair slot and reused across
@@ -201,17 +199,16 @@ func (r *pairRec) mulFused(rTo, rFrom float64) bool {
 	return false
 }
 
-// big is cov + max(ln C→, ln C←), the part of both bounds that the evidence
-// seen so far fixes.
+// big is max(ln C→, ln C←), the part of both bounds that the evidence seen
+// so far fixes.
 func (r *pairRec) big() float64 {
-	return r.cov + math.Max(logAcc(r.mantTo, r.expTo), logAcc(r.mantFrom, r.expFrom))
+	return math.Max(logAcc(r.mantTo, r.expTo), logAcc(r.mantFrom, r.expFrom))
 }
 
-// score recovers the pair's full log-space scores: the product evidence,
-// the coverage seed and the different-value correction for the remaining
-// unseen shared items.
+// score recovers the pair's full log-space scores: the product evidence and
+// the different-value correction for the remaining unseen shared items.
 func (r *pairRec) score(lnDiff float64) (cTo, cFrom float64) {
-	corr := r.cov + float64(r.l-r.n0)*lnDiff
+	corr := float64(r.l-r.n0) * lnDiff
 	cTo = logAcc(r.mantTo, r.expTo) + corr
 	cFrom = logAcc(r.mantFrom, r.expFrom) + corr
 	return cTo, cFrom
@@ -255,7 +252,7 @@ func (b *bounds) decide(slot int32, rec *pairRec, copying byte) {
 //copydetect:hotpath
 func (b *bounds) step(slot int32, rec *pairRec, nextM float64, n1, n2, cov1, cov2 int32) bool {
 	n0, l := rec.n0, rec.l
-	// big = cov + max(ln C→, ln C←); computed lazily — at most once a call —
+	// big = max(ln C→, ln C←); computed lazily — at most once a call —
 	// because the logs are the expensive part of a bound evaluation.
 	big := 0.0
 	haveBig := false
@@ -338,14 +335,10 @@ func scanRound(ds *dataset.Dataset, st *bayes.State, p bayes.Params, opts Option
 	return res
 }
 
-// makePairTab initializes shard w's pair records in one pass: the neutral
-// accumulator, the shared-item count, the per-pair bound mode and — only for
-// the pairs the shard owns — the coverage-evidence seed (footnote-1
-// extension).
-func makePairTab(ds *dataset.Dataset, p bayes.Params, m mode,
-	pm *index.PairMap, lCounts []int32, tab *pairTab, w, workers int) {
-
-	np := pm.Len()
+// makePairTab initializes a shard's pair records in one pass: the neutral
+// accumulator, the shared-item count and the per-pair bound mode.
+func makePairTab(m mode, lCounts []int32, tab *pairTab) {
+	np := len(lCounts)
 	tab.rec = grow(tab.rec, np)
 	if m == modeFreeze {
 		tab.decTo, tab.decFrom = grow(tab.decTo, np), grow(tab.decFrom, np)
@@ -358,17 +351,10 @@ func makePairTab(ds *dataset.Dataset, p bayes.Params, m mode,
 	case modeHybrid, modeFreeze:
 		boundsAbove = shareThreshold
 	}
-	keys := pm.Keys()
 	for slot, l := range lCounts {
 		rec := pairRec{mantTo: 1, mantFrom: 1, l: l}
 		if l > boundsAbove {
 			rec.flags = flagUseBounds
-		}
-		if p.CoverageWeight > 0 {
-			if s1, s2 := keys[slot].Sources(); pool.Owns(workers, w, int(s1)) {
-				rec.cov = p.CoverageWeight * p.CoverageLLR(int(l),
-					ds.Coverage(s1), ds.Coverage(s2), ds.NumItems(), p.CoverageCap)
-			}
 		}
 		tab.rec[slot] = rec
 	}
@@ -386,7 +372,7 @@ func makePairTab(ds *dataset.Dataset, p bayes.Params, m mode,
 // With workers == 1 this IS the sequential scan.
 //
 // Per entry the kernel hoists everything that does not depend on the pair
-// (pv, the popularity term), and per first-provider everything that does
+// (pv, the false-value term), and per first-provider everything that does
 // not depend on the second (the S1 factors of Eq. 3/4, the pair map's row,
 // n(S1)), so a co-occurrence is one line of pair state, one division and
 // no call: one shared independence probability, one likelihood-ratio
@@ -420,12 +406,8 @@ func scanShard(ds *dataset.Dataset, st *bayes.State, p bayes.Params, m mode,
 			nSeen[s]++
 		}
 		pv := v.P[eid]
-		pop := v.Pop[eid]
-		if pop <= 0 {
-			pop = invN
-		}
 		omPv := 1 - pv
-		popTerm := omPv * pop
+		popTerm := omPv * invN
 		for x := 0; x < len(provs); x++ {
 			s1 := provs[x]
 			if !pool.Owns(workers, w, int(s1)) {

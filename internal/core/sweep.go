@@ -52,7 +52,7 @@ func chooseSweep(v *index.View, lCounts []int32) bool {
 }
 
 // posFac is what a co-occurrence at one scan position needs of its entry:
-// pv, 1−pv and (1−pv)·pop, the entry-level factors of Eq. 3/4.
+// pv, 1−pv and (1−pv)·(1/n), the entry-level factors of Eq. 3/4.
 type posFac struct{ pv, omPv, popTerm float64 }
 
 // posIndex is the index transposed for the pair sweep, rebuilt per scan into
@@ -76,12 +76,9 @@ func (px *posIndex) build(v *index.View, numSources int, invN float64) {
 	px.count = grow(px.count, numSources*(words+1))
 	px.fac = grow(px.fac, n)
 	for pos, eid := range v.Order {
-		pv, pop := v.P[eid], v.Pop[eid]
-		if pop <= 0 {
-			pop = invN
-		}
+		pv := v.P[eid]
 		omPv := 1 - pv
-		px.fac[pos] = posFac{pv, omPv, omPv * pop}
+		px.fac[pos] = posFac{pv, omPv, omPv * invN}
 		w, bit := pos>>6, uint64(1)<<(pos&63)
 		for _, s := range v.S.Providers(eid) {
 			px.bits[int(s)*words+w] |= bit

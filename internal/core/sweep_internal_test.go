@@ -207,34 +207,6 @@ func TestSweepEqualsWalkProof(t *testing.T) {
 	}
 }
 
-// TestSweepEqualsWalkExtensions: the coverage-evidence seed and the value
-// popularities reach the sweep's records and factors as they do the walk's.
-func TestSweepEqualsWalkExtensions(t *testing.T) {
-	ds, st := randomInstance(rand.New(rand.NewSource(3)), 9, 300)
-	p := bayes.DefaultParams()
-	base := assertNestsAgree(t, ds, st, p)
-
-	cov := p
-	cov.CoverageWeight = 0.5
-	withCov := assertNestsAgree(t, ds, st, cov)
-
-	dist := st.Clone()
-	dist.Pop = dataset.ValuePopularities(ds)
-	withDist := assertNestsAgree(t, ds, dist, p)
-
-	moved := func(a, b *Result) bool {
-		for i := range a.Pairs {
-			if i < len(b.Pairs) && a.Pairs[i].CTo != b.Pairs[i].CTo {
-				return true
-			}
-		}
-		return false
-	}
-	if !moved(base, withCov) || !moved(base, withDist) {
-		t.Error("an extension changed no score; the test lost its point")
-	}
-}
-
 // TestSweepRule pins the routing rule on the shapes it was sized on: Stock
 // sweeps at every scale, Book-CS from a fifth of its size up and Book-full
 // walk, and so do a structure whose bitsets the memory guard declined and a

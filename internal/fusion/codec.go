@@ -24,10 +24,7 @@ const (
 func EncodeOutcome(w *binio.Writer, out *Outcome) {
 	encodeFloatRows(w, out.State.P)
 	encodeFloats(w, out.State.A)
-	w.Bool(out.State.Pop != nil)
-	if out.State.Pop != nil {
-		encodeFloatRows(w, out.State.Pop)
-	}
+	w.Bool(false) // popularity flag: no producer sets it (see DecodeOutcome)
 	core.EncodeResult(w, out.Copy)
 	w.Int(len(out.Truth))
 	for _, v := range out.Truth {
@@ -47,8 +44,10 @@ func DecodeOutcome(r *binio.Reader) (*Outcome, error) {
 	out := &Outcome{State: &bayes.State{}}
 	out.State.P = decodeFloatRows(r)
 	out.State.A = decodeFloats(r)
+	// The popularity flag: the model has no per-value popularity table and
+	// EncodeOutcome always writes false, so a set flag is malformed input.
 	if r.Bool() {
-		out.State.Pop = decodeFloatRows(r)
+		return nil, fmt.Errorf("fusion: decode outcome: popularity flag set")
 	}
 	var err error
 	out.Copy, err = core.DecodeResult(r)

@@ -36,18 +36,32 @@ func TestOutcomeCodecRoundtrip(t *testing.T) {
 		t.Fatalf("outcome did not survive the roundtrip:\n got  %+v\n want %+v", got, out)
 	}
 
-	// With the footnote-2 popularity table present.
-	tf = &TruthFinder{Params: p, UseValueDist: true}
-	out = tf.Run(ds, &core.Hybrid{Params: p})
-	buf.Reset()
-	w = binio.NewWriter(&buf)
-	EncodeOutcome(w, out)
-	got, err = DecodeOutcome(binio.NewReader(&buf))
-	if err != nil {
-		t.Fatalf("decode with Pop: %v", err)
+}
+
+// TestOutcomeCodecRejectsPopularityFlag: the byte after the accuracies is
+// always written false; a blob with it set — which no encoder produces — is
+// refused rather than read as a table.
+func TestOutcomeCodecRejectsPopularityFlag(t *testing.T) {
+	ds, _ := dataset.Motivating()
+	p := exampleParams()
+	out := (&TruthFinder{Params: p}).Run(ds, &core.Hybrid{Params: p})
+	var buf bytes.Buffer
+	w := binio.NewWriter(&buf)
+	encodeFloatRows(w, out.State.P)
+	encodeFloats(w, out.State.A)
+	w.Bool(true)
+	encodeFloatRows(w, [][]float64{{0.5, 0.5}})
+	core.EncodeResult(w, out.Copy)
+	w.Int(0) // no truths
+	w.Int(out.Rounds)
+	w.Int(0) // no round stats
+	core.EncodeStats(w, out.TotalStats)
+	w.Uvarint(0)
+	if err := w.Err(); err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, out) {
-		t.Fatal("outcome with popularity table did not survive the roundtrip")
+	if got, err := DecodeOutcome(binio.NewReader(&buf)); err == nil {
+		t.Fatalf("a blob with the popularity flag set decoded: %+v", got.State)
 	}
 }
 

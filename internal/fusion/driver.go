@@ -23,10 +23,6 @@ type TruthFinder struct {
 	// Eps is the convergence threshold on the maximum accuracy change
 	// between consecutive rounds (default 1e-4).
 	Eps float64
-	// UseValueDist enables the footnote-2 relaxation: per-value false
-	// popularities, estimated once from the observed value frequencies,
-	// replace the uniform 1/n in all contribution scores.
-	UseValueDist bool
 	// DetectDataset, when non-nil, is the (sampled) dataset on which copy
 	// detection runs while truth finding still uses the full dataset; its
 	// ItemMap translates its item ids into full-dataset item ids. This
@@ -124,9 +120,6 @@ func (tf *TruthFinder) Run(ds *dataset.Dataset, det core.Detector) *Outcome {
 		valueCounts[d] = ds.NumValues(dataset.ItemID(d))
 	}
 	st := bayes.NewState(valueCounts, ds.NumSources(), tf.a0())
-	if tf.UseValueDist {
-		st.Pop = dataset.ValuePopularities(ds)
-	}
 
 	fusionStart := time.Now()
 	// Initial value probabilities from undiscounted voting at uniform

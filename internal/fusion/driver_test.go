@@ -76,55 +76,6 @@ func TestSampledDriverProjection(t *testing.T) {
 	}
 }
 
-// TestUseValueDistEndToEnd: the footnote-2 relaxation must not break the
-// motivating example's conclusions.
-func TestUseValueDistEndToEnd(t *testing.T) {
-	ds, _ := dataset.Motivating()
-	p := exampleParams()
-	out := (&TruthFinder{Params: p, UseValueDist: true}).Run(ds, &core.Hybrid{Params: p})
-	for d, want := range ds.Truth {
-		if out.Truth[d] != want {
-			t.Errorf("truth of %s wrong under value-dist relaxation", ds.ItemNames[d])
-		}
-	}
-	set := out.Copy.CopyingSet()
-	for _, w := range [][2]dataset.SourceID{{2, 3}, {6, 8}} {
-		if !set[int64(w[0])<<32|int64(uint32(w[1]))] {
-			t.Errorf("clique pair (S%d,S%d) lost under relaxation", w[0], w[1])
-		}
-	}
-}
-
-// TestCoverageWeightEndToEnd: coverage evidence must not break the
-// motivating example either (every source covers nearly everything, so
-// the capped LLR is mild).
-func TestCoverageWeightEndToEnd(t *testing.T) {
-	ds, _ := dataset.Motivating()
-	p := exampleParams()
-	p.CoverageWeight = 0.5
-	out := (&TruthFinder{Params: p}).Run(ds, &core.Hybrid{Params: p})
-	for d, want := range ds.Truth {
-		if out.Truth[d] != want {
-			t.Errorf("truth of %s wrong under coverage evidence", ds.ItemNames[d])
-		}
-	}
-}
-
-// TestValuePopularitiesSumToOne: per item, empirical popularities sum to 1.
-func TestValuePopularitiesSumToOne(t *testing.T) {
-	ds, _ := dataset.Motivating()
-	pop := dataset.ValuePopularities(ds)
-	for d := range pop {
-		sum := 0.0
-		for _, pv := range pop[d] {
-			sum += pv
-		}
-		if len(ds.ByItem[d]) > 0 && (sum < 0.999 || sum > 1.001) {
-			t.Errorf("item %d popularities sum to %v", d, sum)
-		}
-	}
-}
-
 // TestRoundStatsAccumulate: the outcome's totals equal the per-round sums.
 func TestRoundStatsAccumulate(t *testing.T) {
 	ds, _ := dataset.Motivating()

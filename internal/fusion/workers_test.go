@@ -177,35 +177,32 @@ func TestWorkersEquivalence(t *testing.T) {
 // TestValueProbsMatchesReference pins ValueProbs bit for bit against the
 // implementation it replaced, on the inputs the iterative process feeds
 // it — every round's state, without a graph and with the round's copy
-// graph — with the value-distribution relaxation on and off. A small
+// graph. A small
 // preset may detect no copying at all, so each state is also voted under
 // a graph of every pair the round considered, which discounts most votes.
 func TestValueProbsMatchesReference(t *testing.T) {
 	p := bayes.DefaultParams()
 	forEachPreset(t, func(t *testing.T, ds *dataset.Dataset) {
-		for _, useDist := range []bool{false, true} {
-			tf := &TruthFinder{Params: p, MaxRounds: 4, UseValueDist: useDist}
-			tf.OnRound = func(round int, _ *dataset.Dataset, st *bayes.State, res *core.Result) {
-				if len(res.Pairs) == 0 {
-					t.Fatalf("round %d considered no pair; enlarge the preset", round)
-				}
-				considered := *res
-				considered.Pairs = append([]core.PairResult(nil), res.Pairs...)
-				for i := range considered.Pairs {
-					considered.Pairs[i].Copying = true
-				}
-				for name, g := range map[string]*copyGraph{"none": nil, "detected": newCopyGraph(res), "considered": newCopyGraph(&considered)} {
-					want := refValueProbs(ds, st, p, g)
-					for _, workers := range []int{1, 3} {
-						if got := valueProbs(ds, st, p, g, workers); !reflect.DeepEqual(got, want) {
-							t.Fatalf("dist=%v round %d graph=%s workers=%d: differs from the reference",
-								useDist, round, name, workers)
-						}
+		tf := &TruthFinder{Params: p, MaxRounds: 4}
+		tf.OnRound = func(round int, _ *dataset.Dataset, st *bayes.State, res *core.Result) {
+			if len(res.Pairs) == 0 {
+				t.Fatalf("round %d considered no pair; enlarge the preset", round)
+			}
+			considered := *res
+			considered.Pairs = append([]core.PairResult(nil), res.Pairs...)
+			for i := range considered.Pairs {
+				considered.Pairs[i].Copying = true
+			}
+			for name, g := range map[string]*copyGraph{"none": nil, "detected": newCopyGraph(res), "considered": newCopyGraph(&considered)} {
+				want := refValueProbs(ds, st, p, g)
+				for _, workers := range []int{1, 3} {
+					if got := valueProbs(ds, st, p, g, workers); !reflect.DeepEqual(got, want) {
+						t.Fatalf("round %d graph=%s workers=%d: differs from the reference", round, name, workers)
 					}
 				}
 			}
-			tf.Run(ds, &core.Hybrid{Params: p})
 		}
+		tf.Run(ds, &core.Hybrid{Params: p})
 	})
 }
 

@@ -18,7 +18,7 @@ import (
 //     lists in CSR layout, and optional per-source bitsets over items and
 //     entries for word-parallel overlap counting. Depends only on the
 //     observations; built once per dataset generation and cached.
-//   - View: the per-round arrays — P, Pop, Score per entry, the scan
+//   - View: the per-round arrays — P and Score per entry, the scan
 //     order permutation, the tail set and the MaxRemaining maxima.
 //     Rescore refills them in place, so steady-state rounds allocate
 //     nothing here.
@@ -192,7 +192,7 @@ func (s *Structure) Providers(e int32) []dataset.SourceID {
 	return s.Prov[s.ProvOff[e]:s.ProvOff[e+1]]
 }
 
-// View is the per-round scored face of a Structure. P, Pop, Score and
+// View is the per-round scored face of a Structure. P, Score and
 // InTail are indexed by entry id; Order maps scan position to entry id;
 // MaxRemaining is indexed by scan position (MaxRemaining[i] bounds the
 // score of every entry at positions >= i, MaxRemaining[n] == 0). Rescore
@@ -200,8 +200,7 @@ func (s *Structure) Providers(e int32) []dataset.SourceID {
 // use.
 type View struct {
 	S            *Structure
-	P, Pop       []float64
-	Score        []float64
+	P, Score     []float64
 	InTail       []bool
 	Order        []int32
 	MaxRemaining []float64
@@ -217,7 +216,6 @@ func NewView(s *Structure) *View {
 	return &View{
 		S:            s,
 		P:            make([]float64, n),
-		Pop:          make([]float64, n),
 		Score:        make([]float64, n),
 		InTail:       make([]bool, n),
 		Order:        make([]int32, n),
@@ -240,8 +238,7 @@ func (v *View) Rescore(st *bayes.State, p bayes.Params, ord Order, rng *rand.Ran
 			v.accs = append(v.accs, st.A[src])
 		}
 		v.P[e] = st.P[s.Item[e]][s.Val[e]]
-		v.Pop[e] = st.PopOf(int32(s.Item[e]), int32(s.Val[e]))
-		v.Score[e] = p.MaxEntryScoreDist(v.P[e], v.Pop[e], v.accs)
+		v.Score[e] = p.MaxEntryScore(v.P[e], v.accs)
 	}
 	for i := range v.Order {
 		v.Order[i] = int32(i)

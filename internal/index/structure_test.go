@@ -91,8 +91,7 @@ func TestViewMatchesBruteForce(t *testing.T) {
 				for _, src := range str.Providers(e) {
 					accs = append(accs, st.A[src])
 				}
-				d, val := int32(str.Item[e]), int32(str.Val[e])
-				if want := p.MaxEntryScoreDist(st.P[d][val], st.PopOf(d, val), accs); v.Score[e] != want {
+				if want := p.MaxEntryScore(st.P[str.Item[e]][str.Val[e]], accs); v.Score[e] != want {
 					t.Fatalf("seed %d %v: Score[%d] = %v, want %v", seed, ord, e, v.Score[e], want)
 				}
 			}
