@@ -396,7 +396,7 @@ func TestClusterEquivalence(t *testing.T) {
 			// The ring is a pure function of the backend list: recompute
 			// placements to name the owner in failures and to pick the
 			// kill victim below.
-			ring, err := cluster.NewRing(urls, 0)
+			ring, err := cluster.NewRing(urls)
 			if err != nil {
 				t.Fatal(err)
 			}

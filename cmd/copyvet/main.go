@@ -2,13 +2,13 @@
 // over the module and prints file:line:col diagnostics, exiting nonzero
 // if any contract is violated:
 //
-//	go run ./cmd/copyvet ./...          # whole module (CI)
+//	go run ./cmd/copyvet ./...          # whole module
 //	go run ./cmd/copyvet -run detrange,hotalloc ./internal/core
 //	go run ./cmd/copyvet -list
 //
 // The same analyzers also run inside `go test ./internal/analysis`, so
-// plain tier-1 tests fail on a violation; the CLI exists for fast local
-// iteration and for CI log output that names the offending lines.
+// plain tier-1 tests (and CI) fail on a violation; the CLI exists for
+// fast local iteration over an analyzer subset or a package pattern.
 package main
 
 import (

@@ -151,9 +151,9 @@
 // hygiene in the engine packages, zero-alloc hot paths, trace
 // propagation in the cluster layer, metric label cardinality, and the
 // binio sticky-error discipline — driven by //copydetect: annotations
-// in the source. They run as `go run ./cmd/copyvet ./...`, inside
-// plain `go test ./...`, and in CI. See the "Static analysis
-// (copyvet)" section of DESIGN.md.
+// in the source. They run inside plain `go test ./...` (and so in CI),
+// and as `go run ./cmd/copyvet ./...` for local iteration. See the
+// "Static analysis (copyvet)" section of DESIGN.md.
 //
 // # Quick start
 //

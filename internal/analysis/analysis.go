@@ -24,11 +24,14 @@
 // Everything is stdlib-only: go/parser + go/types over packages
 // discovered with `go list` (load.go). The annotation grammar the
 // analyzers consume is defined in annot.go, the repo-specific
-// configuration in config.go.
+// configuration in config.go. Run owns the traversal: it walks every
+// file once and hands each node to every analyzer that polices the
+// file, so an analyzer is its rule and nothing else.
 package analysis
 
 import (
 	"fmt"
+	"go/ast"
 	"go/token"
 	"sort"
 )
@@ -45,13 +48,19 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 }
 
-// Analyzer is one named check run over a whole Program. Run reports
-// findings through pass.Report; an error return means the analyzer
-// itself failed (never that the code is in violation).
+// Analyzer is one named contract rule.
 type Analyzer struct {
 	Name string
 	Doc  string
-	Run  func(pass *Pass) error
+
+	// scope reports whether the rule polices the file the pass is at;
+	// nil polices every file.
+	scope func(p *Pass) bool
+	// start begins one run of the rule. Run applies visit to every node
+	// of every policed file in preorder, with the parent links of the
+	// whole file already in place, and calls done (if not nil) after the
+	// last file.
+	start func(p *Pass) (visit func(n ast.Node), done func())
 }
 
 // Pass carries one analyzer's run over one program.
@@ -61,7 +70,12 @@ type Pass struct {
 	Config   *Config
 	Annots   *Annotations
 
-	diags *[]Diagnostic
+	// The package and file being walked, and the parent of every node
+	// of the program.
+	pkg     *Package
+	file    *ast.File
+	parents map[ast.Node]ast.Node
+	diags   *[]Diagnostic
 }
 
 // Report records a finding at pos.
@@ -96,20 +110,55 @@ func ByName(name string) *Analyzer {
 
 // Run executes the given analyzers over prog under cfg and returns
 // their findings sorted by position (filename, line, column), so output
-// is stable regardless of analyzer or package order.
+// is stable regardless of analyzer or package order. It walks each file
+// once, recording every node's parent in one map for the whole program,
+// and never fails on a program Load or LoadDir accepted.
 func Run(prog *Program, cfg *Config, analyzers []*Analyzer) ([]Diagnostic, error) {
-	annots, err := CollectAnnotations(prog)
-	if err != nil {
-		return nil, err
-	}
+	annots := CollectAnnotations(prog)
 	// Malformed or misplaced directives are findings in their own right,
 	// whatever analyzer subset was requested.
 	diags := append([]Diagnostic(nil), annots.diags...)
-	for _, a := range analyzers {
-		pass := &Pass{Analyzer: a, Prog: prog, Config: cfg, Annots: annots, diags: &diags}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("analysis: %s: %v", a.Name, err)
+	parents := make(map[ast.Node]ast.Node)
+	passes := make([]*Pass, len(analyzers))
+	visits := make([]func(ast.Node), len(analyzers))
+	var dones []func()
+	for i, a := range analyzers {
+		passes[i] = &Pass{Analyzer: a, Prog: prog, Config: cfg, Annots: annots, parents: parents, diags: &diags}
+		var done func()
+		visits[i], done = a.start(passes[i])
+		if done != nil {
+			dones = append(dones, done)
 		}
+	}
+	var nodes, stack []ast.Node
+	for _, pkg := range prog.Pkgs {
+		for _, file := range pkg.Files {
+			nodes = nodes[:0]
+			ast.Inspect(file, func(n ast.Node) bool {
+				if n == nil {
+					stack = stack[:len(stack)-1]
+					return true
+				}
+				if len(stack) > 0 {
+					parents[n] = stack[len(stack)-1]
+				}
+				stack = append(stack, n)
+				nodes = append(nodes, n)
+				return true
+			})
+			for i, p := range passes {
+				p.pkg, p.file = pkg, file
+				if p.Analyzer.scope != nil && !p.Analyzer.scope(p) {
+					continue
+				}
+				for _, n := range nodes {
+					visits[i](n)
+				}
+			}
+		}
+	}
+	for _, done := range dones {
+		done()
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]

@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/types"
 	"strings"
 )
 
@@ -17,9 +16,8 @@ import (
 //	    file alone is.
 //
 //	copydetect:hotpath
-//	    On a function declaration, or on the assignment of a function
-//	    literal: the function is a zero-alloc root; hotalloc walks the
-//	    static call graph from it.
+//	    On a function declaration: the function is a zero-alloc root;
+//	    hotalloc walks the static call graph from it.
 //
 //	copydetect:orderinvariant <justification>
 //	    On a range-over-map statement inside deterministic code: the
@@ -31,155 +29,78 @@ const directivePrefix = "//copydetect:"
 
 // Annotations is the parsed annotation state of a Program, plus the
 // diagnostics for malformed or misplaced directives (always reported,
-// whichever analyzers run).
+// whichever analyzers run). An exemption with an empty justification is
+// not in orderInv: it is already in the diagnostics.
 type Annotations struct {
-	pkgs  map[*Package]*pkgAnnots
-	diags []Diagnostic
-}
-
-type pkgAnnots struct {
-	deterministicPkg   bool
-	deterministicFiles map[*ast.File]bool
-	hotDecls           []*ast.FuncDecl
-	hotLits            []HotLit
-	orderInv           map[*ast.RangeStmt]string
-}
-
-// HotLit is a function literal annotated as a hot-path root, named after
-// the assignment target for diagnostics ("d.classifyFn").
-type HotLit struct {
-	Lit  *ast.FuncLit
-	Name string
-}
-
-// DeterministicPkg reports whether the whole package carries the
-// determinism annotation.
-func (a *Annotations) DeterministicPkg(pkg *Package) bool {
-	pa := a.pkgs[pkg]
-	return pa != nil && pa.deterministicPkg
-}
-
-// DeterministicFile reports whether file (or its whole package) carries
-// the determinism annotation.
-func (a *Annotations) DeterministicFile(pkg *Package, file *ast.File) bool {
-	pa := a.pkgs[pkg]
-	return pa != nil && (pa.deterministicPkg || pa.deterministicFiles[file])
-}
-
-// HotRoots returns the package's annotated zero-alloc root functions:
-// declarations and assigned function literals.
-func (a *Annotations) HotRoots(pkg *Package) ([]*ast.FuncDecl, []HotLit) {
-	pa := a.pkgs[pkg]
-	if pa == nil {
-		return nil, nil
-	}
-	return pa.hotDecls, pa.hotLits
-}
-
-// OrderInvariant returns the justification of an order-invariance
-// exemption on the given range statement, if one is present (malformed
-// directives with an empty justification are not present here — they
-// are already in the diagnostics).
-func (a *Annotations) OrderInvariant(pkg *Package, rs *ast.RangeStmt) (string, bool) {
-	pa := a.pkgs[pkg]
-	if pa == nil {
-		return "", false
-	}
-	just, ok := pa.orderInv[rs]
-	return just, ok
+	detPkgs  map[*Package]bool
+	detFiles map[*ast.File]bool
+	hot      map[*ast.FuncDecl]bool
+	orderInv map[*ast.RangeStmt]bool
+	diags    []Diagnostic
 }
 
 // CollectAnnotations parses every directive comment in the program.
-func CollectAnnotations(prog *Program) (*Annotations, error) {
-	a := &Annotations{pkgs: make(map[*Package]*pkgAnnots)}
+func CollectAnnotations(prog *Program) *Annotations {
+	a := &Annotations{
+		detPkgs:  make(map[*Package]bool),
+		detFiles: make(map[*ast.File]bool),
+		hot:      make(map[*ast.FuncDecl]bool),
+		orderInv: make(map[*ast.RangeStmt]bool),
+	}
 	for _, pkg := range prog.Pkgs {
-		a.collectPackage(prog, pkg)
-	}
-	return a, nil
-}
-
-// collectPackage is split out so fixture packages loaded with LoadDir
-// can be annotated too.
-func (a *Annotations) collectPackage(prog *Program, pkg *Package) {
-	pa := &pkgAnnots{
-		deterministicFiles: make(map[*ast.File]bool),
-		orderInv:           make(map[*ast.RangeStmt]string),
-	}
-	a.pkgs[pkg] = pa
-	for _, file := range pkg.Files {
-		// Invert the comment map: comment group -> owning node.
-		cm := ast.NewCommentMap(prog.Fset, file, file.Comments)
-		owner := make(map[*ast.CommentGroup]ast.Node)
-		for node, groups := range cm {
-			for _, g := range groups {
-				owner[g] = node
+		for _, file := range pkg.Files {
+			// Invert the comment map: comment group -> owning node.
+			cm := ast.NewCommentMap(prog.Fset, file, file.Comments)
+			owner := make(map[*ast.CommentGroup]ast.Node)
+			for node, groups := range cm {
+				for _, g := range groups {
+					owner[g] = node
+				}
 			}
-		}
-		for _, group := range file.Comments {
-			for _, c := range group.List {
-				if !strings.HasPrefix(c.Text, directivePrefix) {
-					continue
-				}
-				verb, rest, _ := strings.Cut(strings.TrimPrefix(c.Text, directivePrefix), " ")
-				rest = strings.TrimSpace(rest)
-				report := func(format string, args ...any) {
-					a.diags = append(a.diags, Diagnostic{
-						Pos:      prog.Fset.Position(c.Pos()),
-						Analyzer: "annotation",
-						Message:  fmt.Sprintf(format, args...),
-					})
-				}
-				switch verb {
-				case "deterministic":
-					if group == file.Doc {
-						pa.deterministicPkg = true
-					} else {
-						pa.deterministicFiles[file] = true
+			for _, group := range file.Comments {
+				for _, c := range group.List {
+					if !strings.HasPrefix(c.Text, directivePrefix) {
+						continue
 					}
-				case "hotpath":
-					switch node := owner[group].(type) {
-					case *ast.FuncDecl:
-						pa.hotDecls = append(pa.hotDecls, node)
-					case *ast.AssignStmt:
-						lit, name := funcLitOf(node)
-						if lit == nil {
-							report("copydetect:hotpath on an assignment with no function literal")
+					verb, rest, _ := strings.Cut(strings.TrimPrefix(c.Text, directivePrefix), " ")
+					report := func(format string, args ...any) {
+						a.diags = append(a.diags, Diagnostic{
+							Pos:      prog.Fset.Position(c.Pos()),
+							Analyzer: "annotation",
+							Message:  fmt.Sprintf(format, args...),
+						})
+					}
+					switch verb {
+					case "deterministic":
+						if group == file.Doc {
+							a.detPkgs[pkg] = true
+						} else {
+							a.detFiles[file] = true
+						}
+					case "hotpath":
+						fd, ok := owner[group].(*ast.FuncDecl)
+						if !ok {
+							report("copydetect:hotpath must annotate a function declaration")
 							continue
 						}
-						pa.hotLits = append(pa.hotLits, HotLit{Lit: lit, Name: name})
+						a.hot[fd] = true
+					case "orderinvariant":
+						rs, ok := owner[group].(*ast.RangeStmt)
+						if !ok {
+							report("copydetect:orderinvariant must annotate a range statement")
+							continue
+						}
+						if strings.TrimSpace(rest) == "" {
+							report("copydetect:orderinvariant requires a justification (why is this loop's effect independent of iteration order?)")
+							continue
+						}
+						a.orderInv[rs] = true
 					default:
-						report("copydetect:hotpath must annotate a function declaration or a function-literal assignment")
+						report("unknown copydetect directive %q", verb)
 					}
-				case "orderinvariant":
-					rs, ok := owner[group].(*ast.RangeStmt)
-					if !ok {
-						report("copydetect:orderinvariant must annotate a range statement")
-						continue
-					}
-					if rest == "" {
-						report("copydetect:orderinvariant requires a justification (why is this loop's effect independent of iteration order?)")
-						continue
-					}
-					pa.orderInv[rs] = rest
-				default:
-					report("unknown copydetect directive %q", verb)
 				}
 			}
 		}
 	}
-}
-
-// funcLitOf returns the first function literal among an assignment's
-// right-hand sides and the matching left-hand side's source text.
-func funcLitOf(as *ast.AssignStmt) (*ast.FuncLit, string) {
-	for i, rhs := range as.Rhs {
-		if lit, ok := rhs.(*ast.FuncLit); ok {
-			name := "func literal"
-			if i < len(as.Lhs) {
-				name = types.ExprString(as.Lhs[i])
-			}
-			return lit, name
-		}
-	}
-	return nil, ""
+	return a
 }

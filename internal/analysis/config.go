@@ -67,48 +67,3 @@ func DefaultConfig() *Config {
 		},
 	}
 }
-
-func (c *Config) deterministic(path string) bool {
-	for _, p := range c.Deterministic {
-		if p == path {
-			return true
-		}
-	}
-	return false
-}
-
-func (c *Config) tracePkg(path string) bool {
-	for _, p := range c.TracePkgs {
-		if p == path {
-			return true
-		}
-	}
-	return false
-}
-
-func (c *Config) traceHelper(fullName string) bool {
-	for _, h := range c.TraceHelpers {
-		if h == fullName {
-			return true
-		}
-	}
-	return false
-}
-
-func (c *Config) normalizer(fullName string) bool {
-	for _, n := range c.Normalizers {
-		if n == fullName {
-			return true
-		}
-	}
-	return false
-}
-
-func (c *Config) allocAllowed(fullName string) bool {
-	for _, prefix := range c.HotAllocAllow {
-		if len(fullName) >= len(prefix) && fullName[:len(prefix)] == prefix {
-			return true
-		}
-	}
-	return false
-}

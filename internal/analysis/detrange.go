@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 )
 
 // DetRange enforces the determinism contract: code that must produce
@@ -25,57 +26,40 @@ import (
 var DetRange = &Analyzer{
 	Name: "detrange",
 	Doc:  "map iteration order, global rand, and wall-clock reads in deterministic packages",
-	Run:  runDetRange,
+	scope: func(p *Pass) bool {
+		return slices.Contains(p.Config.Deterministic, p.pkg.Path) || p.Annots.detPkgs[p.pkg] || p.Annots.detFiles[p.file]
+	},
+	start: func(p *Pass) (func(ast.Node), func()) { return p.checkDet, nil },
 }
 
-func runDetRange(pass *Pass) error {
-	for _, pkg := range pass.Prog.Pkgs {
-		pkgWide := pass.Config.deterministic(pkg.Path) || pass.Annots.DeterministicPkg(pkg)
-		for _, file := range pkg.Files {
-			if !pkgWide && !pass.Annots.DeterministicFile(pkg, file) {
-				continue
+func (p *Pass) checkDet(n ast.Node) {
+	info := p.pkg.Info
+	switch n := n.(type) {
+	case *ast.RangeStmt:
+		if isMapType(info.Types[n.X].Type) && !p.Annots.orderInv[n] {
+			p.Report(n.Pos(), "range over map in deterministic code; make the effect order-invariant and annotate with copydetect:orderinvariant <why>, or iterate a sorted slice")
+		}
+	case *ast.CallExpr:
+		fn := calleeFunc(info, n)
+		if fn == nil || fn.Pkg() == nil {
+			return
+		}
+		switch fn.Pkg().Path() {
+		case "math/rand", "math/rand/v2":
+			if fn.Type().(*types.Signature).Recv() != nil {
+				return // method on an explicitly seeded *rand.Rand
 			}
-			checkDetFile(pass, pkg, file)
+			switch fn.Name() {
+			case "New", "NewSource", "NewZipf", "NewPCG", "NewChaCha8":
+				return // constructing a seeded source
+			}
+			p.Report(n.Pos(), "call to %s.%s uses the shared global rand source; deterministic code must use a *rand.Rand seeded from Options.Seed", fn.Pkg().Name(), fn.Name())
+		case "time":
+			if fn.Name() == "Now" && fn.Type().(*types.Signature).Recv() == nil && !isTimerNow(info, p.parents, n) {
+				p.Report(n.Pos(), "time.Now outside the timer idiom (start := time.Now(); ... time.Since(start)) in deterministic code")
+			}
 		}
 	}
-	return nil
-}
-
-func checkDetFile(pass *Pass, pkg *Package, file *ast.File) {
-	parents := parentMap(file)
-	ast.Inspect(file, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.RangeStmt:
-			if !isMapType(pkg.Info.Types[n.X].Type) {
-				return true
-			}
-			if _, ok := pass.Annots.OrderInvariant(pkg, n); ok {
-				return true
-			}
-			pass.Report(n.Pos(), "range over map in deterministic code; make the effect order-invariant and annotate with copydetect:orderinvariant <why>, or iterate a sorted slice")
-		case *ast.CallExpr:
-			fn := calleeFunc(pkg.Info, n)
-			if fn == nil || fn.Pkg() == nil {
-				return true
-			}
-			switch fn.Pkg().Path() {
-			case "math/rand", "math/rand/v2":
-				if fn.Type().(*types.Signature).Recv() != nil {
-					return true // method on an explicitly seeded *rand.Rand
-				}
-				switch fn.Name() {
-				case "New", "NewSource", "NewZipf", "NewPCG", "NewChaCha8":
-					return true // constructing a seeded source
-				}
-				pass.Report(n.Pos(), "call to %s.%s uses the shared global rand source; deterministic code must use a *rand.Rand seeded from Options.Seed", fn.Pkg().Name(), fn.Name())
-			case "time":
-				if fn.Name() == "Now" && fn.Type().(*types.Signature).Recv() == nil && !isTimerNow(pkg.Info, parents, n) {
-					pass.Report(n.Pos(), "time.Now outside the timer idiom (start := time.Now(); ... time.Since(start)) in deterministic code")
-				}
-			}
-		}
-		return true
-	})
 }
 
 // isTimerNow reports whether a time.Now call follows the timer idiom:

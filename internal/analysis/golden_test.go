@@ -141,6 +141,10 @@ func TestStickyCheckGolden(t *testing.T) {
 	runGolden(t, "stickycheck", []*Analyzer{StickyCheck}, nil)
 }
 
+func TestStickyCheckHandOffGolden(t *testing.T) {
+	runGolden(t, "stickyhandoff", []*Analyzer{StickyCheck}, nil)
+}
+
 // TestOrderInvariantNeedsJustification pins the annotation-grammar rule
 // on its own: a bare copydetect:orderinvariant is itself a finding, and
 // the loop it failed to annotate stays flagged.

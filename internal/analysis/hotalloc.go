@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
+	"strings"
 )
 
 // HotAlloc proves the zero-alloc contract statically: every function
@@ -16,58 +18,51 @@ import (
 //
 // Flagged inside hot code: make/new, append into a slice without a
 // same-function capacity reset (x = buf[:0]), slice/map composite
-// literals, &T{...}, nested function literals, go statements, string
-// concatenation, string<->[]byte conversions, and implicit interface
-// conversions (boxing) at calls, assignments, returns, and composite
-// fields. Calls are followed into every function whose body was loaded;
-// calls out of the module are rejected unless Config.HotAllocAllow
-// vouches for them, and dynamic calls (function values, interface
-// methods) are rejected outright — an unseen body cannot be proven
-// allocation-free.
+// literals, &T{...}, stores into map elements, nested function literals,
+// go statements, string concatenation, string<->[]byte conversions, and
+// implicit interface conversions (boxing) at calls, assignments, var
+// declarations, returns, and composite fields. Calls are followed into
+// every function whose body was loaded; calls out of the module are
+// rejected unless Config.HotAllocAllow vouches for them, and dynamic
+// calls (function values, interface methods) are rejected outright — an
+// unseen body cannot be proven allocation-free.
 var HotAlloc = &Analyzer{
-	Name: "hotalloc",
-	Doc:  "allocating constructs reachable from copydetect:hotpath roots",
-	Run:  runHotAlloc,
+	Name:  "hotalloc",
+	Doc:   "allocating constructs reachable from copydetect:hotpath roots",
+	start: startHotAlloc,
 }
 
-func runHotAlloc(pass *Pass) error {
+// startHotAlloc indexes every function declaration during the walk and
+// checks what the roots reach after it.
+func startHotAlloc(p *Pass) (func(ast.Node), func()) {
 	hc := &hotChecker{
-		pass:    pass,
+		pass:    p,
 		decls:   make(map[string]declSite),
 		visited: make(map[string]bool),
 	}
-	for _, pkg := range pass.Prog.Pkgs {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					// Keyed by FullName: cross-package references resolve
-					// through gc export data, so the *types.Func a caller
-					// sees is not the same object the defining package's
-					// source check produced.
-					hc.decls[fn.FullName()] = declSite{pkg: pkg, decl: fd}
-				}
+	var roots []*types.Func
+	visit := func(n ast.Node) {
+		fd, ok := n.(*ast.FuncDecl)
+		if !ok || fd.Body == nil {
+			return
+		}
+		if fn, ok := p.pkg.Info.Defs[fd.Name].(*types.Func); ok {
+			// Keyed by FullName: cross-package references resolve
+			// through gc export data, so the *types.Func a caller
+			// sees is not the same object the defining package's
+			// source check produced.
+			hc.decls[fn.FullName()] = declSite{pkg: p.pkg, decl: fd}
+			if p.Annots.hot[fd] {
+				roots = append(roots, fn)
 			}
 		}
 	}
-	for _, pkg := range pass.Prog.Pkgs {
-		hotDecls, hotLits := pass.Annots.HotRoots(pkg)
-		for _, fd := range hotDecls {
-			fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-			if !ok || hc.visited[fn.FullName()] {
-				continue
-			}
-			hc.visited[fn.FullName()] = true
-			hc.checkBody(pkg, fd, fd.Body, fn.Name())
-		}
-		for _, hl := range hotLits {
-			hc.checkBody(pkg, hl.Lit, hl.Lit.Body, hl.Name)
+	done := func() {
+		for _, fn := range roots {
+			hc.walk(fn.FullName(), fn.Name())
 		}
 	}
-	return nil
+	return visit, done
 }
 
 type declSite struct {
@@ -81,14 +76,17 @@ type hotChecker struct {
 	visited map[string]bool
 }
 
-// checkBody walks one hot function. fn is the FuncDecl or FuncLit whose
-// body is checked (body is passed separately so the root literal itself
-// is not reported as a nested closure); root names the annotated entry
-// point for diagnostics.
-func (hc *hotChecker) checkBody(pkg *Package, fn ast.Node, body *ast.BlockStmt, root string) {
+// walk checks the body of the function named full once, charging what
+// it finds to root, the annotated entry point named in diagnostics.
+func (hc *hotChecker) walk(full, root string) {
+	if hc.visited[full] {
+		return
+	}
+	hc.visited[full] = true
+	site := hc.decls[full]
+	pkg, fd := site.pkg, site.decl
 	info := pkg.Info
-	parents := parentMap(fn)
-	ast.Inspect(body, func(n ast.Node) bool {
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			hc.report(n.Pos(), root, "function literal allocates a closure")
@@ -97,17 +95,23 @@ func (hc *hotChecker) checkBody(pkg *Package, fn ast.Node, body *ast.BlockStmt, 
 			hc.report(n.Pos(), root, "go statement allocates a goroutine")
 			return false
 		case *ast.CompositeLit:
-			hc.checkComposite(pkg, parents, n, root)
+			hc.checkComposite(pkg, n, root)
 		case *ast.BinaryExpr:
 			if n.Op.String() == "+" && isStringType(info.Types[n].Type) && info.Types[n].Value == nil {
 				hc.report(n.Pos(), root, "string concatenation allocates")
 			}
 		case *ast.AssignStmt:
-			hc.checkAssignBoxing(pkg, n, root)
+			hc.checkAssign(pkg, n, root)
+		case *ast.ValueSpec:
+			if n.Type != nil && len(n.Values) == len(n.Names) {
+				for _, v := range n.Values {
+					hc.checkBoxingTo(pkg, v, info.TypeOf(n.Type), root, "assignment")
+				}
+			}
 		case *ast.ReturnStmt:
-			hc.checkReturnBoxing(pkg, parents, n, root)
+			hc.checkReturnBoxing(pkg, n, root)
 		case *ast.CallExpr:
-			hc.checkCall(pkg, fn, parents, n, root)
+			hc.checkCall(pkg, fd, n, root)
 		}
 		return true
 	})
@@ -117,7 +121,7 @@ func (hc *hotChecker) report(pos token.Pos, root, format string, args ...any) {
 	hc.pass.Report(pos, "hot path (reachable from %s): "+format, append([]any{root}, args...)...)
 }
 
-func (hc *hotChecker) checkCall(pkg *Package, fnNode ast.Node, parents map[ast.Node]ast.Node, call *ast.CallExpr, root string) {
+func (hc *hotChecker) checkCall(pkg *Package, fd *ast.FuncDecl, call *ast.CallExpr, root string) {
 	info := pkg.Info
 
 	// Builtins.
@@ -129,7 +133,7 @@ func (hc *hotChecker) checkCall(pkg *Package, fnNode ast.Node, parents map[ast.N
 			case "new":
 				hc.report(call.Pos(), root, "new allocates")
 			case "append":
-				if !hc.appendReusesCapacity(pkg, fnNode, call) {
+				if !hc.appendReusesCapacity(pkg, fd, call) {
 					hc.report(call.Pos(), root, "append may grow its backing array; reset the slice with x = buf[:0] in this function to reuse capacity")
 				}
 			}
@@ -160,25 +164,21 @@ func (hc *hotChecker) checkCall(pkg *Package, fnNode ast.Node, parents map[ast.N
 	hc.checkCallBoxing(pkg, call, sig, root)
 
 	full := callee.FullName()
-	site, ok := hc.decls[full]
-	if !ok {
-		if !hc.pass.Config.allocAllowed(full) {
-			hc.report(call.Pos(), root, "call to %s: body outside analysis scope and not allowlisted in HotAllocAllow", full)
-		}
+	if _, ok := hc.decls[full]; ok {
+		hc.walk(full, root)
 		return
 	}
-	if hc.visited[full] {
-		return
+	allowed := slices.ContainsFunc(hc.pass.Config.HotAllocAllow, func(prefix string) bool { return strings.HasPrefix(full, prefix) })
+	if !allowed {
+		hc.report(call.Pos(), root, "call to %s: body outside analysis scope and not allowlisted in HotAllocAllow", full)
 	}
-	hc.visited[full] = true
-	hc.checkBody(site.pkg, site.decl, site.decl.Body, root)
 }
 
 // appendReusesCapacity reports whether the slice being appended to has a
 // capacity-reuse reset (x = buf[:0] / x := buf[:0]) somewhere in the
 // same function — the repo's scratch-buffer idiom, which never grows in
 // steady state.
-func (hc *hotChecker) appendReusesCapacity(pkg *Package, fnNode ast.Node, call *ast.CallExpr) bool {
+func (hc *hotChecker) appendReusesCapacity(pkg *Package, fd *ast.FuncDecl, call *ast.CallExpr) bool {
 	if len(call.Args) == 0 {
 		return false
 	}
@@ -194,7 +194,7 @@ func (hc *hotChecker) appendReusesCapacity(pkg *Package, fnNode ast.Node, call *
 		return false
 	}
 	reset := false
-	ast.Inspect(fnNode, func(n ast.Node) bool {
+	ast.Inspect(fd, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
 		if !ok || reset {
 			return !reset
@@ -267,7 +267,12 @@ func (hc *hotChecker) checkCallBoxing(pkg *Package, call *ast.CallExpr, sig *typ
 	}
 }
 
-func (hc *hotChecker) checkAssignBoxing(pkg *Package, as *ast.AssignStmt, root string) {
+func (hc *hotChecker) checkAssign(pkg *Package, as *ast.AssignStmt, root string) {
+	for _, lhs := range as.Lhs {
+		if ix, ok := unparen(lhs).(*ast.IndexExpr); ok && isMapType(pkg.Info.TypeOf(ix.X)) {
+			hc.report(lhs.Pos(), root, "map store may grow the map")
+		}
+	}
 	if len(as.Lhs) != len(as.Rhs) {
 		return // multi-value call assignment: types already match
 	}
@@ -277,27 +282,15 @@ func (hc *hotChecker) checkAssignBoxing(pkg *Package, as *ast.AssignStmt, root s
 	}
 }
 
-func (hc *hotChecker) checkReturnBoxing(pkg *Package, parents map[ast.Node]ast.Node, ret *ast.ReturnStmt, root string) {
-	fn := enclosingFunc(parents, ret)
-	var ftype *ast.FuncType
-	switch fn := fn.(type) {
+func (hc *hotChecker) checkReturnBoxing(pkg *Package, ret *ast.ReturnStmt, root string) {
+	var sig *types.Signature
+	switch fn := enclosingFunc(hc.pass.parents, ret).(type) {
 	case *ast.FuncDecl:
-		ftype = fn.Type
+		sig, _ = pkg.Info.Defs[fn.Name].Type().(*types.Signature)
 	case *ast.FuncLit:
-		ftype = fn.Type
-	default:
-		return
+		sig, _ = pkg.Info.Types[fn].Type.(*types.Signature)
 	}
-	sig, ok := pkg.Info.Types[ftype].Type.(*types.Signature)
-	if !ok {
-		if obj, ok2 := fn.(*ast.FuncDecl); ok2 {
-			if f, ok3 := pkg.Info.Defs[obj.Name].(*types.Func); ok3 {
-				sig = f.Type().(*types.Signature)
-				ok = true
-			}
-		}
-	}
-	if !ok || sig.Results() == nil || len(ret.Results) != sig.Results().Len() {
+	if sig == nil || len(ret.Results) != sig.Results().Len() {
 		return
 	}
 	for i, res := range ret.Results {
@@ -305,7 +298,7 @@ func (hc *hotChecker) checkReturnBoxing(pkg *Package, parents map[ast.Node]ast.N
 	}
 }
 
-func (hc *hotChecker) checkComposite(pkg *Package, parents map[ast.Node]ast.Node, lit *ast.CompositeLit, root string) {
+func (hc *hotChecker) checkComposite(pkg *Package, lit *ast.CompositeLit, root string) {
 	t := pkg.Info.Types[lit].Type
 	if t == nil {
 		return
@@ -318,11 +311,9 @@ func (hc *hotChecker) checkComposite(pkg *Package, parents map[ast.Node]ast.Node
 		hc.report(lit.Pos(), root, "map literal allocates")
 		return
 	}
-	if _, ok := parents[lit].(*ast.UnaryExpr); ok {
-		if ue := parents[lit].(*ast.UnaryExpr); ue.Op.String() == "&" {
-			hc.report(ue.Pos(), root, "&composite literal allocates")
-			return
-		}
+	if ue, ok := hc.pass.parents[lit].(*ast.UnaryExpr); ok && ue.Op == token.AND {
+		hc.report(ue.Pos(), root, "&composite literal allocates")
+		return
 	}
 	// Struct literal by value: check interface-typed fields for boxing.
 	st, ok := t.Underlying().(*types.Struct)

@@ -39,7 +39,6 @@ type Program struct {
 
 	mu      sync.Mutex
 	exports map[string]string // import path -> export data file
-	byPath  map[string]*Package
 }
 
 // listedPackage is the subset of `go list -json` output the loader
@@ -52,7 +51,6 @@ type listedPackage struct {
 	Standard   bool
 	Module     *struct{ Path string }
 	Error      *struct{ Err string }
-	DepsErrors []*struct{ Err string }
 }
 
 // Load discovers packages with `go list` (run in dir) and type-checks
@@ -63,7 +61,7 @@ func Load(dir string, patterns ...string) (*Program, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	args := append([]string{"list", "-e", "-export", "-deps", "-json=ImportPath,Dir,Export,GoFiles,Standard,Module,Error,DepsErrors"}, patterns...)
+	args := append([]string{"list", "-e", "-export", "-deps", "-json=ImportPath,Dir,Export,GoFiles,Standard,Module,Error"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var out, errBuf bytes.Buffer
@@ -76,7 +74,6 @@ func Load(dir string, patterns ...string) (*Program, error) {
 	prog := &Program{
 		Fset:    token.NewFileSet(),
 		exports: make(map[string]string),
-		byPath:  make(map[string]*Package),
 	}
 	var mod []*listedPackage
 	dec := json.NewDecoder(&out)
@@ -112,7 +109,6 @@ func Load(dir string, patterns ...string) (*Program, error) {
 			return nil, err
 		}
 		prog.Pkgs = append(prog.Pkgs, pkg)
-		prog.byPath[pkg.Path] = pkg
 	}
 	return prog, nil
 }
@@ -140,14 +136,10 @@ func (p *Program) LoadDir(dir, importPath string) (*Package, error) {
 	return p.check(importPath, dir, files)
 }
 
-// Package returns the loaded package with the given import path, or nil.
-func (p *Program) Package(path string) *Package { return p.byPath[path] }
-
 // AddPackage registers an out-of-universe package (a LoadDir fixture)
 // so Run analyzes it alongside the module packages.
 func (p *Program) AddPackage(pkg *Package) {
 	p.Pkgs = append(p.Pkgs, pkg)
-	p.byPath[pkg.Path] = pkg
 }
 
 // check parses the named files and type-checks them as one package.

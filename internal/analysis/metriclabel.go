@@ -3,6 +3,8 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"slices"
+	"strings"
 )
 
 // MetricLabel bounds metric cardinality statically. The telemetry
@@ -23,60 +25,52 @@ import (
 // GaugeFunc/CounterFunc emit callbacks run at scrape time over
 // registry-owned state and are exempt from the value rule.
 var MetricLabel = &Analyzer{
-	Name: "metriclabel",
-	Doc:  "constant metric label keys; bounded label values through the normalizers",
-	Run:  runMetricLabel,
+	Name:  "metriclabel",
+	Doc:   "constant metric label keys; bounded label values through the normalizers",
+	start: func(p *Pass) (func(ast.Node), func()) { return p.checkLabels, nil },
 }
 
-func runMetricLabel(pass *Pass) error {
-	for _, pkg := range pass.Prog.Pkgs {
-		for _, file := range pkg.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				fn := calleeFunc(pkg.Info, call)
-				if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != pass.Config.TelemetryPkg {
-					return true
-				}
-				sig := fn.Type().(*types.Signature)
-				if sig.Recv() == nil {
-					return true
-				}
-				switch fn.Name() {
-				case "CounterVec", "GaugeVec", "HistogramVec":
-					checkLabelKeys(pass, pkg, call, sig)
-				case "GaugeFunc", "CounterFunc":
-					checkLabelSlice(pass, pkg, call)
-				case "With":
-					checkLabelValues(pass, pkg, file, call)
-				}
-				return true
-			})
-		}
+func (p *Pass) checkLabels(n ast.Node) {
+	call, ok := n.(*ast.CallExpr)
+	if !ok {
+		return
 	}
-	return nil
+	fn := calleeFunc(p.pkg.Info, call)
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != p.Config.TelemetryPkg {
+		return
+	}
+	sig := fn.Type().(*types.Signature)
+	if sig.Recv() == nil {
+		return
+	}
+	switch fn.Name() {
+	case "CounterVec", "GaugeVec", "HistogramVec":
+		p.checkLabelKeys(call, sig)
+	case "GaugeFunc", "CounterFunc":
+		p.checkLabelSlice(call)
+	case "With":
+		p.checkLabelValues(call)
+	}
 }
 
 // checkLabelKeys verifies the variadic label-key tail of a Vec
 // registration is all string constants.
-func checkLabelKeys(pass *Pass, pkg *Package, call *ast.CallExpr, sig *types.Signature) {
+func (p *Pass) checkLabelKeys(call *ast.CallExpr, sig *types.Signature) {
 	fixed := sig.Params().Len() - 1 // index of the variadic labels param
 	if call.Ellipsis.IsValid() {
-		pass.Report(call.Pos(), "label keys passed as a slice cannot be verified constant; spell them out at the registration site")
+		p.Report(call.Pos(), "label keys passed as a slice cannot be verified constant; spell them out at the registration site")
 		return
 	}
 	for i := fixed; i < len(call.Args); i++ {
-		if pkg.Info.Types[call.Args[i]].Value == nil {
-			pass.Report(call.Args[i].Pos(), "metric label key must be a string constant")
+		if p.pkg.Info.Types[call.Args[i]].Value == nil {
+			p.Report(call.Args[i].Pos(), "metric label key must be a string constant")
 		}
 	}
 }
 
 // checkLabelSlice verifies the []string labels argument of a Func
 // collector registration is nil or a literal of constants.
-func checkLabelSlice(pass *Pass, pkg *Package, call *ast.CallExpr) {
+func (p *Pass) checkLabelSlice(call *ast.CallExpr) {
 	if len(call.Args) < 3 {
 		return
 	}
@@ -86,43 +80,49 @@ func checkLabelSlice(pass *Pass, pkg *Package, call *ast.CallExpr) {
 	}
 	lit, ok := arg.(*ast.CompositeLit)
 	if !ok {
-		pass.Report(arg.Pos(), "labels of a Func collector must be a nil or literal []string of constants")
+		p.Report(arg.Pos(), "labels of a Func collector must be a nil or literal []string of constants")
 		return
 	}
 	for _, elt := range lit.Elts {
-		if pkg.Info.Types[elt].Value == nil {
-			pass.Report(elt.Pos(), "metric label key must be a string constant")
+		if p.pkg.Info.Types[elt].Value == nil {
+			p.Report(elt.Pos(), "metric label key must be a string constant")
 		}
 	}
 }
 
 // checkLabelValues verifies every Vec.With argument is bounded.
-func checkLabelValues(pass *Pass, pkg *Package, file *ast.File, call *ast.CallExpr) {
+func (p *Pass) checkLabelValues(call *ast.CallExpr) {
 	for _, arg := range call.Args {
-		if !boundedValue(pass, pkg, file, arg, 4) {
-			pass.Report(arg.Pos(), "label value %s is not provably bounded; pass a constant or route it through a bounded normalizer (%s)",
-				exprString(arg), normalizerNames(pass.Config))
+		if p.boundedValue(arg, 4) {
+			continue
 		}
+		short := make([]string, len(p.Config.Normalizers))
+		for i, name := range p.Config.Normalizers {
+			short[i] = name[strings.LastIndex(name, ".")+1:]
+		}
+		p.Report(arg.Pos(), "label value %s is not provably bounded; pass a constant or route it through a bounded normalizer (%s)",
+			types.ExprString(arg), strings.Join(short, ", "))
 	}
 }
 
 // boundedValue reports whether e can only ever evaluate to a bounded
 // set of strings: a constant, a normalizer call, or a variable whose
 // assignments are all bounded.
-func boundedValue(pass *Pass, pkg *Package, file *ast.File, e ast.Expr, depth int) bool {
+func (p *Pass) boundedValue(e ast.Expr, depth int) bool {
 	if depth == 0 {
 		return false
 	}
+	info := p.pkg.Info
 	e = unparen(e)
-	if pkg.Info.Types[e].Value != nil {
+	if info.Types[e].Value != nil {
 		return true
 	}
 	switch e := e.(type) {
 	case *ast.CallExpr:
-		fn := calleeFunc(pkg.Info, e)
-		return fn != nil && pass.Config.normalizer(fn.FullName())
+		fn := calleeFunc(info, e)
+		return fn != nil && slices.Contains(p.Config.Normalizers, fn.FullName())
 	case *ast.Ident:
-		obj := pkg.Info.Uses[e]
+		obj := info.Uses[e]
 		if obj == nil {
 			return false
 		}
@@ -133,7 +133,7 @@ func boundedValue(pass *Pass, pkg *Package, file *ast.File, e ast.Expr, depth in
 		if !ok {
 			return false
 		}
-		return boundedVar(pass, pkg, file, v, depth-1)
+		return p.boundedVar(v, depth-1)
 	}
 	return false
 }
@@ -141,15 +141,16 @@ func boundedValue(pass *Pass, pkg *Package, file *ast.File, e ast.Expr, depth in
 // boundedVar scans the file for every assignment to v and requires each
 // bound value to be bounded. A variable with no visible assignment (a
 // parameter, a field) is unbounded.
-func boundedVar(pass *Pass, pkg *Package, file *ast.File, v *types.Var, depth int) bool {
+func (p *Pass) boundedVar(v *types.Var, depth int) bool {
+	info := p.pkg.Info
 	found, bounded := false, true
-	ast.Inspect(file, func(n ast.Node) bool {
+	ast.Inspect(p.file, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			if len(n.Lhs) != len(n.Rhs) {
 				// Multi-value assignment from a call: opaque.
 				for _, lhs := range n.Lhs {
-					if id, ok := lhs.(*ast.Ident); ok && identIs(pkg.Info, id, v) {
+					if id, ok := lhs.(*ast.Ident); ok && identIs(info, id, v) {
 						found, bounded = true, false
 					}
 				}
@@ -157,27 +158,27 @@ func boundedVar(pass *Pass, pkg *Package, file *ast.File, v *types.Var, depth in
 			}
 			for i, lhs := range n.Lhs {
 				id, ok := lhs.(*ast.Ident)
-				if !ok || !identIs(pkg.Info, id, v) {
+				if !ok || !identIs(info, id, v) {
 					continue
 				}
 				found = true
-				if !boundedValue(pass, pkg, file, n.Rhs[i], depth) {
+				if !p.boundedValue(n.Rhs[i], depth) {
 					bounded = false
 				}
 			}
 		case *ast.ValueSpec:
 			for i, name := range n.Names {
-				if !identIs(pkg.Info, name, v) {
+				if !identIs(info, name, v) {
 					continue
 				}
 				found = true
-				if i >= len(n.Values) || !boundedValue(pass, pkg, file, n.Values[i], depth) {
+				if i >= len(n.Values) || !p.boundedValue(n.Values[i], depth) {
 					bounded = false
 				}
 			}
 		case *ast.RangeStmt:
 			for _, x := range []ast.Expr{n.Key, n.Value} {
-				if id, ok := x.(*ast.Ident); ok && identIs(pkg.Info, id, v) {
+				if id, ok := x.(*ast.Ident); ok && identIs(info, id, v) {
 					found, bounded = true, false
 				}
 			}
@@ -189,29 +190,4 @@ func boundedVar(pass *Pass, pkg *Package, file *ast.File, v *types.Var, depth in
 
 func identIs(info *types.Info, id *ast.Ident, v *types.Var) bool {
 	return info.Defs[id] == v || info.Uses[id] == v
-}
-
-func exprString(e ast.Expr) string { return types.ExprString(e) }
-
-func normalizerNames(cfg *Config) string {
-	short := make([]byte, 0, 64)
-	for i, n := range cfg.Normalizers {
-		if i > 0 {
-			short = append(short, ", "...)
-		}
-		if j := lastDot(n); j >= 0 {
-			n = n[j+1:]
-		}
-		short = append(short, n...)
-	}
-	return string(short)
-}
-
-func lastDot(s string) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == '.' {
-			return i
-		}
-	}
-	return -1
 }

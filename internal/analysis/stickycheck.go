@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // StickyCheck enforces the binio sticky-error discipline. The codec
@@ -24,28 +25,15 @@ import (
 //
 // A codec received as a parameter and never Err()-checked is the
 // delegation pattern (the caller owns the final check) and is fine.
+// The other side of that pattern follows: handing a codec to a call is
+// a decode through a delegate, not an escape, so the final check stays
+// with the function that holds it.
 var StickyCheck = &Analyzer{
 	Name: "stickycheck",
 	Doc:  "binio sticky-error codecs must have Err observed after the last decode",
-	Run:  runStickyCheck,
-}
-
-func runStickyCheck(pass *Pass) error {
-	for _, pkg := range pass.Prog.Pkgs {
-		if pkg.Path == pass.Config.BinioPkg {
-			continue // the codec's own internals manage the latch directly
-		}
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				checkSticky(pass, pkg, fd)
-			}
-		}
-	}
-	return nil
+	// The codec's own internals manage the latch directly.
+	scope: func(p *Pass) bool { return p.pkg.Path != p.Config.BinioPkg },
+	start: startStickyCheck,
 }
 
 type codecUse struct {
@@ -56,104 +44,101 @@ type codecUse struct {
 	decodes    int
 }
 
-func checkSticky(pass *Pass, pkg *Package, fd *ast.FuncDecl) {
-	binioPkg := pass.Config.BinioPkg
-	parents := parentMap(fd)
-	uses := make(map[*types.Var]*codecUse)
+// codecKey is one codec variable as seen by one function declaration
+// (a package-level codec is a separate variable in each function).
+type codecKey struct {
+	fd *ast.FuncDecl
+	v  *types.Var
+}
 
-	track := func(obj types.Object, created bool) *codecUse {
+func startStickyCheck(p *Pass) (func(ast.Node), func()) {
+	uses := make(map[codecKey]*codecUse)
+	// record returns obj's record in the function declaration around n,
+	// adding one if add is set; nil if obj is not a codec variable.
+	record := func(n ast.Node, obj types.Object, add bool) *codecUse {
 		v, ok := obj.(*types.Var)
-		if !ok || !isBinioCodec(v.Type(), binioPkg) {
+		if !ok || !isBinioCodec(v.Type(), p.Config.BinioPkg) {
 			return nil
 		}
-		cu := uses[v]
-		if cu == nil {
-			cu = &codecUse{}
-			uses[v] = cu
+		k := codecKey{enclosingDecl(p.parents, n), v}
+		if uses[k] == nil && add && k.fd != nil {
+			uses[k] = &codecUse{}
 		}
-		cu.created = cu.created || created
-		return cu
+		return uses[k]
 	}
-
-	// Parameters (and named results) are tracked as non-created.
-	if scope, ok := pkg.Info.Scopes[fd.Type]; ok {
-		for _, name := range scope.Names() {
-			track(scope.Lookup(name), false)
-		}
-	}
-
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+	visit := func(n ast.Node) {
+		info := p.pkg.Info
 		switch n := n.(type) {
+		case *ast.FuncDecl:
+			// Parameters (and named results) are tracked as non-created.
+			if scope, ok := info.Scopes[n.Type]; ok && n.Body != nil {
+				for _, name := range scope.Names() {
+					record(n.Body, scope.Lookup(name), true)
+				}
+			}
 		case *ast.AssignStmt:
 			for i, lhs := range n.Lhs {
 				id, ok := lhs.(*ast.Ident)
 				if !ok || i >= len(n.Rhs) {
 					continue
 				}
-				obj := pkg.Info.Defs[id]
+				obj := info.Defs[id]
 				if obj == nil {
-					obj = pkg.Info.Uses[id]
+					obj = info.Uses[id]
 				}
-				if obj == nil {
-					continue
+				if cu := record(n, obj, true); cu != nil {
+					cu.created = cu.created || isCodecCtor(info, n.Rhs[i], p.Config.BinioPkg)
 				}
-				track(obj, isCodecCtor(pkg.Info, n.Rhs[i], binioPkg))
 			}
 		case *ast.Ident:
-			obj := pkg.Info.Uses[n]
-			v, ok := obj.(*types.Var)
-			if !ok || !isBinioCodec(v.Type(), binioPkg) {
-				return true
-			}
-			cu := uses[v]
+			cu := record(n, info.Uses[n], false)
 			if cu == nil {
-				return true
+				return
 			}
-			// Receiver of a method call, or some other (escaping) use?
-			if sel, ok := parents[n].(*ast.SelectorExpr); ok && sel.X == n {
-				if call, ok := parents[sel].(*ast.CallExpr); ok && call.Fun == sel {
-					if sel.Sel.Name == "Err" {
-						if n.Pos() > cu.lastErr {
-							cu.lastErr = n.Pos()
-						}
+			switch parent := p.parents[n].(type) {
+			case *ast.SelectorExpr:
+				// Receiver of a method call: Err is the check, anything
+				// else a decode.
+				if call, ok := p.parents[parent].(*ast.CallExpr); ok && parent.X == n && call.Fun == parent {
+					if parent.Sel.Name == "Err" {
+						cu.lastErr = max(cu.lastErr, n.Pos())
 					} else {
 						cu.decodes++
-						if n.Pos() > cu.lastDecode {
-							cu.lastDecode = n.Pos()
-						}
+						cu.lastDecode = max(cu.lastDecode, n.Pos())
 					}
-					return true
+					return
+				}
+			case *ast.CallExpr:
+				// Handed to a delegate that decodes through it: the final
+				// Err check stays here.
+				cu.decodes++
+				cu.lastDecode = max(cu.lastDecode, n.Pos())
+				return
+			case *ast.AssignStmt:
+				if slices.Contains(parent.Lhs, ast.Expr(n)) {
+					return // the binding itself is not a use
 				}
 			}
-			if as, ok := parents[n].(*ast.AssignStmt); ok {
-				// The binding itself (LHS) is not a use.
-				for _, lhs := range as.Lhs {
-					if lhs == ast.Expr(n) {
-						return true
-					}
-				}
-			}
-			if n.Pos() > cu.lastEscape {
-				cu.lastEscape = n.Pos()
-			}
-		}
-		return true
-	})
-
-	for _, cu := range uses {
-		switch {
-		case cu.decodes == 0:
-			// Nothing decoded here; nothing to check.
-		case cu.lastErr == token.NoPos:
-			if cu.created && cu.lastEscape == token.NoPos {
-				pass.Report(cu.lastDecode, "codec created here is decoded but its sticky Err is never checked; every decoded value may be garbage")
-			}
-			// Parameter or escaping codec with no Err call: the caller
-			// owns the final check (DecodeStats-style delegation).
-		case cu.lastDecode > cu.lastErr && cu.lastDecode > cu.lastEscape:
-			pass.Report(cu.lastDecode, "decode after the last Err check; this value is used with no subsequent sticky-error check")
+			cu.lastEscape = max(cu.lastEscape, n.Pos())
 		}
 	}
+	done := func() {
+		for _, cu := range uses {
+			switch {
+			case cu.decodes == 0:
+				// Nothing decoded here; nothing to check.
+			case cu.lastErr == token.NoPos:
+				if cu.created && cu.lastEscape == token.NoPos {
+					p.Report(cu.lastDecode, "codec created here is decoded but its sticky Err is never checked; every decoded value may be garbage")
+				}
+				// Parameter or escaping codec with no Err call: the caller
+				// owns the final check (DecodeStats-style delegation).
+			case cu.lastDecode > cu.lastErr && cu.lastDecode > cu.lastEscape:
+				p.Report(cu.lastDecode, "decode after the last Err check; this value is used with no subsequent sticky-error check")
+			}
+		}
+	}
+	return visit, done
 }
 
 // isBinioCodec reports whether t is (a pointer to) a named type of the

@@ -1,6 +1,6 @@
 // Package hotallocfix is the hotalloc fixture: one clean hot root that
-// uses only permitted constructs, one hot root hitting every allocating
-// construct, and a helper proving the walk follows static calls.
+// uses only permitted constructs, two hot roots hitting every allocating
+// construct between them, and a helper proving calls are followed.
 package hotallocfix
 
 import "math"
@@ -51,3 +51,13 @@ func scratch(s string) string {
 type node struct{ val string }
 
 func spin() {}
+
+// hotHoles boxes through a typed var declaration and stores into a map:
+// one diagnostic each.
+//
+//copydetect:hotpath
+func hotHoles(m map[int]int, n int) {
+	var boxed interface{} = n
+	_ = boxed
+	m[n] = n
+}

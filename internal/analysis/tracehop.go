@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 )
 
 // TraceHop keeps X-Copydetect-Trace alive across every hop. The e2e
@@ -15,40 +16,23 @@ import (
 // probe, or mirror hop added with a bare http.NewRequestWithContext is
 // a diagnostic, not a silent trace hole.
 var TraceHop = &Analyzer{
-	Name: "tracehop",
-	Doc:  "outbound http.Requests in cluster code must be built by the trace-propagating helper",
-	Run:  runTraceHop,
+	Name:  "tracehop",
+	Doc:   "outbound http.Requests in cluster code must be built by the trace-propagating helper",
+	scope: func(p *Pass) bool { return slices.Contains(p.Config.TracePkgs, p.pkg.Path) },
+	start: func(p *Pass) (func(ast.Node), func()) { return p.checkTrace, nil },
 }
 
-func runTraceHop(pass *Pass) error {
-	for _, pkg := range pass.Prog.Pkgs {
-		if !pass.Config.tracePkg(pkg.Path) {
-			continue
+func (p *Pass) checkTrace(n ast.Node) {
+	switch n := n.(type) {
+	case *ast.CallExpr:
+		if fn := calleeFunc(p.pkg.Info, n); fn != nil && isRequestCtor(fn) && !p.inTraceHelper(n) {
+			p.Report(n.Pos(), "outbound request built with %s outside a trace helper; use newTracedRequest so X-Copydetect-Trace propagates", fn.Name())
 		}
-		for _, file := range pkg.Files {
-			parents := parentMap(file)
-			ast.Inspect(file, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.CallExpr:
-					fn := calleeFunc(pkg.Info, n)
-					if fn == nil || !isRequestCtor(fn) {
-						return true
-					}
-					if enclosingHelper(pass, pkg, parents, n) == "" {
-						pass.Report(n.Pos(), "outbound request built with %s outside a trace helper; use newTracedRequest so X-Copydetect-Trace propagates", fn.Name())
-					}
-				case *ast.CompositeLit:
-					if t := pkg.Info.Types[n].Type; t != nil && isHTTPRequest(t) {
-						if enclosingHelper(pass, pkg, parents, n) == "" {
-							pass.Report(n.Pos(), "http.Request literal outside a trace helper; use newTracedRequest so X-Copydetect-Trace propagates")
-						}
-					}
-				}
-				return true
-			})
+	case *ast.CompositeLit:
+		if t := p.pkg.Info.Types[n].Type; t != nil && isHTTPRequest(t) && !p.inTraceHelper(n) {
+			p.Report(n.Pos(), "http.Request literal outside a trace helper; use newTracedRequest so X-Copydetect-Trace propagates")
 		}
 	}
-	return nil
 }
 
 // isRequestCtor matches net/http's request constructors.
@@ -66,18 +50,13 @@ func isHTTPRequest(t types.Type) bool {
 	return obj.Name() == "Request" && obj.Pkg() != nil && obj.Pkg().Path() == "net/http"
 }
 
-// enclosingHelper returns the allowlisted trace-helper name the node is
-// (transitively) inside, or "".
-func enclosingHelper(pass *Pass, pkg *Package, parents map[ast.Node]ast.Node, n ast.Node) string {
-	for cur := parents[n]; cur != nil; cur = parents[cur] {
-		fd, ok := cur.(*ast.FuncDecl)
-		if !ok {
-			continue
-		}
-		if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok && pass.Config.traceHelper(fn.FullName()) {
-			return fn.FullName()
-		}
-		return ""
+// inTraceHelper reports whether n is inside one of the allowlisted
+// trace helpers.
+func (p *Pass) inTraceHelper(n ast.Node) bool {
+	fd := enclosingDecl(p.parents, n)
+	if fd == nil {
+		return false
 	}
-	return ""
+	fn, ok := p.pkg.Info.Defs[fd.Name].(*types.Func)
+	return ok && slices.Contains(p.Config.TraceHelpers, fn.FullName())
 }

@@ -42,22 +42,14 @@ func isPkgFunc(f *types.Func, pkgPath, name string) bool {
 		f.Name() == name && f.Type().(*types.Signature).Recv() == nil
 }
 
-// parentMap records the immediate parent of every node under root.
-func parentMap(root ast.Node) map[ast.Node]ast.Node {
-	parents := make(map[ast.Node]ast.Node)
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
+// enclosingDecl returns the function declaration n is inside, or nil.
+func enclosingDecl(parents map[ast.Node]ast.Node, n ast.Node) *ast.FuncDecl {
+	for cur := parents[n]; cur != nil; cur = parents[cur] {
+		if fd, ok := cur.(*ast.FuncDecl); ok {
+			return fd
 		}
-		if len(stack) > 0 {
-			parents[n] = stack[len(stack)-1]
-		}
-		stack = append(stack, n)
-		return true
-	})
-	return parents
+	}
+	return nil
 }
 
 // unparen strips any levels of parentheses (ast.Unparen needs go1.22;

@@ -23,10 +23,6 @@ type Config struct {
 	// Order matters: the ring is built over this exact list, so every
 	// gateway configured with the same list routes identically.
 	Backends []string
-	// Replicas is the number of virtual nodes per backend on the ring
-	// (<= 0 selects DefaultReplicas). All gateways over one cluster must
-	// agree on it.
-	Replicas int
 	// Replication is how many backends hold each dataset (the replica
 	// set size R). <= 1 (the zero value) keeps each dataset on its ring
 	// owner alone; 2 survives the loss of any single backend: writes
@@ -39,11 +35,6 @@ type Config struct {
 	// bounds one probe (default half of ProbeEvery, capped at 2s).
 	ProbeEvery   time.Duration
 	ProbeTimeout time.Duration
-	// EjectAfter ejects a backend after that many consecutive failures
-	// (default 2); ReadmitAfter readmits it after that many consecutive
-	// probe successes (default 2).
-	EjectAfter   int
-	ReadmitAfter int
 
 	// Retries is how many times an idempotent (GET) request is retried
 	// against its owner after a transport failure. 0 selects the default
@@ -83,8 +74,6 @@ type Gateway struct {
 	probeEvery   time.Duration
 	probeTimeout time.Duration
 	listTimeout  time.Duration
-	ejectAfter   int
-	readmitAfter int
 	retries      int
 	replication  int
 	mirrorHW     int // mirror-queue admission bound; 0 disables
@@ -115,7 +104,7 @@ func New(cfg Config) (*Gateway, error) {
 	for i, b := range cfg.Backends {
 		urls[i] = strings.TrimRight(b, "/")
 	}
-	ring, err := NewRing(urls, cfg.Replicas)
+	ring, err := NewRing(urls)
 	if err != nil {
 		return nil, err
 	}
@@ -123,8 +112,6 @@ func New(cfg Config) (*Gateway, error) {
 		ring:         ring,
 		probeEvery:   cfg.ProbeEvery,
 		probeTimeout: cfg.ProbeTimeout,
-		ejectAfter:   cfg.EjectAfter,
-		readmitAfter: cfg.ReadmitAfter,
 		retries:      cfg.Retries,
 		replication:  cfg.Replication,
 		ds:           make(map[string]*dsState),
@@ -155,12 +142,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	if g.listTimeout > 30*time.Second {
 		g.listTimeout = 30 * time.Second
-	}
-	if g.ejectAfter <= 0 {
-		g.ejectAfter = 2
-	}
-	if g.readmitAfter <= 0 {
-		g.readmitAfter = 2
 	}
 	if g.retries < 0 {
 		g.retries = 0
@@ -368,11 +349,11 @@ func (g *Gateway) serveRead(w http.ResponseWriter, req *http.Request, name strin
 			// first: impatient clients must never eject a healthy one.
 			if !reported[pos] && req.Context().Err() == nil {
 				reported[pos] = true
-				b.reportFailure(g.ejectAfter, err)
+				b.reportFailure(err)
 			}
 			continue
 		}
-		b.reportSuccess(g.readmitAfter, false)
+		b.reportSuccess(false)
 		if pos != 0 {
 			w.Header().Set(server.ReplicaHeader, "true")
 		}
@@ -481,7 +462,7 @@ func (g *Gateway) serveWrite(w http.ResponseWriter, req *http.Request, name stri
 			if req.Context().Err() != nil {
 				break // the client hung up; stop entirely
 			}
-			b.reportFailure(g.ejectAfter, err)
+			b.reportFailure(err)
 			if timedOut {
 				break // gateway timeout: slow, not dead — no failover
 			}
@@ -489,7 +470,7 @@ func (g *Gateway) serveWrite(w http.ResponseWriter, req *http.Request, name stri
 			g.writeFailovers.Add(1)
 			continue
 		}
-		b.reportSuccess(g.readmitAfter, false)
+		b.reportSuccess(false)
 		raw, rerr := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		timedOut := errors.Is(ctx.Err(), context.DeadlineExceeded)
@@ -501,7 +482,7 @@ func (g *Gateway) serveWrite(w http.ResponseWriter, req *http.Request, name stri
 			if req.Context().Err() != nil {
 				break
 			}
-			b.reportFailure(g.ejectAfter, rerr)
+			b.reportFailure(rerr)
 			if timedOut {
 				break
 			}
@@ -543,13 +524,13 @@ func (g *Gateway) writeSingle(w http.ResponseWriter, req *http.Request, name str
 	resp, err := g.client.Do(out)
 	if err != nil {
 		if req.Context().Err() == nil {
-			b.reportFailure(g.ejectAfter, err)
+			b.reportFailure(err)
 		}
 		server.WriteErr(w, http.StatusServiceUnavailable,
 			fmt.Sprintf("cluster: backend %s (owner of dataset %q) is unavailable: %v", b.url, name, err))
 		return
 	}
-	b.reportSuccess(g.readmitAfter, false)
+	b.reportSuccess(false)
 	relay(w, resp)
 }
 
@@ -614,7 +595,7 @@ func (g *Gateway) list(w http.ResponseWriter, req *http.Request) {
 				// cancellation says nothing about backend health (and
 				// would tick a failure on every backend at once).
 				if req.Context().Err() == nil {
-					b.reportFailure(g.ejectAfter, err)
+					b.reportFailure(err)
 				}
 				return
 			}
@@ -623,7 +604,7 @@ func (g *Gateway) list(w http.ResponseWriter, req *http.Request) {
 				_, _ = io.Copy(io.Discard, resp.Body)
 				return
 			}
-			b.reportSuccess(g.readmitAfter, false)
+			b.reportSuccess(false)
 			var body listResponse
 			if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 				return

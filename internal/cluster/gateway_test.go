@@ -227,10 +227,8 @@ func TestEjectionAndReadmission(t *testing.T) {
 	defer flaky.Close()
 
 	gw, err := New(Config{
-		Backends:     []string{flaky.URL},
-		ProbeEvery:   5 * time.Millisecond,
-		EjectAfter:   2,
-		ReadmitAfter: 2,
+		Backends:   []string{flaky.URL},
+		ProbeEvery: 5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -317,7 +315,6 @@ func TestIdempotentRetriesOnly(t *testing.T) {
 	gw, err := New(Config{
 		Backends:   []string{backend.URL},
 		Retries:    2,
-		EjectAfter: 2,
 		ProbeEvery: time.Hour,
 		Transport:  ft,
 	})
@@ -340,7 +337,7 @@ func TestIdempotentRetriesOnly(t *testing.T) {
 	}
 
 	// GET: failures exhaust the retry budget (1 + 2 retries) → 503, and
-	// the whole logical request counts as ONE failure — with EjectAfter
+	// the whole logical request counts as ONE failure — with ejectAfter
 	// 2, a single retried GET must not eject the backend by itself.
 	ft.remaining.Store(100)
 	ft.attempts.Store(0)
@@ -437,7 +434,6 @@ func TestClientCancelDoesNotEjectBackend(t *testing.T) {
 
 	gw, err := New(Config{
 		Backends:   []string{backend.URL},
-		EjectAfter: 1, // the very first real failure would eject
 		ProbeEvery: time.Hour,
 	})
 	if err != nil {

@@ -26,6 +26,13 @@ type BackendStatus struct {
 	StaleDatasets int `json:"staleDatasets,omitempty"`
 }
 
+// The hysteresis thresholds of backend's state machine: the smallest at
+// which a single flaky probe neither ejects nor readmits.
+const (
+	ejectAfter   = 2
+	readmitAfter = 2
+)
+
 // backend tracks one copydetectd replica's health. The state machine
 // has two states, healthy and ejected, with hysteresis in both
 // directions so a single flaky probe neither ejects nor readmits:
@@ -67,7 +74,7 @@ func (b *backend) isHealthy() bool {
 // reports whether this success readmitted the backend (the
 // ejected→healthy transition), which is the gateway's cue to audit
 // what the backend missed while it was away.
-func (b *backend) reportSuccess(readmitAfter int, probe bool) (readmitted bool) {
+func (b *backend) reportSuccess(probe bool) (readmitted bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.fails = 0
@@ -88,7 +95,7 @@ func (b *backend) reportSuccess(readmitAfter int, probe bool) (readmitted bool) 
 }
 
 // reportFailure records a failed probe or proxied request.
-func (b *backend) reportFailure(ejectAfter int, err error) {
+func (b *backend) reportFailure(err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.oks = 0
@@ -136,21 +143,21 @@ func (g *Gateway) probe(b *backend) {
 	defer cancel()
 	req, err := newTracedRequest(ctx, http.MethodGet, b.url+"/healthz", nil, nil, "")
 	if err != nil {
-		b.reportFailure(g.ejectAfter, err)
+		b.reportFailure(err)
 		return
 	}
 	resp, err := g.client.Do(req)
 	if err != nil {
-		b.reportFailure(g.ejectAfter, err)
+		b.reportFailure(err)
 		return
 	}
 	_, _ = io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		b.reportFailure(g.ejectAfter, fmt.Errorf("cluster: probe status %d", resp.StatusCode))
+		b.reportFailure(fmt.Errorf("cluster: probe status %d", resp.StatusCode))
 		return
 	}
-	if b.reportSuccess(g.readmitAfter, true) {
+	if b.reportSuccess(true) {
 		// Readmission: beyond the datasets this gateway already knows
 		// are behind, audit the whole replica-set picture — the backend
 		// may have lost its disk, or the staleness may have accrued

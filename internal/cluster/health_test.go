@@ -10,15 +10,15 @@ import (
 )
 
 // eject / readmit drive the deterministic halves of the state machine.
-func eject(b *backend, after int) {
-	for i := 0; i < after; i++ {
-		b.reportFailure(after, fmt.Errorf("down"))
+func eject(b *backend) {
+	for i := 0; i < ejectAfter; i++ {
+		b.reportFailure(fmt.Errorf("down"))
 	}
 }
 
-func readmit(b *backend, after int) {
-	for i := 0; i < after; i++ {
-		b.reportSuccess(after, true)
+func readmit(b *backend) {
+	for i := 0; i < readmitAfter; i++ {
+		b.reportSuccess(true)
 	}
 }
 
@@ -29,7 +29,7 @@ func readmit(b *backend, after int) {
 // they race.
 func TestHysteresisProxySuccessNeverReadmits(t *testing.T) {
 	b := newBackend("http://x", 0)
-	eject(b, 2)
+	eject(b)
 	if b.isHealthy() {
 		t.Fatal("not ejected after 2 failures")
 	}
@@ -39,7 +39,7 @@ func TestHysteresisProxySuccessNeverReadmits(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				b.reportSuccess(2, false) // proxy straggler
+				b.reportSuccess(false) // proxy straggler
 			}
 		}()
 	}
@@ -49,7 +49,7 @@ func TestHysteresisProxySuccessNeverReadmits(t *testing.T) {
 	}
 	// Probes still readmit afterwards — the stragglers must not have
 	// wedged the counter either.
-	readmit(b, 2)
+	readmit(b)
 	if !b.isHealthy() {
 		t.Fatal("stuck ejected after 2 consecutive probe successes")
 	}
@@ -60,18 +60,18 @@ func TestHysteresisProxySuccessNeverReadmits(t *testing.T) {
 // backend must not flap back early on non-consecutive successes.
 func TestHysteresisNoEarlyReadmitUnderInterleaving(t *testing.T) {
 	b := newBackend("http://x", 0)
-	eject(b, 2)
+	eject(b)
 	for round := 0; round < 50; round++ {
-		b.reportSuccess(2, true) // one success is not enough...
+		b.reportSuccess(true) // one success is not enough...
 		if b.isHealthy() {
 			t.Fatalf("round %d: readmitted after a single probe success", round)
 		}
-		b.reportFailure(2, fmt.Errorf("flap")) // ...and a failure resets the streak
+		b.reportFailure(fmt.Errorf("flap")) // ...and a failure resets the streak
 		if b.isHealthy() {
 			t.Fatalf("round %d: healthy after a failure while ejected", round)
 		}
 	}
-	readmit(b, 2)
+	readmit(b)
 	if !b.isHealthy() {
 		t.Fatal("stuck ejected after genuinely consecutive successes")
 	}
@@ -83,13 +83,13 @@ func TestHysteresisNoEarlyReadmitUnderInterleaving(t *testing.T) {
 func TestHysteresisNoEarlyEjectUnderInterleaving(t *testing.T) {
 	b := newBackend("http://x", 0)
 	for round := 0; round < 50; round++ {
-		b.reportFailure(2, fmt.Errorf("blip"))
+		b.reportFailure(fmt.Errorf("blip"))
 		if !b.isHealthy() {
 			t.Fatalf("round %d: ejected after a single failure", round)
 		}
-		b.reportSuccess(2, false) // a proxy success also resets the streak
+		b.reportSuccess(false) // a proxy success also resets the streak
 	}
-	eject(b, 2)
+	eject(b)
 	if b.isHealthy() {
 		t.Fatal("not ejected after genuinely consecutive failures")
 	}
@@ -107,7 +107,7 @@ func TestHysteresisRaceProbeVsProxy(t *testing.T) {
 		t.Run(start, func(t *testing.T) {
 			b := newBackend("http://x", 0)
 			if start == "ejected" {
-				eject(b, 2)
+				eject(b)
 			}
 			var wg sync.WaitGroup
 			hammer := func(f func()) {
@@ -119,9 +119,9 @@ func TestHysteresisRaceProbeVsProxy(t *testing.T) {
 					}
 				}()
 			}
-			hammer(func() { b.reportSuccess(2, true) })
-			hammer(func() { b.reportSuccess(2, false) })
-			hammer(func() { b.reportFailure(2, fmt.Errorf("raced")) })
+			hammer(func() { b.reportSuccess(true) })
+			hammer(func() { b.reportSuccess(false) })
+			hammer(func() { b.reportFailure(fmt.Errorf("raced")) })
 			hammer(func() { _ = b.status() })
 			hammer(func() { _ = b.isHealthy() })
 			wg.Wait()
@@ -136,11 +136,11 @@ func TestHysteresisRaceProbeVsProxy(t *testing.T) {
 			}
 			// Whatever the race left behind, the deterministic protocol
 			// still drives it: eject, then readmit — never stuck.
-			eject(b, 2)
+			eject(b)
 			if b.isHealthy() {
 				t.Fatal("cannot eject after the race")
 			}
-			readmit(b, 2)
+			readmit(b)
 			if !b.isHealthy() {
 				t.Fatal("stuck ejected after the race")
 			}

@@ -247,8 +247,6 @@ func TestAntiEntropyCatchUpOnReadmission(t *testing.T) {
 		Replication:  2,
 		ProbeEvery:   5 * time.Millisecond,
 		ProbeTimeout: 250 * time.Millisecond,
-		EjectAfter:   2,
-		ReadmitAfter: 2,
 	})
 	name := rc.nameWithPrimary(2)
 	members := rc.gw.Ring().ReplicaSet(name, 2)
@@ -604,7 +602,7 @@ func TestStartupAuditHealsDivergedMembers(t *testing.T) {
 		t.Cleanup(backends[i].Close)
 		urls[i] = backends[i].URL
 	}
-	ring, err := NewRing(urls, 0)
+	ring, err := NewRing(urls)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,11 +26,12 @@ import (
 	"sort"
 )
 
-// DefaultReplicas is the number of virtual nodes each backend
-// contributes to the ring. 128 points per backend keep the expected
-// per-backend load within a few percent of even for small clusters
-// while the ring stays tiny (a few KB).
-const DefaultReplicas = 128
+// virtualNodes is the number of virtual nodes each backend contributes
+// to the ring. 128 points per backend keep the expected per-backend load
+// within a few percent of even for small clusters while the ring stays
+// tiny (a few KB). It is a constant because every gateway of a cluster
+// must use the same value to route alike.
+const virtualNodes = 128
 
 // ringPoint is one virtual node: a position on the hash circle owned by
 // a backend.
@@ -49,20 +50,16 @@ type Ring struct {
 }
 
 // NewRing builds a ring over the given backend identifiers (base URLs,
-// in practice) with the given number of virtual nodes per backend
-// (<= 0 selects DefaultReplicas). Backends must be non-empty and
-// unique; order matters only for Owner's returned index.
-func NewRing(backends []string, replicas int) (*Ring, error) {
+// in practice). Backends must be non-empty and unique; order matters
+// only for Owner's returned index.
+func NewRing(backends []string) (*Ring, error) {
 	if len(backends) == 0 {
 		return nil, fmt.Errorf("cluster: ring needs at least one backend")
-	}
-	if replicas <= 0 {
-		replicas = DefaultReplicas
 	}
 	seen := make(map[string]bool, len(backends))
 	r := &Ring{
 		backends: append([]string(nil), backends...),
-		points:   make([]ringPoint, 0, len(backends)*replicas),
+		points:   make([]ringPoint, 0, len(backends)*virtualNodes),
 	}
 	for i, b := range backends {
 		if b == "" {
@@ -72,7 +69,7 @@ func NewRing(backends []string, replicas int) (*Ring, error) {
 			return nil, fmt.Errorf("cluster: duplicate backend %q", b)
 		}
 		seen[b] = true
-		for v := 0; v < replicas; v++ {
+		for v := 0; v < virtualNodes; v++ {
 			r.points = append(r.points, ringPoint{
 				hash:    hash64(fmt.Sprintf("%s#%d", b, v)),
 				backend: i,

@@ -6,24 +6,24 @@ import (
 )
 
 func TestNewRingValidation(t *testing.T) {
-	if _, err := NewRing(nil, 0); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Error("empty backend list accepted")
 	}
-	if _, err := NewRing([]string{"a", ""}, 0); err == nil {
+	if _, err := NewRing([]string{"a", ""}); err == nil {
 		t.Error("empty backend accepted")
 	}
-	if _, err := NewRing([]string{"a", "b", "a"}, 0); err == nil {
+	if _, err := NewRing([]string{"a", "b", "a"}); err == nil {
 		t.Error("duplicate backend accepted")
 	}
 }
 
 func TestRingDeterministic(t *testing.T) {
 	backends := []string{"http://b0:1", "http://b1:1", "http://b2:1"}
-	r1, err := NewRing(backends, 0)
+	r1, err := NewRing(backends)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := NewRing(backends, 0)
+	r2, err := NewRing(backends)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestRingDeterministic(t *testing.T) {
 
 func TestRingBalance(t *testing.T) {
 	backends := []string{"http://b0:1", "http://b1:1", "http://b2:1"}
-	r, err := NewRing(backends, 0)
+	r, err := NewRing(backends)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestRingBalance(t *testing.T) {
 	for i := 0; i < n; i++ {
 		counts[r.Owner(fmt.Sprintf("ds-%d", i))]++
 	}
-	// With DefaultReplicas virtual nodes the split should be within a
+	// With virtualNodes points per backend the split should be within a
 	// factor of ~2 of even; this is deterministic (fixed names, fixed
 	// hash), so the assertion cannot flake.
 	for i, c := range counts {
@@ -59,11 +59,11 @@ func TestRingBalance(t *testing.T) {
 func TestRingMinimalDisruption(t *testing.T) {
 	three := []string{"http://b0:1", "http://b1:1", "http://b2:1"}
 	four := append(append([]string(nil), three...), "http://b3:1")
-	r3, err := NewRing(three, 0)
+	r3, err := NewRing(three)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, err := NewRing(four, 0)
+	r4, err := NewRing(four)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestRingMinimalDisruption(t *testing.T) {
 
 func TestRingAccessors(t *testing.T) {
 	backends := []string{"u0", "u1"}
-	r, err := NewRing(backends, 8)
+	r, err := NewRing(backends)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestRingAccessors(t *testing.T) {
 
 func TestReplicaSet(t *testing.T) {
 	backends := []string{"http://a:1", "http://b:2", "http://c:3", "http://d:4"}
-	r, err := NewRing(backends, 0)
+	r, err := NewRing(backends)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestReplicaSet(t *testing.T) {
 	}
 	// Deterministic across independently built rings (the property every
 	// gateway relies on).
-	r2, err := NewRing(backends, 0)
+	r2, err := NewRing(backends)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestReplicaSet(t *testing.T) {
 }
 
 func TestReplicaSetSingleBackend(t *testing.T) {
-	r, err := NewRing([]string{"http://only:1"}, 0)
+	r, err := NewRing([]string{"http://only:1"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func TestMirrorQueueBackpressure(t *testing.T) {
 	// A dataset owned by backend 0, so backend 1 is the hanging replica.
 	// Resolved before New so the transport is never mutated while the
 	// gateway's background goroutines are using it.
-	ring, err := NewRing(urls, 0)
+	ring, err := NewRing(urls)
 	if err != nil {
 		t.Fatal(err)
 	}

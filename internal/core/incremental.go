@@ -55,8 +55,8 @@ import (
 // The passes of a steady-state round allocate nothing: every buffer they
 // touch — entry deltas, per-pair delta accumulators, touched lists, pass
 // outputs, per-worker scratch — is preallocated when the detector
-// prepares, and the worker closures handed to the pool are built once and
-// fed their per-round inputs through fields. What a round does allocate is
+// prepares, and the worker methods handed to the pool are bound once in
+// prepare and fed their per-round inputs through fields. What a round does allocate is
 // what it returns, a Result and its Pairs, which the caller may keep (the
 // serving layer publishes them; TestIncrementalSteadyStateAllocs pins the
 // two allocations at Workers <= 1). Pass-3 exact recomputation merges the
@@ -104,10 +104,10 @@ type Incremental struct {
 	passOuts           []passOut
 	emitPairs          []PairResult
 
-	// Round inputs for the preallocated worker closures: building a
-	// closure per round would allocate (the pool entry points don't
-	// inline), so the closures are built once in prepare and read their
-	// inputs from here.
+	// Round inputs for the worker methods, and those methods bound once in
+	// prepare: a method value made per round would allocate (the pool
+	// entry points don't inline), so the pool gets the prepared ones and
+	// they read their inputs from here.
 	roundDS                    *dataset.Dataset
 	roundSt                    *bayes.State
 	roundRhoV                  float64
@@ -262,8 +262,9 @@ func (d *Incremental) rescan(ds *dataset.Dataset, st *bayes.State, stats *Stats)
 // of every candidate pair out of that scan's shard tables, which must have
 // accumulated to the end (modeFreeze or modeIndex): one accumulation
 // kernel in two loop nests (scanShard, sweepShard), whose per-slot products
-// are bit-identical for every worker count and either nest. It also (re)builds every per-round scratch buffer and the
-// worker closures, so the rounds that follow allocate nothing.
+// are bit-identical for every worker count and either nest. It also
+// (re)builds every per-round scratch buffer and binds the worker methods,
+// so the rounds that follow allocate nothing.
 func (d *Incremental) prepare(ds *dataset.Dataset, st *bayes.State, stats *Stats) {
 	p := d.Params
 	d.pm = d.cache.pm
@@ -333,192 +334,193 @@ func (d *Incremental) prepare(ds *dataset.Dataset, st *bayes.State, stats *Stats
 	if d.History == nil {
 		d.History = make([]PassStats, 0, 1024)
 	}
-	d.buildClosures()
+	d.classifyFn, d.passAFn = d.classifyWorker, d.passAWorker
+	d.passFn, d.emitFn = d.passWorker, d.emitWorker
 	d.prepared = true
 }
 
-// buildClosures constructs the worker functions once per prepare. They
-// read their per-round inputs (current state, thresholds, ∆ρ estimates)
-// from detector fields, so incremental rounds never build a closure.
-func (d *Incremental) buildClosures() {
-	// Entry classification: drift of M̂ since the base, holding provider
-	// accuracies at their base values to isolate value-probability change.
-	// Each entry's drift is a pure function of the entry, so workers take
-	// one contiguous block of the entry range each (pool.Block).
-	//copydetect:hotpath
-	d.classifyFn = func(w int) {
-		p := d.Params
-		str := d.cache.str
-		st := d.roundSt
-		accBuf := d.accBufs[w]
-		lo, hi := pool.Block(d.workers, w, str.NumEntries())
-		for i := lo; i < hi; i++ {
-			accBuf = accBuf[:0]
-			for _, s := range str.Providers(int32(i)) {
-				accBuf = append(accBuf, d.base.A[s])
-			}
-			pNew := st.P[str.Item[i]][str.Val[i]]
-			d.deltas[i] = p.MaxEntryScore(pNew, accBuf) - d.baseScore[i]
-			d.absDeltas[i] = math.Abs(d.deltas[i])
+// classifyWorker classifies entries by the drift of M̂ since the base,
+// holding provider accuracies at their base values to isolate
+// value-probability change. Each entry's drift is a pure function of the
+// entry, so workers take one contiguous block of the entry range each
+// (pool.Block).
+//
+//copydetect:hotpath
+func (d *Incremental) classifyWorker(w int) {
+	p := d.Params
+	str := d.cache.str
+	st := d.roundSt
+	accBuf := d.accBufs[w]
+	lo, hi := pool.Block(d.workers, w, str.NumEntries())
+	for i := lo; i < hi; i++ {
+		accBuf = accBuf[:0]
+		for _, s := range str.Providers(int32(i)) {
+			accBuf = append(accBuf, d.base.A[s])
 		}
+		pNew := st.P[str.Item[i]][str.Val[i]]
+		d.deltas[i] = p.MaxEntryScore(pNew, accBuf) - d.baseScore[i]
+		d.absDeltas[i] = math.Abs(d.deltas[i])
 	}
+}
 
-	// Pass A: scan the drifted entries once. Big-change entries contribute
-	// exact per-pair deltas, sign-separated per direction; small-change
-	// entries only bump per-pair counters (|E̅↘| and |E̅↗| of Section
-	// V-B), so the ∆ρ estimates multiply the true counts rather than the
-	// pair's total shared values. Entries whose score did not move at all
-	// (the vast majority after convergence sets in) are skipped. The
-	// per-pair delta accumulators shard exactly like the entry scan
-	// (owner = smaller source id mod workers), and each worker collects
-	// the pairs it touched into a private list merged in shard order. The
-	// delta columns themselves stay shared, one writer per slot: only the
-	// pairs of drifted entries are written, and the round's profile does
-	// not show the lines that costs.
-	//copydetect:hotpath
-	d.passAFn = func(w int) {
-		const noise = 1e-6
-		p := d.Params
-		str := d.cache.str
-		st := d.roundSt
-		rhoV := d.roundRhoV
-		touched := d.touchedShards[w][:0]
-		var comps int64
-		numEntries := str.NumEntries()
-		for i := 0; i < numEntries; i++ {
-			if d.absDeltas[i] <= noise {
+// passAWorker is pass A: it scans the drifted entries once. Big-change entries contribute
+// exact per-pair deltas, sign-separated per direction; small-change
+// entries only bump per-pair counters (|E̅↘| and |E̅↗| of Section
+// V-B), so the ∆ρ estimates multiply the true counts rather than the
+// pair's total shared values. Entries whose score did not move at all
+// (the vast majority after convergence sets in) are skipped. The
+// per-pair delta accumulators shard exactly like the entry scan
+// (owner = smaller source id mod workers), and each worker collects
+// the pairs it touched into a private list merged in shard order. The
+// delta columns themselves stay shared, one writer per slot: only the
+// pairs of drifted entries are written, and the round's profile does
+// not show the lines that costs.
+//
+//copydetect:hotpath
+func (d *Incremental) passAWorker(w int) {
+	const noise = 1e-6
+	p := d.Params
+	str := d.cache.str
+	st := d.roundSt
+	rhoV := d.roundRhoV
+	touched := d.touchedShards[w][:0]
+	var comps int64
+	numEntries := str.NumEntries()
+	for i := 0; i < numEntries; i++ {
+		if d.absDeltas[i] <= noise {
+			continue
+		}
+		big := d.absDeltas[i] >= rhoV
+		provs := str.Providers(int32(i))
+		var pOld, pNew float64
+		if big {
+			pOld = d.base.P[str.Item[i]][str.Val[i]]
+			pNew = st.P[str.Item[i]][str.Val[i]]
+		}
+		dec := d.deltas[i] < 0
+		for x := 0; x < len(provs); x++ {
+			if !pool.Owns(d.workers, w, int(provs[x])) {
 				continue
 			}
-			big := d.absDeltas[i] >= rhoV
-			provs := str.Providers(int32(i))
-			var pOld, pNew float64
-			if big {
-				pOld = d.base.P[str.Item[i]][str.Val[i]]
-				pNew = st.P[str.Item[i]][str.Val[i]]
-			}
-			dec := d.deltas[i] < 0
-			for x := 0; x < len(provs); x++ {
-				if !pool.Owns(d.workers, w, int(provs[x])) {
+			for y := x + 1; y < len(provs); y++ {
+				slot := d.pm.Get(provs[x], provs[y])
+				if slot < 0 {
 					continue
 				}
-				for y := x + 1; y < len(provs); y++ {
-					slot := d.pm.Get(provs[x], provs[y])
-					if slot < 0 {
-						continue
-					}
-					if !d.isTouched[slot] {
-						d.isTouched[slot] = true
-						touched = append(touched, slot)
-					}
-					if !big {
-						if dec {
-							d.smallDec[slot]++
-						} else {
-							d.smallInc[slot]++
-						}
-						continue
-					}
-					a1, a2 := d.base.A[provs[x]], d.base.A[provs[y]]
-					dTo := p.ContribSameInvN(pNew, a1, a2) - p.ContribSameInvN(pOld, a1, a2)
-					dFrom := p.ContribSameInvN(pNew, a2, a1) - p.ContribSameInvN(pOld, a2, a1)
-					comps += 2
-					if dTo < 0 {
-						d.dNegTo[slot] += dTo
-					} else {
-						d.dPosTo[slot] += dTo
-					}
-					if dFrom < 0 {
-						d.dNegFrom[slot] += dFrom
-					} else {
-						d.dPosFrom[slot] += dFrom
-					}
+				if !d.isTouched[slot] {
+					d.isTouched[slot] = true
+					touched = append(touched, slot)
 				}
-			}
-		}
-		d.touchedShards[w] = touched
-		d.passAComps[w] = comps
-	}
-
-	// Passes 1–3 per pair. Pairs are independent here — each reads only
-	// its own slot state and writes only its own decision — so workers
-	// take one contiguous block of the slot range each; pass counters and
-	// stats are accumulated per worker and summed in shard order.
-	//copydetect:hotpath
-	d.passFn = func(w int) {
-		p := d.Params
-		thetaCp, thetaInd := p.ThetaCp(), p.ThetaInd()
-		dRhoDec, dRhoInc := d.roundDRhoDec, d.roundDRhoInc
-		out := &d.passOuts[w]
-		*out = passOut{}
-		lo, hi := pool.Block(d.workers, w, d.pm.Len())
-		for slot := lo; slot < hi; slot++ {
-			s1, s2 := d.pm.Key(int32(slot)).Sources()
-			needExact := d.bigAcc[s1] || d.bigAcc[s2]
-			if !needExact {
-				decBound := dRhoDec * float64(d.smallDec[slot])
-				incBound := dRhoInc * float64(d.smallInc[slot])
-				if d.copying[slot] {
-					// Pass 1: adversarial view — exact big decreases plus the
-					// worst-case estimate of the pair's small decreases.
-					cand := math.Max(d.cTo[slot]+d.dNegTo[slot], d.cFrom[slot]+d.dNegFrom[slot]) - decBound
-					out.stats.Computations++
-					if cand >= thetaCp {
-						out.pass.SettledPass1++
-						continue
+				if !big {
+					if dec {
+						d.smallDec[slot]++
+					} else {
+						d.smallInc[slot]++
 					}
-					// Pass 2: compensate with the exact big increases.
-					cand = math.Max(d.cTo[slot]+d.dNegTo[slot]+d.dPosTo[slot],
-						d.cFrom[slot]+d.dNegFrom[slot]+d.dPosFrom[slot]) - decBound
-					out.stats.Computations++
-					if cand >= thetaCp {
-						out.pass.SettledPass2++
-						continue
-					}
+					continue
+				}
+				a1, a2 := d.base.A[provs[x]], d.base.A[provs[y]]
+				dTo := p.ContribSameInvN(pNew, a1, a2) - p.ContribSameInvN(pOld, a1, a2)
+				dFrom := p.ContribSameInvN(pNew, a2, a1) - p.ContribSameInvN(pOld, a2, a1)
+				comps += 2
+				if dTo < 0 {
+					d.dNegTo[slot] += dTo
 				} else {
-					// Pass 1 for no-copying pairs: adversarial increases.
-					cTo := d.cTo[slot] + d.dPosTo[slot] + incBound
-					cFrom := d.cFrom[slot] + d.dPosFrom[slot] + incBound
-					out.stats.Computations++
-					if cTo < thetaInd && cFrom < thetaInd {
-						out.pass.SettledPass1++
-						continue
-					}
-					// Pass 2: compensate with the exact big decreases.
-					cTo += d.dNegTo[slot]
-					cFrom += d.dNegFrom[slot]
-					out.stats.Computations++
-					if cTo < thetaInd && cFrom < thetaInd {
-						out.pass.SettledPass2++
-						continue
-					}
+					d.dPosTo[slot] += dTo
+				}
+				if dFrom < 0 {
+					d.dNegFrom[slot] += dFrom
+				} else {
+					d.dPosFrom[slot] += dFrom
 				}
 			}
-			// Pass 3: exact recomputation against the current state.
-			out.pass.SettledPass3++
-			cTo, cFrom := exactPair(p, d.roundDS, d.roundSt, s1, s2, &out.stats)
-			d.copying[slot], _, _, _ = decide(p, cTo, cFrom)
 		}
 	}
+	d.touchedShards[w] = touched
+	d.passAComps[w] = comps
+}
 
-	// emit materializes the per-pair results from the stored decisions and
-	// the best available score estimates. The output slice is indexed by
-	// pair slot, so the block-wise parallel fill yields the same ordering
-	// as a sequential walk for every worker count.
-	//copydetect:hotpath
-	d.emitFn = func(w int) {
-		p := d.Params
-		pairs := d.emitPairs
-		lo, hi := pool.Block(d.workers, w, len(pairs))
-		for slot := lo; slot < hi; slot++ {
-			s1, s2 := d.pm.Key(int32(slot)).Sources()
-			cTo := d.cTo[slot] + d.dNegTo[slot] + d.dPosTo[slot]
-			cFrom := d.cFrom[slot] + d.dNegFrom[slot] + d.dPosFrom[slot]
-			prIndep, prTo, prFrom := p.Posterior(cTo, cFrom)
-			pairs[slot] = PairResult{
-				S1: s1, S2: s2, CTo: cTo, CFrom: cFrom,
-				PrIndep: prIndep, PrTo: prTo, PrFrom: prFrom,
-				Copying: d.copying[slot],
+// passWorker runs passes 1–3 per pair. Pairs are independent here — each reads only
+// its own slot state and writes only its own decision — so workers
+// take one contiguous block of the slot range each; pass counters and
+// stats are accumulated per worker and summed in shard order.
+//
+//copydetect:hotpath
+func (d *Incremental) passWorker(w int) {
+	p := d.Params
+	thetaCp, thetaInd := p.ThetaCp(), p.ThetaInd()
+	dRhoDec, dRhoInc := d.roundDRhoDec, d.roundDRhoInc
+	out := &d.passOuts[w]
+	*out = passOut{}
+	lo, hi := pool.Block(d.workers, w, d.pm.Len())
+	for slot := lo; slot < hi; slot++ {
+		s1, s2 := d.pm.Key(int32(slot)).Sources()
+		needExact := d.bigAcc[s1] || d.bigAcc[s2]
+		if !needExact {
+			decBound := dRhoDec * float64(d.smallDec[slot])
+			incBound := dRhoInc * float64(d.smallInc[slot])
+			if d.copying[slot] {
+				// Pass 1: adversarial view — exact big decreases plus the
+				// worst-case estimate of the pair's small decreases.
+				cand := math.Max(d.cTo[slot]+d.dNegTo[slot], d.cFrom[slot]+d.dNegFrom[slot]) - decBound
+				out.stats.Computations++
+				if cand >= thetaCp {
+					out.pass.SettledPass1++
+					continue
+				}
+				// Pass 2: compensate with the exact big increases.
+				cand = math.Max(d.cTo[slot]+d.dNegTo[slot]+d.dPosTo[slot],
+					d.cFrom[slot]+d.dNegFrom[slot]+d.dPosFrom[slot]) - decBound
+				out.stats.Computations++
+				if cand >= thetaCp {
+					out.pass.SettledPass2++
+					continue
+				}
+			} else {
+				// Pass 1 for no-copying pairs: adversarial increases.
+				cTo := d.cTo[slot] + d.dPosTo[slot] + incBound
+				cFrom := d.cFrom[slot] + d.dPosFrom[slot] + incBound
+				out.stats.Computations++
+				if cTo < thetaInd && cFrom < thetaInd {
+					out.pass.SettledPass1++
+					continue
+				}
+				// Pass 2: compensate with the exact big decreases.
+				cTo += d.dNegTo[slot]
+				cFrom += d.dNegFrom[slot]
+				out.stats.Computations++
+				if cTo < thetaInd && cFrom < thetaInd {
+					out.pass.SettledPass2++
+					continue
+				}
 			}
+		}
+		// Pass 3: exact recomputation against the current state.
+		out.pass.SettledPass3++
+		cTo, cFrom := exactPair(p, d.roundDS, d.roundSt, s1, s2, &out.stats)
+		d.copying[slot], _, _, _ = decide(p, cTo, cFrom)
+	}
+}
+
+// emitWorker materializes the per-pair results from the stored decisions
+// and the best available score estimates. The output slice is indexed by
+// pair slot, so the block-wise parallel fill yields the same ordering
+// as a sequential walk for every worker count.
+//
+//copydetect:hotpath
+func (d *Incremental) emitWorker(w int) {
+	p := d.Params
+	pairs := d.emitPairs
+	lo, hi := pool.Block(d.workers, w, len(pairs))
+	for slot := lo; slot < hi; slot++ {
+		s1, s2 := d.pm.Key(int32(slot)).Sources()
+		cTo := d.cTo[slot] + d.dNegTo[slot] + d.dPosTo[slot]
+		cFrom := d.cFrom[slot] + d.dNegFrom[slot] + d.dPosFrom[slot]
+		prIndep, prTo, prFrom := p.Posterior(cTo, cFrom)
+		pairs[slot] = PairResult{
+			S1: s1, S2: s2, CTo: cTo, CFrom: cFrom,
+			PrIndep: prIndep, PrTo: prTo, PrFrom: prFrom,
+			Copying: d.copying[slot],
 		}
 	}
 }

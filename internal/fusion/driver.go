@@ -13,16 +13,11 @@ import (
 // computation, repeated until source accuracies converge.
 type TruthFinder struct {
 	Params bayes.Params
-	// A0 is the initial accuracy assumed for every source (default 0.8).
-	A0 float64
 	// MaxRounds caps the iteration count (default 12).
 	MaxRounds int
 	// MinRounds forces at least this many rounds (default 5, matching the
 	// motivating example's five rounds; the paper's data sets need 6–9).
 	MinRounds int
-	// Eps is the convergence threshold on the maximum accuracy change
-	// between consecutive rounds (default 1e-4).
-	Eps float64
 	// DetectDataset, when non-nil, is the (sampled) dataset on which copy
 	// detection runs while truth finding still uses the full dataset; its
 	// ItemMap translates its item ids into full-dataset item ids. This
@@ -50,6 +45,14 @@ type TruthFinder struct {
 	Cancel <-chan struct{}
 }
 
+// Every source starts at accuracy initialAccuracy, and the process has
+// converged once no accuracy moves by convergenceEps or more between
+// consecutive rounds.
+const (
+	initialAccuracy = 0.8
+	convergenceEps  = 1e-4
+)
+
 // Outcome is the result of a full iterative run.
 type Outcome struct {
 	// State holds the final value probabilities and source accuracies.
@@ -67,13 +70,6 @@ type Outcome struct {
 	TotalStats core.Stats
 	// FusionTime is the time spent in truth finding (outside detection).
 	FusionTime time.Duration
-}
-
-func (tf *TruthFinder) a0() float64 {
-	if tf.A0 == 0 {
-		return 0.8
-	}
-	return tf.A0
 }
 
 func (tf *TruthFinder) maxRounds() int {
@@ -102,13 +98,6 @@ func (tf *TruthFinder) cancelled() bool {
 	}
 }
 
-func (tf *TruthFinder) eps() float64 {
-	if tf.Eps == 0 {
-		return 1e-4
-	}
-	return tf.Eps
-}
-
 // Run executes the iterative process on ds with the given copy detector.
 // Detectors with cross-round state are reset first.
 func (tf *TruthFinder) Run(ds *dataset.Dataset, det core.Detector) *Outcome {
@@ -119,7 +108,7 @@ func (tf *TruthFinder) Run(ds *dataset.Dataset, det core.Detector) *Outcome {
 	for d := range valueCounts {
 		valueCounts[d] = ds.NumValues(dataset.ItemID(d))
 	}
-	st := bayes.NewState(valueCounts, ds.NumSources(), tf.a0())
+	st := bayes.NewState(valueCounts, ds.NumSources(), initialAccuracy)
 
 	fusionStart := time.Now()
 	// Initial value probabilities from undiscounted voting at uniform
@@ -165,7 +154,7 @@ func (tf *TruthFinder) Run(ds *dataset.Dataset, det core.Detector) *Outcome {
 		st.A = newA
 		fusionTime += time.Since(stepStart)
 		out.Rounds = round
-		if round >= tf.minRounds() && delta < tf.eps() {
+		if round >= tf.minRounds() && delta < convergenceEps {
 			break
 		}
 	}
