@@ -20,9 +20,9 @@
 // with sequence numbers (so duplicated deliveries land exactly once),
 // reads fail over transparently — marked X-Copydetect-Replica — and a
 // recovered backend is caught back up by anti-entropy before serving
-// again. Killing any single backend therefore loses no dataset;
-// -replicas 1 restores the PR 4 behavior, where a dead backend 503s
-// exactly its own datasets.
+// again. Killing any single backend therefore loses no dataset. With
+// -replicas 1 each dataset lives on its ring owner alone: a dead
+// backend's datasets answer 503 until it returns; lists are partial.
 //
 // Backends are probed every -probe-every; a backend that fails twice in
 // a row is ejected and readmitted after two consecutive successful

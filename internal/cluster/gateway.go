@@ -391,15 +391,7 @@ func (g *Gateway) serveWrite(w http.ResponseWriter, req *http.Request, name stri
 		server.WriteErr(w, http.StatusRequestEntityTooLarge, "cluster: write body exceeds the size limit")
 		return
 	}
-	ds := g.datasetState(name)
-	ds.mu.Lock()
-	for ds.retired {
-		// The idle worker retired this state between our map lookup
-		// and the lock; fetch the fresh entry.
-		ds.mu.Unlock()
-		ds = g.datasetState(name)
-		ds.mu.Lock()
-	}
+	ds := g.lockDS(name)
 	defer ds.mu.Unlock()
 	if g.mirrorHW > 0 && strings.HasSuffix(req.URL.Path, "/observations") &&
 		atomic.LoadInt64(&ds.queuedJobs) >= int64(g.mirrorHW) {
@@ -452,12 +444,17 @@ func (g *Gateway) serveWrite(w http.ResponseWriter, req *http.Request, name stri
 		}
 		out.ContentLength = int64(len(body))
 		resp, err := g.client.Do(out)
+		var raw []byte
+		if err == nil {
+			raw, err = io.ReadAll(resp.Body)
+			resp.Body.Close()
+		}
+		timedOut := errors.Is(ctx.Err(), context.DeadlineExceeded)
+		cancel()
 		if err != nil {
-			// DeadlineExceeded is sticky on the context, so it still
-			// distinguishes our write ceiling from an ordinary transport
-			// failure after the cancel below releases the timer.
-			timedOut := errors.Is(ctx.Err(), context.DeadlineExceeded)
-			cancel()
+			// A transport failure before the headers or a member that
+			// died mid-response: either way the write's fate there is
+			// unknown, and it counts as one failure and nothing else.
 			lastErr = err
 			if req.Context().Err() != nil {
 				break // the client hung up; stop entirely
@@ -471,25 +468,6 @@ func (g *Gateway) serveWrite(w http.ResponseWriter, req *http.Request, name stri
 			continue
 		}
 		b.reportSuccess(false)
-		raw, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		timedOut := errors.Is(ctx.Err(), context.DeadlineExceeded)
-		cancel()
-		if rerr != nil {
-			// The member died mid-response: the write's fate there is
-			// unknown, exactly like a transport failure before headers.
-			lastErr = rerr
-			if req.Context().Err() != nil {
-				break
-			}
-			b.reportFailure(rerr)
-			if timedOut {
-				break
-			}
-			failedOver = true
-			g.writeFailovers.Add(1)
-			continue
-		}
 		ds.lastActing = pos
 		g.afterWrite(ds, req, pos, resp.StatusCode, raw, body)
 		if pos != 0 {
@@ -503,8 +481,8 @@ func (g *Gateway) serveWrite(w http.ResponseWriter, req *http.Request, name stri
 }
 
 // writeSingle is the unreplicated write path: one streamed attempt
-// against the single member, byte-for-byte, no buffering, no retry —
-// the original gateway behavior.
+// against the single member, byte-for-byte, no buffering, no retry — a
+// dead owner answers 503.
 func (g *Gateway) writeSingle(w http.ResponseWriter, req *http.Request, name string, member int) {
 	b := g.backends[member]
 	if !b.isHealthy() {
@@ -534,46 +512,45 @@ func (g *Gateway) writeSingle(w http.ResponseWriter, req *http.Request, name str
 	relay(w, resp)
 }
 
-// doBounded performs req with its own timeout, independent of any
-// client context — used by replication jobs, which belong to the
-// gateway, not to a client request.
-func (g *Gateway) doBounded(req *http.Request, timeout time.Duration) (*http.Response, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	resp, err := g.client.Do(req.WithContext(ctx))
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	resp.Body = &cancelReadCloser{rc: resp.Body, cancel: cancel}
-	return resp, nil
-}
+// exchange is the one way the gateway talks to a backend on its own
+// behalf — probes, list fan-outs, version reads, mirrors, anti-entropy:
+// build the request with newTracedRequest, bound it by timeout under
+// ctx, read the body (at most maxWriteBody bytes) and close it. A
+// response that breaks off or overflows is an error like a failed dial:
+// the caller gets the whole body or no answer.
+func (g *Gateway) exchange(ctx context.Context, timeout time.Duration, method, url, trace string,
+	body []byte, hdr http.Header) (int, []byte, error) {
 
-// cancelReadCloser releases a request's timeout context when its body
-// is closed.
-type cancelReadCloser struct {
-	rc     io.ReadCloser
-	cancel context.CancelFunc
-}
-
-func (c *cancelReadCloser) Read(p []byte) (int, error) { return c.rc.Read(p) }
-func (c *cancelReadCloser) Close() error {
-	err := c.rc.Close()
-	c.cancel()
-	return err
-}
-
-// list fans GET /v1/datasets out to every backend concurrently and
-// merges the results, sorted by dataset name — the same order a single
-// daemon would produce. Backends that are ejected or unreachable are
-// skipped and the response is marked partial.
-func (g *Gateway) list(w http.ResponseWriter, req *http.Request) {
-	type result struct {
-		infos []server.Info
-		ok    bool
-	}
-	ctx, cancel := context.WithTimeout(req.Context(), g.listTimeout)
+	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	results := make([]result, len(g.backends))
+	req, err := newTracedRequest(ctx, method, url, bytes.NewReader(body), nil, trace)
+	if err != nil {
+		return 0, nil, err
+	}
+	for k, vs := range hdr {
+		req.Header[k] = vs
+	}
+	resp, err := g.client.Do(req)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxWriteBody+1))
+	if err == nil && len(data) > maxWriteBody {
+		err = errors.New("cluster: response body exceeds the size limit")
+	}
+	return resp.StatusCode, data, err
+}
+
+// listAll fetches GET /v1/datasets from every healthy backend
+// concurrently under one trace ID; the client's list and the audit share
+// it. An entry is nil for a backend that was ejected or gave no
+// decodable 200. Health is reported as the proxy reports it: a 200 is a
+// success, a failed exchange a failure — unless ctx was canceled first,
+// since a fan-out aborted by the client's own cancellation says nothing
+// about the backends (and would tick a failure on every one at once).
+func (g *Gateway) listAll(ctx context.Context, trace string) []*listResponse {
+	out := make([]*listResponse, len(g.backends))
 	var wg sync.WaitGroup
 	for i, b := range g.backends {
 		if !b.isHealthy() {
@@ -582,37 +559,35 @@ func (g *Gateway) list(w http.ResponseWriter, req *http.Request) {
 		wg.Add(1)
 		go func(i int, b *backend) {
 			defer wg.Done()
-			// Trace only, not the full client header set: a conditional
-			// header (If-None-Match) aimed at the merged list must not
-			// leak into the per-backend fetches.
-			out, err := newTracedRequest(ctx, http.MethodGet, b.url+"/v1/datasets", nil, nil, traceOf(req))
+			status, body, err := g.exchange(ctx, g.listTimeout, http.MethodGet, b.url+"/v1/datasets", trace, nil, nil)
 			if err != nil {
-				return
-			}
-			resp, err := g.client.Do(out)
-			if err != nil {
-				// As in proxy: a fan-out aborted by the client's own
-				// cancellation says nothing about backend health (and
-				// would tick a failure on every backend at once).
-				if req.Context().Err() == nil {
+				if ctx.Err() == nil {
 					b.reportFailure(err)
 				}
 				return
 			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				_, _ = io.Copy(io.Discard, resp.Body)
+			if status != http.StatusOK {
 				return
 			}
 			b.reportSuccess(false)
-			var body listResponse
-			if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-				return
+			var lr listResponse
+			if json.Unmarshal(body, &lr) == nil {
+				out[i] = &lr
 			}
-			results[i] = result{infos: body.Datasets, ok: true}
 		}(i, b)
 	}
 	wg.Wait()
+	return out
+}
+
+// list merges every backend's dataset list, sorted by dataset name —
+// the same order a single daemon would produce. Backends that are
+// ejected or unreachable are skipped and the response is marked partial.
+func (g *Gateway) list(w http.ResponseWriter, req *http.Request) {
+	// The client's trace ID only, not its header set: a conditional
+	// header (If-None-Match) aimed at the merged list must not leak into
+	// the per-backend fetches.
+	results := g.listAll(req.Context(), traceOf(req))
 	merged := listResponse{Datasets: []server.Info{}}
 	// With replication every dataset lives on R backends, so the merge
 	// dedupes by name, keeping the info reported by the highest-priority
@@ -621,11 +596,11 @@ func (g *Gateway) list(w http.ResponseWriter, req *http.Request) {
 	rank := make(map[string]int)
 	byName := make(map[string]server.Info)
 	for i, r := range results {
-		if !r.ok {
+		if r == nil {
 			merged.Partial = true
 			continue
 		}
-		for _, inf := range r.infos {
+		for _, inf := range r.Datasets {
 			pos := len(g.backends)
 			for p, m := range g.ring.ReplicaSet(inf.Name, g.replication) {
 				if m == i {

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -40,9 +39,11 @@ const (
 //	healthy --[ejectAfter consecutive failures]--> ejected
 //	ejected --[readmitAfter consecutive probe successes]--> healthy
 //
-// Failures are reported both by the prober and by the proxy path (a
-// request that cannot reach the backend is as good a signal as a failed
-// probe); successes on the proxy path reset the failure streak.
+// Failures are reported both by the prober and by the request paths —
+// proxied requests and the list fan-out the audit shares (a request
+// that cannot reach the backend, or whose response breaks off, is as
+// good a signal as a failed probe); their successes reset the failure
+// streak.
 // Readmission, however, is driven only by probes: the proxy never
 // sends requests to an ejected backend, so probes are the only way
 // back.
@@ -139,22 +140,12 @@ func (g *Gateway) monitor(b *backend) {
 
 // probe performs one health check against the backend.
 func (g *Gateway) probe(b *backend) {
-	ctx, cancel := context.WithTimeout(context.Background(), g.probeTimeout)
-	defer cancel()
-	req, err := newTracedRequest(ctx, http.MethodGet, b.url+"/healthz", nil, nil, "")
+	status, _, err := g.exchange(context.Background(), g.probeTimeout, http.MethodGet, b.url+"/healthz", "", nil, nil)
+	if err == nil && status != http.StatusOK {
+		err = fmt.Errorf("cluster: probe status %d", status)
+	}
 	if err != nil {
 		b.reportFailure(err)
-		return
-	}
-	resp, err := g.client.Do(req)
-	if err != nil {
-		b.reportFailure(err)
-		return
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b.reportFailure(fmt.Errorf("cluster: probe status %d", resp.StatusCode))
 		return
 	}
 	if b.reportSuccess(true) {

@@ -76,15 +76,3 @@ func (g *Gateway) RegisterMetrics(t *telemetry.Registry) {
 		"Appends refused with 429 because a dataset's mirror queue exceeded the high-water mark.", nil,
 		func(emit func(float64, ...string)) { emit(float64(g.admissionRejects.Load())) })
 }
-
-// snapshotDS copies the live dataset-state list out from under dsMu so
-// collectors can read per-dataset atomics without holding the map lock.
-func (g *Gateway) snapshotDS() []*dsState {
-	g.dsMu.Lock()
-	states := make([]*dsState, 0, len(g.ds))
-	for _, ds := range g.ds {
-		states = append(states, ds)
-	}
-	g.dsMu.Unlock()
-	return states
-}

@@ -17,10 +17,8 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -72,19 +70,20 @@ var dsIdleRetire = 5 * time.Minute
 
 // job kinds processed by a dataset's replication worker.
 const (
-	jobVerbatim  = iota // mirror a write (create/delete/import) to one member
-	jobAppend           // mirror an acknowledged append, sequenced
+	jobMirror    = iota // replay an acknowledged write on one member
 	jobReconcile        // anti-entropy: sync one member from a peer
 	jobFlush            // barrier: close done once everything before it ran
 )
 
-// repJob is one unit of ordered per-dataset replication work.
+// repJob is one unit of ordered per-dataset replication work. A mirror
+// replays the client's write verbatim; an append also carries the
+// version the acting member assigned it as its sequence number.
 type repJob struct {
 	kind   int
-	pos    int    // index into dsState.members
-	method string // jobVerbatim only
+	pos    int // index into dsState.members
+	method string
 	path   string // request-URI on the target backend
-	seq    uint64 // jobAppend only
+	seq    uint64 // appends only
 	body   []byte
 	ctype  string
 	trace  string        // trace ID of the client write that spawned the job
@@ -113,7 +112,7 @@ type dsState struct {
 	// queuedBytes tracks the body bytes sitting in jobs; bounded by
 	// maxQueuedBytes so a slow member cannot pin unbounded memory.
 	queuedBytes int64
-	// queuedJobs counts mirror jobs (jobVerbatim/jobAppend) enqueued
+	// queuedJobs counts mirror jobs (jobMirror) enqueued
 	// but not yet fully processed — unlike len(jobs) it still counts a
 	// job the worker has popped and is delivering, so admission control
 	// sees in-flight work. Accessed atomically.
@@ -158,10 +157,36 @@ func (g *Gateway) datasetState(name string) *dsState {
 	return ds
 }
 
+// lockDS returns name's live replication state with ds.mu held. The idle
+// worker may retire a state between the map lookup and the lock; a
+// retired state is let go and the fresh one fetched.
+func (g *Gateway) lockDS(name string) *dsState {
+	for {
+		ds := g.datasetState(name)
+		ds.mu.Lock()
+		if !ds.retired {
+			return ds
+		}
+		ds.mu.Unlock()
+	}
+}
+
 func (g *Gateway) lookupDS(name string) *dsState {
 	g.dsMu.Lock()
 	defer g.dsMu.Unlock()
 	return g.ds[name]
+}
+
+// snapshotDS copies the live dataset-state list out from under dsMu, so
+// callers can visit every dataset without holding the map lock.
+func (g *Gateway) snapshotDS() []*dsState {
+	g.dsMu.Lock()
+	defer g.dsMu.Unlock()
+	states := make([]*dsState, 0, len(g.ds))
+	for _, ds := range g.ds {
+		states = append(states, ds)
+	}
+	return states
 }
 
 func (ds *dsState) isStale(pos int) bool {
@@ -198,44 +223,35 @@ func (g *Gateway) setStale(ds *dsState, pos int, v bool) {
 // lands on the live state. Without evidence (no other member
 // answered), nothing is marked: a wrong stale flag blocks service.
 func (g *Gateway) auditVerify(name string, pos int) {
-	for {
-		ds := g.datasetState(name)
-		ds.mu.Lock()
-		if ds.retired {
-			ds.mu.Unlock()
+	ds := g.lockDS(name)
+	if !g.flush(ds, false) {
+		ds.mu.Unlock()
+		return // queue would not drain; judged again by a later audit
+	}
+	best := uint64(0)
+	bestOK := false
+	var suspectV uint64
+	suspectOK := false
+	for i, m := range ds.members {
+		v, ok := g.fetchVersion(m, name)
+		if i == pos {
+			suspectV, suspectOK = v, ok
 			continue
 		}
-		if !g.flush(ds, false) {
-			ds.mu.Unlock()
-			return // queue would not drain; judged again by a later audit
-		}
-		best := uint64(0)
-		bestOK := false
-		var suspectV uint64
-		suspectOK := false
-		for i, m := range ds.members {
-			v, ok := g.fetchVersion(m, name)
-			if i == pos {
-				suspectV, suspectOK = v, ok
-				continue
+		if ok {
+			if v >= best {
+				best = v
 			}
-			if ok {
-				if v >= best {
-					best = v
-				}
-				bestOK = true
-			}
+			bestOK = true
 		}
-		marked := false
-		if bestOK && (!suspectOK || suspectV < best) {
-			g.setStale(ds, pos, true)
-			marked = true
-		}
-		ds.mu.Unlock()
-		if marked {
-			g.tryEnqueueReconcile(ds, pos)
-		}
-		return
+	}
+	marked := bestOK && (!suspectOK || suspectV < best)
+	if marked {
+		g.setStale(ds, pos, true)
+	}
+	ds.mu.Unlock()
+	if marked {
+		g.tryEnqueueReconcile(ds, pos)
 	}
 }
 
@@ -243,21 +259,10 @@ func (g *Gateway) auditVerify(name string, pos int) {
 // from backend member. ok is false when the backend is unreachable or
 // does not hold the dataset.
 func (g *Gateway) fetchVersion(member int, name string) (version uint64, ok bool) {
-	req, err := newTracedRequest(context.Background(), http.MethodGet,
-		g.backends[member].url+"/v1/datasets/"+name, nil, nil, "")
-	if err != nil {
-		return 0, false
-	}
-	resp, err := g.doBounded(req, g.listTimeout)
-	if err != nil {
-		return 0, false
-	}
-	var inf struct {
-		Version uint64 `json:"version"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&inf)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
+	status, body, err := g.exchange(context.Background(), g.listTimeout, http.MethodGet,
+		g.backends[member].url+"/v1/datasets/"+name, "", nil, nil)
+	var inf server.Info
+	if err != nil || status != http.StatusOK || json.Unmarshal(body, &inf) != nil {
 		return 0, false
 	}
 	return inf.Version, true
@@ -268,13 +273,7 @@ func (g *Gateway) fetchVersion(member int, name string) (version uint64, ok bool
 // replication lag. One pass over the state map covers every backend.
 func (g *Gateway) staleCounts() []int {
 	out := make([]int, len(g.backends))
-	g.dsMu.Lock()
-	states := make([]*dsState, 0, len(g.ds))
-	for _, ds := range g.ds {
-		states = append(states, ds)
-	}
-	g.dsMu.Unlock()
-	for _, ds := range states {
+	for _, ds := range g.snapshotDS() {
 		ds.stMu.Lock()
 		for pos, m := range ds.members {
 			if ds.stale[pos] {
@@ -326,16 +325,7 @@ func (g *Gateway) tryEnqueueReconcile(ds *dsState, pos int) {
 // in particular on readmission after an ejection, which is how a
 // recovered backend catches back up.
 func (g *Gateway) triggerReconciles(b int) {
-	if g.replication < 2 {
-		return
-	}
-	g.dsMu.Lock()
-	states := make([]*dsState, 0, len(g.ds))
-	for _, ds := range g.ds {
-		states = append(states, ds)
-	}
-	g.dsMu.Unlock()
-	for _, ds := range states {
+	for _, ds := range g.snapshotDS() {
 		for pos, m := range ds.members {
 			if m == b {
 				g.tryEnqueueReconcile(ds, pos)
@@ -466,7 +456,7 @@ func (g *Gateway) runMirror(ds *dsState, j repJob) {
 		if err != nil {
 			continue
 		}
-		if mirrorDelivered(j, status) {
+		if delivered(j.method, j.path, status) {
 			return
 		}
 		// A definitive refusal (e.g. 409 sequence gap: the member missed
@@ -477,48 +467,42 @@ func (g *Gateway) runMirror(ds *dsState, j repJob) {
 	g.tryEnqueueReconcile(ds, j.pos)
 }
 
-// mirrorOnce performs one replica-write attempt.
+// mirrorOnce performs one replica-write attempt under the job's trace
+// ID: a mirror rides under the ID of the client write it replicates, so
+// one grep follows the write to every member.
 func (g *Gateway) mirrorOnce(b *backend, j repJob) (int, error) {
-	method := j.method
-	if j.kind == jobAppend {
-		method = http.MethodPost
-	}
-	// The mirror rides under the same trace ID as the client write it
-	// replicates, so one grep follows the write to every member.
-	req, err := newTracedRequest(context.Background(), method, b.url+j.path,
-		bytes.NewReader(j.body), nil, j.trace)
-	if err != nil {
-		return 0, err
-	}
+	hdr := http.Header{}
 	if j.ctype != "" {
-		req.Header.Set("Content-Type", j.ctype)
+		hdr.Set("Content-Type", j.ctype)
 	}
-	if j.kind == jobAppend {
-		req.Header.Set(server.SeqHeader, strconv.FormatUint(j.seq, 10))
+	if j.seq != 0 {
+		hdr.Set(server.SeqHeader, strconv.FormatUint(j.seq, 10))
 	}
-	resp, err := g.doBounded(req, jobTimeout)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, resp.Body)
-	return resp.StatusCode, nil
+	status, _, err := g.exchange(context.Background(), jobTimeout, j.method, b.url+j.path, j.trace, j.body, hdr)
+	return status, err
 }
 
-// mirrorDelivered decides whether a replica-write response means the
-// member now holds the write.
-func mirrorDelivered(j repJob, status int) bool {
-	if j.kind == jobAppend {
-		return status == http.StatusAccepted
-	}
-	switch j.method {
-	case http.MethodPut: // create: conflict means it already exists
+// delivered is the one rule for "did this write land on the member?",
+// for a write given by its method and request-URI: an append is 202, an
+// import 200; a create that conflicts and a delete that finds nothing
+// leave the member holding what the write asked for. The acting
+// member's answer decides whether a write is mirrored, a mirror's
+// whether the member is current, and anti-entropy's whether it healed.
+func delivered(method, uri string, status int) bool {
+	path, _, _ := strings.Cut(uri, "?")
+	switch {
+	case method == http.MethodPut:
 		return status == http.StatusCreated || status == http.StatusConflict
-	case http.MethodDelete: // delete: not-found means it is already gone
+	case method == http.MethodDelete:
 		return status == http.StatusOK || status == http.StatusNotFound
-	default: // import and anything else verbatim
-		return status >= 200 && status < 300
+	case method != http.MethodPost:
+		return false
+	case strings.HasSuffix(path, "/observations"):
+		return status == http.StatusAccepted
+	case strings.HasSuffix(path, "/import"):
+		return status == http.StatusOK
 	}
+	return false
 }
 
 // runReconcile heals one stale member by anti-entropy: export the
@@ -553,58 +537,29 @@ func (g *Gateway) runReconcile(ds *dsState, pos int) {
 	// One trace ID spans the whole reconcile (export, then delete or
 	// import), so the cycle reads as one operation in the access logs.
 	trace := telemetry.NewTraceID()
-	req, err := newTracedRequest(context.Background(), http.MethodGet,
-		g.backends[src].url+path+"/export", nil, nil, trace)
-	if err != nil {
-		return
-	}
-	resp, err := g.doBounded(req, jobTimeout)
-	if err != nil {
-		return
-	}
-	blob, rerr := io.ReadAll(io.LimitReader(resp.Body, maxWriteBody+1))
-	resp.Body.Close()
+	status, blob, err := g.exchange(context.Background(), jobTimeout, http.MethodGet,
+		g.backends[src].url+path+"/export", trace, nil, nil)
+	j := repJob{method: http.MethodPost, path: path + "/import", body: blob,
+		ctype: "application/octet-stream", trace: trace}
 	switch {
-	case resp.StatusCode == http.StatusNotFound:
+	case err != nil:
+		return
+	case status == http.StatusNotFound:
 		// The dataset is gone from its serving peer: propagate the
 		// deletion rather than resurrecting it.
-		dreq, err := newTracedRequest(context.Background(), http.MethodDelete, target.url+path, nil, nil, trace)
-		if err != nil {
-			return
-		}
-		dresp, err := g.doBounded(dreq, jobTimeout)
-		if err != nil {
-			return
-		}
-		_, _ = io.Copy(io.Discard, dresp.Body)
-		dresp.Body.Close()
-		if dresp.StatusCode == http.StatusOK || dresp.StatusCode == http.StatusNotFound {
-			g.setStale(ds, pos, false)
-		}
-		return
-	case resp.StatusCode != http.StatusOK || rerr != nil || len(blob) > maxWriteBody:
+		j = repJob{method: http.MethodDelete, path: path, trace: trace}
+	case status != http.StatusOK:
 		return
 	}
-	ireq, err := newTracedRequest(context.Background(), http.MethodPost,
-		target.url+path+"/import", bytes.NewReader(blob), nil, trace)
-	if err != nil {
-		return
-	}
-	ireq.Header.Set("Content-Type", "application/octet-stream")
-	iresp, err := g.doBounded(ireq, jobTimeout)
-	if err != nil {
-		return
-	}
-	_, _ = io.Copy(io.Discard, iresp.Body)
-	iresp.Body.Close()
-	if iresp.StatusCode == http.StatusOK {
+	if status, err := g.mirrorOnce(target, j); err == nil && delivered(j.method, j.path, status) {
 		g.setStale(ds, pos, false)
 	}
 }
 
 // audit rediscovers replication lag by comparing every dataset's
-// append version across its replica set, listing each healthy backend
-// directly. A member that is behind the best copy (or missing the
+// append version across its replica set, listing every healthy backend
+// through the client list's fan-out (concurrently, and counting toward
+// backend health). A member that is behind the best copy (or missing the
 // dataset entirely) is marked stale and anti-entropy is armed. The
 // staleness map is in-memory, so this runs once at startup — a
 // restarted gateway must not trust a primary that a previous gateway
@@ -618,36 +573,17 @@ func (g *Gateway) audit() {
 	}
 	// One trace ID for the whole sweep: the audit is one logical
 	// operation however many backends it lists.
-	trace := telemetry.NewTraceID()
 	versions := make([]map[string]uint64, len(g.backends))
 	names := make(map[string]bool)
-	for i, b := range g.backends {
-		if !b.isHealthy() {
+	for i, lr := range g.listAll(context.Background(), telemetry.NewTraceID()) {
+		if lr == nil {
 			continue
 		}
-		req, err := newTracedRequest(context.Background(), http.MethodGet,
-			b.url+"/v1/datasets", nil, nil, trace)
-		if err != nil {
-			continue
-		}
-		resp, err := g.doBounded(req, g.listTimeout)
-		if err != nil {
-			continue
-		}
-		var body struct {
-			Datasets []server.Info `json:"datasets"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			continue
-		}
-		m := make(map[string]uint64, len(body.Datasets))
-		for _, inf := range body.Datasets {
-			m[inf.Name] = inf.Version
+		versions[i] = make(map[string]uint64, len(lr.Datasets))
+		for _, inf := range lr.Datasets {
+			versions[i][inf.Name] = inf.Version
 			names[inf.Name] = true
 		}
-		versions[i] = m
 	}
 	for name := range names {
 		members := g.ring.ReplicaSet(name, g.replication)
@@ -686,22 +622,17 @@ func (g *Gateway) audit() {
 }
 
 // afterWrite enqueues the replica mirror jobs for a write the acting
-// member just acknowledged. Called with ds.mu held, so jobs enter the
-// queue in acknowledgement order. Members that are down still get their
-// job: its failure is what marks them stale and arms anti-entropy.
+// member just acknowledged, if it landed there. Called with ds.mu held,
+// so jobs enter the queue in acknowledgement order. Members that are
+// down still get their job: its failure is what marks them stale and
+// arms anti-entropy.
 func (g *Gateway) afterWrite(ds *dsState, req *http.Request, served int, status int, respBody, reqBody []byte) {
-	if g.replication < 2 {
+	template := repJob{kind: jobMirror, method: req.Method, path: req.URL.RequestURI(), body: reqBody,
+		ctype: req.Header.Get("Content-Type"), trace: req.Header.Get(telemetry.TraceHeader)}
+	if !delivered(template.method, template.path, status) {
 		return
 	}
-	path := req.URL.RequestURI()
-	ctype := req.Header.Get("Content-Type")
-	trace := req.Header.Get(telemetry.TraceHeader)
-	var template repJob
-	switch {
-	case req.Method == http.MethodPost && strings.HasSuffix(req.URL.Path, "/observations"):
-		if status != http.StatusAccepted {
-			return
-		}
+	if req.Method == http.MethodPost && strings.HasSuffix(req.URL.Path, "/observations") {
 		var ack struct {
 			Version   uint64 `json:"version"`
 			Duplicate bool   `json:"duplicate"`
@@ -709,26 +640,8 @@ func (g *Gateway) afterWrite(ds *dsState, req *http.Request, served int, status 
 		if err := json.Unmarshal(respBody, &ack); err != nil || ack.Version == 0 || ack.Duplicate {
 			return // nothing newly applied; nothing to mirror
 		}
-		template = repJob{kind: jobAppend, path: path, seq: ack.Version, body: reqBody, ctype: ctype}
-	case req.Method == http.MethodPut:
-		if status != http.StatusCreated && status != http.StatusConflict {
-			return
-		}
-		template = repJob{kind: jobVerbatim, method: http.MethodPut, path: path, body: reqBody, ctype: ctype}
-	case req.Method == http.MethodDelete:
-		if status != http.StatusOK && status != http.StatusNotFound {
-			return
-		}
-		template = repJob{kind: jobVerbatim, method: http.MethodDelete, path: path}
-	case req.Method == http.MethodPost && strings.HasSuffix(req.URL.Path, "/import"):
-		if status != http.StatusOK {
-			return
-		}
-		template = repJob{kind: jobVerbatim, method: http.MethodPost, path: path, body: reqBody, ctype: ctype}
-	default:
-		return
+		template.seq = ack.Version
 	}
-	template.trace = trace
 	size := int64(len(template.body))
 	for pos := range ds.members {
 		if pos == served {

@@ -3,12 +3,15 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"copydetect/internal/core"
@@ -584,6 +587,199 @@ func TestReadFailoverWorksWithRetriesDisabled(t *testing.T) {
 	}
 	if resp.Header.Get(server.ReplicaHeader) != "true" {
 		t.Errorf("failover read missing %s header", server.ReplicaHeader)
+	}
+}
+
+// TestAntiEntropyPropagatesDeletion: a member that missed a delete is
+// healed by deleting its copy — the serving peer's export answers 404 —
+// never by resurrecting the dataset from it.
+func TestAntiEntropyPropagatesDeletion(t *testing.T) {
+	rc := newReplCluster(t, 3, Config{Replication: 2, ProbeEvery: time.Hour})
+	name := rc.nameWithPrimary(0)
+	members := rc.gw.Ring().ReplicaSet(name, 2)
+	base := rc.gwServer.URL + "/v1/datasets/" + name
+
+	if resp, body := do(t, http.MethodPut, base, nil, nil); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: %d %s", resp.StatusCode, body)
+	}
+	if resp, body := do(t, http.MethodPost, base+"/observations", smallBatch("del"), nil); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("append: %d %s", resp.StatusCode, body)
+	}
+	waitFor(t, "replica to mirror the append", func() bool {
+		inf, status := directInfo(t, rc.backends[members[1]].URL, name)
+		return status == http.StatusOK && inf.Version == 1
+	})
+
+	// The replica misses the delete: its mirror fails, it goes stale.
+	rc.transport.setBlocked(rc.hosts[members[1]], true)
+	if resp, body := do(t, http.MethodDelete, base, nil, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("delete: %d %s", resp.StatusCode, body)
+	}
+	waitFor(t, "replica to be marked stale", func() bool {
+		return rc.gw.Status()[members[1]].StaleDatasets == 1
+	})
+	if _, status := directInfo(t, rc.backends[members[1]].URL, name); status != http.StatusOK {
+		t.Fatalf("replica lost the dataset while cut off: status %d", status)
+	}
+
+	// Back in reach: each re-arm (a healthy probe's heartbeat) retries
+	// the reconcile until the replica's copy is gone.
+	rc.transport.setBlocked(rc.hosts[members[1]], false)
+	waitFor(t, "anti-entropy to delete the replica's copy", func() bool {
+		rc.gw.triggerReconciles(members[1])
+		_, status := directInfo(t, rc.backends[members[1]].URL, name)
+		return status == http.StatusNotFound && rc.gw.Status()[members[1]].StaleDatasets == 0
+	})
+	for _, m := range members {
+		if _, status := directInfo(t, rc.backends[m].URL, name); status != http.StatusNotFound {
+			t.Errorf("member %d holds the deleted dataset (status %d)", m, status)
+		}
+	}
+}
+
+// statusBackend answers every write with one fixed status (an append's
+// body acknowledging version 1) and records the writes it receives; a
+// list is empty and anything else is 200.
+type statusBackend struct {
+	status int
+	mu     sync.Mutex
+	writes []string // "METHOD path seq"
+}
+
+func (sb *statusBackend) ServeHTTP(w http.ResponseWriter, req *http.Request) {
+	switch {
+	case req.Method == http.MethodGet && req.URL.Path == "/v1/datasets":
+		fmt.Fprint(w, `{"datasets":[]}`)
+	case req.Method == http.MethodGet || strings.HasSuffix(req.URL.Path, "/quiesce"):
+		fmt.Fprint(w, `{}`)
+	default:
+		sb.mu.Lock()
+		sb.writes = append(sb.writes, req.Method+" "+req.URL.Path+" "+req.Header.Get(server.SeqHeader))
+		sb.mu.Unlock()
+		w.WriteHeader(sb.status)
+		fmt.Fprint(w, `{"version":1}`)
+	}
+}
+
+// TestDeliveryRule drives the one "did this write land?" rule through
+// the gateway: a write whose status on the acting member means it landed
+// is mirrored to the other member (an append under its sequence number),
+// one whose status means it did not is not, and a mirror answered with
+// the same status leaves the member current.
+func TestDeliveryRule(t *testing.T) {
+	for _, tt := range []struct {
+		method, op string
+		status     int
+		want       bool
+	}{
+		{http.MethodPut, "", http.StatusCreated, true},
+		{http.MethodPut, "", http.StatusConflict, true},
+		{http.MethodPut, "", http.StatusBadRequest, false},
+		{http.MethodDelete, "", http.StatusOK, true},
+		{http.MethodDelete, "", http.StatusNotFound, true},
+		{http.MethodDelete, "", http.StatusInternalServerError, false},
+		{http.MethodPost, "/import", http.StatusOK, true},
+		{http.MethodPost, "/import", http.StatusCreated, false},
+		{http.MethodPost, "/import", http.StatusBadRequest, false},
+		{http.MethodPost, "/observations", http.StatusAccepted, true},
+		{http.MethodPost, "/observations", http.StatusOK, false},
+		{http.MethodPost, "/observations", http.StatusConflict, false},
+		{http.MethodPost, "/copies", http.StatusOK, false},
+	} {
+		t.Run(fmt.Sprintf("%s%s_%d", tt.method, strings.ReplaceAll(tt.op, "/", "_"), tt.status), func(t *testing.T) {
+			sbs := []*statusBackend{{status: tt.status}, {status: tt.status}}
+			urls := make([]string, len(sbs))
+			for i, sb := range sbs {
+				s := httptest.NewServer(sb)
+				t.Cleanup(s.Close)
+				urls[i] = s.URL
+			}
+			gw, err := New(Config{Backends: urls, Replication: 2, ProbeEvery: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(gw.Close)
+			gwServer := httptest.NewServer(gw)
+			t.Cleanup(gwServer.Close)
+
+			base := gwServer.URL + "/v1/datasets/d"
+			if resp, body := do(t, tt.method, base+tt.op, nil, nil); resp.StatusCode != tt.status {
+				t.Fatalf("write relayed %d %s, want %d", resp.StatusCode, body, tt.status)
+			}
+			// A quiesce drains the dataset's mirror queue before it answers.
+			if resp, body := do(t, http.MethodPost, base+"/quiesce", nil, nil); resp.StatusCode != http.StatusOK {
+				t.Fatalf("quiesce: %d %s", resp.StatusCode, body)
+			}
+			members := gw.Ring().ReplicaSet("d", 2)
+			replica := sbs[members[1]]
+			replica.mu.Lock()
+			writes := replica.writes
+			replica.mu.Unlock()
+			seq := ""
+			if tt.op == "/observations" {
+				seq = "1"
+			}
+			want := []string{tt.method + " /v1/datasets/d" + tt.op + " " + seq}
+			if !tt.want {
+				want = nil
+			}
+			if fmt.Sprint(writes) != fmt.Sprint(want) {
+				t.Errorf("replica received %q, want %q", writes, want)
+			}
+			if st := gw.Status()[members[1]]; st.StaleDatasets != 0 {
+				t.Errorf("replica marked stale: %+v", st)
+			}
+		})
+	}
+}
+
+// truncatingTransport breaks off the response body of every client
+// append (an unsequenced POST …/observations) sent to host: the member
+// applies the batch, answers 202, and dies mid-body.
+type truncatingTransport struct {
+	host atomic.Value // string
+}
+
+func (tt *truncatingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err == nil && req.URL.Host == tt.host.Load() && req.Method == http.MethodPost &&
+		strings.HasSuffix(req.URL.Path, "/observations") && req.Header.Get(server.SeqHeader) == "" {
+		resp.Body.Close()
+		resp.Body = io.NopCloser(io.MultiReader(strings.NewReader(`{"vers`), iotest.ErrReader(io.ErrUnexpectedEOF)))
+	}
+	return resp, err
+}
+
+// TestMidBodyWriteFailuresEject: a member whose every write response
+// breaks off after the headers has failed every write, and is ejected
+// after ejectAfter of them. Counting the headers as a success first would
+// reset the failure streak each time and keep it healthy forever.
+func TestMidBodyWriteFailuresEject(t *testing.T) {
+	tt := &truncatingTransport{}
+	tt.host.Store("")
+	tc := newTestCluster(t, 3, Config{Replication: 2, ProbeEvery: time.Hour, Transport: tt})
+	name := ""
+	for i := 0; i < 10000 && name == ""; i++ {
+		if cand := fmt.Sprintf("trunc-%d", i); tc.gw.Ring().Owner(cand) == 0 {
+			name = cand
+		}
+	}
+	base := tc.gwServer.URL + "/v1/datasets/" + name
+	if resp, body := do(t, http.MethodPut, base, nil, nil); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: %d %s", resp.StatusCode, body)
+	}
+	tt.host.Store(strings.TrimPrefix(tc.backends[0].URL, "http://"))
+	for i := 0; i < ejectAfter; i++ {
+		if st := tc.gw.Status()[0]; !st.Healthy {
+			t.Fatalf("ejected after %d writes, before ejectAfter: %+v", i, st)
+		}
+		resp, body := do(t, http.MethodPost, base+"/observations", smallBatch(fmt.Sprintf("t%d", i)), nil)
+		if resp.StatusCode != http.StatusAccepted || resp.Header.Get(server.ReplicaHeader) != "true" {
+			t.Fatalf("append %d: %d %s, want 202 from the replica", i, resp.StatusCode, body)
+		}
+	}
+	if st := tc.gw.Status()[0]; st.Healthy || st.ConsecutiveFailures != ejectAfter {
+		t.Errorf("after %d writes broken off mid-body: %+v, want ejected with %d failures", ejectAfter, st, ejectAfter)
 	}
 }
 

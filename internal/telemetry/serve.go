@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 )
@@ -48,6 +49,24 @@ func Serve(service, addr, addrFile string, reg *Registry, handler http.Handler, 
 	mux.Handle("/metrics", reg.Handler())
 	mux.Handle("/", handler)
 	srv := NewHTTPServer(NewHTTPMetrics(reg, service, log.Default()).Wrap(mux))
+	// Shutdown counts a connection that has sent no request byte
+	// (StateNew) as idle only once it is 5 s old; an http.Transport leaves
+	// such a connection behind when another one serves the request it was
+	// dialed for. Close them as shutdown begins (StateActive ones drain).
+	var fresh sync.Map // net.Conn → true while in StateNew
+	srv.ConnState = func(c net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			fresh.Store(c, true)
+		} else {
+			fresh.Delete(c)
+		}
+	}
+	srv.RegisterOnShutdown(func() {
+		fresh.Range(func(c, _ any) bool {
+			c.(net.Conn).Close()
+			return true
+		})
+	})
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
