@@ -21,12 +21,12 @@ func TestSIGTERMWithUnusedConnection(t *testing.T) {
 	d := startDaemon(t, t.TempDir(), 1)
 	// A served request proves the signal handler is armed: Serve arms it
 	// before it starts serving.
-	resp, err := http.Get(d.base + "/healthz")
+	resp, err := http.Get(d.Base + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	conn, err := net.Dial("tcp", strings.TrimPrefix(d.base, "http://"))
+	conn, err := net.Dial("tcp", strings.TrimPrefix(d.Base, "http://"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,18 +34,18 @@ func TestSIGTERMWithUnusedConnection(t *testing.T) {
 	time.Sleep(100 * time.Millisecond) // let the server accept it
 
 	start := time.Now()
-	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+	if err := d.Cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case <-d.exited:
+	case <-d.Exited:
 	case <-time.After(15 * time.Second):
 		t.Fatal("daemon still running 15 s after SIGTERM")
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Errorf("exit took %v after SIGTERM with one unused connection open, want under 1 s", elapsed)
 	}
-	if code := d.cmd.ProcessState.ExitCode(); code != 0 {
-		t.Errorf("exit code %d after SIGTERM, want 0; output:\n%s", code, d.output)
+	if code := d.Cmd.ProcessState.ExitCode(); code != 0 {
+		t.Errorf("exit code %d after SIGTERM, want 0; output:\n%s", code, d.Output())
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"copydetect/internal/scenario"
+	"copydetect/internal/testkit"
 )
 
 func TestScenarioSoak(t *testing.T) {
@@ -33,13 +34,13 @@ func TestScenarioSoak(t *testing.T) {
 		t.Fatalf("load committed scenario: %v", err)
 	}
 
-	daemons := make([]*proc, 3)
+	daemons := make([]*testkit.Proc, 3)
 	urls := make([]string, 3)
 	for i := range daemons {
-		daemons[i] = startDaemon(t, fmt.Sprintf("soak-copydetectd-%d", i))
-		urls[i] = daemons[i].base
+		daemons[i] = startDaemon(t, fmt.Sprintf("soak-copydetectd-%d", i), "127.0.0.1:0")
+		urls[i] = daemons[i].Base
 	}
-	gate := startGateway(t, "soak-copygate",
+	gate := testkit.Start(t, "soak-copygate", os.Args[0], "127.0.0.1:0",
 		"-backends", strings.Join(urls, ","), "-probe-every", "100ms")
 
 	// The injector realizes the spec's kill steps against the child
@@ -48,12 +49,12 @@ func TestScenarioSoak(t *testing.T) {
 	var killMu sync.Mutex
 	var killed []int
 	r := &scenario.Runner{
-		Target: gate.base,
+		Target: gate.Base,
 		Client: &http.Client{Timeout: 60 * time.Second},
 		// The gateway is the client-visible surface: its request
 		// counters are the server-side witness for the zero-5xx SLO.
 		// (Scraping the victim backend would fail after the kill.)
-		ScrapeTargets: []string{gate.base},
+		ScrapeTargets: []string{gate.Base},
 		Injector: scenario.InjectorFunc(func(ctx context.Context, step scenario.InjectStep) error {
 			if step.Action != "kill-backend" {
 				return fmt.Errorf("unexpected inject action %q", step.Action)
@@ -64,7 +65,7 @@ func TestScenarioSoak(t *testing.T) {
 			killMu.Lock()
 			killed = append(killed, step.Backend)
 			killMu.Unlock()
-			daemons[step.Backend].kill()
+			daemons[step.Backend].Kill()
 			return nil
 		}),
 		Logf: t.Logf,

@@ -33,6 +33,8 @@ var hotRoots = []string{
 // package, so plain tier-1 `go test ./...` fails when a change violates
 // a contract the analyzers police — no separate lint invocation needed.
 // Fixture packages under testdata/ violate on purpose and are excluded.
+// It also checks the hot-root inventory and that internal/testkit stays
+// test-only.
 func TestRepoContracts(t *testing.T) {
 	prog := loadShared(t)
 	diags, err := Run(prog, DefaultConfig(), Analyzers())
@@ -69,5 +71,22 @@ func TestRepoContracts(t *testing.T) {
 	slices.Sort(roots)
 	if !slices.Equal(roots, hotRoots) {
 		t.Errorf("hot roots differ from the inventory (restore the copydetect:hotpath mark, or update hotRoots with the reason):\n  got  %v\n  want %v", roots, hotRoots)
+	}
+
+	// internal/testkit is test-only (prog holds program files only), and
+	// imports only the standard library, internal/gen and internal/dataset,
+	// so the in-package tests of core, fusion and server can import it.
+	const kit = "copydetect/internal/testkit"
+	kitDeps := []string{"copydetect/internal/gen", "copydetect/internal/dataset"}
+	for _, pkg := range prog.Pkgs {
+		for _, imp := range pkg.Types.Imports() {
+			p := imp.Path()
+			std := !strings.Contains(strings.Split(p, "/")[0], ".") && !strings.HasPrefix(p, "copydetect/")
+			if p == kit {
+				t.Errorf("%s imports %s outside a _test.go file", pkg.Path, kit)
+			} else if pkg.Path == kit && !std && !slices.Contains(kitDeps, p) {
+				t.Errorf("%s imports %s; it may import only the standard library and %v", kit, p, kitDeps)
+			}
+		}
 	}
 }

@@ -1,11 +1,9 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -16,6 +14,7 @@ import (
 
 	"copydetect/internal/core"
 	"copydetect/internal/server"
+	"copydetect/internal/testkit"
 )
 
 // testCluster is three real in-process copydetectd handlers behind one
@@ -51,35 +50,15 @@ func newTestCluster(t *testing.T, n int, cfg Config) *testCluster {
 	return tc
 }
 
-// do runs one JSON request against the gateway and returns the response
-// status, headers and raw body.
+// do runs one JSON request and returns the response's status and
+// headers, and its raw body.
 func do(t *testing.T, method, url string, body any, hdr http.Header) (*http.Response, []byte) {
 	t.Helper()
-	var rd io.Reader
-	if body != nil {
-		raw, err := json.Marshal(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rd = bytes.NewReader(raw)
-	}
-	req, err := http.NewRequest(method, url, rd)
+	status, respHdr, raw, err := testkit.Do(http.DefaultClient, method, url, body, hdr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k, vs := range hdr {
-		req.Header[k] = vs
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp, raw
+	return &http.Response{StatusCode: status, Header: respHdr}, raw
 }
 
 type obsBatch struct {

@@ -24,7 +24,8 @@ type hangTransport struct {
 	release  chan struct{}
 
 	mu       sync.Mutex
-	mirrored []http.Header // headers of sequenced mirror appends seen
+	mirrored []http.Header  // headers of sequenced mirror appends seen
+	listed   map[string]int // answered GET /v1/datasets, by host
 }
 
 func (ht *hangTransport) RoundTrip(req *http.Request) (*http.Response, error) {
@@ -41,7 +42,13 @@ func (ht *hangTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 			return nil, req.Context().Err()
 		}
 	}
-	return http.DefaultTransport.RoundTrip(req)
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err == nil && req.Method == http.MethodGet && req.URL.Path == "/v1/datasets" {
+		ht.mu.Lock()
+		ht.listed[req.URL.Host]++
+		ht.mu.Unlock()
+	}
+	return resp, err
 }
 
 // TestMirrorQueueBackpressure drives a dataset's mirror queue to the
@@ -85,6 +92,7 @@ func TestMirrorQueueBackpressure(t *testing.T) {
 	ht := &hangTransport{
 		hangHost: strings.TrimPrefix(urls[1], "http://"),
 		release:  make(chan struct{}),
+		listed:   map[string]int{},
 	}
 	var releaseOnce sync.Once
 	release := func() { releaseOnce.Do(func() { close(ht.release) }) }
@@ -106,6 +114,16 @@ func TestMirrorQueueBackpressure(t *testing.T) {
 	gw.RegisterMetrics(treg)
 
 	base := gwServer.URL + "/v1/datasets/" + name
+
+	// The startup audit lists both backends. Listed after the create, it
+	// would find the hung replica behind and drain its queue under the
+	// dataset's write lock, letting the over-high-water append through; so
+	// wait until both have answered, and the audit sees an empty cluster.
+	waitFor(t, "the startup audit to list both backends", func() bool {
+		ht.mu.Lock()
+		defer ht.mu.Unlock()
+		return len(ht.listed) == 2
+	})
 
 	// Create (mirror job 1 hangs in delivery), then one append (mirror
 	// job 2 queues behind it): the queue is now at the high-water mark.

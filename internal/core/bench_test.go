@@ -51,36 +51,17 @@ import (
 	"copydetect/internal/core"
 	"copydetect/internal/dataset"
 	"copydetect/internal/fusion"
-	"copydetect/internal/gen"
+	"copydetect/internal/testkit"
 )
-
-var benchShapes = []struct {
-	id    string
-	cfg   gen.Config
-	scale float64
-}{
-	{"stock-1day-x0.15", gen.Stock1Day(1), 0.15},
-	{"book-cs-x0.5", gen.BookCS(1), 0.5},
-	{"book-full-x0.25", gen.BookFull(1), 0.25},
-}
-
-func benchShape(b *testing.B, cfg gen.Config, scale float64) *dataset.Dataset {
-	b.Helper()
-	ds, _, err := gen.Generate(gen.Scale(cfg, scale))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return ds
-}
 
 func BenchmarkRun(b *testing.B) {
 	p := bayes.DefaultParams()
 	ms := func(d time.Duration, n int) float64 { return float64(d) / float64(time.Millisecond) / float64(n) }
-	for _, sh := range benchShapes {
-		ds := benchShape(b, sh.cfg, sh.scale)
+	for _, sh := range testkit.Lookup("stock-1day-x0.15", "book-cs-x0.5", "book-full-x0.25") {
+		ds := testkit.Generate(b, sh)
 		for _, algo := range []string{"HYBRID", "INCREMENTAL"} {
 			for _, workers := range []int{1, 2} {
-				b.Run(fmt.Sprintf("%s/%s/workers%d", sh.id, algo, workers), func(b *testing.B) {
+				b.Run(fmt.Sprintf("%s/%s/workers%d", sh.ID, algo, workers), func(b *testing.B) {
 					opts := core.Options{Workers: workers}
 					var det core.Detector = &core.Hybrid{Params: p, Opts: opts}
 					if algo == "INCREMENTAL" {
@@ -123,7 +104,7 @@ func BenchmarkRun(b *testing.B) {
 // after one voting round, as a detector's second round sees it.
 func gateInstance(b *testing.B) (*dataset.Dataset, *bayes.State) {
 	b.Helper()
-	ds := benchShape(b, gen.Stock2Wk(14), 0.02)
+	ds := testkit.Generate(b, testkit.Lookup("stock-2wk-x0.02")[0])
 	return ds, roundTwoState(ds, bayes.DefaultParams())
 }
 

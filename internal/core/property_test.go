@@ -10,6 +10,7 @@ import (
 	"copydetect/internal/bayes"
 	"copydetect/internal/dataset"
 	"copydetect/internal/index"
+	"copydetect/internal/testkit"
 )
 
 // randomInstance builds a random dataset plus a random-but-valid
@@ -76,16 +77,7 @@ func TestPropertyIndexEqualsPairwise(t *testing.T) {
 		ds, st := randomInstance(rng, 4+rng.Intn(10), 8+rng.Intn(40))
 		ires := (&Index{Params: p}).DetectRound(ds, st, 1)
 		pres := (&Pairwise{Params: p}).DetectRound(ds, st, 1)
-		ia, pa := ires.CopyingSet(), pres.CopyingSet()
-		if len(ia) != len(pa) {
-			return false
-		}
-		for k := range ia {
-			if !pa[k] {
-				return false
-			}
-		}
-		return true
+		return testkit.Diff(ires.CopyingSet(), pres.CopyingSet()) == ""
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -201,14 +193,8 @@ func TestPropertyParallelIndexDeterministic(t *testing.T) {
 		seq := (&Index{Params: p}).DetectRound(ds, st, 1)
 		for _, w := range []int{2, 3, 4} {
 			par := (&Index{Params: p, Opts: Options{Workers: w}}).DetectRound(ds, st, 1)
-			if len(par.Pairs) != len(seq.Pairs) {
-				t.Fatalf("seed %d workers %d: pair counts differ", seed, w)
-			}
-			sset, pset := seq.CopyingSet(), par.CopyingSet()
-			for k := range sset {
-				if !pset[k] {
-					t.Fatalf("seed %d workers %d: decisions differ", seed, w)
-				}
+			if d := testkit.Diff(par, seq, "IndexBuild", "Detect"); d != "" {
+				t.Fatalf("seed %d workers %d: %s", seed, w, d)
 			}
 		}
 	}
@@ -223,17 +209,8 @@ func TestPropertyParallelPairwiseDeterministic(t *testing.T) {
 		ds, st := randomInstance(rng, 9, 30)
 		seq := (&Pairwise{Params: p}).DetectRound(ds, st, 1)
 		par := (&Pairwise{Params: p, Workers: 4}).DetectRound(ds, st, 1)
-		if seq.Stats.Computations != par.Stats.Computations {
-			t.Fatalf("seed %d: computation counts differ", seed)
-		}
-		sset, pset := seq.CopyingSet(), par.CopyingSet()
-		if len(sset) != len(pset) {
-			t.Fatalf("seed %d: copying sets differ in size", seed)
-		}
-		for k := range sset {
-			if !pset[k] {
-				t.Fatalf("seed %d: copying sets differ", seed)
-			}
+		if d := testkit.Diff(par, seq, "IndexBuild", "Detect"); d != "" {
+			t.Fatalf("seed %d: %s", seed, d)
 		}
 	}
 }

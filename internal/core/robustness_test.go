@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"copydetect/internal/bayes"
+	"copydetect/internal/testkit"
 )
 
 // TestExtremeStatesNoNaN injects degenerate statistical states — value
@@ -115,14 +116,8 @@ func TestStructCacheInvalidatesOnNewDataset(t *testing.T) {
 		ds, st := randomInstance(rng, 5+int(seed), 20)
 		res := det.DetectRound(ds, st, 1)
 		fresh := (&Index{Params: p}).DetectRound(ds, st, 1)
-		if len(res.Pairs) != len(fresh.Pairs) {
-			t.Fatalf("seed %d: cached detector diverged (%d vs %d pairs)", seed, len(res.Pairs), len(fresh.Pairs))
-		}
-		fset, rset := fresh.CopyingSet(), res.CopyingSet()
-		for k := range fset {
-			if !rset[k] {
-				t.Fatalf("seed %d: cached detector decisions diverged", seed)
-			}
+		if d := testkit.Diff(res, fresh, "IndexBuild", "Detect"); d != "" {
+			t.Fatalf("seed %d: cached detector diverged: %s", seed, d)
 		}
 	}
 }

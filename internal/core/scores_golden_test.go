@@ -6,12 +6,14 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 
 	"copydetect/internal/bayes"
 	"copydetect/internal/core"
 	"copydetect/internal/dataset"
 	"copydetect/internal/fusion"
+	"copydetect/internal/testkit"
 )
 
 // TestScoresGolden is the score-bit referee: a full TruthFinder run with
@@ -35,9 +37,9 @@ func TestScoresGolden(t *testing.T) {
 	}
 	motivating, _ := dataset.Motivating()
 	instances := []instance{{id: "motivating", ds: motivating, p: bayes.Params{Alpha: 0.1, S: 0.8, N: 50}}}
-	for _, pr := range equivPresets() {
-		if !pr.long {
-			instances = append(instances, instance{id: pr.id, ds: equivDataset(t, pr), p: bayes.DefaultParams()})
+	for _, pr := range paperPresets {
+		if !pr.Long {
+			instances = append(instances, instance{id: pr.ID, ds: testkit.Generate(t, pr), p: bayes.DefaultParams()})
 		}
 	}
 	var got bytes.Buffer
@@ -67,13 +69,7 @@ func TestScoresGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotLines, wantLines := bytes.Split(got.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
-	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
-		if !bytes.Equal(gotLines[i], wantLines[i]) {
-			t.Fatalf("line %d differs from the golden:\n  got  %s\n  want %s", i+1, gotLines[i], wantLines[i])
-		}
-	}
-	if len(gotLines) != len(wantLines) {
-		t.Fatalf("%d lines, golden has %d", len(gotLines), len(wantLines))
+	if d := testkit.Diff(strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")); d != "" {
+		t.Fatalf("differs from the golden at line (from 0) %s", d)
 	}
 }

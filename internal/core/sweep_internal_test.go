@@ -10,6 +10,7 @@ import (
 	"copydetect/internal/gen"
 	"copydetect/internal/index"
 	"copydetect/internal/pool"
+	"copydetect/internal/testkit"
 )
 
 // scanForced runs one scan of mode m under the given nest and returns the
@@ -34,24 +35,14 @@ func assertNestsAgree(t *testing.T, ds *dataset.Dataset, st *bayes.State, p baye
 		for _, workers := range []int{1, 3} {
 			walk, wc := scanForced(t, nestWalk, ds, st, p, m, workers)
 			sweep, sc := scanForced(t, nestSweep, ds, st, p, m, workers)
-			if len(sweep.Pairs) != len(walk.Pairs) {
-				t.Fatalf("mode %d workers %d: sweep has %d pairs, walk %d", m, workers, len(sweep.Pairs), len(walk.Pairs))
-			}
-			for i := range walk.Pairs {
-				if sweep.Pairs[i] != walk.Pairs[i] {
-					t.Fatalf("mode %d workers %d pair %d:\n  walk  %+v\n  sweep %+v", m, workers, i, walk.Pairs[i], sweep.Pairs[i])
-				}
-			}
-			ws, ss := walk.Stats, sweep.Stats
-			ws.IndexBuild, ws.Detect, ss.IndexBuild, ss.Detect = 0, 0, 0, 0
-			if ws != ss {
-				t.Fatalf("mode %d workers %d: stats\n  walk  %+v\n  sweep %+v", m, workers, ws, ss)
+			if d := testkit.Diff(sweep, walk, "IndexBuild", "Detect"); d != "" {
+				t.Fatalf("mode %d workers %d: %s", m, workers, d)
 			}
 			for slot, key := range wc.pm.Keys() {
 				s1, _ := key.Sources()
 				o := pool.Owner(workers, int(s1))
-				if wr, sr := wc.tabs[o].rec[slot], sc.tabs[o].rec[slot]; wr != sr {
-					t.Fatalf("mode %d workers %d slot %d: record\n  walk  %+v\n  sweep %+v", m, workers, slot, wr, sr)
+				if d := testkit.Diff(sc.tabs[o].rec[slot], wc.tabs[o].rec[slot]); d != "" {
+					t.Fatalf("mode %d workers %d slot %d: record %s", m, workers, slot, d)
 				}
 			}
 			if m == modeHybrid && workers == 1 {

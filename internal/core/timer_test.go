@@ -11,7 +11,7 @@ import (
 
 	"copydetect/internal/bayes"
 	"copydetect/internal/core"
-	"copydetect/internal/gen"
+	"copydetect/internal/testkit"
 )
 
 // boundEvals is an upper estimate of the Cmin/Cmax evaluations of one scan
@@ -33,11 +33,10 @@ func boundEvals(st core.Stats) int64 {
 // ratio was 0.29; armed at h+t0 it is under 0.02.
 func TestBoundPlusTimersSkip(t *testing.T) {
 	p := bayes.DefaultParams()
-	ds := equivDataset(t, equivPreset{id: "stock-1day", cfg: gen.Stock1Day(1), scale: 0.05})
+	ds := testkit.Generate(t, testkit.Lookup("stock-1day-x0.05")[0])
 	evals := func(det core.Detector) int64 {
-		rounds, _ := runProcess(ds, p, det)
 		var n int64
-		for _, r := range rounds {
+		for _, r := range runProcess(ds, p, det).Rounds {
 			n += boundEvals(r.Stats)
 		}
 		return n
@@ -80,12 +79,11 @@ func TestHybridCopyingSetsGolden(t *testing.T) {
 	const path = "testdata/hybrid_copying.golden"
 	p := bayes.DefaultParams()
 	got := make(map[string][]string)
-	for _, pr := range equivPresets() {
-		if pr.long && testing.Short() {
+	for _, pr := range paperPresets {
+		if pr.Long && testing.Short() {
 			continue
 		}
-		rounds, _ := runProcess(equivDataset(t, pr), p, &core.Hybrid{Params: p})
-		got[pr.id] = copyingLines(rounds)
+		got[pr.ID] = copyingLines(runProcess(testkit.Generate(t, pr), p, &core.Hybrid{Params: p}).Rounds)
 	}
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		raw, err := json.MarshalIndent(got, "", " ")

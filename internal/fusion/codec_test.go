@@ -2,12 +2,12 @@ package fusion
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 
 	"copydetect/internal/binio"
 	"copydetect/internal/core"
 	"copydetect/internal/dataset"
+	"copydetect/internal/testkit"
 )
 
 // TestOutcomeCodecRoundtrip runs the real iterative process and checks
@@ -32,10 +32,9 @@ func TestOutcomeCodecRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if !reflect.DeepEqual(got, out) {
-		t.Fatalf("outcome did not survive the roundtrip:\n got  %+v\n want %+v", got, out)
+	if d := testkit.Diff(got, out); d != "" {
+		t.Fatalf("outcome did not survive the roundtrip: %s", d)
 	}
-
 }
 
 // TestOutcomeCodecRejectsPopularityFlag: the byte after the accuracies is

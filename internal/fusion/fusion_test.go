@@ -1,12 +1,12 @@
 package fusion
 
 import (
-	"math"
 	"testing"
 
 	"copydetect/internal/bayes"
 	"copydetect/internal/core"
 	"copydetect/internal/dataset"
+	"copydetect/internal/testkit"
 )
 
 func exampleParams() bayes.Params { return bayes.Params{Alpha: 0.1, S: 0.8, N: 50} }
@@ -79,21 +79,11 @@ func TestDetectorsAgreeOnMotivating(t *testing.T) {
 	}
 	for _, det := range dets {
 		out := (&TruthFinder{Params: p}).Run(ds, det)
-		for d := range base.Truth {
-			if out.Truth[d] != base.Truth[d] {
-				t.Errorf("%s: truth of %s differs from PAIRWISE", det.Name(), ds.ItemNames[d])
-			}
+		if d := testkit.Diff(out.Truth, base.Truth); d != "" {
+			t.Errorf("%s: truth differs from PAIRWISE's: %s", det.Name(), d)
 		}
-		bset, oset := base.Copy.CopyingSet(), out.Copy.CopyingSet()
-		for k := range bset {
-			if !oset[k] {
-				t.Errorf("%s: copying pair missing vs PAIRWISE", det.Name())
-			}
-		}
-		for k := range oset {
-			if !bset[k] {
-				t.Errorf("%s: spurious copying pair vs PAIRWISE", det.Name())
-			}
+		if d := testkit.Diff(out.Copy.CopyingSet(), base.Copy.CopyingSet()); d != "" {
+			t.Errorf("%s: copying pairs differ from PAIRWISE's: %s", det.Name(), d)
 		}
 	}
 }
@@ -200,13 +190,8 @@ func TestRunDeterministic(t *testing.T) {
 	p := exampleParams()
 	a := (&TruthFinder{Params: p}).Run(ds, &core.Hybrid{Params: p})
 	b := (&TruthFinder{Params: p}).Run(ds, &core.Hybrid{Params: p})
-	if a.Rounds != b.Rounds {
-		t.Fatalf("round counts differ: %d vs %d", a.Rounds, b.Rounds)
-	}
-	for s := range a.State.A {
-		if math.Abs(a.State.A[s]-b.State.A[s]) > 1e-12 {
-			t.Fatalf("accuracies differ at %d", s)
-		}
+	if d := testkit.Diff(b, a, "IndexBuild", "Detect", "FusionTime"); d != "" {
+		t.Fatalf("second run differs: %s", d)
 	}
 }
 
@@ -218,11 +203,7 @@ func TestIncrementalResetBetweenRuns(t *testing.T) {
 	det := &core.Incremental{Params: p}
 	a := (&TruthFinder{Params: p}).Run(ds, det)
 	b := (&TruthFinder{Params: p}).Run(ds, det)
-	if a.Rounds != b.Rounds {
-		t.Fatalf("round counts differ after reuse: %d vs %d", a.Rounds, b.Rounds)
-	}
-	aset, bset := a.Copy.CopyingSet(), b.Copy.CopyingSet()
-	if len(aset) != len(bset) {
-		t.Fatalf("copying sets differ after reuse")
+	if d := testkit.Diff(b, a, "IndexBuild", "Detect", "FusionTime"); d != "" {
+		t.Fatalf("second run with the same detector differs: %s", d)
 	}
 }

@@ -7,14 +7,13 @@ package fusion
 
 import (
 	"math"
-	"reflect"
 	"sort"
 	"testing"
 
 	"copydetect/internal/bayes"
 	"copydetect/internal/core"
 	"copydetect/internal/dataset"
-	"copydetect/internal/gen"
+	"copydetect/internal/testkit"
 )
 
 // refValueProbs is ValueProbs as it stood before the regrouping, moved
@@ -110,65 +109,29 @@ func refNormalizeVotes(votes []float64, n float64) []float64 {
 	return probs
 }
 
-// equivPreset scales a paper workload down until the whole matrix stays
-// fast under -race. The seeds and scales are those of
-// internal/core/parallel_equiv_test.go, except that Book-full is five
-// times larger: at that file's scale no round considers a single pair.
-type equivPreset struct {
-	id    string
-	cfg   gen.Config
-	scale float64
-	long  bool // skipped under -short
-}
+// presets are the paper workloads of the equivalence suites, except that
+// Book-full is five times larger: at their scale no round considers a
+// single pair.
+var presets = testkit.Lookup("book-cs", "stock-1day", "book-full", "stock-2wk")
 
-var equivPresets = []equivPreset{
-	{id: "book-cs", cfg: gen.BookCS(11), scale: 0.04},
-	{id: "stock-1day", cfg: gen.Stock1Day(12), scale: 0.01},
-	{id: "book-full", cfg: gen.BookFull(13), scale: 0.02, long: true},
-	{id: "stock-2wk", cfg: gen.Stock2Wk(14), scale: 0.004, long: true},
-}
-
-// forEachPreset runs fn on every preset's dataset as a subtest.
-func forEachPreset(t *testing.T, fn func(t *testing.T, ds *dataset.Dataset)) {
-	for _, pr := range equivPresets {
-		t.Run(pr.id, func(t *testing.T) {
-			if pr.long && testing.Short() {
-				t.Skip("large preset skipped in short mode")
-			}
-			ds, _, err := gen.Generate(gen.Scale(pr.cfg, pr.scale))
-			if err != nil {
-				t.Fatalf("generate %s: %v", pr.id, err)
-			}
-			fn(t, ds)
-		})
-	}
-}
+func init() { presets[2].Scale = 0.02 }
 
 // TestWorkersEquivalence: TruthFinder.Run with 2, 4 and 7 workers gives
-// the one-worker run's value probabilities, accuracies, truth and round
-// count, with exact float equality. The detector stays sequential, so a
-// difference can only come from the truth-finding step.
+// the one-worker run's outcome — value probabilities, accuracies, truth,
+// round count and every round's detection — with exact float equality,
+// timers aside. The detector stays sequential, so a difference can only
+// come from the truth-finding step.
 func TestWorkersEquivalence(t *testing.T) {
 	p := bayes.DefaultParams()
-	forEachPreset(t, func(t *testing.T, ds *dataset.Dataset) {
+	testkit.ForEach(t, presets, func(t *testing.T, ds *dataset.Dataset) {
 		run := func(workers int) *Outcome {
 			tf := &TruthFinder{Params: p, MaxRounds: 6, Workers: workers}
 			return tf.Run(ds, &core.Hybrid{Params: p})
 		}
 		want := run(1)
 		for _, workers := range []int{2, 4, 7} {
-			got := run(workers)
-			if got.Rounds != want.Rounds {
-				t.Fatalf("workers=%d: %d rounds, want %d", workers, got.Rounds, want.Rounds)
-			}
-			if !reflect.DeepEqual(got.State.P, want.State.P) {
-				t.Fatalf("workers=%d: value probabilities differ", workers)
-			}
-			if !reflect.DeepEqual(got.State.A, want.State.A) {
-				t.Fatalf("workers=%d: accuracies differ", workers)
-			}
-			if !reflect.DeepEqual(got.Truth, want.Truth) {
-				t.Fatalf("workers=%d: truth differs", workers)
+			if d := testkit.Diff(run(workers), want, "IndexBuild", "Detect", "FusionTime"); d != "" {
+				t.Fatalf("workers=%d: %s", workers, d)
 			}
 		}
 	})
@@ -182,7 +145,7 @@ func TestWorkersEquivalence(t *testing.T) {
 // a graph of every pair the round considered, which discounts most votes.
 func TestValueProbsMatchesReference(t *testing.T) {
 	p := bayes.DefaultParams()
-	forEachPreset(t, func(t *testing.T, ds *dataset.Dataset) {
+	testkit.ForEach(t, presets, func(t *testing.T, ds *dataset.Dataset) {
 		tf := &TruthFinder{Params: p, MaxRounds: 4}
 		tf.OnRound = func(round int, _ *dataset.Dataset, st *bayes.State, res *core.Result) {
 			if len(res.Pairs) == 0 {
@@ -196,8 +159,8 @@ func TestValueProbsMatchesReference(t *testing.T) {
 			for name, g := range map[string]*copyGraph{"none": nil, "detected": newCopyGraph(res), "considered": newCopyGraph(&considered)} {
 				want := refValueProbs(ds, st, p, g)
 				for _, workers := range []int{1, 3} {
-					if got := valueProbs(ds, st, p, g, workers); !reflect.DeepEqual(got, want) {
-						t.Fatalf("round %d graph=%s workers=%d: differs from the reference", round, name, workers)
+					if d := testkit.Diff(valueProbs(ds, st, p, g, workers), want); d != "" {
+						t.Fatalf("round %d graph=%s workers=%d: differs from the reference at %s", round, name, workers, d)
 					}
 				}
 			}
@@ -234,8 +197,8 @@ func TestValueProbsUnprovidedValues(t *testing.T) {
 	for _, g := range []*copyGraph{nil, g} {
 		want := refValueProbs(ds, st, p, g)
 		for _, workers := range []int{1, 2, 4, 7} {
-			if got := valueProbs(ds, st, p, g, workers); !reflect.DeepEqual(got, want) {
-				t.Errorf("graph=%v workers=%d:\n got  %v\n want %v", g != nil, workers, got, want)
+			if d := testkit.Diff(valueProbs(ds, st, p, g, workers), want); d != "" {
+				t.Errorf("graph=%v workers=%d: %s", g != nil, workers, d)
 			}
 		}
 		dA, vZ := dataset.LookupValue(ds, "a.z")
@@ -263,14 +226,14 @@ func TestNewCopyGraphNilResult(t *testing.T) {
 	ds, accu := dataset.Motivating()
 	p := exampleParams()
 	st := &bayes.State{A: accu}
-	if got, want := ValueProbs(ds, st, p, newCopyGraph(nil)), ValueProbs(ds, st, p, nil); !reflect.DeepEqual(got, want) {
-		t.Error("a nil result's graph changed the votes")
+	if d := testkit.Diff(ValueProbs(ds, st, p, newCopyGraph(nil)), ValueProbs(ds, st, p, nil)); d != "" {
+		t.Errorf("a nil result's graph changed the votes: %s", d)
 	}
 }
 
 // TestAccuraciesWorkers: the source blocks cover every source once.
 func TestAccuraciesWorkers(t *testing.T) {
-	forEachPreset(t, func(t *testing.T, ds *dataset.Dataset) {
+	testkit.ForEach(t, presets, func(t *testing.T, ds *dataset.Dataset) {
 		st := &bayes.State{A: make([]float64, ds.NumSources())}
 		for s := range st.A {
 			st.A[s] = 0.8
@@ -278,8 +241,8 @@ func TestAccuraciesWorkers(t *testing.T) {
 		probs := ValueProbs(ds, st, bayes.DefaultParams(), nil)
 		want := Accuracies(ds, probs)
 		for _, workers := range []int{2, 4, 7} {
-			if got := accuracies(ds, probs, workers); !reflect.DeepEqual(got, want) {
-				t.Fatalf("workers=%d: accuracies differ", workers)
+			if d := testkit.Diff(accuracies(ds, probs, workers), want); d != "" {
+				t.Fatalf("workers=%d: accuracies differ at %s", workers, d)
 			}
 		}
 	})

@@ -6,6 +6,7 @@ import (
 
 	"copydetect/internal/dataset"
 	"copydetect/internal/gen"
+	"copydetect/internal/testkit"
 )
 
 func testDataset(t testing.TB) *dataset.Dataset {
@@ -118,13 +119,8 @@ func TestSamplingDeterministic(t *testing.T) {
 	ds := testDataset(t)
 	a := ScaleSample(ds, 0.2, 4, rand.New(rand.NewSource(9)))
 	b := ScaleSample(ds, 0.2, 4, rand.New(rand.NewSource(9)))
-	if a.Dataset.NumItems() != b.Dataset.NumItems() {
-		t.Fatal("sampling not deterministic under same seed")
-	}
-	for i := range a.ItemMap {
-		if a.ItemMap[i] != b.ItemMap[i] {
-			t.Fatal("item maps differ under same seed")
-		}
+	if d := testkit.Diff(b, a, "Generation"); d != "" {
+		t.Fatalf("sampling not deterministic under same seed: %s", d)
 	}
 }
 

@@ -53,30 +53,7 @@ func TestRunEndToEnd(t *testing.T) {
 		}),
 		Logf: t.Logf,
 	}
-	spec := &Spec{
-		Name: "unit-soak",
-		Datasets: []DatasetGroup{
-			{Count: 2, Preset: "stock-1day", Scale: 0.02, Seed: 42, Prefix: "unit",
-				Churn: &Churn{Waves: 2, LateFraction: 0.25}},
-		},
-		Zipf:  0.8,
-		Batch: 400,
-		Phases: []Phase{
-			{Name: "paced", Duration: Duration{1200 * time.Millisecond}, Rate: 20, Clients: 2,
-				Reads:  0.25,
-				Burst:  &Burst{Every: Duration{400 * time.Millisecond}, Length: Duration{100 * time.Millisecond}, Factor: 2},
-				Inject: []InjectStep{{At: Duration{200 * time.Millisecond}, Action: "pause-backend"}}},
-			{Name: "flood", Duration: Duration{400 * time.Millisecond}, Clients: 2},
-		},
-		SLO: &SLO{
-			P99AppendMillis:   5000,
-			Zero5xxDuringKill: true,
-			QuiesceSeconds:    120,
-			MinPrecision:      0.9,
-			MinRecall:         0.8,
-			RateTolerance:     0.25, // generous: a 1.2s window is few samples
-		},
-	}
+	spec := unitSoakSpec()
 	v, err := r.Run(context.Background(), spec, nil)
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -166,18 +143,7 @@ func TestRunEndToEnd(t *testing.T) {
 func TestRunSmoke(t *testing.T) {
 	srv := newTestTarget(t)
 	r := &Runner{Target: srv.URL, Logf: t.Logf}
-	spec := &Spec{
-		Name: "smoke",
-		Datasets: []DatasetGroup{
-			{Count: 1, Preset: "stock-1day", Scale: 0.01, Seed: 7, Prefix: "smoke",
-				Churn: &Churn{Waves: 2, LateFraction: 0.2}},
-		},
-		Zipf:  0.5,
-		Batch: 500,
-		Phases: []Phase{
-			{Name: "trickle", Duration: Duration{200 * time.Millisecond}, Rate: 10, Clients: 2, Reads: 0.5},
-		},
-	}
+	spec := smokeSpec()
 	v, err := r.Run(context.Background(), spec, nil)
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -204,13 +170,7 @@ func TestRunSmoke(t *testing.T) {
 func TestRunToExhaustion(t *testing.T) {
 	srv := newTestTarget(t)
 	r := &Runner{Target: srv.URL, Logf: t.Logf}
-	const rate = 200
-	spec := &Spec{
-		Name:     "exhaust",
-		Datasets: []DatasetGroup{{Preset: "stock-1day", Scale: 0.01, Seed: 3, Prefix: "exhaust"}},
-		Batch:    400,
-		Phases:   []Phase{{Name: "load", Rate: rate, Clients: 1}},
-	}
+	spec := exhaustSpec()
 	v, err := r.Run(context.Background(), spec, nil)
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -224,8 +184,8 @@ func TestRunToExhaustion(t *testing.T) {
 			p.Observations, v.Observations, p.Starved, v.Pass)
 	}
 	// n appends need n pacer tokens, the first one interval in.
-	if p.Appends < 2 || p.Seconds < float64(p.Appends-1)/rate {
-		t.Fatalf("rate cap violated: %d appends in %.3fs at %d/s", p.Appends, p.Seconds, rate)
+	if p.Appends < 2 || p.Seconds < float64(p.Appends-1)/exhaustRate {
+		t.Fatalf("rate cap violated: %d appends in %.3fs at %d/s", p.Appends, p.Seconds, exhaustRate)
 	}
 }
 
@@ -275,5 +235,60 @@ func TestRunSurfacesServerErrors(t *testing.T) {
 	}
 	if tallied == 0 || abandoned != 1 {
 		t.Fatalf("%d 5xx and %d abandoned streams tallied, want some and 1: %+v", tallied, abandoned, v.Phases)
+	}
+}
+
+// The specs the executor tests run; FuzzParseSpec starts from them too.
+
+func unitSoakSpec() *Spec {
+	return &Spec{
+		Name: "unit-soak",
+		Datasets: []DatasetGroup{
+			{Count: 2, Preset: "stock-1day", Scale: 0.02, Seed: 42, Prefix: "unit",
+				Churn: &Churn{Waves: 2, LateFraction: 0.25}},
+		},
+		Zipf:  0.8,
+		Batch: 400,
+		Phases: []Phase{
+			{Name: "paced", Duration: Duration{1200 * time.Millisecond}, Rate: 20, Clients: 2,
+				Reads:  0.25,
+				Burst:  &Burst{Every: Duration{400 * time.Millisecond}, Length: Duration{100 * time.Millisecond}, Factor: 2},
+				Inject: []InjectStep{{At: Duration{200 * time.Millisecond}, Action: "pause-backend"}}},
+			{Name: "flood", Duration: Duration{400 * time.Millisecond}, Clients: 2},
+		},
+		SLO: &SLO{
+			P99AppendMillis:   5000,
+			Zero5xxDuringKill: true,
+			QuiesceSeconds:    120,
+			MinPrecision:      0.9,
+			MinRecall:         0.8,
+			RateTolerance:     0.25, // generous: a 1.2s window is few samples
+		},
+	}
+}
+
+func smokeSpec() *Spec {
+	return &Spec{
+		Name: "smoke",
+		Datasets: []DatasetGroup{
+			{Count: 1, Preset: "stock-1day", Scale: 0.01, Seed: 7, Prefix: "smoke",
+				Churn: &Churn{Waves: 2, LateFraction: 0.2}},
+		},
+		Zipf:  0.5,
+		Batch: 500,
+		Phases: []Phase{
+			{Name: "trickle", Duration: Duration{200 * time.Millisecond}, Rate: 10, Clients: 2, Reads: 0.5},
+		},
+	}
+}
+
+const exhaustRate = 200
+
+func exhaustSpec() *Spec {
+	return &Spec{
+		Name:     "exhaust",
+		Datasets: []DatasetGroup{{Preset: "stock-1day", Scale: 0.01, Seed: 3, Prefix: "exhaust"}},
+		Batch:    400,
+		Phases:   []Phase{{Name: "load", Rate: exhaustRate, Clients: 1}},
 	}
 }

@@ -2,9 +2,13 @@ package scenario
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"copydetect/internal/testkit"
 )
 
 func TestDurationUnmarshal(t *testing.T) {
@@ -158,4 +162,54 @@ func TestTotalDatasetsCountsGroups(t *testing.T) {
 	if got := s.TotalDatasets(); got != 4 {
 		t.Fatalf("TotalDatasets = %d, want 4 (implicit 1 + explicit 3)", got)
 	}
+}
+
+// FuzzParseSpec: a scenario file is input (copyload -scenario). Parse
+// must never panic, and a spec it accepts must marshal to a file that
+// parses back to the same spec, bit for bit.
+func FuzzParseSpec(f *testing.F) {
+	files, err := filepath.Glob("../../examples/scenarios/*.json")
+	if err != nil || len(files) == 0 {
+		f.Fatalf("no example scenarios: %v", err)
+	}
+	for _, path := range files {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	for _, s := range []*Spec{validSpec(), unitSoakSpec(), smokeSpec(), exhaustSpec()} {
+		raw, _ := json.Marshal(s) // a Spec always marshals
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		s, err := Parse(raw)
+		if err != nil {
+			return
+		}
+		// An empty list marshals like an absent one (omitempty) and parses
+		// back as nil: the same spec.
+		for i := range s.Phases {
+			if p := &s.Phases[i]; len(p.Inject) == 0 {
+				p.Inject = nil
+			}
+			for j, step := range s.Phases[i].Inject {
+				if len(step.Cmd) == 0 {
+					s.Phases[i].Inject[j].Cmd = nil
+				}
+			}
+		}
+		again, err := json.Marshal(s)
+		if err != nil {
+			t.Fatalf("accepted spec does not marshal: %v", err)
+		}
+		back, err := Parse(again)
+		if err != nil {
+			t.Fatalf("re-marshalled spec %s rejected: %v", again, err)
+		}
+		if d := testkit.Diff(back, s); d != "" {
+			t.Fatalf("re-marshalled spec %s parses to a different spec: %s", again, d)
+		}
+	})
 }

@@ -7,8 +7,8 @@ import (
 
 	"copydetect/internal/core"
 	"copydetect/internal/dataset"
-	"copydetect/internal/gen"
 	"copydetect/internal/pool"
+	"copydetect/internal/testkit"
 )
 
 // BenchmarkRefresh is one refresh op of the serving layer without a
@@ -23,11 +23,7 @@ import (
 //	go test -run '^$' -bench Refresh -benchtime 20x ./internal/server
 func BenchmarkRefresh(b *testing.B) {
 	const batch = 50
-	ds, _, err := gen.Generate(gen.Scale(gen.Stock1Day(1), 0.05))
-	if err != nil {
-		b.Fatal(err)
-	}
-	recs := dataset.Records(ds)
+	recs := dataset.Records(testkit.Generate(b, testkit.Lookup("stock-1day-x0.05")[0]))
 	// A fifth of the stream is held back for the refresh ops; a run
 	// longer than that deals the same batches again, which still dirties
 	// the dataset and costs a round.

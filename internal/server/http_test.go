@@ -1,47 +1,31 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 
 	"copydetect/internal/dataset"
+	"copydetect/internal/testkit"
 )
 
 // do issues one request against the handler and decodes the JSON body.
-func do(t *testing.T, srv *httptest.Server, method, path string, body any, out any, hdr map[string]string) *http.Response {
+func do(t *testing.T, srv *httptest.Server, method, path string, body any, out any, hdr http.Header) *http.Response {
 	t.Helper()
-	var rd io.Reader
-	if body != nil {
-		raw, err := json.Marshal(body)
-		if err != nil {
-			t.Fatalf("marshal body: %v", err)
-		}
-		rd = bytes.NewReader(raw)
-	}
-	req, err := http.NewRequest(method, srv.URL+path, rd)
-	if err != nil {
-		t.Fatalf("new request: %v", err)
-	}
-	for k, v := range hdr {
-		req.Header.Set(k, v)
-	}
-	resp, err := srv.Client().Do(req)
+	status, respHdr, raw, err := testkit.Do(srv.Client(), method, srv.URL+path, body, hdr)
 	if err != nil {
 		t.Fatalf("%s %s: %v", method, path, err)
 	}
-	defer resp.Body.Close()
-	if out != nil && resp.StatusCode != http.StatusNotModified {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if out != nil && status != http.StatusNotModified {
+		if err := json.Unmarshal(raw, out); err != nil {
 			t.Fatalf("%s %s: decode response: %v", method, path, err)
 		}
 	}
-	return resp
+	return &http.Response{StatusCode: status, Header: respHdr, Request: &http.Request{Method: method, URL: &url.URL{Path: path}}}
 }
 
 func wantStatus(t *testing.T, resp *http.Response, want int) {
@@ -111,7 +95,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 		}
 	}
 	wantStatus(t, do(t, srv, http.MethodGet, "/v1/datasets/motivating/copies", nil, nil,
-		map[string]string{"If-None-Match": etag}), http.StatusNotModified)
+		http.Header{"If-None-Match": {etag}}), http.StatusNotModified)
 
 	var truth truthResponse
 	wantStatus(t, do(t, srv, http.MethodGet, "/v1/datasets/motivating/truth", nil, &truth, nil),
@@ -151,7 +135,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 		t.Fatal("recreated dataset reuses the deleted dataset's ETag")
 	}
 	wantStatus(t, do(t, srv, http.MethodGet, "/v1/datasets/motivating/copies", nil, nil,
-		map[string]string{"If-None-Match": etag}), http.StatusOK)
+		http.Header{"If-None-Match": {etag}}), http.StatusOK)
 }
 
 // TestHTTPErrors pins the error surface: unknown paths and datasets,
@@ -272,12 +256,12 @@ func TestETagAcrossDeleteBetweenRounds(t *testing.T) {
 	wantStatus(t, resp, http.StatusOK)
 	etag := resp.Header.Get("ETag")
 	wantStatus(t, do(t, srv, http.MethodGet, "/v1/datasets/books/copies", nil, nil,
-		map[string]string{"If-None-Match": etag}), http.StatusNotModified)
+		http.Header{"If-None-Match": {etag}}), http.StatusNotModified)
 
 	// The dataset is deleted between the client's polls.
 	wantStatus(t, do(t, srv, http.MethodDelete, "/v1/datasets/books", nil, nil, nil), http.StatusOK)
 	wantStatus(t, do(t, srv, http.MethodGet, "/v1/datasets/books/copies", nil, nil,
-		map[string]string{"If-None-Match": etag}), http.StatusNotFound)
+		http.Header{"If-None-Match": {etag}}), http.StatusNotFound)
 
 	// Same name, same content, same version and round numbers — but a
 	// different incarnation: the stale tag must NOT validate, and the
@@ -285,7 +269,7 @@ func TestETagAcrossDeleteBetweenRounds(t *testing.T) {
 	populate()
 	var second copiesResponse
 	resp = do(t, srv, http.MethodGet, "/v1/datasets/books/copies", nil, &second,
-		map[string]string{"If-None-Match": etag})
+		http.Header{"If-None-Match": {etag}})
 	wantStatus(t, resp, http.StatusOK)
 	if resp.Header.Get("ETag") == etag {
 		t.Fatal("recreated dataset reissued the deleted incarnation's ETag")

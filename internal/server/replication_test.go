@@ -6,7 +6,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -15,6 +14,7 @@ import (
 
 	"copydetect/internal/core"
 	"copydetect/internal/dataset"
+	"copydetect/internal/testkit"
 )
 
 func batchN(prefix string, n int) []dataset.Record {
@@ -197,71 +197,60 @@ func TestHTTPSeqExportImport(t *testing.T) {
 	srvB := httptest.NewServer(NewHandler(regB))
 	defer srvB.Close()
 
-	doSeq := func(base string, seq uint64, body string) (*http.Response, string) {
+	// doRaw sends body as it is, with seq (when not "") as the sequence
+	// header.
+	doRaw := func(method, url, seq string, body []byte) (int, http.Header, string) {
 		t.Helper()
-		req, err := http.NewRequest(http.MethodPost, base+"/v1/datasets/h/observations", strings.NewReader(body))
+		hdr := http.Header{}
+		if seq != "" {
+			hdr.Set(SeqHeader, seq)
+		}
+		status, respHdr, raw, err := testkit.Do(http.DefaultClient, method, url, body, hdr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if seq > 0 {
-			req.Header.Set(SeqHeader, strconv.FormatUint(seq, 10))
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp, string(raw)
+		return status, respHdr, string(raw)
+	}
+	doSeq := func(base, seq, body string) (int, string) {
+		t.Helper()
+		status, _, raw := doRaw(http.MethodPost, base+"/v1/datasets/h/observations", seq, []byte(body))
+		return status, raw
 	}
 
-	req, _ := http.NewRequest(http.MethodPut, srvA.URL+"/v1/datasets/h", nil)
-	if resp, err := http.DefaultClient.Do(req); err != nil || resp.StatusCode != http.StatusCreated {
-		t.Fatalf("create: %v %v", resp, err)
+	if status, _, body := doRaw(http.MethodPut, srvA.URL+"/v1/datasets/h", "", nil); status != http.StatusCreated {
+		t.Fatalf("create: %d %s", status, body)
 	}
 	batch := `{"observations":[{"s":"s1","d":"d1","v":"a"},{"s":"s2","d":"d1","v":"a"},{"s":"s3","d":"d1","v":"b"}]}`
-	if resp, body := doSeq(srvA.URL, 1, batch); resp.StatusCode != http.StatusAccepted || strings.Contains(body, `"duplicate"`) {
-		t.Fatalf("seq 1: %d %s", resp.StatusCode, body)
+	if status, body := doSeq(srvA.URL, "1", batch); status != http.StatusAccepted || strings.Contains(body, `"duplicate"`) {
+		t.Fatalf("seq 1: %d %s", status, body)
 	}
-	if resp, body := doSeq(srvA.URL, 1, batch); resp.StatusCode != http.StatusAccepted || !strings.Contains(body, `"duplicate": true`) {
-		t.Fatalf("seq 1 replay: %d %s, want 202 with duplicate marker", resp.StatusCode, body)
+	if status, body := doSeq(srvA.URL, "1", batch); status != http.StatusAccepted || !strings.Contains(body, `"duplicate": true`) {
+		t.Fatalf("seq 1 replay: %d %s, want 202 with duplicate marker", status, body)
 	}
-	if resp, body := doSeq(srvA.URL, 5, batch); resp.StatusCode != http.StatusConflict {
-		t.Fatalf("seq 5 gap: %d %s, want 409", resp.StatusCode, body)
+	if status, body := doSeq(srvA.URL, "5", batch); status != http.StatusConflict {
+		t.Fatalf("seq 5 gap: %d %s, want 409", status, body)
 	}
-	if resp, body := doSeq(srvA.URL, 0, "not json"); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad body: %d %s", resp.StatusCode, body)
+	if status, body := doSeq(srvA.URL, "", "not json"); status != http.StatusBadRequest {
+		t.Fatalf("bad body: %d %s", status, body)
 	}
-	badSeq, _ := http.NewRequest(http.MethodPost, srvA.URL+"/v1/datasets/h/observations", strings.NewReader(batch))
-	badSeq.Header.Set(SeqHeader, "zero")
-	if resp, err := http.DefaultClient.Do(badSeq); err != nil || resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("non-numeric seq: %v %v, want 400", resp, err)
+	if status, body := doSeq(srvA.URL, "zero", batch); status != http.StatusBadRequest {
+		t.Fatalf("non-numeric seq: %d %s, want 400", status, body)
 	}
 
 	// Export from A, import into B, and the mirrored stream continues.
-	resp, err := http.Get(srvA.URL + "/v1/datasets/h/export")
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("export: %v %v", resp, err)
+	status, hdr, blob := doRaw(http.MethodGet, srvA.URL+"/v1/datasets/h/export", "", nil)
+	if status != http.StatusOK {
+		t.Fatalf("export: %d %s", status, blob)
 	}
-	blob, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := resp.Header.Get("Content-Type"); got != "application/octet-stream" {
+	if got := hdr.Get("Content-Type"); got != "application/octet-stream" {
 		t.Errorf("export content type %q", got)
 	}
-	iresp, err := http.Post(srvB.URL+"/v1/datasets/h/import", "application/octet-stream", bytes.NewReader(blob))
-	if err != nil || iresp.StatusCode != http.StatusOK {
-		t.Fatalf("import: %v %v", iresp, err)
+	if status, _, body := doRaw(http.MethodPost, srvB.URL+"/v1/datasets/h/import", "", []byte(blob)); status != http.StatusOK {
+		t.Fatalf("import: %d %s", status, body)
 	}
-	iresp.Body.Close()
 	batch2 := `{"observations":[{"s":"s4","d":"d2","v":"a"},{"s":"s5","d":"d2","v":"a"},{"s":"s6","d":"d2","v":"b"}]}`
-	if resp, body := doSeq(srvB.URL, 2, batch2); resp.StatusCode != http.StatusAccepted || strings.Contains(body, `"duplicate"`) {
-		t.Fatalf("seq 2 on imported replica: %d %s", resp.StatusCode, body)
+	if status, body := doSeq(srvB.URL, "2", batch2); status != http.StatusAccepted || strings.Contains(body, `"duplicate"`) {
+		t.Fatalf("seq 2 on imported replica: %d %s", status, body)
 	}
 	mB, _ := regB.Get("h")
 	if inf := mB.Info(); inf.Version != 2 || inf.Observations != 6 {
@@ -269,10 +258,10 @@ func TestHTTPSeqExportImport(t *testing.T) {
 	}
 
 	// Export of a missing dataset and a garbage import both fail cleanly.
-	if resp, err := http.Get(srvA.URL + "/v1/datasets/nope/export"); err != nil || resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("export missing: %v %v", resp, err)
+	if status, _, body := doRaw(http.MethodGet, srvA.URL+"/v1/datasets/nope/export", "", nil); status != http.StatusNotFound {
+		t.Fatalf("export missing: %d %s", status, body)
 	}
-	if resp, err := http.Post(srvB.URL+"/v1/datasets/h/import", "application/octet-stream", strings.NewReader("garbage")); err != nil || resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("garbage import: %v %v", resp, err)
+	if status, _, body := doRaw(http.MethodPost, srvB.URL+"/v1/datasets/h/import", "", []byte("garbage")); status != http.StatusBadRequest {
+		t.Fatalf("garbage import: %d %s", status, body)
 	}
 }

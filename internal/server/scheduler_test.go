@@ -14,6 +14,7 @@ import (
 	"copydetect/internal/core"
 	"copydetect/internal/dataset"
 	"copydetect/internal/telemetry"
+	"copydetect/internal/testkit"
 )
 
 // The scheduler tests wait on events — a round reaching
@@ -101,7 +102,7 @@ func TestBurstStartsNoDoomedRounds(t *testing.T) {
 	if _, err := reg.Create("burst", DatasetConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	batches := splitBatches(dataset.Records(streamWorkload(t)), 40)
+	batches := testkit.Batches(dataset.Records(testkit.Generate(t, streamPreset)), 40)
 	bodies := make([][]byte, len(batches))
 	for i, batch := range batches {
 		bodies[i] = appendJSON(t, batch)
@@ -119,10 +120,10 @@ func TestBurstStartsNoDoomedRounds(t *testing.T) {
 
 	// The batch result: the same records through a fresh Builder, one run.
 	final, want := batchOutcome(batches, nil, 2)
-	if pub == nil || pub.Version != uint64(len(batches)) || !eqDataset(pub.Snapshot, final) {
+	if pub == nil || pub.Version != uint64(len(batches)) || testkit.Diff(pub.Snapshot, final, untimed...) != "" {
 		t.Fatalf("published %+v, want a round on the batch-built dataset at version %d", pub, len(batches))
 	}
-	if diff := diffOutcome(pub.Outcome, want); diff != "" || len(want.Copy.Pairs) == 0 {
+	if diff := testkit.Diff(pub.Outcome, want, untimed...); diff != "" || len(want.Copy.Pairs) == 0 {
 		t.Fatalf("the round after the burst differs from the batch run (%d pairs): %s", len(want.Copy.Pairs), diff)
 	}
 }

@@ -17,43 +17,18 @@ import (
 	"copydetect/internal/core"
 	"copydetect/internal/dataset"
 	"copydetect/internal/fusion"
-	"copydetect/internal/gen"
+	"copydetect/internal/testkit"
 )
 
-// streamWorkload is a Book-CS-style workload small enough to detect in
+// streamPreset is a Book-CS-style workload small enough to detect in
 // milliseconds but large enough to keep candidate pairs (and INCREMENTAL
 // refinement rounds) alive.
-func streamWorkload(t *testing.T) *dataset.Dataset {
-	t.Helper()
-	ds, _, err := gen.Generate(gen.Scale(gen.BookCS(11), 0.04))
-	if err != nil {
-		t.Fatalf("generate workload: %v", err)
-	}
-	return ds
-}
+var streamPreset = testkit.Lookup("book-cs")[0]
 
-// splitBatches cuts records into n contiguous batches.
-func splitBatches(recs []dataset.Record, n int) [][]dataset.Record {
-	batches := make([][]dataset.Record, 0, n)
-	per := (len(recs) + n - 1) / n
-	for start := 0; start < len(recs); start += per {
-		end := start + per
-		if end > len(recs) {
-			end = len(recs)
-		}
-		batches = append(batches, recs[start:end])
-	}
-	return batches
-}
-
-// normalizedResult clears the wall-clock timers, the only fields of a
-// detection Result that legitimately differ between identical runs.
-func normalizedResult(r *core.Result) core.Result {
-	n := *r
-	n.Stats.IndexBuild = 0
-	n.Stats.Detect = 0
-	return n
-}
+// untimed masks what legitimately differs between two identical runs: the
+// wall-clock timers, and the generation stamp every Build or Decode mints
+// (it tells recreated datasets apart and says nothing of their data).
+var untimed = []string{"Generation", "IndexBuild", "Detect", "FusionTime"}
 
 func quiesce(t *testing.T, reg *Registry, name string) *Published {
 	t.Helper()
@@ -89,9 +64,9 @@ func batchOutcome(batches [][]dataset.Record, truth []dataset.Record, workers in
 // batches are appended with no waiting, so the scheduler's cancellation
 // and re-run paths get exercised too.
 func TestStreamedEqualsBatch(t *testing.T) {
-	ds := streamWorkload(t)
+	ds := testkit.Generate(t, streamPreset)
 	truth := dataset.TruthRecords(ds)
-	batches := splitBatches(dataset.Records(ds), 5)
+	batches := testkit.Batches(dataset.Records(ds), 5)
 
 	for _, workers := range []int{1, 4} {
 		workers := workers
@@ -118,10 +93,10 @@ func TestStreamedEqualsBatch(t *testing.T) {
 				t.Fatalf("published version %d, want %d", pub.Version, want)
 			}
 			final, want := batchOutcome(batches, truth, workers)
-			if !eqDataset(pub.Snapshot, final) {
-				t.Fatal("published snapshot differs from batch-built dataset")
+			if d := testkit.Diff(pub.Snapshot, final, untimed...); d != "" {
+				t.Fatalf("published snapshot differs from batch-built dataset: %s", d)
 			}
-			if diff := diffOutcome(pub.Outcome, want); diff != "" {
+			if diff := testkit.Diff(pub.Outcome, want, untimed...); diff != "" {
 				t.Fatalf("streamed outcome differs from the batch run: %s", diff)
 			}
 			if len(pub.Outcome.Copy.CopyingPairs()) == 0 {
@@ -138,9 +113,9 @@ func TestStreamedEqualsBatch(t *testing.T) {
 // round per version, one never until the end — and both must publish
 // the batch run's outcome, for workers 1 and 4.
 func TestPublishedIsFunctionOfVersion(t *testing.T) {
-	ds := streamWorkload(t)
+	ds := testkit.Generate(t, streamPreset)
 	truth := dataset.TruthRecords(ds)
-	batches := splitBatches(dataset.Records(ds), 5)
+	batches := testkit.Batches(dataset.Records(ds), 5)
 
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -171,10 +146,10 @@ func TestPublishedIsFunctionOfVersion(t *testing.T) {
 				if quiesceEach && pub.Round != len(batches) {
 					t.Fatalf("quiesced after every append but published round %d, want %d", pub.Round, len(batches))
 				}
-				if !eqDataset(pub.Snapshot, final) {
-					t.Fatalf("quiesceEach=%v: published snapshot differs from batch-built dataset", quiesceEach)
+				if d := testkit.Diff(pub.Snapshot, final, untimed...); d != "" {
+					t.Fatalf("quiesceEach=%v: published snapshot differs from batch-built dataset: %s", quiesceEach, d)
 				}
-				if diff := diffOutcome(pub.Outcome, want); diff != "" {
+				if diff := testkit.Diff(pub.Outcome, want, untimed...); diff != "" {
 					t.Fatalf("quiesceEach=%v: round %d of version %d differs from the batch run: %s", quiesceEach, pub.Round, pub.Version, diff)
 				}
 			}

@@ -9,7 +9,6 @@ import (
 	"encoding/hex"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -17,6 +16,7 @@ import (
 	"copydetect/internal/bayes"
 	"copydetect/internal/core"
 	"copydetect/internal/dataset"
+	"copydetect/internal/testkit"
 )
 
 func openDurable(t *testing.T, dir string, workers int) *Registry {
@@ -49,9 +49,8 @@ func waitForSnapshot(t *testing.T, dir, name string) {
 
 func TestDurableCleanRestartServesSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	ds := streamWorkload(t)
-	recs := dataset.Records(ds)
-	batches := splitBatches(recs, 3)
+	ds := testkit.Generate(t, streamPreset)
+	batches := testkit.Batches(dataset.Records(ds), 3)
 
 	reg := openDurable(t, dir, 2)
 	m, err := reg.Create("books", DatasetConfig{})
@@ -86,8 +85,8 @@ func TestDurableCleanRestartServesSnapshot(t *testing.T) {
 	if got == nil {
 		t.Fatal("restarted dataset published nothing")
 	}
-	if !eqPublished(got, want) {
-		t.Fatal("published state differs after clean restart")
+	if d := testkit.Diff(got, want, "Generation"); d != "" {
+		t.Fatalf("published state differs after clean restart: %s", d)
 	}
 	if inf := m2.Info(); inf.Version != want.Version || inf.Observations != ds.NumObservations() {
 		t.Fatalf("restarted info = %+v", inf)
@@ -96,10 +95,9 @@ func TestDurableCleanRestartServesSnapshot(t *testing.T) {
 
 func TestDurableRecoveryReplaysWALWithoutSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	ds := streamWorkload(t)
-	recs := dataset.Records(ds)
+	ds := testkit.Generate(t, streamPreset)
 	truth := dataset.TruthRecords(ds)
-	batches := splitBatches(recs, 4)
+	batches := testkit.Batches(dataset.Records(ds), 4)
 
 	reg, err := Open(Config{
 		Options: core.Options{Workers: 1},
@@ -134,10 +132,10 @@ func TestDurableRecoveryReplaysWALWithoutSnapshot(t *testing.T) {
 		t.Fatal("recovered dataset published nothing")
 	}
 	final, want := batchOutcome(batches, truth, 1)
-	if !eqDataset(pub.Snapshot, final) {
-		t.Fatal("recovered snapshot differs from batch-built dataset")
+	if d := testkit.Diff(pub.Snapshot, final, untimed...); d != "" {
+		t.Fatalf("recovered snapshot differs from batch-built dataset: %s", d)
 	}
-	if diff := diffOutcome(pub.Outcome, want); diff != "" {
+	if diff := testkit.Diff(pub.Outcome, want, untimed...); diff != "" {
 		t.Fatalf("recovered outcome differs from the batch run: %s", diff)
 	}
 }
@@ -359,16 +357,6 @@ func walRecordFixtures() (recs []walRecord, golden []string) {
 		}
 }
 
-// eqWALRecord is reflect.DeepEqual over walRecord with the imported
-// dataset's Generation stamp masked out.
-func eqWALRecord(a, b walRecord) bool {
-	if !eqDataset(a.ds, b.ds) {
-		return false
-	}
-	a.ds, b.ds = nil, nil
-	return reflect.DeepEqual(a, b)
-}
-
 func TestWALRecordRoundtrip(t *testing.T) {
 	recs, golden := walRecordFixtures()
 	for i, rec := range recs {
@@ -383,8 +371,8 @@ func TestWALRecordRoundtrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decode kind %d: %v", rec.kind, err)
 		}
-		if !eqWALRecord(got, rec) {
-			t.Errorf("kind %d: the on-disk format decodes to %+v, want %+v", rec.kind, got, rec)
+		if d := testkit.Diff(got, rec, "Generation"); d != "" {
+			t.Errorf("kind %d: the on-disk format decodes to %+v, want %+v: %s", rec.kind, got, rec, d)
 		}
 		if _, err := decodeWALRecord(enc[:len(enc)-1]); err == nil {
 			t.Errorf("kind %d: truncated record accepted", rec.kind)

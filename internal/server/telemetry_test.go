@@ -9,6 +9,7 @@ import (
 
 	"copydetect/internal/dataset"
 	"copydetect/internal/telemetry"
+	"copydetect/internal/testkit"
 )
 
 // TestAppendBodySizeCap is the regression test for unbounded direct
@@ -86,7 +87,7 @@ func TestAppendAdmissionControl(t *testing.T) {
 	// A sequenced append is replication traffic already admitted at the
 	// gateway: it must pass even over the high-water mark.
 	wantStatus(t, do(t, srv, http.MethodPost, "/v1/datasets/bp/observations", batch(3), nil,
-		map[string]string{SeqHeader: "3"}), http.StatusAccepted)
+		http.Header{SeqHeader: {"3"}}), http.StatusAccepted)
 
 	// Drain: let rounds run, wait for convergence, and the dataset
 	// accepts client writes again.
@@ -120,7 +121,7 @@ func TestRegistryMetricsExposition(t *testing.T) {
 	wantStatus(t, do(t, srv, http.MethodPut, "/v1/datasets/m", nil, nil, nil), http.StatusCreated)
 	// A workload with candidate pairs, so the round has detector work to
 	// report.
-	batch := appendRequest{Observations: dataset.Records(streamWorkload(t))}
+	batch := appendRequest{Observations: dataset.Records(testkit.Generate(t, streamPreset))}
 	wantStatus(t, do(t, srv, http.MethodPost, "/v1/datasets/m/observations", batch, nil, nil), http.StatusAccepted)
 	wantStatus(t, do(t, srv, http.MethodPost, "/v1/datasets/m/quiesce", nil, nil, nil), http.StatusOK)
 
