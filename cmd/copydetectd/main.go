@@ -9,7 +9,7 @@
 //
 //	copydetectd [-addr :8377] [-alpha 0.1] [-s 0.8] [-n 100]
 //	            [-workers 0] [-concurrency 1]
-//	            [-data-dir DIR] [-fsync] [-snapshot-every 1]
+//	            [-data-dir DIR] [-fsync]
 //	            [-append-high-water 0]
 //
 // -workers 0 (the default) shards each detection round over one
@@ -28,10 +28,11 @@
 // appends are exempt, since the gateway already admitted them.
 //
 // With -data-dir the daemon is durable: every dataset keeps a
-// write-ahead log and periodic snapshots under the directory, appends
-// are acknowledged only once logged (fsync'd unless -fsync=false), and
-// a restart — graceful or SIGKILL — recovers every dataset, replays the
-// log tail and re-converges, publishing the same results an
+// write-ahead log under the directory, appends are acknowledged only
+// once logged (fsync'd unless -fsync=false), every published round is
+// snapshotted in the background and the log prefix it covers trimmed,
+// and a restart — graceful or SIGKILL — recovers every dataset, replays
+// the log tail and re-converges, publishing the same results an
 // uninterrupted process would have. See the package comments of
 // internal/server and internal/wal for the wire protocol, the on-disk
 // format and the crash-recovery guarantee.
@@ -79,7 +80,6 @@ func parseFlags(args []string) (options, error) {
 	concurrency := fs.Int("concurrency", 1, "max datasets detecting concurrently")
 	dataDir := fs.String("data-dir", "", "durable storage directory (empty = in-memory only)")
 	fsync := fs.Bool("fsync", true, "fsync the write-ahead log before acknowledging appends (with -data-dir)")
-	snapEvery := fs.Int("snapshot-every", 1, "snapshot and trim a dataset's log every N published rounds (with -data-dir)")
 	appendHW := fs.Int("append-high-water", 0, "refuse client appends with 429 while a dataset has this many appends awaiting convergence (0 = unbounded)")
 	if err := fs.Parse(args); err != nil {
 		return options{}, err
@@ -90,9 +90,6 @@ func parseFlags(args []string) (options, error) {
 	}
 	if *concurrency < 1 {
 		return options{}, fmt.Errorf("copydetectd: -concurrency %d must be at least 1", *concurrency)
-	}
-	if *snapEvery < 1 {
-		return options{}, fmt.Errorf("copydetectd: -snapshot-every %d must be at least 1", *snapEvery)
 	}
 	if *appendHW < 0 {
 		return options{}, fmt.Errorf("copydetectd: -append-high-water %d must be >= 0 (0 = unbounded)", *appendHW)
@@ -107,7 +104,6 @@ func parseFlags(args []string) (options, error) {
 	opt.cfg.Concurrency = *concurrency
 	opt.cfg.DataDir = *dataDir
 	opt.cfg.Fsync = *fsync
-	opt.cfg.SnapshotEvery = *snapEvery
 	opt.cfg.AppendHighWater = *appendHW
 	return opt, nil
 }
@@ -135,8 +131,7 @@ func run(args []string) int {
 	reg.RegisterMetrics(treg)
 	durability := "in-memory"
 	if opt.cfg.DataDir != "" {
-		durability = fmt.Sprintf("data-dir=%s fsync=%t snapshot-every=%d",
-			opt.cfg.DataDir, opt.cfg.Fsync, opt.cfg.SnapshotEvery)
+		durability = fmt.Sprintf("data-dir=%s fsync=%t", opt.cfg.DataDir, opt.cfg.Fsync)
 	}
 	log.Printf("copydetectd: workers=%d, concurrency=%d, %s",
 		opt.cfg.Options.Workers, opt.cfg.Concurrency, durability)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"copydetect/internal/telemetry"
+	"copydetect/internal/testkit"
 )
 
 // TestParseFlags exercises every documented flag and the validation of
@@ -23,7 +24,7 @@ func TestParseFlags(t *testing.T) {
 		t.Fatalf("default params = %+v", p)
 	}
 
-	if opt.cfg.DataDir != "" || !opt.cfg.Fsync || opt.cfg.SnapshotEvery != 1 {
+	if opt.cfg.DataDir != "" || !opt.cfg.Fsync {
 		t.Fatalf("durability defaults = %+v", opt.cfg)
 	}
 	if opt.cfg.AppendHighWater != 0 {
@@ -38,7 +39,7 @@ func TestParseFlags(t *testing.T) {
 	opt, err = parseFlags([]string{
 		"-addr", "127.0.0.1:9000", "-alpha", "0.2", "-s", "0.5", "-n", "40",
 		"-workers", "3", "-concurrency", "2",
-		"-data-dir", "/tmp/cdd", "-fsync=false", "-snapshot-every", "4",
+		"-data-dir", "/tmp/cdd", "-fsync=false",
 		"-addr-file", "/tmp/cdd.addr",
 	})
 	if err != nil {
@@ -50,8 +51,7 @@ func TestParseFlags(t *testing.T) {
 	if p := opt.cfg.Params; p.Alpha != 0.2 || p.S != 0.5 || p.N != 40 {
 		t.Fatalf("full-flag params = %+v", p)
 	}
-	if opt.cfg.DataDir != "/tmp/cdd" || opt.cfg.Fsync || opt.cfg.SnapshotEvery != 4 ||
-		opt.addrFile != "/tmp/cdd.addr" {
+	if opt.cfg.DataDir != "/tmp/cdd" || opt.cfg.Fsync || opt.addrFile != "/tmp/cdd.addr" {
 		t.Fatalf("durability flags = %+v", opt)
 	}
 
@@ -60,7 +60,6 @@ func TestParseFlags(t *testing.T) {
 		{"-s", "1.5"},
 		{"-n", "1"},
 		{"-concurrency", "0"},
-		{"-snapshot-every", "0"},
 		{"-append-high-water", "-1"},
 		{"-nonsense"},
 	} {
@@ -81,4 +80,14 @@ func TestHTTPServerTimeouts(t *testing.T) {
 	if srv.IdleTimeout <= 0 {
 		t.Errorf("IdleTimeout = %v, want > 0", srv.IdleTimeout)
 	}
+}
+
+// TestFlagTable: every flag the daemon registers has a row in the
+// README's copydetectd flag table, and every row names a flag it
+// registers.
+func TestFlagTable(t *testing.T) {
+	testkit.CheckFlagTable(t, "../../README.md", "copydetectd", func(args []string) error {
+		_, err := parseFlags(args)
+		return err
+	})
 }

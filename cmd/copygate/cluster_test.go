@@ -1,10 +1,11 @@
 // Cluster equivalence acceptance test (ISSUE 4, extended for
 // replication in ISSUE 5): spawn three real copydetectd processes and a
-// real copygate process (running the default -replicas 2), stream
-// interleaved datasets through the gateway, quiesce — and every
-// dataset's wire responses must be byte-identical (timers and scheduler
-// round counters aside) to the same streamed datasets run through a
-// single direct daemon. Then SIGKILL one backend mid-stream: with
+// real copygate process (running the default -replicas 2, and once
+// -replicas 1), stream interleaved datasets through the gateway,
+// quiesce — and every dataset's wire responses must be byte-identical
+// (timers and scheduler round counters aside) to the same streamed
+// datasets run through a single direct daemon. Then, at -replicas 2,
+// SIGKILL one backend mid-stream: with
 // replication, not a single request may fail — appends and reads fail
 // over to the replica (marked X-Copydetect-Replica) — and the final
 // converged responses must still match the single uninterrupted daemon.
@@ -118,9 +119,19 @@ func TestClusterEquivalence(t *testing.T) {
 	ws := makeWorkloads(t, 6)
 	httpClient := &http.Client{Timeout: 90 * time.Second}
 
-	for _, workers := range []int{1, 4} {
-		workers := workers
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+	// At -replicas 1 a killed owner is designed to 503 its datasets, so
+	// that input streams and compares only: no failover phase.
+	for _, c := range []struct {
+		name, tag         string
+		workers, replicas int
+		failover          bool
+	}{
+		{"workers=1", "w1", 1, 2, false},
+		{"workers=4", "w4", 4, 2, true},
+		{"replicas=1", "w4-r1", 4, 1, false},
+	} {
+		workers := c.workers
+		t.Run(c.name, func(t *testing.T) {
 			// Reference: the same streamed workload against one direct
 			// daemon (in-process, same handler stack as the real binary).
 			reg := server.NewRegistry(server.Config{Options: core.Options{Workers: workers}})
@@ -136,13 +147,13 @@ func TestClusterEquivalence(t *testing.T) {
 			for i := range daemons {
 				// Durable daemons, so the /metrics scrape below sees real
 				// WAL append/fsync observations, not empty histograms.
-				daemons[i] = startDaemon(t, fmt.Sprintf("copydetectd-w%d-%d", workers, i), "127.0.0.1:0",
+				daemons[i] = startDaemon(t, fmt.Sprintf("copydetectd-%s-%d", c.tag, i), "127.0.0.1:0",
 					"-workers", fmt.Sprint(workers),
 					"-data-dir", filepath.Join(t.TempDir(), "data"))
 				urls[i] = daemons[i].Base
 			}
-			gate := testkit.Start(t, fmt.Sprintf("copygate-w%d", workers), os.Args[0], "127.0.0.1:0",
-				"-backends", strings.Join(urls, ","), "-probe-every", "100ms")
+			gate := testkit.Start(t, "copygate-"+c.tag, os.Args[0], "127.0.0.1:0",
+				"-backends", strings.Join(urls, ","), "-probe-every", "100ms", "-replicas", fmt.Sprint(c.replicas))
 			got := stream(t, httpClient, gate.Base, ws)
 
 			// The ring is a pure function of the backend list: recompute
@@ -179,7 +190,7 @@ func TestClusterEquivalence(t *testing.T) {
 				t.Errorf("conditional GET through gateway: %d (err %v), want 304", status, err)
 			}
 
-			if workers != 4 {
+			if !c.failover {
 				return
 			}
 			// Replication failover (the ISSUE 5 acceptance criterion): the
@@ -337,7 +348,7 @@ func TestClusterEquivalence(t *testing.T) {
 			// in-memory process — everything it knew is gone) and wait for
 			// probes to readmit it and anti-entropy to catch it back up.
 			t.Logf("restarting backend %d on %s", victim, victimAddr)
-			daemons[victim] = startDaemon(t, fmt.Sprintf("copydetectd-w%d-%d-restarted", workers, victim),
+			daemons[victim] = startDaemon(t, fmt.Sprintf("copydetectd-%s-%d-restarted", c.tag, victim),
 				victimAddr, "-workers", fmt.Sprint(workers))
 			waitHealthz(t, httpClient, gate.Base, 30*time.Second, func(hz healthzView) bool {
 				if hz.Status != "ok" {

@@ -11,8 +11,7 @@
 //
 //	copygate -backends http://h1:8377,http://h2:8377,http://h3:8377
 //	         [-addr :8378] [-addr-file FILE] [-replicas 2]
-//	         [-probe-every 1s] [-probe-timeout 500ms] [-retries 2]
-//	         [-mirror-high-water 192]
+//	         [-probe-every 1s] [-probe-timeout 500ms]
 //
 // With -replicas R (default 2) every dataset lives on the first R
 // distinct backends walking the ring from its name: writes are
@@ -21,15 +20,16 @@
 // reads fail over transparently — marked X-Copydetect-Replica — and a
 // recovered backend is caught back up by anti-entropy before serving
 // again. Killing any single backend therefore loses no dataset. With
-// -replicas 1 each dataset lives on its ring owner alone: a dead
-// backend's datasets answer 503 until it returns; lists are partial.
+// -replicas 1 each dataset lives on its ring owner alone, on the same
+// write path: a dead or hung backend's datasets answer 503 until it
+// returns; lists are partial.
 //
 // Backends are probed every -probe-every; a backend that fails twice in
 // a row is ejected and readmitted after two consecutive successful
-// probes. Idempotent GETs are retried up to -retries times on transport
-// failures. The -backends list and its order are the routing table:
-// every gateway over one cluster must use the same list. See
-// internal/cluster for the design.
+// probes. Reads are retried up to twice on transport failures, and
+// every member of the replica set is tried at least once. The -backends
+// list and its order are the routing table: every gateway over one
+// cluster must use the same list. See internal/cluster for the design.
 //
 // The gateway serves Prometheus-format metrics on GET /metrics: request
 // rate/latency/in-flight by route, per-backend health and replication
@@ -38,10 +38,9 @@
 // X-Copydetect-Trace ID — generated here if the client did not send one
 // — that is propagated to the backends and onto asynchronous mirror
 // deliveries, so one client write can be followed through every access
-// log it touches. While a dataset's mirror queue holds
-// -mirror-high-water or more jobs (a replica is down or slow), appends
-// to it are refused with 429 + Retry-After instead of queueing without
-// bound; 0 disables the limit.
+// log it touches. While a dataset's mirror queue holds 192 or more jobs
+// (a replica is down or slow), appends to it are refused with 429 +
+// Retry-After instead of queueing without bound.
 package main
 
 import (
@@ -71,9 +70,7 @@ func parseFlags(args []string) (options, error) {
 	backends := fs.String("backends", "", "comma-separated copydetectd base URLs (required; order is the routing table)")
 	probeEvery := fs.Duration("probe-every", time.Second, "health-check period per backend")
 	probeTimeout := fs.Duration("probe-timeout", 0, "timeout of one health probe (0 = half of -probe-every)")
-	retries := fs.Int("retries", 2, "transport-failure retries for idempotent GETs (0 = none)")
 	replicas := fs.Int("replicas", 2, "backends holding each dataset (1 = no replication; clamped to the backend count)")
-	mirrorHW := fs.Int("mirror-high-water", cluster.DefaultMirrorHighWater, "refuse appends with 429 while a dataset's replica mirror queue holds this many jobs (0 = unbounded)")
 	if err := fs.Parse(args); err != nil {
 		return options{}, err
 	}
@@ -100,26 +97,11 @@ func parseFlags(args []string) (options, error) {
 	if *replicas < 1 {
 		return options{}, fmt.Errorf("copygate: -replicas must be at least 1")
 	}
-	if *mirrorHW < 0 {
-		return options{}, fmt.Errorf("copygate: -mirror-high-water must be >= 0 (0 = unbounded)")
-	}
 	opt := options{addr: *addr, addrFile: *addrFile}
 	opt.cfg.Backends = urls
 	opt.cfg.ProbeEvery = *probeEvery
 	opt.cfg.ProbeTimeout = *probeTimeout
 	opt.cfg.Replication = *replicas
-	// The flag means what it says: 0 retries is 0 retries. Config uses
-	// its zero value for "default", so map 0 to the explicit "none".
-	opt.cfg.Retries = *retries
-	if *retries <= 0 {
-		opt.cfg.Retries = -1
-	}
-	// Same convention for the mirror high-water mark: the flag's 0 means
-	// "no limit", which Config spells -1 (its 0 selects the default).
-	opt.cfg.MirrorHighWater = *mirrorHW
-	if *mirrorHW == 0 {
-		opt.cfg.MirrorHighWater = -1
-	}
 	return opt, nil
 }
 
@@ -144,9 +126,8 @@ func run(args []string) int {
 	}
 	treg := telemetry.New()
 	gw.RegisterMetrics(treg)
-	// Retries -1 is the config's explicit "disabled": log the 0 the operator asked for.
-	log.Printf("copygate: routing %d backends (replicas %d, probe every %v, retries %d)",
-		len(opt.cfg.Backends), opt.cfg.Replication, opt.cfg.ProbeEvery, max(opt.cfg.Retries, 0))
+	log.Printf("copygate: routing %d backends (replicas %d, probe every %v)",
+		len(opt.cfg.Backends), opt.cfg.Replication, opt.cfg.ProbeEvery)
 	for i, b := range opt.cfg.Backends {
 		log.Printf("copygate: backend %d: %s", i, b)
 	}

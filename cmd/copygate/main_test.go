@@ -4,8 +4,8 @@ import (
 	"testing"
 	"time"
 
-	"copydetect/internal/cluster"
 	"copydetect/internal/telemetry"
+	"copydetect/internal/testkit"
 )
 
 // TestParseFlags exercises every documented flag and the backend-list
@@ -21,15 +21,11 @@ func TestParseFlags(t *testing.T) {
 	if len(opt.cfg.Backends) != 2 || opt.cfg.Backends[0] != "http://a:1" || opt.cfg.Backends[1] != "http://b:2" {
 		t.Fatalf("backends = %v", opt.cfg.Backends)
 	}
-	if opt.cfg.ProbeEvery != time.Second || opt.cfg.ProbeTimeout != 0 || opt.cfg.Retries != 2 {
+	if opt.cfg.ProbeEvery != time.Second || opt.cfg.ProbeTimeout != 0 {
 		t.Fatalf("probe defaults = %+v", opt.cfg)
 	}
 	if opt.cfg.Replication != 2 {
 		t.Fatalf("default -replicas: cfg.Replication = %d, want 2", opt.cfg.Replication)
-	}
-	if opt.cfg.MirrorHighWater != cluster.DefaultMirrorHighWater {
-		t.Fatalf("default -mirror-high-water: cfg.MirrorHighWater = %d, want %d",
-			opt.cfg.MirrorHighWater, cluster.DefaultMirrorHighWater)
 	}
 
 	opt, err = parseFlags([]string{"-backends", "http://a:1,http://b:2", "-replicas", "1"})
@@ -40,7 +36,7 @@ func TestParseFlags(t *testing.T) {
 	opt, err = parseFlags([]string{
 		"-addr", "127.0.0.1:9100", "-addr-file", "/tmp/gate.addr",
 		"-backends", " http://a:1 , http://b:2,, http://c:3 ",
-		"-probe-every", "250ms", "-probe-timeout", "100ms", "-retries", "5",
+		"-probe-every", "250ms", "-probe-timeout", "100ms",
 	})
 	if err != nil {
 		t.Fatalf("full flags: %v", err)
@@ -51,25 +47,8 @@ func TestParseFlags(t *testing.T) {
 	if len(opt.cfg.Backends) != 3 || opt.cfg.Backends[2] != "http://c:3" {
 		t.Fatalf("backends with whitespace = %v", opt.cfg.Backends)
 	}
-	if opt.cfg.ProbeEvery != 250*time.Millisecond || opt.cfg.ProbeTimeout != 100*time.Millisecond || opt.cfg.Retries != 5 {
+	if opt.cfg.ProbeEvery != 250*time.Millisecond || opt.cfg.ProbeTimeout != 100*time.Millisecond {
 		t.Fatalf("probe flags = %+v", opt.cfg)
-	}
-
-	// -retries 0 means zero retries; Config reserves 0 for "default", so
-	// the flag must map it to the explicit "disabled" value.
-	opt, err = parseFlags([]string{"-backends", "http://a:1", "-retries", "0"})
-	if err != nil || opt.cfg.Retries != -1 {
-		t.Fatalf("-retries 0: cfg.Retries = %d (err %v), want -1", opt.cfg.Retries, err)
-	}
-
-	// Same convention for -mirror-high-water: 0 disables the limit.
-	opt, err = parseFlags([]string{"-backends", "http://a:1", "-mirror-high-water", "0"})
-	if err != nil || opt.cfg.MirrorHighWater != -1 {
-		t.Fatalf("-mirror-high-water 0: cfg.MirrorHighWater = %d (err %v), want -1", opt.cfg.MirrorHighWater, err)
-	}
-	opt, err = parseFlags([]string{"-backends", "http://a:1", "-mirror-high-water", "8"})
-	if err != nil || opt.cfg.MirrorHighWater != 8 {
-		t.Fatalf("-mirror-high-water 8: cfg.MirrorHighWater = %d (err %v), want 8", opt.cfg.MirrorHighWater, err)
 	}
 
 	for _, bad := range [][]string{
@@ -79,7 +58,6 @@ func TestParseFlags(t *testing.T) {
 		{"-backends", "http://a:1", "-probe-every", "-1s"},
 		{"-backends", "http://a:1", "-probe-timeout", "-1s"},
 		{"-backends", "http://a:1", "-replicas", "0"},
-		{"-backends", "http://a:1", "-mirror-high-water", "-1"},
 		{"-nonsense"},
 	} {
 		if _, err := parseFlags(bad); err == nil {
@@ -99,4 +77,14 @@ func TestHTTPServerTimeouts(t *testing.T) {
 	if srv.IdleTimeout <= 0 {
 		t.Errorf("IdleTimeout = %v, want > 0", srv.IdleTimeout)
 	}
+}
+
+// TestFlagTable: every flag the gateway registers has a row in the
+// README's copygate flag table, and every row names a flag it
+// registers.
+func TestFlagTable(t *testing.T) {
+	testkit.CheckFlagTable(t, "../../README.md", "copygate", func(args []string) error {
+		_, err := parseFlags(args)
+		return err
+	})
 }

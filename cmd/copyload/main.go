@@ -53,8 +53,10 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"strings"
 	"time"
 
+	"copydetect/internal/gen"
 	"copydetect/internal/scenario"
 )
 
@@ -84,7 +86,7 @@ func parseFlags(args []string) (options, error) {
 	target := fs.String("target", "", "base URL of a copydetectd or copygate instance (required)")
 	datasets := fs.Int("datasets", 4, "number of synthetic datasets to stream")
 	clients := fs.Int("clients", 4, "concurrent client connections (each dataset belongs to one client)")
-	preset := fs.String("dataset", "book-cs", "workload preset: book-cs, book-full, stock-1day or stock-2wk")
+	preset := fs.String("dataset", "book-cs", "workload preset: "+strings.Join(gen.PresetNames, ", "))
 	scale := fs.Float64("scale", 0.05, "preset scale factor (1 = paper sizes)")
 	seed := fs.Int64("seed", 1, "base RNG seed (dataset i uses seed+i)")
 	batch := fs.Int("batch", 500, "observations per append batch")
@@ -125,10 +127,8 @@ func parseFlags(args []string) (options, error) {
 	if opt.prefix == "" {
 		return options{}, fmt.Errorf("copyload: -prefix must be non-empty")
 	}
-	switch opt.preset {
-	case "book-cs", "book-full", "stock-1day", "stock-2wk":
-	default:
-		return options{}, fmt.Errorf("copyload: unknown -dataset %q", opt.preset)
+	if _, err := gen.Preset(opt.preset, 0); err != nil {
+		return options{}, fmt.Errorf("copyload: -dataset: %w", err)
 	}
 	return opt, nil
 }

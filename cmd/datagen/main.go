@@ -11,30 +11,22 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"copydetect/internal/dataset"
 	"copydetect/internal/gen"
 )
 
 func main() {
-	name := flag.String("dataset", "book-cs", "book-cs, book-full, stock-1day or stock-2wk")
+	name := flag.String("dataset", "book-cs", strings.Join(gen.PresetNames, ", "))
 	scale := flag.Float64("scale", 0.2, "dataset scale factor (1 = paper sizes)")
 	seed := flag.Int64("seed", 1, "generation seed")
 	out := flag.String("o", "", "output file (default stdout)")
 	flag.Parse()
 
-	var cfg gen.Config
-	switch *name {
-	case "book-cs":
-		cfg = gen.BookCS(*seed)
-	case "book-full":
-		cfg = gen.BookFull(*seed)
-	case "stock-1day":
-		cfg = gen.Stock1Day(*seed)
-	case "stock-2wk":
-		cfg = gen.Stock2Wk(*seed)
-	default:
-		fmt.Fprintf(os.Stderr, "datagen: unknown dataset %q\n", *name)
+	cfg, err := gen.Preset(*name, *seed)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "datagen: -dataset: %v\n", err)
 		os.Exit(2)
 	}
 	cfg = gen.Scale(cfg, *scale)

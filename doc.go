@@ -137,12 +137,12 @@
 // failover counters. Requests carry an X-Copydetect-Trace ID from the
 // gateway through the backends into asynchronous mirror deliveries,
 // tying one write's access-log lines together across processes. Both
-// daemons also admission-control appends: past a configurable
-// high-water mark (-append-high-water on copydetectd, convergence
-// backlog; -mirror-high-water on copygate, replica mirror queue) an
-// append is refused with 429 + Retry-After instead of queueing without
-// bound, and cmd/copyload honors the hint, retrying the batch and
-// reporting it as throttled rather than failed.
+// daemons also admission-control appends: past a high-water mark
+// (-append-high-water on copydetectd, convergence backlog, off unless
+// set; a fixed 192 jobs of a dataset's replica mirror queue on copygate)
+// an append is refused with 429 + Retry-After instead of queueing
+// without bound, and cmd/copyload honors the hint, retrying the batch
+// and reporting it as throttled rather than failed.
 //
 // # Static analysis
 //

@@ -36,30 +36,17 @@ type Config struct {
 	ProbeEvery   time.Duration
 	ProbeTimeout time.Duration
 
-	// Retries is how many times an idempotent (GET) request is retried
-	// against its owner after a transport failure. 0 selects the default
-	// of 2, negative disables retries; writes are never retried — an
-	// append is not idempotent at the version level.
-	Retries int
-
-	// MirrorHighWater is the admission-control bound on a dataset's
-	// mirror queue: an append arriving while the dataset already has at
-	// least this many mirror jobs queued (or in delivery) is refused
-	// with 429 + Retry-After instead of growing the backlog. 0 selects
-	// DefaultMirrorHighWater, negative disables admission control. It
-	// only matters with Replication >= 2 — without mirroring the queue
-	// is always empty.
-	MirrorHighWater int
-
 	// Transport overrides the outbound round tripper (tests inject
 	// failures here). nil uses http.DefaultTransport.
 	Transport http.RoundTripper
 }
 
-// DefaultMirrorHighWater is the default Config.MirrorHighWater: below
-// the per-dataset job channel's capacity, so admission control always
-// refuses before an enqueue could block the write path.
-const DefaultMirrorHighWater = 192
+// retries is how many times an idempotent request (a read or a
+// quiesce) is re-attempted after a transport failure, walking the
+// replica set; every member gets at least one attempt whatever the
+// count. Writes are never retried — an append is not idempotent at the
+// version level.
+const retries = 2
 
 // Gateway routes the copydetectd wire protocol across a fixed set of
 // backends: dataset-scoped requests go to the ring owner of the dataset
@@ -74,9 +61,7 @@ type Gateway struct {
 	probeEvery   time.Duration
 	probeTimeout time.Duration
 	listTimeout  time.Duration
-	retries      int
 	replication  int
-	mirrorHW     int // mirror-queue admission bound; 0 disables
 
 	// Operational counters, exposed by RegisterMetrics. Plain atomics
 	// so the hot paths pay one add whether or not telemetry is wired.
@@ -112,7 +97,6 @@ func New(cfg Config) (*Gateway, error) {
 		ring:         ring,
 		probeEvery:   cfg.ProbeEvery,
 		probeTimeout: cfg.ProbeTimeout,
-		retries:      cfg.Retries,
 		replication:  cfg.Replication,
 		ds:           make(map[string]*dsState),
 		stop:         make(chan struct{}),
@@ -142,19 +126,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	if g.listTimeout > 30*time.Second {
 		g.listTimeout = 30 * time.Second
-	}
-	if g.retries < 0 {
-		g.retries = 0
-	} else if g.retries == 0 {
-		g.retries = 2
-	}
-	switch {
-	case cfg.MirrorHighWater < 0:
-		g.mirrorHW = 0
-	case cfg.MirrorHighWater == 0:
-		g.mirrorHW = DefaultMirrorHighWater
-	default:
-		g.mirrorHW = cfg.MirrorHighWater
 	}
 	// No client timeout: quiesce blocks for as long as convergence
 	// takes, and the incoming request's context already propagates
@@ -304,13 +275,7 @@ func (g *Gateway) serveRead(w http.ResponseWriter, req *http.Request, name strin
 			return
 		}
 	}
-	attempts := 1 + g.retries
-	if attempts < len(members) {
-		// -retries bounds re-attempts against a flaky transport; it
-		// must not disable replica failover. Every member of the set
-		// gets at least one shot.
-		attempts = len(members)
-	}
+	attempts := max(1+retries, len(members))
 	reported := make([]bool, len(members))
 	var lastErr error
 	pos := -1
@@ -373,15 +338,11 @@ func (g *Gateway) serveRead(w http.ResponseWriter, req *http.Request, name strin
 // apply the batch twice, while the next member dedupes by sequence
 // number even if the failed member turns out to have applied it
 // (anti-entropy overwrites the failed member from its peer before it
-// serves again). With replication 1 nothing is ever mirrored or
-// re-sent, so the body streams straight through, unbuffered, exactly
-// as before replication existed.
+// serves again). With replication 1 the same path has one member: it
+// mirrors nothing and has nowhere to fail over to, so a dead or hung
+// owner answers 503.
 func (g *Gateway) serveWrite(w http.ResponseWriter, req *http.Request, name string) {
 	members := g.ring.ReplicaSet(name, g.replication)
-	if g.replication < 2 {
-		g.writeSingle(w, req, name, members[0])
-		return
-	}
 	body, err := io.ReadAll(io.LimitReader(req.Body, maxWriteBody+1))
 	if err != nil {
 		server.WriteErr(w, http.StatusBadRequest, fmt.Sprintf("cluster: reading request body: %v", err))
@@ -393,8 +354,8 @@ func (g *Gateway) serveWrite(w http.ResponseWriter, req *http.Request, name stri
 	}
 	ds := g.lockDS(name)
 	defer ds.mu.Unlock()
-	if g.mirrorHW > 0 && strings.HasSuffix(req.URL.Path, "/observations") &&
-		atomic.LoadInt64(&ds.queuedJobs) >= int64(g.mirrorHW) {
+	if strings.HasSuffix(req.URL.Path, "/observations") &&
+		atomic.LoadInt64(&ds.queuedJobs) >= mirrorHighWater {
 		// Admission control: the dataset's replicas are not keeping up
 		// with its mirror stream. Refuse the append before the acting
 		// member applies it — queueing further would either block this
@@ -403,7 +364,7 @@ func (g *Gateway) serveWrite(w http.ResponseWriter, req *http.Request, name stri
 		w.Header().Set("Retry-After", "1")
 		server.WriteErr(w, http.StatusTooManyRequests, fmt.Sprintf(
 			"cluster: dataset %q replica mirror queue is over the high-water mark (%d jobs queued)",
-			name, g.mirrorHW))
+			name, mirrorHighWater))
 		return
 	}
 	var lastErr error
@@ -426,13 +387,16 @@ func (g *Gateway) serveWrite(w http.ResponseWriter, req *http.Request, name stri
 				break
 			}
 		}
+		if failedOver {
+			// Counted only once the write really goes to another member.
+			g.writeFailovers.Add(1)
+		}
 		// A gateway-side ceiling on the attempt: ds.mu serializes this
 		// dataset's writes, so a backend that accepts the connection but
 		// never answers must not wedge the dataset forever. A timeout is
 		// NOT failed over (the write's fate on a merely-slow member is
 		// unknown, and unlike a dead one it may still apply the batch);
-		// it answers 503, the same contract an unreplicated write always
-		// had for an unresponsive owner.
+		// it answers 503, as a dead owner does at replication 1.
 		ctx, cancel := context.WithTimeout(req.Context(), writeTimeout)
 		b := g.backends[members[pos]]
 		out, err := newTracedRequest(ctx, req.Method,
@@ -464,7 +428,6 @@ func (g *Gateway) serveWrite(w http.ResponseWriter, req *http.Request, name stri
 				break // gateway timeout: slow, not dead — no failover
 			}
 			failedOver = true
-			g.writeFailovers.Add(1)
 			continue
 		}
 		b.reportSuccess(false)
@@ -478,38 +441,6 @@ func (g *Gateway) serveWrite(w http.ResponseWriter, req *http.Request, name stri
 	}
 	server.WriteErr(w, http.StatusServiceUnavailable,
 		fmt.Sprintf("cluster: dataset %q is unavailable: no member of its replica set can accept the write (last error: %v)", name, lastErr))
-}
-
-// writeSingle is the unreplicated write path: one streamed attempt
-// against the single member, byte-for-byte, no buffering, no retry — a
-// dead owner answers 503.
-func (g *Gateway) writeSingle(w http.ResponseWriter, req *http.Request, name string, member int) {
-	b := g.backends[member]
-	if !b.isHealthy() {
-		server.WriteErr(w, http.StatusServiceUnavailable,
-			fmt.Sprintf("cluster: backend %s (owner of dataset %q) is unavailable", b.url, name))
-		return
-	}
-	out, err := newTracedRequest(req.Context(), req.Method,
-		b.url+req.URL.RequestURI(), req.Body, req, "")
-	if err != nil {
-		server.WriteErr(w, http.StatusInternalServerError, fmt.Sprintf("cluster: %v", err))
-		return
-	}
-	// Streamed pass-through: preserve the client's Content-Length
-	// instead of degrading to chunked encoding.
-	out.ContentLength = req.ContentLength
-	resp, err := g.client.Do(out)
-	if err != nil {
-		if req.Context().Err() == nil {
-			b.reportFailure(err)
-		}
-		server.WriteErr(w, http.StatusServiceUnavailable,
-			fmt.Sprintf("cluster: backend %s (owner of dataset %q) is unavailable: %v", b.url, name, err))
-		return
-	}
-	b.reportSuccess(false)
-	relay(w, resp)
 }
 
 // exchange is the one way the gateway talks to a backend on its own

@@ -293,7 +293,6 @@ func TestIdempotentRetriesOnly(t *testing.T) {
 	ft := &flakyTransport{}
 	gw, err := New(Config{
 		Backends:   []string{backend.URL},
-		Retries:    2,
 		ProbeEvery: time.Hour,
 		Transport:  ft,
 	})
@@ -341,6 +340,10 @@ func TestIdempotentRetriesOnly(t *testing.T) {
 	}
 	if got := ft.attempts.Load(); got != 1 {
 		t.Errorf("POST used %d attempts, want exactly 1", got)
+	}
+	// With one member there is nowhere to fail over to.
+	if got := gw.writeFailovers.Load(); got != 0 {
+		t.Errorf("write failovers after a failed write at replication 1: %d, want 0", got)
 	}
 	// That second failed logical request reaches the ejection threshold.
 	if st := gw.Status()[0]; st.Healthy {
@@ -446,5 +449,52 @@ func TestGatewayPathAndMethodErrors(t *testing.T) {
 		if resp.StatusCode != tt.want {
 			t.Errorf("%s %s = %d, want %d", tt.method, tt.path, resp.StatusCode, tt.want)
 		}
+	}
+}
+
+// TestHungOwnerWriteTimesOut: at replication 1 a write takes the same
+// path as a replicated one, so an owner that accepts the request and
+// never answers costs the client writeTimeout and then a 503, instead
+// of holding it for as long as it is willing to wait.
+func TestHungOwnerWriteTimesOut(t *testing.T) {
+	oldTimeout := writeTimeout
+	writeTimeout = 100 * time.Millisecond
+	// Registered first, so it runs after the gateway's server is closed.
+	t.Cleanup(func() { writeTimeout = oldTimeout })
+
+	release := make(chan struct{})
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			fmt.Fprintln(w, `{"status":"ok"}`)
+			return
+		}
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	}))
+	t.Cleanup(hung.Close)
+	t.Cleanup(func() { close(release) }) // LIFO: before hung.Close waits on the handler
+
+	gw, err := New(Config{Backends: []string{hung.URL}, ProbeEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(gw.Close)
+	gwServer := httptest.NewServer(gw)
+	t.Cleanup(gwServer.Close)
+
+	client := &http.Client{Timeout: 5 * time.Second}
+	start := time.Now()
+	status, _, body, err := testkit.Do(client, http.MethodPost,
+		gwServer.URL+"/v1/datasets/hung/observations", smallBatch("h"), nil)
+	if err != nil {
+		t.Fatalf("write to a hung owner: %v after %v, want a 503 once writeTimeout passes", err, time.Since(start))
+	}
+	if status != http.StatusServiceUnavailable {
+		t.Fatalf("write to a hung owner: %d %s, want 503", status, body)
+	}
+	if got := gw.writeFailovers.Load(); got != 0 {
+		t.Errorf("write failovers after a timed-out write: %d, want 0", got)
 	}
 }

@@ -39,10 +39,6 @@ const (
 	// flushTimeout bounds waiting for a dataset's replica queue to
 	// drain before a failover write or a quiesce proceeds.
 	flushTimeout = 60 * time.Second
-	// writeTimeout is the gateway-side ceiling on one replicated write
-	// attempt: ds.mu serializes a dataset's writes, so a backend that
-	// accepts connections but never answers must not wedge the dataset.
-	writeTimeout = 60 * time.Second
 	// maxWriteBody bounds a buffered write body (it must be re-sendable
 	// to every member of the replica set); matches the daemon's own
 	// import ceiling.
@@ -54,6 +50,19 @@ const (
 	// unbounded memory for a struggling replica.
 	maxQueuedBytes = 64 << 20
 )
+
+// writeTimeout is the gateway-side ceiling on one write attempt: ds.mu
+// serializes a dataset's writes, so a backend that accepts connections
+// but never answers must not wedge the dataset. Variable for tests.
+var writeTimeout = 60 * time.Second
+
+// mirrorHighWater is the admission-control bound on a dataset's mirror
+// queue: an append arriving while the dataset already has this many
+// mirror jobs queued or in delivery is refused with 429 + Retry-After
+// instead of growing the backlog. It sits below the capacity of the
+// per-dataset job channel, so admission refuses before an enqueue could
+// block the write path while it holds ds.mu. Variable for tests.
+var mirrorHighWater int64 = 192
 
 // jobTimeout bounds one replica-side request (append, export, import):
 // replica work must never wedge the per-dataset queue the way a

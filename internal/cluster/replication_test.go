@@ -218,6 +218,9 @@ func TestFailoverServesAndAcceptsWithDeadPrimary(t *testing.T) {
 	if resp.Header.Get(server.ReplicaHeader) != "true" {
 		t.Errorf("failover append response missing %s header", server.ReplicaHeader)
 	}
+	if got := rc.gw.writeFailovers.Load(); got != 1 {
+		t.Errorf("write failovers after one dead-primary append: %d, want 1", got)
+	}
 	// Reads too — quiesce first so the published round is current.
 	if resp, body := do(t, http.MethodPost, base+"/quiesce", nil, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("quiesce with dead primary: %d %s", resp.StatusCode, body)
@@ -400,7 +403,6 @@ func TestAppendNotRetriedAgainstBackendThatDiedMidBody(t *testing.T) {
 				Backends:    urls,
 				Replication: replication,
 				ProbeEvery:  time.Hour,
-				Retries:     2, // GET retries must NOT leak into the write path
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -466,7 +468,6 @@ func TestRetriedGETDoesNotReuseConsumedBody(t *testing.T) {
 	ft := &flakyTransport{}
 	gw, err := New(Config{
 		Backends:   []string{backend.URL},
-		Retries:    2,
 		ProbeEvery: time.Hour,
 		Transport:  ft,
 	})
@@ -562,31 +563,6 @@ func TestStaleMemberBlocksRetirement(t *testing.T) {
 	time.Sleep(10 * dsIdleRetire)
 	if rc.gw.lookupDS(name) == nil {
 		t.Fatal("state with a stale member retired; the obligation was forgotten")
-	}
-}
-
-// TestReadFailoverWorksWithRetriesDisabled: -retries 0 bounds transport
-// re-attempts, not replica coverage — a read must still reach the
-// replica when the primary is dead.
-func TestReadFailoverWorksWithRetriesDisabled(t *testing.T) {
-	rc := newReplCluster(t, 3, Config{Replication: 2, Retries: -1, ProbeEvery: time.Hour})
-	name := rc.nameWithPrimary(0)
-	base := rc.gwServer.URL + "/v1/datasets/" + name
-	if resp, body := do(t, http.MethodPut, base, nil, nil); resp.StatusCode != http.StatusCreated {
-		t.Fatalf("create: %d %s", resp.StatusCode, body)
-	}
-	members := rc.gw.Ring().ReplicaSet(name, 2)
-	waitFor(t, "replica create", func() bool {
-		_, status := directInfo(t, rc.backends[members[1]].URL, name)
-		return status == http.StatusOK
-	})
-	rc.transport.setBlocked(rc.hosts[members[0]], true)
-	resp, body := do(t, http.MethodGet, base, nil, nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("read with dead primary and -retries 0: %d %s, want 200 via failover", resp.StatusCode, body)
-	}
-	if resp.Header.Get(server.ReplicaHeader) != "true" {
-		t.Errorf("failover read missing %s header", server.ReplicaHeader)
 	}
 }
 
@@ -735,13 +711,18 @@ func TestDeliveryRule(t *testing.T) {
 
 // truncatingTransport breaks off the response body of every client
 // append (an unsequenced POST …/observations) sent to host: the member
-// applies the batch, answers 202, and dies mid-body.
+// applies the batch, answers 202, and dies mid-body. It also counts the
+// dataset lists it carried.
 type truncatingTransport struct {
-	host atomic.Value // string
+	host  atomic.Value // string
+	lists atomic.Int64
 }
 
 func (tt *truncatingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err == nil && req.Method == http.MethodGet && req.URL.Path == "/v1/datasets" {
+		tt.lists.Add(1)
+	}
 	if err == nil && req.URL.Host == tt.host.Load() && req.Method == http.MethodPost &&
 		strings.HasSuffix(req.URL.Path, "/observations") && req.Header.Get(server.SeqHeader) == "" {
 		resp.Body.Close()
@@ -758,6 +739,10 @@ func TestMidBodyWriteFailuresEject(t *testing.T) {
 	tt := &truncatingTransport{}
 	tt.host.Store("")
 	tc := newTestCluster(t, 3, Config{Replication: 2, ProbeEvery: time.Hour, Transport: tt})
+	// The startup audit's list of member 0 counts as a success. Landing
+	// between the two writes, it would reset their failure streak; so
+	// wait until it has listed every backend.
+	waitFor(t, "the startup audit to list every backend", func() bool { return tt.lists.Load() == 3 })
 	name := ""
 	for i := 0; i < 10000 && name == ""; i++ {
 		if cand := fmt.Sprintf("trunc-%d", i); tc.gw.Ring().Owner(cand) == 0 {

@@ -60,6 +60,11 @@ func TestMirrorQueueBackpressure(t *testing.T) {
 	oldTimeout := jobTimeout
 	jobTimeout = 2 * time.Second
 	defer func() { jobTimeout = oldTimeout }()
+	oldHW := mirrorHighWater
+	mirrorHighWater = 2
+	// Registered before the gateway's cleanups, so it runs after the
+	// gateway and its server are closed — no handler still reads it.
+	t.Cleanup(func() { mirrorHighWater = oldHW })
 
 	var regs []*server.Registry
 	var urls []string
@@ -99,10 +104,9 @@ func TestMirrorQueueBackpressure(t *testing.T) {
 	t.Cleanup(release) // a hung mirror must not wedge gateway Close
 
 	gw, err := New(Config{
-		Backends:        urls,
-		Replication:     2,
-		MirrorHighWater: 2,
-		Transport:       ht,
+		Backends:    urls,
+		Replication: 2,
+		Transport:   ht,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,11 @@ import (
 )
 
 // DatasetIDs enumerates the four workloads in the paper's order.
-var DatasetIDs = []string{"book-cs", "stock-1day", "book-full", "stock-2wk"}
+var DatasetIDs = gen.PresetNames
+
+// seedOffset separates the datasets' generation seeds: dataset id is
+// generated from Env.Seed plus its offset.
+var seedOffset = map[string]int64{"book-cs": 0, "book-full": 1, "stock-1day": 2, "stock-2wk": 3}
 
 // Env carries shared experiment configuration and caches generated
 // datasets across experiments.
@@ -65,18 +69,9 @@ func NewEnv(out io.Writer, scale float64, seed int64) *Env {
 
 // config returns the generator preset for a dataset id at the env's scale.
 func (e *Env) config(id string) (gen.Config, error) {
-	var cfg gen.Config
-	switch id {
-	case "book-cs":
-		cfg = gen.BookCS(e.Seed)
-	case "book-full":
-		cfg = gen.BookFull(e.Seed + 1)
-	case "stock-1day":
-		cfg = gen.Stock1Day(e.Seed + 2)
-	case "stock-2wk":
-		cfg = gen.Stock2Wk(e.Seed + 3)
-	default:
-		return cfg, fmt.Errorf("experiments: unknown dataset %q", id)
+	cfg, err := gen.Preset(id, e.Seed+seedOffset[id])
+	if err != nil {
+		return cfg, fmt.Errorf("experiments: %w", err)
 	}
 	return gen.Scale(cfg, e.Scale), nil
 }

@@ -1,6 +1,10 @@
 package gen
 
-import "math"
+import (
+	"fmt"
+	"math"
+	"strings"
+)
 
 // The presets mirror the structural profile of the paper's four data sets
 // (Table V and Section VI-A):
@@ -16,6 +20,26 @@ import "math"
 // Copier cliques are planted with the model's default selectivity 0.8 and
 // deliberately include low-accuracy copiers, which is what creates the
 // shared-false-value evidence copy detection keys on.
+
+// PresetNames are the names Preset accepts, in the paper's order.
+var PresetNames = []string{"book-cs", "stock-1day", "book-full", "stock-2wk"}
+
+// Preset returns the named preset's configuration for seed: the one
+// name → configuration table every command, the scenario runner and the
+// experiments share.
+func Preset(name string, seed int64) (Config, error) {
+	switch name {
+	case "book-cs":
+		return BookCS(seed), nil
+	case "stock-1day":
+		return Stock1Day(seed), nil
+	case "book-full":
+		return BookFull(seed), nil
+	case "stock-2wk":
+		return Stock2Wk(seed), nil
+	}
+	return Config{}, fmt.Errorf("gen: unknown preset %q (want %s)", name, strings.Join(PresetNames, ", "))
+}
 
 // BookCS returns the Book-CS-like configuration. The accuracy band is
 // calibrated so the average number of conflicting values per item lands

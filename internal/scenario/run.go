@@ -192,8 +192,11 @@ func (r *Runner) buildStreams(spec *Spec) ([]*stream, error) {
 			prefix = "scn"
 		}
 		for j := 0; j < g.groupCount(); j++ {
-			cfg := gen.Scale(presetConfig(g.Preset, g.Seed+int64(j)), scale)
-			ds, pl, err := gen.Generate(cfg)
+			cfg, err := gen.Preset(g.Preset, g.Seed+int64(j))
+			if err != nil {
+				return nil, fmt.Errorf("scenario: dataset %d: %w", idx, err)
+			}
+			ds, pl, err := gen.Generate(gen.Scale(cfg, scale))
 			if err != nil {
 				return nil, fmt.Errorf("scenario: generate dataset %d (%s): %w", idx, g.Preset, err)
 			}

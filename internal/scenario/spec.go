@@ -227,10 +227,8 @@ func (s *Spec) Validate() error {
 		if g.Count < 0 {
 			return fmt.Errorf("scenario: dataset group %d: count must be >= 0", i)
 		}
-		switch g.Preset {
-		case "book-cs", "book-full", "stock-1day", "stock-2wk":
-		default:
-			return fmt.Errorf("scenario: dataset group %d: unknown preset %q", i, g.Preset)
+		if _, err := gen.Preset(g.Preset, 0); err != nil {
+			return fmt.Errorf("scenario: dataset group %d: %w", i, err)
 		}
 		if g.Scale < 0 {
 			return fmt.Errorf("scenario: dataset group %d: scale must be >= 0", i)
@@ -327,18 +325,4 @@ func (g *DatasetGroup) groupCount() int {
 		return 1
 	}
 	return g.Count
-}
-
-// presetConfig resolves a validated preset name.
-func presetConfig(name string, seed int64) gen.Config {
-	switch name {
-	case "book-full":
-		return gen.BookFull(seed)
-	case "stock-1day":
-		return gen.Stock1Day(seed)
-	case "stock-2wk":
-		return gen.Stock2Wk(seed)
-	default:
-		return gen.BookCS(seed)
-	}
 }

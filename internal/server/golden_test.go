@@ -106,8 +106,10 @@ func TestGoldenExport(t *testing.T) {
 // be what a log of the three appends alone recovers to and publishes.
 func TestGoldenWALWithPublishMarkers(t *testing.T) {
 	const name, segment = "golden", "0000000000000001.wal"
+	testNoCompactOffer = true
+	defer func() { testNoCompactOffer = false }()
 	open := func(dir string) *Registry {
-		reg, err := Open(Config{DataDir: dir, SnapshotEvery: 1 << 30})
+		reg, err := Open(Config{DataDir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}

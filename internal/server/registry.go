@@ -76,10 +76,6 @@ type Config struct {
 	// acknowledged data survives power loss rather than just process
 	// death. Only meaningful with DataDir.
 	Fsync bool
-	// SnapshotEvery is the compaction cadence: a dataset is snapshotted
-	// (and its WAL trimmed) after every SnapshotEvery published rounds
-	// (default 1). Only meaningful with DataDir.
-	SnapshotEvery int
 
 	// AppendHighWater, when positive, bounds per-dataset convergence
 	// lag: an unsequenced append (seq 0 — a client write, not
@@ -149,9 +145,6 @@ func Open(cfg Config) (*Registry, error) {
 	}
 	if cfg.Concurrency <= 0 {
 		cfg.Concurrency = 1
-	}
-	if cfg.SnapshotEvery <= 0 {
-		cfg.SnapshotEvery = 1
 	}
 	r := &Registry{
 		cfg:      cfg,

@@ -167,12 +167,11 @@ func (m *Managed) runRound() {
 			in.roundComps.With(algo).Add(uint64(out.TotalStats.Computations))
 			in.roundValues.With(algo).Add(uint64(out.TotalStats.ValuesExamined))
 		}
-		if m.st.snapshotDue(m.reg.cfg.SnapshotEvery) {
+		if m.st != nil && !testNoCompactOffer {
 			select {
 			case m.reg.compactC <- m:
-				m.st.snapshotRequested()
 			default:
-				// Compactor backlog: retry at the next publish.
+				// Compactor backlog: the next publish offers again.
 			}
 		}
 	} else {
@@ -214,6 +213,6 @@ func (m *Managed) snapshot(final bool) {
 	pub, closed := m.pub, m.closed
 	m.mu.Unlock()
 	if pub != nil && (final || !closed) {
-		m.st.compact(pub, final)
+		m.st.compact(pub)
 	}
 }

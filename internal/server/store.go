@@ -63,6 +63,11 @@ var snapCRC = crc32.MakeTable(crc32.Castagnoli)
 // rotation after a handful of records, not 4 MiB.
 var testWALSegmentBytes int64
 
+// testNoCompactOffer, when set, keeps publishes from offering their
+// dataset to the compactor. Test-only: the trim-boundary and WAL-only
+// recovery tests snapshot by hand, or not at all.
+var testNoCompactOffer bool
+
 // testHookAfterWALAppend, when non-nil, runs inside commit between a
 // successful WAL append and the registration of its pending entry — the
 // window the inflight floor protects. No lock but the dataset's appendMu
@@ -79,7 +84,6 @@ type dstore struct {
 	// held across a disk write, never taken with another lock wanted.
 	mu          sync.Mutex
 	pending     []verLSN // appends and imports not yet covered by a snapshot
-	sinceSnap   int      // published rounds since the last compaction request
 	snapVersion uint64   // append version the newest on-disk snapshot covers
 	// inflightLSN is a lower bound on the WAL position of a record that
 	// has been (or is about to be) written but is not yet registered in
@@ -288,40 +292,21 @@ func (st *dstore) commit(rec walRecord) error {
 	return err
 }
 
-// snapshotDue counts one published round toward the compaction cadence
-// and reports whether every rounds have accumulated since the compactor
-// last accepted a request (see snapshotRequested).
-func (st *dstore) snapshotDue(every int) bool {
-	if st == nil {
-		return false
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.sinceSnap++
-	return st.sinceSnap >= every
-}
-
-// snapshotRequested restarts the cadence: the compactor has the request.
-func (st *dstore) snapshotRequested() {
-	st.mu.Lock()
-	st.sinceSnap = 0
-	st.mu.Unlock()
-}
-
 // compact persists pub and trims the WAL prefix it covers. Best effort:
 // on any error the WAL still holds everything, so durability is never
 // at risk — only recovery time; a dataset deleted meanwhile just fails
-// the write (or the trim, on its closed log) harmlessly. With final set
-// (registry shutdown) a snapshot that is already current is not
-// rewritten.
-func (st *dstore) compact(pub *Published, final bool) {
+// the write (or the trim, on its closed log) harmlessly. A snapshot
+// already on disk at pub's version or later is not rewritten: a dataset
+// offered twice before the compactor reaches it finds the second offer
+// covered by the first.
+func (st *dstore) compact(pub *Published) {
 	if st == nil {
 		return
 	}
 	st.mu.Lock()
 	have := st.snapVersion
 	st.mu.Unlock()
-	if pub.Version == have && final {
+	if pub.Version <= have {
 		return
 	}
 	// Encoding and fsync happen outside every lock: everything a

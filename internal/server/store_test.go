@@ -99,12 +99,13 @@ func TestDurableRecoveryReplaysWALWithoutSnapshot(t *testing.T) {
 	truth := dataset.TruthRecords(ds)
 	batches := testkit.Batches(dataset.Records(ds), 4)
 
+	// No snapshot until the crash: recovery must work from the log
+	// alone.
+	testNoCompactOffer = true
+	defer func() { testNoCompactOffer = false }()
 	reg, err := Open(Config{
 		Options: core.Options{Workers: 1},
 		DataDir: dir,
-		// A cadence the test never reaches: recovery must work from the
-		// log alone.
-		SnapshotEvery: 1 << 30,
 	})
 	if err != nil {
 		t.Fatalf("open: %v", err)
@@ -124,6 +125,7 @@ func TestDurableRecoveryReplaysWALWithoutSnapshot(t *testing.T) {
 	// Abandon the registry without Close: a crash. The WAL already has
 	// every acknowledged append.
 	crash(reg)
+	testNoCompactOffer = false
 
 	reg2 := openDurable(t, dir, 1)
 	defer reg2.Close()

@@ -7,6 +7,9 @@ package server
 
 import (
 	"context"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"copydetect/internal/core"
@@ -23,16 +26,17 @@ import (
 func TestCompactionDoesNotTrimInflightAppend(t *testing.T) {
 	testWALSegmentBytes = 64 // rotate after every append-sized record
 	defer func() { testWALSegmentBytes = 0 }()
+	// The background compactor must not run on its own: the test
+	// triggers each snapshot+trim by hand, at exactly the boundary it
+	// wants, and an automatic snapshot after the second append would
+	// mask the trim bug.
+	testNoCompactOffer = true
+	defer func() { testNoCompactOffer = false }()
 
 	dir := t.TempDir()
 	reg, err := Open(Config{
 		Options: core.Options{Workers: 1},
 		DataDir: dir,
-		// The background compactor must not run on its own: the test
-		// triggers each snapshot+trim by hand, at exactly the boundary
-		// it wants, and an automatic snapshot after the second append
-		// would mask the trim bug.
-		SnapshotEvery: 1 << 30,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -52,9 +56,9 @@ func TestCompactionDoesNotTrimInflightAppend(t *testing.T) {
 	if _, err := reg.Quiesce(context.Background(), "inflight"); err != nil {
 		t.Fatal(err)
 	}
-	// Round 1's compaction, deterministically: snapshot written, pending
-	// pruned, covered segments trimmed.
-	m.snapshot(false)
+	// Round 1 stays uncompacted until the hook below: a compaction skips
+	// a version already on disk, so the one in the append window must be
+	// the first for round 1 to trim anything at all.
 
 	hookRan := false
 	testHookAfterWALAppend = func(st *dstore) {
@@ -69,8 +73,10 @@ func TestCompactionDoesNotTrimInflightAppend(t *testing.T) {
 		if _, err := st.log.Append([]byte{walRecPublish, 1, 1}); err != nil {
 			t.Errorf("marker append in hook: %v", err)
 		}
-		// ...and the compactor runs its snapshot+trim in exactly this
-		// window, before the append registers its pending entry.
+		// ...and the compactor runs round 1's snapshot+trim in exactly
+		// this window, before the append registers its pending entry:
+		// pending is pruned to empty, so the trim bound would be NextLSN
+		// but for the inflight floor.
 		m.snapshot(false)
 	}
 
@@ -152,5 +158,58 @@ func TestSnapshotAtSegmentRotationCrashRecovers(t *testing.T) {
 	}
 	if pub.Round != rounds+1 {
 		t.Fatalf("after crash the next round was %d, want %d (the snapshot's round ordinal lost in the trim)", pub.Round, rounds+1)
+	}
+}
+
+// TestCompactionSkipsCurrentSnapshot: a dataset offered to the
+// compactor twice for one published round (two publishes before the
+// compactor reaches it both read the newest one) is snapshotted once.
+// The second pass must neither rewrite the snapshot file nor touch the
+// WAL.
+func TestCompactionSkipsCurrentSnapshot(t *testing.T) {
+	testNoCompactOffer = true // both passes run by hand, below
+	defer func() { testNoCompactOffer = false }()
+
+	dir := t.TempDir()
+	reg := openDurable(t, dir, 1)
+	defer reg.Close()
+	m, err := reg.Create("twice", DatasetConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := m.Append(batchN("one", 6), nil); err != nil {
+		t.Fatal(err)
+	}
+	pub, err := reg.Quiesce(context.Background(), "twice")
+	if err != nil || pub == nil {
+		t.Fatalf("quiesce: pub=%v err=%v", pub, err)
+	}
+	dsDir := filepath.Join(datasetsRoot(dir), encodeDirName("twice"))
+	state := func() (os.FileInfo, []string) {
+		t.Helper()
+		fi, err := os.Stat(snapPath(dsDir, pub.Version))
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries, err := os.ReadDir(filepath.Join(dsDir, "wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var segs []string
+		for _, e := range entries {
+			segs = append(segs, e.Name())
+		}
+		return fi, segs
+	}
+
+	m.snapshot(false)
+	snap1, segs1 := state()
+	m.snapshot(false)
+	snap2, segs2 := state()
+	if !os.SameFile(snap1, snap2) {
+		t.Error("the second compaction of one published round rewrote its snapshot")
+	}
+	if !reflect.DeepEqual(segs1, segs2) {
+		t.Errorf("the second compaction changed the WAL segments: %v, then %v", segs1, segs2)
 	}
 }

@@ -2,10 +2,12 @@
 // (INDEX, BOUND, BOUND+, HYBRID and INCREMENTAL reach PAIRWISE's
 // decisions) and the repository's (any worker count, streamed, crashed
 // and clustered runs equal the plain one): one preset table, one exact
-// comparator (Diff), one real-process harness (Main, Build, Start) and one
-// wire client. Only _test.go files import it, and it imports nothing of
-// the module but internal/gen and internal/dataset, so the in-package
-// tests of core, fusion and server can; internal/analysis checks both.
+// comparator (Diff), one real-process harness (Main, Build, Start), one
+// wire client, and the check that a command's README flag table names
+// exactly its flags (CheckFlagTable). Only _test.go files import it, and
+// it imports nothing of the module but internal/gen and internal/dataset,
+// so the in-package tests of core, fusion and server can;
+// internal/analysis checks both.
 package testkit
 
 import (

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"reflect"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -161,4 +162,45 @@ func TestPresets(t *testing.T) {
 		}
 	})
 	Lookup("book-cs", "no-such-preset")
+}
+
+// flagRecorder collects the errors CheckFlagTable reports instead of
+// failing the test.
+type flagRecorder struct {
+	testing.TB
+	errs []string
+}
+
+func (r *flagRecorder) Helper() {}
+func (r *flagRecorder) Errorf(format string, args ...any) {
+	r.errs = append(r.errs, fmt.Sprintf(format, args...))
+}
+
+// TestCheckFlagTable: an undocumented flag and a row for an unregistered
+// one are each reported; the table read is the one after the command's
+// usage line, not an earlier one.
+func TestCheckFlagTable(t *testing.T) {
+	readme := t.TempDir() + "/README.md"
+	doc := "| Flag | Meaning |\n|---|---|\n| `-x` | another command's |\n\n" +
+		"```\ngo run ./cmd/demo [-a] [-b 1]\n```\n\n" +
+		"| Flag | Default | Meaning |\n|---|---|---|\n| `-a`, `-b` | off, 1 | documented |\n| `-c` | — | gone |\n\nprose\n"
+	if err := os.WriteFile(readme, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	parse := func(args []string) error {
+		fs := flag.NewFlagSet("demo", flag.ContinueOnError)
+		fs.Bool("a", false, "documented")
+		fs.Int("b", 1, "documented")
+		fs.String("d", "", "undocumented")
+		return fs.Parse(args)
+	}
+	r := &flagRecorder{TB: t}
+	CheckFlagTable(r, readme, "demo", parse)
+	sort.Strings(r.errs)
+	if d := Diff(r.errs, []string{
+		"demo registers -d, which has no row in the flag table of " + readme,
+		"the flag table of " + readme + " has a row for -c, which demo does not register",
+	}); d != "" {
+		t.Errorf("reported: %s", d)
+	}
 }
