@@ -136,7 +136,8 @@ func TopK(lists []List, k int) (top []Scored, depth int) {
 		// Fagin's stopping rule: fix T = the current top-k by worst-case
 		// score with threshold m = min worst in T, and stop once neither a
 		// completely unseen object nor any object outside T can exceed m.
-		T, m := currentTop(objs, k, worst)
+		T := currentTop(objs, k, worst)
+		m := T[k-1].Score
 		unseenBest := 0.0
 		for i := range frontier {
 			unseenBest += frontier[i]
@@ -144,12 +145,13 @@ func TopK(lists []List, k int) (top []Scored, depth int) {
 		if unseenBest > m {
 			continue
 		}
+		in := make(map[int64]bool, k)
+		for _, s := range T {
+			in[s.ID] = true
+		}
 		stop := true
 		for id, o := range objs {
-			if _, in := T[id]; in {
-				continue
-			}
-			if best(o) > m {
+			if !in[id] && best(o) > m {
 				stop = false
 				break
 			}
@@ -159,9 +161,17 @@ func TopK(lists []List, k int) (top []Scored, depth int) {
 		}
 	}
 
-	// Rank seen objects by worst-case score and return the top k. Reported
-	// scores are the proven lower bounds, which are exact whenever the
-	// object was seen in (or is provably absent from) every list.
+	// The answer is the set the stopping rule validated (or, with every
+	// list exhausted, the exact top k). Reported scores are the proven
+	// lower bounds, which are exact whenever the object was seen in (or
+	// is provably absent from) every list.
+	return currentTop(objs, k, worst), depth
+}
+
+// currentTop returns the (at most) k objects with the largest worst-case
+// scores, ranked by score descending and then ID ascending: a total
+// order, so the set does not depend on the map's iteration order.
+func currentTop(objs map[int64]*objState, k int, worst func(*objState) float64) []Scored {
 	h := &scoredHeap{}
 	for id, o := range objs {
 		heap.Push(h, Scored{ID: id, Score: worst(o)})
@@ -169,41 +179,23 @@ func TopK(lists []List, k int) (top []Scored, depth int) {
 			heap.Pop(h)
 		}
 	}
-	top = make([]Scored, h.Len())
+	top := make([]Scored, h.Len())
 	for i := len(top) - 1; i >= 0; i-- {
 		top[i] = heap.Pop(h).(Scored)
 	}
-	return top, depth
+	return top
 }
 
-// currentTop returns the ids of the k objects with the largest worst-case
-// scores and the smallest worst-case score among them.
-func currentTop(objs map[int64]*objState, k int, worst func(*objState) float64) (map[int64]struct{}, float64) {
-	h := &scoredHeap{}
-	for id, o := range objs {
-		heap.Push(h, Scored{ID: id, Score: worst(o)})
-		if h.Len() > k {
-			heap.Pop(h)
-		}
-	}
-	T := make(map[int64]struct{}, h.Len())
-	m := (*h)[0].Score
-	for _, s := range *h {
-		T[s.ID] = struct{}{}
-		if s.Score < m {
-			m = s.Score
-		}
-	}
-	return T, m
-}
-
-// scoredHeap is a min-heap on Score used to keep the running top-k.
+// scoredHeap is a min-heap in currentTop's ranking (lowest score first,
+// the larger ID first among equal scores) used to keep the running top-k.
 type scoredHeap []Scored
 
-func (h scoredHeap) Len() int           { return len(h) }
-func (h scoredHeap) Less(i, j int) bool { return h[i].Score < h[j].Score }
-func (h scoredHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *scoredHeap) Push(x any)        { *h = append(*h, x.(Scored)) }
+func (h scoredHeap) Len() int { return len(h) }
+func (h scoredHeap) Less(i, j int) bool {
+	return h[i].Score < h[j].Score || h[i].Score == h[j].Score && h[i].ID > h[j].ID
+}
+func (h scoredHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *scoredHeap) Push(x any)   { *h = append(*h, x.(Scored)) }
 func (h *scoredHeap) Pop() any {
 	old := *h
 	n := len(old)

@@ -1,6 +1,7 @@
 package nra
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -98,6 +99,37 @@ func TestTopKMatchesBruteForce(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestTopKTiesOnTheBound pins the seeds on which TestTopKMatchesBruteForce
+// used to fail: objects tie on the worst-case bound at the stopping
+// check, and TopK returned an object the stopping rule had left out of
+// its top k (on seed 621, object 2 with 133.1 instead of object 1 with
+// 179.1). Map iteration order varies from run to run, so each seed runs
+// 50 times and must return the same IDs every time.
+func TestTopKTiesOnTheBound(t *testing.T) {
+	for _, tc := range []struct {
+		seed int64
+		want []int64
+	}{
+		{621, []int64{5, 1}},
+		{3597, []int64{5, 0, 7, 3}},
+		{54282, []int64{3, 9}},
+	} {
+		rng := rand.New(rand.NewSource(tc.seed))
+		lists := randomLists(rng)
+		k := 1 + rng.Intn(5)
+		for run := 0; run < 50; run++ {
+			top, _ := TopK(lists, k)
+			var got []int64
+			for _, s := range top {
+				got = append(got, s.ID)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Fatalf("seed %d, run %d: TopK(k=%d) = %v, want %v", tc.seed, run, k, got, tc.want)
+			}
+		}
 	}
 }
 

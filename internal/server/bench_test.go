@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"net/http"
 	"testing"
 	"time"
 
@@ -69,3 +70,76 @@ func BenchmarkRefresh(b *testing.B) {
 	b.ReportMetric(ms(fusion), "fusion-ms")
 	b.ReportMetric(ms(b.Elapsed()-detect-fusion), "overhead-ms")
 }
+
+// BenchmarkRead is one poll of the benchmark of record's reader — GET
+// …/copies, then GET …/truth, through NewHandler — on a published
+// Stock-1day×0.15 round. warm serves the bodies the first poll rendered;
+// render drops them before every poll, as a publish does, so each poll
+// renders both again (every poll did before read bodies were cached).
+//
+//	go test -run '^$' -bench Read -benchmem ./internal/server
+func BenchmarkRead(b *testing.B) {
+	reg := NewRegistry(Config{Options: core.Options{Workers: pool.Auto()}})
+	defer reg.Close()
+	m, err := reg.Create("read", DatasetConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds := testkit.Generate(b, testkit.Lookup("stock-1day-x0.15")[0])
+	if _, _, err := m.Append(dataset.Records(ds), nil); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := reg.Quiesce(context.Background(), "read"); err != nil {
+		b.Fatal(err)
+	}
+	h := NewHandler(reg)
+	reqs := []*http.Request{}
+	for _, ep := range []string{"copies", "truth"} {
+		req, err := http.NewRequest(http.MethodGet, "/v1/datasets/read/"+ep, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		reqs = append(reqs, req)
+	}
+	poll := func(b *testing.B) {
+		var w discardWriter
+		for _, req := range reqs {
+			w.reset()
+			h.ServeHTTP(&w, req)
+			if w.code != http.StatusOK {
+				b.Fatalf("%s: status %d", req.URL.Path, w.code)
+			}
+		}
+	}
+	for _, bc := range []struct {
+		name    string
+		publish bool
+	}{{"warm", false}, {"render", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			poll(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if bc.publish {
+					m.mu.Lock()
+					m.reads = nil
+					m.mu.Unlock()
+				}
+				poll(b)
+			}
+		})
+	}
+}
+
+// discardWriter is an http.ResponseWriter that keeps the status code
+// and drops the body.
+type discardWriter struct {
+	hdr  http.Header
+	code int
+}
+
+func (w *discardWriter) reset() { w.hdr, w.code = http.Header{}, 0 }
+
+func (w *discardWriter) Header() http.Header         { return w.hdr }
+func (w *discardWriter) WriteHeader(code int)        { w.code = code }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }

@@ -30,7 +30,9 @@ import (
 //
 // Reads serve the last published detection round and never block on
 // detection; they carry an ETag that changes exactly when a new round is
-// published, and honor If-None-Match with 304.
+// published or the round's convergence flag flips, and honor
+// If-None-Match with 304. The copies and truth bodies are rendered once
+// per ETag and then served as bytes.
 //
 // An append may carry an X-Copydetect-Seq header naming its per-dataset
 // sequence number (sequence n must be the dataset's nth append). A
@@ -366,26 +368,34 @@ func (h *handler) importState(w http.ResponseWriter, req *http.Request, name str
 	WriteJSON(w, http.StatusOK, importResponse{Dataset: name, Applied: applied, Version: version})
 }
 
-// serveCached handles the shared ETag negotiation of the read endpoints
-// and returns one consistent snapshot: the published round to render
-// (nil before the first) and its convergence flag.
-func (h *handler) serveCached(w http.ResponseWriter, req *http.Request, m *Managed) (pub *Published, converged, ok bool) {
-	pub, converged, etag := m.ReadState()
-	w.Header().Set("ETag", etag)
-	if match := req.Header.Get("If-None-Match"); match != "" && match == etag {
+// serveCached handles the shared ETag negotiation of the read endpoints:
+// it answers 304 and returns false when the client holds the current
+// tag, and otherwise returns the view whose body to write.
+func serveCached(w http.ResponseWriter, req *http.Request, m *Managed) (readView, bool) {
+	v := m.readView()
+	w.Header().Set("ETag", v.etag)
+	if match := req.Header.Get("If-None-Match"); match != "" && match == v.etag {
 		w.WriteHeader(http.StatusNotModified)
-		return nil, false, false
+		return readView{}, false
 	}
-	return pub, converged, true
+	return v, true
 }
 
 func (h *handler) copies(w http.ResponseWriter, req *http.Request, m *Managed) {
-	pub, converged, ok := h.serveCached(w, req, m)
-	if !ok {
-		return
+	if v, ok := serveCached(w, req, m); ok {
+		writeBody(w, http.StatusOK, v.bodies.copies.get(v.copiesResponse))
 	}
-	resp := copiesResponse{Dataset: m.name, Converged: converged, Pairs: []copyingPair{}}
-	if pub != nil {
+}
+
+func (h *handler) truth(w http.ResponseWriter, req *http.Request, m *Managed) {
+	if v, ok := serveCached(w, req, m); ok {
+		writeBody(w, http.StatusOK, v.bodies.truth.get(v.truthResponse))
+	}
+}
+
+func (v readView) copiesResponse() any {
+	resp := copiesResponse{Dataset: v.name, Converged: v.converged, Pairs: []copyingPair{}}
+	if pub := v.pub; pub != nil {
 		resp.Version, resp.Round, resp.Algorithm = pub.Version, pub.Round, pub.Algorithm
 		for _, pr := range pub.Outcome.Copy.CopyingPairs() {
 			resp.Pairs = append(resp.Pairs, copyingPair{
@@ -396,24 +406,20 @@ func (h *handler) copies(w http.ResponseWriter, req *http.Request, m *Managed) {
 			})
 		}
 	}
-	WriteJSON(w, http.StatusOK, resp)
+	return resp
 }
 
-func (h *handler) truth(w http.ResponseWriter, req *http.Request, m *Managed) {
-	pub, converged, ok := h.serveCached(w, req, m)
-	if !ok {
-		return
-	}
-	resp := truthResponse{Dataset: m.name, Converged: converged, Truth: map[string]string{}}
-	if pub != nil {
+func (v readView) truthResponse() any {
+	resp := truthResponse{Dataset: v.name, Converged: v.converged, Truth: map[string]string{}}
+	if pub := v.pub; pub != nil {
 		resp.Version, resp.Round = pub.Version, pub.Round
-		for d, v := range pub.Outcome.Truth {
-			if v != dataset.NoValue {
-				resp.Truth[pub.Snapshot.ItemNames[d]] = pub.Snapshot.ValueNames[d][v]
+		for d, val := range pub.Outcome.Truth {
+			if val != dataset.NoValue {
+				resp.Truth[pub.Snapshot.ItemNames[d]] = pub.Snapshot.ValueNames[d][val]
 			}
 		}
 	}
-	WriteJSON(w, http.StatusOK, resp)
+	return resp
 }
 
 func (h *handler) stats(w http.ResponseWriter, _ *http.Request, m *Managed) {
@@ -525,13 +531,28 @@ func writeDecodeErr(w http.ResponseWriter, err error) {
 // shared with the gateway so its own responses are indistinguishable in
 // shape from a backend's.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
+	writeBody(w, code, encodeJSON(v))
+}
+
+// encodeJSON renders v the way WriteJSON sends it: indented by two
+// spaces, with a trailing newline.
+func encodeJSON(v any) []byte {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	// Every value the protocol sends is encodable; a failure (a bug)
+	// leaves the body empty.
+	_ = enc.Encode(v)
+	return buf.Bytes()
+}
+
+// writeBody writes an encodeJSON body with the given status code.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	// The status line is already on the wire; an encode failure here is
-	// a dropped client connection, which has no remaining recourse.
-	_ = enc.Encode(v)
+	// The status line is already on the wire; a write failure here is a
+	// dropped client connection, which has no remaining recourse.
+	_, _ = w.Write(body)
 }
 
 // WriteErr writes the JSON error body every non-2xx response carries.

@@ -229,6 +229,61 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestETagCoversConverged: the read bodies carry "converged", so the
+// tag must change when it flips. A round is published, then one more
+// append waits behind a round held at testHookRoundStart: the same
+// round, now unconverged, must come under a new tag ("-u"), so a client
+// holding the converged tag gets the new body and not a 304.
+func TestETagCoversConverged(t *testing.T) {
+	release := make(chan struct{})
+	defer func() { testHookRoundStart = nil }() // after the registry has closed
+	reg := NewRegistry(Config{})
+	defer reg.Close()
+	srv := httptest.NewServer(NewHandler(reg))
+	defer srv.Close()
+
+	wantStatus(t, do(t, srv, http.MethodPut, "/v1/datasets/b", nil, nil, nil), http.StatusCreated)
+	appendOne := func(item string) {
+		wantStatus(t, do(t, srv, http.MethodPost, "/v1/datasets/b/observations",
+			appendRequest{Observations: []dataset.Record{{Source: "s1", Item: item, Value: "v"}}}, nil, nil),
+			http.StatusAccepted)
+	}
+	appendOne("d1")
+	wantStatus(t, do(t, srv, http.MethodPost, "/v1/datasets/b/quiesce", nil, nil, nil), http.StatusOK)
+	converged := fmt.Sprintf("%q", "b-g1-v1-r1")
+	for _, ep := range []string{"copies", "truth"} {
+		var body struct{ Converged bool }
+		resp := do(t, srv, http.MethodGet, "/v1/datasets/b/"+ep, nil, &body, nil)
+		if tag := resp.Header.Get("ETag"); tag != converged || !body.Converged {
+			t.Fatalf("%s after quiesce: ETag %s, converged %v; want %s, true", ep, tag, body.Converged, converged)
+		}
+	}
+
+	testHookRoundStart = func(*Managed) { <-release }
+	appendOne("d2")
+	unconverged := fmt.Sprintf("%q", "b-g1-v1-r1-u")
+	for _, ep := range []string{"copies", "truth"} {
+		var body struct{ Converged bool }
+		resp := do(t, srv, http.MethodGet, "/v1/datasets/b/"+ep, nil, &body, nil)
+		if tag := resp.Header.Get("ETag"); tag != unconverged || body.Converged {
+			t.Fatalf("%s behind an append: ETag %s, converged %v; want %s, false", ep, tag, body.Converged, unconverged)
+		}
+		wantStatus(t, do(t, srv, http.MethodGet, "/v1/datasets/b/"+ep, nil, &body,
+			http.Header{"If-None-Match": {converged}}), http.StatusOK)
+		if body.Converged {
+			t.Fatalf("%s revalidated with the converged tag: body still claims converged", ep)
+		}
+		wantStatus(t, do(t, srv, http.MethodGet, "/v1/datasets/b/"+ep, nil, nil,
+			http.Header{"If-None-Match": {unconverged}}), http.StatusNotModified)
+	}
+
+	close(release)
+	wantStatus(t, do(t, srv, http.MethodPost, "/v1/datasets/b/quiesce", nil, nil, nil), http.StatusOK)
+	if tag := do(t, srv, http.MethodGet, "/v1/datasets/b/copies", nil, nil, nil).Header.Get("ETag"); tag != fmt.Sprintf("%q", "b-g1-v2-r2") {
+		t.Fatalf("after the second round: ETag %s", tag)
+	}
+}
+
 // TestETagAcrossDeleteBetweenRounds pins cache correctness when a
 // dataset disappears while a client is polling with a stored ETag: the
 // deleted name 404s rather than 304ing, and a recreated dataset with

@@ -74,6 +74,27 @@ type Managed struct {
 	lagSince time.Time
 
 	pub *Published
+	// reads holds pub's read bodies, by convergence flag (readView); it
+	// is set to nil whenever pub is replaced, and dropped with it.
+	reads *[2]readBodies
+}
+
+// readBodies are the …/copies and …/truth bodies of one ETag: one
+// published round (or none yet) and one convergence flag.
+type readBodies struct{ copies, truth renderedBody }
+
+// renderedBody is one read body, rendered by its first reader and then
+// served as bytes; concurrent first readers share the one render.
+type renderedBody struct {
+	once sync.Once
+	b    []byte
+}
+
+// get returns the body, rendering it from render's response on the
+// first call.
+func (r *renderedBody) get(render func() any) []byte {
+	r.once.Do(func() { r.b = encodeJSON(render()) })
+	return r.b
 }
 
 // Info is a point-in-time summary of a managed dataset.
@@ -353,22 +374,40 @@ func (m *Managed) Converged() bool {
 	return m.convergedLocked()
 }
 
-// ReadState returns the published round together with a convergence
-// flag computed against that same round, plus its ETag — one consistent
-// snapshot for the read endpoints, so a body can never pair one round's
-// data with another round's convergence claim or tag. The ETag
-// identifies the served result: it changes exactly when a new round is
-// published, and the creation generation keeps tags from a deleted
-// dataset invalid against a recreated one of the same name.
-func (m *Managed) ReadState() (pub *Published, converged bool, etag string) {
+// readView is one consistent read of a dataset: the published round
+// (nil before the first), a convergence flag computed against that same
+// round, the ETag naming the pair, and the bodies rendered for it — so a
+// body can never pair one round's data with another round's convergence
+// claim or tag.
+type readView struct {
+	name      string
+	pub       *Published
+	converged bool
+	etag      string
+	bodies    *readBodies
+}
+
+// readView returns what the read endpoints serve now. The ETag names the
+// served result: it changes exactly when a new round is published or the
+// convergence flag flips (an unconverged tag ends in "-u"), and the
+// creation generation keeps tags from a deleted dataset invalid against
+// a recreated one of the same name. One tag, one body.
+func (m *Managed) readView() readView {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	v, round := uint64(0), 0
 	if m.pub != nil {
 		v, round = m.pub.Version, m.pub.Round
 	}
-	etag = fmt.Sprintf("%q", fmt.Sprintf("%s-g%d-v%d-r%d", m.name, m.gen, v, round))
-	return m.pub, m.convergedLocked(), etag
+	tag, row := fmt.Sprintf("%s-g%d-v%d-r%d", m.name, m.gen, v, round), 0
+	converged := m.convergedLocked()
+	if !converged {
+		tag, row = tag+"-u", 1
+	}
+	if m.reads == nil {
+		m.reads = new([2]readBodies)
+	}
+	return readView{name: m.name, pub: m.pub, converged: converged, etag: fmt.Sprintf("%q", tag), bodies: &m.reads[row]}
 }
 
 // Info returns a point-in-time summary.

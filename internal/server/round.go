@@ -153,6 +153,7 @@ func (m *Managed) runRound() {
 	}
 	if out != nil && !m.closed && m.version == version {
 		m.rounds++
+		m.reads = nil
 		m.pub = &Published{
 			Version:   version,
 			Round:     m.rounds,
