@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -138,10 +139,8 @@ func New(cfg Config) (*Gateway, error) {
 		go g.monitor(g.backends[i])
 	}
 	if g.replication > 1 {
-		// Startup audit: the staleness map is in-memory, so a fresh
-		// gateway process inherits no memory of which members a
-		// previous one knew to be behind. Rediscover it from the
-		// backends' own version counters before trusting primaries.
+		// Startup audit: resolve every dataset the backends hold before
+		// a client touches it (replication.go).
 		g.wg.Add(1)
 		go func() {
 			defer g.wg.Done()
@@ -151,16 +150,18 @@ func New(cfg Config) (*Gateway, error) {
 	return g, nil
 }
 
-// Close stops the health probes. In-flight proxied requests are not
-// interrupted; the caller shuts the HTTP server down around this.
+// Close stops the health probes and the replication workers, and
+// returns once they are gone; so does a concurrent second Close.
+// In-flight proxied requests are not interrupted; the caller shuts the
+// HTTP server down around this. closedMu is not held across the wait:
+// an audit still running reaches datasetState, which takes it.
 func (g *Gateway) Close() {
 	g.closedMu.Lock()
-	defer g.closedMu.Unlock()
-	if g.closed {
-		return
+	if !g.closed {
+		g.closed = true
+		close(g.stop)
 	}
-	g.closed = true
-	close(g.stop)
+	g.closedMu.Unlock()
 	g.wg.Wait()
 }
 
@@ -263,13 +264,28 @@ func (g *Gateway) proxy(w http.ResponseWriter, req *http.Request, name string) {
 func (g *Gateway) serveRead(w http.ResponseWriter, req *http.Request, name string) {
 	members := g.ring.ReplicaSet(name, g.replication)
 	ds := g.lookupDS(name)
+	if g.replication > 1 && (ds == nil || ds.resolvedAt.Load() != g.admissions(ds)) {
+		// First touch: no member serves before the versions are known,
+		// unless resolve cannot learn them in time. A read that queued
+		// behind another attempt serves on its outcome instead of
+		// making one more: concurrent reads do not stack their waits.
+		var tries uint64
+		if ds != nil {
+			tries = ds.tries.Load()
+		}
+		ds = g.lockDS(name)
+		if ds.tries.Load() == tries {
+			g.resolve(ds)
+		}
+		ds.mu.Unlock()
+	}
 	if ds != nil && strings.HasSuffix(req.URL.Path, "/quiesce") {
 		// A quiesce answers for the whole dataset: drain the mirrored
 		// appends first, so a quiesce served by a failover replica
 		// covers everything the cluster has acknowledged. A drain that
 		// does not finish must fail the quiesce — answering "converged"
 		// over a stream with mirrors still in flight would be a lie.
-		if !g.flush(ds, true) {
+		if !g.flush(ds, true, flushTimeout) {
 			server.WriteErr(w, http.StatusServiceUnavailable,
 				fmt.Sprintf("cluster: dataset %q is unavailable: replica mirror queue did not drain", name))
 			return
@@ -367,6 +383,9 @@ func (g *Gateway) serveWrite(w http.ResponseWriter, req *http.Request, name stri
 			name, mirrorHighWater))
 		return
 	}
+	if g.replication > 1 {
+		g.resolve(ds)
+	}
 	var lastErr error
 	failedOver := false
 	for pos := range members {
@@ -383,7 +402,7 @@ func (g *Gateway) serveWrite(w http.ResponseWriter, req *http.Request, name stri
 			// member; they must land before a direct (unsequenced) write
 			// can be sent there, or the direct write would take their
 			// sequence number and fork the members' histories.
-			if !g.flush(ds, false) {
+			if !g.flush(ds, false, flushTimeout) {
 				break
 			}
 		}
@@ -521,9 +540,11 @@ func (g *Gateway) list(w http.ResponseWriter, req *http.Request) {
 	results := g.listAll(req.Context(), traceOf(req))
 	merged := listResponse{Datasets: []server.Info{}}
 	// With replication every dataset lives on R backends, so the merge
-	// dedupes by name, keeping the info reported by the highest-priority
-	// member of the name's replica set that answered — the acting
-	// primary's numbers when it is up, a replica's during failover.
+	// dedupes by name, keeping the info of the member a read would be
+	// served by: the first serveable member of the name's replica set
+	// that answered, by the read path's rule. Only when none of them is
+	// serveable does the first member that answered win, and a backend
+	// outside the set only when no member answered.
 	rank := make(map[string]int)
 	byName := make(map[string]server.Info)
 	for i, r := range results {
@@ -532,11 +553,12 @@ func (g *Gateway) list(w http.ResponseWriter, req *http.Request) {
 			continue
 		}
 		for _, inf := range r.Datasets {
-			pos := len(g.backends)
-			for p, m := range g.ring.ReplicaSet(inf.Name, g.replication) {
-				if m == i {
-					pos = p
-					break
+			pos := 2 * len(g.backends)
+			members := g.ring.ReplicaSet(inf.Name, g.replication)
+			if p := slices.Index(members, i); p >= 0 {
+				pos = p
+				if !g.serveable(g.lookupDS(inf.Name), members, p) {
+					pos += len(g.backends)
 				}
 			}
 			if prev, seen := rank[inf.Name]; !seen || pos < prev {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -51,6 +52,8 @@ type backend struct {
 	url string // base URL, no trailing slash
 	idx int    // position in the gateway's backend list
 
+	admissions atomic.Uint64 // readmissions; each unresolves b's datasets
+
 	mu      sync.Mutex
 	healthy bool
 	fails   int // consecutive failures (any source)
@@ -89,6 +92,7 @@ func (b *backend) reportSuccess(probe bool) (readmitted bool) {
 	b.oks++
 	if b.oks >= readmitAfter {
 		b.healthy = true
+		b.admissions.Add(1)
 		b.oks = 0
 		return true
 	}
@@ -149,10 +153,10 @@ func (g *Gateway) probe(b *backend) {
 		return
 	}
 	if b.reportSuccess(true) {
-		// Readmission: beyond the datasets this gateway already knows
-		// are behind, audit the whole replica-set picture — the backend
-		// may have lost its disk, or the staleness may have accrued
-		// under a previous gateway process.
+		// Readmission: the backend may have lost its disk, or missed
+		// writes while it was away. Every dataset it is a member of is
+		// unresolved now (its admissions count moved) and is judged
+		// again by its next touch or by this audit, whichever is first.
 		g.wg.Add(1)
 		go func() {
 			defer g.wg.Done()

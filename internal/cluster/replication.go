@@ -11,9 +11,11 @@
 // write (down, or a sequence gap) is marked stale and healed by
 // anti-entropy: the gateway exports the dataset from a serveable peer
 // and imports it into the stale member, after which the ordinary
-// sequenced stream resumes. Readmission of an ejected backend triggers
-// the same reconciliation for every dataset it is behind on, which is
-// what turns a recovered process back into a serving replica.
+// sequenced stream resumes. Staleness is gateway memory, so a dataset
+// is unresolved until resolve has read its members' versions: before
+// its first read or write is served, and again after a member's
+// readmission, which is what turns a recovered process back into a
+// serving replica.
 package cluster
 
 import (
@@ -130,11 +132,16 @@ type dsState struct {
 	stMu       sync.Mutex
 	stale      []bool // member is known to be behind (missed a write)
 	reconQueue []bool // a reconcile job for the member is already queued
+
+	// resolvedAt is g.admissions(ds) when resolve last judged the
+	// members, 0 before; tries counts resolve's attempts. Both are
+	// written under mu and read without it.
+	resolvedAt, tries atomic.Uint64
 }
 
 // datasetState returns (lazily creating) the replication state for
-// name, starting its worker. Only the write path and the reconcile
-// triggers create state; reads peek with lookupDS.
+// name, starting its worker. Writes, the audit and, at R >= 2, a
+// dataset's first read create state; reads at R = 1 peek with lookupDS.
 func (g *Gateway) datasetState(name string) *dsState {
 	g.dsMu.Lock()
 	defer g.dsMu.Unlock()
@@ -222,59 +229,86 @@ func (g *Gateway) setStale(ds *dsState, pos int, v bool) {
 	}
 }
 
-// auditVerify re-examines one audit suspect before marking it stale.
-// The audit's list snapshot cannot tell genuine lag from the gateway's
-// own mirrors still in flight, so this takes the dataset's write lock
-// (no new acks can happen), drains the mirror queue, and re-reads the
-// members' versions fresh: a member that is still behind — or missing
-// the dataset — under those conditions is genuinely stale. Holding
-// ds.mu also excludes concurrent idle retirement, so the flag always
-// lands on the live state. Without evidence (no other member
-// answered), nothing is marked: a wrong stale flag blocks service.
-func (g *Gateway) auditVerify(name string, pos int) {
-	ds := g.lockDS(name)
-	if !g.flush(ds, false) {
-		ds.mu.Unlock()
-		return // queue would not drain; judged again by a later audit
+// resolve is the one rule for "is this member behind?". Called with
+// ds.mu held (no write can be acknowledged meanwhile), it drains the
+// mirror queue, so the gateway's own mirrors in flight are not taken
+// for lag, and reads the healthy members' versions in parallel (an
+// ejected member cannot serve, and its readmission unresolves the
+// dataset); each wait is bounded by listTimeout. Only when every member
+// read answers is anyone judged: each one missing the dataset or below
+// the highest version is marked stale and anti-entropy is armed, and
+// the dataset is resolved (all-404 marks nobody). Otherwise the highest
+// version is unknown, and the next touch tries again.
+func (g *Gateway) resolve(ds *dsState) {
+	at := g.admissions(ds)
+	if ds.resolvedAt.Load() == at {
+		return
 	}
-	best := uint64(0)
-	bestOK := false
-	var suspectV uint64
-	suspectOK := false
-	for i, m := range ds.members {
-		v, ok := g.fetchVersion(m, name)
-		if i == pos {
-			suspectV, suspectOK = v, ok
-			continue
+	defer ds.tries.Add(1)
+	if !g.flush(ds, false, g.listTimeout) {
+		return
+	}
+	type reading struct {
+		polled, answered, held bool
+		version                uint64
+	}
+	rs := make([]reading, len(ds.members))
+	var wg sync.WaitGroup
+	for pos, m := range ds.members {
+		if rs[pos].polled = g.backends[m].isHealthy(); rs[pos].polled {
+			wg.Add(1)
+			go func(r *reading, m int) {
+				defer wg.Done()
+				r.version, r.held, r.answered = g.fetchVersion(m, ds.name)
+			}(&rs[pos], m)
 		}
-		if ok {
-			if v >= best {
-				best = v
-			}
-			bestOK = true
+	}
+	wg.Wait()
+	var best uint64
+	held := false
+	for _, r := range rs {
+		if r.polled && !r.answered {
+			return
+		}
+		if r.held {
+			held, best = true, max(best, r.version)
 		}
 	}
-	marked := bestOK && (!suspectOK || suspectV < best)
-	if marked {
-		g.setStale(ds, pos, true)
+	for pos, r := range rs {
+		if held && r.polled && (!r.held || r.version < best) {
+			g.setStale(ds, pos, true)
+			g.tryEnqueueReconcile(ds, pos)
+		}
 	}
-	ds.mu.Unlock()
-	if marked {
-		g.tryEnqueueReconcile(ds, pos)
+	// A readmission since the start moved the count: still unresolved.
+	ds.resolvedAt.Store(at)
+}
+
+// admissions is 1 plus the readmissions of ds's members: a dataset is
+// resolved while its resolvedAt equals it.
+func (g *Gateway) admissions(ds *dsState) uint64 {
+	n := uint64(1)
+	for _, m := range ds.members {
+		n += g.backends[m].admissions.Load()
 	}
+	return n
 }
 
 // fetchVersion reads one dataset's current append version directly
-// from backend member. ok is false when the backend is unreachable or
-// does not hold the dataset.
-func (g *Gateway) fetchVersion(member int, name string) (version uint64, ok bool) {
+// from backend member. answered is false when the backend gave no
+// usable answer; held is false when it answered that it does not hold
+// the dataset (404).
+func (g *Gateway) fetchVersion(member int, name string) (version uint64, held, answered bool) {
 	status, body, err := g.exchange(context.Background(), g.listTimeout, http.MethodGet,
 		g.backends[member].url+"/v1/datasets/"+name, "", nil, nil)
 	var inf server.Info
-	if err != nil || status != http.StatusOK || json.Unmarshal(body, &inf) != nil {
-		return 0, false
+	switch {
+	case err == nil && status == http.StatusNotFound:
+		return 0, false, true
+	case err != nil || status != http.StatusOK || json.Unmarshal(body, &inf) != nil:
+		return 0, false, false
 	}
-	return inf.Version, true
+	return inf.Version, true, true
 }
 
 // staleCounts returns, per backend index, how many datasets that
@@ -294,9 +328,9 @@ func (g *Gateway) staleCounts() []int {
 	return out
 }
 
-// serveable reports whether member pos of ds (nil for an untracked
-// dataset) may serve: its backend is healthy and it is not known to be
-// behind.
+// serveable reports whether member pos of ds (nil when the gateway
+// holds no state for the dataset) may serve: its backend is healthy and
+// it is not known to be behind.
 func (g *Gateway) serveable(ds *dsState, members []int, pos int) bool {
 	if !g.backends[members[pos]].isHealthy() {
 		return false
@@ -346,7 +380,7 @@ func (g *Gateway) triggerReconciles(b int) {
 // flush waits (bounded) until every job enqueued for ds before the call
 // has been processed, so a failover write or a quiesce observes all
 // mirrored appends. It reports whether the queue drained in time.
-func (g *Gateway) flush(ds *dsState, lock bool) bool {
+func (g *Gateway) flush(ds *dsState, lock bool, timeout time.Duration) bool {
 	done := make(chan struct{})
 	if lock {
 		ds.mu.Lock()
@@ -366,7 +400,7 @@ func (g *Gateway) flush(ds *dsState, lock bool) bool {
 		return true
 	case <-g.stop:
 		return false
-	case <-time.After(flushTimeout):
+	case <-time.After(timeout):
 		return false
 	}
 }
@@ -565,68 +599,29 @@ func (g *Gateway) runReconcile(ds *dsState, pos int) {
 	}
 }
 
-// audit rediscovers replication lag by comparing every dataset's
-// append version across its replica set, listing every healthy backend
-// through the client list's fan-out (concurrently, and counting toward
-// backend health). A member that is behind the best copy (or missing the
-// dataset entirely) is marked stale and anti-entropy is armed. The
-// staleness map is in-memory, so this runs once at startup — a
-// restarted gateway must not trust a primary that a previous gateway
-// knew to be behind — and again on every readmission, which also
-// covers a backend that lost its disk while it was away. Spurious
-// marks are harmless: the import no-ops when the member turns out to
-// be current, and the stale flag clears.
+// audit is the proactive healer: a wiped or lagging member must not
+// wait for a client to touch its dataset, or losing its peer loses
+// data. At startup and on every readmission it lists the healthy
+// backends (the client list's fan-out, which counts toward health) only
+// to learn the dataset names, and resolves each one.
 func (g *Gateway) audit() {
 	if g.replication < 2 {
 		return
 	}
 	// One trace ID for the whole sweep: the audit is one logical
 	// operation however many backends it lists.
-	versions := make([]map[string]uint64, len(g.backends))
 	names := make(map[string]bool)
-	for i, lr := range g.listAll(context.Background(), telemetry.NewTraceID()) {
-		if lr == nil {
-			continue
-		}
-		versions[i] = make(map[string]uint64, len(lr.Datasets))
-		for _, inf := range lr.Datasets {
-			versions[i][inf.Name] = inf.Version
-			names[inf.Name] = true
+	for _, lr := range g.listAll(context.Background(), telemetry.NewTraceID()) {
+		if lr != nil {
+			for _, inf := range lr.Datasets {
+				names[inf.Name] = true
+			}
 		}
 	}
 	for name := range names {
-		members := g.ring.ReplicaSet(name, g.replication)
-		best := uint64(0)
-		present := false
-		for _, m := range members {
-			if versions[m] == nil {
-				continue
-			}
-			if v, ok := versions[m][name]; ok {
-				present = true
-				if v > best {
-					best = v
-				}
-			}
-		}
-		if !present {
-			// No member holds it (a leftover on a non-member backend):
-			// there is nothing in the set to copy from. Presence, not
-			// version, is the trigger — a created-but-empty dataset
-			// (version 0) still heals onto a member that lacks it.
-			continue
-		}
-		for pos, m := range members {
-			if versions[m] == nil {
-				continue // unlisted (down): unknown, left to readmission
-			}
-			if v, ok := versions[m][name]; !ok || v < best {
-				// A suspect by the list snapshot; verify under the write
-				// lock before marking — the snapshot cannot tell genuine
-				// lag from this gateway's own mirrors still in flight.
-				g.auditVerify(name, pos)
-			}
-		}
+		ds := g.lockDS(name)
+		g.resolve(ds)
+		ds.mu.Unlock()
 	}
 }
 

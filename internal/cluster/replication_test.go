@@ -821,9 +821,12 @@ func TestStartupAuditHealsDivergedMembers(t *testing.T) {
 	}
 	t.Cleanup(gw.Close)
 
+	// The daemon applies the import before the gateway hears its answer
+	// and clears the stale flag: wait for both.
 	waitFor(t, "startup audit to heal the missing replica", func() bool {
 		inf, status := directInfo(t, backends[members[1]].URL, name)
-		return status == http.StatusOK && inf.Version == 2
+		return status == http.StatusOK && inf.Version == 2 &&
+			gw.Status()[members[1]].StaleDatasets == 0
 	})
 	a, _ := directInfo(t, backends[members[0]].URL, name)
 	b, _ := directInfo(t, backends[members[1]].URL, name)

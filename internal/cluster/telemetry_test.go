@@ -24,8 +24,7 @@ type hangTransport struct {
 	release  chan struct{}
 
 	mu       sync.Mutex
-	mirrored []http.Header  // headers of sequenced mirror appends seen
-	listed   map[string]int // answered GET /v1/datasets, by host
+	mirrored []http.Header // headers of sequenced mirror appends seen
 }
 
 func (ht *hangTransport) RoundTrip(req *http.Request) (*http.Response, error) {
@@ -42,13 +41,7 @@ func (ht *hangTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 			return nil, req.Context().Err()
 		}
 	}
-	resp, err := http.DefaultTransport.RoundTrip(req)
-	if err == nil && req.Method == http.MethodGet && req.URL.Path == "/v1/datasets" {
-		ht.mu.Lock()
-		ht.listed[req.URL.Host]++
-		ht.mu.Unlock()
-	}
-	return resp, err
+	return http.DefaultTransport.RoundTrip(req)
 }
 
 // TestMirrorQueueBackpressure drives a dataset's mirror queue to the
@@ -97,7 +90,6 @@ func TestMirrorQueueBackpressure(t *testing.T) {
 	ht := &hangTransport{
 		hangHost: strings.TrimPrefix(urls[1], "http://"),
 		release:  make(chan struct{}),
-		listed:   map[string]int{},
 	}
 	var releaseOnce sync.Once
 	release := func() { releaseOnce.Do(func() { close(ht.release) }) }
@@ -118,16 +110,6 @@ func TestMirrorQueueBackpressure(t *testing.T) {
 	gw.RegisterMetrics(treg)
 
 	base := gwServer.URL + "/v1/datasets/" + name
-
-	// The startup audit lists both backends. Listed after the create, it
-	// would find the hung replica behind and drain its queue under the
-	// dataset's write lock, letting the over-high-water append through; so
-	// wait until both have answered, and the audit sees an empty cluster.
-	waitFor(t, "the startup audit to list both backends", func() bool {
-		ht.mu.Lock()
-		defer ht.mu.Unlock()
-		return len(ht.listed) == 2
-	})
 
 	// Create (mirror job 1 hangs in delivery), then one append (mirror
 	// job 2 queues behind it): the queue is now at the high-water mark.
