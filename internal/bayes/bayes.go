@@ -102,12 +102,27 @@ func (p Params) ContribSameInvN(pv, a1, a2 float64) float64 {
 	return math.Log(1 - p.S + p.S*p.PrProvides(pv, a2)/ind)
 }
 
+// LnPriorRatio returns ln(α/β), the constant every posterior adds to both
+// scores. A loop over many pairs computes it once and calls PosteriorAt.
+func (p Params) LnPriorRatio() float64 { return math.Log(p.Alpha / p.Beta()) }
+
 // Posterior turns the accumulated scores C→ and C← into posterior
 // probabilities of the three hypotheses (Eq. 2 and its copying analogues):
 // prIndep = Pr(S1⊥S2|Φ), prTo = Pr(S1→S2|Φ) (S1 copies from S2), and
 // prFrom = Pr(S1←S2|Φ). Computation happens in log space so very large
 // scores don't overflow.
 func (p Params) Posterior(cTo, cFrom float64) (prIndep, prTo, prFrom float64) {
+	return PosteriorAt(p.LnPriorRatio(), cTo, cFrom)
+}
+
+// PosteriorAt is Posterior with ln(α/β) supplied by the caller (lab, from
+// LnPriorRatio). The three terms 1, e^x and e^y are scaled by e^−m for
+// their largest exponent m, and a term whose exponent is m is exp(0) = 1:
+// it is not computed, so every output bit is that of evaluating all three
+// exponentials. That holds for a finite m only. An m of +Inf (x or y
+// overflowed, possible when α > β) makes m − m NaN, and a NaN score makes
+// m NaN; both evaluate all three, as Posterior always did.
+func PosteriorAt(lab, cTo, cFrom float64) (prIndep, prTo, prFrom float64) {
 	switch {
 	case math.IsInf(cTo, 1) && math.IsInf(cFrom, 1):
 		return 0, 0.5, 0.5
@@ -116,21 +131,22 @@ func (p Params) Posterior(cTo, cFrom float64) (prIndep, prTo, prFrom float64) {
 	case math.IsInf(cFrom, 1):
 		return 0, 0, 1
 	}
-	lab := math.Log(p.Alpha / p.Beta())
 	x := lab + cTo
 	y := lab + cFrom
 	m := math.Max(0, math.Max(x, y))
-	eb := math.Exp(0 - m)
-	ex := math.Exp(x - m)
-	ey := math.Exp(y - m)
+	all := !(m <= math.MaxFloat64)
+	eb, ex, ey := 1.0, 1.0, 1.0
+	if all || m != 0 {
+		eb = math.Exp(0 - m)
+	}
+	if all || x != m {
+		ex = math.Exp(x - m)
+	}
+	if all || y != m {
+		ey = math.Exp(y - m)
+	}
 	den := eb + ex + ey
 	return eb / den, ex / den, ey / den
-}
-
-// PrIndep returns only Pr(S1⊥S2|Φ) (Eq. 2).
-func (p Params) PrIndep(cTo, cFrom float64) float64 {
-	pi, _, _ := p.Posterior(cTo, cFrom)
-	return pi
 }
 
 // amThreshold returns the pivot accuracy 1 / (1 + n·pv/(1−pv)) of
@@ -169,18 +185,19 @@ func (p Params) MaxEntryScore(pv float64, accs []float64) float64 {
 	}
 	// Indices of the two smallest and two largest accuracies.
 	i1, i2, j1, j2 := -1, -1, -1, -1 // min, 2nd-min, max, 2nd-max
+	var a1, a2, b1, b2 float64       // their accuracies
 	for i, a := range accs {
-		if i1 == -1 || a < accs[i1] {
-			i2 = i1
-			i1 = i
-		} else if i2 == -1 || a < accs[i2] {
-			i2 = i
+		if i1 == -1 || a < a1 {
+			i2, a2 = i1, a1
+			i1, a1 = i, a
+		} else if i2 == -1 || a < a2 {
+			i2, a2 = i, a
 		}
-		if j1 == -1 || a > accs[j1] {
-			j2 = j1
-			j1 = i
-		} else if j2 == -1 || a > accs[j2] {
-			j2 = i
+		if j1 == -1 || a > b1 {
+			j2, b2 = j1, b1
+			j1, b1 = i, a
+		} else if j2 == -1 || a > b2 {
+			j2, b2 = i, a
 		}
 	}
 	// The contribution ln(1−s + s·u) is monotone in the likelihood ratio

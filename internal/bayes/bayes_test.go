@@ -10,6 +10,12 @@ import (
 // exampleParams are the motivating example's priors: α=0.1, s=0.8, n=50.
 func exampleParams() Params { return Params{Alpha: 0.1, S: 0.8, N: 50} }
 
+// prIndep is Pr(S1⊥S2|Φ) (Eq. 2) alone.
+func prIndep(p Params, cTo, cFrom float64) float64 {
+	pi, _, _ := p.Posterior(cTo, cFrom)
+	return pi
+}
+
 func approx(t *testing.T, got, want, tol float64, what string) {
 	t.Helper()
 	if math.Abs(got-want) > tol {
@@ -63,11 +69,11 @@ func TestContribSameExample21(t *testing.T) {
 // C→=C←=11.58 gives Pr(⊥)≈.00004 and C→=C←=.04 gives ≈.79.
 func TestPosteriorExample21(t *testing.T) {
 	p := exampleParams()
-	pi := p.PrIndep(11.58, 11.58)
+	pi := prIndep(p, 11.58, 11.58)
 	if pi > 0.0001 || pi < 0.00001 {
 		t.Errorf("PrIndep(11.58, 11.58) = %.6f, want ≈ 0.00004", pi)
 	}
-	approx(t, p.PrIndep(0.04, 0.04), 0.79, 0.01, "PrIndep(.04,.04)")
+	approx(t, prIndep(p, 0.04, 0.04), 0.79, 0.01, "PrIndep(.04,.04)")
 }
 
 func TestPosteriorSumsToOne(t *testing.T) {
@@ -102,7 +108,7 @@ func TestPosteriorMonotone(t *testing.T) {
 	p := DefaultParams()
 	prev := 1.0
 	for c := -5.0; c <= 20; c += 0.5 {
-		pi := p.PrIndep(c, -2)
+		pi := prIndep(p, c, -2)
 		if pi > prev+1e-12 {
 			t.Fatalf("PrIndep not monotone: PrIndep(%v)=%v > prev %v", c, pi, prev)
 		}
@@ -116,11 +122,11 @@ func TestPosteriorMonotone(t *testing.T) {
 func TestPosteriorThresholdConsistency(t *testing.T) {
 	for _, p := range []Params{exampleParams(), DefaultParams(), {Alpha: 0.05, S: 0.5, N: 10}} {
 		cp, ind := p.ThetaCp(), p.ThetaInd()
-		if pi := p.PrIndep(cp, -100); pi > 0.5+1e-12 {
+		if pi := prIndep(p, cp, -100); pi > 0.5+1e-12 {
 			t.Errorf("α=%v: PrIndep(θcp, −∞) = %v > .5", p.Alpha, pi)
 		}
 		eps := 1e-9
-		if pi := p.PrIndep(ind-eps, ind-eps); pi <= 0.5 {
+		if pi := prIndep(p, ind-eps, ind-eps); pi <= 0.5 {
 			t.Errorf("α=%v: PrIndep(θind−, θind−) = %v ≤ .5", p.Alpha, pi)
 		}
 	}
@@ -287,5 +293,75 @@ func TestMaxEntryScoreTwoProviders(t *testing.T) {
 	approx(t, got, want, 1e-12, "two-provider max")
 	if s := p.MaxEntryScore(0.3, []float64{0.9}); s != 0 {
 		t.Errorf("single provider should score 0, got %v", s)
+	}
+}
+
+// posteriorThreeExp is Posterior as it was before PosteriorAt: all three
+// exponentials evaluated, ln(α/β) taken on every call. PosteriorAt must
+// reproduce it bit for bit.
+func posteriorThreeExp(p Params, cTo, cFrom float64) (prIndep, prTo, prFrom float64) {
+	switch {
+	case math.IsInf(cTo, 1) && math.IsInf(cFrom, 1):
+		return 0, 0.5, 0.5
+	case math.IsInf(cTo, 1):
+		return 0, 1, 0
+	case math.IsInf(cFrom, 1):
+		return 0, 0, 1
+	}
+	lab := math.Log(p.Alpha / p.Beta())
+	x := lab + cTo
+	y := lab + cFrom
+	m := math.Max(0, math.Max(x, y))
+	eb := math.Exp(0 - m)
+	ex := math.Exp(x - m)
+	ey := math.Exp(y - m)
+	den := eb + ex + ey
+	return eb / den, ex / den, ey / den
+}
+
+// TestPosteriorAtMatchesThreeExp: skipping the exponential of the largest
+// term changes no bit of any output, on random scores spanning ±800 and on
+// the special rows — infinities, NaN, signed zeros, x == y, x == 0 and an
+// overflowing x (α > β makes ln(α/β) positive). Posterior is PosteriorAt
+// at p.LnPriorRatio() and is checked with it.
+func TestPosteriorAtMatchesThreeExp(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	params := []Params{exampleParams(), DefaultParams(), {Alpha: 0.4, S: 0.5, N: 10}}
+	check := func(p Params, cTo, cFrom float64) {
+		t.Helper()
+		wi, wt, wf := posteriorThreeExp(p, cTo, cFrom)
+		gi, gt, gf := PosteriorAt(p.LnPriorRatio(), cTo, cFrom)
+		pi, pt, pf := p.Posterior(cTo, cFrom)
+		want := [3]uint64{math.Float64bits(wi), math.Float64bits(wt), math.Float64bits(wf)}
+		for _, got := range [][3]float64{{gi, gt, gf}, {pi, pt, pf}} {
+			bits := [3]uint64{math.Float64bits(got[0]), math.Float64bits(got[1]), math.Float64bits(got[2])}
+			if bits != want {
+				t.Fatalf("α=%v Posterior(%v, %v) = %v, want %v (bits %x, want %x)",
+					p.Alpha, cTo, cFrom, got, [3]float64{wi, wt, wf}, bits, want)
+			}
+		}
+	}
+	for _, p := range params {
+		lab := p.LnPriorRatio()
+		special := []float64{0, math.Copysign(0, -1), inf, -inf, nan, -lab, lab,
+			math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, 1, -1}
+		for _, a := range special {
+			for _, b := range special {
+				check(p, a, b)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 1_000_000; i++ {
+		p := params[i%len(params)]
+		cTo := (rng.Float64()*2 - 1) * 800
+		cFrom := (rng.Float64()*2 - 1) * 800
+		switch i % 7 {
+		case 0:
+			cFrom = cTo // x == y
+		case 1:
+			cTo = -p.LnPriorRatio() // x == 0
+		}
+		check(p, cTo, cFrom)
 	}
 }

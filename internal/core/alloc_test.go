@@ -66,3 +66,28 @@ func TestScanSteadyStateReuse(t *testing.T) {
 		t.Errorf("warm HYBRID round allocated %v times, want <= 8 (Result + Pairs only)", n)
 	}
 }
+
+// TestIncrementalUnchangedRoundAllocs: a steady round that touches no pair
+// and changes no decision, after one that touched none either, returns the
+// slice the round before returned, so it allocates its Result and nothing
+// else.
+func TestIncrementalUnchangedRoundAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	ds, st := randomInstance(rng, 10, 200)
+	p := exampleParams()
+	inc := &Incremental{Params: p, Opts: Options{Workers: 1}}
+	inc.DetectRound(ds, st, 1)
+	inc.DetectRound(ds, st, 2)
+	prev := inc.DetectRound(ds, st, 3).Pairs
+
+	round := 4
+	if n := testing.AllocsPerRun(50, func() {
+		res := inc.DetectRound(ds, st, round)
+		if &res.Pairs[0] != &prev[0] {
+			t.Fatalf("round %d did not return the previous round's slice", round)
+		}
+		round++
+	}); n > 1 {
+		t.Errorf("unchanged steady-state round allocated %v times, want <= 1 (Result)", n)
+	}
+}

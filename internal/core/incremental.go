@@ -57,10 +57,21 @@ import (
 // outputs, per-worker scratch — is preallocated when the detector
 // prepares, and the worker methods handed to the pool are bound once in
 // prepare and fed their per-round inputs through fields. What a round does allocate is
-// what it returns, a Result and its Pairs, which the caller may keep (the
-// serving layer publishes them; TestIncrementalSteadyStateAllocs pins the
-// two allocations at Workers <= 1). Pass-3 exact recomputation merges the
-// pair's two sorted observation lists.
+// what it returns, a Result and at most its Pairs, which the caller may keep
+// (the serving layer publishes them; TestIncrementalSteadyStateAllocs pins
+// the two allocations at Workers <= 1). Pass-3 exact recomputation merges
+// the pair's two sorted observation lists.
+//
+// Each pair's emitted row is built once, at the freeze (prepare): base
+// score, its posterior and the base decision, taken straight from the
+// freeze scan's own Result for every pair that scan did not decide early.
+// A round then emits the base rows with the current decisions and the
+// pairs it touched recomputed, into a fresh slice; a round that touched no
+// pair and changed no decision, after a round that touched none either,
+// returns the slice it last emitted, since its rows would be the same bits.
+// The detector never writes into a slice it has returned, so sharing one
+// between Results is safe as long as callers treat Result.Pairs as
+// read-only, which they must.
 //
 // Deviation from the paper, recorded in DESIGN.md: base scores are exact
 // rather than the Ĉ under-estimates derived from BOUND+ decision points.
@@ -102,6 +113,14 @@ type Incremental struct {
 	touchedShards      [][]int32
 	passAComps         []int64
 	passOuts           []passOut
+
+	// Emission. baseRows are the rows of the freeze (base scores, their
+	// posteriors, base decisions), built by prepare and never written
+	// after. lastRows is the slice the last round returned and lastDirty
+	// whether it carries the deltas of touched pairs; emitPairs is the
+	// slice being filled.
+	baseRows, lastRows []PairResult
+	lastDirty          bool
 	emitPairs          []PairResult
 
 	// Round inputs for the worker methods, and those methods bound once in
@@ -121,10 +140,12 @@ type Incremental struct {
 	History  []PassStats
 }
 
-// passOut collects one worker's pass counters and stats.
+// passOut collects one worker's pass counters and stats, and whether pass 3
+// changed a decision.
 type passOut struct {
-	pass  PassStats
-	stats Stats
+	pass    PassStats
+	stats   Stats
+	flipped bool
 }
 
 // PassStats reports where pairs terminated during an incremental round.
@@ -214,7 +235,7 @@ func (d *Incremental) DetectRound(ds *dataset.Dataset, st *bayes.State, round in
 		// own tables.
 		res := scanRound(ds, st, d.Params, d.Opts, modeFreeze, &d.cache)
 		prepStart := time.Now()
-		d.prepare(ds, st, &res.Stats)
+		d.prepare(ds, st, res, &res.Stats)
 		res.Stats.IndexBuild += time.Since(prepStart)
 		return res
 	}
@@ -225,7 +246,7 @@ func (d *Incremental) DetectRound(ds *dataset.Dataset, st *bayes.State, round in
 		prepStart := time.Now()
 		d.rescan(ds, st, &res.Stats)
 		res.Stats.IndexBuild = time.Since(prepStart)
-		d.emit(res)
+		d.emit(res, false)
 		return res
 	}
 	return d.incrementalRound(ds, st)
@@ -254,7 +275,7 @@ func growList[T any](s []T, n int) []T {
 func (d *Incremental) rescan(ds *dataset.Dataset, st *bayes.State, stats *Stats) {
 	v, pm, l := d.cache.round(ds, st, d.Params, index.ByContribution, nil)
 	scanShards(ds, st, d.Params, d.Opts, modeIndex, v, pm, l, &d.cache, stats)
-	d.prepare(ds, st, stats)
+	d.prepare(ds, st, nil, stats)
 }
 
 // prepare freezes the index as the cache's last scan left it — view, pair
@@ -262,10 +283,15 @@ func (d *Incremental) rescan(ds *dataset.Dataset, st *bayes.State, stats *Stats)
 // of every candidate pair out of that scan's shard tables, which must have
 // accumulated to the end (modeFreeze or modeIndex): one accumulation
 // kernel in two loop nests (scanShard, sweepShard), whose per-slot products
-// are bit-identical for every worker count and either nest. It also
-// (re)builds every per-round scratch buffer and binds the worker methods,
-// so the rounds that follow allocate nothing.
-func (d *Incremental) prepare(ds *dataset.Dataset, st *bayes.State, stats *Stats) {
+// are bit-identical for every worker count and either nest. It builds the
+// base rows every later round emits from: freeze is the freeze scan's
+// Result, whose rows of the pairs it did not decide early already hold the
+// exact scores, their posterior and the decision that posterior gives —
+// the same bits, since finalizePairs computes them from the same table —
+// and nil when the scan was an exact rescan with no Result of its own. It
+// also (re)builds every per-round scratch buffer and binds the worker
+// methods, so the rounds that follow allocate nothing.
+func (d *Incremental) prepare(ds *dataset.Dataset, st *bayes.State, freeze *Result, stats *Stats) {
 	p := d.Params
 	d.pm = d.cache.pm
 	str := d.cache.str
@@ -278,22 +304,32 @@ func (d *Incremental) prepare(ds *dataset.Dataset, st *bayes.State, stats *Stats
 	d.copying = grow(d.copying, numPairs)
 	d.baseScore = d.cache.view.Score // frozen until the next scan rescales the view
 	d.base = st.Clone()
+	// A fresh slice: the previous base rows may have been returned.
+	rows := make([]PairResult, numPairs)
 
 	workers := pool.Clamp(d.Opts.Workers)
 	d.workers = workers
 	tabs := d.cache.pairTabs(workers)
-	lnDiff := p.LnDiff()
+	lnDiff, lab := p.LnDiff(), p.LnPriorRatio()
 	pool.Run(workers, func(w int) {
 		lo, hi := pool.Block(workers, w, numPairs)
 		for slot := lo; slot < hi; slot++ {
-			s1, _ := d.pm.Key(int32(slot)).Sources()
+			s1, s2 := d.pm.Key(int32(slot)).Sources()
 			rec := &tabs[pool.Owner(workers, int(s1))].rec[slot]
 			d.n[slot] = rec.n0
-			d.cTo[slot], d.cFrom[slot] = rec.score(lnDiff)
-			d.copying[slot] = p.PrIndep(d.cTo[slot], d.cFrom[slot]) <= 0.5
+			pr := PairResult{S1: s1, S2: s2}
+			if freeze != nil && rec.flags&flagDecided == 0 {
+				pr = freeze.Pairs[slot]
+			} else {
+				pr.CTo, pr.CFrom = rec.score(lnDiff)
+				pr.Copying, pr.PrIndep, pr.PrTo, pr.PrFrom = decide(lab, pr.CTo, pr.CFrom)
+			}
+			d.cTo[slot], d.cFrom[slot], d.copying[slot] = pr.CTo, pr.CFrom, pr.Copying
+			rows[slot] = pr
 		}
 	})
 	stats.Computations += 2 * int64(numPairs)
+	d.baseRows, d.lastRows, d.lastDirty = rows, rows, false
 
 	// Per-round scratch, preallocated so steady-state rounds stay
 	// allocation-free.
@@ -449,6 +485,7 @@ func (d *Incremental) passAWorker(w int) {
 func (d *Incremental) passWorker(w int) {
 	p := d.Params
 	thetaCp, thetaInd := p.ThetaCp(), p.ThetaInd()
+	lab := p.LnPriorRatio()
 	dRhoDec, dRhoInc := d.roundDRhoDec, d.roundDRhoInc
 	out := &d.passOuts[w]
 	*out = passOut{}
@@ -498,26 +535,28 @@ func (d *Incremental) passWorker(w int) {
 		// Pass 3: exact recomputation against the current state.
 		out.pass.SettledPass3++
 		cTo, cFrom := exactPair(p, d.roundDS, d.roundSt, s1, s2, &out.stats)
-		d.copying[slot], _, _, _ = decide(p, cTo, cFrom)
+		if copying, _, _, _ := decide(lab, cTo, cFrom); copying != d.copying[slot] {
+			d.copying[slot] = copying
+			out.flipped = true
+		}
 	}
 }
 
-// emitWorker materializes the per-pair results from the stored decisions
-// and the best available score estimates. The output slice is indexed by
-// pair slot, so the block-wise parallel fill yields the same ordering
-// as a sequential walk for every worker count.
+// emitWorker recomputes the rows of the round's touched pairs, one block
+// of the touched list per worker, into the slice emit is filling. Each
+// slot is touched once and owned by one worker, so the fill is the same
+// for every worker count.
 //
 //copydetect:hotpath
 func (d *Incremental) emitWorker(w int) {
-	p := d.Params
-	pairs := d.emitPairs
-	lo, hi := pool.Block(d.workers, w, len(pairs))
-	for slot := lo; slot < hi; slot++ {
-		s1, s2 := d.pm.Key(int32(slot)).Sources()
+	lab := d.Params.LnPriorRatio()
+	lo, hi := pool.Block(d.workers, w, len(d.touched))
+	for _, slot := range d.touched[lo:hi] {
+		s1, s2 := d.pm.Key(slot).Sources()
 		cTo := d.cTo[slot] + d.dNegTo[slot] + d.dPosTo[slot]
 		cFrom := d.cFrom[slot] + d.dNegFrom[slot] + d.dPosFrom[slot]
-		prIndep, prTo, prFrom := p.Posterior(cTo, cFrom)
-		pairs[slot] = PairResult{
+		prIndep, prTo, prFrom := bayes.PosteriorAt(lab, cTo, cFrom)
+		d.emitPairs[slot] = PairResult{
 			S1: s1, S2: s2, CTo: cTo, CFrom: cFrom,
 			PrIndep: prIndep, PrTo: prTo, PrFrom: prFrom,
 			Copying: d.copying[slot],
@@ -533,6 +572,18 @@ func (d *Incremental) incrementalRound(ds *dataset.Dataset, st *bayes.State) *Re
 	start := time.Now()
 	d.LastPass = PassStats{}
 	d.roundDS, d.roundSt = ds, st
+
+	// Clear the previous round's scratch through its touched list — only
+	// the slots it actually dirtied. (The columns stay filled between
+	// rounds, so what a round emitted can be re-derived from the detector
+	// until the next one starts.)
+	for _, slot := range d.touched {
+		d.dNegTo[slot], d.dPosTo[slot] = 0, 0
+		d.dNegFrom[slot], d.dPosFrom[slot] = 0, 0
+		d.smallDec[slot], d.smallInc[slot] = 0, 0
+		d.isTouched[slot] = false
+	}
+	d.touched = d.touched[:0]
 
 	numEntries := d.cache.str.NumEntries()
 	pool.Run(d.workers, d.classifyFn)
@@ -579,7 +630,7 @@ func (d *Incremental) incrementalRound(ds *dataset.Dataset, st *bayes.State) *Re
 		d.rescan(ds, st, &res.Stats)
 		d.LastPass.SettledPass3 = d.pm.Len()
 		d.History = append(d.History, d.LastPass)
-		d.emit(res)
+		d.emit(res, false)
 		res.Stats.Detect = time.Since(start)
 		return res
 	}
@@ -591,25 +642,17 @@ func (d *Incremental) incrementalRound(ds *dataset.Dataset, st *bayes.State) *Re
 	}
 
 	pool.Run(d.workers, d.passFn)
+	changed := false
 	for w := 0; w < d.workers; w++ {
 		sh := &d.passOuts[w]
 		d.LastPass.SettledPass1 += sh.pass.SettledPass1
 		d.LastPass.SettledPass2 += sh.pass.SettledPass2
 		d.LastPass.SettledPass3 += sh.pass.SettledPass3
 		res.Stats.Add(sh.stats)
+		changed = changed || sh.flipped
 	}
 
-	d.emit(res)
-
-	// Clear scratch through the touched list — only the slots this round
-	// actually dirtied.
-	for _, slot := range d.touched {
-		d.dNegTo[slot], d.dPosTo[slot] = 0, 0
-		d.dNegFrom[slot], d.dPosFrom[slot] = 0, 0
-		d.smallDec[slot], d.smallInc[slot] = 0, 0
-		d.isTouched[slot] = false
-	}
-	d.touched = d.touched[:0]
+	d.emit(res, changed)
 	d.History = append(d.History, d.LastPass)
 	res.Stats.Detect = time.Since(start)
 	return res
@@ -651,11 +694,27 @@ func exactPair(p bayes.Params, ds *dataset.Dataset, st *bayes.State,
 	return cTo + corr, cFrom + corr
 }
 
-// emit fills Result.Pairs (one block of slots per worker).
-func (d *Incremental) emit(res *Result) {
+// emit fills Result.Pairs. changed reports whether pass 3 changed a
+// decision this round. When it did not, the round touched no pair and the
+// last emitted slice carries no deltas either, every row would equal that
+// slice's, so it is returned again; otherwise the rows are a fresh copy
+// of the base rows with the current decisions, and the touched pairs
+// recomputed (one block of the touched list per worker).
+func (d *Incremental) emit(res *Result, changed bool) {
 	numPairs := d.pm.Len()
-	d.emitPairs = make([]PairResult, numPairs)
-	pool.Run(d.workers, d.emitFn)
-	res.Pairs = d.emitPairs
 	res.Stats.PairsConsidered += int64(numPairs)
+	if !changed && !d.lastDirty && len(d.touched) == 0 {
+		res.Pairs = d.lastRows
+		return
+	}
+	d.emitPairs = make([]PairResult, numPairs)
+	for slot, pr := range d.baseRows {
+		pr.Copying = d.copying[slot]
+		d.emitPairs[slot] = pr
+	}
+	if len(d.touched) > 0 {
+		pool.Run(d.workers, d.emitFn)
+	}
+	d.lastRows, d.lastDirty = d.emitPairs, len(d.touched) > 0
+	res.Pairs = d.emitPairs
 }

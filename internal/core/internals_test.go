@@ -13,12 +13,12 @@ import (
 func TestDecideMatchesThresholds(t *testing.T) {
 	p := exampleParams()
 	// Exactly at θcp in one direction: posterior must not exceed 0.5.
-	copying, prIndep, _, _ := decide(p, p.ThetaCp(), -100)
+	copying, prIndep, _, _ := decide(p.LnPriorRatio(), p.ThetaCp(), -100)
 	if !copying || prIndep > 0.5 {
 		t.Errorf("decide(θcp, -∞) = %v, PrIndep %v", copying, prIndep)
 	}
 	// Both just below θind: no copying.
-	copying, prIndep, _, _ = decide(p, p.ThetaInd()-1e-9, p.ThetaInd()-1e-9)
+	copying, prIndep, _, _ = decide(p.LnPriorRatio(), p.ThetaInd()-1e-9, p.ThetaInd()-1e-9)
 	if copying || prIndep <= 0.5 {
 		t.Errorf("decide(θind−, θind−) = %v, PrIndep %v", copying, prIndep)
 	}

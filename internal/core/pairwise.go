@@ -105,7 +105,7 @@ func (pw *Pairwise) detectPair(ds *dataset.Dataset, st *bayes.State, s1, s2 data
 		// keeps Result sizes comparable across algorithms.
 		return
 	}
-	copying, prIndep, prTo, prFrom := decide(p, cTo, cFrom)
+	copying, prIndep, prTo, prFrom := decide(p.LnPriorRatio(), cTo, cFrom)
 	res.Pairs = append(res.Pairs, PairResult{
 		S1: s1, S2: s2,
 		CTo: cTo, CFrom: cFrom,

@@ -54,7 +54,9 @@ func (pr PairResult) Direction(names []string) string {
 type Result struct {
 	NumSources int
 	// Pairs lists every pair the algorithm instantiated state for. Pairs
-	// absent here were pruned and are implicitly non-copying.
+	// absent here were pruned and are implicitly non-copying. It is
+	// read-only: INCREMENTAL returns one slice from every round that
+	// changed nothing, so a write would change other rounds' Results.
 	Pairs []PairResult
 	Stats Stats
 }
@@ -139,8 +141,9 @@ func ResetDetector(d Detector) {
 // decide applies the three-way decision rule of Section IV-A to exact
 // scores: copying when either direction reaches θcp, no-copying when both
 // stay below θind, and the posterior of Eq. (2) otherwise. For exact
-// scores this coincides with thresholding the posterior at 0.5.
-func decide(p bayes.Params, cTo, cFrom float64) (copying bool, prIndep, prTo, prFrom float64) {
-	prIndep, prTo, prFrom = p.Posterior(cTo, cFrom)
+// scores this coincides with thresholding the posterior at 0.5. lab is
+// ln(α/β) (bayes.Params.LnPriorRatio), which a loop over pairs takes once.
+func decide(lab, cTo, cFrom float64) (copying bool, prIndep, prTo, prFrom float64) {
+	prIndep, prTo, prFrom = bayes.PosteriorAt(lab, cTo, cFrom)
 	return prIndep <= 0.5, prIndep, prTo, prFrom
 }

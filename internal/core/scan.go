@@ -486,7 +486,7 @@ func scanShard(ds *dataset.Dataset, st *bayes.State, p bayes.Params, m mode,
 // for every worker count; tabs holds one table per shard, and a pair's
 // state is in its owner's.
 func finalizePairs(p bayes.Params, m mode, pm *index.PairMap, tabs []pairTab, res *Result) {
-	lnDiff := p.LnDiff()
+	lnDiff, lab := p.LnDiff(), p.LnPriorRatio()
 	numPairs := pm.Len()
 	res.Stats.PairsConsidered += int64(numPairs)
 	res.Pairs = make([]PairResult, numPairs)
@@ -504,11 +504,11 @@ func finalizePairs(p bayes.Params, m mode, pm *index.PairMap, tabs []pairTab, re
 				if m == modeFreeze {
 					pr.CTo, pr.CFrom = tab.decTo[slot], tab.decFrom[slot]
 				}
-				pr.PrIndep, pr.PrTo, pr.PrFrom = p.Posterior(pr.CTo, pr.CFrom)
+				pr.PrIndep, pr.PrTo, pr.PrFrom = bayes.PosteriorAt(lab, pr.CTo, pr.CFrom)
 				pr.Copying = rec.flags&flagCopying != 0
 			} else {
 				comps += 2
-				pr.Copying, pr.PrIndep, pr.PrTo, pr.PrFrom = decide(p, pr.CTo, pr.CFrom)
+				pr.Copying, pr.PrIndep, pr.PrTo, pr.PrFrom = decide(lab, pr.CTo, pr.CFrom)
 			}
 			res.Pairs[slot] = pr
 		}

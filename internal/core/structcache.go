@@ -18,7 +18,9 @@ import (
 //     never on value probabilities or accuracies — so they are computed
 //     once and reused in every round. (The paper counts l(S1,S2) "at index
 //     building time"; this keeps that cost out of the per-round loop
-//     entirely.)
+//     entirely.) The all-pairs map costs no walk of its own: the first
+//     round's candidate pairs plus the pairs of its tail entries are every
+//     co-occurring pair.
 //   - Per round, reusing buffers: the rescored View, the candidate pair
 //     map (pairs co-occurring outside the round's tail set E̅, which moves
 //     with the scores), its shared-item counts, the pair-state tables (one
@@ -50,7 +52,8 @@ type structCache struct {
 }
 
 // structures returns the SoA structure for ds, rebuilding everything when
-// the dataset identity (pointer or generation) changed.
+// the dataset identity (pointer or generation) changed. The all-pairs map
+// and its counts wait for the generation's first round (pairUniverse).
 func (c *structCache) structures(ds *dataset.Dataset) *index.Structure {
 	if c.str != nil && c.ds == ds && c.gen == ds.Generation {
 		return c.str
@@ -58,23 +61,29 @@ func (c *structCache) structures(ds *dataset.Dataset) *index.Structure {
 	*c = structCache{ds: ds, gen: ds.Generation}
 	c.str = index.NewStructure(ds)
 	c.view = index.NewView(c.str)
+	return c.str
+}
+
+// pairUniverse fills the generation's all-pairs map from the view and the
+// candidate pairs of its first round, and counts l(S1,S2) for every pair
+// in it, off the bitsets or, when the memory guard disabled them, by the
+// sorted-list merges (a one-time cost either way: it is cached).
+func (c *structCache) pairUniverse(ds *dataset.Dataset) {
 	c.pmAll = index.NewPairMap(ds.NumSources())
-	index.AllPairsInto(c.str, c.pmAll)
-	c.lAll = make([]int32, c.pmAll.Len())
+	index.PairUniverseInto(c.view, c.pm, c.pmAll)
 	if c.str.ItemBits != nil {
+		c.lAll = make([]int32, c.pmAll.Len())
 		index.SharedItemCountsBits(c.str, c.pmAll, c.lAll)
 	} else {
-		// Bitsets disabled by the memory guard: fall back to the sorted-
-		// list merges (one-time cost, it is cached).
 		c.lAll = index.SharedItemCounts(ds, c.pmAll)
 	}
-	return c.str
 }
 
 // round prepares one scan round: rescore the view against the current
 // state, collect the candidate pairs outside the new tail set (stopping as
-// soon as all of pmAll's are found), and look up their shared-item counts
-// from the cached all-pairs table.
+// soon as all of pmAll's are found; the generation's first round, which
+// has no pmAll yet, builds it from what its walk found), and look up
+// their shared-item counts from the cached all-pairs table.
 func (c *structCache) round(ds *dataset.Dataset, st *bayes.State, p bayes.Params,
 	ord index.Order, rng *rand.Rand) (*index.View, *index.PairMap, []int32) {
 
@@ -83,7 +92,14 @@ func (c *structCache) round(ds *dataset.Dataset, st *bayes.State, p bayes.Params
 	if c.pm == nil {
 		c.pm = index.NewPairMap(ds.NumSources())
 	}
-	index.CandidatePairsInto(c.view, c.pm, c.pmAll.Len())
+	if c.pmAll == nil {
+		// No count to stop at yet but the n(n−1)/2 pairs there can be.
+		ns := ds.NumSources()
+		index.CandidatePairsInto(c.view, c.pm, ns*(ns-1)/2)
+		c.pairUniverse(ds)
+	} else {
+		index.CandidatePairsInto(c.view, c.pm, c.pmAll.Len())
+	}
 	numPairs := c.pm.Len()
 	if cap(c.lCounts) < numPairs {
 		c.lCounts = make([]int32, numPairs)

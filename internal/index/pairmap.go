@@ -1,6 +1,9 @@
 package index
 
-import "copydetect/internal/dataset"
+import (
+	"copydetect/internal/bitset"
+	"copydetect/internal/dataset"
+)
 
 // PairKey packs an unordered source pair (a < b) into one comparable key.
 type PairKey int64
@@ -23,7 +26,8 @@ func (k PairKey) Sources() (a, b dataset.SourceID) {
 // back to a hash map. The zero slot value -1 means "absent".
 type PairMap struct {
 	n      int32
-	dense  []int32 // len n*n when dense mode; -1 = absent
+	dense  []int32    // len n*n when dense mode; -1 = absent
+	seen   bitset.Set // dense mode: the pairs present, one bit each
 	sparse map[PairKey]int32
 	keys   []PairKey // insertion order, slot -> key
 }
@@ -36,6 +40,7 @@ func NewPairMap(numSources int) *PairMap {
 	pm := &PairMap{n: int32(numSources)}
 	if numSources <= denseLimit {
 		pm.dense = make([]int32, numSources*numSources)
+		pm.seen = bitset.New(numSources * numSources)
 		for i := range pm.dense {
 			pm.dense[i] = -1
 		}
@@ -84,10 +89,7 @@ func (pm *PairMap) GetOrAdd(a, b dataset.SourceID) (slot int32, added bool) {
 		if s := pm.dense[i]; s >= 0 {
 			return s, false
 		}
-		s := int32(len(pm.keys))
-		pm.dense[i] = s
-		pm.keys = append(pm.keys, MakePairKey(a, b))
-		return s, true
+		return pm.insertDense(int(i), a, b), true
 	}
 	k := MakePairKey(a, b)
 	if s, ok := pm.sparse[k]; ok {
@@ -99,6 +101,16 @@ func (pm *PairMap) GetOrAdd(a, b dataset.SourceID) (slot int32, added bool) {
 	return s, true
 }
 
+// insertDense gives the absent pair {a, b}, a < b, at dense index i the
+// next slot.
+func (pm *PairMap) insertDense(i int, a, b dataset.SourceID) int32 {
+	s := int32(len(pm.keys))
+	pm.dense[i] = s
+	pm.seen.Add(i)
+	pm.keys = append(pm.keys, MakePairKey(a, b))
+	return s
+}
+
 // Reset empties the map while keeping its allocations, so a per-round
 // pair map can be refilled without re-clearing the dense n² array: only
 // the slots of previously inserted keys are touched.
@@ -108,6 +120,7 @@ func (pm *PairMap) Reset() {
 			a, b := k.Sources()
 			pm.dense[int32(a)*pm.n+int32(b)] = -1
 		}
+		clear(pm.seen)
 	} else {
 		clear(pm.sparse)
 	}

@@ -206,8 +206,64 @@ type View struct {
 	MaxRemaining []float64
 	TailScoreSum float64
 
-	accs      []float64 // provider-accuracy scratch for entry scoring
-	tailOrder []int32   // eids by ascending score, scratch for the tail
+	accs    []float64  // provider-accuracy scratch for entry scoring
+	byScore []scoreKey // entries by decreasing score, ties by ascending id
+	sortBuf []scoreKey // the radix sort's other buffer
+}
+
+// scoreKey is one entry of Rescore's sort: its id and its score packed
+// into a key whose unsigned order is decreasing score.
+type scoreKey struct {
+	key uint64
+	id  int32
+}
+
+// descKey maps a score to a key that sorts decreasing scores first: the
+// IEEE bits made order-preserving (sign bit flipped for a positive score,
+// every bit for a negative one), then complemented. Adding zero first
+// turns −0 into +0, which the float comparison ties with it.
+func descKey(score float64) uint64 {
+	b := math.Float64bits(score + 0)
+	if b>>63 != 0 {
+		return b
+	}
+	return ^(b | 1<<63)
+}
+
+// sortByScore sorts v.byScore, filled in ascending id order, by key: a
+// least-significant-byte-first radix sort, whose passes are stable, so
+// equal scores stay in ascending id order. A byte that is the same in
+// every key costs no pass.
+func (v *View) sortByScore() {
+	keys, buf := v.byScore, v.sortBuf
+	if len(keys) == 0 {
+		return
+	}
+	var counts [8][256]int32
+	for _, k := range keys {
+		for b := range counts {
+			counts[b][byte(k.key>>(8*b))]++
+		}
+	}
+	for b := range counts {
+		c := &counts[b]
+		if int(c[byte(keys[0].key>>(8*b))]) == len(keys) {
+			continue
+		}
+		var off [256]int32
+		sum := int32(0)
+		for d, n := range c {
+			off[d] = sum
+			sum += n
+		}
+		for _, k := range keys {
+			d := byte(k.key >> (8 * b))
+			buf[off[d]] = k
+			off[d]++
+		}
+		keys, buf = buf, keys
+	}
+	v.byScore, v.sortBuf = keys, buf
 }
 
 // NewView allocates a View sized for s.
@@ -221,7 +277,8 @@ func NewView(s *Structure) *View {
 		Order:        make([]int32, n),
 		MaxRemaining: make([]float64, n+1),
 		accs:         make([]float64, 0, max(s.MaxProviders, 2)),
-		tailOrder:    make([]int32, n),
+		byScore:      make([]scoreKey, n),
+		sortBuf:      make([]scoreKey, n),
 	}
 }
 
@@ -229,31 +286,33 @@ func NewView(s *Structure) *View {
 // and contribution scores, the scan order, the tail set E̅ and the
 // MaxRemaining maxima. rng is consulted only for Order Random. No
 // allocations in steady state.
+//
+// One sort serves the order and the tail: entries by decreasing score,
+// ties by ascending id. Under ByContribution that is the scan order; read
+// from the end, one tie group at a time and each group forward, it is the
+// tail's order, increasing score with ties by ascending id.
 func (v *View) Rescore(st *bayes.State, p bayes.Params, ord Order, rng *rand.Rand) {
 	s := v.S
 	n := s.NumEntries()
 	for e := 0; e < n; e++ {
-		v.accs = v.accs[:0]
-		for _, src := range s.Providers(int32(e)) {
-			v.accs = append(v.accs, st.A[src])
+		provs := s.Providers(int32(e))
+		accs := v.accs[:len(provs)]
+		for i, src := range provs {
+			accs[i] = st.A[src]
 		}
 		v.P[e] = st.P[s.Item[e]][s.Val[e]]
-		v.Score[e] = p.MaxEntryScore(v.P[e], v.accs)
+		v.Score[e] = p.MaxEntryScore(v.P[e], accs)
+		v.byScore[e] = scoreKey{descKey(v.Score[e]), int32(e)}
 	}
+	v.sortByScore()
 	for i := range v.Order {
 		v.Order[i] = int32(i)
 	}
 	switch ord {
 	case ByContribution:
-		slices.SortStableFunc(v.Order, func(a, b int32) int {
-			switch {
-			case v.Score[a] > v.Score[b]:
-				return -1
-			case v.Score[a] < v.Score[b]:
-				return 1
-			}
-			return 0
-		})
+		for i, k := range v.byScore {
+			v.Order[i] = k.id
+		}
 	case ByProvider:
 		slices.SortStableFunc(v.Order, func(a, b int32) int {
 			return int(s.ProvOff[a+1]-s.ProvOff[a]) - int(s.ProvOff[b+1]-s.ProvOff[b])
@@ -269,28 +328,24 @@ func (v *View) Rescore(st *bayes.State, p bayes.Params, ord Order, rng *rand.Ran
 	// break by entry id, which keeps the set deterministic (any tie
 	// resolution is equally sound, since the pruning argument only needs
 	// TailScoreSum < θind).
-	for i := range v.tailOrder {
-		v.tailOrder[i] = int32(i)
-	}
-	slices.SortFunc(v.tailOrder, func(a, b int32) int {
-		switch {
-		case v.Score[a] < v.Score[b]:
-			return -1
-		case v.Score[a] > v.Score[b]:
-			return 1
-		}
-		return int(a - b)
-	})
 	clear(v.InTail)
 	limit := p.ThetaInd()
 	sum := 0.0
-	for _, e := range v.tailOrder {
-		sc := v.Score[e]
-		if sum+sc >= limit {
-			break
+tail:
+	for hi := n; hi > 0; {
+		lo := hi - 1
+		for lo > 0 && v.byScore[lo-1].key == v.byScore[hi-1].key {
+			lo--
 		}
-		sum += sc
-		v.InTail[e] = true
+		for _, k := range v.byScore[lo:hi] {
+			sc := v.Score[k.id]
+			if sum+sc >= limit {
+				break tail
+			}
+			sum += sc
+			v.InTail[k.id] = true
+		}
+		hi = lo
 	}
 	v.TailScoreSum = sum
 }
@@ -314,26 +369,50 @@ func CandidatePairsInto(v *View, pm *PairMap, limit int) {
 	}
 }
 
-// AllPairsInto registers every co-occurring source pair (tail included)
-// into pm, resetting it first — the universe the cross-round structural
-// cache counts shared items for. It stops once all n(n−1)/2 pairs exist.
-func AllPairsInto(s *Structure, pm *PairMap) {
-	pm.Reset()
-	limit := s.numSources * (s.numSources - 1) / 2
-	for e := 0; e < s.NumEntries(); e++ {
-		if addPairs(s.Providers(int32(e)), pm, limit) {
+// PairUniverseInto registers every co-occurring source pair into all,
+// resetting it first — the universe the cross-round structural cache
+// counts shared items for. A pair co-occurs outside the view's tail set or
+// inside it, so the universe is cand, the candidate pairs CandidatePairsInto
+// collected from v, in their slot order, followed by the pairs of v's tail
+// entries; the tail walk stops once all n(n−1)/2 pairs exist. cand must
+// hold every candidate pair: CandidatePairsInto's limit at least n(n−1)/2.
+func PairUniverseInto(v *View, cand, all *PairMap) {
+	all.Reset()
+	for _, k := range cand.Keys() {
+		all.GetOrAdd(k.Sources())
+	}
+	limit := v.S.numSources * (v.S.numSources - 1) / 2
+	if all.Len() >= limit {
+		return
+	}
+	for e, tail := range v.InTail {
+		if tail && addPairs(v.S.Providers(int32(e)), all, limit) {
 			return
 		}
 	}
 }
 
 // addPairs registers every pair of one provider list and reports whether
-// pm now holds limit pairs.
+// pm now holds limit pairs. A walk meets most pairs many times, so on a
+// dense map a pair is tested against the map's bitset first: its n² bits
+// stay in cache where the n² slots do not.
 func addPairs(provs []dataset.SourceID, pm *PairMap, limit int) bool {
-	for x := 0; x < len(provs); x++ {
-		for y := x + 1; y < len(provs); y++ {
-			if _, added := pm.GetOrAdd(provs[x], provs[y]); added && pm.Len() >= limit {
-				return true
+	for x, a := range provs {
+		if pm.dense == nil {
+			for _, b := range provs[x+1:] {
+				if _, added := pm.GetOrAdd(a, b); added && pm.Len() >= limit {
+					return true
+				}
+			}
+			continue
+		}
+		row := int(a) * int(pm.n)
+		for _, b := range provs[x+1:] {
+			if i := row + int(b); !pm.seen.Has(i) {
+				pm.insertDense(i, a, b)
+				if pm.Len() >= limit {
+					return true
+				}
 			}
 		}
 	}

@@ -146,18 +146,33 @@ func TestViewMatchesBruteForce(t *testing.T) {
 				t.Fatalf("seed %d %v: tail not maximal (%v + %v < θind)", seed, ord, sum, lowestKept)
 			}
 
-			// Candidate pairs: exactly the pairs co-occurring outside E̅.
+			// Candidate pairs: exactly the pairs co-occurring outside E̅;
+			// the universe: every co-occurring pair.
 			want := make(map[PairKey]bool)
+			wantAll := make(map[PairKey]bool)
 			for e := int32(0); int(e) < str.NumEntries(); e++ {
 				provs := str.Providers(e)
-				for x := 0; x < len(provs) && !v.InTail[e]; x++ {
+				for x := 0; x < len(provs); x++ {
 					for y := x + 1; y < len(provs); y++ {
-						want[MakePairKey(provs[x], provs[y])] = true
+						wantAll[MakePairKey(provs[x], provs[y])] = true
+						if !v.InTail[e] {
+							want[MakePairKey(provs[x], provs[y])] = true
+						}
 					}
 				}
 			}
+			full := NewPairMap(ds.NumSources())
+			CandidatePairsInto(v, full, math.MaxInt)
 			all := NewPairMap(ds.NumSources())
-			AllPairsInto(str, all)
+			PairUniverseInto(v, full, all)
+			if all.Len() != len(wantAll) {
+				t.Fatalf("seed %d %v: %d pairs in the universe, want %d", seed, ord, all.Len(), len(wantAll))
+			}
+			for _, k := range all.Keys() {
+				if !wantAll[k] {
+					t.Fatalf("seed %d %v: pair %v in the universe shares no value", seed, ord, k)
+				}
+			}
 			pm := NewPairMap(ds.NumSources())
 			CandidatePairsInto(v, pm, all.Len())
 			if pm.Len() != len(want) {
@@ -170,8 +185,6 @@ func TestViewMatchesBruteForce(t *testing.T) {
 			}
 			// Stopping at the all-pairs count hands out the same slots as
 			// the full walk.
-			full := NewPairMap(ds.NumSources())
-			CandidatePairsInto(v, full, math.MaxInt)
 			if !slices.Equal(pm.Keys(), full.Keys()) {
 				t.Fatalf("seed %d %v: limited walk changed the slot order", seed, ord)
 			}
@@ -196,17 +209,23 @@ func TestViewRescoreReusesBuffers(t *testing.T) {
 }
 
 // TestSharedItemCountsBitsMatchesMerge: the bitset popcount path must
-// produce exactly the sorted-merge shared-item counts for every pair.
+// produce exactly the sorted-merge shared-item counts for every pair of
+// the universe.
 func TestSharedItemCountsBitsMatchesMerge(t *testing.T) {
+	p := exampleParams()
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		ds, _ := randomIndexInstance(rng, 4+rng.Intn(10), 10+rng.Intn(60))
+		ds, st := randomIndexInstance(rng, 4+rng.Intn(10), 10+rng.Intn(60))
 		str := NewStructure(ds)
 		if str.ItemBits == nil {
 			t.Fatal("bitsets unexpectedly disabled on a small dataset")
 		}
+		v := NewView(str)
+		v.Rescore(st, p, ByContribution, nil)
+		cand := NewPairMap(ds.NumSources())
+		CandidatePairsInto(v, cand, math.MaxInt)
 		pm := NewPairMap(ds.NumSources())
-		AllPairsInto(str, pm)
+		PairUniverseInto(v, cand, pm)
 		got := make([]int32, pm.Len())
 		SharedItemCountsBits(str, pm, got)
 		want := SharedItemCounts(ds, pm)
