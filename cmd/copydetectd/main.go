@@ -7,14 +7,17 @@
 //
 // Usage:
 //
-//	copydetectd [-addr :8377] [-alpha 0.1] [-s 0.8] [-n 100]
-//	            [-workers 0] [-concurrency 1]
+//	copydetectd [-addr :8377] [-workers 0] [-concurrency 1]
 //	            [-data-dir DIR] [-fsync]
 //	            [-append-high-water 0]
 //
-// -workers 0 (the default) shards each detection round over one
+// -workers 0 (the default) shards every detection round over one
 // goroutine per CPU; -concurrency caps how many datasets detect at the
-// same time.
+// same time. Both belong to the process: a dataset keeps none of them,
+// so a restart or an imported dataset runs with this process's values.
+// A dataset's priors α, s and n are its own, named in the body of the
+// PUT that creates it; a field the body omits is the paper's default
+// (0.1, 0.8, 100) on every daemon.
 //
 // The daemon serves Prometheus-format metrics on GET /metrics: request
 // rate/latency/in-flight by route, per-dataset convergence lag,
@@ -54,7 +57,6 @@ import (
 	"log"
 	"os"
 
-	"copydetect/internal/bayes"
 	"copydetect/internal/pool"
 	"copydetect/internal/server"
 	"copydetect/internal/telemetry"
@@ -68,24 +70,17 @@ type options struct {
 }
 
 // parseFlags parses args (without the program name) into options,
-// applying the per-CPU worker default and validating the priors.
+// applying the per-CPU worker default.
 func parseFlags(args []string) (options, error) {
 	fs := flag.NewFlagSet("copydetectd", flag.ContinueOnError)
 	addr := fs.String("addr", ":8377", "listen address")
 	addrFile := fs.String("addr-file", "", "write the bound listen address to this file once serving (for scripts and tests)")
-	alpha := fs.Float64("alpha", 0.1, "a-priori copying probability α")
-	s := fs.Float64("s", 0.8, "copy selectivity s")
-	n := fs.Float64("n", 100, "number of false values per item n")
 	workers := fs.Int("workers", 0, "detection worker goroutines per round (0 = one per CPU, 1 = sequential)")
 	concurrency := fs.Int("concurrency", 1, "max datasets detecting concurrently")
 	dataDir := fs.String("data-dir", "", "durable storage directory (empty = in-memory only)")
 	fsync := fs.Bool("fsync", true, "fsync the write-ahead log before acknowledging appends (with -data-dir)")
 	appendHW := fs.Int("append-high-water", 0, "refuse client appends with 429 while a dataset has this many appends awaiting convergence (0 = unbounded)")
 	if err := fs.Parse(args); err != nil {
-		return options{}, err
-	}
-	p := bayes.Params{Alpha: *alpha, S: *s, N: *n}
-	if err := p.Validate(); err != nil {
 		return options{}, err
 	}
 	if *concurrency < 1 {
@@ -99,7 +94,6 @@ func parseFlags(args []string) (options, error) {
 		w = pool.Auto()
 	}
 	opt := options{addr: *addr, addrFile: *addrFile}
-	opt.cfg.Params = p
 	opt.cfg.Options.Workers = w
 	opt.cfg.Concurrency = *concurrency
 	opt.cfg.DataDir = *dataDir

@@ -8,7 +8,7 @@ import (
 )
 
 // TestParseFlags exercises every documented flag and the validation of
-// priors and concurrency.
+// concurrency and the high-water mark.
 func TestParseFlags(t *testing.T) {
 	opt, err := parseFlags(nil)
 	if err != nil {
@@ -20,10 +20,6 @@ func TestParseFlags(t *testing.T) {
 	if opt.cfg.Options.Workers < 1 {
 		t.Fatalf("workers default %d, want >= 1 (per-CPU)", opt.cfg.Options.Workers)
 	}
-	if p := opt.cfg.Params; p.Alpha != 0.1 || p.S != 0.8 || p.N != 100 {
-		t.Fatalf("default params = %+v", p)
-	}
-
 	if opt.cfg.DataDir != "" || !opt.cfg.Fsync {
 		t.Fatalf("durability defaults = %+v", opt.cfg)
 	}
@@ -37,7 +33,7 @@ func TestParseFlags(t *testing.T) {
 	}
 
 	opt, err = parseFlags([]string{
-		"-addr", "127.0.0.1:9000", "-alpha", "0.2", "-s", "0.5", "-n", "40",
+		"-addr", "127.0.0.1:9000",
 		"-workers", "3", "-concurrency", "2",
 		"-data-dir", "/tmp/cdd", "-fsync=false",
 		"-addr-file", "/tmp/cdd.addr",
@@ -48,17 +44,12 @@ func TestParseFlags(t *testing.T) {
 	if opt.addr != "127.0.0.1:9000" || opt.cfg.Options.Workers != 3 || opt.cfg.Concurrency != 2 {
 		t.Fatalf("full flags = %+v", opt)
 	}
-	if p := opt.cfg.Params; p.Alpha != 0.2 || p.S != 0.5 || p.N != 40 {
-		t.Fatalf("full-flag params = %+v", p)
-	}
 	if opt.cfg.DataDir != "/tmp/cdd" || opt.cfg.Fsync || opt.addrFile != "/tmp/cdd.addr" {
 		t.Fatalf("durability flags = %+v", opt)
 	}
 
 	for _, bad := range [][]string{
-		{"-alpha", "0.7"},
-		{"-s", "1.5"},
-		{"-n", "1"},
+		{"-alpha", "0.2"}, // priors belong to the dataset: PUT's body names them
 		{"-concurrency", "0"},
 		{"-append-high-water", "-1"},
 		{"-nonsense"},

@@ -11,7 +11,7 @@
 //
 //	copygate -backends http://h1:8377,http://h2:8377,http://h3:8377
 //	         [-addr :8378] [-addr-file FILE] [-replicas 2]
-//	         [-probe-every 1s] [-probe-timeout 500ms]
+//	         [-probe-every 1s]
 //
 // With -replicas R (default 2) every dataset lives on the first R
 // distinct backends walking the ring from its name: writes are
@@ -24,12 +24,13 @@
 // write path: a dead or hung backend's datasets answer 503 until it
 // returns; lists are partial.
 //
-// Backends are probed every -probe-every; a backend that fails twice in
-// a row is ejected and readmitted after two consecutive successful
-// probes. Reads are retried up to twice on transport failures, and
-// every member of the replica set is tried at least once. The -backends
-// list and its order are the routing table: every gateway over one
-// cluster must use the same list. See internal/cluster for the design.
+// Backends are probed every -probe-every, each probe allowed half that
+// period, at most 2 s; a backend that fails twice in a row is ejected
+// and readmitted after two consecutive successful probes. Reads are
+// retried up to twice on transport failures, and every member of the
+// replica set is tried at least once. The -backends list and its order
+// are the routing table: every gateway over one cluster must use the
+// same list. See internal/cluster for the design.
 //
 // The gateway serves Prometheus-format metrics on GET /metrics: request
 // rate/latency/in-flight by route, per-backend health and replication
@@ -69,7 +70,6 @@ func parseFlags(args []string) (options, error) {
 	addrFile := fs.String("addr-file", "", "write the bound listen address to this file once serving (for scripts and tests)")
 	backends := fs.String("backends", "", "comma-separated copydetectd base URLs (required; order is the routing table)")
 	probeEvery := fs.Duration("probe-every", time.Second, "health-check period per backend")
-	probeTimeout := fs.Duration("probe-timeout", 0, "timeout of one health probe (0 = half of -probe-every)")
 	replicas := fs.Int("replicas", 2, "backends holding each dataset (1 = no replication; clamped to the backend count)")
 	if err := fs.Parse(args); err != nil {
 		return options{}, err
@@ -91,16 +91,12 @@ func parseFlags(args []string) (options, error) {
 	if *probeEvery <= 0 {
 		return options{}, fmt.Errorf("copygate: -probe-every must be positive")
 	}
-	if *probeTimeout < 0 {
-		return options{}, fmt.Errorf("copygate: -probe-timeout must be >= 0 (0 = half of -probe-every)")
-	}
 	if *replicas < 1 {
 		return options{}, fmt.Errorf("copygate: -replicas must be at least 1")
 	}
 	opt := options{addr: *addr, addrFile: *addrFile}
 	opt.cfg.Backends = urls
 	opt.cfg.ProbeEvery = *probeEvery
-	opt.cfg.ProbeTimeout = *probeTimeout
 	opt.cfg.Replication = *replicas
 	return opt, nil
 }

@@ -21,7 +21,7 @@ func TestParseFlags(t *testing.T) {
 	if len(opt.cfg.Backends) != 2 || opt.cfg.Backends[0] != "http://a:1" || opt.cfg.Backends[1] != "http://b:2" {
 		t.Fatalf("backends = %v", opt.cfg.Backends)
 	}
-	if opt.cfg.ProbeEvery != time.Second || opt.cfg.ProbeTimeout != 0 {
+	if opt.cfg.ProbeEvery != time.Second {
 		t.Fatalf("probe defaults = %+v", opt.cfg)
 	}
 	if opt.cfg.Replication != 2 {
@@ -36,7 +36,7 @@ func TestParseFlags(t *testing.T) {
 	opt, err = parseFlags([]string{
 		"-addr", "127.0.0.1:9100", "-addr-file", "/tmp/gate.addr",
 		"-backends", " http://a:1 , http://b:2,, http://c:3 ",
-		"-probe-every", "250ms", "-probe-timeout", "100ms",
+		"-probe-every", "250ms",
 	})
 	if err != nil {
 		t.Fatalf("full flags: %v", err)
@@ -47,7 +47,7 @@ func TestParseFlags(t *testing.T) {
 	if len(opt.cfg.Backends) != 3 || opt.cfg.Backends[2] != "http://c:3" {
 		t.Fatalf("backends with whitespace = %v", opt.cfg.Backends)
 	}
-	if opt.cfg.ProbeEvery != 250*time.Millisecond || opt.cfg.ProbeTimeout != 100*time.Millisecond {
+	if opt.cfg.ProbeEvery != 250*time.Millisecond {
 		t.Fatalf("probe flags = %+v", opt.cfg)
 	}
 
@@ -56,7 +56,7 @@ func TestParseFlags(t *testing.T) {
 		{"-backends", " , "},       // empty after trimming
 		{"-backends", "not-a-url"}, // scheme missing
 		{"-backends", "http://a:1", "-probe-every", "-1s"},
-		{"-backends", "http://a:1", "-probe-timeout", "-1s"},
+		{"-backends", "http://a:1", "-probe-timeout", "100ms"}, // half of -probe-every, at most 2 s
 		{"-backends", "http://a:1", "-replicas", "0"},
 		{"-nonsense"},
 	} {

@@ -14,9 +14,9 @@ import (
 //
 // Two rules over users of Config.TelemetryPkg:
 //
-//   - label KEYS at family registration (CounterVec, GaugeVec,
-//     HistogramVec, and the labels slice of GaugeFunc/CounterFunc) must
-//     be string constants;
+//   - label KEYS at family registration (CounterVec, HistogramVec, and
+//     the labels slice of GaugeFunc/CounterFunc) must be string
+//     constants;
 //   - label VALUES passed to Vec.With must be provably bounded: a
 //     constant, a call to one of Config.Normalizers (the
 //     bounded-cardinality value producers), or a variable whose every
@@ -44,7 +44,7 @@ func (p *Pass) checkLabels(n ast.Node) {
 		return
 	}
 	switch fn.Name() {
-	case "CounterVec", "GaugeVec", "HistogramVec":
+	case "CounterVec", "HistogramVec":
 		p.checkLabelKeys(call, sig)
 	case "GaugeFunc", "CounterFunc":
 		p.checkLabelSlice(call)

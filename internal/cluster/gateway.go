@@ -32,10 +32,9 @@ type Config struct {
 	// anti-entropy before it serves again. Clamped to the backend count.
 	Replication int
 
-	// ProbeEvery is the health-check period (default 1s); ProbeTimeout
-	// bounds one probe (default half of ProbeEvery, capped at 2s).
-	ProbeEvery   time.Duration
-	ProbeTimeout time.Duration
+	// ProbeEvery is the health-check period (default 1s). One probe may
+	// take half of it, at most 2s.
+	ProbeEvery time.Duration
 
 	// Transport overrides the outbound round tripper (tests inject
 	// failures here). nil uses http.DefaultTransport.
@@ -95,12 +94,11 @@ func New(cfg Config) (*Gateway, error) {
 		return nil, err
 	}
 	g := &Gateway{
-		ring:         ring,
-		probeEvery:   cfg.ProbeEvery,
-		probeTimeout: cfg.ProbeTimeout,
-		replication:  cfg.Replication,
-		ds:           make(map[string]*dsState),
-		stop:         make(chan struct{}),
+		ring:        ring,
+		probeEvery:  cfg.ProbeEvery,
+		replication: cfg.Replication,
+		ds:          make(map[string]*dsState),
+		stop:        make(chan struct{}),
 	}
 	if g.replication < 1 {
 		g.replication = 1
@@ -111,12 +109,7 @@ func New(cfg Config) (*Gateway, error) {
 	if g.probeEvery <= 0 {
 		g.probeEvery = time.Second
 	}
-	if g.probeTimeout <= 0 {
-		g.probeTimeout = g.probeEvery / 2
-		if g.probeTimeout > 2*time.Second {
-			g.probeTimeout = 2 * time.Second
-		}
-	}
+	g.probeTimeout = min(g.probeEvery/2, 2*time.Second)
 	// The list fan-out is a cheap read and must not hang on a stalled
 	// (SIGSTOP'd, blackholed) backend the way a legitimately blocking
 	// quiesce proxy may: bound it generously relative to the probe

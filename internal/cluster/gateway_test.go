@@ -379,9 +379,8 @@ func TestListTimeoutOnStalledBackend(t *testing.T) {
 	defer unblock() // LIFO: release the handler before Close waits on it
 
 	gw, err := New(Config{
-		Backends:     []string{fast.URL, stalled.URL},
-		ProbeEvery:   time.Hour,
-		ProbeTimeout: 50 * time.Millisecond, // listTimeout floors at 1s
+		Backends:   []string{fast.URL, stalled.URL},
+		ProbeEvery: 100 * time.Millisecond, // probes take ≤ 50ms; listTimeout floors at 1s
 	})
 	if err != nil {
 		t.Fatal(err)

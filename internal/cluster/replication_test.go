@@ -250,9 +250,8 @@ func TestFailoverServesAndAcceptsWithDeadPrimary(t *testing.T) {
 // it — and only then serve again, without the replica marker.
 func TestAntiEntropyCatchUpOnReadmission(t *testing.T) {
 	rc := newReplCluster(t, 3, Config{
-		Replication:  2,
-		ProbeEvery:   5 * time.Millisecond,
-		ProbeTimeout: 250 * time.Millisecond,
+		Replication: 2,
+		ProbeEvery:  100 * time.Millisecond, // a probe may take 50ms
 	})
 	name := rc.nameWithPrimary(2)
 	members := rc.gw.Ring().ReplicaSet(name, 2)

@@ -282,9 +282,8 @@ func TestListReportsServeableMember(t *testing.T) {
 // resolves the dataset again and is served by a member that holds it.
 func TestReadmittedWipedMemberDoesNotServe(t *testing.T) {
 	rc := newReplCluster(t, 3, Config{
-		Replication:  2,
-		ProbeEvery:   5 * time.Millisecond,
-		ProbeTimeout: 250 * time.Millisecond,
+		Replication: 2,
+		ProbeEvery:  100 * time.Millisecond, // a probe may take 50ms
 	})
 	name := rc.nameWithPrimary(0)
 	members := rc.gw.Ring().ReplicaSet(name, 2)
@@ -348,8 +347,7 @@ func TestUnresolvedReadsDoNotWaitOnBacklog(t *testing.T) {
 	// no resolve but the test's own holds the dataset's lock.
 	ht := &hangTransport{hangHost: strings.TrimPrefix(urls[1], "http://"), release: make(chan struct{})}
 	gt := &gateTransport{release: make(chan struct{}), next: ht}
-	gw, err := New(Config{Backends: urls, Replication: 2, ProbeEvery: time.Hour,
-		ProbeTimeout: 50 * time.Millisecond, Transport: gt})
+	gw, err := New(Config{Backends: urls, Replication: 2, ProbeEvery: 100 * time.Millisecond, Transport: gt})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"copydetect/internal/bayes"
 	"copydetect/internal/dataset"
 	"copydetect/internal/testkit"
 	"copydetect/internal/wal"
@@ -81,14 +82,16 @@ func TestGoldenWALAppendRecord(t *testing.T) {
 
 func TestGoldenExport(t *testing.T) {
 	want := golden(t, "export.bin")
-	cfg, state, err := decodeExport(want)
+	params, state, err := decodeExport(want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Workers != 2 || state.version != 2 || state.round != 1 || state.ds.NumObservations() != 46 {
-		t.Fatalf("export decoded to %+v, version %d round %d, %s", cfg, state.version, state.round, dataset.Summarize(state.ds))
+	if params != bayes.DefaultParams() || state.version != 2 || state.round != 1 || state.ds.NumObservations() != 46 {
+		t.Fatalf("export decoded to %+v, version %d round %d, %s", params, state.version, state.round, dataset.Summarize(state.ds))
 	}
-	got, err := encodeExport(cfg, state)
+	// The exporter ran 2 workers; the blob's worker slot still says so,
+	// and an importer reads past it.
+	got, err := encodeExport(params, 2, state)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +122,7 @@ func TestGoldenWALWithPublishMarkers(t *testing.T) {
 	// write path, crashed before any snapshot.
 	plainDir := t.TempDir()
 	plain := open(plainDir)
-	m, err := plain.Create(name, DatasetConfig{Workers: 1})
+	m, err := plain.Create(name, DatasetConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 
+	"copydetect/internal/bayes"
 	"copydetect/internal/dataset"
 )
 
@@ -79,13 +80,12 @@ var maxBodyBytes int64 = 1 << 28
 // on small datasets, short enough that load generators keep pressure.
 const backlogRetryAfterSeconds = 1
 
-// createRequest optionally overrides registry defaults for one dataset.
-// Omitted (zero) fields inherit.
+// createRequest names a dataset's priors. An omitted (zero) field takes
+// the paper's default on every daemon (DatasetConfig).
 type createRequest struct {
-	Alpha   float64 `json:"alpha,omitempty"`
-	S       float64 `json:"s,omitempty"`
-	N       float64 `json:"n,omitempty"`
-	Workers int     `json:"workers,omitempty"`
+	Alpha float64 `json:"alpha,omitempty"`
+	S     float64 `json:"s,omitempty"`
+	N     float64 `json:"n,omitempty"`
 }
 
 // appendRequest is a batch of observations, in the s/d/v field naming of
@@ -245,20 +245,7 @@ func (h *handler) create(w http.ResponseWriter, req *http.Request, name string) 
 		writeDecodeErr(w, err)
 		return
 	}
-	cfg := DatasetConfig{Workers: cr.Workers}
-	if cr.Alpha != 0 || cr.S != 0 || cr.N != 0 {
-		cfg.Params = h.reg.cfg.Params
-		if cr.Alpha != 0 {
-			cfg.Params.Alpha = cr.Alpha
-		}
-		if cr.S != 0 {
-			cfg.Params.S = cr.S
-		}
-		if cr.N != 0 {
-			cfg.Params.N = cr.N
-		}
-	}
-	m, err := h.reg.Create(name, cfg)
+	m, err := h.reg.Create(name, DatasetConfig{Params: bayes.Params{Alpha: cr.Alpha, S: cr.S, N: cr.N}})
 	if err != nil {
 		writeOpErr(w, err, http.StatusBadRequest)
 		return
@@ -500,10 +487,11 @@ func writeOpErr(w http.ResponseWriter, err error, fallback int) {
 	switch {
 	case errors.Is(err, ErrNotFound):
 		code = http.StatusNotFound
-	case errors.Is(err, ErrExists), errors.Is(err, ErrSeqGap):
+	case errors.Is(err, ErrExists), errors.Is(err, ErrSeqGap), errors.Is(err, ErrPriorsMismatch):
 		// ErrSeqGap: the batch is from the future — this replica is
 		// missing earlier appends and needs an anti-entropy import
-		// before it can accept the stream again.
+		// before it can accept the stream again. ErrPriorsMismatch: the
+		// blob is another model's dataset; nothing was applied.
 		code = http.StatusConflict
 	case errors.Is(err, ErrBacklog):
 		// Admission control: convergence lag reached the high-water

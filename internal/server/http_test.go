@@ -56,8 +56,8 @@ func TestHTTPEndToEnd(t *testing.T) {
 
 	var info Info
 	wantStatus(t, do(t, srv, http.MethodPut, "/v1/datasets/motivating",
-		createRequest{Workers: 2}, &info, nil), http.StatusCreated)
-	if info.Name != "motivating" || info.Workers != 2 || info.Alpha == 0 {
+		createRequest{N: 50}, &info, nil), http.StatusCreated)
+	if info.Name != "motivating" || info.Workers != 1 || info.Alpha != 0.1 || info.S != 0.8 || info.N != 50 {
 		t.Fatalf("create info = %+v", info)
 	}
 	wantStatus(t, do(t, srv, http.MethodPut, "/v1/datasets/motivating", nil, nil, nil),
@@ -171,9 +171,7 @@ func TestHTTPErrors(t *testing.T) {
 		{method: http.MethodGet, path: "/v1/datasets/x/y/z", want: http.StatusNotFound},
 		{method: http.MethodPut, path: "/v1/datasets/bad", body: `{"alpha":2}`, want: http.StatusBadRequest},
 		{method: http.MethodPut, path: "/v1/datasets/bad", body: `{not json`, want: http.StatusBadRequest},
-		// workers comes from the wire and sizes every round's shards.
-		{method: http.MethodPut, path: "/v1/datasets/bad", body: `{"workers":100000000}`, want: http.StatusBadRequest},
-		{method: http.MethodPut, path: "/v1/datasets/bad", body: `{"workers":-1}`, want: http.StatusBadRequest},
+		{method: http.MethodPut, path: "/v1/datasets/bad", body: `{"n":1}`, want: http.StatusBadRequest},
 		{method: http.MethodGet, path: "/v1/datasets/bad", want: http.StatusNotFound}, // none of the above created it
 	}
 	for _, c := range cases {
@@ -346,7 +344,7 @@ func TestDuplicateCreateKeepsVersionCounter(t *testing.T) {
 	defer srv.Close()
 
 	wantStatus(t, do(t, srv, http.MethodPut, "/v1/datasets/books",
-		createRequest{Workers: 2, Alpha: 0.2}, nil, nil), http.StatusCreated)
+		createRequest{Alpha: 0.2}, nil, nil), http.StatusCreated)
 	ds, _ := dataset.Motivating()
 	for _, rec := range dataset.Records(ds)[:3] {
 		wantStatus(t, do(t, srv, http.MethodPost, "/v1/datasets/books/observations",
@@ -366,7 +364,7 @@ func TestDuplicateCreateKeepsVersionCounter(t *testing.T) {
 	wantStatus(t, do(t, srv, http.MethodPut, "/v1/datasets/books", nil, nil, nil),
 		http.StatusConflict)
 	wantStatus(t, do(t, srv, http.MethodPut, "/v1/datasets/books",
-		createRequest{Workers: 7, Alpha: 0.3}, nil, nil), http.StatusConflict)
+		createRequest{Alpha: 0.3, N: 50}, nil, nil), http.StatusConflict)
 
 	var after Info
 	wantStatus(t, do(t, srv, http.MethodGet, "/v1/datasets/books", nil, &after, nil), http.StatusOK)

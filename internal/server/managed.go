@@ -9,7 +9,6 @@ import (
 
 	"copydetect/internal/bayes"
 	"copydetect/internal/binio"
-	"copydetect/internal/core"
 	"copydetect/internal/dataset"
 	"copydetect/internal/fusion"
 )
@@ -40,7 +39,6 @@ type Managed struct {
 	name   string
 	gen    uint64 // registry-wide creation counter, disambiguates ETags across delete/recreate
 	params bayes.Params
-	opts   core.Options
 	reg    *Registry
 
 	// appendMu serializes every change of the appended state — append,
@@ -260,9 +258,9 @@ func (m *Managed) AppendSeq(obs, truth []dataset.Record, seq uint64) (version ui
 	return m.version, m.builder.NumObservations(), true, nil
 }
 
-// Export serializes the dataset's full appended state — priors, worker
-// count, append version, rounds counter and the dataset itself in the
-// bit-exact binary codec — for anti-entropy transfer to a replica.
+// Export serializes the dataset's full appended state — priors, append
+// version, rounds counter and the dataset itself in the bit-exact binary
+// codec — for anti-entropy transfer to a replica.
 // Importing the blob elsewhere reproduces this dataset's Builder
 // interning exactly, so appends streamed after the transfer keep both
 // copies byte-identical.
@@ -274,23 +272,25 @@ func (m *Managed) Export() ([]byte, error) {
 	}
 	state := walRecord{kind: walRecImport, version: m.version, round: m.rounds, ds: m.builder.Build()}
 	m.mu.Unlock()
-	return encodeExport(DatasetConfig{Params: m.params, Workers: m.opts.Workers}, state)
+	return encodeExport(m.params, m.reg.cfg.Options.Workers, state)
 }
 
 const exportMagic = "CDEXP\x01"
 
 // encodeExport serializes one dataset's full appended state for
-// anti-entropy transfer: its configuration, then the import record that
-// installs the state elsewhere — append version, rounds counter and the
-// dataset in the bit-exact binary codec.
-func encodeExport(cfg DatasetConfig, state walRecord) ([]byte, error) {
+// anti-entropy transfer: its priors, a worker count, then the import
+// record that installs the state elsewhere — append version, rounds
+// counter and the dataset in the bit-exact binary codec. The worker
+// count is the exporting process's; no importer applies it, and it is
+// written only so that the blob keeps the layout earlier releases read.
+func encodeExport(params bayes.Params, workers int, state walRecord) ([]byte, error) {
 	var buf bytes.Buffer
 	w := binio.NewWriter(&buf)
 	w.String(exportMagic)
-	w.Float64(cfg.Params.Alpha)
-	w.Float64(cfg.Params.S)
-	w.Float64(cfg.Params.N)
-	w.Int(cfg.Workers)
+	w.Float64(params.Alpha)
+	w.Float64(params.S)
+	w.Float64(params.N)
+	w.Int(workers)
 	w.Uvarint(state.version)
 	w.Int(state.round)
 	dataset.EncodeDataset(w, state.ds)
@@ -300,40 +300,44 @@ func encodeExport(cfg DatasetConfig, state walRecord) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decodeExport inverts encodeExport.
-func decodeExport(blob []byte) (cfg DatasetConfig, state walRecord, err error) {
+// decodeExport inverts encodeExport, skipping the worker count, and
+// validates the priors.
+func decodeExport(blob []byte) (params bayes.Params, state walRecord, err error) {
 	r := binio.NewReader(bytes.NewReader(blob))
 	if m := r.String(); r.Err() == nil && m != exportMagic {
-		return cfg, state, fmt.Errorf("server: export blob: bad magic")
+		return params, state, fmt.Errorf("server: export blob: bad magic")
 	}
-	cfg.Params = bayes.Params{Alpha: r.Float64(), S: r.Float64(), N: r.Float64()}
-	cfg.Workers = r.Int(1 << 20)
+	params = bayes.Params{Alpha: r.Float64(), S: r.Float64(), N: r.Float64()}
+	r.Int(1 << 20) // the exporter's worker count
 	state = walRecord{kind: walRecImport, version: r.Uvarint(), round: r.Int(1 << 30)}
 	if state.ds, err = dataset.DecodeDataset(r); err == nil {
-		err = r.Err()
+		if err = r.Err(); err == nil {
+			err = params.Validate()
+		}
 	}
 	if err != nil {
-		return cfg, state, fmt.Errorf("server: export blob: %w", err)
+		return params, state, fmt.Errorf("server: export blob: %w", err)
 	}
-	return cfg, state, nil
+	return params, state, nil
 }
 
 // Import replaces the named dataset's appended state with an Export
 // blob from its replication peer, creating the dataset (with the
-// blob's configuration) if it does not exist. The import applies only
-// when the blob is newer than the local state (blob version > local
-// version) — a stale or duplicated transfer is acknowledged without
-// effect — and returns the dataset's version afterwards. An applied
-// import schedules a detection round, so the catch-up converges to the
-// peer's published result.
+// blob's priors) if it does not exist. An existing dataset whose priors
+// differ from the blob's refuses it with ErrPriorsMismatch. The import
+// applies only when the blob is newer than the local state (blob
+// version > local version) — a stale or duplicated transfer is
+// acknowledged without effect — and returns the dataset's version
+// afterwards. An applied import schedules a detection round, so the
+// catch-up converges to the peer's published result.
 func (r *Registry) Import(name string, blob []byte) (applied bool, version uint64, err error) {
-	cfg, state, err := decodeExport(blob)
+	params, state, err := decodeExport(blob)
 	if err != nil {
 		return false, 0, err
 	}
 	m, ok := r.Get(name)
 	if !ok {
-		m, err = r.Create(name, cfg)
+		m, err = r.Create(name, DatasetConfig{Params: params})
 		if err != nil && !errors.Is(err, ErrExists) {
 			return false, 0, err
 		}
@@ -350,6 +354,9 @@ func (r *Registry) Import(name string, blob []byte) (applied bool, version uint6
 	defer m.mu.Unlock()
 	if m.closed {
 		return false, 0, ErrNotFound
+	}
+	if m.params != params {
+		return false, 0, fmt.Errorf("%w: dataset %q has %+v, the blob %+v", ErrPriorsMismatch, m.name, m.params, params)
 	}
 	if m.version >= state.version {
 		return false, m.version, nil
@@ -421,7 +428,7 @@ func (m *Managed) Info() Info {
 		Items:        m.builder.NumItems(),
 		Observations: m.builder.NumObservations(),
 		Converged:    m.convergedLocked(),
-		Workers:      m.opts.Workers,
+		Workers:      m.reg.cfg.Options.Workers,
 		Alpha:        m.params.Alpha,
 		S:            m.params.S,
 		N:            m.params.N,

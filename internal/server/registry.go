@@ -51,16 +51,15 @@ import (
 	"copydetect/internal/bayes"
 	"copydetect/internal/core"
 	"copydetect/internal/dataset"
+	"copydetect/internal/pool"
 )
 
 // Config tunes a Registry.
 type Config struct {
-	// Params are the copying-model priors used for every dataset that
-	// does not override them. The zero value selects the paper's
-	// defaults (α=0.1, s=0.8, n=100).
-	Params bayes.Params
-	// Options are the detector options used for every dataset that does
-	// not override them; Options.Workers shards each detection round.
+	// Options are the detector options of every detection round.
+	// Options.Workers shards each round (below 1 means 1); the shard
+	// count belongs to the process, not to a dataset, as no result bit
+	// depends on it.
 	Options core.Options
 	// Concurrency caps how many datasets may run detection rounds at the
 	// same time (default 1). Rounds for a single dataset never overlap.
@@ -95,6 +94,11 @@ var ErrExists = fmt.Errorf("server: dataset already exists")
 // of the dataset: one or more earlier appends are missing, so applying
 // it would put the replica out of order with its primary.
 var ErrSeqGap = fmt.Errorf("server: append sequence gap")
+
+// ErrPriorsMismatch reports an import whose blob carries other priors
+// than the existing dataset it would replace: applying it would serve
+// one model's answer under another's name.
+var ErrPriorsMismatch = fmt.Errorf("server: import priors differ from the dataset's")
 
 // ErrBacklog reports an append refused by admission control: the
 // dataset's convergence lag reached Config.AppendHighWater, so instead
@@ -140,9 +144,7 @@ func NewRegistry(cfg Config) *Registry {
 // round for each dataset whose appends outrun its published result, so
 // the service resumes exactly where the previous process died.
 func Open(cfg Config) (*Registry, error) {
-	if (cfg.Params == bayes.Params{}) {
-		cfg.Params = bayes.DefaultParams()
-	}
+	cfg.Options.Workers = pool.Clamp(cfg.Options.Workers)
 	if cfg.Concurrency <= 0 {
 		cfg.Concurrency = 1
 	}
@@ -250,54 +252,52 @@ func (r *Registry) Close() {
 	}
 }
 
-// DatasetConfig overrides registry defaults for one dataset. Zero fields
-// inherit the registry configuration.
+// DatasetConfig is what a dataset carries of its own: the copying-model
+// priors. A zero field takes the paper's default (bayes.DefaultParams),
+// the same on every registry, so replicas created by the same request
+// agree.
 type DatasetConfig struct {
-	Params  bayes.Params
-	Workers int
+	Params bayes.Params
 }
 
-// maxDatasetWorkers bounds DatasetConfig.Workers. The value arrives
-// from the wire (create body, import blob), and every round spawns that
-// many shards and allocates per-shard counters for each source.
-const maxDatasetWorkers = 1024
+// priors resolves cfg's priors, each zero field to its default.
+func (cfg DatasetConfig) priors() bayes.Params {
+	p := bayes.DefaultParams()
+	if cfg.Params.Alpha != 0 {
+		p.Alpha = cfg.Params.Alpha
+	}
+	if cfg.Params.S != 0 {
+		p.S = cfg.Params.S
+	}
+	if cfg.Params.N != 0 {
+		p.N = cfg.Params.N
+	}
+	return p
+}
 
-// newManaged builds the in-memory shell of a dataset, resolving cfg
-// against the registry defaults: zero fields inherit. Create and
+// newManaged builds the in-memory shell of a dataset. Create and
 // recovery both start here.
-func (r *Registry) newManaged(name string, gen uint64, cfg DatasetConfig) *Managed {
+func (r *Registry) newManaged(name string, gen uint64, params bayes.Params) *Managed {
 	m := &Managed{
 		name:    name,
 		gen:     gen,
-		params:  r.cfg.Params,
-		opts:    r.cfg.Options,
+		params:  params,
 		reg:     r,
 		builder: dataset.NewBuilder(),
-	}
-	if (cfg.Params != bayes.Params{}) {
-		m.params = cfg.Params
-	}
-	if cfg.Workers != 0 {
-		m.opts.Workers = cfg.Workers
 	}
 	m.cond = sync.NewCond(&m.mu)
 	return m
 }
 
 // Create registers an empty dataset. It fails with ErrExists when the
-// name is taken and validates any overridden priors and worker count.
+// name is taken and validates the resolved priors.
 func (r *Registry) Create(name string, cfg DatasetConfig) (*Managed, error) {
 	if name == "" {
 		return nil, fmt.Errorf("server: empty dataset name")
 	}
-	if (cfg.Params != bayes.Params{}) {
-		if err := cfg.Params.Validate(); err != nil {
-			return nil, fmt.Errorf("server: dataset %q: %w", name, err)
-		}
-	}
-	if cfg.Workers < 0 || cfg.Workers > maxDatasetWorkers {
-		return nil, fmt.Errorf("server: dataset %q: workers %d out of range [0, %d] (0 = registry default)",
-			name, cfg.Workers, maxDatasetWorkers)
+	params := cfg.priors()
+	if err := params.Validate(); err != nil {
+		return nil, fmt.Errorf("server: dataset %q: %w", name, err)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -307,7 +307,7 @@ func (r *Registry) Create(name string, cfg DatasetConfig) (*Managed, error) {
 	if _, ok := r.sets[name]; ok {
 		return nil, ErrExists
 	}
-	m := r.newManaged(name, r.gen+1, cfg)
+	m := r.newManaged(name, r.gen+1, params)
 	st, err := r.createStore(m)
 	if err != nil {
 		return nil, err

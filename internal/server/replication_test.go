@@ -6,12 +6,14 @@ package server
 import (
 	"bytes"
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
 
+	"copydetect/internal/bayes"
 	"copydetect/internal/core"
 	"copydetect/internal/dataset"
 	"copydetect/internal/testkit"
@@ -263,5 +265,85 @@ func TestHTTPSeqExportImport(t *testing.T) {
 	}
 	if status, _, body := doRaw(http.MethodPost, srvB.URL+"/v1/datasets/h/import", "", []byte("garbage")); status != http.StatusBadRequest {
 		t.Fatalf("garbage import: %d %s", status, body)
+	}
+}
+
+// TestImportRunsTheImportersWorkers: the worker count belongs to the
+// process. A blob exported by a 3-worker registry gives, imported into a
+// 1-worker one, a dataset that runs 1 worker and publishes what the
+// exporter published.
+func TestImportRunsTheImportersWorkers(t *testing.T) {
+	src := NewRegistry(Config{Options: core.Options{Workers: 3}})
+	defer src.Close()
+	dst := NewRegistry(Config{Options: core.Options{Workers: 1}})
+	defer dst.Close()
+	a, err := src.Create("ds", DatasetConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, _ := dataset.Motivating()
+	if _, _, err := a.Append(dataset.Records(ds), nil); err != nil {
+		t.Fatal(err)
+	}
+	want := quiesce(t, src, "ds")
+	blob, err := a.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if applied, _, err := dst.Import("ds", blob); err != nil || !applied {
+		t.Fatalf("import: applied=%v err=%v", applied, err)
+	}
+	b, _ := dst.Get("ds")
+	if got := b.Info().Workers; got != 1 {
+		t.Fatalf("imported dataset runs %d workers, want the importer's 1", got)
+	}
+	got := quiesce(t, dst, "ds")
+	if d := testkit.Diff(got.Outcome, want.Outcome, untimed...); d != "" || len(want.Outcome.Copy.CopyingPairs()) == 0 {
+		t.Fatalf("the importer publishes another outcome than the exporter: %s", d)
+	}
+}
+
+// TestImportRefusesOtherPriors: an import into an existing dataset whose
+// priors differ from the blob's is refused, with 409 on the wire, and
+// leaves the dataset as it was, although the blob is newer.
+func TestImportRefusesOtherPriors(t *testing.T) {
+	src := NewRegistry(Config{Options: core.Options{Workers: 1}})
+	defer src.Close()
+	dst := NewRegistry(Config{Options: core.Options{Workers: 1}})
+	defer dst.Close()
+	a, err := src.Create("ds", DatasetConfig{Params: bayes.Params{Alpha: 0.2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, prefix := range []string{"x", "y"} {
+		if _, _, err := a.Append(batchN(prefix, 6), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blob, err := a.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := dst.Create("ds", DatasetConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := b.Append(batchN("z", 6), nil); err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, dst, "ds")
+	before := captureState(t, b)
+
+	if applied, _, err := dst.Import("ds", blob); !errors.Is(err, ErrPriorsMismatch) || applied {
+		t.Fatalf("import of α=0.2 into an α=0.1 dataset: applied=%v err=%v, want ErrPriorsMismatch", applied, err)
+	}
+	srv := httptest.NewServer(NewHandler(dst))
+	defer srv.Close()
+	status, _, body, err := testkit.Do(http.DefaultClient, http.MethodPost, srv.URL+"/v1/datasets/ds/import", blob, nil)
+	if err != nil || status != http.StatusConflict {
+		t.Fatalf("import over HTTP: %d %s (%v), want 409", status, body, err)
+	}
+	if d := testkit.Diff(captureState(t, b), before, "Generation"); d != "" {
+		t.Fatalf("a refused import changed the dataset: %s", d)
 	}
 }

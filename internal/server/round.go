@@ -135,12 +135,14 @@ func (m *Managed) runRound() {
 
 	// Every round restarts the iterative process from priors on its own
 	// snapshot with a fresh detector, so what it publishes depends on the
-	// snapshot alone, never on the rounds before it. params and opts are
-	// immutable after Create; no lock needed here.
+	// snapshot alone, never on the rounds before it. params are
+	// immutable after Create and the options after Open; no lock needed
+	// here.
 	const algo = "INCREMENTAL"
-	tf := &fusion.TruthFinder{Params: m.params, Workers: m.opts.Workers, Cancel: cancel}
+	opts := m.reg.cfg.Options
+	tf := &fusion.TruthFinder{Params: m.params, Workers: opts.Workers, Cancel: cancel}
 	start := time.Now()
-	out := tf.Run(snap, &core.Incremental{Params: m.params, Opts: m.opts})
+	out := tf.Run(snap, &core.Incremental{Params: m.params, Opts: opts})
 	wall := time.Since(start)
 
 	// Publish: the staleness check and the swap are one critical section

@@ -191,14 +191,16 @@ func TestRegistryLifecycle(t *testing.T) {
 	if _, err := reg.Create("bad", DatasetConfig{Params: bayes.Params{Alpha: 2, S: 0.8, N: 100}}); err == nil {
 		t.Fatal("invalid priors accepted")
 	}
-	if _, err := reg.Create("b", DatasetConfig{Workers: 3}); err != nil {
+	if _, err := reg.Create("b", DatasetConfig{Params: bayes.Params{S: 0.5}}); err != nil {
 		t.Fatalf("create b: %v", err)
 	}
 	if got := reg.List(); !reflect.DeepEqual(got, []string{"a", "b"}) {
 		t.Fatalf("List() = %v", got)
 	}
-	if m, _ := reg.Get("b"); m.Info().Workers != 3 {
-		t.Fatalf("dataset b workers = %d, want 3", m.Info().Workers)
+	// An omitted prior is the paper's default; the worker count is the
+	// registry's, 1 for a zero Options.Workers.
+	if m, _ := reg.Get("b"); m.Info() != (Info{Name: "b", Converged: true, Workers: 1, Alpha: 0.1, S: 0.5, N: 100}) {
+		t.Fatalf("dataset b = %+v, want s = 0.5, the other priors defaulted, 1 worker", m.Info())
 	}
 	if !reg.Delete("a") || reg.Delete("a") {
 		t.Fatal("delete semantics broken")

@@ -103,14 +103,14 @@ type verLSN struct {
 
 // datasetConfig is the JSON sidecar written once at Create: everything
 // a restarted server needs to reconstruct the Managed shell before any
-// observation arrives.
+// observation arrives. A file written before the worker count became
+// the process's still holds a "workers" field; decoding skips it.
 type datasetConfig struct {
-	Name    string  `json:"name"`
-	Gen     uint64  `json:"gen"`
-	Alpha   float64 `json:"alpha"`
-	S       float64 `json:"s"`
-	N       float64 `json:"n"`
-	Workers int     `json:"workers"`
+	Name  string  `json:"name"`
+	Gen   uint64  `json:"gen"`
+	Alpha float64 `json:"alpha"`
+	S     float64 `json:"s"`
+	N     float64 `json:"n"`
 }
 
 // ---------------------------------------------------------------------
@@ -488,12 +488,11 @@ func (r *Registry) createStore(m *Managed) (*dstore, error) {
 		return nil, err
 	}
 	raw, err := json.MarshalIndent(datasetConfig{
-		Name:    m.name,
-		Gen:     m.gen,
-		Alpha:   m.params.Alpha,
-		S:       m.params.S,
-		N:       m.params.N,
-		Workers: m.opts.Workers,
+		Name:  m.name,
+		Gen:   m.gen,
+		Alpha: m.params.Alpha,
+		S:     m.params.S,
+		N:     m.params.N,
 	}, "", "  ")
 	if err != nil {
 		return fail(err)
@@ -529,7 +528,7 @@ func (r *Registry) recoverDataset(dir string) (*Managed, error) {
 	if err := params.Validate(); err != nil {
 		return nil, fmt.Errorf("server: dataset config %s: %w", dir, err)
 	}
-	m := r.newManaged(cfg.Name, cfg.Gen, DatasetConfig{Params: params, Workers: cfg.Workers})
+	m := r.newManaged(cfg.Name, cfg.Gen, params)
 	m.st = &dstore{dir: dir}
 	if pub := loadLatestSnapshot(dir); pub != nil {
 		// A snapshot installs its dataset the way an import does.

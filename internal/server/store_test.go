@@ -7,6 +7,7 @@ package server
 import (
 	"bytes"
 	"encoding/hex"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -196,7 +197,7 @@ func TestDurableRecoveryTruncatesTornTail(t *testing.T) {
 func TestDurableDeleteAndRecreate(t *testing.T) {
 	dir := t.TempDir()
 	reg := openDurable(t, dir, 1)
-	if _, err := reg.Create("x", DatasetConfig{Workers: 3}); err != nil {
+	if _, err := reg.Create("x", DatasetConfig{Params: bayes.Params{Alpha: 0.2}}); err != nil {
 		t.Fatalf("create: %v", err)
 	}
 	dsDir := filepath.Join(datasetsRoot(dir), encodeDirName("x"))
@@ -233,23 +234,48 @@ func TestDurableDeleteAndRecreate(t *testing.T) {
 	}
 }
 
+// TestDurableConfigOverridesSurviveRestart: a dataset's priors survive
+// a restart and its worker count does not, because it has none: the
+// reopened registry runs it with its own Options.Workers. That holds as
+// well for a config.json written when a dataset still kept a "workers"
+// field.
 func TestDurableConfigOverridesSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
 	reg := openDurable(t, dir, 2)
 	p := bayes.Params{Alpha: 0.25, S: 0.6, N: 42}
-	if _, err := reg.Create("tuned", DatasetConfig{Params: p, Workers: 5}); err != nil {
+	if _, err := reg.Create("tuned", DatasetConfig{Params: p}); err != nil {
 		t.Fatalf("create: %v", err)
 	}
 	reg.Close()
-	reg2 := openDurable(t, dir, 2)
+	path := filepath.Join(datasetsRoot(dir), encodeDirName("tuned"), "config.json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fields["workers"]; ok {
+		t.Fatalf("config.json names a worker count: %s", raw)
+	}
+	fields["workers"] = 2
+	if raw, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	reg2 := openDurable(t, dir, 1)
 	defer reg2.Close()
 	m, ok := reg2.Get("tuned")
 	if !ok {
 		t.Fatal("dataset lost")
 	}
 	inf := m.Info()
-	if inf.Alpha != 0.25 || inf.S != 0.6 || inf.N != 42 || inf.Workers != 5 {
-		t.Fatalf("recovered config = %+v", inf)
+	if inf.Alpha != 0.25 || inf.S != 0.6 || inf.N != 42 || inf.Workers != 1 {
+		t.Fatalf("recovered config = %+v, want the dataset's priors and the reopened registry's 1 worker", inf)
 	}
 }
 

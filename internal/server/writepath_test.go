@@ -16,24 +16,6 @@ import (
 	"copydetect/internal/testkit"
 )
 
-// TestImportValidatesWorkers: an export blob is wire input too; its
-// worker count goes through the same Create validation as the HTTP body.
-func TestImportValidatesWorkers(t *testing.T) {
-	reg := NewRegistry(Config{})
-	defer reg.Close()
-	blob, err := encodeExport(DatasetConfig{Workers: maxDatasetWorkers + 1},
-		walRecord{kind: walRecImport, version: 1, ds: dataset.NewBuilder().Build()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := reg.Import("big", blob); err == nil {
-		t.Fatal("import created a dataset with an out-of-range worker count")
-	}
-	if _, ok := reg.Get("big"); ok {
-		t.Fatal("rejected import left a dataset behind")
-	}
-}
-
 // crash stops a registry's goroutines the way process death would —
 // no final snapshot, no WAL close, no dataset marked closed — except
 // that in-flight rounds run to completion first, so nothing of the
@@ -237,26 +219,26 @@ func FuzzDecodeWALRecord(f *testing.F) {
 // …/import). Same contract as FuzzDecodeWALRecord.
 func FuzzDecodeExport(f *testing.F) {
 	recs, _ := walRecordFixtures()
-	blob, err := encodeExport(DatasetConfig{Params: bayes.DefaultParams(), Workers: 3}, recs[2])
+	blob, err := encodeExport(bayes.DefaultParams(), 3, recs[2])
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(blob)
 	f.Add([]byte(exportMagic))
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		cfg, state, err := decodeExport(blob)
+		params, state, err := decodeExport(blob)
 		if err != nil {
 			return
 		}
-		enc, err := encodeExport(cfg, state)
+		enc, err := encodeExport(params, 3, state)
 		if err != nil {
 			t.Fatalf("decoded export does not re-encode: %v", err)
 		}
-		cfg2, state2, err := decodeExport(enc)
+		params2, state2, err := decodeExport(enc)
 		if err != nil {
 			t.Fatalf("re-encoded export does not decode: %v", err)
 		}
-		if d := testkit.Diff([]any{cfg2, state2}, []any{cfg, state}, "Generation"); d != "" {
+		if d := testkit.Diff([]any{params2, state2}, []any{params, state}, "Generation"); d != "" {
 			t.Fatalf("decode(encode(export)) differs from the decoded export: %s", d)
 		}
 	})

@@ -5,7 +5,10 @@ import (
 	"encoding/hex"
 	"log"
 	"net/http"
+	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -35,8 +38,10 @@ func NewTraceID() string {
 type HTTPMetrics struct {
 	requests *CounterVec   // route, method, code
 	latency  *HistogramVec // route, class
-	inflight *GaugeVec     // route
 	logger   *log.Logger   // nil disables access logging
+
+	mu       sync.Mutex
+	inflight map[string]*atomic.Int64 // route → requests being served
 }
 
 // NewHTTPMetrics registers the request-level families on reg under the
@@ -44,18 +49,44 @@ type HTTPMetrics struct {
 // returns the middleware. logger receives one access-log line per
 // request; pass nil to disable logging (tests).
 func NewHTTPMetrics(reg *Registry, service string, logger *log.Logger) *HTTPMetrics {
-	return &HTTPMetrics{
+	m := &HTTPMetrics{
 		requests: reg.CounterVec(service+"_http_requests_total",
 			"HTTP requests served, by route, method and status code.",
 			"route", "method", "code"),
 		latency: reg.HistogramVec(service+"_http_request_duration_seconds",
 			"HTTP request latency in seconds, by route and status class.",
 			DefBuckets, "route", "class"),
-		inflight: reg.GaugeVec(service+"_http_in_flight_requests",
-			"HTTP requests currently being served, by route.",
-			"route"),
-		logger: logger,
+		logger:   logger,
+		inflight: make(map[string]*atomic.Int64),
 	}
+	reg.GaugeFunc(service+"_http_in_flight_requests",
+		"HTTP requests currently being served, by route.",
+		[]string{"route"}, func(emit func(float64, ...string)) {
+			m.mu.Lock()
+			routes := make([]string, 0, len(m.inflight))
+			for route := range m.inflight {
+				routes = append(routes, route)
+			}
+			m.mu.Unlock()
+			sort.Strings(routes)
+			for _, route := range routes {
+				emit(float64(m.inFlight(route).Load()), route)
+			}
+		})
+	return m
+}
+
+// inFlight returns the in-flight count of a route, which stays exported
+// (at 0 when idle) from the first request on.
+func (m *HTTPMetrics) inFlight(route string) *atomic.Int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	n := m.inflight[route]
+	if n == nil {
+		n = new(atomic.Int64)
+		m.inflight[route] = n
+	}
+	return n
 }
 
 // Wrap returns next instrumented with metrics, trace IDs and access
@@ -73,7 +104,7 @@ func (m *HTTPMetrics) Wrap(next http.Handler) http.Handler {
 		w.Header().Set(TraceHeader, trace)
 
 		route := NormalizeRoute(req.URL.Path)
-		g := m.inflight.With(route)
+		g := m.inFlight(route)
 		g.Add(1)
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()

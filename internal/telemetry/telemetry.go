@@ -7,14 +7,14 @@
 //
 // Two ways to register a metric:
 //
-//   - Owned instruments (Counter/Gauge/Histogram and their label Vecs)
-//     are updated by the instrumented code path — atomics all the way,
-//     safe for concurrent use, cheap enough for hot paths.
+//   - Owned instruments (Counter/Histogram and their label Vecs) are
+//     updated by the instrumented code path — atomics all the way, safe
+//     for concurrent use, cheap enough for hot paths.
 //   - Func collectors (CounterFunc/GaugeFunc) are evaluated at scrape
 //     time and may emit any number of label combinations, which is how
 //     state that already lives elsewhere — per-dataset convergence lag,
-//     per-backend health — is exposed without mirroring it into a
-//     second data structure.
+//     per-backend health, requests in flight — is exposed without
+//     mirroring it into a second data structure. Every gauge is one.
 //
 // Exposition is deterministic: families appear in registration order,
 // samples within a family in sorted label order, so golden tests can
@@ -78,26 +78,6 @@ func (c *Counter) Add(n uint64) { c.n.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.n.Load() }
-
-// Gauge is a value that can go up and down.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add shifts the gauge by delta (negative to decrease).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		v := math.Float64frombits(old) + delta
-		if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram counts observations into cumulative buckets, Prometheus
 // style: bucket i counts observations <= upper[i], plus an implicit
@@ -206,18 +186,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return r.CounterVec(name, help).With()
 }
 
-// GaugeVec registers a gauge family with label dimensions.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	f := &family{name: name, help: help, kind: KindGauge, labels: labels, children: make(map[string]any)}
-	r.register(f)
-	return &GaugeVec{f: f}
-}
-
-// Gauge registers and returns an unlabelled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.GaugeVec(name, help).With()
-}
-
 // HistogramVec registers a histogram family with label dimensions.
 // A nil bucket slice selects DefBuckets; bounds must be sorted.
 func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
@@ -273,8 +241,6 @@ func (f *family) child(values []string) any {
 	switch f.kind {
 	case KindCounter:
 		c = &Counter{}
-	case KindGauge:
-		c = &Gauge{}
 	default:
 		h := &Histogram{upper: f.buckets}
 		h.buckets = make([]atomic.Uint64, len(f.buckets))
@@ -289,12 +255,6 @@ type CounterVec struct{ f *family }
 
 // With returns the counter for the given label values.
 func (v *CounterVec) With(values ...string) *Counter { return v.f.child(values).(*Counter) }
-
-// GaugeVec is a gauge family; With selects one label combination.
-type GaugeVec struct{ f *family }
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.f.child(values).(*Gauge) }
 
 // HistogramVec is a histogram family; With selects one label
 // combination.
@@ -357,8 +317,6 @@ func (f *family) writeChildren(b *strings.Builder) {
 		switch c := children[key].(type) {
 		case *Counter:
 			fmt.Fprintf(b, "%s%s %d\n", f.name, labelString(f.labels, values, "", ""), c.Value())
-		case *Gauge:
-			fmt.Fprintf(b, "%s%s %s\n", f.name, labelString(f.labels, values, "", ""), formatFloat(c.Value()))
 		case *Histogram:
 			cum := uint64(0)
 			for i, ub := range c.upper {

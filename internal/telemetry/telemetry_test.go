@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -19,9 +20,7 @@ func TestExpositionGolden(t *testing.T) {
 	cv := reg.CounterVec("test_errors_total", "Errors, by kind.", "kind")
 	cv.With("io").Add(3)
 	cv.With("decode").Inc()
-	g := reg.Gauge("test_queue_depth", "Jobs queued.")
-	g.Set(7)
-	g.Add(-2)
+	reg.GaugeFunc("test_queue_depth", "Jobs queued.", nil, func(emit func(float64, ...string)) { emit(5) })
 	h := reg.HistogramVec("test_latency_seconds", "Latency.", []float64{0.01, 0.1, 1}, "route")
 	h.With("/a").Observe(0.005)
 	h.With("/a").Observe(0.05)
@@ -66,7 +65,8 @@ test_dyn_lag{ds="with\"quote"} 0.5
 func TestConcurrentUpdates(t *testing.T) {
 	reg := New()
 	c := reg.Counter("c_total", "c")
-	g := reg.Gauge("g", "g")
+	var g atomic.Int64
+	reg.GaugeFunc("g", "g", nil, func(emit func(float64, ...string)) { emit(float64(g.Load())) })
 	h := reg.Histogram("h_seconds", "h", nil)
 	cv := reg.CounterVec("cv_total", "cv", "k")
 	const workers, iters = 8, 1000
@@ -93,8 +93,9 @@ func TestConcurrentUpdates(t *testing.T) {
 	if got := c.Value(); got != workers*iters {
 		t.Errorf("counter = %d, want %d", got, workers*iters)
 	}
-	if got := g.Value(); got != 0 {
-		t.Errorf("gauge = %v, want 0", got)
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil || !strings.Contains(b.String(), "\ng 0\n") {
+		t.Errorf("gauge exposition (err %v):\n%s\nwant the line g 0", err, b.String())
 	}
 	if got := h.Count(); got != workers*iters {
 		t.Errorf("histogram count = %d, want %d", got, workers*iters)
@@ -217,8 +218,27 @@ func TestMiddleware(t *testing.T) {
 	if got := m.latency.With("/v1/datasets/{name}/observations", "2xx").Count(); got != 1 {
 		t.Errorf("latency count = %d, want 1", got)
 	}
-	if got := m.inflight.With("/v1/datasets/{name}/observations").Value(); got != 0 {
-		t.Errorf("in-flight = %v, want 0", got)
+	// Requests and scrapes at once; every request has left afterwards.
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				m.Wrap(inner).ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/v1/datasets/alpha/copies", nil))
+				_ = reg.WritePrometheus(io.Discard)
+			}
+		}()
+	}
+	wg.Wait()
+	var scrape strings.Builder
+	if err := reg.WritePrometheus(&scrape); err != nil {
+		t.Fatal(err)
+	}
+	if want := `svc_http_in_flight_requests{route="/v1/datasets/{name}/copies"} 0
+svc_http_in_flight_requests{route="/v1/datasets/{name}/observations"} 0
+`; !strings.Contains(scrape.String(), want) {
+		t.Errorf("in-flight exposition:\n%s\nwant\n%s", scrape.String(), want)
 	}
 	logs := logBuf.String()
 	if !strings.Contains(logs, " 202 2B ") || !strings.Contains(logs, "trace="+trace) {
