@@ -7,14 +7,15 @@
 //
 // Usage:
 //
-//	copydetectd [-addr :8377] [-workers 0] [-concurrency 1]
+//	copydetectd [-addr :8377] [-workers 0]
 //	            [-data-dir DIR] [-fsync]
 //	            [-append-high-water 0]
 //
-// -workers 0 (the default) shards every detection round over one
-// goroutine per CPU; -concurrency caps how many datasets detect at the
-// same time. Both belong to the process: a dataset keeps none of them,
-// so a restart or an imported dataset runs with this process's values.
+// The scheduler runs one detection round at a time, taking dirty
+// datasets in turn. -workers 0 (the default) shards every round over one
+// goroutine per CPU. The worker count belongs to the process: a dataset
+// does not keep it, so a restart or an imported dataset runs with this
+// process's value.
 // A dataset's priors α, s and n are its own, named in the body of the
 // PUT that creates it; a field the body omits is the paper's default
 // (0.1, 0.8, 100) on every daemon.
@@ -76,15 +77,11 @@ func parseFlags(args []string) (options, error) {
 	addr := fs.String("addr", ":8377", "listen address")
 	addrFile := fs.String("addr-file", "", "write the bound listen address to this file once serving (for scripts and tests)")
 	workers := fs.Int("workers", 0, "detection worker goroutines per round (0 = one per CPU, 1 = sequential)")
-	concurrency := fs.Int("concurrency", 1, "max datasets detecting concurrently")
 	dataDir := fs.String("data-dir", "", "durable storage directory (empty = in-memory only)")
 	fsync := fs.Bool("fsync", true, "fsync the write-ahead log before acknowledging appends (with -data-dir)")
 	appendHW := fs.Int("append-high-water", 0, "refuse client appends with 429 while a dataset has this many appends awaiting convergence (0 = unbounded)")
 	if err := fs.Parse(args); err != nil {
 		return options{}, err
-	}
-	if *concurrency < 1 {
-		return options{}, fmt.Errorf("copydetectd: -concurrency %d must be at least 1", *concurrency)
 	}
 	if *appendHW < 0 {
 		return options{}, fmt.Errorf("copydetectd: -append-high-water %d must be >= 0 (0 = unbounded)", *appendHW)
@@ -95,7 +92,6 @@ func parseFlags(args []string) (options, error) {
 	}
 	opt := options{addr: *addr, addrFile: *addrFile}
 	opt.cfg.Options.Workers = w
-	opt.cfg.Concurrency = *concurrency
 	opt.cfg.DataDir = *dataDir
 	opt.cfg.Fsync = *fsync
 	opt.cfg.AppendHighWater = *appendHW
@@ -127,7 +123,6 @@ func run(args []string) int {
 	if opt.cfg.DataDir != "" {
 		durability = fmt.Sprintf("data-dir=%s fsync=%t", opt.cfg.DataDir, opt.cfg.Fsync)
 	}
-	log.Printf("copydetectd: workers=%d, concurrency=%d, %s",
-		opt.cfg.Options.Workers, opt.cfg.Concurrency, durability)
+	log.Printf("copydetectd: workers=%d, %s", opt.cfg.Options.Workers, durability)
 	return telemetry.Serve("copydetectd", opt.addr, opt.addrFile, treg, server.NewHandler(reg), reg.Close)
 }

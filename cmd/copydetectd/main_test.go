@@ -8,13 +8,13 @@ import (
 )
 
 // TestParseFlags exercises every documented flag and the validation of
-// concurrency and the high-water mark.
+// the high-water mark.
 func TestParseFlags(t *testing.T) {
 	opt, err := parseFlags(nil)
 	if err != nil {
 		t.Fatalf("defaults: %v", err)
 	}
-	if opt.addr != ":8377" || opt.cfg.Concurrency != 1 {
+	if opt.addr != ":8377" {
 		t.Fatalf("defaults = %+v", opt)
 	}
 	if opt.cfg.Options.Workers < 1 {
@@ -34,14 +34,14 @@ func TestParseFlags(t *testing.T) {
 
 	opt, err = parseFlags([]string{
 		"-addr", "127.0.0.1:9000",
-		"-workers", "3", "-concurrency", "2",
+		"-workers", "3",
 		"-data-dir", "/tmp/cdd", "-fsync=false",
 		"-addr-file", "/tmp/cdd.addr",
 	})
 	if err != nil {
 		t.Fatalf("full flags: %v", err)
 	}
-	if opt.addr != "127.0.0.1:9000" || opt.cfg.Options.Workers != 3 || opt.cfg.Concurrency != 2 {
+	if opt.addr != "127.0.0.1:9000" || opt.cfg.Options.Workers != 3 {
 		t.Fatalf("full flags = %+v", opt)
 	}
 	if opt.cfg.DataDir != "/tmp/cdd" || opt.cfg.Fsync || opt.addrFile != "/tmp/cdd.addr" {
@@ -49,8 +49,8 @@ func TestParseFlags(t *testing.T) {
 	}
 
 	for _, bad := range [][]string{
-		{"-alpha", "0.2"}, // priors belong to the dataset: PUT's body names them
-		{"-concurrency", "0"},
+		{"-alpha", "0.2"},     // priors belong to the dataset: PUT's body names them
+		{"-concurrency", "0"}, // the scheduler runs one round at a time: no such flag
 		{"-append-high-water", "-1"},
 		{"-nonsense"},
 	} {

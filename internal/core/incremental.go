@@ -91,7 +91,6 @@ type Incremental struct {
 	// Frozen at prepare time. pm is the cache's candidate pairs as of the
 	// base round.
 	pm         *index.PairMap
-	n          []int32 // shared values per pair (constant across rounds)
 	base       *bayes.State
 	baseScore  []float64 // per-entry M̂ at base (aliases the view's Score)
 	cTo, cFrom []float64 // exact full score C→/C← at base (incl. ln(1−s) term)
@@ -298,7 +297,6 @@ func (d *Incremental) prepare(ds *dataset.Dataset, st *bayes.State, freeze *Resu
 	numPairs := d.pm.Len()
 	numEntries := str.NumEntries()
 
-	d.n = grow(d.n, numPairs)
 	d.cTo = grow(d.cTo, numPairs)
 	d.cFrom = grow(d.cFrom, numPairs)
 	d.copying = grow(d.copying, numPairs)
@@ -316,7 +314,6 @@ func (d *Incremental) prepare(ds *dataset.Dataset, st *bayes.State, freeze *Resu
 		for slot := lo; slot < hi; slot++ {
 			s1, s2 := d.pm.Key(int32(slot)).Sources()
 			rec := &tabs[pool.Owner(workers, int(s1))].rec[slot]
-			d.n[slot] = rec.n0
 			pr := PairResult{S1: s1, S2: s2}
 			if freeze != nil && rec.flags&flagDecided == 0 {
 				pr = freeze.Pairs[slot]

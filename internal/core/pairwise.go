@@ -32,36 +32,28 @@ func (pw *Pairwise) DetectRound(ds *dataset.Dataset, st *bayes.State, round int)
 	res := &Result{NumSources: ns}
 	res.Stats.Rounds = 1
 
+	// Workers own strided rows of the pair triangle (all pairs with a
+	// given smaller source id). Each row's results are kept separate and
+	// concatenated in row order afterwards, so Result.Pairs is ordered as
+	// the double loop over (s1, s2) visits the pairs, for any worker count.
 	workers := pool.Clamp(pw.Workers)
-	if workers == 1 {
-		for s1 := dataset.SourceID(0); int(s1) < ns; s1++ {
+	rows := make([][]PairResult, ns)
+	for _, stats := range pool.Shards(workers, func(w int) Stats {
+		var stats Stats
+		for s1 := dataset.SourceID(w); int(s1) < ns; s1 += dataset.SourceID(workers) {
+			row := &Result{NumSources: ns}
 			for s2 := s1 + 1; int(s2) < ns; s2++ {
-				pw.detectPair(ds, st, s1, s2, res)
+				pw.detectPair(ds, st, s1, s2, row)
 			}
+			rows[s1] = row.Pairs
+			stats.Add(row.Stats)
 		}
-	} else {
-		// Workers own strided rows of the pair triangle (all pairs with a
-		// given smaller source id). Each row's results are kept separate
-		// and concatenated in row order afterwards, so Result.Pairs is
-		// ordered exactly as the sequential double loop produces it.
-		rows := make([][]PairResult, ns)
-		for _, stats := range pool.Shards(workers, func(w int) Stats {
-			var stats Stats
-			for s1 := dataset.SourceID(w); int(s1) < ns; s1 += dataset.SourceID(workers) {
-				row := &Result{NumSources: ns}
-				for s2 := s1 + 1; int(s2) < ns; s2++ {
-					pw.detectPair(ds, st, s1, s2, row)
-				}
-				rows[s1] = row.Pairs
-				stats.Add(row.Stats)
-			}
-			return stats
-		}) {
-			res.Stats.Add(stats)
-		}
-		for _, row := range rows {
-			res.Pairs = append(res.Pairs, row...)
-		}
+		return stats
+	}) {
+		res.Stats.Add(stats)
+	}
+	for _, row := range rows {
+		res.Pairs = append(res.Pairs, row...)
 	}
 	res.Stats.Detect = time.Since(start)
 	return res

@@ -17,7 +17,7 @@ import (
 // scrapes exercise the real exposition path.
 func newTestTarget(t *testing.T) *httptest.Server {
 	t.Helper()
-	reg := server.NewRegistry(server.Config{Concurrency: 2})
+	reg := server.NewRegistry(server.Config{})
 	t.Cleanup(func() { reg.Close() })
 	treg := telemetry.New()
 	reg.RegisterMetrics(treg)

@@ -61,9 +61,6 @@ type Config struct {
 	// count belongs to the process, not to a dataset, as no result bit
 	// depends on it.
 	Options core.Options
-	// Concurrency caps how many datasets may run detection rounds at the
-	// same time (default 1). Rounds for a single dataset never overlap.
-	Concurrency int
 
 	// DataDir, when non-empty, makes every dataset durable under this
 	// directory: appends go through a write-ahead log before being
@@ -117,6 +114,9 @@ type Registry struct {
 	sets   map[string]*Managed
 	gen    uint64 // bumped per Create
 	closed bool
+	// lastClaim names the dataset claimDirty claimed last: its next scan
+	// starts after it.
+	lastClaim string
 
 	kick     chan struct{}
 	stop     chan struct{}
@@ -145,9 +145,6 @@ func NewRegistry(cfg Config) *Registry {
 // the service resumes exactly where the previous process died.
 func Open(cfg Config) (*Registry, error) {
 	cfg.Options.Workers = pool.Clamp(cfg.Options.Workers)
-	if cfg.Concurrency <= 0 {
-		cfg.Concurrency = 1
-	}
 	r := &Registry{
 		cfg:      cfg,
 		sets:     make(map[string]*Managed),

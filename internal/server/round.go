@@ -1,6 +1,7 @@
 package server
 
 import (
+	"sort"
 	"time"
 
 	"copydetect/internal/core"
@@ -31,15 +32,16 @@ func (r *Registry) kickAsync() {
 const quietPeriod = 2 * time.Millisecond
 
 // scheduler is the registry's dirty-dataset loop: whenever kicked it
-// claims every dirty dataset that is ready for a round and runs one for
-// each, at most Config.Concurrency at a time. A dataset passed over
-// because it was written to less than quietPeriod ago is looked at again
-// when that time is up, by a timer that kicks the loop — at most one is
-// pending — so an append that nothing follows needs no second kick to
-// get its round.
+// claims a dirty dataset that is ready for a round and runs the round
+// itself, then claims the next, until none is ready. One round runs at a
+// time, and a claim is followed at once by its round, so a round starts
+// only on a dataset that claimDirty found ready a moment before. A
+// dataset passed over because it was written to less than quietPeriod
+// ago is looked at again when that time is up, by a timer that kicks the
+// loop — at most one is pending — so an append that nothing follows
+// needs no second kick to get its round.
 func (r *Registry) scheduler() {
 	defer r.wg.Done()
-	sem := make(chan struct{}, r.cfg.Concurrency)
 	// quiet is the pending second look, if any. One that a kick overtakes
 	// still fires, and finds nothing new to do.
 	var quiet *time.Timer
@@ -64,36 +66,29 @@ func (r *Registry) scheduler() {
 				}
 				break
 			}
-			select {
-			case sem <- struct{}{}:
-			case <-r.stop:
-				m.mu.Lock()
-				m.running = false
-				m.cond.Broadcast()
-				m.mu.Unlock()
-				return
-			}
-			r.wg.Add(1)
-			go func(m *Managed) {
-				defer r.wg.Done()
-				defer func() { <-sem }()
-				m.runRound()
-				// The dataset may have gone dirty again mid-round
-				// (cancelled or stale snapshot): let the loop reclaim it.
-				r.kickAsync()
-			}(m)
+			// A dataset that went dirty again mid-round (cancelled or
+			// stale snapshot) is claimed again by the next pass.
+			m.runRound()
 		}
 	}
 }
 
-// claimDirty picks a dirty, idle dataset (smallest name first, for
-// determinism) and marks it running. It passes over a dataset that the
-// next append would take the round away from again: one with an append
-// request inside the handler, whose end kicks the scheduler, and one
-// written to less than quietPeriod ago. When it claims nothing, wait is
-// how long until the first of the latter is due (0: none is waiting).
+// claimDirty picks a dirty, idle dataset and marks it running. It scans
+// in name order starting after the dataset it claimed last, wrapping
+// around, so datasets that stay dirty take turns. It passes over a
+// dataset that the next append would take the round away from again:
+// one with an append request inside the handler, whose end kicks the
+// scheduler, and one written to less than quietPeriod ago. When it
+// claims nothing, wait is how long until the first of the latter is due
+// (0: none is waiting).
 func (r *Registry) claimDirty() (claimed *Managed, wait time.Duration) {
-	for _, m := range r.datasets() {
+	sets := r.datasets()
+	r.mu.Lock()
+	last := r.lastClaim
+	r.mu.Unlock()
+	first := sort.Search(len(sets), func(i int) bool { return sets[i].name > last })
+	for i := range sets {
+		m := sets[(first+i)%len(sets)]
 		m.mu.Lock()
 		if m.dirty && !m.running && !m.closed && m.appending == 0 {
 			if due := quietPeriod - time.Since(m.lastWrite); due <= 0 {
@@ -105,6 +100,9 @@ func (r *Registry) claimDirty() (claimed *Managed, wait time.Duration) {
 		}
 		m.mu.Unlock()
 		if claimed != nil {
+			r.mu.Lock()
+			r.lastClaim = m.name
+			r.mu.Unlock()
 			return claimed, 0
 		}
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -253,5 +254,153 @@ func TestAppendMidBodyHoldsClaim(t *testing.T) {
 	}
 	if n := starts.Load(); n != 2 {
 		t.Errorf("%d rounds started in all, want 2: the neighbour's and one after the held request ended", n)
+	}
+}
+
+// roundStart is one round reaching testHookRoundStart: its dataset and
+// how many append requests were inside that dataset's handler then.
+type roundStart struct {
+	name      string
+	appending int
+}
+
+// reportRoundStarts installs a testHookRoundStart that reports each
+// round on the returned channel and then runs hook on the round's
+// goroutine.
+func reportRoundStarts(t *testing.T, hook func(*Managed)) <-chan roundStart {
+	t.Helper()
+	started := make(chan roundStart, 1024) // never blocks a round: far more than any test here starts
+	testHookRoundStart = func(m *Managed) {
+		m.mu.Lock()
+		s := roundStart{m.name, m.appending}
+		m.mu.Unlock()
+		started <- s
+		hook(m)
+	}
+	t.Cleanup(func() { testHookRoundStart = nil })
+	return started
+}
+
+func nextRoundStart(t *testing.T, started <-chan roundStart) roundStart {
+	t.Helper()
+	select {
+	case s := <-started:
+		return s
+	case <-time.After(30 * time.Second):
+		t.Fatal("no detection round started")
+		return roundStart{}
+	}
+}
+
+// TestParkedClaimStartsNoDoomedRound: while one dataset's round runs,
+// another is written to, goes quiet, and then gets an append request
+// inside the handler. The scheduler once claimed it while the first
+// round ran and parked the claim until a round slot was free, then
+// started its round without looking again: a round the append in the
+// handler was about to cancel. A claim is now followed at once by its
+// round, so the next round goes to a ready neighbour, and the held
+// dataset's round starts only after the request ends.
+func TestParkedClaimStartsNoDoomedRound(t *testing.T) {
+	release := make(chan struct{})
+	started := reportRoundStarts(t, func(m *Managed) {
+		if m.name == "a" {
+			<-release
+		}
+	})
+	reg := NewRegistry(Config{})
+	defer reg.Close()
+	defer close(release) // before Close, which waits for the held round
+	sets := map[string]*Managed{}
+	for _, name := range []string{"a", "b", "c"} {
+		m, err := reg.Create(name, DatasetConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets[name] = m
+	}
+	appendTo := func(name string) {
+		t.Helper()
+		if _, _, err := sets[name].Append([]dataset.Record{{Source: "s1", Item: "d1", Value: "a"}, {Source: "s2", Item: "d1", Value: "a"}}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	appendTo("a")
+	if s := nextRoundStart(t, started); s.name != "a" {
+		t.Fatalf("first round on %q, want a", s.name)
+	}
+	// a's round is held. b and c are written to and their quiet periods
+	// pass (at least: a slow machine only makes this more true); then an
+	// append request enters b's handler.
+	appendTo("b")
+	appendTo("c")
+	time.Sleep(10 * quietPeriod)
+	sets["b"].appendBegin()
+
+	release <- struct{}{}
+	if s := nextRoundStart(t, started); s.name != "c" || s.appending != 0 {
+		t.Fatalf("after a's round, a round started on %q with %d appends in its handler; want c's, with none", s.name, s.appending)
+	}
+	quiesce(t, reg, "c")
+	sets["b"].appendEnd()
+	if s := nextRoundStart(t, started); s.name != "b" || s.appending != 0 {
+		t.Fatalf("after b's request ended, a round started on %q with %d appends in its handler; want b's, with none", s.name, s.appending)
+	}
+	if pub := quiesce(t, reg, "b"); pub == nil || pub.Version != 1 {
+		t.Fatalf("b published %+v, want version 1", pub)
+	}
+}
+
+// TestRoundRobinClaims: two datasets that go dirty again as soon as
+// each round starts take turns — each gets a round before the other
+// gets two. Both are ready whenever a round ends (each round's hook
+// outlasts the quiet period of its re-append), so a scan that started
+// from the smallest name every time would give every round to the
+// first dataset.
+func TestRoundRobinClaims(t *testing.T) {
+	const reappends = 6
+	gate := make(chan struct{})
+	var n atomic.Int64
+	started := reportRoundStarts(t, func(m *Managed) {
+		<-gate
+		if n.Add(1) > reappends {
+			return
+		}
+		if _, _, err := m.Append([]dataset.Record{{Source: "s3", Item: fmt.Sprint("r", n.Load()), Value: "v"}}, nil); err != nil {
+			t.Error(err)
+		}
+		time.Sleep(2 * quietPeriod) // at least: the re-append is quiet when the round ends
+	})
+	reg := NewRegistry(Config{})
+	defer reg.Close()
+	for _, name := range []string{"a", "b"} {
+		m, err := reg.Create(name, DatasetConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := m.Append([]dataset.Record{{Source: "s1", Item: "d1", Value: "a"}, {Source: "s2", Item: "d1", Value: "a"}}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(gate) // both datasets are dirty before the first round goes on
+
+	// Every re-append takes its round away and asks for another, and the
+	// last two rounds, one per dataset, publish.
+	var order []string
+	for i := 0; i < reappends+2; i++ {
+		order = append(order, nextRoundStart(t, started).name)
+	}
+	for _, name := range []string{"a", "b"} {
+		quiesce(t, reg, name)
+	}
+	for i := 1; i < len(order); i++ {
+		if order[i] == order[i-1] {
+			t.Fatalf("rounds started in the order %v: %s got two in a row", order, order[i])
+		}
+	}
+	select {
+	case s := <-started:
+		t.Fatalf("rounds started in the order %v, then one more on %s", order, s.name)
+	default:
 	}
 }
