@@ -334,8 +334,23 @@ func (g *Gateway) serveRead(w http.ResponseWriter, req *http.Request, name strin
 		relay(w, resp)
 		return
 	}
-	server.WriteErr(w, http.StatusServiceUnavailable,
-		fmt.Sprintf("cluster: dataset %q is unavailable: no member of its replica set can serve (last error: %v)", name, lastErr))
+	unavailable(w, req, fmt.Sprintf("cluster: dataset %q is unavailable: no member of its replica set can serve (last error: %v)", name, lastErr))
+}
+
+// statusClientClosed is nginx's "client closed request": what the
+// gateway answers, and so what its access log and /metrics record, when
+// the client hung up before the gateway had an answer for it.
+const statusClientClosed = 499
+
+// unavailable answers a request that no member served: 503, or
+// statusClientClosed when the client hung up first — then nobody reads
+// the answer, and no server failed.
+func unavailable(w http.ResponseWriter, req *http.Request, msg string) {
+	if req.Context().Err() != nil {
+		server.WriteErr(w, statusClientClosed, "cluster: the client closed the request")
+		return
+	}
+	server.WriteErr(w, http.StatusServiceUnavailable, msg)
 }
 
 // serveWrite buffers the request body (it must be re-sendable to every
@@ -349,7 +364,10 @@ func (g *Gateway) serveRead(w http.ResponseWriter, req *http.Request, name strin
 // (anti-entropy overwrites the failed member from its peer before it
 // serves again). With replication 1 the same path has one member: it
 // mirrors nothing and has nowhere to fail over to, so a dead or hung
-// owner answers 503.
+// owner answers 503. A client that hangs up does not cut the exchange
+// with the member short: what the member answered is mirrored as if
+// the client were still there, and the client is answered
+// statusClientClosed.
 func (g *Gateway) serveWrite(w http.ResponseWriter, req *http.Request, name string) {
 	members := g.ring.ReplicaSet(name, g.replication)
 	body, err := io.ReadAll(io.LimitReader(req.Body, maxWriteBody+1))
@@ -408,8 +426,10 @@ func (g *Gateway) serveWrite(w http.ResponseWriter, req *http.Request, name stri
 		// never answers must not wedge the dataset forever. A timeout is
 		// NOT failed over (the write's fate on a merely-slow member is
 		// unknown, and unlike a dead one it may still apply the batch);
-		// it answers 503, as a dead owner does at replication 1.
-		ctx, cancel := context.WithTimeout(req.Context(), writeTimeout)
+		// it answers 503, as a dead owner does at replication 1. The
+		// client going away does not end the attempt: the member may
+		// apply the write all the same, and then it must be mirrored.
+		ctx, cancel := context.WithTimeout(context.WithoutCancel(req.Context()), writeTimeout)
 		b := g.backends[members[pos]]
 		out, err := newTracedRequest(ctx, req.Method,
 			b.url+req.URL.RequestURI(), bytes.NewReader(body), req, "")
@@ -432,12 +452,9 @@ func (g *Gateway) serveWrite(w http.ResponseWriter, req *http.Request, name stri
 			// died mid-response: either way the write's fate there is
 			// unknown, and it counts as one failure and nothing else.
 			lastErr = err
-			if req.Context().Err() != nil {
-				break // the client hung up; stop entirely
-			}
 			b.reportFailure(err)
-			if timedOut {
-				break // gateway timeout: slow, not dead — no failover
+			if timedOut || req.Context().Err() != nil {
+				break // gateway timeout: slow, not dead — no failover; or nobody waits for one
 			}
 			failedOver = true
 			continue
@@ -445,14 +462,16 @@ func (g *Gateway) serveWrite(w http.ResponseWriter, req *http.Request, name stri
 		b.reportSuccess(false)
 		ds.lastActing = pos
 		g.afterWrite(ds, req, pos, resp.StatusCode, raw, body)
+		if req.Context().Err() != nil {
+			break // the client hung up: nobody reads the member's answer
+		}
 		if pos != 0 {
 			w.Header().Set(server.ReplicaHeader, "true")
 		}
 		relayBytes(w, resp, raw)
 		return
 	}
-	server.WriteErr(w, http.StatusServiceUnavailable,
-		fmt.Sprintf("cluster: dataset %q is unavailable: no member of its replica set can accept the write (last error: %v)", name, lastErr))
+	unavailable(w, req, fmt.Sprintf("cluster: dataset %q is unavailable: no member of its replica set can accept the write (last error: %v)", name, lastErr))
 }
 
 // exchange is the one way the gateway talks to a backend on its own

@@ -406,7 +406,8 @@ func TestListTimeoutOnStalledBackend(t *testing.T) {
 // *client's* own cancellation must not count against the backend —
 // otherwise impatient clients (canceled quiesces, list timeouts) could
 // eject a perfectly healthy backend, and a canceled list fan-out would
-// tick a failure on every backend at once.
+// tick a failure on every backend at once. Nor is the proxied read a
+// server error: it is answered statusClientClosed.
 func TestClientCancelDoesNotEjectBackend(t *testing.T) {
 	reg := server.NewRegistry(server.Config{Options: core.Options{Workers: 1}})
 	defer reg.Close()
@@ -429,6 +430,9 @@ func TestClientCancelDoesNotEjectBackend(t *testing.T) {
 		gw.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil).WithContext(ctx))
 		if st := gw.Status()[0]; !st.Healthy || st.ConsecutiveFailures != 0 {
 			t.Errorf("canceled GET %s counted against the backend: %+v", path, st)
+		}
+		if path != "/v1/datasets" && rec.Code != statusClientClosed {
+			t.Errorf("canceled GET %s answered %d, want %d", path, rec.Code, statusClientClosed)
 		}
 	}
 }

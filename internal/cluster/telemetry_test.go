@@ -1,7 +1,12 @@
 package cluster
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
+	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -186,4 +191,88 @@ func TestMirrorQueueBackpressure(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// hangUpTransport passes every request through, but once a client's
+// append (one without a sequence number: not a mirror) has been
+// answered, it calls hangUp, which cancels that client's request, before
+// the gateway sees the answer: a client that goes away after the member
+// applied its write. Like a real transport it then fails a request whose
+// context has ended.
+type hangUpTransport struct{ hangUp context.CancelFunc }
+
+func (ht *hangUpTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil || !strings.HasSuffix(req.URL.Path, "/observations") || req.Header.Get(server.SeqHeader) != "" {
+		return resp, err
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	ht.hangUp()
+	if err := req.Context().Err(); err != nil {
+		return nil, err
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(raw))
+	return resp, nil
+}
+
+// TestHungUpWriteIsMirrored: at R = 2, an append whose client hangs up
+// after the acting member applied it is mirrored to the other member all
+// the same, and the gateway records the request as 499 — in its access
+// log and on /metrics — not as a 5xx.
+func TestHungUpWriteIsMirrored(t *testing.T) {
+	client, hangUp := context.WithCancel(context.Background())
+	defer hangUp()
+	var urls []string
+	for i := 0; i < 2; i++ {
+		reg := server.NewRegistry(server.Config{Options: core.Options{Workers: 1}})
+		t.Cleanup(reg.Close)
+		s := httptest.NewServer(server.NewHandler(reg))
+		t.Cleanup(s.Close)
+		urls = append(urls, s.URL)
+	}
+	gw, err := New(Config{Backends: urls, Replication: 2, ProbeEvery: time.Hour, Transport: &hangUpTransport{hangUp}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(gw.Close)
+	tel := telemetry.New()
+	var accessLog bytes.Buffer
+	h := telemetry.NewHTTPMetrics(tel, "copygate", log.New(&accessLog, "", 0)).Wrap(gw)
+
+	const name = "hungup"
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/v1/datasets/"+name, nil))
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("create: %d %s", rec.Code, rec.Body)
+	}
+	body, err := json.Marshal(smallBatch("h"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/datasets/"+name+"/observations", bytes.NewReader(body)).WithContext(client))
+	if rec.Code != statusClientClosed {
+		t.Errorf("append whose client hung up: status %d, want %d", rec.Code, statusClientClosed)
+	}
+	for _, url := range urls {
+		waitFor(t, "the append on "+url, func() bool {
+			inf, status := directInfo(t, url, name)
+			return status == http.StatusOK && inf.Version == 1
+		})
+	}
+
+	var exposition strings.Builder
+	if err := tel.WritePrometheus(&exposition); err != nil {
+		t.Fatal(err)
+	}
+	if m := exposition.String(); !strings.Contains(m, `code="499"`) || strings.Contains(m, `code="5`) {
+		t.Errorf("/metrics should count the hang-up as 499 and no request as 5xx:\n%s", m)
+	}
+	if l := accessLog.String(); !strings.Contains(l, "/observations 499 ") || strings.Contains(l, " 503 ") {
+		t.Errorf("access log should record the append as 499:\n%s", l)
+	}
 }

@@ -71,11 +71,11 @@ func BenchmarkRefresh(b *testing.B) {
 	b.ReportMetric(ms(b.Elapsed()-detect-fusion), "overhead-ms")
 }
 
-// BenchmarkRead is one poll of the benchmark of record's reader — GET
-// …/copies, then GET …/truth, through NewHandler — on a published
-// Stock-1day×0.15 round. warm serves the bodies the first poll rendered;
-// render drops them before every poll, as a publish does, so each poll
-// renders both again (every poll did before read bodies were cached).
+// BenchmarkRead measures the read bodies of a published Stock-1day×0.15
+// round. warm is one poll of the benchmark of record's reader — GET
+// …/copies, then GET …/truth, through NewHandler — which writes the
+// stored bodies; render is what a round does once before it publishes:
+// render both bodies and their unconverged twins (renderReads).
 //
 //	go test -run '^$' -bench Read -benchmem ./internal/server
 func BenchmarkRead(b *testing.B) {
@@ -89,7 +89,8 @@ func BenchmarkRead(b *testing.B) {
 	if _, _, err := m.Append(dataset.Records(ds), nil); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := reg.Quiesce(context.Background(), "read"); err != nil {
+	pub, err := reg.Quiesce(context.Background(), "read")
+	if err != nil {
 		b.Fatal(err)
 	}
 	h := NewHandler(reg)
@@ -101,35 +102,29 @@ func BenchmarkRead(b *testing.B) {
 		}
 		reqs = append(reqs, req)
 	}
-	poll := func(b *testing.B) {
+	b.Run("warm", func(b *testing.B) {
+		b.ReportAllocs()
 		var w discardWriter
-		for _, req := range reqs {
-			w.reset()
-			h.ServeHTTP(&w, req)
-			if w.code != http.StatusOK {
-				b.Fatalf("%s: status %d", req.URL.Path, w.code)
+		for i := 0; i < b.N; i++ {
+			for _, req := range reqs {
+				w.reset()
+				h.ServeHTTP(&w, req)
+				if w.code != http.StatusOK {
+					b.Fatalf("%s: status %d", req.URL.Path, w.code)
+				}
 			}
 		}
-	}
-	for _, bc := range []struct {
-		name    string
-		publish bool
-	}{{"warm", false}, {"render", true}} {
-		b.Run(bc.name, func(b *testing.B) {
-			poll(b)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if bc.publish {
-					m.mu.Lock()
-					m.reads = nil
-					m.mu.Unlock()
-				}
-				poll(b)
-			}
-		})
-	}
+	})
+	b.Run("render", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rendered = renderReads(m.name, m.gen, pub)
+		}
+	})
 }
+
+// rendered keeps BenchmarkRead's renders from being optimised away.
+var rendered *readBodies
 
 // discardWriter is an http.ResponseWriter that keeps the status code
 // and drops the body.

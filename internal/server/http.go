@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -33,7 +35,7 @@ import (
 // detection; they carry an ETag that changes exactly when a new round is
 // published or the round's convergence flag flips, and honor
 // If-None-Match with 304. The copies and truth bodies are rendered once
-// per ETag and then served as bytes.
+// per published round, before it is published, and served as bytes.
 //
 // An append may carry an X-Copydetect-Seq header naming its per-dataset
 // sequence number (sequence n must be the dataset's nth append). A
@@ -129,6 +131,8 @@ type copiesResponse struct {
 	Pairs     []copyingPair `json:"pairs"`
 }
 
+// truthResponse is the shape of the …/truth body; appendTruth writes it
+// without encoding/json.
 type truthResponse struct {
 	Dataset   string            `json:"dataset"`
 	Version   uint64            `json:"version"`
@@ -370,19 +374,61 @@ func serveCached(w http.ResponseWriter, req *http.Request, m *Managed) (readView
 
 func (h *handler) copies(w http.ResponseWriter, req *http.Request, m *Managed) {
 	if v, ok := serveCached(w, req, m); ok {
-		writeBody(w, http.StatusOK, v.bodies.copies.get(v.copiesResponse))
+		writeBody(w, http.StatusOK, v.copies)
 	}
 }
 
 func (h *handler) truth(w http.ResponseWriter, req *http.Request, m *Managed) {
 	if v, ok := serveCached(w, req, m); ok {
-		writeBody(w, http.StatusOK, v.bodies.truth.get(v.truthResponse))
+		writeBody(w, http.StatusOK, v.truth)
 	}
 }
 
-func (v readView) copiesResponse() any {
-	resp := copiesResponse{Dataset: v.name, Converged: v.converged, Pairs: []copyingPair{}}
-	if pub := v.pub; pub != nil {
+// testHookRender, when non-nil, runs at every renderReads. Test-only.
+var testHookRender func()
+
+// renderReads renders the read bodies of dataset name (creation
+// generation gen) at round pub, nil before the first round. Each body is
+// rendered once, converged; its unconverged twin is that render with the
+// "converged" member swapped (unconverged).
+func renderReads(name string, gen uint64, pub *Published) *readBodies {
+	if testHookRender != nil {
+		testHookRender()
+	}
+	version, round := uint64(0), 0
+	if pub != nil {
+		version, round = pub.Version, pub.Round
+	}
+	tag := fmt.Sprintf("%s-g%d-v%d-r%d", name, gen, version, round)
+	copies := encodeJSON(copiesOf(name, pub, true))
+	truth := appendTruth(nil, name, pub)
+	return &readBodies{
+		etag:   [2]string{strconv.Quote(tag), strconv.Quote(tag + "-u")},
+		copies: [2][]byte{copies, unconverged(copies)},
+		truth:  [2][]byte{truth, unconverged(truth)},
+	}
+}
+
+// convergedTrue opens a converged read body's "converged" member. The
+// member follows "dataset", whose escaped name holds no raw newline, so
+// the first match in a body is that member.
+const convergedTrue = "\n  \"converged\": true"
+
+// unconverged returns a copy of a converged read body whose "converged"
+// member is false.
+func unconverged(body []byte) []byte {
+	head, tail, _ := bytes.Cut(body, []byte(convergedTrue))
+	out := make([]byte, 0, len(body)+1)
+	out = append(out, head...)
+	out = append(out, "\n  \"converged\": false"...)
+	return append(out, tail...)
+}
+
+// copiesOf is the …/copies response of dataset name at round pub (nil
+// before the first round).
+func copiesOf(name string, pub *Published, converged bool) copiesResponse {
+	resp := copiesResponse{Dataset: name, Converged: converged, Pairs: []copyingPair{}}
+	if pub != nil {
 		resp.Version, resp.Round, resp.Algorithm = pub.Version, pub.Round, pub.Algorithm
 		for _, pr := range pub.Outcome.Copy.CopyingPairs() {
 			resp.Pairs = append(resp.Pairs, copyingPair{
@@ -396,17 +442,56 @@ func (v readView) copiesResponse() any {
 	return resp
 }
 
-func (v readView) truthResponse() any {
-	resp := truthResponse{Dataset: v.name, Converged: v.converged, Truth: map[string]string{}}
-	if pub := v.pub; pub != nil {
-		resp.Version, resp.Round = pub.Version, pub.Round
+// appendTruth appends the converged …/truth body of dataset name at
+// round pub (nil before the first round) to dst: the bytes encodeJSON
+// writes for that truthResponse, without the map it would build and the
+// reflection it would sort the map's keys with.
+func appendTruth(dst []byte, name string, pub *Published) []byte {
+	type decided struct{ item, value string }
+	version, round := uint64(0), 0
+	var truth []decided     // by item name, as encoding/json orders map keys
+	size := 128 + len(name) // the body's size, escapes aside
+	if pub != nil {
+		version, round = pub.Version, pub.Round
+		truth = make([]decided, 0, len(pub.Outcome.Truth))
 		for d, val := range pub.Outcome.Truth {
 			if val != dataset.NoValue {
-				resp.Truth[pub.Snapshot.ItemNames[d]] = pub.Snapshot.ValueNames[d][val]
+				dc := decided{pub.Snapshot.ItemNames[d], pub.Snapshot.ValueNames[d][val]}
+				truth = append(truth, dc)
+				size += len(dc.item) + len(dc.value) + 12
 			}
 		}
+		slices.SortFunc(truth, func(a, b decided) int { return strings.Compare(a.item, b.item) })
 	}
-	return resp
+	dst = slices.Grow(dst, size)
+	dst = appendJSONString(append(dst, "{\n  \"dataset\": "...), name)
+	dst = strconv.AppendUint(append(dst, ",\n  \"version\": "...), version, 10)
+	dst = strconv.AppendInt(append(dst, ",\n  \"round\": "...), int64(round), 10)
+	dst = append(dst, ",\n  \"converged\": true,\n  \"truth\": {"...)
+	for i, dc := range truth {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendJSONString(append(dst, "\n    "...), dc.item)
+		dst = appendJSONString(append(dst, ": "...), dc.value)
+	}
+	if len(truth) > 0 {
+		dst = append(dst, "\n  "...)
+	}
+	return append(dst, "}\n}\n"...)
+}
+
+// appendJSONString appends s quoted as encoding/json writes it. A string
+// of printable ASCII that needs no escape (no quote, backslash, <, > or
+// &) is copied as it is; any other is handed to encoding/json.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s) // a string always encodes
+			return append(dst, b...)
+		}
+	}
+	return append(append(append(dst, '"'), s...), '"')
 }
 
 func (h *handler) stats(w http.ResponseWriter, _ *http.Request, m *Managed) {

@@ -31,6 +31,17 @@ type Published struct {
 	Outcome *fusion.Outcome
 	// Wall is the end-to-end duration of the round.
 	Wall time.Duration
+
+	// reads are the round's read bodies and their ETags (newPublished).
+	reads *readBodies
+}
+
+// newPublished completes one of m's rounds for serving: it renders the
+// round's read bodies, once. runRound publishes what it returns, and
+// recovery installs a snapshot's round through it too.
+func (m *Managed) newPublished(p Published) *Published {
+	p.reads = renderReads(m.name, m.gen, &p)
+	return &p
 }
 
 // Managed is one named dataset under registry management. All methods
@@ -72,27 +83,17 @@ type Managed struct {
 	lagSince time.Time
 
 	pub *Published
-	// reads holds pub's read bodies, by convergence flag (readView); it
-	// is set to nil whenever pub is replaced, and dropped with it.
-	reads *[2]readBodies
+	// unpublished are the read bodies served before the first round,
+	// rendered when the dataset is made.
+	unpublished *readBodies
 }
 
-// readBodies are the …/copies and …/truth bodies of one ETag: one
-// published round (or none yet) and one convergence flag.
-type readBodies struct{ copies, truth renderedBody }
-
-// renderedBody is one read body, rendered by its first reader and then
-// served as bytes; concurrent first readers share the one render.
-type renderedBody struct {
-	once sync.Once
-	b    []byte
-}
-
-// get returns the body, rendering it from render's response on the
-// first call.
-func (r *renderedBody) get(render func() any) []byte {
-	r.once.Do(func() { r.b = encodeJSON(render()) })
-	return r.b
+// readBodies are the …/copies and …/truth bodies of one published round
+// (or of none yet) and their ETags, by convergence flag: [0] while the
+// round covers every append, [1] while an append waits for a round.
+type readBodies struct {
+	etag          [2]string
+	copies, truth [2][]byte
 }
 
 // Info is a point-in-time summary of a managed dataset.
@@ -381,40 +382,32 @@ func (m *Managed) Converged() bool {
 	return m.convergedLocked()
 }
 
-// readView is one consistent read of a dataset: the published round
-// (nil before the first), a convergence flag computed against that same
-// round, the ETag naming the pair, and the bodies rendered for it — so a
-// body can never pair one round's data with another round's convergence
-// claim or tag.
+// readView is one consistent read of a dataset: the ETag and the bodies
+// of the published round (or of none yet) under one convergence flag,
+// taken together, so a body can never pair one round's data with
+// another round's convergence claim or tag.
 type readView struct {
-	name      string
-	pub       *Published
-	converged bool
-	etag      string
-	bodies    *readBodies
+	etag          string
+	copies, truth []byte
 }
 
 // readView returns what the read endpoints serve now. The ETag names the
 // served result: it changes exactly when a new round is published or the
 // convergence flag flips (an unconverged tag ends in "-u"), and the
 // creation generation keeps tags from a deleted dataset invalid against
-// a recreated one of the same name. One tag, one body.
+// a recreated one of the same name. One tag, one body, rendered before
+// it is served: readView only picks stored bytes.
 func (m *Managed) readView() readView {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	v, round := uint64(0), 0
+	b, row := m.unpublished, 0
 	if m.pub != nil {
-		v, round = m.pub.Version, m.pub.Round
+		b = m.pub.reads
 	}
-	tag, row := fmt.Sprintf("%s-g%d-v%d-r%d", m.name, m.gen, v, round), 0
-	converged := m.convergedLocked()
-	if !converged {
-		tag, row = tag+"-u", 1
+	if !m.convergedLocked() {
+		row = 1
 	}
-	if m.reads == nil {
-		m.reads = new([2]readBodies)
-	}
-	return readView{name: m.name, pub: m.pub, converged: converged, etag: fmt.Sprintf("%q", tag), bodies: &m.reads[row]}
+	return readView{etag: b.etag[row], copies: b.copies[row], truth: b.truth[row]}
 }
 
 // Info returns a point-in-time summary.

@@ -8,6 +8,7 @@ import (
 	"regexp"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"copydetect/internal/dataset"
@@ -41,7 +42,7 @@ func TestReadBodiesRenderedOncePerTag(t *testing.T) {
 	}
 	read := func() (copies, truth []byte) {
 		v := m.readView()
-		return v.bodies.copies.get(v.copiesResponse), v.bodies.truth.get(v.truthResponse)
+		return v.copies, v.truth
 	}
 	same := func(a, b []byte) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
 
@@ -53,7 +54,7 @@ func TestReadBodiesRenderedOncePerTag(t *testing.T) {
 		t.Fatal("two reads of one round and flag rendered their bodies twice")
 	}
 	pub := m.Published()
-	if want := encodeJSON(readView{name: "r", pub: pub, converged: true}.truthResponse()); !bytes.Equal(t1, want) {
+	if want := encodeJSON(truthOf("r", pub, true)); !bytes.Equal(t1, want) {
 		t.Fatalf("cached truth body differs from a fresh render:\n%s\nwant\n%s", t1, want)
 	}
 
@@ -77,6 +78,66 @@ func TestReadBodiesRenderedOncePerTag(t *testing.T) {
 	}
 	if m.Published() == pub || bytes.Equal(c3, c1) {
 		t.Fatal("the append did not publish a different round")
+	}
+}
+
+// TestPollAfterAppendRendersNothing: the polls that follow an append,
+// while the round that covers it is held at testHookRoundStart, serve
+// the published round's unconverged bodies — encodeJSON's bytes for that
+// round with converged false — and render nothing: every body was
+// rendered before its round was published, once per round.
+func TestPollAfterAppendRendersNothing(t *testing.T) {
+	var renders atomic.Int64
+	testHookRender = func() { renders.Add(1) }
+	defer func() { testHookRender, testHookRoundStart = nil, nil }() // after the registry has closed
+	reg := NewRegistry(Config{})
+	defer reg.Close()
+	h := NewHandler(reg)
+	m, err := reg.Create("a", DatasetConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, _ := dataset.Motivating()
+	if _, _, err := m.Append(dataset.Records(ds), nil); err != nil {
+		t.Fatal(err)
+	}
+	pub, err := reg.Quiesce(context.Background(), "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	poll := func(converged bool) {
+		t.Helper()
+		for _, ep := range []string{"copies", "truth"} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/datasets/a/"+ep, nil))
+			var resp any = copiesOf("a", pub, converged)
+			if ep == "truth" {
+				resp = truthOf("a", pub, converged)
+			}
+			if want := encodeJSON(resp); rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
+				t.Fatalf("%s, converged %v: status %d\n%s\nwant\n%s", ep, converged, rec.Code, rec.Body.Bytes(), want)
+			}
+		}
+	}
+
+	before := renders.Load()
+	poll(true)
+	release := make(chan struct{})
+	testHookRoundStart = func(*Managed) { <-release }
+	if _, _, err := m.Append([]dataset.Record{{Source: "S9", Item: "NY", Value: "Albany"}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	poll(false)
+	poll(false)
+	if n := renders.Load() - before; n != 0 {
+		t.Fatalf("the polls of a published round rendered %d times", n)
+	}
+	close(release)
+	if _, err := reg.Quiesce(context.Background(), "a"); err != nil {
+		t.Fatal(err)
+	}
+	if n := renders.Load() - before; n != 1 {
+		t.Fatalf("the round covering the append rendered %d times, want once", n)
 	}
 }
 
@@ -154,15 +215,15 @@ func TestReadsDuringPublishes(t *testing.T) {
 		if !ok {
 			t.Fatalf("ETag %s names a round that was never published", key.etag)
 		}
-		v := readView{name: "p", pub: pub, converged: sub[2] == ""}
-		render := v.copiesResponse
+		converged := sub[2] == ""
+		var resp any = copiesOf("p", pub, converged)
 		if key.ep == "truth" {
-			render = v.truthResponse
+			resp = truthOf("p", pub, converged)
 		}
-		if want := encodeJSON(render()); !bytes.Equal(body, want) {
+		if want := encodeJSON(resp); !bytes.Equal(body, want) {
 			t.Errorf("%s under %s is not the render of that round and flag:\n%s\nwant\n%s", key.ep, key.etag, body, want)
 		}
-		if !v.converged {
+		if !converged {
 			unconverged++
 		}
 	}

@@ -283,6 +283,7 @@ func (r *Registry) newManaged(name string, gen uint64, params bayes.Params) *Man
 		builder: dataset.NewBuilder(),
 	}
 	m.cond = sync.NewCond(&m.mu)
+	m.unpublished = renderReads(name, gen, nil)
 	return m
 }
 

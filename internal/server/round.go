@@ -110,8 +110,9 @@ func (r *Registry) claimDirty() (claimed *Managed, wait time.Duration) {
 }
 
 // runRound executes one detection round: snapshot the builder, run the
-// full iterative process on it, and publish the outcome if the snapshot
-// is still current. Stale or cancelled rounds re-mark the dataset dirty.
+// full iterative process on it, render the outcome's read bodies, and
+// publish them with it if the snapshot is still current. Stale or
+// cancelled rounds re-mark the dataset dirty.
 func (m *Managed) runRound() {
 	m.mu.Lock()
 	if m.closed || !m.dirty {
@@ -120,7 +121,9 @@ func (m *Managed) runRound() {
 		m.mu.Unlock()
 		return
 	}
-	version := m.version
+	// The round this one becomes if it is published: an import, which
+	// may raise rounds, also moves version, and then nothing publishes.
+	version, round := m.version, m.rounds+1
 	m.dirty = false
 	cancel := make(chan struct{})
 	m.cancel = cancel
@@ -143,25 +146,36 @@ func (m *Managed) runRound() {
 	out := tf.Run(snap, &core.Incremental{Params: m.params, Opts: opts})
 	wall := time.Since(start)
 
+	// The read bodies are rendered here, outside every lock, so that no
+	// read renders one; a round an append has already cancelled renders
+	// nothing.
+	var pub *Published
+	select {
+	case <-cancel:
+	default:
+		if out != nil {
+			pub = m.newPublished(Published{
+				Version:   version,
+				Round:     round,
+				Algorithm: algo,
+				Snapshot:  snap,
+				Outcome:   out,
+				Wall:      wall,
+			})
+		}
+	}
+
 	// Publish: the staleness check and the swap are one critical section
-	// under mu, with no disk write in it. A cancelled round (out == nil)
+	// under mu, with no disk write in it. A cancelled round (pub == nil)
 	// takes the same path although it has nothing to publish.
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.cancel == cancel {
 		m.cancel = nil
 	}
-	if out != nil && !m.closed && m.version == version {
-		m.rounds++
-		m.reads = nil
-		m.pub = &Published{
-			Version:   version,
-			Round:     m.rounds,
-			Algorithm: algo,
-			Snapshot:  snap,
-			Outcome:   out,
-			Wall:      wall,
-		}
+	if pub != nil && !m.closed && m.version == version {
+		m.rounds = round
+		m.pub = pub
 		if in := m.reg.inst.Load(); in != nil {
 			in.roundDuration.With(algo).Observe(wall.Seconds())
 			in.roundsTotal.With(algo).Inc()

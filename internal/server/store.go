@@ -533,7 +533,7 @@ func (r *Registry) recoverDataset(dir string) (*Managed, error) {
 	if pub := loadLatestSnapshot(dir); pub != nil {
 		// A snapshot installs its dataset the way an import does.
 		m.apply(walRecord{kind: walRecImport, version: pub.Version, round: pub.Round, ds: pub.Snapshot})
-		m.pub = pub
+		m.pub = m.newPublished(*pub)
 		m.st.snapVersion = pub.Version
 	}
 	m.st.log, err = wal.Open(filepath.Join(dir, "wal"), wal.Options{Fsync: r.cfg.Fsync, SegmentBytes: testWALSegmentBytes, ObserveAppend: r.observeWAL}, func(lsn uint64, payload []byte) error {
