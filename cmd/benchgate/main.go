@@ -35,7 +35,9 @@ import (
 	"strconv"
 )
 
-var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+([0-9][0-9.eE+]*) ns/op(?:\s+(\d+) B/op\s+(\d+) allocs/op)?`)
+// benchLine matches one result line. A benchmark's own metrics
+// (b.ReportMetric) sit between ns/op and the -benchmem columns.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+([0-9][0-9.eE+]*) ns/op(?:.*?\s(\d+) B/op\s+(\d+) allocs/op)?`)
 
 // samples holds one benchmark's measurements across -count repetitions.
 // allocs is empty when the run lacked -benchmem.

@@ -256,3 +256,18 @@ func TestRunGatesAllocRegression(t *testing.T) {
 		t.Fatal("bad -max-alloc-regression accepted")
 	}
 }
+
+// TestParseReportedMetrics: a benchmark's own metrics (b.ReportMetric, as
+// BenchmarkRun and BenchmarkRefresh report them) come between ns/op and
+// the -benchmem columns, which must still be read.
+func TestParseReportedMetrics(t *testing.T) {
+	const line = "BenchmarkRefresh/book-cs-x0.5-2 \t 40\t  32060084 ns/op\t 22.25 detect-ms\t 5.602 fusion-ms\t 5034910 B/op\t    4897 allocs/op\n"
+	got, err := parseBench(strings.NewReader(line))
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	s := got["BenchmarkRefresh/book-cs-x0.5-2"]
+	if s == nil || len(s.ns) != 1 || s.ns[0] != 32060084 || len(s.allocs) != 1 || s.allocs[0] != 4897 {
+		t.Fatalf("parsed %+v, want 32060084 ns/op and 4897 allocs/op", s)
+	}
+}

@@ -90,28 +90,13 @@ type Incremental struct {
 
 	// Frozen at prepare time. pm is the cache's candidate pairs as of the
 	// base round.
-	pm         *index.PairMap
-	base       *bayes.State
-	baseScore  []float64 // per-entry M̂ at base (aliases the view's Score)
-	cTo, cFrom []float64 // exact full score C→/C← at base (incl. ln(1−s) term)
-	copying    []bool
-	workers    int
+	pm        *index.PairMap
+	base      *bayes.State
+	baseScore []float64 // per-entry M̂ at base (aliases the view's Score)
+	workers   int
 
-	// Per-round scratch, preallocated in prepare. The per-pair delta
-	// columns are cleared through the touched list after each round.
-	deltas, absDeltas  []float64
-	sigBuf             []float64
-	bigEntries         []int32
-	bigAcc             []bool
-	dNegTo, dPosTo     []float64
-	dNegFrom, dPosFrom []float64
-	smallDec, smallInc []int32 // per-pair counts of small-change shared entries
-	touched            []int32
-	isTouched          []bool
-	accBufs            [][]float64
-	touchedShards      [][]int32
-	passAComps         []int64
-	passOuts           []passOut
+	// The detector's working memory, which Reset keeps.
+	incBufs
 
 	// Emission. baseRows are the rows of the freeze (base scores, their
 	// posteriors, base decisions), built by prepare and never written
@@ -145,6 +130,30 @@ type passOut struct {
 	pass    PassStats
 	stats   Stats
 	flipped bool
+}
+
+// incBufs is the memory an Incremental works in: the frozen per-pair
+// scores and decisions, and the per-round scratch, preallocated in prepare
+// so that steady-state rounds allocate nothing. prepare sizes and fills or
+// clears every buffer, and each round overwrites what it reads, so nothing
+// in here survives into another Run but its capacity. The per-pair delta
+// columns are cleared through the touched list after each round.
+type incBufs struct {
+	cTo, cFrom         []float64 // exact full score C→/C← at base (incl. ln(1−s) term)
+	copying            []bool
+	deltas, absDeltas  []float64
+	sigBuf             []float64
+	bigEntries         []int32
+	bigAcc             []bool
+	dNegTo, dPosTo     []float64
+	dNegFrom, dPosFrom []float64
+	smallDec, smallInc []int32 // per-pair counts of small-change shared entries
+	touched            []int32
+	isTouched          []bool
+	accBufs            [][]float64
+	touchedShards      [][]int32
+	passAComps         []int64
+	passOuts           []passOut
 }
 
 // PassStats reports where pairs terminated during an incremental round.
@@ -208,9 +217,15 @@ func adaptiveRhoVInto(absDeltas, buf []float64) float64 {
 func (d *Incremental) Name() string { return "INCREMENTAL" }
 
 // Reset drops all cross-round state so the detector can serve a fresh
-// iterative process.
+// iterative process, and keeps its memory: the working buffers (incBufs)
+// and what the structure cache keeps of a generation (structCache.release).
+// A detector reset for every Run therefore computes exactly what a fresh
+// one would, and after its first Run allocates little beyond what its
+// Results hand out and what a larger dataset outgrows; the serving layer
+// runs every round on one such detector.
 func (d *Incremental) Reset() {
-	*d = Incremental{Params: d.Params, Opts: d.Opts}
+	d.cache.release()
+	*d = Incremental{Params: d.Params, Opts: d.Opts, cache: d.cache, incBufs: d.incBufs}
 }
 
 // DetectRound implements Detector.
@@ -255,7 +270,7 @@ func (d *Incremental) DetectRound(ds *dataset.Dataset, st *bayes.State, round in
 // Contents are unspecified; callers clear what they need cleared.
 func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n)
+		return make([]T, n, headroom(cap(s), n))
 	}
 	return s[:n]
 }
@@ -263,9 +278,22 @@ func grow[T any](s []T, n int) []T {
 // growList returns an empty list with capacity at least n.
 func growList[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, 0, n)
+		return make([]T, 0, headroom(cap(s), n))
 	}
 	return s[:0]
+}
+
+// headroom is the capacity to reallocate a buffer of capacity had at when
+// it must hold n > had elements: exactly n on a first allocation, so a
+// buffer a one-off Run never outgrows carries no headroom, and an eighth
+// more when a buffer is outgrown, since a carried buffer of a dataset that
+// grows by a few records a round would otherwise be reallocated every
+// round.
+func headroom(had, n int) int {
+	if had == 0 {
+		return n
+	}
+	return n + n/8
 }
 
 // rescan is the freeze without a warm scan to take it from — the rebase

@@ -33,6 +33,12 @@ import (
 // allocator reuse the address, and a pointer-only key would then serve the
 // old dataset's frozen structure for the new data. (Regression test:
 // TestStructCacheGenerationChange.)
+//
+// A new generation keeps the memory of the last one (release): the
+// per-round buffers, which every round sizes and overwrites before use,
+// and both pair maps, which a round empties before filling (Reset) — a map
+// is sized by the source count, so it is kept only for a generation with
+// the same count.
 type structCache struct {
 	ds  *dataset.Dataset
 	gen uint64
@@ -40,7 +46,7 @@ type structCache struct {
 	// Per dataset generation.
 	str   *index.Structure
 	view  *index.View
-	pmAll *index.PairMap
+	pmAll *index.PairMap // nil until the generation's first round
 	lAll  []int32
 
 	// Per round, reused.
@@ -49,6 +55,10 @@ type structCache struct {
 	tabs    []pairTab
 	nSeen   [][]int32 // entry walk: one counter slice per worker
 	pos     posIndex  // pair sweep: the round's position index
+
+	// spareAll is a released generation's all-pairs map, for the next
+	// generation's pairUniverse.
+	spareAll *index.PairMap
 }
 
 // structures returns the SoA structure for ds, rebuilding everything when
@@ -58,10 +68,31 @@ func (c *structCache) structures(ds *dataset.Dataset) *index.Structure {
 	if c.str != nil && c.ds == ds && c.gen == ds.Generation {
 		return c.str
 	}
-	*c = structCache{ds: ds, gen: ds.Generation}
+	c.release()
+	c.ds, c.gen = ds, ds.Generation
 	c.str = index.NewStructure(ds)
 	c.view = index.NewView(c.str)
 	return c.str
+}
+
+// release drops the cache's dataset generation and keeps its memory for
+// the next one: the next call of structures rebuilds the structure even for
+// the same dataset, as a fresh cache would.
+func (c *structCache) release() {
+	if c.pmAll != nil {
+		c.spareAll = c.pmAll
+	}
+	c.ds, c.gen, c.str, c.view, c.pmAll = nil, 0, nil, nil, nil
+}
+
+// pairMap returns pm if it is sized for numSources sources and a new map
+// otherwise. Both fills (CandidatePairsInto, PairUniverseInto) empty the
+// map first.
+func pairMap(pm *index.PairMap, numSources int) *index.PairMap {
+	if pm == nil || pm.NumSources() != numSources {
+		return index.NewPairMap(numSources)
+	}
+	return pm
 }
 
 // pairUniverse fills the generation's all-pairs map from the view and the
@@ -69,10 +100,10 @@ func (c *structCache) structures(ds *dataset.Dataset) *index.Structure {
 // in it, off the bitsets or, when the memory guard disabled them, by the
 // sorted-list merges (a one-time cost either way: it is cached).
 func (c *structCache) pairUniverse(ds *dataset.Dataset) {
-	c.pmAll = index.NewPairMap(ds.NumSources())
+	c.pmAll, c.spareAll = pairMap(c.spareAll, ds.NumSources()), nil
 	index.PairUniverseInto(c.view, c.pm, c.pmAll)
 	if c.str.ItemBits != nil {
-		c.lAll = make([]int32, c.pmAll.Len())
+		c.lAll = grow(c.lAll, c.pmAll.Len())
 		index.SharedItemCountsBits(c.str, c.pmAll, c.lAll)
 	} else {
 		c.lAll = index.SharedItemCounts(ds, c.pmAll)
@@ -89,9 +120,7 @@ func (c *structCache) round(ds *dataset.Dataset, st *bayes.State, p bayes.Params
 
 	c.structures(ds)
 	c.view.Rescore(st, p, ord, rng)
-	if c.pm == nil {
-		c.pm = index.NewPairMap(ds.NumSources())
-	}
+	c.pm = pairMap(c.pm, ds.NumSources())
 	if c.pmAll == nil {
 		// No count to stop at yet but the n(n−1)/2 pairs there can be.
 		ns := ds.NumSources()
@@ -100,11 +129,7 @@ func (c *structCache) round(ds *dataset.Dataset, st *bayes.State, p bayes.Params
 	} else {
 		index.CandidatePairsInto(c.view, c.pm, c.pmAll.Len())
 	}
-	numPairs := c.pm.Len()
-	if cap(c.lCounts) < numPairs {
-		c.lCounts = make([]int32, numPairs)
-	}
-	c.lCounts = c.lCounts[:numPairs]
+	c.lCounts = grow(c.lCounts, c.pm.Len())
 	for slot, key := range c.pm.Keys() {
 		// A candidate pair co-occurs in a non-tail entry, hence in an
 		// entry, hence has a slot in pmAll.
@@ -128,10 +153,13 @@ func (c *structCache) pairTabs(workers int) []pairTab {
 }
 
 // nSeenBufs returns one per-source counter slice per worker, reused across
-// rounds.
+// rounds; the scan clears them.
 func (c *structCache) nSeenBufs(workers, numSources int) [][]int32 {
-	for len(c.nSeen) < workers {
-		c.nSeen = append(c.nSeen, make([]int32, numSources))
+	if len(c.nSeen) < workers {
+		c.nSeen = append(c.nSeen, make([][]int32, workers-len(c.nSeen))...)
+	}
+	for w := 0; w < workers; w++ {
+		c.nSeen[w] = grow(c.nSeen[w], numSources)
 	}
 	return c.nSeen[:workers]
 }

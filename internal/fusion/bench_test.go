@@ -70,11 +70,15 @@ var (
 	sinkAcc   []float64
 )
 
+// BenchmarkValueProbs is one step of a TruthFinder.Run, whose calls share
+// one scratch: every iteration after the first allocates only the
+// probabilities it returns.
 func BenchmarkValueProbs(b *testing.B) {
 	p := bayes.DefaultParams()
 	forEachBenchInput(b, func(b *testing.B, in benchInput, workers int) {
+		var sc probScratch
 		for i := 0; i < b.N; i++ {
-			sinkProbs = valueProbs(in.ds, in.st, p, in.g, workers)
+			sinkProbs = valueProbs(in.ds, in.st, p, in.g, workers, &sc)
 		}
 	})
 }

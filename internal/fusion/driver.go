@@ -43,6 +43,13 @@ type TruthFinder struct {
 	// Outcome. The serving layer uses it to abort in-flight detection
 	// when new observations make the round's snapshot stale.
 	Cancel <-chan struct{}
+
+	// scratch is the value-probability step's working memory, kept from one
+	// Run to the next: a TruthFinder reused across Runs — the serving
+	// layer's, one for every round — allocates only the probabilities it
+	// returns. It never carries a value, so a reused TruthFinder computes
+	// exactly what a fresh one would. One Run at a time.
+	scratch probScratch
 }
 
 // Every source starts at accuracy initialAccuracy, and the process has
@@ -113,7 +120,7 @@ func (tf *TruthFinder) Run(ds *dataset.Dataset, det core.Detector) *Outcome {
 	fusionStart := time.Now()
 	// Initial value probabilities from undiscounted voting at uniform
 	// accuracy, so round 1 of copy detection has informative P(D.v).
-	st.P = valueProbs(ds, st, p, nil, tf.Workers)
+	st.P = valueProbs(ds, st, p, nil, tf.Workers, &tf.scratch)
 	st.A = accuracies(ds, st.P, tf.Workers)
 	out := &Outcome{}
 	fusionTime := time.Since(fusionStart)
@@ -141,7 +148,7 @@ func (tf *TruthFinder) Run(ds *dataset.Dataset, det core.Detector) *Outcome {
 
 		stepStart := time.Now()
 		g := newCopyGraph(res)
-		st.P = valueProbs(ds, st, p, g, tf.Workers)
+		st.P = valueProbs(ds, st, p, g, tf.Workers, &tf.scratch)
 		newA := accuracies(ds, st.P, tf.Workers)
 		delta := 0.0
 		for s := range newA {

@@ -64,7 +64,21 @@ func newCopyGraph(res *core.Result) *copyGraph {
 // including its unobserved false values. A value nobody provides (one the
 // gold standard names, say) has vote 0.
 func ValueProbs(ds *dataset.Dataset, st *bayes.State, p bayes.Params, g *copyGraph) [][]float64 {
-	return valueProbs(ds, st, p, g, 1)
+	return valueProbs(ds, st, p, g, 1, nil)
+}
+
+// probScratch is valueProbs' working memory: everything a call computes
+// before its votes, and each worker's provider stamps. A call sizes and
+// overwrites or clears every buffer, so one scratch may serve any number of
+// calls, one at a time; the probabilities themselves are never in it.
+type probScratch struct {
+	q              []float64          // accuracy scores
+	order          []dataset.SourceID // sources in vote order
+	rank           []int32            // position of each source in order
+	valOff, obsOff []int32            // first cell / provider slot of each item
+	ends           []int32            // per cell: the end of its providers in provs
+	provs          []dataset.SourceID // providers grouped by cell, item-major
+	stamps         [][]int32          // per worker, one slot per source
 }
 
 // valueProbs is ValueProbs over workers contiguous blocks of items. An
@@ -78,15 +92,20 @@ func ValueProbs(ds *dataset.Dataset, st *bayes.State, p bayes.Params, g *copyGra
 // with a counting sort — walking the sources in rank order, so each cell
 // lists its providers in rank order without any per-value sort — and
 // votes cell by cell into one arena, which the returned rows sub-slice.
-func valueProbs(ds *dataset.Dataset, st *bayes.State, p bayes.Params, g *copyGraph, workers int) [][]float64 {
+// The arena and the rows are new on every call; the rest is sc's (nil: a
+// scratch of the call's own).
+func valueProbs(ds *dataset.Dataset, st *bayes.State, p bayes.Params, g *copyGraph, workers int, sc *probScratch) [][]float64 {
+	if sc == nil {
+		sc = new(probScratch)
+	}
 	numItems, numSources := ds.NumItems(), ds.NumSources()
-	q := make([]float64, numSources) // accuracy scores
+	q := resize(sc.q, numSources)
 	for s, a := range st.A {
 		q[s] = math.Log(p.N * a / (1 - a))
 	}
 	// Undiscounted votes are summed in source order, discounted ones in
 	// rank order.
-	order := make([]dataset.SourceID, numSources)
+	order := resize(sc.order, numSources)
 	for s := range order {
 		order[s] = dataset.SourceID(s)
 	}
@@ -98,24 +117,33 @@ func valueProbs(ds *dataset.Dataset, st *bayes.State, p bayes.Params, g *copyGra
 			}
 			return cmp.Compare(a, b)
 		})
-		rank = make([]int32, numSources)
+		rank = resize(sc.rank, numSources)
 		for i, s := range order {
 			rank[s] = int32(i)
 		}
+		sc.rank = rank
 	}
 
-	valOff := make([]int32, numItems+1) // first cell of each item
-	obsOff := make([]int32, numItems+1) // first provider slot of each item
+	valOff := resize(sc.valOff, numItems+1)
+	obsOff := resize(sc.obsOff, numItems+1)
+	valOff[0], obsOff[0] = 0, 0
 	for d := range ds.ByItem {
 		valOff[d+1] = valOff[d] + int32(ds.NumValues(dataset.ItemID(d)))
 		obsOff[d+1] = obsOff[d] + int32(len(ds.ByItem[d]))
 	}
-	arena := make([]float64, valOff[numItems])          // votes, then probabilities, per cell
-	ends := make([]int32, valOff[numItems])             // per cell: the end of its providers in provs
-	provs := make([]dataset.SourceID, obsOff[numItems]) // providers grouped by cell, item-major
+	arena := make([]float64, valOff[numItems]) // votes, then probabilities, per cell
+	ends := resize(sc.ends, int(valOff[numItems]))
+	provs := resize(sc.provs, int(obsOff[numItems]))
 	probs := make([][]float64, numItems)
 
 	workers = pool.Clamp(workers)
+	if len(sc.stamps) < workers {
+		sc.stamps = append(sc.stamps, make([][]int32, workers-len(sc.stamps))...)
+	}
+	for w := 0; w < workers; w++ {
+		sc.stamps[w] = resize(sc.stamps[w], numSources)
+	}
+	sc.q, sc.order, sc.valOff, sc.obsOff, sc.ends, sc.provs = q, order, valOff, obsOff, ends, provs
 	pool.Run(workers, func(w int) {
 		lo, hi := pool.Block(workers, w, numItems)
 		if lo == hi {
@@ -126,6 +154,7 @@ func valueProbs(ds *dataset.Dataset, st *bayes.State, p bayes.Params, g *copyGra
 		// two views of a Dataset list the same observations
 		// (Dataset.Validate), so the slots counted from ByItem are exactly
 		// the ones filled from BySource.
+		clear(ends[valOff[lo]:valOff[hi]])
 		for d := lo; d < hi; d++ {
 			for _, sv := range ds.ByItem[d] {
 				ends[valOff[d]+sv.Value]++
@@ -147,7 +176,8 @@ func valueProbs(ds *dataset.Dataset, st *bayes.State, p bayes.Params, g *copyGra
 			}
 		}
 
-		stamp := make([]int32, numSources)
+		stamp := sc.stamps[w]
+		clear(stamp)
 		first := obsOff[lo]
 		for d := lo; d < hi; d++ {
 			if valOff[d] == valOff[d+1] {
@@ -164,6 +194,20 @@ func valueProbs(ds *dataset.Dataset, st *bayes.State, p bayes.Params, g *copyGra
 		}
 	})
 	return probs
+}
+
+// resize returns s with n elements, reusing its capacity when it suffices.
+// Contents are unspecified. Like core's buffers, a first allocation is
+// exact and an outgrown one takes an eighth more, so a scratch carried
+// across the rounds of a growing dataset is not reallocated every round.
+func resize[T any](s []T, n int) []T {
+	switch {
+	case cap(s) >= n:
+		return s[:n]
+	case cap(s) == 0:
+		return make([]T, n)
+	}
+	return make([]T, n, n+n/8)
 }
 
 // valueVote accumulates the discounted votes of the providers of a value,

@@ -207,3 +207,23 @@ func TestIncrementalResetBetweenRuns(t *testing.T) {
 		t.Fatalf("second run with the same detector differs: %s", d)
 	}
 }
+
+// TestReusedAcrossRuns: one TruthFinder and one Incremental detector kept
+// for runs over datasets of other sizes and source counts, as the serving
+// layer keeps its round scratch, give every run exactly the outcome of a
+// fresh pair: Run starts both over and they carry only memory.
+func TestReusedAcrossRuns(t *testing.T) {
+	p := bayes.DefaultParams()
+	opts := core.Options{Workers: 2}
+	tf, det := &TruthFinder{Params: p, Workers: 2}, &core.Incremental{Params: p, Opts: opts}
+	var sets []*dataset.Dataset
+	for _, pr := range testkit.Lookup("book-cs", "stock-1day") {
+		sets = append(sets, testkit.Generate(t, pr))
+	}
+	for i, ds := range append(sets, sets[0]) {
+		want := (&TruthFinder{Params: p, Workers: 2}).Run(ds, &core.Incremental{Params: p, Opts: opts})
+		if d := testkit.Diff(tf.Run(ds, det), want, "IndexBuild", "Detect", "FusionTime"); d != "" {
+			t.Fatalf("run %d: the reused pair differs from a fresh one: %s", i+1, d)
+		}
+	}
+}

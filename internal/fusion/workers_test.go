@@ -143,8 +143,12 @@ func TestWorkersEquivalence(t *testing.T) {
 // graph. A small
 // preset may detect no copying at all, so each state is also voted under
 // a graph of every pair the round considered, which discounts most votes.
+// All calls share one scratch, so each finds the buffers of a call on
+// another state, graph, worker count or dataset, its provider stamps set
+// to a tag this call uses.
 func TestValueProbsMatchesReference(t *testing.T) {
 	p := bayes.DefaultParams()
+	var sc probScratch // shared by every call
 	testkit.ForEach(t, presets, func(t *testing.T, ds *dataset.Dataset) {
 		tf := &TruthFinder{Params: p, MaxRounds: 4}
 		tf.OnRound = func(round int, _ *dataset.Dataset, st *bayes.State, res *core.Result) {
@@ -159,7 +163,12 @@ func TestValueProbsMatchesReference(t *testing.T) {
 			for name, g := range map[string]*copyGraph{"none": nil, "detected": newCopyGraph(res), "considered": newCopyGraph(&considered)} {
 				want := refValueProbs(ds, st, p, g)
 				for _, workers := range []int{1, 3} {
-					if d := testkit.Diff(valueProbs(ds, st, p, g, workers), want); d != "" {
+					for _, stamp := range sc.stamps {
+						for s := range stamp {
+							stamp[s] = 1 // cell 0's tag, left by another call
+						}
+					}
+					if d := testkit.Diff(valueProbs(ds, st, p, g, workers, &sc), want); d != "" {
 						t.Fatalf("round %d graph=%s workers=%d: differs from the reference at %s", round, name, workers, d)
 					}
 				}
@@ -197,7 +206,7 @@ func TestValueProbsUnprovidedValues(t *testing.T) {
 	for _, g := range []*copyGraph{nil, g} {
 		want := refValueProbs(ds, st, p, g)
 		for _, workers := range []int{1, 2, 4, 7} {
-			if d := testkit.Diff(valueProbs(ds, st, p, g, workers), want); d != "" {
+			if d := testkit.Diff(valueProbs(ds, st, p, g, workers, nil), want); d != "" {
 				t.Errorf("graph=%v workers=%d: %s", g != nil, workers, d)
 			}
 		}

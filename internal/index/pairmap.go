@@ -50,6 +50,9 @@ func NewPairMap(numSources int) *PairMap {
 	return pm
 }
 
+// NumSources returns the source count the map was made for.
+func (pm *PairMap) NumSources() int { return int(pm.n) }
+
 // Len returns the number of pairs inserted.
 func (pm *PairMap) Len() int { return len(pm.keys) }
 

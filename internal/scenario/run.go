@@ -249,24 +249,27 @@ func (r *Runner) runPhase(ctx context.Context, client *http.Client, p *Phase, st
 	start := time.Now()
 
 	// Pacer: one shared token stream; during a burst window the
-	// interval shrinks by the burst factor. The channel banks at most
-	// one token per client, so a slow stretch is caught up without
-	// letting the run stampede far past the target.
+	// interval shrinks by the burst factor. Each token is due at an
+	// absolute time, start plus the intervals before it, so a late
+	// wake-up delays that token only, not every one after it. The
+	// channel banks at most one token per client, so a slow stretch is
+	// caught up without letting the run stampede far past the target.
 	var tokens chan struct{}
 	if p.Rate > 0 {
 		tokens = make(chan struct{}, clients)
 		go func() {
-			for {
+			for due := start; ; {
 				rate := p.Rate
 				if b := p.Burst; b != nil {
-					if time.Since(start)%b.Every.Duration < b.Length.Duration {
+					if due.Sub(start)%b.Every.Duration < b.Length.Duration {
 						rate *= b.Factor
 					}
 				}
+				due = due.Add(time.Duration(float64(time.Second) / rate))
 				select {
 				case <-phaseCtx.Done():
 					return
-				case <-time.After(time.Duration(float64(time.Second) / rate)):
+				case <-time.After(time.Until(due)):
 				}
 				select {
 				case tokens <- struct{}{}:

@@ -14,17 +14,26 @@ import (
 
 // BenchmarkRefresh is one refresh op of the serving layer without a
 // process or an HTTP boundary: Managed.Append of 50 new records (the
-// benchmark of record's refresh batch) on a converged Stock-1day×0.05
-// dataset, the scheduler's quiet period, the round, its publish — timed
-// until Registry.Quiesce returns, on a durable registry that fsyncs as the
-// daemon does by default. detect-ms and fusion-ms are the published
-// outcome's own timers (what …/stats reports); overhead-ms is everything
-// else in the op: WAL append, quiet period, snapshot, publish.
+// benchmark of record's refresh batch) on a converged dataset, the
+// scheduler's quiet period, the round, its publish — timed until
+// Registry.Quiesce returns, on a durable registry that fsyncs as the daemon
+// does by default. Two shapes: Stock-1day×0.05, and Book-CS×0.5, the serve
+// shape of the benchmark of record's batch-book-cs workload. detect-ms and
+// fusion-ms are the published outcome's own timers (what …/stats reports);
+// overhead-ms is everything else in the op: WAL append, quiet period,
+// snapshot, publish. B/op counts every goroutine's allocation in the op,
+// the compactor's snapshot encode of earlier publishes included.
 //
 //	go test -run '^$' -bench Refresh -benchtime 20x ./internal/server
 func BenchmarkRefresh(b *testing.B) {
+	for _, id := range []string{"stock-1day-x0.05", "book-cs-x0.5"} {
+		b.Run(id, func(b *testing.B) { benchRefresh(b, id) })
+	}
+}
+
+func benchRefresh(b *testing.B, preset string) {
 	const batch = 50
-	recs := dataset.Records(testkit.Generate(b, testkit.Lookup("stock-1day-x0.05")[0]))
+	recs := dataset.Records(testkit.Generate(b, testkit.Lookup(preset)[0]))
 	// A fifth of the stream is held back for the refresh ops; a run
 	// longer than that deals the same batches again, which still dirties
 	// the dataset and costs a round.
@@ -51,6 +60,7 @@ func BenchmarkRefresh(b *testing.B) {
 	}
 
 	var detect, fusion time.Duration
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		at := i * batch % (len(held) - batch)

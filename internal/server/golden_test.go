@@ -42,7 +42,7 @@ func TestGoldenSnapshot(t *testing.T) {
 			pub.Version, pub.Round, pub.Algorithm, dataset.Summarize(pub.Snapshot), len(pub.Outcome.Copy.CopyingPairs()))
 	}
 	st := &dstore{dir: t.TempDir()}
-	if err := st.writeSnapshot(pub); err != nil {
+	if err := st.writeSnapshot(pub, new(bytes.Buffer)); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(snapPath(st.dir, pub.Version))
@@ -56,7 +56,7 @@ func TestGoldenSnapshot(t *testing.T) {
 	// snapshot's dataset again, byte for byte in the same codec.
 	again := *pub
 	again.Snapshot = dataset.NewBuilderFromDataset(pub.Snapshot).Build()
-	if err := st.writeSnapshot(&again); err != nil {
+	if err := st.writeSnapshot(&again, new(bytes.Buffer)); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ = os.ReadFile(snapPath(st.dir, pub.Version)); !bytes.Equal(got, want) {

@@ -445,40 +445,76 @@ func copiesOf(name string, pub *Published, converged bool) copiesResponse {
 // appendTruth appends the converged …/truth body of dataset name at
 // round pub (nil before the first round) to dst: the bytes encodeJSON
 // writes for that truthResponse, without the map it would build and the
-// reflection it would sort the map's keys with.
+// reflection it would sort the map's keys with. It writes the items in
+// name order, as encoding/json orders map keys: pub's order, or one
+// sorted here when pub has none.
 func appendTruth(dst []byte, name string, pub *Published) []byte {
-	type decided struct{ item, value string }
 	version, round := uint64(0), 0
-	var truth []decided     // by item name, as encoding/json orders map keys
 	size := 128 + len(name) // the body's size, escapes aside
+	var order []dataset.ItemID
 	if pub != nil {
-		version, round = pub.Version, pub.Round
-		truth = make([]decided, 0, len(pub.Outcome.Truth))
+		version, round, order = pub.Version, pub.Round, pub.order
+		if order == nil {
+			order = new(itemOrder).update(0, pub.Snapshot.ItemNames)
+		}
 		for d, val := range pub.Outcome.Truth {
 			if val != dataset.NoValue {
-				dc := decided{pub.Snapshot.ItemNames[d], pub.Snapshot.ValueNames[d][val]}
-				truth = append(truth, dc)
-				size += len(dc.item) + len(dc.value) + 12
+				size += len(pub.Snapshot.ItemNames[d]) + len(pub.Snapshot.ValueNames[d][val]) + 12
 			}
 		}
-		slices.SortFunc(truth, func(a, b decided) int { return strings.Compare(a.item, b.item) })
 	}
 	dst = slices.Grow(dst, size)
 	dst = appendJSONString(append(dst, "{\n  \"dataset\": "...), name)
 	dst = strconv.AppendUint(append(dst, ",\n  \"version\": "...), version, 10)
 	dst = strconv.AppendInt(append(dst, ",\n  \"round\": "...), int64(round), 10)
 	dst = append(dst, ",\n  \"converged\": true,\n  \"truth\": {"...)
-	for i, dc := range truth {
-		if i > 0 {
-			dst = append(dst, ',')
+	sep := ""
+	for _, d := range order {
+		if val := pub.Outcome.Truth[d]; val != dataset.NoValue {
+			dst = appendJSONString(append(append(dst, sep...), "\n    "...), pub.Snapshot.ItemNames[d])
+			dst = appendJSONString(append(dst, ": "...), pub.Snapshot.ValueNames[d][val])
+			sep = ","
 		}
-		dst = appendJSONString(append(dst, "\n    "...), dc.item)
-		dst = appendJSONString(append(dst, ": "...), dc.value)
 	}
-	if len(truth) > 0 {
+	if sep != "" {
 		dst = append(dst, "\n  "...)
 	}
 	return append(dst, "}\n}\n"...)
+}
+
+// itemOrder carries a dataset's item ids in name order from one render to
+// the next. Items only arrive between two imports (Managed.interning), so
+// a render of the same interning sorts only the items added since the last
+// and merges them in; any other starts afresh.
+type itemOrder struct {
+	interning uint64
+	ids       []dataset.ItemID
+}
+
+// update returns the ids of names, the item names of a snapshot built
+// under interning, in name order, and keeps them for the next call.
+func (o *itemOrder) update(interning uint64, names []string) []dataset.ItemID {
+	prev := o.ids
+	if o.interning != interning || len(prev) > len(names) {
+		prev = nil
+	}
+	byName := func(a, b dataset.ItemID) int { return strings.Compare(names[a], names[b]) }
+	added := make([]dataset.ItemID, 0, len(names)-len(prev))
+	for d := len(prev); d < len(names); d++ {
+		added = append(added, dataset.ItemID(d))
+	}
+	slices.SortFunc(added, byName)
+	ids := make([]dataset.ItemID, 0, len(names))
+	for len(prev) > 0 && len(added) > 0 {
+		if byName(prev[0], added[0]) < 0 {
+			ids, prev = append(ids, prev[0]), prev[1:]
+		} else {
+			ids, added = append(ids, added[0]), added[1:]
+		}
+	}
+	ids = append(append(ids, prev...), added...)
+	o.interning, o.ids = interning, ids
+	return ids
 }
 
 // appendJSONString appends s quoted as encoding/json writes it. A string

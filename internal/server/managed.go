@@ -32,14 +32,20 @@ type Published struct {
 	// Wall is the end-to-end duration of the round.
 	Wall time.Duration
 
-	// reads are the round's read bodies and their ETags (newPublished).
+	// reads are the round's read bodies and their ETags, and order the
+	// snapshot's item ids by name they were rendered in (newPublished).
 	reads *readBodies
+	order []dataset.ItemID
 }
 
 // newPublished completes one of m's rounds for serving: it renders the
 // round's read bodies, once. runRound publishes what it returns, and
-// recovery installs a snapshot's round through it too.
-func (m *Managed) newPublished(p Published) *Published {
+// recovery installs a snapshot's round through it too; interning is the
+// value m.interning had when the round's snapshot was built. Only those
+// two call it, never at once: recovery before the scheduler starts, then
+// the scheduler goroutine alone.
+func (m *Managed) newPublished(p Published, interning uint64) *Published {
+	p.order = m.order.update(interning, p.Snapshot.ItemNames)
 	p.reads = renderReads(m.name, m.gen, &p)
 	return &p
 }
@@ -86,6 +92,13 @@ type Managed struct {
 	// unpublished are the read bodies served before the first round,
 	// rendered when the dataset is made.
 	unpublished *readBodies
+
+	// interning counts the imports applied. Every import builds a new
+	// Builder, which numbers the items afresh; between two imports items
+	// only arrive, so the item names of each snapshot extend the last's.
+	interning uint64
+	// order is the item order of the last render (newPublished).
+	order itemOrder
 }
 
 // readBodies are the …/copies and …/truth bodies of one published round
@@ -131,6 +144,7 @@ func (m *Managed) apply(rec walRecord) {
 		m.version = rec.version
 	case walRecImport:
 		m.builder = dataset.NewBuilderFromDataset(rec.ds)
+		m.interning++
 		m.version = rec.version
 		m.rounds = max(m.rounds, rec.round)
 	}

@@ -4,9 +4,9 @@
 // a dirty-dataset scheduler.
 //
 // The contract is batch equivalence: every detection round runs the full
-// iterative process (fusion.TruthFinder) from priors, with a fresh
-// INCREMENTAL detector, on an immutable snapshot of all observations
-// appended so far. What is published for a version is therefore a
+// iterative process (fusion.TruthFinder) from priors, with fresh
+// INCREMENTAL state (in memory the rounds carry, roundScratch), on an
+// immutable snapshot of all observations appended so far. What is published for a version is therefore a
 // function of that version — not of how many rounds came before, of
 // restarts, or of how appends were coalesced — and once a dataset
 // quiesces (no pending appends, no in-flight round) its published result
@@ -40,6 +40,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -117,6 +118,12 @@ type Registry struct {
 	// lastClaim names the dataset claimDirty claimed last: its next scan
 	// starts after it.
 	lastClaim string
+
+	// deletes counts Deletes. The scheduler's round scratch and the
+	// compactor's encode buffer are sized by the largest dataset they have
+	// served; each owner drops its memory when the count moves, so a
+	// deleted dataset does not pin its high-water mark.
+	deletes atomic.Uint64
 
 	kick     chan struct{}
 	stop     chan struct{}
@@ -243,8 +250,9 @@ func (r *Registry) Close() {
 	// No round or compactor goroutine remains. Snapshot every dataset
 	// the compactor had not caught up with, so a clean shutdown leaves
 	// each newest round snapshotted and its WAL trimmed.
+	var buf bytes.Buffer
 	for _, m := range sets {
-		m.snapshot(true)
+		m.snapshot(true, &buf)
 		m.st.close(false)
 	}
 }
@@ -334,6 +342,7 @@ func (r *Registry) Delete(name string) bool {
 	}
 	r.mu.Unlock()
 	if ok {
+		r.deletes.Add(1)
 		// The in-flight round and compactor see m.closed and stand down.
 		m.shut()
 		m.st.close(true)

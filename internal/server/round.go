@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"sort"
 	"time"
 
@@ -13,6 +14,25 @@ import (
 // begins (no locks held). Tests block here to let convergence lag grow
 // deterministically past the admission high-water mark. Test-only.
 var testHookRoundStart func(m *Managed)
+
+// testHookBetweenRounds, when non-nil, runs on the scheduler goroutine
+// before every round with the scratch the round is about to run in.
+// Test-only.
+var testHookBetweenRounds func(sc *roundScratch)
+
+// roundScratch is the memory the scheduler's rounds work in: the truth
+// finder and the detector every round runs. Run starts each of them over —
+// priors, a fresh iterative process on the round's own snapshot — and
+// keeps only their buffers (fusion.TruthFinder, core.Incremental.Reset),
+// so a round computes exactly what it would on new ones and allocates
+// little more than what it publishes, none of which is in here. Only the
+// scheduler goroutine runs rounds, so the registry has one scratch, sized
+// by the largest dataset it has served since the last Delete, which drops
+// it (Registry.deletes).
+type roundScratch struct {
+	tf  fusion.TruthFinder
+	det core.Incremental
+}
 
 // kickAsync nudges the scheduler without blocking.
 func (r *Registry) kickAsync() {
@@ -42,6 +62,8 @@ const quietPeriod = 2 * time.Millisecond
 // needs no second kick to get its round.
 func (r *Registry) scheduler() {
 	defer r.wg.Done()
+	var sc roundScratch
+	deletes := r.deletes.Load()
 	// quiet is the pending second look, if any. One that a kick overtakes
 	// still fires, and finds nothing new to do.
 	var quiet *time.Timer
@@ -66,9 +88,15 @@ func (r *Registry) scheduler() {
 				}
 				break
 			}
+			if d := r.deletes.Load(); d != deletes {
+				sc, deletes = roundScratch{}, d
+			}
+			if testHookBetweenRounds != nil {
+				testHookBetweenRounds(&sc)
+			}
 			// A dataset that went dirty again mid-round (cancelled or
 			// stale snapshot) is claimed again by the next pass.
-			m.runRound()
+			m.runRound(&sc)
 		}
 	}
 }
@@ -109,11 +137,11 @@ func (r *Registry) claimDirty() (claimed *Managed, wait time.Duration) {
 	return nil, wait
 }
 
-// runRound executes one detection round: snapshot the builder, run the
-// full iterative process on it, render the outcome's read bodies, and
+// runRound executes one detection round in sc: snapshot the builder, run
+// the full iterative process on it, render the outcome's read bodies, and
 // publish them with it if the snapshot is still current. Stale or
 // cancelled rounds re-mark the dataset dirty.
-func (m *Managed) runRound() {
+func (m *Managed) runRound(sc *roundScratch) {
 	m.mu.Lock()
 	if m.closed || !m.dirty {
 		m.running = false
@@ -123,7 +151,7 @@ func (m *Managed) runRound() {
 	}
 	// The round this one becomes if it is published: an import, which
 	// may raise rounds, also moves version, and then nothing publishes.
-	version, round := m.version, m.rounds+1
+	version, round, interning := m.version, m.rounds+1, m.interning
 	m.dirty = false
 	cancel := make(chan struct{})
 	m.cancel = cancel
@@ -135,16 +163,21 @@ func (m *Managed) runRound() {
 	}
 
 	// Every round restarts the iterative process from priors on its own
-	// snapshot with a fresh detector, so what it publishes depends on the
-	// snapshot alone, never on the rounds before it. params are
-	// immutable after Create and the options after Open; no lock needed
-	// here.
+	// snapshot, with fresh state in carried memory (roundScratch), so what
+	// it publishes depends on the snapshot alone, never on the rounds
+	// before it. params are immutable after Create and the options after
+	// Open; no lock needed here.
 	const algo = "INCREMENTAL"
 	opts := m.reg.cfg.Options
-	tf := &fusion.TruthFinder{Params: m.params, Workers: opts.Workers, Cancel: cancel}
+	sc.tf.Params, sc.tf.Workers, sc.tf.Cancel = m.params, opts.Workers, cancel
+	sc.det.Params, sc.det.Opts = m.params, opts
 	start := time.Now()
-	out := tf.Run(snap, &core.Incremental{Params: m.params, Opts: opts})
+	out := sc.tf.Run(snap, &sc.det)
 	wall := time.Since(start)
+	// Between rounds the scratch holds memory only, not this round's
+	// snapshot or state.
+	sc.tf.Cancel = nil
+	sc.det.Reset()
 
 	// The read bodies are rendered here, outside every lock, so that no
 	// read renders one; a round an append has already cancelled renders
@@ -161,7 +194,7 @@ func (m *Managed) runRound() {
 				Snapshot:  snap,
 				Outcome:   out,
 				Wall:      wall,
-			})
+			}, interning)
 		}
 	}
 
@@ -208,26 +241,35 @@ func (m *Managed) runRound() {
 // runs the expensive work — encoding the published dataset and outcome,
 // fsyncing the snapshot, deleting covered WAL segments — off the append
 // and detection paths.
+//
+// Its encode buffer is kept from one snapshot to the next, so a snapshot
+// costs no allocation while the dataset fits what an earlier one grew the
+// buffer to; a Delete drops it, as it drops the round scratch.
 func (r *Registry) compactor() {
 	defer r.wg.Done()
+	var buf bytes.Buffer
+	deletes := r.deletes.Load()
 	for {
 		select {
 		case <-r.stop:
 			return
 		case m := <-r.compactC:
-			m.snapshot(false)
+			if d := r.deletes.Load(); d != deletes {
+				buf, deletes = bytes.Buffer{}, d
+			}
+			m.snapshot(false, &buf)
 		}
 	}
 }
 
-// snapshot persists the last published round and trims the WAL prefix
-// it covers (see dstore.compact). With final set (registry shutdown) it
-// also runs for datasets already marked closed.
-func (m *Managed) snapshot(final bool) {
+// snapshot persists the last published round, encoded in buf, and trims
+// the WAL prefix it covers (see dstore.compact). With final set (registry
+// shutdown) it also runs for datasets already marked closed.
+func (m *Managed) snapshot(final bool, buf *bytes.Buffer) {
 	m.mu.Lock()
 	pub, closed := m.pub, m.closed
 	m.mu.Unlock()
 	if pub != nil && (final || !closed) {
-		m.st.compact(pub)
+		m.st.compact(pub, buf)
 	}
 }

@@ -299,7 +299,7 @@ func (st *dstore) commit(rec walRecord) error {
 // already on disk at pub's version or later is not rewritten: a dataset
 // offered twice before the compactor reaches it finds the second offer
 // covered by the first.
-func (st *dstore) compact(pub *Published) {
+func (st *dstore) compact(pub *Published, buf *bytes.Buffer) {
 	if st == nil {
 		return
 	}
@@ -311,7 +311,7 @@ func (st *dstore) compact(pub *Published) {
 	}
 	// Encoding and fsync happen outside every lock: everything a
 	// Published points to is immutable.
-	if err := st.writeSnapshot(pub); err != nil {
+	if err := st.writeSnapshot(pub, buf); err != nil {
 		return
 	}
 	st.mu.Lock()
@@ -344,10 +344,10 @@ func snapPath(dir string, version uint64) string {
 }
 
 // writeSnapshot persists pub as a checksummed binary snapshot file,
-// atomically (temp + rename).
-func (st *dstore) writeSnapshot(pub *Published) error {
-	var buf bytes.Buffer
-	w := binio.NewWriter(&buf)
+// atomically (temp + rename), encoding it in buf.
+func (st *dstore) writeSnapshot(pub *Published, buf *bytes.Buffer) error {
+	buf.Reset()
+	w := binio.NewWriter(buf)
 	w.String(snapMagic)
 	w.Uvarint(pub.Version)
 	w.Int(pub.Round)
@@ -533,7 +533,7 @@ func (r *Registry) recoverDataset(dir string) (*Managed, error) {
 	if pub := loadLatestSnapshot(dir); pub != nil {
 		// A snapshot installs its dataset the way an import does.
 		m.apply(walRecord{kind: walRecImport, version: pub.Version, round: pub.Round, ds: pub.Snapshot})
-		m.pub = m.newPublished(*pub)
+		m.pub = m.newPublished(*pub, m.interning)
 		m.st.snapVersion = pub.Version
 	}
 	m.st.log, err = wal.Open(filepath.Join(dir, "wal"), wal.Options{Fsync: r.cfg.Fsync, SegmentBytes: testWALSegmentBytes, ObserveAppend: r.observeWAL}, func(lsn uint64, payload []byte) error {

@@ -6,6 +6,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -77,7 +78,7 @@ func TestCompactionDoesNotTrimInflightAppend(t *testing.T) {
 		// this window, before the append registers its pending entry:
 		// pending is pruned to empty, so the trim bound would be NextLSN
 		// but for the inflight floor.
-		m.snapshot(false)
+		m.snapshot(false, new(bytes.Buffer))
 	}
 
 	if _, _, err := m.Append(batchN("two", 6), nil); err != nil {
@@ -133,7 +134,7 @@ func TestSnapshotAtSegmentRotationCrashRecovers(t *testing.T) {
 		rounds = pub.Round
 		// Snapshot + trim exactly here, at a segment boundary.
 		waitForSnapshot(t, dir, "rotated")
-		m.snapshot(false)
+		m.snapshot(false, new(bytes.Buffer))
 	}
 	if rounds < 3 {
 		t.Fatalf("published %d rounds, want 3", rounds)
@@ -202,9 +203,9 @@ func TestCompactionSkipsCurrentSnapshot(t *testing.T) {
 		return fi, segs
 	}
 
-	m.snapshot(false)
+	m.snapshot(false, new(bytes.Buffer))
 	snap1, segs1 := state()
-	m.snapshot(false)
+	m.snapshot(false, new(bytes.Buffer))
 	snap2, segs2 := state()
 	if !os.SameFile(snap1, snap2) {
 		t.Error("the second compaction of one published round rewrote its snapshot")
