@@ -143,11 +143,11 @@ func New(cfg Config) (*Gateway, error) {
 	return g, nil
 }
 
-// Close stops the health probes and the replication workers, and
+// Close stops the health probes and the replication drainers, and
 // returns once they are gone; so does a concurrent second Close.
 // In-flight proxied requests are not interrupted; the caller shuts the
 // HTTP server down around this. closedMu is not held across the wait:
-// an audit still running reaches datasetState, which takes it.
+// an audit still running reaches enqueue, which takes it.
 func (g *Gateway) Close() {
 	g.closedMu.Lock()
 	if !g.closed {
@@ -262,12 +262,16 @@ func (g *Gateway) serveRead(w http.ResponseWriter, req *http.Request, name strin
 		// unless resolve cannot learn them in time. A read that queued
 		// behind another attempt serves on its outcome instead of
 		// making one more: concurrent reads do not stack their waits.
-		var tries uint64
+		// A state dropped and re-created meanwhile counts afresh, so
+		// the state is compared as well as the count.
+		peeked, tries := ds, uint64(0)
 		if ds != nil {
 			tries = ds.tries.Load()
 		}
-		ds = g.lockDS(name)
-		if ds.tries.Load() == tries {
+		ds = g.acquire(name)
+		defer g.release(ds)
+		ds.mu.Lock()
+		if ds != peeked || ds.tries.Load() == tries {
 			g.resolve(ds)
 		}
 		ds.mu.Unlock()
@@ -379,14 +383,16 @@ func (g *Gateway) serveWrite(w http.ResponseWriter, req *http.Request, name stri
 		server.WriteErr(w, http.StatusRequestEntityTooLarge, "cluster: write body exceeds the size limit")
 		return
 	}
-	ds := g.lockDS(name)
+	ds := g.acquire(name)
+	defer g.release(ds)
+	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	if strings.HasSuffix(req.URL.Path, "/observations") &&
 		atomic.LoadInt64(&ds.queuedJobs) >= mirrorHighWater {
 		// Admission control: the dataset's replicas are not keeping up
 		// with its mirror stream. Refuse the append before the acting
-		// member applies it — queueing further would either block this
-		// write on a full channel or grow the backlog without bound.
+		// member applies it — queueing further would grow the backlog
+		// without bound.
 		g.admissionRejects.Add(1)
 		w.Header().Set("Retry-After", "1")
 		server.WriteErr(w, http.StatusTooManyRequests, fmt.Sprintf(

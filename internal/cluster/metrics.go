@@ -53,7 +53,7 @@ func (g *Gateway) RegisterMetrics(t *telemetry.Registry) {
 			emit(float64(bytes))
 		})
 	t.GaugeFunc("copygate_ring_owned_datasets",
-		"Tracked datasets whose ring owner is the backend (state exists for datasets written, or read at R >= 2).",
+		"Tracked datasets whose ring owner is the backend (state exists for datasets known to exist, and for those that owe replication work).",
 		[]string{"backend"},
 		func(emit func(float64, ...string)) {
 			owned := make([]int, len(g.backends))

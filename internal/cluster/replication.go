@@ -5,23 +5,27 @@
 // The write path acknowledges on the acting primary — the first
 // serveable member of the replica set — and mirrors the acknowledged
 // write to the other members asynchronously, through a per-dataset
-// worker that preserves order. Replica appends carry the append's
-// sequence number (the version the primary assigned), so a re-sent or
-// duplicated replica write lands exactly once; a replica that misses a
-// write (down, or a sequence gap) is marked stale and healed by
-// anti-entropy: the gateway exports the dataset from a serveable peer
-// and imports it into the stale member, after which the ordinary
-// sequenced stream resumes. Staleness is gateway memory, so a dataset
-// is unresolved until resolve has read its members' versions: before
-// its first read or write is served, and again after a member's
-// readmission, which is what turns a recovered process back into a
-// serving replica.
+// queue that one goroutine drains in order while it holds work. Replica
+// appends carry the append's sequence number (the version the primary
+// assigned), so a re-sent or duplicated replica write lands exactly
+// once; a replica that misses a write (down, or a sequence gap) is
+// marked stale and healed by anti-entropy: the gateway exports the
+// dataset from a serveable peer and imports it into the stale member,
+// after which the ordinary sequenced stream resumes. Staleness is
+// gateway memory, so a dataset is unresolved until resolve has read its
+// members' versions: before its first read or write is served, and
+// again after a member's readmission, which is what turns a recovered
+// process back into a serving replica. The gateway keeps a dataset's
+// state while the dataset is known to exist or the state owes work
+// (queued jobs, a stale member), so requests for names that exist
+// nowhere leave nothing behind.
 package cluster
 
 import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -61,9 +65,7 @@ var writeTimeout = 60 * time.Second
 // mirrorHighWater is the admission-control bound on a dataset's mirror
 // queue: an append arriving while the dataset already has this many
 // mirror jobs queued or in delivery is refused with 429 + Retry-After
-// instead of growing the backlog. It sits below the capacity of the
-// per-dataset job channel, so admission refuses before an enqueue could
-// block the write path while it holds ds.mu. Variable for tests.
+// instead of growing the backlog. Variable for tests.
 var mirrorHighWater int64 = 192
 
 // jobTimeout bounds one replica-side request (append, export, import):
@@ -71,15 +73,7 @@ var mirrorHighWater int64 = 192
 // stalled backend otherwise could. Variable for tests.
 var jobTimeout = 30 * time.Second
 
-// dsIdleRetire is how long a dataset's replication worker sits idle —
-// no jobs, no stale members — before it retires: the state is removed
-// from the gateway's map and the goroutine exits, so churned dataset
-// names (deleted, mistyped, one-off load runs) do not accumulate
-// workers for the life of the process. A later write simply recreates
-// the state. Variable for tests.
-var dsIdleRetire = 5 * time.Minute
-
-// job kinds processed by a dataset's replication worker.
+// job kinds processed by a dataset's drainer.
 const (
 	jobMirror    = iota // replay an acknowledged write on one member
 	jobReconcile        // anti-entropy: sync one member from a peer
@@ -103,15 +97,15 @@ type repJob struct {
 
 // dsState is the gateway's per-dataset replication state. mu serializes
 // the synchronous write path (so replica jobs enqueue in ack order);
-// stMu guards the staleness bookkeeping, which the worker and the
-// health prober touch without mu.
+// stMu guards the job queue and the staleness bookkeeping, which the
+// drainer and the health prober touch without mu. refs, guarded by
+// g.dsMu, counts the request paths and the drainer using the state.
 type dsState struct {
 	name    string
 	members []int // ring replica set, fixed for the gateway's lifetime
+	refs    int
 
-	mu      sync.Mutex
-	jobs    chan repJob
-	retired bool // worker gone, state removed from the map; re-fetch
+	mu sync.Mutex
 	// lastActing is the members position that served the last write
 	// (-1 before the first). When the acting member changes — failover,
 	// or the primary coming back — the mirror queue must drain before
@@ -125,13 +119,16 @@ type dsState struct {
 	queuedBytes int64
 	// queuedJobs counts mirror jobs (jobMirror) enqueued
 	// but not yet fully processed — unlike len(jobs) it still counts a
-	// job the worker has popped and is delivering, so admission control
+	// job the drainer has popped and is delivering, so admission control
 	// sees in-flight work. Accessed atomically.
 	queuedJobs int64
 
 	stMu       sync.Mutex
-	stale      []bool // member is known to be behind (missed a write)
-	reconQueue []bool // a reconcile job for the member is already queued
+	jobs       []repJob // in order; a drainer goroutine runs while non-empty
+	draining   bool     // the drainer is started (or, after Close, never will be)
+	held       bool     // a member holds the dataset, as the gateway last learned
+	stale      []bool   // member is known to be behind (missed a write)
+	reconQueue []bool   // a reconcile job for the member is already queued
 
 	// resolvedAt is g.admissions(ds) when resolve last judged the
 	// members, 0 before; tries counts resolve's attempts. Both are
@@ -139,51 +136,45 @@ type dsState struct {
 	resolvedAt, tries atomic.Uint64
 }
 
-// datasetState returns (lazily creating) the replication state for
-// name, starting its worker. Writes, the audit and, at R >= 2, a
-// dataset's first read create state; reads at R = 1 peek with lookupDS.
-func (g *Gateway) datasetState(name string) *dsState {
+// acquire returns name's replication state, creating it, with a
+// reference taken; the caller gives it back with release. Writes, the
+// audit and, at R >= 2, reads of an unresolved dataset acquire; other
+// reads peek with lookupDS.
+func (g *Gateway) acquire(name string) *dsState {
 	g.dsMu.Lock()
 	defer g.dsMu.Unlock()
-	if ds, ok := g.ds[name]; ok {
-		return ds
+	ds := g.ds[name]
+	if ds == nil {
+		ds = &dsState{
+			name:       name,
+			members:    g.ring.ReplicaSet(name, g.replication),
+			lastActing: -1,
+			stale:      make([]bool, g.replication),
+			reconQueue: make([]bool, g.replication),
+		}
+		g.ds[name] = ds
 	}
-	ds := &dsState{
-		name:       name,
-		members:    g.ring.ReplicaSet(name, g.replication),
-		jobs:       make(chan repJob, 256),
-		lastActing: -1,
-		stale:      make([]bool, g.replication),
-		reconQueue: make([]bool, g.replication),
-	}
-	// wg.Add must not race Close's wg.Wait (a request can still be in
-	// flight when the server's shutdown timeout expires). Once closed,
-	// hand back an orphan state with no worker: its queue is never
-	// drained, but the process is exiting — flush observes g.stop and
-	// the small mirror jobs just go down with it.
-	g.closedMu.Lock()
-	if g.closed {
-		g.closedMu.Unlock()
-		return ds
-	}
-	g.wg.Add(1)
-	g.closedMu.Unlock()
-	g.ds[name] = ds
-	go g.dsWorker(ds)
+	ds.refs++
 	return ds
 }
 
-// lockDS returns name's live replication state with ds.mu held. The idle
-// worker may retire a state between the map lookup and the lock; a
-// retired state is let go and the fresh one fetched.
-func (g *Gateway) lockDS(name string) *dsState {
-	for {
-		ds := g.datasetState(name)
-		ds.mu.Lock()
-		if !ds.retired {
-			return ds
-		}
-		ds.mu.Unlock()
+// release gives back a reference. The last one drops the state from the
+// map unless the dataset is known to exist or the state owes work:
+// queued jobs (their drainer holds a reference while it runs) or a stale
+// member awaiting anti-entropy — forgetting a stale flag would let a
+// behind member serve. Whoever marks a member stale or queues a job
+// holds a reference, or queues a reconcile for a member already stale,
+// or a flush behind a running drainer: a dropped state never changes.
+func (g *Gateway) release(ds *dsState) {
+	g.dsMu.Lock()
+	defer g.dsMu.Unlock()
+	if ds.refs--; ds.refs > 0 {
+		return
+	}
+	ds.stMu.Lock()
+	defer ds.stMu.Unlock()
+	if !ds.held && len(ds.jobs) == 0 && !slices.Contains(ds.stale, true) {
+		delete(g.ds, ds.name)
 	}
 }
 
@@ -276,10 +267,12 @@ func (g *Gateway) resolve(ds *dsState) {
 	}
 	for pos, r := range rs {
 		if held && r.polled && (!r.held || r.version < best) {
-			g.setStale(ds, pos, true)
-			g.tryEnqueueReconcile(ds, pos)
+			g.markStale(ds, pos)
 		}
 	}
+	ds.stMu.Lock()
+	ds.held = held
+	ds.stMu.Unlock()
 	// A readmission since the start moved the count: still unresolved.
 	ds.resolvedAt.Store(at)
 }
@@ -338,29 +331,46 @@ func (g *Gateway) serveable(ds *dsState, members []int, pos int) bool {
 	return ds == nil || !ds.isStale(pos)
 }
 
-// enqueue adds a job to the dataset's ordered queue. Called with ds.mu
-// held by the write path (preserving ack order); the send may block on
-// a full queue until the worker drains, which never requires ds.mu.
-func (ds *dsState) enqueue(j repJob) { ds.jobs <- j }
+// markStale marks member pos of ds as behind and arms its anti-entropy.
+func (g *Gateway) markStale(ds *dsState, pos int) {
+	g.setStale(ds, pos, true)
+	g.enqueue(ds, repJob{kind: jobReconcile, pos: pos})
+}
 
-// tryEnqueueReconcile queues an anti-entropy job for member pos unless
-// one is already pending. Non-blocking: on a full queue the attempt is
-// dropped and the next health probe re-arms it.
-func (g *Gateway) tryEnqueueReconcile(ds *dsState, pos int) {
+// enqueue appends a job to the dataset's ordered queue and starts its
+// drainer if none runs. A reconcile is queued only for a stale member
+// without one pending. The write path calls it with ds.mu held, so
+// mirrors queue in acknowledgement order; it never blocks.
+func (g *Gateway) enqueue(ds *dsState, j repJob) {
 	ds.stMu.Lock()
-	if !ds.stale[pos] || ds.reconQueue[pos] {
-		ds.stMu.Unlock()
+	if j.kind == jobReconcile {
+		if !ds.stale[j.pos] || ds.reconQueue[j.pos] {
+			ds.stMu.Unlock()
+			return
+		}
+		ds.reconQueue[j.pos] = true
+	}
+	ds.jobs = append(ds.jobs, j)
+	start := !ds.draining
+	ds.draining = true
+	ds.stMu.Unlock()
+	if !start {
 		return
 	}
-	ds.reconQueue[pos] = true
-	ds.stMu.Unlock()
-	select {
-	case ds.jobs <- repJob{kind: jobReconcile, pos: pos}:
-	default:
-		ds.stMu.Lock()
-		ds.reconQueue[pos] = false
-		ds.stMu.Unlock()
+	// wg.Add must not race Close's wg.Wait (a request can still be in
+	// flight when the server's shutdown timeout expires). Once closed,
+	// nothing drains: flush observes g.stop, and the queued jobs go down
+	// with the exiting process.
+	g.closedMu.Lock()
+	defer g.closedMu.Unlock()
+	if g.closed {
+		return
 	}
+	g.wg.Add(1)
+	g.dsMu.Lock()
+	ds.refs++
+	g.dsMu.Unlock()
+	go g.drain(ds)
 }
 
 // triggerReconciles arms anti-entropy for every dataset that backend
@@ -371,7 +381,7 @@ func (g *Gateway) triggerReconciles(b int) {
 	for _, ds := range g.snapshotDS() {
 		for pos, m := range ds.members {
 			if m == b {
-				g.tryEnqueueReconcile(ds, pos)
+				g.enqueue(ds, repJob{kind: jobReconcile, pos: pos})
 			}
 		}
 	}
@@ -384,16 +394,18 @@ func (g *Gateway) flush(ds *dsState, lock bool, timeout time.Duration) bool {
 	done := make(chan struct{})
 	if lock {
 		ds.mu.Lock()
-		if ds.retired {
-			// Retirement guarantees an empty queue and no stale member:
-			// there is nothing to drain.
-			ds.mu.Unlock()
-			return true
-		}
 	}
-	ds.enqueue(repJob{kind: jobFlush, done: done})
+	ds.stMu.Lock()
+	idle := !ds.draining
+	if !idle {
+		ds.jobs = append(ds.jobs, repJob{kind: jobFlush, done: done})
+	}
+	ds.stMu.Unlock()
 	if lock {
 		ds.mu.Unlock()
+	}
+	if idle {
+		return true
 	}
 	select {
 	case <-done:
@@ -405,75 +417,40 @@ func (g *Gateway) flush(ds *dsState, lock bool, timeout time.Duration) bool {
 	}
 }
 
-// dsWorker drains one dataset's replication queue in order, retiring
-// once the dataset has been idle with no outstanding obligations. One
-// reused timer tracks idleness (a time.After per job would park a
-// five-minute timer in the runtime heap for every mirrored append).
-func (g *Gateway) dsWorker(ds *dsState) {
+// drain runs one dataset's queued jobs in order and exits, giving back
+// its reference, once the queue is empty.
+func (g *Gateway) drain(ds *dsState) {
 	defer g.wg.Done()
-	idle := time.NewTimer(dsIdleRetire)
-	defer idle.Stop()
 	for {
 		select {
 		case <-g.stop:
 			return
-		case <-idle.C:
-			if g.tryRetire(ds) {
-				return
-			}
-			idle.Reset(dsIdleRetire)
-		case j := <-ds.jobs:
-			switch j.kind {
-			case jobFlush:
-				close(j.done)
-			case jobReconcile:
-				g.runReconcile(ds, j.pos)
-			default:
-				g.runMirror(ds, j)
-				atomic.AddInt64(&ds.queuedJobs, -1)
-			}
-			if n := int64(len(j.body)); n > 0 {
-				atomic.AddInt64(&ds.queuedBytes, -n)
-			}
-			if !idle.Stop() {
-				select {
-				case <-idle.C:
-				default:
-				}
-			}
-			idle.Reset(dsIdleRetire)
+		default:
 		}
-	}
-}
-
-// tryRetire removes the dataset's replication state if nothing needs
-// it: no writer mid-flight, no queued jobs, no stale member awaiting
-// anti-entropy (a stale flag is an obligation — forgetting it would
-// let a behind member serve stale data). Writers that raced the
-// retirement observe ds.retired under ds.mu and re-fetch fresh state.
-func (g *Gateway) tryRetire(ds *dsState) bool {
-	if !ds.mu.TryLock() {
-		return false
-	}
-	defer ds.mu.Unlock()
-	if len(ds.jobs) > 0 {
-		return false
-	}
-	ds.stMu.Lock()
-	for _, s := range ds.stale {
-		if s {
+		ds.stMu.Lock()
+		if len(ds.jobs) == 0 {
+			ds.jobs, ds.draining = nil, false
 			ds.stMu.Unlock()
-			return false
+			g.release(ds)
+			return
+		}
+		j := ds.jobs[0]
+		ds.jobs[0] = repJob{} // the queue no longer pins the popped body
+		ds.jobs = ds.jobs[1:]
+		ds.stMu.Unlock()
+		switch j.kind {
+		case jobFlush:
+			close(j.done)
+		case jobReconcile:
+			g.runReconcile(ds, j.pos)
+		default:
+			g.runMirror(ds, j)
+			atomic.AddInt64(&ds.queuedJobs, -1)
+		}
+		if n := int64(len(j.body)); n > 0 {
+			atomic.AddInt64(&ds.queuedBytes, -n)
 		}
 	}
-	ds.stMu.Unlock()
-	ds.retired = true
-	g.dsMu.Lock()
-	if g.ds[ds.name] == ds {
-		delete(g.ds, ds.name)
-	}
-	g.dsMu.Unlock()
-	return true
 }
 
 // runMirror delivers one mirrored write to its member, marking the
@@ -506,8 +483,7 @@ func (g *Gateway) runMirror(ds *dsState, j repJob) {
 		// earlier writes) is not retryable — heal by anti-entropy.
 		break
 	}
-	g.setStale(ds, j.pos, true)
-	g.tryEnqueueReconcile(ds, j.pos)
+	g.markStale(ds, j.pos)
 }
 
 // mirrorOnce performs one replica-write attempt under the job's trace
@@ -619,9 +595,11 @@ func (g *Gateway) audit() {
 		}
 	}
 	for name := range names {
-		ds := g.lockDS(name)
+		ds := g.acquire(name)
+		ds.mu.Lock()
 		g.resolve(ds)
 		ds.mu.Unlock()
+		g.release(ds)
 	}
 }
 
@@ -636,6 +614,9 @@ func (g *Gateway) afterWrite(ds *dsState, req *http.Request, served int, status 
 	if !delivered(template.method, template.path, status) {
 		return
 	}
+	ds.stMu.Lock()
+	ds.held = req.Method != http.MethodDelete
+	ds.stMu.Unlock()
 	if req.Method == http.MethodPost && strings.HasSuffix(req.URL.Path, "/observations") {
 		var ack struct {
 			Version   uint64 `json:"version"`
@@ -655,14 +636,13 @@ func (g *Gateway) afterWrite(ds *dsState, req *http.Request, served int, status 
 			// Queue byte budget exhausted: stop buffering bodies for
 			// this member and let anti-entropy move one snapshot
 			// instead of a backlog of appends.
-			g.setStale(ds, pos, true)
-			g.tryEnqueueReconcile(ds, pos)
+			g.markStale(ds, pos)
 			continue
 		}
 		atomic.AddInt64(&ds.queuedBytes, size)
 		atomic.AddInt64(&ds.queuedJobs, 1)
 		j := template
 		j.pos = pos
-		ds.enqueue(j)
+		g.enqueue(ds, j)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,6 +17,7 @@ import (
 
 	"copydetect/internal/core"
 	"copydetect/internal/server"
+	"copydetect/internal/testkit"
 )
 
 // blockableTransport simulates a dead backend at the transport level:
@@ -488,21 +490,39 @@ func TestRetriedGETDoesNotReuseConsumedBody(t *testing.T) {
 	}
 }
 
-// TestIdleReplicationStateRetires: per-dataset replication state (and
-// its worker goroutine) must not accumulate forever — once a dataset
-// has been idle with no queued mirrors and no stale member, the state
-// retires, and a later write transparently recreates it.
-func TestIdleReplicationStateRetires(t *testing.T) {
-	oldIdle := dsIdleRetire
-	dsIdleRetire = 20 * time.Millisecond
-	// Registered before the cluster's cleanups, so it runs after
-	// gw.Close — no worker is still reading the variable.
-	t.Cleanup(func() { dsIdleRetire = oldIdle })
+// drainers counts the gateway drainer goroutines alive in the process.
+func drainers() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "(*Gateway).drain(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
 
+// TestIdleReplicationStateRetires: a dataset's mirror goroutine exists
+// only while its queue holds work, and its state only while the dataset
+// exists or the state owes work. After a create, an append and their
+// delivered mirrors no drainer is left; a DELETE through the gateway
+// drops the state; a re-create plus an append brings it back and lands
+// on both members.
+func TestIdleReplicationStateRetires(t *testing.T) {
 	rc := newReplCluster(t, 3, Config{Replication: 2, ProbeEvery: time.Hour})
 	name := rc.nameWithPrimary(0)
 	members := rc.gw.Ring().ReplicaSet(name, 2)
 	base := rc.gwServer.URL + "/v1/datasets/" + name
+	onBoth := func(version uint64) {
+		t.Helper()
+		for _, m := range members {
+			m := m
+			waitFor(t, fmt.Sprintf("member %d to hold version %d", m, version), func() bool {
+				inf, status := directInfo(t, rc.backends[m].URL, name)
+				return status == http.StatusOK && inf.Version == version
+			})
+		}
+	}
 
 	if resp, body := do(t, http.MethodPut, base, nil, nil); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create: %d %s", resp.StatusCode, body)
@@ -510,39 +530,41 @@ func TestIdleReplicationStateRetires(t *testing.T) {
 	if resp, body := do(t, http.MethodPost, base+"/observations", smallBatch("idle"), nil); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("append: %d %s", resp.StatusCode, body)
 	}
+	onBoth(1)
+	waitFor(t, "the drainer to exit", func() bool { return drainers() == 0 })
 	if rc.gw.lookupDS(name) == nil {
-		t.Fatal("no replication state after a write")
+		t.Fatal("the state of an existing dataset was dropped")
 	}
-	waitFor(t, "idle state to retire", func() bool {
-		return rc.gw.lookupDS(name) == nil
-	})
 
-	// A later write recreates the state and still replicates.
+	if resp, body := do(t, http.MethodDelete, base, nil, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("delete: %d %s", resp.StatusCode, body)
+	}
+	waitFor(t, "the deleted dataset's state to be dropped", func() bool { return rc.gw.lookupDS(name) == nil })
+	for _, m := range members {
+		if _, status := directInfo(t, rc.backends[m].URL, name); status != http.StatusNotFound {
+			t.Errorf("member %d holds the deleted dataset (status %d)", m, status)
+		}
+	}
+
+	// A re-create recreates the state, and it still replicates.
+	if resp, body := do(t, http.MethodPut, base, nil, nil); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("re-create: %d %s", resp.StatusCode, body)
+	}
 	if resp, body := do(t, http.MethodPost, base+"/observations", smallBatch("again"), nil); resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("append after retirement: %d %s", resp.StatusCode, body)
+		t.Fatalf("append after the re-create: %d %s", resp.StatusCode, body)
 	}
 	if rc.gw.lookupDS(name) == nil {
-		t.Fatal("replication state not recreated by a post-retirement write")
+		t.Fatal("no replication state after the re-create")
 	}
-	for _, m := range members {
-		m := m
-		waitFor(t, fmt.Sprintf("member %d to hold version 2", m), func() bool {
-			inf, status := directInfo(t, rc.backends[m].URL, name)
-			return status == http.StatusOK && inf.Version == 2
-		})
-	}
+	onBoth(1)
 }
 
-// TestStaleMemberBlocksRetirement: a stale flag is an obligation — the
-// state must stay (and keep re-arming anti-entropy) until the member
-// is healed, no matter how long the dataset sits idle.
+// TestStaleMemberBlocksRetirement: a stale flag is an obligation. A
+// dataset deleted while its replica is cut off keeps its state — the
+// replica is stale and still holds its copy — with no write pending and
+// no drainer running, until anti-entropy has deleted that copy; then the
+// state is dropped.
 func TestStaleMemberBlocksRetirement(t *testing.T) {
-	oldIdle := dsIdleRetire
-	dsIdleRetire = 20 * time.Millisecond
-	// Registered before the cluster's cleanups, so it runs after
-	// gw.Close — no worker is still reading the variable.
-	t.Cleanup(func() { dsIdleRetire = oldIdle })
-
 	rc := newReplCluster(t, 3, Config{Replication: 2, ProbeEvery: time.Hour})
 	name := rc.nameWithPrimary(0)
 	members := rc.gw.Ring().ReplicaSet(name, 2)
@@ -551,17 +573,215 @@ func TestStaleMemberBlocksRetirement(t *testing.T) {
 	if resp, body := do(t, http.MethodPut, base, nil, nil); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create: %d %s", resp.StatusCode, body)
 	}
+	waitFor(t, "replica create", func() bool {
+		_, status := directInfo(t, rc.backends[members[1]].URL, name)
+		return status == http.StatusOK
+	})
 	rc.transport.setBlocked(rc.hosts[members[1]], true)
-	if resp, body := do(t, http.MethodPost, base+"/observations", smallBatch("s"), nil); resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("append: %d %s", resp.StatusCode, body)
+	if resp, body := do(t, http.MethodDelete, base, nil, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("delete: %d %s", resp.StatusCode, body)
 	}
 	waitFor(t, "replica to be marked stale", func() bool {
 		return rc.gw.Status()[members[1]].StaleDatasets == 1
 	})
-	// Idle far past the retirement threshold: the obligation pins it.
-	time.Sleep(10 * dsIdleRetire)
+	waitFor(t, "the drainer to give up on the replica", func() bool { return drainers() == 0 })
 	if rc.gw.lookupDS(name) == nil {
-		t.Fatal("state with a stale member retired; the obligation was forgotten")
+		t.Fatal("state with a stale member dropped; the obligation was forgotten")
+	}
+
+	rc.transport.setBlocked(rc.hosts[members[1]], false)
+	waitFor(t, "anti-entropy to delete the replica's copy and the state to be dropped", func() bool {
+		rc.gw.triggerReconciles(members[1])
+		_, status := directInfo(t, rc.backends[members[1]].URL, name)
+		return status == http.StatusNotFound && rc.gw.lookupDS(name) == nil
+	})
+}
+
+// TestMissingNamesLeaveNoState: reads and appends of names that no member
+// holds leave neither dataset state nor goroutines behind, at R = 1 and
+// at R = 2, so no client can grow the gateway's memory at request rate.
+// Two clients at a time touch each name, so states are created and
+// dropped under each other.
+func TestMissingNamesLeaveNoState(t *testing.T) {
+	const n, clients = 200, 4
+	for _, replication := range []int{1, 2} {
+		t.Run(fmt.Sprintf("replicas=%d", replication), func(t *testing.T) {
+			tc := newTestCluster(t, 3, Config{Replication: replication, ProbeEvery: time.Hour})
+			states := func() int {
+				tc.gw.dsMu.Lock()
+				defer tc.gw.dsMu.Unlock()
+				return len(tc.gw.ds)
+			}
+			// touch reads and appends to names first … first+count-1 (mod n).
+			touch := func(first, count int) {
+				for i := first; i < first+count; i++ {
+					base := fmt.Sprintf("%s/v1/datasets/missing-%d", tc.gwServer.URL, i%n)
+					for _, path := range []string{"", "/observations"} {
+						method, body := http.MethodGet, any(nil)
+						if path != "" {
+							method, body = http.MethodPost, smallBatch("m")
+						}
+						if status, _, raw, err := testkit.Do(http.DefaultClient, method, base+path, body, nil); err != nil || status != http.StatusNotFound {
+							t.Errorf("%s %s of a missing name: %d %s %v, want 404", method, path, status, raw, err)
+							return
+						}
+					}
+				}
+			}
+			// Keep-alive connections are goroutines of their own, on both
+			// ends: both counts are taken with the idle ones closed.
+			touch(n, 5)
+			http.DefaultClient.CloseIdleConnections()
+			time.Sleep(50 * time.Millisecond)
+			baseline := runtime.NumGoroutine()
+
+			var wg sync.WaitGroup
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					touch(c*n/clients, 2*n/clients)
+				}(c)
+			}
+			wg.Wait()
+			deadline := time.Now().Add(10 * time.Second)
+			for http.DefaultClient.CloseIdleConnections(); states() != 0 || runtime.NumGoroutine() > baseline; {
+				if time.Now().After(deadline) {
+					t.Fatalf("reads and appends of %d missing names left %d states and %d goroutines (baseline %d)",
+						n, states(), runtime.NumGoroutine(), baseline)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
+	}
+}
+
+// TestChurnedNamesRetireCleanly: clients that create, append to and
+// delete the same names at once drop and re-create their states under
+// each other while mirrors are in flight. No request fails on the
+// gateway's side; once a last DELETE has landed, both members agree the
+// names are gone, and no state (so no stale member) or drainer is left.
+func TestChurnedNamesRetireCleanly(t *testing.T) {
+	const clients, cycles = 4, 15
+	rc := newReplCluster(t, 3, Config{Replication: 2, ProbeEvery: time.Hour})
+	names := []string{rc.nameWithPrimary(0), rc.nameWithPrimary(1)}
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < cycles; i++ {
+				base := rc.gwServer.URL + "/v1/datasets/" + names[(c+i)%len(names)]
+				for _, op := range []struct {
+					method, path string
+					body         any
+				}{{http.MethodPut, "", nil}, {http.MethodPost, "/observations", smallBatch(fmt.Sprintf("c%d", c))}, {http.MethodDelete, "", nil}} {
+					status, _, raw, err := testkit.Do(http.DefaultClient, op.method, base+op.path, op.body, nil)
+					if err != nil || status >= 500 {
+						t.Errorf("%s %s%s: %d %s %v", op.method, base, op.path, status, raw, err)
+						return
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	for _, name := range names {
+		if resp, body := do(t, http.MethodDelete, rc.gwServer.URL+"/v1/datasets/"+name, nil, nil); resp.StatusCode >= 300 && resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("last delete of %s: %d %s", name, resp.StatusCode, body)
+		}
+	}
+	waitFor(t, "both members to drop both names, and the gateway every state and drainer", func() bool {
+		for _, name := range names {
+			for _, m := range rc.gw.Ring().ReplicaSet(name, 2) {
+				if _, status := directInfo(t, rc.backends[m].URL, name); status != http.StatusNotFound {
+					return false
+				}
+			}
+			if rc.gw.lookupDS(name) != nil {
+				return false
+			}
+		}
+		return drainers() == 0
+	})
+}
+
+// datasetHangTransport holds the writes to one host for one dataset until
+// release closes (or the request's context ends); everything else passes.
+type datasetHangTransport struct {
+	host, dataset string
+	release       chan struct{}
+}
+
+func (dt *datasetHangTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	path := "/v1/datasets/" + dt.dataset
+	if req.URL.Host == dt.host && req.Method != http.MethodGet &&
+		(req.URL.Path == path || strings.HasPrefix(req.URL.Path, path+"/")) {
+		select {
+		case <-dt.release:
+		case <-req.Context().Done():
+			return nil, req.Context().Err()
+		}
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestMirrorsAreIsolatedPerDataset: a member that hangs on one dataset's
+// mirrors stalls that dataset's queue only. Another dataset's mirrors to
+// the same, otherwise answering member land well inside jobTimeout.
+func TestMirrorsAreIsolatedPerDataset(t *testing.T) {
+	oldTimeout := jobTimeout
+	jobTimeout = time.Minute
+	// Registered first, so it runs after the gateway has closed.
+	t.Cleanup(func() { jobTimeout = oldTimeout })
+	urls := make([]string, 2)
+	for i := range urls {
+		reg := server.NewRegistry(server.Config{Options: core.Options{Workers: 1}})
+		t.Cleanup(reg.Close)
+		s := httptest.NewServer(server.NewHandler(reg))
+		t.Cleanup(s.Close)
+		urls[i] = s.URL
+	}
+	ring, err := NewRing(urls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for i := 0; i < 10000 && len(names) < 2; i++ {
+		if cand := fmt.Sprintf("iso-%d", i); ring.Owner(cand) == 0 {
+			names = append(names, cand)
+		}
+	}
+	hung, other := names[0], names[1]
+	dt := &datasetHangTransport{host: strings.TrimPrefix(urls[1], "http://"), dataset: hung, release: make(chan struct{})}
+	gw, err := New(Config{Backends: urls, Replication: 2, ProbeEvery: time.Hour, Transport: dt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { closeBounded(t, gw) })
+	t.Cleanup(func() { close(dt.release) }) // runs before the Close above
+	gwServer := httptest.NewServer(gw)
+	t.Cleanup(gwServer.Close)
+
+	for _, name := range []string{hung, other} {
+		base := gwServer.URL + "/v1/datasets/" + name
+		if resp, body := do(t, http.MethodPut, base, nil, nil); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("create %s: %d %s", name, resp.StatusCode, body)
+		}
+		if resp, body := do(t, http.MethodPost, base+"/observations", smallBatch(name), nil); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("append %s: %d %s", name, resp.StatusCode, body)
+		}
+	}
+	start := time.Now()
+	waitFor(t, "the other dataset's mirrors to land on the replica", func() bool {
+		inf, status := directInfo(t, urls[1], other)
+		return status == http.StatusOK && inf.Version == 1
+	})
+	if took := time.Since(start); took > 5*time.Second {
+		t.Errorf("the other dataset's mirrors took %v behind a hung dataset, want well inside jobTimeout (%v)", took, jobTimeout)
+	}
+	if _, status := directInfo(t, urls[1], hung); status != http.StatusNotFound {
+		t.Errorf("the hung dataset's create reached the replica (status %d); the hang did not hold", status)
 	}
 }
 

@@ -257,9 +257,9 @@ func TestListReportsServeableMember(t *testing.T) {
 		smallBatch("l1"), nil); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("direct append: %d %s", resp.StatusCode, body)
 	}
-	ds := rc.gw.lockDS(name)
+	ds := rc.gw.acquire(name)
 	rc.gw.setStale(ds, 0, true)
-	ds.mu.Unlock()
+	rc.gw.release(ds)
 
 	resp, raw := do(t, http.MethodGet, base, nil, nil)
 	var read infoBody

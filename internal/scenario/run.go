@@ -251,21 +251,17 @@ func (r *Runner) runPhase(ctx context.Context, client *http.Client, p *Phase, st
 	// Pacer: one shared token stream; during a burst window the
 	// interval shrinks by the burst factor. Each token is due at an
 	// absolute time, start plus the intervals before it, so a late
-	// wake-up delays that token only, not every one after it. The
-	// channel banks at most one token per client, so a slow stretch is
-	// caught up without letting the run stampede far past the target.
+	// wake-up delays that token only, not every one after it. The first
+	// is due at start and none at or past the phase's deadline, so d
+	// seconds at r/s are r·d tokens. The channel banks at most one token
+	// per client, so a slow stretch is caught up without letting the run
+	// stampede far past the target.
 	var tokens chan struct{}
 	if p.Rate > 0 {
 		tokens = make(chan struct{}, clients)
+		deadline, _ := phaseCtx.Deadline()
 		go func() {
-			for due := start; ; {
-				rate := p.Rate
-				if b := p.Burst; b != nil {
-					if due.Sub(start)%b.Every.Duration < b.Length.Duration {
-						rate *= b.Factor
-					}
-				}
-				due = due.Add(time.Duration(float64(time.Second) / rate))
+			for due := start; deadline.IsZero() || due.Before(deadline); {
 				select {
 				case <-phaseCtx.Done():
 					return
@@ -275,6 +271,13 @@ func (r *Runner) runPhase(ctx context.Context, client *http.Client, p *Phase, st
 				case tokens <- struct{}{}:
 				default:
 				}
+				rate := p.Rate
+				if b := p.Burst; b != nil {
+					if due.Sub(start)%b.Every.Duration < b.Length.Duration {
+						rate *= b.Factor
+					}
+				}
+				due = due.Add(time.Duration(float64(time.Second) / rate))
 			}
 		}()
 	}

@@ -5,9 +5,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"copydetect/internal/dataset"
 	"copydetect/internal/server"
 	"copydetect/internal/telemetry"
 )
@@ -183,9 +185,27 @@ func TestRunToExhaustion(t *testing.T) {
 		t.Fatalf("phase streamed %d of %d observations, starved=%v, pass=%v",
 			p.Observations, v.Observations, p.Starved, v.Pass)
 	}
-	// n appends need n pacer tokens, the first one interval in.
+	// n appends need n pacer tokens, the first one at the start.
 	if p.Appends < 2 || p.Seconds < float64(p.Appends-1)/exhaustRate {
 		t.Fatalf("rate cap violated: %d appends in %.3fs at %d/s", p.Appends, p.Seconds, exhaustRate)
+	}
+}
+
+// TestTimedPhaseLandsRateTimesDuration: a timed phase of d seconds at r
+// batches/s lands r·d appends. The first token is due at the phase's
+// start; one due at its deadline would lose to it.
+func TestTimedPhaseLandsRateTimesDuration(t *testing.T) {
+	var landed atomic.Int64
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		landed.Add(1)
+		w.WriteHeader(http.StatusAccepted)
+	}))
+	defer stub.Close()
+	st := &stream{name: "s", batches: make([][]dataset.Record, 100)}
+	p := &Phase{Name: "timed", Duration: Duration{time.Second}, Rate: 10, Clients: 1}
+	rep := (&Runner{Target: stub.URL}).runPhase(context.Background(), stub.Client(), p, []*stream{st}, []float64{1})
+	if got := landed.Load(); got != 10 || rep.Appends != 10 {
+		t.Fatalf("a 1 s phase at 10/s landed %d appends (reported %d), want 10", got, rep.Appends)
 	}
 }
 
