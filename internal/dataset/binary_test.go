@@ -23,17 +23,9 @@ func encodeRoundtrip(t *testing.T, ds *Dataset) *Dataset {
 	return got
 }
 
-// eqData compares dataset content, ignoring the Generation identity
-// stamp: every Build/Decode mints a fresh generation by design.
-func eqData(a, b *Dataset) bool {
-	ca, cb := *a, *b
-	ca.Generation, cb.Generation = 0, 0
-	return reflect.DeepEqual(&ca, &cb)
-}
-
 func TestBinaryRoundtrip(t *testing.T) {
 	ds, _ := Motivating()
-	if got := encodeRoundtrip(t, ds); !eqData(got, ds) {
+	if got := encodeRoundtrip(t, ds); !reflect.DeepEqual(got, ds) {
 		t.Fatal("motivating dataset did not survive the binary roundtrip")
 	}
 
@@ -46,13 +38,13 @@ func TestBinaryRoundtrip(t *testing.T) {
 	b.SetTruth("d1", "a")
 	b.SetTruth("d3", "x") // truth value nobody provides
 	ds = b.Build()
-	if got := encodeRoundtrip(t, ds); !eqData(got, ds) {
+	if got := encodeRoundtrip(t, ds); !reflect.DeepEqual(got, ds) {
 		t.Fatal("dataset with truth did not survive the binary roundtrip")
 	}
 
 	// Empty dataset.
 	ds = NewBuilder().Build()
-	if got := encodeRoundtrip(t, ds); !eqData(got, ds) {
+	if got := encodeRoundtrip(t, ds); !reflect.DeepEqual(got, ds) {
 		t.Fatal("empty dataset did not survive the binary roundtrip")
 	}
 }
@@ -98,12 +90,12 @@ func TestNewBuilderFromDataset(t *testing.T) {
 	want := full.Build()
 
 	recovered := NewBuilderFromDataset(snap)
-	if got := recovered.Build(); !eqData(got, snap) {
+	if got := recovered.Build(); !reflect.DeepEqual(got, snap) {
 		t.Fatal("rebuilding straight from the snapshot changed the dataset")
 	}
 	recovered.AddRecords(tail)
 	recovered.SetTruth("d5", "v1")
-	if got := recovered.Build(); !eqData(got, want) {
+	if got := recovered.Build(); !reflect.DeepEqual(got, want) {
 		t.Fatal("appends on the recovered builder diverge from the uninterrupted builder")
 	}
 }

@@ -208,7 +208,6 @@ func (b *Builder) Build() *Dataset {
 		ValueNames:  make([][]string, nD),
 		BySource:    make([][]Obs, nS),
 		ByItem:      make([][]SV, nD),
-		Generation:  FreshGeneration(),
 	}
 	if b.hasTruth {
 		ds.Truth = make([]ValueID, nD)

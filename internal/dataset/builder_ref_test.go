@@ -98,7 +98,6 @@ func (b *refBuilder) Build() *Dataset {
 		ValueNames:  make([][]string, len(b.valueNames)),
 		BySource:    make([][]Obs, len(b.sourceNames)),
 		ByItem:      make([][]SV, len(b.itemNames)),
-		Generation:  FreshGeneration(),
 	}
 	for d, vs := range b.valueNames {
 		ds.ValueNames[d] = append([]string(nil), vs...)
@@ -196,8 +195,8 @@ func (op builderOp) apply(b builderAPI) *Dataset {
 
 // TestBuilderMatchesReference: on seeded random streams, every Build of
 // the columnar Builder — the interleaved ones and the final one — is
-// deep-equal, Generation aside, to the map-based reference's, nil-versus-
-// empty slices included, and valid.
+// deep-equal to the map-based reference's, nil-versus-empty slices
+// included, and valid.
 func TestBuilderMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -211,7 +210,7 @@ func TestBuilderMatchesReference(t *testing.T) {
 			if g == nil {
 				continue
 			}
-			if !eqData(g, w) {
+			if !reflect.DeepEqual(g, w) {
 				t.Fatalf("seed %d op %d: Build differs from the reference:\n got %+v\nwant %+v", seed, i, g, w)
 			}
 			if err := g.Validate(); err != nil {
@@ -223,7 +222,7 @@ func TestBuilderMatchesReference(t *testing.T) {
 
 // deepCopy clones ds through a path that shares nothing with it.
 func deepCopy(ds *Dataset) *Dataset {
-	c := &Dataset{Generation: ds.Generation}
+	c := &Dataset{}
 	c.SourceNames = append([]string(nil), ds.SourceNames...)
 	c.ItemNames = append([]string(nil), ds.ItemNames...)
 	c.Truth = append([]ValueID(nil), ds.Truth...)
@@ -280,7 +279,7 @@ func TestSnapshotImmutable(t *testing.T) {
 	if !reflect.DeepEqual(later, laterCopy) {
 		t.Fatal("appends to a Builder made from an earlier Dataset changed a later one")
 	}
-	if got := rebuilt.Build(); !eqData(got, later) {
+	if got := rebuilt.Build(); !reflect.DeepEqual(got, later) {
 		t.Fatalf("the same appends on the original and the rebuilt Builder diverge:\n got %+v\nwant %+v", got, later)
 	}
 }
@@ -307,10 +306,10 @@ func TestRebuiltBuilderContinuesStream(t *testing.T) {
 			op.apply(decoded)
 		}
 		want := whole.Build()
-		if got := resumed.Build(); !eqData(got, want) {
+		if got := resumed.Build(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d, cut at %d of %d: resumed Builder diverges:\n got %+v\nwant %+v", seed, cut, len(ops), got, want)
 		}
-		if got := decoded.Build(); !eqData(got, want) {
+		if got := decoded.Build(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d, cut at %d of %d: Builder resumed from the decoded snapshot diverges", seed, cut, len(ops))
 		}
 	}
@@ -320,7 +319,7 @@ func TestRebuiltBuilderContinuesStream(t *testing.T) {
 // use", for every entry point that used to meet a nil map.
 func TestBuilderZeroValue(t *testing.T) {
 	var empty Builder
-	if ds := empty.Build(); !eqData(ds, NewBuilder().Build()) || ds.Validate() != nil || ds.NumObservations() != 0 {
+	if ds := empty.Build(); !reflect.DeepEqual(ds, NewBuilder().Build()) || ds.Validate() != nil || ds.NumObservations() != 0 {
 		t.Fatalf("Build on a zero Builder = %+v", ds)
 	}
 	var b Builder
@@ -333,7 +332,7 @@ func TestBuilderZeroValue(t *testing.T) {
 	want.Add("s", "d", "v")
 	want.SetTruth("d2", "w")
 	for name, got := range map[string]*Builder{"Add": &b, "AddIDs": &viaIDs} {
-		if !eqData(got.Build(), want.Build()) {
+		if !reflect.DeepEqual(got.Build(), want.Build()) {
 			t.Errorf("zero Builder filled through %s differs from NewBuilder's", name)
 		}
 	}

@@ -14,7 +14,6 @@ package dataset
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 )
 
 // SourceID identifies a data source; ids are dense in [0, NumSources).
@@ -49,6 +48,9 @@ type SV struct {
 // Build one with a Builder; all slices are sorted as documented and must
 // not be mutated afterwards: the name tables are shared with the Builder
 // that built it, with later snapshots and with Builders made from it.
+// Nothing writes a built Dataset, so its pointer is its identity: a cache
+// that holds the pointer keeps the dataset alive, and no other dataset can
+// take its address while it does.
 type Dataset struct {
 	// SourceNames[s] is the display name of source s.
 	SourceNames []string
@@ -65,25 +67,7 @@ type Dataset struct {
 	// Truth[d] is the gold-standard true value of item d, or NoValue when
 	// unknown. May be nil when no gold standard exists.
 	Truth []ValueID
-
-	// Generation is a process-unique stamp assigned when the Dataset is
-	// materialized (Builder.Build, the codecs, the generators). Caches
-	// keyed on a *Dataset must also compare Generation: the Go allocator
-	// may place a recreated dataset at the address of a deleted one, and a
-	// pointer comparison alone would then serve stale cached structures.
-	// Hand-constructed literals carry Generation 0 and fall back to
-	// pointer identity.
-	Generation uint64
 }
-
-// generationCounter backs FreshGeneration; 0 is reserved for literals.
-var generationCounter atomic.Uint64
-
-// FreshGeneration returns a process-unique, non-zero generation stamp.
-// Every code path that materializes a new Dataset calls it, so two
-// Datasets never share a (pointer, generation) identity even if the
-// allocator reuses the address.
-func FreshGeneration() uint64 { return generationCounter.Add(1) }
 
 // NumSources returns |S|.
 func (ds *Dataset) NumSources() int { return len(ds.SourceNames) }

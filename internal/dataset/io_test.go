@@ -261,7 +261,7 @@ var jsonCases = []string{
 // and truths by name.
 func sameDataset(t *testing.T, doc string, got, want *Dataset) {
 	t.Helper()
-	if eqData(got, want) {
+	if reflect.DeepEqual(got, want) {
 		return
 	}
 	if !reflect.DeepEqual(got.SourceNames, want.SourceNames) {

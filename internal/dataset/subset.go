@@ -18,7 +18,6 @@ func SubsetItems(ds *Dataset, items []ItemID) (*Dataset, []ItemID) {
 		ValueNames:  make([][]string, len(itemMap)),
 		BySource:    make([][]Obs, ds.NumSources()),
 		ByItem:      make([][]SV, len(itemMap)),
-		Generation:  FreshGeneration(),
 	}
 	for newID, oldID := range itemMap {
 		sub.ItemNames[newID] = ds.ItemNames[oldID]

@@ -111,15 +111,14 @@ func (tf *TruthFinder) Run(ds *dataset.Dataset, det core.Detector) *Outcome {
 	core.ResetDetector(det)
 	p := tf.Params
 
-	valueCounts := make([]int, ds.NumItems())
-	for d := range valueCounts {
-		valueCounts[d] = ds.NumValues(dataset.ItemID(d))
-	}
-	st := bayes.NewState(valueCounts, ds.NumSources(), initialAccuracy)
-
-	fusionStart := time.Now()
 	// Initial value probabilities from undiscounted voting at uniform
-	// accuracy, so round 1 of copy detection has informative P(D.v).
+	// accuracy, so round 1 of copy detection has informative P(D.v);
+	// valueProbs reads the accuracies alone.
+	st := &bayes.State{A: make([]float64, ds.NumSources())}
+	for s := range st.A {
+		st.A[s] = initialAccuracy
+	}
+	fusionStart := time.Now()
 	st.P = valueProbs(ds, st, p, nil, tf.Workers, &tf.scratch)
 	st.A = accuracies(ds, st.P, tf.Workers)
 	out := &Outcome{}

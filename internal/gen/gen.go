@@ -294,7 +294,6 @@ func assemble(cfg Config, coverage [][]dataset.ItemID, values [][]dataset.ValueI
 		BySource:    make([][]dataset.Obs, ns),
 		ByItem:      make([][]dataset.SV, ni),
 		Truth:       make([]dataset.ValueID, ni),
-		Generation:  dataset.FreshGeneration(),
 	}
 	for s := 0; s < ns; s++ {
 		ds.SourceNames[s] = fmt.Sprintf("S%04d", s)

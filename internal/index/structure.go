@@ -17,7 +17,7 @@ import (
 //   - Structure: the entry universe — (item, value) per entry, provider
 //     lists in CSR layout, and optional per-source bitsets over items and
 //     entries for word-parallel overlap counting. Depends only on the
-//     observations; built once per dataset generation and cached.
+//     observations; built once per dataset and cached.
 //   - View: the per-round arrays — P and Score per entry, the scan
 //     order permutation, the tail set and the MaxRemaining maxima.
 //     Rescore refills them in place, so steady-state rounds allocate

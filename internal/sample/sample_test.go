@@ -119,7 +119,7 @@ func TestSamplingDeterministic(t *testing.T) {
 	ds := testDataset(t)
 	a := ScaleSample(ds, 0.2, 4, rand.New(rand.NewSource(9)))
 	b := ScaleSample(ds, 0.2, 4, rand.New(rand.NewSource(9)))
-	if d := testkit.Diff(b, a, "Generation"); d != "" {
+	if d := testkit.Diff(b, a); d != "" {
 		t.Fatalf("sampling not deterministic under same seed: %s", d)
 	}
 }

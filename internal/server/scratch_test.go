@@ -14,6 +14,7 @@ import (
 	"time"
 	"unsafe"
 
+	"copydetect/internal/bayes"
 	"copydetect/internal/core"
 	"copydetect/internal/dataset"
 	"copydetect/internal/fusion"
@@ -95,11 +96,27 @@ func poisonAt(v reflect.Value, inBuf bool, at int) int {
 // (the pair sweep), each loaded in one append and refreshed in small ones
 // (refreshBatches). Every round is checked, and so is the round before it
 // once the next poisoning has happened: nothing a round publishes may sit
-// in the memory the scratch carries on.
+// in the memory the scratch carries on. The detector must also end every
+// round as a fresh one ends the same run: with the same pass statistics
+// (History) and the same working memory up to its buffers' lengths. A
+// count that a round reads before writing changes which pass settles a
+// pair long before it changes a decision, and may change neither.
 func TestPoisonedScratchPublishesTheSame(t *testing.T) {
-	var poisoned atomic.Int64
-	testHookBetweenRounds = func(sc *roundScratch) {
-		poisoned.Add(int64(poison(sc)))
+	var poisoned, junkBaseA atomic.Int64
+	var sc *roundScratch        // the scratch of the last round run
+	var served []core.PassStats // its detector's History
+	testHookBetweenRounds = func(s *roundScratch) {
+		poisoned.Add(int64(poison(s)))
+		// A stale copy of the base accuracies would freeze the wrong base,
+		// so that buffer must be among the poisoned ones.
+		baseA := reflect.ValueOf(workingMemory(&s.det)).FieldByName("baseA")
+		if baseA.Len() > 0 && math.IsNaN(baseA.Index(0).Float()) {
+			junkBaseA.Add(1)
+		}
+		sc = s
+		s.tf.OnRound = func(int, *dataset.Dataset, *bayes.State, *core.Result) {
+			served = append(served[:0], s.det.History...)
+		}
 	}
 	defer func() { testHookBetweenRounds = nil }()
 
@@ -123,27 +140,42 @@ func TestPoisonedScratchPublishesTheSame(t *testing.T) {
 						tr = truth
 					}
 					poisoned.Store(0)
+					junkBaseA.Store(0)
 					if _, _, err := m.Append(batch, tr); err != nil {
 						t.Fatalf("append: %v", err)
 					}
 					pub := quiesce(t, reg, "d")
-					if i > 0 && poisoned.Load() == 0 {
-						t.Fatalf("round %d: the scratch carried no memory to poison", pub.Round)
+					if i > 0 && (poisoned.Load() == 0 || junkBaseA.Load() == 0) {
+						t.Fatalf("round %d: the scratch carried no memory to poison, or no base accuracies", pub.Round)
 					}
 					if prev != nil {
 						if d := testkit.Diff(prev.Outcome, prevWant, untimed...); d != "" {
 							t.Fatalf("round %d changed after round %d was poisoned: %s", prev.Round, pub.Round, d)
 						}
 					}
-					_, want := batchOutcome(batches[:i+1], tr, workers)
+					_, want, fresh := batchRun(batches[:i+1], tr, workers)
 					if d := testkit.Diff(pub.Outcome, want, untimed...); d != "" {
 						t.Fatalf("round %d of version %d differs from the batch run: %s", pub.Round, pub.Version, d)
+					}
+					if d := testkit.Diff(served, fresh.History); d != "" || len(served) == 0 {
+						t.Fatalf("round %d: pass statistics differ from a fresh detector's (%d rounds): %s", pub.Round, len(served), d)
+					}
+					if d := testkit.Diff(workingMemory(&sc.det), workingMemory(fresh)); d != "" {
+						t.Fatalf("round %d: the detector's working memory differs from a fresh detector's: %s", pub.Round, d)
 					}
 					prev, prevWant = pub, want
 				}
 			})
 		}
 	}
+}
+
+// workingMemory is the memory an INCREMENTAL detector carries from one Run
+// to the next (its incBufs), as a value Diff compares up to each buffer's
+// length.
+func workingMemory(det *core.Incremental) any {
+	f := reflect.ValueOf(det).Elem().FieldByName("incBufs")
+	return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem().Interface()
 }
 
 // refreshBatches splits recs the way a refresh workload appends them: most
@@ -243,6 +275,9 @@ func TestDeleteDropsScratch(t *testing.T) {
 // these ops allocated 20 MB each (BenchmarkRefresh's Book-CS×0.5 op, on a
 // smaller start, 14.1–14.4 MB); carried memory (roundScratch) must keep
 // them under 7.2 MB, half the smaller figure, once the scratch is warm.
+// The objects are bounded too: a deep copy of INCREMENTAL's base state
+// and a throw-away first fusion state, one row per item each, took an op
+// from about 2 500 objects to about 5 000, and 3 500 lies between.
 // The median of nine ops is checked: an op whose process runs more
 // iterative rounds, or meets a new source and so new pair maps, allocates
 // more, and does not decide.
@@ -250,7 +285,7 @@ func TestRefreshRoundAllocationBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates and serves Book-CS×0.5")
 	}
-	const batch, warm, ops, bound = 50, 3, 9, 7.2e6
+	const batch, warm, ops, bound, objBound = 50, 3, 9, 7.2e6, 3500
 	recs := dataset.Records(testkit.Generate(t, testkit.Lookup("book-cs-x0.5")[0]))
 	held := recs[len(recs)-(warm+ops)*batch:]
 	reg, err := Open(Config{DataDir: t.TempDir(), Options: core.Options{Workers: 2}})
@@ -281,7 +316,7 @@ func TestRefreshRoundAllocationBound(t *testing.T) {
 		}
 	}
 	refresh(recs[:len(recs)-len(held)])
-	var per []float64
+	var per, objs []float64
 	for i := 0; i < warm+ops; i++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -289,11 +324,17 @@ func TestRefreshRoundAllocationBound(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		if i >= warm {
 			per = append(per, float64(after.TotalAlloc-before.TotalAlloc))
+			objs = append(objs, float64(after.Mallocs-before.Mallocs))
 		}
 	}
 	sort.Float64s(per)
+	sort.Float64s(objs)
 	t.Logf("bytes allocated per refresh op: %.0f", per)
+	t.Logf("objects allocated per refresh op: %.0f", objs)
 	if med := per[len(per)/2]; med > bound {
 		t.Fatalf("a warm refresh op allocates %.2f MB (median of %d), bound %.1f MB", med/1e6, ops, bound/1e6)
+	}
+	if med := objs[len(objs)/2]; med > objBound {
+		t.Fatalf("a warm refresh op allocates %.0f objects (median of %d), bound %d", med, ops, objBound)
 	}
 }

@@ -26,9 +26,8 @@ import (
 var streamPreset = testkit.Lookup("book-cs")[0]
 
 // untimed masks what legitimately differs between two identical runs: the
-// wall-clock timers, and the generation stamp every Build or Decode mints
-// (it tells recreated datasets apart and says nothing of their data).
-var untimed = []string{"Generation", "IndexBuild", "Detect", "FusionTime"}
+// wall-clock timers.
+var untimed = []string{"IndexBuild", "Detect", "FusionTime"}
 
 func quiesce(t *testing.T, reg *Registry, name string) *Published {
 	t.Helper()
@@ -45,6 +44,13 @@ func quiesce(t *testing.T, reg *Registry, name string) *Published {
 // batches replayed into a fresh Builder (reproducing id interning), then
 // one from-priors INCREMENTAL run over the final dataset.
 func batchOutcome(batches [][]dataset.Record, truth []dataset.Record, workers int) (*dataset.Dataset, *fusion.Outcome) {
+	final, out, _ := batchRun(batches, truth, workers)
+	return final, out
+}
+
+// batchRun is batchOutcome that also returns the fresh detector it ran,
+// whose History holds the pass statistics of the run.
+func batchRun(batches [][]dataset.Record, truth []dataset.Record, workers int) (*dataset.Dataset, *fusion.Outcome, *core.Incremental) {
 	b := dataset.NewBuilder()
 	for _, batch := range batches {
 		b.AddRecords(batch)
@@ -55,7 +61,8 @@ func batchOutcome(batches [][]dataset.Record, truth []dataset.Record, workers in
 	final := b.Build()
 	params := bayes.DefaultParams()
 	tf := &fusion.TruthFinder{Params: params, Workers: workers}
-	return final, tf.Run(final, &core.Incremental{Params: params, Opts: core.Options{Workers: workers}})
+	det := &core.Incremental{Params: params, Opts: core.Options{Workers: workers}}
+	return final, tf.Run(final, det), det
 }
 
 // TestStreamedEqualsBatch is the serving layer's acceptance test: N

@@ -86,7 +86,7 @@ func TestDurableCleanRestartServesSnapshot(t *testing.T) {
 	if got == nil {
 		t.Fatal("restarted dataset published nothing")
 	}
-	if d := testkit.Diff(got, want, "Generation"); d != "" {
+	if d := testkit.Diff(got, want); d != "" {
 		t.Fatalf("published state differs after clean restart: %s", d)
 	}
 	if inf := m2.Info(); inf.Version != want.Version || inf.Observations != ds.NumObservations() {
@@ -399,7 +399,7 @@ func TestWALRecordRoundtrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decode kind %d: %v", rec.kind, err)
 		}
-		if d := testkit.Diff(got, rec, "Generation"); d != "" {
+		if d := testkit.Diff(got, rec); d != "" {
 			t.Errorf("kind %d: the on-disk format decodes to %+v, want %+v: %s", rec.kind, got, rec, d)
 		}
 		if _, err := decodeWALRecord(enc[:len(enc)-1]); err == nil {

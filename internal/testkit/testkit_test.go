@@ -152,7 +152,7 @@ func TestPresets(t *testing.T) {
 		}
 	}()
 	ForEach(t, Lookup("stock-1day"), func(t *testing.T, ds *dataset.Dataset) {
-		if d := Diff(ds, Generate(t, Lookup("stock-1day")[0]), "Generation"); d != "" || ds.NumObservations() == 0 {
+		if d := Diff(ds, Generate(t, Lookup("stock-1day")[0])); d != "" || ds.NumObservations() == 0 {
 			t.Errorf("%d observations, regenerated: %s", ds.NumObservations(), d)
 		}
 		recs := dataset.Records(ds)
